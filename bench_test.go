@@ -13,6 +13,7 @@ package eagg_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -909,5 +910,45 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBatchParallelScaling is the morsel-parallel batch runtime's
+// scaling table: the four TPC-H shapes at factor 1000 (the benchmark's
+// tpch_hash_large data: 400k-row lineitem for Q3), EA-Prune plans on the
+// hash layer, workers 1/2 (and 4 where the machine has them). Results
+// are bit-identical across worker counts, so the ns/op ratio between the
+// arms of one shape is the parallel speedup and B/op the price paid for
+// it. The bar: workers=2 wall time ≤ 0.85 × workers=1 on Q3 and Q10 on a
+// 2-CPU machine.
+func BenchmarkBatchParallelScaling(b *testing.B) {
+	workers := []int{1, 2}
+	if runtime.GOMAXPROCS(0) >= 4 {
+		workers = append(workers, 4)
+	}
+	for _, name := range []string{"Q3", "Q10", "Q5", "Ex"} {
+		q := tpch.Queries()[name]
+		tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(name, 1000))
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range workers {
+			opts := engine.ExecOptions{Workers: w, Runtime: engine.RuntimeBatch}
+			b.Run(fmt.Sprintf("query=%s/workers=%d", name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				var rows float64
+				for i := 0; i < b.N; i++ {
+					_, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += stats.ActualCout
+				}
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(rows/secs, "rows/s")
+				}
+			})
+		}
 	}
 }

@@ -454,3 +454,198 @@ func TestColTableRoundTrip(t *testing.T) {
 		t.Fatalf("Columnar cache not stable")
 	}
 }
+
+// intPathExecs is the matrix of the int-key tests: the sequential arm
+// and the morsel-parallel arm at workers 2 and 8 × explicit morsel sizes
+// 64 (dozens of morsels) and 4096 (two), all of which must agree.
+func intPathExecs() map[string]*Exec {
+	m := map[string]*Exec{"w1": NewExec(1)}
+	for _, w := range []int{2, 8} {
+		for _, ms := range []int{64, 4096} {
+			m[fmt.Sprintf("w%d-m%d", w, ms)] = NewExec(w).WithMorselSize(ms)
+		}
+	}
+	return m
+}
+
+// intKeyValue cycles an int key domain with negatives, both extremes and
+// NULLs; the first NULL arrives only after several other keys.
+func intKeyValue(i int) Value {
+	switch {
+	case i%29 == 17:
+		return Null
+	case i%101 == 50:
+		return Int(math.MinInt64)
+	case i%103 == 51:
+		return Int(math.MaxInt64)
+	}
+	return Int(int64(i%997 - 498))
+}
+
+// intKeyTables builds a probe table (5000 rows) and a build table (4500
+// rows) whose ki columns are typed int, next to float, mixed and string
+// columns over the same key domain.
+func intKeyTables() (l, r *Table) {
+	l = &Table{Schema: NewSchema([]string{"lid", "lki", "lkf", "lkx", "lks", "lf"})}
+	for i := 0; i < 5000; i++ {
+		kf := Float(float64(i%997 - 498)) // integral: joins with the int keys
+		switch {
+		case i%7 == 3:
+			kf = Float(float64(i%997-498) + 0.5)
+		case i%31 == 5:
+			kf = Float(math.NaN())
+		case i%37 == 9:
+			kf = Null
+		case i%101 == 50:
+			kf = Float(math.MinInt64) // exactly -2^63: equals Int(MinInt64)
+		}
+		var kx Value
+		switch i % 5 {
+		case 0:
+			kx = intKeyValue(i)
+		case 1:
+			kx = Float(float64(i%997 - 498))
+		case 2:
+			kx = Str(fmt.Sprintf("%d", i%997-498))
+		case 3:
+			kx = Float(math.NaN())
+		default:
+			kx = Float(float64(i%997-498) + 0.25)
+		}
+		l.Rows = append(l.Rows, Row{
+			Int(int64(i)), intKeyValue(i), kf, kx, Str(fmt.Sprintf("%d", i%997-498)), Float(float64(i) * 0.37),
+		})
+	}
+	r = &Table{Schema: NewSchema([]string{"rid", "rki", "rkx", "rks", "rv"})}
+	for i := 0; i < 4500; i++ {
+		kx := intKeyValue(i * 3)
+		if i%4 == 1 {
+			kx = Str(fmt.Sprintf("%d", i%997-498))
+		}
+		r.Rows = append(r.Rows, Row{
+			Int(int64(100000 + i)), intKeyValue(i * 3), kx, Str(fmt.Sprintf("%d", (i*3)%997-200)), Int(int64(i)),
+		})
+	}
+	return l, r
+}
+
+// rowJoins holds the row runtime's output of all six join operators for
+// one (tables, keys) case; check requires an executor's batch operators
+// to reproduce them bit for bit.
+type rowJoins struct {
+	pad, lpad Row
+	f         aggfn.Vector
+	want      [6]*Table
+}
+
+func newRowJoins(l, r *Table, lk, rk []int) *rowJoins {
+	j := &rowJoins{pad: NullRow(r.Schema), lpad: NullRow(l.Schema)}
+	last := len(j.pad) - 1
+	j.pad[last] = Int(1)
+	j.f = aggfn.Vector{{Out: "n", Kind: aggfn.CountStar}, {Out: "sv", Kind: aggfn.Sum, Arg: r.Schema.Names()[last]}}
+	j.want = [6]*Table{
+		HashJoin(l, r, lk, rk), HashSemiJoin(l, r, lk, rk), HashAntiJoin(l, r, lk, rk),
+		HashLeftOuter(l, r, lk, rk, j.pad), HashFullOuter(l, r, lk, rk, j.lpad, j.pad),
+		HashGroupJoin(l, r, lk, rk, j.f),
+	}
+	return j
+}
+
+func (j *rowJoins) check(t *testing.T, label string, e *Exec, lc, rc *ColTable, lk, rk []int) {
+	t.Helper()
+	identicalRows(t, label+"/join", j.want[0], e.BatchHashJoin(lc, rc, lk, rk).Table())
+	identicalRows(t, label+"/semi", j.want[1], e.BatchHashSemiJoin(lc, rc, lk, rk).Table())
+	identicalRows(t, label+"/anti", j.want[2], e.BatchHashAntiJoin(lc, rc, lk, rk).Table())
+	identicalRows(t, label+"/leftouter", j.want[3], e.BatchHashLeftOuter(lc, rc, lk, rk, j.pad).Table())
+	identicalRows(t, label+"/fullouter", j.want[4], e.BatchHashFullOuter(lc, rc, lk, rk, j.lpad, j.pad).Table())
+	identicalRows(t, label+"/groupjoin", j.want[5], e.BatchHashGroupJoin(lc, rc, lk, rk, j.f).Table())
+}
+
+// TestParallelIntJoins drives the int-partitioned build (a single ColInt
+// build key: raw payloads scattered, one intTable per partition) against
+// probe columns of every kind — int, integral/fractional/NaN floats,
+// mixed, string, absent — with NULL, negative and MinInt64/MaxInt64
+// keys, and the reverse shapes (mixed or string build key, int probe),
+// which must fall back to the encoded path. Every executor of the matrix
+// must reproduce the row runtime.
+func TestParallelIntJoins(t *testing.T) {
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	for _, c := range []struct {
+		name   string
+		lk, rk []int
+		ints   bool // the build side takes the int path
+	}{
+		{"int-int", []int{1}, []int{1}, true},
+		{"float-int", []int{2}, []int{1}, true},
+		{"mixed-int", []int{3}, []int{1}, true},
+		{"str-int", []int{4}, []int{1}, true},
+		{"absent-int", []int{-1}, []int{1}, true},
+		{"int-mixed", []int{1}, []int{2}, false},
+		{"int-str", []int{1}, []int{3}, false},
+		{"int-absent", []int{1}, []int{-1}, false},
+	} {
+		if got := newKeyScan(rc, c.rk, true).col != nil; got != c.ints {
+			t.Fatalf("%s: build side int path = %v, want %v", c.name, got, c.ints)
+		}
+		want := newRowJoins(l, r, c.lk, c.rk)
+		for name, e := range intPathExecs() {
+			want.check(t, c.name+"/"+name, e, lc, rc, c.lk, c.rk)
+		}
+	}
+}
+
+// TestParallelIntGroup pins the int-key aggregation across the matrix:
+// the NULL key is a group of its own at its first-encounter position,
+// negative and extreme keys group like any other, and order-sensitive
+// float sums and averages come out bit-identical — through the typed
+// kernels, a string kernel and the generic one.
+func TestParallelIntGroup(t *testing.T) {
+	l, _ := intKeyTables()
+	lc := ColTableOf(l)
+	f := aggfn.Vector{
+		{Out: "n", Kind: aggfn.CountStar},
+		{Out: "sf", Kind: aggfn.Sum, Arg: "lf"},
+		{Out: "af", Kind: aggfn.Avg, Arg: "lf"},
+		{Out: "si", Kind: aggfn.Sum, Arg: "lid"},
+		{Out: "skf", Kind: aggfn.Sum, Arg: "lkf"}, // NULLs and NaNs in the argument
+		{Out: "ms", Kind: aggfn.Min, Arg: "lks"},
+		{Out: "cd", Kind: aggfn.CountDistinct, Arg: "lks"},
+	}
+	want := HashGroup(l, []string{"lki"}, f)
+	nullAt := -1
+	for i, row := range want.Rows {
+		if row[0].IsNull() {
+			nullAt = i
+		}
+	}
+	if nullAt <= 0 || nullAt == len(want.Rows)-1 {
+		t.Fatalf("NULL group at %d of %d: the fixture must put it mid-sequence", nullAt, len(want.Rows))
+	}
+	for name, e := range intPathExecs() {
+		identicalRows(t, "group/"+name, want, e.BatchHashGroup(lc, []string{"lki"}, f).Table())
+	}
+}
+
+// TestParallelIntUnderSelection feeds selection-vector views (semijoin
+// outputs: shared columns, monotone Sel) into the int paths as grouping
+// input, build side and probe side.
+func TestParallelIntUnderSelection(t *testing.T) {
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	lk, rk := []int{1}, []int{1}
+	f := aggfn.Vector{{Out: "n", Kind: aggfn.CountStar}, {Out: "sf", Kind: aggfn.Sum, Arg: "lf"}}
+	// Selecting on the string key keeps NULL int keys in the view.
+	lsel, rsel := HashSemiJoin(l, r, []int{4}, []int{3}), HashSemiJoin(r, l, []int{3}, []int{4})
+	wantGroup := HashGroup(lsel, []string{"lki"}, f)
+	wantJoins := newRowJoins(lsel, rsel, lk, rk)
+	for name, e := range intPathExecs() {
+		lv := e.BatchHashSemiJoin(lc, rc, []int{4}, []int{3})
+		rv := e.BatchHashSemiJoin(rc, lc, []int{3}, []int{4})
+		if lv.Sel == nil || rv.Sel == nil || lv.Card() == lc.Card() || rv.Card() == rc.Card() {
+			t.Fatalf("%s: semijoin views carry no real selection", name)
+		}
+		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, []string{"lki"}, f).Table())
+		wantJoins.check(t, "sel-join/"+name, e, lv, rv, lk, rk)
+	}
+}

@@ -1,7 +1,8 @@
 package algebra
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"eagg/internal/aggfn"
 )
@@ -126,56 +127,135 @@ func foldKindOf(a *BoundAgg, t *ColTable) foldKind {
 	return foldGeneric
 }
 
-// bCell is the flat accumulator of one (group, aggregate) pair under a
-// typed kernel: an int64/float64/string running value plus a count, with
-// a lazily allocated full aggCell for the generic kernel.
-type bCell struct {
-	count int64
-	seen  bool // a term fixed the running value (addTo's first assignment)
-	i     int64
-	f     float64
-	s     string
-	gen   *aggCell
+// bitmap is a flat bit set indexed by group id.
+type bitmap []uint64
+
+func (b bitmap) get(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitmap) set(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// aggState holds one aggregate's accumulators for every group of a
+// grouper, struct-of-arrays and indexed by group id. A kernel allocates
+// only the components it folds into (foldKind.parts), and none of the
+// typed ones carries a pointer, so the collector never scans them. seen
+// marks the groups whose running value a term has fixed (addTo's first
+// assignment); everything else is the valid empty state — zero counts,
+// NULL sums — like the zero aggCell.
+type aggState struct {
+	count []int64
+	i     []int64
+	f     []float64
+	seen  bitmap
+	s     []string  // string min/max only
+	gen   []aggCell // generic kernel only
 }
 
-// bFinal produces the aggregate result of a cell under its kernel. The
-// zero cell is the valid empty state (NULL sums, zero counts), like the
-// zero aggCell.
-func (c *bCell) bFinal(fk foldKind, a *BoundAgg) Value {
+// The components of an aggState.
+const (
+	partCount = 1 << iota
+	partInt
+	partFloat
+	partSeen
+	partStr
+	partGen
+)
+
+// parts returns the aggState components kernel fk folds into.
+func (fk foldKind) parts() uint8 {
 	switch fk {
 	case foldCountStar, foldCount:
-		return Int(c.count)
+		return partCount
 	case foldSumInt, foldSumTimesInt, foldSumIfInt, foldMinInt, foldMaxInt:
-		if !c.seen {
-			return Null
-		}
-		return Int(c.i)
+		return partInt | partSeen
 	case foldSumFloat, foldSumTimesFloat, foldMinFloat, foldMaxFloat:
-		if !c.seen {
-			return Null
-		}
-		return Float(c.f)
+		return partFloat | partSeen
 	case foldMinStr, foldMaxStr:
-		if !c.seen {
-			return Null
-		}
-		return Str(c.s)
+		return partStr | partSeen
 	case foldAvgInt:
-		if !c.seen {
+		return partCount | partInt | partSeen
+	case foldAvgFloat:
+		return partCount | partFloat | partSeen
+	}
+	return partGen
+}
+
+// growTo extends s to n elements: exactly on first use (callers that
+// know their group count size once), doubling afterwards. Accumulator
+// arrays only ever grow, so spare capacity is still the zeroed memory
+// make handed out — reslicing exposes valid empty state.
+func growTo[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	if s == nil {
+		return make([]T, n)
+	}
+	ns := make([]T, n, 2*n)
+	copy(ns, s)
+	return ns
+}
+
+// grow extends the given components to ng groups.
+func (st *aggState) grow(parts uint8, ng int) {
+	if parts&partCount != 0 {
+		st.count = growTo(st.count, ng)
+	}
+	if parts&partInt != 0 {
+		st.i = growTo(st.i, ng)
+	}
+	if parts&partFloat != 0 {
+		st.f = growTo(st.f, ng)
+	}
+	if parts&partSeen != 0 {
+		st.seen = growTo(st.seen, (ng+63)/64)
+	}
+	if parts&partStr != 0 {
+		st.s = growTo(st.s, ng)
+	}
+	if parts&partGen != 0 {
+		st.gen = growTo(st.gen, ng)
+	}
+}
+
+// move copies the given components of src's group from into st's group
+// to — the merge step of the parallel aggregation.
+func (st *aggState) move(parts uint8, to int32, src *aggState, from int32) {
+	if parts&partCount != 0 {
+		st.count[to] = src.count[from]
+	}
+	if parts&partInt != 0 {
+		st.i[to] = src.i[from]
+	}
+	if parts&partFloat != 0 {
+		st.f[to] = src.f[from]
+	}
+	if parts&partSeen != 0 && src.seen.get(from) {
+		st.seen.set(to)
+	}
+	if parts&partStr != 0 {
+		st.s[to] = src.s[from]
+	}
+	if parts&partGen != 0 {
+		st.gen[to] = src.gen[from]
+	}
+}
+
+// final produces group gi's aggregate result under kernel fk — the
+// finalization of the kernels whose output column does not assemble
+// straight from the arrays (averages, the generic kernel).
+func (st *aggState) final(fk foldKind, a *BoundAgg, gi int32) Value {
+	switch fk {
+	case foldAvgInt:
+		if !st.seen.get(gi) {
 			return Null // Div(NULL, count) is NULL
 		}
-		return Div(Int(c.i), Int(c.count))
+		return Div(Int(st.i[gi]), Int(st.count[gi]))
 	case foldAvgFloat:
-		if !c.seen {
+		if !st.seen.get(gi) {
 			return Null
 		}
-		return Div(Float(c.f), Int(c.count))
+		return Div(Float(st.f[gi]), Int(st.count[gi]))
 	}
-	if c.gen == nil {
-		var zero aggCell
-		return zero.final(a)
-	}
-	return c.gen.final(a)
+	return st.gen[gi].final(a)
 }
 
 // batchGrouper accumulates groups of one aggregation (one partition of
@@ -187,21 +267,28 @@ type batchGrouper struct {
 	groupSlots []int
 	bound      []BoundAgg
 	folds      []foldKind
+	states     []aggState  // per aggregate
+	ints       bool        // keys are raw int64 payloads (keyScan's int path)
 	groups     *bytesIndex // encoded-key group index (hashtable.go)
-	intGroups  *intIndex   // single-ColInt key fast path (addInts)
-	nullGid    int32       // the NULL key's group id on that path; -1 until seen
+	intGroups  *intIndex   // int-key group index
+	nullGid    int32       // the NULL int key's group id; -1 until seen
 	firsts     []int32     // per group: physical index of its first row
-	cells      []bCell     // len(firsts) * len(bound), group-major
-	gids       []int32     // scratch: per batch row, its group id
-	scratch    []byte      // distinct-key scratch of the generic kernel
+	// sc lends the per-batch scratch (sc.rows: physical rows, sc.gids:
+	// their group ids) from the first batch until finish.
+	sc      *batchScratch
+	scratch []byte // distinct-key scratch of the generic kernel
 }
 
-func newBatchGrouper(t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrouper {
+// newBatchGrouper returns an empty grouper; ints selects the int-key
+// group index over the encoded-key one.
+func newBatchGrouper(t *ColTable, groupSlots []int, bound []BoundAgg, ints bool) *batchGrouper {
 	g := &batchGrouper{
 		t:          t,
 		groupSlots: groupSlots,
 		bound:      bound,
 		folds:      make([]foldKind, len(bound)),
+		states:     make([]aggState, len(bound)),
+		ints:       ints,
 		nullGid:    -1,
 	}
 	for i := range bound {
@@ -210,42 +297,74 @@ func newBatchGrouper(t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrou
 	return g
 }
 
-// add folds one batch: rows are physical indices, keys their grouping
-// encodings (aligned with rows).
-func (g *batchGrouper) add(rows []int32, keys [][]byte) {
-	g.addKeys(rows, keys, nil)
-}
-
-// addKeys is add with optionally precomputed key hashes (aligned with
-// rows) — the parallel path cached them during the partition scatter.
-// Ids are assigned in first-encounter order either way.
-func (g *batchGrouper) addKeys(rows []int32, keys [][]byte, hashes []uint64) {
-	nb := len(g.bound)
-	if g.groups == nil {
-		g.groups = newBytesIndex(groupIndexSeedCap)
-	}
-	g.gids = g.gids[:0]
-	for k, i := range rows {
-		var h uint64
-		if hashes != nil {
-			h = hashes[k]
+// add folds one run of key entries; group ids are assigned in
+// first-encounter order. On the int path the group key IS the int64
+// payload (NULL keeps its own group, exactly the keyNull tag's), so no
+// key bytes are encoded or compared, and group discovery order — and
+// therefore the output's first-encounter order — matches the encoded
+// path row for row.
+func (g *batchGrouper) add(ents []keyEntry, arena []byte) {
+	if g.groups == nil && g.intGroups == nil {
+		if g.ints {
+			g.intGroups = newIntIndex(groupIndexSeedCap)
 		} else {
-			h = hashKey(keys[k])
+			g.groups = newBytesIndex(groupIndexSeedCap)
 		}
-		id, added := g.groups.lookupOrAdd(h, keys[k], int32(len(g.firsts)))
+	}
+	sc := g.resetBatch(len(ents))
+	for k := range ents {
+		en := &ents[k]
+		next := int32(len(g.firsts))
+		var id int32
+		var added bool
+		switch {
+		case !g.ints:
+			id, added = g.groups.lookupOrAdd(en.hash, en.bytes(arena), next)
+		case en.klen == nullKey:
+			if added = g.nullGid < 0; added {
+				g.nullGid = next
+			}
+			id = g.nullGid
+		default:
+			id, added = g.intGroups.lookupOrAddHashed(en.hash, en.key, next)
+		}
 		if added {
-			g.firsts = append(g.firsts, i)
+			g.firsts = append(g.firsts, en.row)
 		}
-		g.gids = append(g.gids, id)
+		sc.rows[k], sc.gids[k] = en.row, id
 	}
-	g.growCells(nb)
-	for j := range g.bound {
-		g.fold(j, rows)
-	}
+	g.foldBatch()
 }
 
-// recordStats reports the group indexes' final geometry.
-func (g *batchGrouper) recordStats(hs *HashStats) {
+// addSingletons folds one batch of rows as one group each — the
+// projection's fold: no key, no index, group id = input position.
+func (g *batchGrouper) addSingletons(rows []int32) {
+	sc := g.resetBatch(len(rows))
+	copy(sc.rows, rows)
+	for k := range rows {
+		sc.gids[k] = int32(len(g.firsts) + k)
+	}
+	g.firsts = append(g.firsts, rows...)
+	g.foldBatch()
+}
+
+// resetBatch returns the batch scratch sized for n rows, borrowing it on
+// first use.
+func (g *batchGrouper) resetBatch(n int) *batchScratch {
+	if g.sc == nil {
+		g.sc = batchScratchPool.Get().(*batchScratch)
+	}
+	g.sc.rows, g.sc.gids = slices.Grow(g.sc.rows[:0], n)[:n], slices.Grow(g.sc.gids[:0], n)[:n]
+	return g.sc
+}
+
+// finish ends the adding phase: the batch scratch goes back to the pool
+// and the group indexes report their final geometry.
+func (g *batchGrouper) finish(hs *HashStats) {
+	if g.sc != nil {
+		batchScratchPool.Put(g.sc)
+		g.sc = nil
+	}
 	if hs == nil {
 		return
 	}
@@ -257,75 +376,35 @@ func (g *batchGrouper) recordStats(hs *HashStats) {
 	}
 }
 
-// growCells extends the accumulator matrix to the current group count in
-// one step. The slice only ever grows, so spare capacity is still the
-// zeroed memory make handed out — reslicing exposes valid empty cells.
-func (g *batchGrouper) growCells(nb int) {
-	if need := len(g.firsts) * nb; need > len(g.cells) {
-		if need <= cap(g.cells) {
-			g.cells = g.cells[:need]
-		} else {
-			nc := make([]bCell, need, 2*need)
-			copy(nc, g.cells)
-			g.cells = nc
-		}
-	}
-}
-
-// addInts folds one batch whose single grouping column is typed int: the
-// group key IS the int64 payload (NULL keeps its own group, exactly the
-// keyNull tag's), so no key bytes are encoded and no key strings are
-// copied into the map. Group discovery order — and therefore the output's
-// first-encounter order — matches the encoded path row for row.
-func (g *batchGrouper) addInts(rows []int32, col *Vector) {
-	nb := len(g.bound)
-	if g.intGroups == nil {
-		g.intGroups = newIntIndex(groupIndexSeedCap)
-	}
-	g.gids = g.gids[:0]
-	for _, i := range rows {
-		var id int32
-		if col.IsNull(int(i)) {
-			if g.nullGid < 0 {
-				g.nullGid = int32(len(g.firsts))
-				g.firsts = append(g.firsts, i)
-			}
-			id = g.nullGid
-		} else {
-			gid, added := g.intGroups.lookupOrAdd(col.Ints[i], int32(len(g.firsts)))
-			if added {
-				g.firsts = append(g.firsts, i)
-			}
-			id = gid
-		}
-		g.gids = append(g.gids, id)
-	}
-	g.growCells(nb)
+// foldBatch extends the accumulators to the current group count and runs
+// every aggregate's kernel over the batch in the scratch.
+func (g *batchGrouper) foldBatch() {
 	for j := range g.bound {
-		g.fold(j, rows)
+		g.states[j].grow(g.folds[j].parts(), len(g.firsts))
+		g.fold(j)
 	}
 }
 
 // fold runs aggregate j's kernel over the batch. The hot kernels hoist
-// the column pointer and payload slice out of the loop; each loop body is
+// the payload and accumulator slices out of the loop; each loop body is
 // monomorphic over one payload type.
-func (g *batchGrouper) fold(j int, rows []int32) {
+func (g *batchGrouper) fold(j int) {
 	a := &g.bound[j]
-	nb := len(g.bound)
-	cell := func(k int) *bCell { return &g.cells[int(g.gids[k])*nb+j] }
+	st := &g.states[j]
+	rows, gids := g.sc.rows, g.sc.gids
 	var col *Vector
 	if a.Arg >= 0 {
 		col = &g.t.Cols[a.Arg]
 	}
 	switch g.folds[j] {
 	case foldCountStar:
-		for k := range rows {
-			cell(k).count++
+		for _, gi := range gids {
+			st.count[gi]++
 		}
 	case foldCount:
 		for k, i := range rows {
 			if !col.IsNull(int(i)) {
-				cell(k).count++
+				st.count[gids[k]]++
 			}
 		}
 	case foldSumInt:
@@ -334,12 +413,10 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			if col.IsNull(int(i)) {
 				continue
 			}
-			c := cell(k)
-			if !c.seen {
-				c.i, c.seen = vals[i], true
-			} else {
-				c.i += vals[i]
-			}
+			// Integer sums need no first-assignment branch: 0 + v is v.
+			gi := gids[k]
+			st.i[gi] += vals[i]
+			st.seen.set(gi)
 		}
 	case foldSumFloat:
 		vals := col.Floats
@@ -347,11 +424,11 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			if col.IsNull(int(i)) {
 				continue
 			}
-			c := cell(k)
-			if !c.seen {
-				c.f, c.seen = vals[i], true
+			if gi := gids[k]; !st.seen.get(gi) {
+				st.f[gi] = vals[i]
+				st.seen.set(gi)
 			} else {
-				c.f += vals[i]
+				st.f[gi] += vals[i]
 			}
 		}
 	case foldSumTimesInt:
@@ -361,13 +438,9 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			if col.IsNull(int(i)) || col2.IsNull(int(i)) {
 				continue // Mul with a NULL factor is NULL; addTo skips it
 			}
-			term := v1[i] * v2[i]
-			c := cell(k)
-			if !c.seen {
-				c.i, c.seen = term, true
-			} else {
-				c.i += term
-			}
+			gi := gids[k]
+			st.i[gi] += v1[i] * v2[i]
+			st.seen.set(gi)
 		}
 	case foldSumTimesFloat:
 		col2 := &g.t.Cols[a.Arg2]
@@ -383,11 +456,11 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			}
 			// Mul with a float operand is Float(a.AsFloat()*b.AsFloat()).
 			term := fac(col, i) * fac(col2, i)
-			c := cell(k)
-			if !c.seen {
-				c.f, c.seen = term, true
+			if gi := gids[k]; !st.seen.get(gi) {
+				st.f[gi] = term
+				st.seen.set(gi)
 			} else {
-				c.f += term
+				st.f[gi] += term
 			}
 		}
 	case foldSumIfInt:
@@ -403,12 +476,9 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 				}
 				term = col2.Ints[i]
 			}
-			c := cell(k)
-			if !c.seen {
-				c.i, c.seen = term, true
-			} else {
-				c.i += term
-			}
+			gi := gids[k]
+			st.i[gi] += term
+			st.seen.set(gi)
 		}
 	case foldMinInt, foldMaxInt:
 		mn := g.folds[j] == foldMinInt
@@ -418,11 +488,11 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 				continue
 			}
 			v := vals[i]
-			c := cell(k)
-			if !c.seen {
-				c.i, c.seen = v, true
-			} else if (mn && v < c.i) || (!mn && v > c.i) {
-				c.i = v
+			if gi := gids[k]; !st.seen.get(gi) {
+				st.i[gi] = v
+				st.seen.set(gi)
+			} else if (mn && v < st.i[gi]) || (!mn && v > st.i[gi]) {
+				st.i[gi] = v
 			}
 		}
 	case foldMinFloat, foldMaxFloat:
@@ -433,13 +503,13 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 				continue
 			}
 			v := vals[i]
-			c := cell(k)
-			if !c.seen {
-				c.f, c.seen = v, true
-			} else if (mn && v < c.f) || (!mn && v > c.f) {
+			if gi := gids[k]; !st.seen.get(gi) {
+				st.f[gi] = v
+				st.seen.set(gi)
+			} else if (mn && v < st.f[gi]) || (!mn && v > st.f[gi]) {
 				// NaN terms compare false either way — current best kept,
 				// like CompareStrict's r=0 for NaN.
-				c.f = v
+				st.f[gi] = v
 			}
 		}
 	case foldMinStr, foldMaxStr:
@@ -450,11 +520,11 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 				continue
 			}
 			v := vals[i]
-			c := cell(k)
-			if !c.seen {
-				c.s, c.seen = v, true
-			} else if (mn && v < c.s) || (!mn && v > c.s) {
-				c.s = v
+			if gi := gids[k]; !st.seen.get(gi) {
+				st.s[gi] = v
+				st.seen.set(gi)
+			} else if (mn && v < st.s[gi]) || (!mn && v > st.s[gi]) {
+				st.s[gi] = v
 			}
 		}
 	case foldAvgInt:
@@ -463,13 +533,10 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			if col.IsNull(int(i)) {
 				continue
 			}
-			c := cell(k)
-			c.count++
-			if !c.seen {
-				c.i, c.seen = vals[i], true
-			} else {
-				c.i += vals[i]
-			}
+			gi := gids[k]
+			st.count[gi]++
+			st.i[gi] += vals[i]
+			st.seen.set(gi)
 		}
 	case foldAvgFloat:
 		vals := col.Floats
@@ -477,231 +544,223 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 			if col.IsNull(int(i)) {
 				continue
 			}
-			c := cell(k)
-			c.count++
-			if !c.seen {
-				c.f, c.seen = vals[i], true
+			gi := gids[k]
+			st.count[gi]++
+			if !st.seen.get(gi) {
+				st.f[gi] = vals[i]
+				st.seen.set(gi)
 			} else {
-				c.f += vals[i]
+				st.f[gi] += vals[i]
 			}
 		}
 	default: // foldGeneric: the shared row-runtime accumulator core
 		for k, i := range rows {
-			c := cell(k)
-			if c.gen == nil {
-				c.gen = &aggCell{}
-			}
-			c.gen.updateVals(a, colValue(g.t, a.Arg, i), colValue(g.t, a.Arg2, i), colValue(g.t, a.Wgt, i), &g.scratch)
+			st.gen[gids[k]].updateVals(a, colValue(g.t, a.Arg, i), colValue(g.t, a.Arg2, i), colValue(g.t, a.Wgt, i), &g.scratch)
 		}
 	}
-}
-
-// emit produces the finished group rows tagged with their first-row
-// index, in this grouper's first-encounter order. Representative grouping
-// values are read back from each group's first row (the input is
-// immutable, so they equal the values seen at discovery).
-func (g *batchGrouper) emit() []groupOut {
-	nb := len(g.bound)
-	outs := make([]groupOut, len(g.firsts))
-	for gi, first := range g.firsts {
-		row := make(Row, 0, len(g.groupSlots)+nb)
-		for _, s := range g.groupSlots {
-			row = append(row, colValue(g.t, s, first))
-		}
-		for j := 0; j < nb; j++ {
-			row = append(row, g.cells[gi*nb+j].bFinal(g.folds[j], &g.bound[j]))
-		}
-		outs[gi] = groupOut{first: first, row: row}
-	}
-	return outs
 }
 
 // emitTable assembles the finished groups directly as a columnar table in
-// first-encounter order: group columns are one typed gather of the
-// first-row indices each, aggregate columns are built by typed kernels
-// from the flat cells — no per-group row materialization at all.
-func (g *batchGrouper) emitTable(s *Schema) *ColTable {
+// group-id order: group columns are one typed gather of the first-row
+// indices each (representative grouping values are read back from each
+// group's first row — the input is immutable, so they equal the values
+// seen at discovery), aggregate columns come straight from the flat
+// accumulator arrays — no per-group row materialization at all. Columns
+// are independent, so par fans them out over the task scheduler.
+func (g *batchGrouper) emitTable(e *Exec, s *Schema, par bool) *ColTable {
 	ng := len(g.firsts)
 	out := &ColTable{Schema: s, N: ng}
-	out.Cols = make([]Vector, 0, len(g.groupSlots)+len(g.bound))
-	for _, slot := range g.groupSlots {
-		if slot < 0 {
+	out.Cols = make([]Vector, len(g.groupSlots)+len(g.bound))
+	task := func(ci int) {
+		if ci >= len(g.groupSlots) {
+			out.Cols[ci] = g.aggCol(ci - len(g.groupSlots))
+		} else if slot := g.groupSlots[ci]; slot >= 0 {
+			out.Cols[ci] = gatherCol(&g.t.Cols[slot], g.firsts)
+		} else {
 			// Absent grouping attribute: an all-NULL column, like the
 			// untyped colBuilder produces.
 			var b colBuilder
 			for i := 0; i < ng; i++ {
 				b.append(Null)
 			}
-			out.Cols = append(out.Cols, b.finish())
-			continue
+			out.Cols[ci] = b.finish()
 		}
-		out.Cols = append(out.Cols, gatherCol(&g.t.Cols[slot], g.firsts))
 	}
-	for j := range g.bound {
-		out.Cols = append(out.Cols, g.aggCol(j))
+	if par {
+		e.forTasks(len(out.Cols), task)
+	} else {
+		for ci := range out.Cols {
+			task(ci)
+		}
 	}
 	return out
 }
 
 // aggCol materializes aggregate j's output column. Counts and the
-// int/float/string running values of the typed kernels assemble straight
-// from the cells; averages and the generic kernel route through bFinal
-// (and the colBuilder) for the exact row-runtime finalization.
+// int/float/string running values of the typed kernels ARE the column
+// payload (unseen groups still hold their zero placeholders, and the
+// NULL bitmap is the complement of seen); averages and the generic
+// kernel route through final (and the colBuilder) for the exact
+// row-runtime finalization.
 func (g *batchGrouper) aggCol(j int) Vector {
-	ng, nb := len(g.firsts), len(g.bound)
-	var nulls []uint64
-	hasNull := false
-	markNull := func(i int) {
-		if nulls == nil {
-			nulls = make([]uint64, (ng+63)/64)
-		}
-		nulls[i>>6] |= 1 << (uint(i) & 63)
-		hasNull = true
-	}
-	withNulls := func(v Vector) Vector {
-		if hasNull {
-			v.Nulls = nulls
-		}
-		return v
-	}
+	ng := len(g.firsts)
+	st := &g.states[j]
+	st.grow(g.folds[j].parts(), ng) // a grouper that never saw a batch has no arrays yet
+	var v Vector
 	switch g.folds[j] {
 	case foldCountStar, foldCount:
-		ints := make([]int64, ng)
-		for gi := range ints {
-			ints[gi] = g.cells[gi*nb+j].count
-		}
-		return Vector{Kind: ColInt, Ints: ints}
+		return Vector{Kind: ColInt, Ints: st.count[:ng:ng]}
 	case foldSumInt, foldSumTimesInt, foldSumIfInt, foldMinInt, foldMaxInt:
-		ints := make([]int64, ng)
-		for gi := range ints {
-			if c := &g.cells[gi*nb+j]; c.seen {
-				ints[gi] = c.i
-			} else {
-				markNull(gi)
-			}
-		}
-		return withNulls(Vector{Kind: ColInt, Ints: ints})
+		v = Vector{Kind: ColInt, Ints: st.i[:ng:ng]}
 	case foldSumFloat, foldSumTimesFloat, foldMinFloat, foldMaxFloat:
-		floats := make([]float64, ng)
-		for gi := range floats {
-			if c := &g.cells[gi*nb+j]; c.seen {
-				floats[gi] = c.f
-			} else {
-				markNull(gi)
-			}
-		}
-		return withNulls(Vector{Kind: ColFloat, Floats: floats})
+		v = Vector{Kind: ColFloat, Floats: st.f[:ng:ng]}
 	case foldMinStr, foldMaxStr:
-		strs := make([]string, ng)
-		for gi := range strs {
-			if c := &g.cells[gi*nb+j]; c.seen {
-				strs[gi] = c.s
-			} else {
-				markNull(gi)
+		v = Vector{Kind: ColStr, Strs: st.s[:ng:ng]}
+	default:
+		var b colBuilder
+		for gi := 0; gi < ng; gi++ {
+			b.append(st.final(g.folds[j], &g.bound[j], int32(gi)))
+		}
+		return b.finish()
+	}
+	nulls := make([]uint64, len(st.seen))
+	hasNull := false
+	for w, seen := range st.seen {
+		nulls[w] = ^seen
+		if w == len(nulls)-1 && ng&63 != 0 {
+			nulls[w] &= 1<<(uint(ng)&63) - 1
+		}
+		hasNull = hasNull || nulls[w] != 0
+	}
+	if hasNull {
+		v.Nulls = nulls
+	}
+	return v
+}
+
+// mergeGroupers combines the partition groupers of one parallel
+// aggregation into a single grouper whose group ids ascend with the
+// groups' first input rows — first-encounter order, whatever partition a
+// hash sent a key to. First rows are distinct physical indices, so a
+// group's id is simply the rank of its first row among all of them: one
+// bitmap over the input marks them, a running popcount ranks them (that
+// is the whole permutation), and every accumulator moves to its rank in
+// one typed pass per aggregate, fanned out over the aggregates. No rows,
+// no comparison sort.
+func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrouper {
+	marks := make(bitmap, (t.N+63)/64)
+	ng := 0
+	for _, g := range parts {
+		if g != nil {
+			ng += len(g.firsts)
+			for _, f := range g.firsts {
+				marks.set(f)
 			}
 		}
-		return withNulls(Vector{Kind: ColStr, Strs: strs})
 	}
-	var b colBuilder
-	for gi := 0; gi < ng; gi++ {
-		b.append(g.cells[gi*nb+j].bFinal(g.folds[j], &g.bound[j]))
+	below := make([]int32, len(marks)) // marked rows in earlier words
+	for w, n := 0, int32(0); w < len(marks); w++ {
+		below[w] = n
+		n += int32(bits.OnesCount64(marks[w]))
 	}
-	return b.finish()
+	out := newBatchGrouper(t, groupSlots, bound, false)
+	out.firsts = make([]int32, ng)
+	perm := make([]int32, 0, ng) // the groups' ranks, partition by partition
+	for _, g := range parts {
+		if g != nil {
+			for _, f := range g.firsts {
+				r := below[f>>6] + int32(bits.OnesCount64(marks[f>>6]&(1<<(uint(f)&63)-1)))
+				out.firsts[r] = f
+				perm = append(perm, r)
+			}
+		}
+	}
+	e.forTasks(len(bound), func(j int) {
+		comps := out.folds[j].parts()
+		st := &out.states[j]
+		st.grow(comps, ng)
+		to := perm
+		for _, g := range parts {
+			if g != nil {
+				for li := range g.firsts {
+					st.move(comps, to[li], &g.states[j], int32(li))
+				}
+				to = to[len(g.firsts):]
+			}
+		}
+	})
+	return out
 }
 
 // BatchHashGroup is typed hash aggregation on the batch runtime: one
 // output row per distinct grouping key in first-encounter order, exactly
 // HashGroup's contract. Sequential: groups discovered and folded batch by
-// batch. Parallel: the morsel scatter of the row runtime (keys encoded
-// column-major), one grouper per partition folding its entries in global
-// input order, partitions merged by ascending first-row index. Because
-// selection vectors are monotone, ascending physical first-row order is
+// batch. Parallel: the input's keys are radix-partitioned (radix.go), one
+// grouper per partition folds its entries in global input order, and the
+// partitions merge by ascending first-row index. Because selection
+// vectors are monotone, ascending physical first-row order is
 // first-encounter order even under a selection.
 func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
 	bound := BindVector(f, t.Schema)
 	groupSlots := t.Schema.Slots(groupBy)
+	outSchema := groupSchema(groupBy, f)
+	n := t.Card()
+	ks := newKeyScan(t, groupSlots, false)
+
+	if !e.parForBatch(n) {
+		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
+		ks.scan(0, n, e.batchSize(), g.add)
+		g.finish(e.hashStats())
+		return g.emitTable(e, outSchema, false)
+	}
+
+	rp := e.radixScatter(ks, n)
+	parts := make([]*batchGrouper, partitions)
+	e.forParts(func(p int) {
+		if rp.count(p) == 0 {
+			return
+		}
+		// Every group lives in exactly one partition and is folded here,
+		// by one task, in global input order.
+		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
+		rp.runs(p, e.batchSize(), g.add)
+		g.finish(e.hashStats())
+		parts[p] = g
+	})
+	rp.release()
+	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, outSchema, true)
+}
+
+// BatchProject evaluates an aggregation vector over groups the caller
+// knows to be single rows — the projection that replaces a final
+// grouping whose key is a key of its duplicate-free input. Every row
+// folds as its own group through the same kernels and the same emit as
+// BatchHashGroup, whose output it reproduces exactly (input order is
+// first-encounter order) without hashing anything.
+func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
+	g := newBatchGrouper(t, t.Schema.Slots(groupBy), BindVector(f, t.Schema), false)
+	bs := e.batchSize()
+	n := t.Card()
+	g.firsts = make([]int32, 0, n)
+	for j := range g.states {
+		g.states[j].grow(g.folds[j].parts(), n)
+	}
+	var rows []int32
+	for b := 0; b < n; b += bs {
+		rows = t.physBatch(b, min(b+bs, n), rows)
+		g.addSingletons(rows)
+	}
+	g.finish(nil)
+	return g.emitTable(e, groupSchema(groupBy, f), e.parForBatch(n))
+}
+
+// groupSchema is the output schema of an aggregation: the grouping
+// attributes, then the vector's outputs.
+func groupSchema(groupBy []string, f aggfn.Vector) *Schema {
 	names := make([]string, 0, len(groupBy)+len(f))
 	names = append(names, groupBy...)
 	names = append(names, f.Outs()...)
-	outSchema := NewSchema(names)
-	bs := e.batchSize()
-	n := t.Card()
-
-	if !e.parFor(n) {
-		g := newBatchGrouper(t, groupSlots, bound)
-		if len(groupSlots) == 1 && groupSlots[0] >= 0 && t.Cols[groupSlots[0]].Kind == ColInt {
-			col := &t.Cols[groupSlots[0]]
-			sc := batchScratchPool.Get().(*batchScratch)
-			for b := 0; b < n; b += bs {
-				sc.rows = t.physBatch(b, min(b+bs, n), sc.rows)
-				g.addInts(sc.rows, col)
-			}
-			batchScratchPool.Put(sc)
-		} else {
-			batchKeys(t, 0, n, bs, groupSlots, false, func(rows []int32, kb *keyBatch) {
-				g.add(rows, kb.keys)
-			})
-		}
-		g.recordStats(e.hashStats())
-		return g.emitTable(outSchema)
-	}
-
-	scatters := make([]*morselScatter, e.morselCount(n))
-	e.forMorsels(n, func(m, lo, hi int) {
-		s := &morselScatter{}
-		batchKeys(t, lo, hi, bs, groupSlots, false, func(rows []int32, kb *keyBatch) {
-			for k, i := range rows {
-				off := len(s.arena)
-				s.arena = append(s.arena, kb.keys[k]...)
-				key := s.arena[off:]
-				h := hashKey(key)
-				p := h & (partitions - 1)
-				s.buckets[p] = append(s.buckets[p], scatterEntry{row: i, off: int32(off), len: int32(len(key)), hash: h})
-			}
-		})
-		scatters[m] = s
-	})
-
-	partOuts := make([][]groupOut, partitions)
-	e.forParts(func(p int) {
-		g := newBatchGrouper(t, groupSlots, bound)
-		rows := make([]int32, 0, bs)
-		keys := make([][]byte, 0, bs)
-		hashes := make([]uint64, 0, bs)
-		flush := func() {
-			if len(rows) > 0 {
-				g.addKeys(rows, keys, hashes)
-				rows, keys, hashes = rows[:0], keys[:0], hashes[:0]
-			}
-		}
-		// Walking scatter entries in morsel order feeds every group in
-		// global input order; flushing in slices of bs only chunks that
-		// order, it never reorders.
-		for _, sc := range scatters {
-			for _, en := range sc.buckets[p] {
-				rows = append(rows, en.row)
-				keys = append(keys, sc.arena[en.off:en.off+en.len])
-				hashes = append(hashes, en.hash)
-				if len(rows) == bs {
-					flush()
-				}
-			}
-		}
-		flush()
-		g.recordStats(e.hashStats())
-		partOuts[p] = g.emit()
-	})
-
-	var all []groupOut
-	for _, outs := range partOuts {
-		all = append(all, outs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].first < all[j].first })
-	rows := make([]Row, len(all))
-	for i, o := range all {
-		rows[i] = o.row
-	}
-	return colTableFromRows(outSchema, rows)
+	return NewSchema(names)
 }
 
 // BatchExtendProduct appends the product column of the slot values (the
@@ -742,7 +801,7 @@ func (e *Exec) BatchExtendProduct(t *ColTable, name string, slots []int) *ColTab
 					v.Ints[i] = prod
 				}
 			}
-			if e.parFor(n) {
+			if e.parForBatch(n) {
 				e.forMorsels(n, func(m, lo, hi int) { fill(lo, hi) })
 			} else {
 				fill(0, n)

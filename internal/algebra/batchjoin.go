@@ -24,142 +24,135 @@ import (
 // reproduce the row runtime's output sequence bit for bit.
 
 // batchScratch bundles the per-batch scratch buffers (physical row list,
-// key encodings, resolved posting lists) one batch driver needs. Pooled:
-// an operator borrows one set for its whole scan instead of growing fresh
-// buffers, so steady-state batch iteration allocates nothing.
+// key encodings, hashed key entries, group ids, resolved posting lists)
+// one batch driver needs. Pooled: an operator borrows one set for its
+// whole scan instead of growing fresh buffers, so steady-state batch
+// iteration allocates nothing.
 type batchScratch struct {
 	kb    keyBatch
 	rows  []int32
+	gids  []int32
 	posts [][]int32
+	ents  []keyEntry
+	arena []byte
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// batchKeys iterates logical rows [lo, hi) of t in batches of bs,
-// encoding the join (join=true) or grouping key of every batch over the
-// slot columns and handing (physical rows, encoded keys) to fn. Key and
-// row buffers come from the scratch pool and are reused across batches;
-// fn must not retain them.
-func batchKeys(t *ColTable, lo, hi, bs int, slots []int, join bool, fn func(rows []int32, kb *keyBatch)) {
-	sc := batchScratchPool.Get().(*batchScratch)
-	for b := lo; b < hi; b += bs {
-		end := min(b+bs, hi)
-		sc.rows = t.physBatch(b, end, sc.rows)
-		if join {
-			sc.kb.encodeJoin(t, sc.rows, slots)
-		} else {
-			sc.kb.encodeGroup(t, sc.rows, slots)
-		}
-		fn(sc.rows, &sc.kb)
-	}
-	batchScratchPool.Put(sc)
-}
-
 // batchBuild is a hashed build side over the flat tables of
-// hashtable.go. Joins on a single int column — the overwhelmingly common
-// equi-join shape — skip byte encoding entirely and hash the int64
-// payloads themselves; everything else uses the canonical key encoding.
-// Posting lists are identical either way: same keys, same build-input
-// order (integral floats probe the int64 table through the same
-// normalization the encoding applies). bloom, when non-nil, pre-filters
-// probe keys by their cached hashes: negatives are exact (an absent key
-// resolves to nil postings either way) and false positives just fall
-// through to the table probe, so the filter never changes results.
+// hashtable.go: one table when built sequentially, one per radix
+// partition when built in parallel (a nil partition holds no keys).
+// Joins on a single int column — the overwhelmingly common equi-join
+// shape — skip byte encoding entirely and hash the int64 payloads
+// themselves; everything else uses the canonical key encoding. Posting
+// lists are identical either way: same keys, same build-input order
+// (integral floats probe the int64 table through the same normalization
+// the encoding applies). bloom, when non-nil, pre-filters probe keys by
+// their cached hashes: negatives are exact (an absent key resolves to
+// nil postings either way) and false positives just fall through to the
+// table probe, so the filter never changes results.
 type batchBuild struct {
-	it    *intTable   // single-ColInt fast path (sequential)
-	bt    *bytesTable // encoded keys, sequential
-	pt    *partTable  // encoded keys, parallel
+	its   []*intTable   // single-ColInt build key
+	bts   []*bytesTable // encoded keys
+	pmask uint64        // table count - 1: the hash's low bits pick the table
 	bloom *bloomFilter
 }
 
-// lookHashed resolves an encoded key under its precomputed hash on the
-// general paths.
-func (b *batchBuild) lookHashed(h uint64, key []byte) []int32 {
-	if b.bt != nil {
-		return b.bt.lookupHashed(h, key)
+func (b *batchBuild) lookInt(h uint64, v int64) []int32 {
+	if t := b.its[h&b.pmask]; t != nil {
+		return t.lookupHashed(h, v)
 	}
-	return b.pt.lookupHashed(h, key)
+	return nil
 }
 
-// batchBuildSide hashes the build input's join keys: the columnar
-// buildSide (sequential) or buildPartitioned (parallel). Posting lists
+func (b *batchBuild) lookBytes(h uint64, key []byte) []int32 {
+	if t := b.bts[h&b.pmask]; t != nil {
+		return t.lookupHashed(h, key)
+	}
+	return nil
+}
+
+// entrySource yields a run of key entries at a time, in input order.
+type entrySource func(fn func(ents []keyEntry, arena []byte))
+
+// buildInts builds table p over the int-keyed entries src yields and
+// returns its distinct key count; buildBytes is the encoded-key twin.
+func (b *batchBuild) buildInts(p, hint int, hs *HashStats, src entrySource) int {
+	t := newIntTable(hint)
+	src(func(ents []keyEntry, _ []byte) {
+		for i := range ents {
+			t.insertHashed(ents[i].hash, ents[i].key, ents[i].row)
+		}
+	})
+	t.finalize()
+	t.record(hs)
+	b.its[p] = t
+	return t.n
+}
+
+func (b *batchBuild) buildBytes(p, hint int, hs *HashStats, src entrySource) int {
+	t := newBytesTable(hint)
+	src(func(ents []keyEntry, arena []byte) {
+		for i := range ents {
+			t.insert(ents[i].hash, ents[i].bytes(arena), ents[i].row)
+		}
+	})
+	t.finalize()
+	t.record(hs)
+	b.bts[p] = t
+	return t.n
+}
+
+// batchBuildSide hashes the build input's join keys: one scan into one
+// table, or (par) a radix scatter and one table per partition, every
+// partition inserting its entries in build-input order. Posting lists
 // are identical to the row runtime's up to physical renumbering under a
 // selection — same keys, same order. probeCard is the probe input's
 // cardinality, used only to gate the optional Bloom filter; pass -1 to
 // disable it (operators that emit every probe row regardless).
 func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
-	bs := e.batchSize()
 	hs := e.hashStats()
 	n := r.Card()
-	if !par && len(rk) == 1 && rk[0] >= 0 && r.Cols[rk[0]].Kind == ColInt {
-		col := &r.Cols[rk[0]]
-		t := newIntTable(n)
-		for li := 0; li < n; li++ {
-			i := r.phys(li)
-			if col.IsNull(int(i)) {
-				continue // NULL keys match nothing
-			}
-			t.insert(col.Ints[i], i)
-		}
-		t.finalize()
-		t.record(hs)
-		b := &batchBuild{it: t}
-		if f := buildBloom(t.n, probeCard); f != nil {
-			t.fillBloom(f)
-			b.bloom = f
-		}
-		return b
+	ks := newKeyScan(r, rk, true)
+	nt := 1
+	if par {
+		nt = partitions
 	}
+	b := &batchBuild{pmask: uint64(nt - 1)}
+	build := b.buildBytes
+	if ks.col != nil {
+		b.its = make([]*intTable, nt)
+		build = b.buildInts
+	} else {
+		b.bts = make([]*bytesTable, nt)
+	}
+	keys := 0 // distinct build keys, for the Bloom gate
 	if !par {
-		t := newBytesTable(n)
-		batchKeys(r, 0, n, bs, rk, true, func(rows []int32, kb *keyBatch) {
-			for k, i := range rows {
-				if kb.dead[k] {
-					continue
-				}
-				t.insert(hashKey(kb.keys[k]), kb.keys[k], i)
+		keys = build(0, n, hs, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
+	} else {
+		// Every partition's table is sized exactly from its entry count
+		// (a pure function of the data), so capacities, and with them
+		// every probe sequence, are identical for every worker count.
+		rp := e.radixScatter(ks, n)
+		var total atomic.Int64
+		e.forParts(func(p int) {
+			if c := rp.count(p); c > 0 {
+				total.Add(int64(build(p, c, hs, func(fn func([]keyEntry, []byte)) { rp.runs(p, e.batchSize(), fn) })))
 			}
 		})
-		t.finalize()
-		t.record(hs)
-		b := &batchBuild{bt: t}
-		if f := buildBloom(t.n, probeCard); f != nil {
-			t.fillBloom(f)
-			b.bloom = f
-		}
-		return b
-	}
-	scatters := make([]*morselScatter, e.morselCount(n))
-	e.forMorsels(n, func(m, lo, hi int) {
-		s := &morselScatter{}
-		batchKeys(r, lo, hi, bs, rk, true, func(rows []int32, kb *keyBatch) {
-			for k, i := range rows {
-				if kb.dead[k] {
-					continue
-				}
-				off := len(s.arena)
-				s.arena = append(s.arena, kb.keys[k]...)
-				key := s.arena[off:]
-				h := hashKey(key)
-				p := h & (partitions - 1)
-				s.buckets[p] = append(s.buckets[p], scatterEntry{row: i, off: int32(off), len: int32(len(key)), hash: h})
-			}
-		})
-		scatters[m] = s
-	})
-	pt := e.buildParts(scatters)
-	b := &batchBuild{pt: pt}
-	keys := 0
-	for _, t := range pt.parts {
-		if t != nil {
-			keys += t.n
-		}
+		keys = int(total.Load())
+		rp.release()
 	}
 	if f := buildBloom(keys, probeCard); f != nil {
-		// The per-partition tables cache every distinct key's hash, so
-		// the filter fills from them in one sequential pass — no racing
-		// bit-sets inside the partition fan-out.
-		for _, t := range pt.parts {
+		// The tables cache every distinct key's hash, so the filter fills
+		// from them in one sequential pass — no racing bit-sets inside
+		// the partition fan-out.
+		for _, t := range b.its {
+			if t != nil {
+				t.fillBloom(f)
+			}
+		}
+		for _, t := range b.bts {
 			if t != nil {
 				t.fillBloom(f)
 			}
@@ -180,14 +173,16 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 	bs := e.batchSize()
 	bloomChecks, bloomPasses := 0, 0
 	defer func() { e.hashStats().recordBloom(bloomChecks, bloomPasses) }()
-	if b.it == nil {
+	if b.its == nil {
 		sc := batchScratchPool.Get().(*batchScratch)
-		posts := sc.posts
-		batchKeys(l, lo, hi, bs, lk, true, func(rows []int32, kb *keyBatch) {
-			if cap(posts) < len(rows) {
-				posts = make([][]int32, len(rows))
+		for bb := lo; bb < hi; bb += bs {
+			sc.rows = l.physBatch(bb, min(bb+bs, hi), sc.rows)
+			sc.kb.encodeJoin(l, sc.rows, lk)
+			rows, kb := sc.rows, &sc.kb
+			if cap(sc.posts) < len(rows) {
+				sc.posts = make([][]int32, len(rows))
 			}
-			posts = posts[:len(rows)]
+			posts := sc.posts[:len(rows)]
 			for k := range rows {
 				if kb.dead[k] {
 					posts[k] = nil
@@ -202,11 +197,10 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 					}
 					bloomPasses++
 				}
-				posts[k] = b.lookHashed(h, kb.keys[k])
+				posts[k] = b.lookBytes(h, kb.keys[k])
 			}
 			fn(rows, posts)
-		})
-		sc.posts = posts
+		}
 		batchScratchPool.Put(sc)
 		return
 	}
@@ -221,7 +215,7 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 			}
 			bloomPasses++
 		}
-		return b.it.lookupHashed(h, v)
+		return b.lookInt(h, v)
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	slot := lk[0]
@@ -353,7 +347,7 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 
 // BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime.
 func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
@@ -385,7 +379,7 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // BatchHashSemiJoin is the left semijoin l ⋉ r: a pure selection-vector
 // operation, zero row copies.
 func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
@@ -420,7 +414,7 @@ func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // without a partner (NULL-key rows included — strict equality matches
 // them to nothing).
 func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
@@ -456,7 +450,7 @@ func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // BatchHashLeftOuter is the left outerjoin on the batch runtime. pad must
 // be a full row over r's schema.
 func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
 	n := l.Card()
 	nm := 1
@@ -495,7 +489,7 @@ func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTab
 // marking is order-independent); the unmatched right rows are appended
 // after the probe barrier in build-input order.
 func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
 	n := l.Card()
 	nm := 1
@@ -545,7 +539,7 @@ func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) 
 func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) *ColTable {
 	bound := BindVector(f, r.Schema)
 	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
-	par := e.parFor(max(l.Card(), r.Card()))
+	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
 	lc := l.Compact() // output appends dense agg columns alongside l's
 	n := lc.Card()

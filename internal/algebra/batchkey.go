@@ -23,6 +23,10 @@ type keyBatch struct {
 	dead []bool
 }
 
+// keyChunk is the expected encoded size of one key component: a kind tag
+// plus a fixed-width payload, with a byte to spare.
+const keyChunk = 10
+
 // reset prepares the buffers for a batch of n rows whose keys are
 // expected to need about chunk bytes each (fixed-width components; only
 // long strings overflow a chunk, and then append reallocates just that
@@ -59,7 +63,7 @@ func (kb *keyBatch) reset(n, chunk int) {
 // the slot columns — the columnar appendRowKey. Slot -1 reads as a NULL
 // column.
 func (kb *keyBatch) encodeGroup(t *ColTable, rows []int32, slots []int) {
-	kb.reset(len(rows), 10*len(slots))
+	kb.reset(len(rows), keyChunk*len(slots))
 	for _, s := range slots {
 		if s < 0 {
 			for k := range rows {
@@ -116,7 +120,7 @@ func (kb *keyBatch) encodeGroup(t *ColTable, rows []int32, slots []int) {
 // equality matches it to nothing). Dead rows carry truncated keys and
 // must not be hashed.
 func (kb *keyBatch) encodeJoin(t *ColTable, rows []int32, slots []int) {
-	kb.reset(len(rows), 10*len(slots))
+	kb.reset(len(rows), keyChunk*len(slots))
 	for _, s := range slots {
 		if s < 0 {
 			// Absent attribute: every key component is NULL.

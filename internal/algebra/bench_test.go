@@ -208,3 +208,45 @@ func BenchmarkTableOpAllocs(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBatchParallelCrossover is the measurement behind
+// parallelCutoff: the batch hash aggregation and join on int keys, input
+// sizes 256 … 256k rows × a low (16) and a high (n/4) distinct-key count
+// × workers 1 (the sequential arm) and 2 (the morsel-parallel arm, forced
+// below the cutoff too by passing the adaptive morsel size explicitly).
+// The crossover is the smallest size from which workers=2 stays faster;
+// DESIGN.md §PR 12 records the table parallelCutoff was read off.
+func BenchmarkBatchParallelCrossover(b *testing.B) {
+	f := aggfn.Vector{
+		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
+		{Out: "c", Kind: aggfn.CountStar},
+		{Out: "m", Kind: aggfn.Min, Arg: "f"},
+	}
+	lk, rk := []int{0}, []int{0}
+	for n := 256; n <= 256<<10; n *= 4 {
+		for _, groups := range []int{16, n / 4} {
+			agg := ColTableOf(benchAggTable(n, groups))
+			build := ColTableOf(benchAggTable(groups, groups))
+			build.Schema = NewSchema([]string{"pk", "pv", "pf"})
+			for _, w := range []int{1, 2} {
+				e := NewExec(w)
+				e = e.WithMorselSize(e.sizeFor(n))
+				name := fmt.Sprintf("rows=%d/keys=%d/workers=%d", n, groups, w)
+				b.Run("op=group/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
+							b.Fatalf("got %d groups, want %d", out.Card(), groups)
+						}
+					}
+				})
+				b.Run("op=join/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
+							b.Fatalf("got %d rows, want %d", out.Card(), n)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -118,8 +118,13 @@ func newIntSlots(c int) []intSlot {
 // encounter. Postings keep insertion order: first row inline, the rest
 // tail-appended to the overflow chain.
 func (t *intTable) insert(key int64, row int32) {
+	t.insertHashed(hashInt64(key), key, row)
+}
+
+// insertHashed is insert under the key's precomputed hash (hashInt64(key)
+// — the hash the partition scatter already took).
+func (t *intTable) insertHashed(h uint64, key int64, row int32) {
 	t.rows++
-	h := hashInt64(key)
 	for {
 		i := h >> t.shift
 		d := 1
@@ -458,7 +463,11 @@ func newIds(c int) []int32 {
 // lookupOrAdd returns key's id, inserting it as id on first encounter
 // (added reports which). Assigned ids are stable across growth.
 func (x *intIndex) lookupOrAdd(key int64, id int32) (got int32, added bool) {
-	h := hashInt64(key)
+	return x.lookupOrAddHashed(hashInt64(key), key, id)
+}
+
+// lookupOrAddHashed is lookupOrAdd under the key's precomputed hash.
+func (x *intIndex) lookupOrAddHashed(h uint64, key int64, id int32) (got int32, added bool) {
 	for {
 		i := h >> x.shift
 		d := 1

@@ -426,8 +426,8 @@ func TestHashStatsRecording(t *testing.T) {
 	tb := aggColumnsTable()
 	tc := ColTableOf(tb)
 	for name, e := range map[string]*Exec{
-		"seq-int":     NewExec(1),
-		"par-encoded": NewExec(8).WithMorselSize(16),
+		"seq-int": NewExec(1),
+		"par-int": NewExec(8).WithMorselSize(16),
 	} {
 		ghs := &HashStats{}
 		NewExec(1).WithHashStats(ghs) // exercise the copy semantics: original untouched
@@ -435,6 +435,100 @@ func TestHashStatsRecording(t *testing.T) {
 		ex.BatchHashGroup(tc, []string{"g1"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}})
 		if snap := ghs.Snapshot(); snap.Builds == 0 || snap.Entries == 0 {
 			t.Fatalf("%s: grouper recorded nothing: %+v", name, snap)
+		}
+	}
+}
+
+// TestRadixScatterLayout pins the two-pass partition on int and encoded
+// keys, join and grouping scans, dense and selected inputs: every entry
+// lands in the partition its hash names, partitions hold their entries
+// in ascending row order (global input order), runs covers each entry
+// exactly once, join scans drop exactly the NULL-key rows, and the NULL
+// key of an int grouping travels as a marked entry.
+func TestRadixScatterLayout(t *testing.T) {
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	sel := (*Exec)(nil).BatchHashSemiJoin(lc, rc, []int{4}, []int{3})
+	for _, tc := range []*ColTable{lc, sel} {
+		for _, slots := range [][]int{{1}, {3}, {1, 4}} {
+			for _, join := range []bool{true, false} {
+				ks := newKeyScan(tc, slots, join)
+				seq, _ := ks.fill(0, tc.Card(), 100, nil, nil)
+				for _, ms := range []int{64, 4096} {
+					e := NewExec(4).WithMorselSize(ms).WithBatchSize(100)
+					rp := e.radixScatter(ks, tc.Card())
+					label := fmt.Sprintf("sel=%v slots=%v join=%v morsel=%d", tc.Sel != nil, slots, join, ms)
+					var rows []int32
+					for p := 0; p < partitions; p++ {
+						last, n := int32(-1), 0
+						rp.runs(p, 100, func(ents []keyEntry, arena []byte) {
+							for _, en := range ents {
+								if int(en.hash&(partitions-1)) != p {
+									t.Fatalf("%s: row %d in partition %d, hash says %d", label, en.row, p, en.hash&(partitions-1))
+								}
+								if en.row <= last {
+									t.Fatalf("%s: partition %d out of input order: row %d after %d", label, p, en.row, last)
+								}
+								if ks.col == nil && hashKey(en.bytes(arena)) != en.hash {
+									t.Fatalf("%s: row %d: arena bytes do not hash to the entry's hash", label, en.row)
+								}
+								last = en.row
+								rows = append(rows, en.row)
+								n++
+							}
+						})
+						if n != rp.count(p) {
+							t.Fatalf("%s: partition %d ran %d entries, count says %d", label, p, n, rp.count(p))
+						}
+					}
+					if len(rows) != len(seq) {
+						t.Fatalf("%s: %d entries scattered, sequential scan has %d", label, len(rows), len(seq))
+					}
+					rp.release()
+				}
+				nulls := 0
+				for _, en := range seq {
+					if ks.col != nil && en.klen == nullKey {
+						nulls++
+					}
+				}
+				if ks.col != nil && (nulls > 0) == join {
+					t.Fatalf("slots=%v join=%v: %d NULL-key entries", slots, join, nulls)
+				}
+				if join && len(seq) == tc.Card() {
+					t.Fatalf("slots=%v: join scan dropped no NULL-key row", slots)
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionedBuildMatchesSequential: the per-partition tables of the
+// parallel build hold exactly the sequential build's posting lists —
+// same keys, same build-input order — on the int and the encoded path.
+func TestPartitionedBuildMatchesSequential(t *testing.T) {
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	for _, rk := range [][]int{{1}, {2}, {1, 3}} {
+		seq := (*Exec)(nil).batchBuildSide(rc, rk, false, -1)
+		par := NewExec(4).WithMorselSize(64).batchBuildSide(rc, rk, true, -1)
+		if len(par.its)+len(par.bts) != partitions || len(seq.its)+len(seq.bts) != 1 {
+			t.Fatalf("rk=%v: %d+%d partition tables, %d+%d sequential", rk, len(par.its), len(par.bts), len(seq.its), len(seq.bts))
+		}
+		// Probe both builds with every key of both tables.
+		for _, probe := range []*ColTable{lc, rc} {
+			ents, arena := newKeyScan(probe, rk, true).fill(0, probe.Card(), 64, nil, nil)
+			for _, en := range ents {
+				var want, got []int32
+				if seq.its != nil {
+					want, got = seq.lookInt(en.hash, en.key), par.lookInt(en.hash, en.key)
+				} else {
+					want, got = seq.lookBytes(en.hash, en.bytes(arena)), par.lookBytes(en.hash, en.bytes(arena))
+				}
+				if !equalPosts(want, got) {
+					t.Fatalf("rk=%v row %d: postings %v, sequential %v", rk, en.row, got, want)
+				}
+			}
 		}
 	}
 }

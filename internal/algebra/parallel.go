@@ -175,16 +175,31 @@ func (e *Exec) hashStats() *HashStats {
 func (e *Exec) par() bool { return e != nil && e.workers > 1 }
 
 // parallelCutoff is the smallest driving input (rows) for which the
-// parallel variants pay for their scatter/partition overhead under the
-// adaptive morsel sizing. Operators below it run sequentially — a
-// deterministic, size-only decision.
+// parallel variants of the row-runtime and sort-based operators pay for
+// their scatter/partition overhead under the adaptive morsel sizing.
+// Operators below it run sequentially — a deterministic, size-only
+// decision. (Set in PR 3 on the row runtime and not re-measured: the row
+// runtime is the differential oracle, not a performance path.)
 const parallelCutoff = 512
 
-// parFor reports whether the parallel variant should run for an
-// operator driven by n input rows. An explicit morsel size disables the
-// cutoff so tests can force the parallel machinery onto tiny inputs.
+// batchParallelCutoff is the same threshold for the batch operators,
+// read off BenchmarkBatchParallelCrossover on 2 CPUs (DESIGN.md §PR 12
+// has the table): the radix-partitioned join pulls ahead of the
+// sequential one from ~16k rows, the partitioned aggregation — which
+// pays the scatter without a probe side to amortize it over — only from
+// ~64k, and the slower of the two sets the constant.
+const batchParallelCutoff = 1 << 16
+
+// parFor reports whether the parallel variant should run for a row or
+// sort operator driven by n input rows. An explicit morsel size disables
+// the cutoff so tests can force the parallel machinery onto tiny inputs.
 func (e *Exec) parFor(n int) bool {
 	return e.par() && (e.morsel > 0 || n >= parallelCutoff)
+}
+
+// parForBatch is parFor for the batch operators.
+func (e *Exec) parForBatch(n int) bool {
+	return e.par() && (e.morsel > 0 || n >= batchParallelCutoff)
 }
 
 // sizeFor returns the morsel size for an n-row input: the explicitly
@@ -371,10 +386,7 @@ type partTable struct {
 
 // lookup returns the posting list of an encoded key.
 func (pt *partTable) lookup(key []byte) []int32 {
-	return pt.lookupHashed(hashKey(key), key)
-}
-
-func (pt *partTable) lookupHashed(h uint64, key []byte) []int32 {
+	h := hashKey(key)
 	t := pt.parts[h&(partitions-1)]
 	if t == nil {
 		return nil

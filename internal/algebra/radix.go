@@ -1,0 +1,218 @@
+package algebra
+
+import (
+	"slices"
+	"sync"
+)
+
+// Hashed key entries and their radix partition: the one key pipeline all
+// batch hash operators share. A keyScan turns a table's key columns into
+// keyEntry records — a single typed-int column yields its raw int64
+// payloads (no byte encoding, no copy), everything else the canonical
+// encoded keys of batchkey.go in a byte arena. The sequential operators
+// consume the entries batch by batch; the morsel-parallel operators
+// radix-partition them first (radixScatter) and consume every partition
+// independently. Either way a consumer sees the same entries in the same
+// input order, so one insert loop and one grouper serve both arms.
+
+// nullKey in keyEntry.klen marks the NULL key of an int-keyed grouping
+// (NULLs form their own group; join scans drop them instead).
+const nullKey = -1
+
+// keyEntry is one input row's hashed key. It is pointer-free: entry
+// arrays are invisible to the garbage collector's scan.
+type keyEntry struct {
+	row  int32  // physical row
+	klen int32  // encoded key: byte length; int key: 0, or nullKey
+	key  int64  // int key: the payload; encoded key: offset into the arena
+	hash uint64 // hashInt64(key) / hashKey(bytes); 0 for the NULL key
+}
+
+// bytes returns an encoded entry's key bytes.
+func (en *keyEntry) bytes(arena []byte) []byte {
+	return arena[en.key : en.key+int64(en.klen)]
+}
+
+// keyScan extracts the hashed keys of a table over the given slots, as
+// join keys (rows with a NULL/NaN component are dropped — they match
+// nothing) or grouping keys (NULL is a key value of its own).
+type keyScan struct {
+	t     *ColTable
+	slots []int
+	join  bool
+	col   *Vector // non-nil: the single typed-int key column — the int path
+}
+
+func newKeyScan(t *ColTable, slots []int, join bool) *keyScan {
+	ks := &keyScan{t: t, slots: slots, join: join}
+	if len(slots) == 1 && slots[0] >= 0 && t.Cols[slots[0]].Kind == ColInt {
+		ks.col = &t.Cols[slots[0]]
+	}
+	return ks
+}
+
+// fill appends the entries of logical rows [lo, hi) to out in row order,
+// and the bytes of encoded keys to arena.
+func (ks *keyScan) fill(lo, hi, bs int, out []keyEntry, arena []byte) ([]keyEntry, []byte) {
+	t := ks.t
+	if col := ks.col; col != nil {
+		n := len(out)
+		out = slices.Grow(out, hi-lo)[:n+hi-lo]
+		for li := lo; li < hi; li++ {
+			i := t.phys(li)
+			if col.IsNull(int(i)) {
+				if ks.join {
+					continue
+				}
+				out[n] = keyEntry{row: i, klen: nullKey}
+			} else {
+				v := col.Ints[i]
+				out[n] = keyEntry{row: i, key: v, hash: hashInt64(v)}
+			}
+			n++
+		}
+		return out[:n], arena
+	}
+	sc := batchScratchPool.Get().(*batchScratch)
+	for b := lo; b < hi; b += bs {
+		sc.rows = t.physBatch(b, min(b+bs, hi), sc.rows)
+		if ks.join {
+			sc.kb.encodeJoin(t, sc.rows, ks.slots)
+		} else {
+			sc.kb.encodeGroup(t, sc.rows, ks.slots)
+		}
+		for k, i := range sc.rows {
+			if sc.kb.dead[k] {
+				continue
+			}
+			key := sc.kb.keys[k]
+			out = append(out, keyEntry{row: i, klen: int32(len(key)), key: int64(len(arena)), hash: hashKey(key)})
+			arena = append(arena, key...)
+		}
+	}
+	batchScratchPool.Put(sc)
+	return out, arena
+}
+
+// scan hands fn the entries of logical rows [lo, hi) a batch at a time.
+// The buffers are reused across batches; fn must not retain them.
+func (ks *keyScan) scan(lo, hi, bs int, fn func(ents []keyEntry, arena []byte)) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	for b := lo; b < hi; b += bs {
+		sc.ents, sc.arena = ks.fill(b, min(b+bs, hi), bs, sc.ents[:0], sc.arena[:0])
+		fn(sc.ents, sc.arena)
+	}
+	batchScratchPool.Put(sc)
+}
+
+// radixParts is an input's key entries partitioned by the low hash bits.
+// Partition p's entries are contiguous in ents, morsel by morsel and in
+// row order within a morsel — global input order — so building or
+// grouping a partition front to back sees its keys exactly as a
+// sequential scan would.
+type radixParts struct {
+	ents    []keyEntry
+	morsels int
+	// offs[m*partitions+p] is where morsel m's run of partition p starts;
+	// row morsels holds every partition's end.
+	offs []int32
+	// arenas[m] holds morsel m's encoded key bytes (nil for int keys).
+	arenas [][]byte
+}
+
+// radixScatter partitions the entries of all n logical rows in two
+// morsel-parallel passes: every morsel fills its entries and counts them
+// per partition; a prefix sum over the counts, partition-major, assigns
+// every (morsel, partition) run its place in one exact-sized array; the
+// second pass moves the entries there. Morsel geometry is a pure
+// function of (n, workers, configuration), so the layout is identical
+// however many goroutines execute it.
+func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
+	bs := e.batchSize()
+	morsels := e.morselCount(n)
+	rp := &radixParts{morsels: morsels, offs: make([]int32, (morsels+1)*partitions)}
+	if ks.col == nil {
+		rp.arenas = make([][]byte, morsels)
+	}
+	tmp := getEntries(n)
+	cnts := make([]int32, morsels)
+	e.forMorsels(n, func(m, lo, hi int) {
+		var arena []byte
+		if rp.arenas != nil {
+			arena = make([]byte, 0, (hi-lo)*keyChunk*len(ks.slots))
+		}
+		out, arena := ks.fill(lo, hi, bs, tmp[lo:lo:hi], arena)
+		hist := rp.offs[m*partitions : (m+1)*partitions]
+		for i := range out {
+			hist[out[i].hash&(partitions-1)]++
+		}
+		cnts[m] = int32(len(out))
+		if rp.arenas != nil {
+			rp.arenas[m] = arena
+		}
+	})
+	pos := int32(0)
+	for p := 0; p < partitions; p++ {
+		for m := 0; m < morsels; m++ {
+			c := rp.offs[m*partitions+p]
+			rp.offs[m*partitions+p] = pos
+			pos += c
+		}
+		rp.offs[morsels*partitions+p] = pos
+	}
+	rp.ents = getEntries(int(pos))
+	e.forMorsels(n, func(m, lo, hi int) {
+		var next [partitions]int32
+		copy(next[:], rp.offs[m*partitions:])
+		for _, en := range tmp[lo : lo+int(cnts[m])] {
+			p := en.hash & (partitions - 1)
+			rp.ents[next[p]] = en
+			next[p]++
+		}
+	})
+	putEntries(tmp)
+	return rp
+}
+
+// release recycles the entry array; rp must not be used afterwards.
+func (rp *radixParts) release() { putEntries(rp.ents) }
+
+// entryPool recycles entry arrays across operators: a scatter needs two
+// input-sized arrays for the length of one build or aggregation, and
+// allocating them fresh every time is what drives the collector — over a
+// heap of pointer-rich base tables — on the parallel arm. Stale contents
+// are harmless: both passes write every entry they later read.
+var entryPool sync.Pool
+
+func getEntries(n int) []keyEntry {
+	if p, _ := entryPool.Get().(*[]keyEntry); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]keyEntry, n)
+}
+
+func putEntries(s []keyEntry) { entryPool.Put(&s) }
+
+// count returns the number of entries in partition p.
+func (rp *radixParts) count(p int) int {
+	return int(rp.offs[rp.morsels*partitions+p] - rp.offs[p])
+}
+
+// runs hands fn partition p's entries in input order: int keys at most bs
+// at a time, encoded keys one morsel's run at a time, with that morsel's
+// arena.
+func (rp *radixParts) runs(p, bs int, fn func(ents []keyEntry, arena []byte)) {
+	if rp.arenas == nil {
+		for ents := rp.ents[rp.offs[p]:rp.offs[rp.morsels*partitions+p]]; len(ents) > 0; {
+			n := min(bs, len(ents))
+			fn(ents[:n], nil)
+			ents = ents[n:]
+		}
+		return
+	}
+	for m := 0; m < rp.morsels; m++ {
+		if lo, hi := rp.offs[m*partitions+p], rp.offs[(m+1)*partitions+p]; lo < hi {
+			fn(rp.ents[lo:hi], rp.arenas[m])
+		}
+	}
+}

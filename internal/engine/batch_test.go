@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"eagg/internal/aggfn"
+	"eagg/internal/algebra"
 	"eagg/internal/core"
+	"eagg/internal/query"
 	"eagg/internal/randquery"
 )
 
@@ -26,11 +29,40 @@ func TestParseRuntime(t *testing.T) {
 	}
 }
 
+// floatAggArgs returns a copy of the tables in which every argument
+// column of the query's aggregates holds floats instead of ints
+// (0.1·v + 0.7: not exactly representable, so sums and averages over
+// them round differently in a different order). The random generator
+// gives aggregates argument attributes of their own — never join,
+// grouping or key attributes — so the query's result shape is unchanged.
+func floatAggArgs(q *query.Query, data TableData) TableData {
+	out := make(TableData, len(data))
+	for id, tab := range data {
+		ft := &algebra.Table{Schema: tab.Schema, Rows: make([]algebra.Row, len(tab.Rows))}
+		for i, row := range tab.Rows {
+			ft.Rows[i] = append(algebra.Row(nil), row...)
+		}
+		for _, a := range q.Aggregates {
+			if slot, ok := tab.Schema.Slot(a.Arg); ok && a.Arg != "" {
+				for _, row := range ft.Rows {
+					if row[slot].Kind == algebra.KindInt {
+						row[slot] = algebra.Float(0.1*float64(row[slot].I) + 0.7)
+					}
+				}
+			}
+		}
+		out[id] = ft
+	}
+	return out
+}
+
 // TestBatchParallelDeterminism is the batch runtime's version of the
 // central determinism contract: on random queries and data, executing an
 // optimized plan on the batch runtime — for every (workers, batch-size)
 // pair — must return a table bit-identical to the sequential row
-// reference path, order-sensitive float sums included.
+// reference path. Every second query aggregates floats, with its sums
+// turned into averages on alternate occasions, so order-sensitive float
+// sum and avg states cross the parallel aggregation's partition merge.
 func TestBatchParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(90217))
 	algs := []core.Options{
@@ -39,12 +71,16 @@ func TestBatchParallelDeterminism(t *testing.T) {
 		{Algorithm: core.AlgH1},
 	}
 	batchSizes := []int{1, 7, 1024}
-	queries := 0
+	queries, floatSums := 0, 0
 	for n := 2; n <= 6; n++ {
 		for trial := 0; trial < 6; trial++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
 			data := RandomData(rng, q, 14).Tables()
 			queries++
+			if queries%2 == 0 {
+				data = floatAggArgs(q, data)
+				floatSums += convertSums(q, queries%4 == 0)
+			}
 			opts := algs[(queries-1)%len(algs)]
 			res, err := core.Optimize(q, opts)
 			if err != nil {
@@ -71,9 +107,24 @@ func TestBatchParallelDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if queries < 25 {
-		t.Fatalf("workload too small: %d queries", queries)
+	if queries < 25 || floatSums < 5 {
+		t.Fatalf("workload too small: %d queries, %d float sums/averages", queries, floatSums)
 	}
+}
+
+// convertSums counts the query's sum aggregates and, when toAvg is set,
+// turns them into averages in place (before the query is optimized).
+func convertSums(q *query.Query, toAvg bool) int {
+	n := 0
+	for i := range q.Aggregates {
+		if q.Aggregates[i].Kind == aggfn.Sum {
+			n++
+			if toAvg {
+				q.Aggregates[i].Kind = aggfn.Avg
+			}
+		}
+	}
+	return n
 }
 
 // TestExecStatsHashTelemetry pins that hash-table telemetry flows

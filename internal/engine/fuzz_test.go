@@ -138,6 +138,20 @@ func FuzzExecEquivalence(f *testing.F) {
 			t.Fatalf("parallel batch exec: %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d workers=%d", seed, n, opts.Algorithm, bs, workers), seqTab, batchPar)
+		// The same pair over float aggregate arguments: order-sensitive
+		// sums must cross the parallel aggregation's partition merge
+		// unchanged.
+		ftables := floatAggArgs(q, tables)
+		seqF, err := ExecTablesOpts(q, res.Plan, ftables, ExecOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("sequential exec (float args): %v", err)
+		}
+		batchParF, err := ExecTablesOpts(q, res.Plan, ftables,
+			ExecOptions{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs})
+		if err != nil {
+			t.Fatalf("parallel batch exec (float args): %v", err)
+		}
+		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d workers=%d float args", seed, n, opts.Algorithm, bs, workers), seqF, batchParF)
 
 		// -phys arm: the sort-based physical layer. The sort/auto plan
 		// (annotated with merge keys, sort/reuse decisions and

@@ -103,9 +103,13 @@ func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
 // either streams over the input's existing order (SortL false — the
 // eliminated sort, verified against the covering order prefix the
 // optimizer recorded in p.MergeL) or sorts by the grouping key first.
-// Both layers emit the identical output sequence.
+// Both layers emit the identical output sequence. A nil p is the
+// projection: every group is a single row, which the runtime may exploit.
 func (e *executor) groupTable(tab rtTable, gNames []string, f aggfn.Vector, p *plan.Plan) (rtTable, error) {
-	if p != nil && p.Phys == plan.PhysSortMerge {
+	if p == nil {
+		return e.rt.project(tab, gNames, f), nil
+	}
+	if p.Phys == plan.PhysSortMerge {
 		var verify []int
 		if !p.SortL {
 			for _, a := range p.MergeL {
@@ -197,8 +201,8 @@ func (e *binder) reaggregate(kind aggfn.Kind, st aggState, wOther string, inner 
 // finalGroup evaluates the query's final grouping (or its projection
 // replacement — results are identical when G holds a key of a
 // duplicate-free input, which is exactly when the optimizer chooses the
-// projection). p is the plan node selecting the physical layer; nil (the
-// projection path) aggregates on the hash layer.
+// projection). p is the plan node selecting the physical layer; nil is
+// the projection path.
 func (e *executor) finalGroup(child *compiled, groupBy bitset.VSet, p *plan.Plan) (*compiled, error) {
 	tab := child.tab
 	final := aggfn.Vector{}

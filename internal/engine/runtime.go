@@ -68,6 +68,9 @@ type runtimeOps interface {
 	hashFullOuter(l, r rtTable, lk, rk []int, lpad, rpad algebra.Row) rtTable
 	hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) rtTable
 	hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable
+	// project is hashGroup for an input whose every group is known to be
+	// a single row (plan.NodeProject).
+	project(t rtTable, groupBy []string, f aggfn.Vector) rtTable
 	sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error)
 	mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error)
 	product(t rtTable, name string, slots []int) rtTable
@@ -102,6 +105,9 @@ func (rt rowRuntime) hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) r
 }
 func (rt rowRuntime) hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
 	return rt.ex.HashGroup(rt.tab(t), groupBy, f)
+}
+func (rt rowRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
+	return rt.hashGroup(t, groupBy, f)
 }
 func (rt rowRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error) {
 	return rt.ex.SortGroup(rt.tab(t), groupBy, f, sortInput, verify)
@@ -176,6 +182,9 @@ func (rt batchRuntime) hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector)
 }
 func (rt batchRuntime) hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
 	return rt.ex.BatchHashGroup(rt.col(t), groupBy, f)
+}
+func (rt batchRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
+	return rt.ex.BatchProject(rt.col(t), groupBy, f)
 }
 func (rt batchRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error) {
 	return rt.ex.SortGroup(rt.result(t), groupBy, f, sortInput, verify)
