@@ -756,14 +756,15 @@ func BenchmarkFeedback(b *testing.B) {
 }
 
 // BenchmarkSortVsHash measures the sort-based physical layer against the
-// hash layer on Q3 and Q5 at two data scales. phys=hash is the baseline,
-// phys=sort forces sort-merge join / sort-group aggregation wherever
-// supported, phys=auto lets both compete per plan class. Results are
-// identical across all modes (the differential suites enforce it);
-// ns/op isolates the physical-layer effect and the reported metrics
-// show how many sorts the chosen plan performs versus eliminates by
-// reusing interesting orders (auto's win is eliminated sorts replacing
-// hash-table builds).
+// hash layer at a size where it means something: the four TPC-H shapes
+// at factor 500 (the benchmark's tpch_sort_large data: 200k-row lineitem
+// for Q3, 300k customers for Ex) on the batch runtime, workers 1/2.
+// phys=hash is the baseline, phys=sort forces sort-merge join /
+// sort-group aggregation wherever supported, phys=auto lets both compete
+// per plan class. Results are identical across all modes (the
+// differential suites enforce it); ns/op and B/op isolate the
+// physical-layer effect and the reported metrics show how many sorts the
+// chosen plan performs versus eliminates by reusing interesting orders.
 func BenchmarkSortVsHash(b *testing.B) {
 	modes := []struct {
 		name string
@@ -773,23 +774,25 @@ func BenchmarkSortVsHash(b *testing.B) {
 		{"sort", core.PhysModeSort},
 		{"auto", core.PhysModeAuto},
 	}
-	for _, qn := range []string{"Q3", "Q5"} {
+	for _, qn := range []string{"Q3", "Q10", "Q5", "Ex"} {
 		q := tpch.Queries()[qn]
-		for _, sf := range []float64{1, 4} {
-			tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(qn, sf))
-			for _, m := range modes {
-				res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Workers: 1, Phys: m.mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				perf, elim := res.Plan.SortStats()
-				b.Run(fmt.Sprintf("%s/sf=%g/phys=%s", qn, sf, m.name), func(b *testing.B) {
+		tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(qn, 500))
+		for _, m := range modes {
+			res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Workers: 1, Phys: m.mode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			perf, elim := res.Plan.SortStats()
+			for _, w := range []int{1, 2} {
+				opts := engine.ExecOptions{Workers: w, Runtime: engine.RuntimeBatch}
+				b.Run(fmt.Sprintf("%s/phys=%s/workers=%d", qn, m.name, w), func(b *testing.B) {
+					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						tab, err := engine.ExecTables(q, res.Plan, tables)
+						tab, err := engine.ExecTablesOpts(q, res.Plan, tables, opts)
 						if err != nil {
 							b.Fatal(err)
 						}
-						if tab.Card() == 0 && qn == "Q3" {
+						if tab.Card() == 0 {
 							b.Fatal("empty result")
 						}
 					}

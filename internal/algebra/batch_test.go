@@ -160,6 +160,16 @@ func TestBatchJoinsMatchRow(t *testing.T) {
 			identicalRows(t, prefix+"/fullouter",
 				HashFullOuter(l, r, ks.lk, ks.rk, lpad, vpad),
 				e.BatchHashFullOuter(lc, rc, ks.lk, ks.rk, lpad, vpad).Table())
+			for kind, want := range []*Table{
+				HashJoin(l, r, ks.lk, ks.rk), HashSemiJoin(l, r, ks.lk, ks.rk),
+				HashAntiJoin(l, r, ks.lk, ks.rk), HashLeftOuter(l, r, ks.lk, ks.rk, vpad),
+			} {
+				got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, ks.lk, ks.rk, true, true, vpad)
+				if err != nil {
+					t.Fatalf("%s/merge kind %d: %v", prefix, kind, err)
+				}
+				identicalRows(t, fmt.Sprintf("%s/merge kind %d", prefix, kind), want, got.Table())
+			}
 		}
 	}
 }
@@ -256,6 +266,11 @@ func TestBatchGroupMatchesRow(t *testing.T) {
 		for name, e := range batchExecs() {
 			got := e.BatchHashGroup(tc, groupBy, f).Table()
 			identicalRows(t, fmt.Sprintf("group%v/%s", groupBy, name), want, got)
+			sorted, err := e.BatchSortGroup(tc, groupBy, f, true, nil)
+			if err != nil {
+				t.Fatalf("sortgroup%v/%s: %v", groupBy, name, err)
+			}
+			identicalRows(t, fmt.Sprintf("sortgroup%v/%s", groupBy, name), want, sorted.Table())
 		}
 	}
 }
@@ -529,6 +544,16 @@ func intKeyTables() (l, r *Table) {
 	return l, r
 }
 
+// mustSortGroup is BatchSortGroup with the sort performed.
+func mustSortGroup(t *testing.T, e *Exec, in *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
+	t.Helper()
+	out, err := e.BatchSortGroup(in, groupBy, f, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // rowJoins holds the row runtime's output of all six join operators for
 // one (tables, keys) case; check requires an executor's batch operators
 // to reproduce them bit for bit.
@@ -559,6 +584,21 @@ func (j *rowJoins) check(t *testing.T, label string, e *Exec, lc, rc *ColTable, 
 	identicalRows(t, label+"/leftouter", j.want[3], e.BatchHashLeftOuter(lc, rc, lk, rk, j.pad).Table())
 	identicalRows(t, label+"/fullouter", j.want[4], e.BatchHashFullOuter(lc, rc, lk, rk, j.lpad, j.pad).Table())
 	identicalRows(t, label+"/groupjoin", j.want[5], e.BatchHashGroupJoin(lc, rc, lk, rk, j.f).Table())
+	j.checkMerge(t, label, e, lc, rc, lk, rk, true, true)
+}
+
+// checkMerge requires an executor's four sort-merge operators to
+// reproduce the row runtime's hash operators bit for bit. A false sort
+// flag claims that input is already ordered on its key.
+func (j *rowJoins) checkMerge(t *testing.T, label string, e *Exec, lc, rc *ColTable, lk, rk []int, sortL, sortR bool) {
+	t.Helper()
+	for kind, name := range []string{"merge", "mergesemi", "mergeanti", "mergeleftouter"} {
+		got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, lk, rk, sortL, sortR, j.pad)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", label, name, err)
+		}
+		identicalRows(t, label+"/"+name, j.want[kind], got.Table())
+	}
 }
 
 // TestParallelIntJoins drives the int-partitioned build (a single ColInt
@@ -624,6 +664,7 @@ func TestParallelIntGroup(t *testing.T) {
 	}
 	for name, e := range intPathExecs() {
 		identicalRows(t, "group/"+name, want, e.BatchHashGroup(lc, []string{"lki"}, f).Table())
+		identicalRows(t, "sortgroup/"+name, want, mustSortGroup(t, e, lc, []string{"lki"}, f).Table())
 	}
 }
 
@@ -646,6 +687,7 @@ func TestParallelIntUnderSelection(t *testing.T) {
 			t.Fatalf("%s: semijoin views carry no real selection", name)
 		}
 		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, []string{"lki"}, f).Table())
+		identicalRows(t, "sel-sortgroup/"+name, wantGroup, mustSortGroup(t, e, lv, []string{"lki"}, f).Table())
 		wantJoins.check(t, "sel-join/"+name, e, lv, rv, lk, rk)
 	}
 }

@@ -348,6 +348,35 @@ func (g *batchGrouper) addSingletons(rows []int32) {
 	g.foldBatch()
 }
 
+// addRuns folds the equal-key runs of kr that start in entries [lo, hi),
+// each to completion, as one group per run — the sort layer's fold: no
+// key, no index, group id = run number. A run's rows ascend, so every
+// group folds in input order exactly like under add.
+func (g *batchGrouper) addRuns(kr *keyRuns, lo, hi, bs int) {
+	ra, _ := slices.BinarySearch(kr.starts, int32(lo))
+	rb, _ := slices.BinarySearch(kr.starts, int32(hi))
+	if ra == rb {
+		return
+	}
+	g.firsts = make([]int32, rb-ra)
+	for i := range g.firsts {
+		g.firsts[i] = kr.rows[kr.starts[ra+i]]
+	}
+	run := ra
+	for p, end := int(kr.starts[ra]), int(kr.starts[rb]); p < end; p += bs {
+		q := min(p+bs, end)
+		sc := g.resetBatch(q - p)
+		copy(sc.rows, kr.rows[p:q])
+		for k := range sc.gids {
+			for int(kr.starts[run+1]) <= p+k {
+				run++
+			}
+			sc.gids[k] = int32(run - ra)
+		}
+		g.foldBatch()
+	}
+}
+
 // resetBatch returns the batch scratch sized for n rows, borrowing it on
 // first use.
 func (g *batchGrouper) resetBatch(n int) *batchScratch {

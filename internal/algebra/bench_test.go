@@ -210,12 +210,13 @@ func BenchmarkTableOpAllocs(b *testing.B) {
 }
 
 // BenchmarkBatchParallelCrossover is the measurement behind
-// parallelCutoff: the batch hash aggregation and join on int keys, input
+// batchParallelCutoff: the batch hash aggregation and join and their
+// sort-based counterparts (both sorts performed) on int keys, input
 // sizes 256 … 256k rows × a low (16) and a high (n/4) distinct-key count
 // × workers 1 (the sequential arm) and 2 (the morsel-parallel arm, forced
 // below the cutoff too by passing the adaptive morsel size explicitly).
 // The crossover is the smallest size from which workers=2 stays faster;
-// DESIGN.md §PR 12 records the table parallelCutoff was read off.
+// DESIGN.md §PR 12 and §PR 14 record the tables the cutoff was read off.
 func BenchmarkBatchParallelCrossover(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -243,6 +244,20 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
 							b.Fatalf("got %d rows, want %d", out.Card(), n)
+						}
+					}
+				})
+				b.Run("op=sortgroup/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if out, err := e.BatchSortGroup(agg, []string{"g"}, f, true, nil); err != nil || out.Card() != groups {
+							b.Fatalf("got %v, want %d groups", err, groups)
+						}
+					}
+				})
+				b.Run("op=mergejoin/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil); err != nil || out.Card() != n {
+							b.Fatalf("got %v, want %d rows", err, n)
 						}
 					}
 				})

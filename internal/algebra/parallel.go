@@ -175,11 +175,12 @@ func (e *Exec) hashStats() *HashStats {
 func (e *Exec) par() bool { return e != nil && e.workers > 1 }
 
 // parallelCutoff is the smallest driving input (rows) for which the
-// parallel variants of the row-runtime and sort-based operators pay for
-// their scatter/partition overhead under the adaptive morsel sizing.
-// Operators below it run sequentially — a deterministic, size-only
-// decision. (Set in PR 3 on the row runtime and not re-measured: the row
-// runtime is the differential oracle, not a performance path.)
+// parallel variants of the row-runtime hash operators pay for their
+// scatter/partition overhead under the adaptive morsel sizing. Operators
+// below it run sequentially — a deterministic, size-only decision. (Set
+// in PR 3 and not re-measured: the row runtime is the differential
+// oracle, not a performance path. Its sort operators are wrappers around
+// the batch ones and follow batchParallelCutoff.)
 const parallelCutoff = 512
 
 // batchParallelCutoff is the same threshold for the batch operators,
@@ -190,8 +191,8 @@ const parallelCutoff = 512
 // ~64k, and the slower of the two sets the constant.
 const batchParallelCutoff = 1 << 16
 
-// parFor reports whether the parallel variant should run for a row or
-// sort operator driven by n input rows. An explicit morsel size disables
+// parFor reports whether the parallel variant should run for a
+// row-runtime hash operator driven by n input rows. An explicit morsel size disables
 // the cutoff so tests can force the parallel machinery onto tiny inputs.
 func (e *Exec) parFor(n int) bool {
 	return e.par() && (e.morsel > 0 || n >= parallelCutoff)
@@ -253,7 +254,7 @@ func (e *Exec) forMorsels(n int, fn func(m, lo, hi int)) {
 // freshly spawned goroutines. The call returns only after all n tasks
 // finished, with a happens-before edge on everything they wrote.
 func (e *Exec) forTasks(n int, fn func(i int)) {
-	w := e.workers
+	w := e.Workers()
 	if w > n {
 		w = n
 	}
@@ -285,17 +286,24 @@ func (e *Exec) forTasks(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// seqFor returns e itself when the parallel variants should run for an
-// n-row operator, and a single-worker copy otherwise — the sort-based
-// operators' counterpart of the hash operators' sequential fallback
-// below parallelCutoff. Results are identical either way.
-func (e *Exec) seqFor(n int) *Exec {
-	if e.parFor(n) {
-		return e
+// spans returns how many row ranges forSpans splits n rows into: the
+// morsels when par, one otherwise.
+func (e *Exec) spans(n int, par bool) int {
+	if par {
+		return e.morselCount(n)
 	}
-	s := *e
-	s.workers = 1
-	return &s
+	return 1
+}
+
+// forSpans runs fn over the morsels of n rows concurrently when par, and
+// once over [0, n) on the calling goroutine otherwise — one body for an
+// operator's sequential and parallel arm.
+func (e *Exec) forSpans(n int, par bool, fn func(m, lo, hi int)) {
+	if par {
+		e.forMorsels(n, fn)
+	} else {
+		fn(0, 0, n)
+	}
 }
 
 // forParts executes fn(p) for every partition id over the task

@@ -1,15 +1,17 @@
 package algebra
 
-// Sort-based physical operators: streaming sort-merge equi-joins
-// (inner/semi/anti/leftouter) and sort-group aggregation over slot-based
-// tables — the second physical layer beside the hash operators.
+// Sort-based physical operators: sort-merge equi-joins
+// (inner/semi/anti/leftouter) and sort-group aggregation over columnar
+// tables — the second physical layer beside the hash operators. The row
+// runtime's MergeJoin/…/SortGroup are Columnar() → batch operator →
+// Table() wrappers around the same code.
 //
 // Every operator here emits the *hash-canonical output sequence*: the
 // exact row order its hash counterpart produces (probe rows in input
 // order with matches in build-input order; groups in first-encounter
-// order, folded in input order). Sortedness is exploited internally —
-// to find join partners by merging instead of hashing, and to detect
-// group boundaries by run instead of hash lookups — but never leaks
+// order, every group folded in input order). Sortedness is exploited
+// internally — to find join partners by merging instead of hashing, and
+// to assign group ids by run instead of by hash lookup — but never leaks
 // into the output order. Two consequences:
 //
 //   - results are bit-identical to the hash layer for every operator,
@@ -21,22 +23,29 @@ package algebra
 //     assumes (internal/ordering): orders originate at sorted scans and
 //     survive through the sort-based layer.
 //
-// When an input's sort is *eliminated* (the optimizer proved its
-// contractual order covers the requirement), the operator does not
-// trust the claim blindly: the merge verifies non-decreasing keys while
-// streaming and fails the execution on a violated declaration — a wrong
-// scan-order declaration is an error, never a wrong result.
+// A sort input is reduced to its participating physical rows plus a
+// sortKey over the key columns; rows are never materialized. All-ColInt
+// keys — every key TPC-H has — sort as pointer-free (sign-flipped key,
+// row) records through a stable LSD byte radix sort, one column at a time
+// from the least significant, and compare as raw int64 payloads everywhere
+// else. Float, string and ColMixed columns take one comparator over
+// Vectors (cmpKeys) that is compareJoinValue/compareGroupValue applied
+// column-wise. Either way rows end up ordered by (key, row): the order is
+// total, so the permutation is unique and identical for every worker
+// count and morsel geometry.
 //
-// When an input's sort is *performed*, rows are ordered by
-// (key, original index). That total order makes the sorted permutation
-// unique, so the parallel sort (chunked sort + pairwise merge rounds)
-// is bit-identical to the sequential one for every worker count.
+// When an input's sort is *eliminated* (the optimizer proved its
+// contractual order covers the requirement), the operator does not trust
+// the claim: it checks non-decreasing keys on the same typed key and
+// fails the execution on a violated declaration — a wrong scan-order
+// declaration is an error, never a wrong result.
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"eagg/internal/aggfn"
 )
@@ -83,8 +92,8 @@ func compareJoinValue(a, b Value) int {
 
 // compareGroupValue is the total order behind sort-group aggregation.
 // Its equality coincides with grouping equality (NULL = NULL, all NaNs
-// one group, otherwise kind-sensitive like appendRowKey): values that
-// hash aggregation keeps apart never compare equal here.
+// one group, otherwise kind- and bit-sensitive like appendRowKey): values
+// that hash aggregation keeps apart never compare equal here.
 func compareGroupValue(a, b Value) int {
 	ra, rb := groupRank(a), groupRank(b)
 	if ra != rb {
@@ -100,7 +109,17 @@ func compareGroupValue(a, b Value) int {
 		return c
 	}
 	// Numerically equal but kind-sensitive: Int(2) before Float(2.0).
-	return int(a.Kind) - int(b.Kind)
+	if c := int(a.Kind) - int(b.Kind); c != 0 || a.Kind != KindFloat {
+		return c
+	}
+	// -0.0 and +0.0 encode differently, so they are two groups: -0.0 first.
+	switch sa := math.Signbit(a.F); {
+	case sa == math.Signbit(b.F):
+		return 0
+	case sa:
+		return -1
+	}
+	return 1
 }
 
 func groupRank(v Value) int {
@@ -117,491 +136,487 @@ func groupRank(v Value) int {
 	return 2
 }
 
-// compareKeySeq compares two rows' key sequences under cmp.
-func compareKeySeq(a Row, ak []int, b Row, bk []int, cmp func(Value, Value) int) int {
-	for i := range ak {
-		if c := cmp(a.get(ak[i]), b.get(bk[i])); c != 0 {
-			return c
+// ---------------------------------------------------------------------
+// Sort keys
+// ---------------------------------------------------------------------
+
+// sortKey is the key of one sort input: its key columns and the order
+// they compare under.
+type sortKey struct {
+	cols []*Vector // nil: the attribute was dropped below — a NULL column
+	join bool      // join order (NULL/NaN rows take no part) or grouping order
+	// ints: every column is ColInt and no participating row holds a NULL,
+	// so keys are raw int64 payloads — both orders reduce to theirs.
+	ints bool
+}
+
+func newSortKey(t *ColTable, slots []int, join bool) *sortKey {
+	k := &sortKey{cols: make([]*Vector, len(slots)), join: join, ints: true}
+	for i, s := range slots {
+		if s < 0 {
+			k.ints = false
+			continue
+		}
+		c := &t.Cols[s]
+		k.cols[i] = c
+		k.ints = k.ints && c.Kind == ColInt && (join || c.Nulls == nil)
+	}
+	return k
+}
+
+// keyValue reads row i of key column c; a dropped attribute reads as NULL.
+func keyValue(c *Vector, i int32) Value {
+	if c == nil {
+		return Null
+	}
+	return c.Value(int(i))
+}
+
+// cmpKeys compares row a under key x with row b under key y (two rows of
+// one input, or a left and a right row of a merge): inline over the int64
+// payloads when both keys are ints, column-wise under the join or
+// grouping comparator otherwise.
+func cmpKeys(x *sortKey, a int32, y *sortKey, b int32) int {
+	if x.ints && y.ints {
+		for i, c := range x.cols {
+			if p, q := c.Ints[a], y.cols[i].Ints[b]; p != q {
+				if p < q {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	}
+	cmp := compareGroupValue
+	if x.join {
+		cmp = compareJoinValue
+	}
+	for i, c := range x.cols {
+		if r := cmp(keyValue(c, a), keyValue(y.cols[i], b)); r != 0 {
+			return r
 		}
 	}
 	return 0
 }
 
-// ---------------------------------------------------------------------
-// Index preparation: verified (eliminated sort) or sorted (performed)
-// ---------------------------------------------------------------------
-
-// verifiedJoinIndex returns the indices of t's rows with non-NULL keys in
-// input order, verifying the contractual claim that the kept rows are
-// non-decreasing under the join comparator. A violation is an execution
-// error: the scan-order declaration (or an unsound order inference) lied
-// about the data.
-func verifiedJoinIndex(t *Table, ks []int) ([]int32, error) {
-	idx := make([]int32, 0, len(t.Rows))
-	prev := int32(-1)
-	for i, row := range t.Rows {
-		if rowHasNullKey(row, ks) {
-			continue
+// dead reports whether row i takes no part in a join: a NULL or NaN key
+// component matches nothing under strict equality.
+func (k *sortKey) dead(i int32) bool {
+	for _, c := range k.cols {
+		if v := keyValue(c, i); v.IsNull() || (v.Kind == KindFloat && math.IsNaN(v.F)) {
+			return true
 		}
-		if prev >= 0 {
-			if compareKeySeq(t.Rows[prev], ks, row, ks, compareJoinValue) > 0 {
-				return nil, fmt.Errorf(
-					"algebra: input declared sorted on merge keys but row %d is out of order (violated scan-order declaration)", i)
-			}
-		}
-		prev = int32(i)
-		idx = append(idx, int32(i))
 	}
-	return idx, nil
+	return false
 }
 
-// sortedIndexBy returns row indices ordered by (key, original index)
-// under cmp — a total order, so the permutation is unique and identical
-// for every worker count. With filterNull set, rows with NULL/NaN key
-// components are dropped first (join semantics); otherwise every row
-// participates (grouping semantics).
-func (e *Exec) sortedIndexBy(t *Table, ks []int, cmp func(Value, Value) int, filterNull bool) []int32 {
-	idx := make([]int32, 0, len(t.Rows))
-	for i, row := range t.Rows {
-		if filterNull && rowHasNullKey(row, ks) {
-			continue
+// liveRows returns the physical rows of t that take part in the sort, in
+// input order: all of them under the grouping order (NULL is a key value
+// of its own), those not dead under the join order.
+func (k *sortKey) liveRows(t *ColTable) []int32 {
+	rows := t.physBatch(0, t.Card(), make([]int32, 0, t.Card()))
+	if !k.join || (k.ints && !slices.ContainsFunc(k.cols, func(c *Vector) bool { return c.Nulls != nil })) {
+		return rows
+	}
+	live := rows[:0]
+	for _, i := range rows {
+		if !k.dead(i) {
+			live = append(live, i)
 		}
-		idx = append(idx, int32(i))
 	}
-	less := func(a, b int32) bool {
-		if c := compareKeySeq(t.Rows[a], ks, t.Rows[b], ks, cmp); c != 0 {
-			return c < 0
+	return live
+}
+
+// firstDescent verifies the claim behind an eliminated sort: rows (in
+// input order) are non-decreasing under the key. It returns the first
+// row that sorts below its predecessor, or -1.
+func (k *sortKey) firstDescent(rows []int32) int32 {
+	for i := 1; i < len(rows); i++ {
+		if cmpKeys(k, rows[i-1], k, rows[i]) > 0 {
+			return rows[i]
 		}
-		return a < b
 	}
-	if !e.parFor(len(idx)) {
-		sort.Slice(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-		return idx
-	}
-	// Parallel: sort morsel-sized chunks concurrently, then merge
-	// adjacent runs in rounds — one task per merge pair, so the cascade
-	// keeps all workers busy instead of collapsing onto one morsel. The
-	// (key, index) order is total, so the result does not depend on the
-	// chunking.
-	size := e.sizeFor(len(idx))
-	var chunks [][]int32
-	for lo := 0; lo < len(idx); lo += size {
-		chunks = append(chunks, idx[lo:min(lo+size, len(idx))])
-	}
-	e.forMorsels(len(idx), func(m, lo, hi int) {
-		c := idx[lo:hi]
-		sort.Slice(c, func(i, j int) bool { return less(c[i], c[j]) })
-	})
-	for len(chunks) > 1 {
-		next := make([][]int32, (len(chunks)+1)/2)
-		e.forTasks(len(next), func(p int) {
-			if 2*p+1 < len(chunks) {
-				next[p] = mergeRuns(chunks[2*p], chunks[2*p+1], less)
-			} else {
-				next[p] = chunks[2*p]
+	return -1
+}
+
+// keyRuns is one prepared sort input: its participating rows in (key,
+// row) order and the equal-key runs among them. Within a run rows ascend,
+// so a run lists a join key's partners in input order — a hash build's
+// posting list — and a group's rows in the order hash aggregation folds
+// them.
+type keyRuns struct {
+	key    *sortKey
+	rows   []int32
+	starts []int32 // offset of every run in rows, closed by len(rows)
+	keys   []int64 // ints keys only: every run's key tuple, run-major
+}
+
+// keyRuns orders rows (k's participating rows in input order) by (key,
+// row) unless the input's order already is that (needSort false — the
+// caller has verified what it must), and finds the runs.
+func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
+	kr := &keyRuns{key: k, rows: rows}
+	switch {
+	case !needSort || len(k.cols) == 0 || len(rows) < 2:
+	case k.ints:
+		e.radixSort(kr, par)
+		return kr
+	default:
+		slices.SortFunc(rows, func(a, b int32) int {
+			if c := cmpKeys(k, a, k, b); c != 0 {
+				return c
 			}
+			return int(a - b)
 		})
-		chunks = next
 	}
-	if len(chunks) == 1 {
-		return chunks[0]
-	}
-	return idx
-}
-
-// mergeRuns merges two runs sorted under less into a fresh slice.
-func mergeRuns(a, b []int32, less func(x, y int32) bool) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// joinIndex prepares one merge input: verified input order when the sort
-// is eliminated, (key, index)-sorted otherwise.
-func (e *Exec) joinIndex(t *Table, ks []int, needSort bool) ([]int32, error) {
-	if needSort {
-		return e.sortedIndexBy(t, ks, compareJoinValue, true), nil
-	}
-	return verifiedJoinIndex(t, ks)
-}
-
-// ---------------------------------------------------------------------
-// The merge: per-left-row match ranges
-// ---------------------------------------------------------------------
-
-// noRange marks "no partners" in a range table.
-const noRange = int32(-1)
-
-// matchRanges walks the two prepared index streams once and returns, per
-// original left row, the half-open range into rIdx holding its join
-// partners. Rows absent from lIdx (NULL keys) keep noRange. Within one
-// range, rIdx ascends — for a performed sort by the (key, index) order,
-// for a verified input by construction — so partners are emitted in
-// right-input order, exactly like a hash build's posting list.
-func matchRanges(l, r *Table, lIdx, rIdx []int32, lk, rk []int) [][2]int32 {
-	ranges := make([][2]int32, len(l.Rows))
-	for i := range ranges {
-		ranges[i] = [2]int32{noRange, noRange}
-	}
-	j := 0
-	for i := 0; i < len(lIdx); {
-		lrow := l.Rows[lIdx[i]]
-		// Left key group [i, i2).
-		i2 := i + 1
-		for i2 < len(lIdx) && compareKeySeq(l.Rows[lIdx[i2]], lk, lrow, lk, compareJoinValue) == 0 {
-			i2++
-		}
-		// Advance the right stream to the group's key.
-		for j < len(rIdx) && compareKeySeq(r.Rows[rIdx[j]], rk, lrow, lk, compareJoinValue) < 0 {
-			j++
-		}
-		j2 := j
-		for j2 < len(rIdx) && compareKeySeq(r.Rows[rIdx[j2]], rk, lrow, lk, compareJoinValue) == 0 {
-			j2++
-		}
-		if j2 > j {
-			for ; i < i2; i++ {
-				ranges[lIdx[i]] = [2]int32{int32(j), int32(j2)}
+	for i, r := range rows {
+		if i == 0 || cmpKeys(k, rows[i-1], k, r) != 0 {
+			kr.starts = append(kr.starts, int32(i))
+			for c := 0; k.ints && c < len(k.cols); c++ {
+				kr.keys = append(kr.keys, k.cols[c].Ints[r])
 			}
-		} else {
-			i = i2
 		}
-		// The right pointer stays at the group start: several left keys
-		// never share right partners (keys differ), so j only moves
-		// forward — the walk is linear.
-		j = j2
 	}
-	return ranges
+	kr.starts = append(kr.starts, int32(len(rows)))
+	return kr
 }
 
-// verifyOrderedBy checks the contractual claim behind an eliminated
-// group sort: the table is non-decreasing on the covering order prefix
-// (grouping comparator: NULLs first, kind-refined). Adjacent pairs are
-// checked morsel-parallel; a violation is an execution error — the
-// scan-order declaration (or an unsound inference) lied about the data.
-func (e *Exec) verifyOrderedBy(t *Table, slots []int) error {
-	n := len(t.Rows)
-	if len(slots) == 0 || n < 2 {
+// ---------------------------------------------------------------------
+// The typed sort
+// ---------------------------------------------------------------------
+
+// sortRec is one row's sort record. Pointer-free: record arrays are
+// invisible to the garbage collector's scan.
+type sortRec struct {
+	key uint64 // the current column's payload, sign bit flipped: unsigned order is int64 order
+	row int32
+}
+
+// recPool recycles record arrays across sorts, like entryPool does for
+// the hash layer's key entries. Stale contents are harmless: a sort
+// writes every record it later reads.
+var recPool sync.Pool
+
+func getRecs(n int) []sortRec {
+	if p, _ := recPool.Get().(*[]sortRec); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]sortRec, n)
+}
+
+func putRecs(s []sortRec) { recPool.Put(&s) }
+
+// radixSort orders kr's rows by (int key, row) and finds the runs: a
+// stable LSD radix sort over the key columns from the last to the first
+// and, within a column, over its bytes from the lowest — rows arrive
+// ascending and no pass reorders equal digits, so ties end up in row
+// order. Bytes on which all of a column's keys agree are skipped. The
+// runs are read off the sorted records, whose keys are at hand.
+func (e *Exec) radixSort(kr *keyRuns, par bool) {
+	const signBit = 1 << 63
+	k, rows := kr.key, kr.rows
+	n := len(rows)
+	recs, tmp := getRecs(n), getRecs(n)
+	for i, r := range rows {
+		recs[i].row = r
+	}
+	spans := e.spans(n, par)
+	offs, diffs := make([]int32, spans*256), make([]uint64, spans)
+	for c := len(k.cols) - 1; c >= 0; c-- {
+		vals, src := k.cols[c].Ints, recs
+		first := uint64(vals[src[0].row]) ^ signBit
+		e.forSpans(n, par, func(m, lo, hi int) {
+			var d uint64
+			for i := lo; i < hi; i++ {
+				key := uint64(vals[src[i].row]) ^ signBit
+				src[i].key = key
+				d |= key ^ first
+			}
+			diffs[m] = d
+		})
+		var diff uint64
+		for _, d := range diffs {
+			diff |= d
+		}
+		for shift := uint(0); shift < 64; shift += 8 {
+			if diff>>shift&0xff != 0 {
+				e.radixPass(recs, tmp, shift, offs, par)
+				recs, tmp = tmp, recs
+			}
+		}
+	}
+	// The records now carry the first column's keys.
+	rest := k.cols[1:]
+	for i, rc := range recs {
+		rows[i] = rc.row
+		same := i > 0 && rc.key == recs[i-1].key
+		for c := 0; same && c < len(rest); c++ {
+			same = rest[c].Ints[rc.row] == rest[c].Ints[recs[i-1].row]
+		}
+		if !same {
+			kr.starts = append(kr.starts, int32(i))
+			kr.keys = append(kr.keys, int64(rc.key^signBit))
+			for _, c := range rest {
+				kr.keys = append(kr.keys, c.Ints[rc.row])
+			}
+		}
+	}
+	kr.starts = append(kr.starts, int32(n))
+	putRecs(recs)
+	putRecs(tmp)
+}
+
+// radixPass moves src into dst ordered by the key byte at shift, keeping
+// the order of equal bytes: every span counts its bytes, a byte-major
+// prefix sum over the counts gives every (span, byte) run its place in
+// dst, and the spans scatter concurrently. Span geometry is a pure
+// function of (n, workers, configuration) and the result does not depend
+// on it anyway — a stable pass has exactly one outcome.
+func (e *Exec) radixPass(src, dst []sortRec, shift uint, offs []int32, par bool) {
+	n := len(src)
+	clear(offs)
+	e.forSpans(n, par, func(m, lo, hi int) {
+		hist := offs[m*256 : (m+1)*256]
+		for i := lo; i < hi; i++ {
+			hist[byte(src[i].key>>shift)]++
+		}
+	})
+	pos := int32(0)
+	for b := 0; b < 256; b++ {
+		for m := b; m < len(offs); m += 256 {
+			c := offs[m]
+			offs[m] = pos
+			pos += c
+		}
+	}
+	e.forSpans(n, par, func(m, lo, hi int) {
+		next := offs[m*256 : (m+1)*256]
+		for i := lo; i < hi; i++ {
+			b := byte(src[i].key >> shift)
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+	})
+}
+
+// ---------------------------------------------------------------------
+// Merge joins
+// ---------------------------------------------------------------------
+
+// MergeKind selects the join form of BatchMergeJoin.
+type MergeKind uint8
+
+const (
+	MergeInner MergeKind = iota
+	MergeSemi
+	MergeAnti
+	MergeLeftOuter
+)
+
+// mergeInput prepares one merge-join input: sorted by its key, or — the
+// eliminated sort — verified to be. A violation is an execution error:
+// the scan-order declaration (or an unsound order inference) lied about
+// the data.
+func (e *Exec) mergeInput(t *ColTable, slots []int, needSort, par bool) (*keyRuns, error) {
+	k := newSortKey(t, slots, true)
+	rows := k.liveRows(t)
+	if !needSort {
+		if bad := k.firstDescent(rows); bad >= 0 {
+			return nil, fmt.Errorf(
+				"algebra: input declared sorted on merge keys but row %d is out of order (violated scan-order declaration)", bad)
+		}
+	}
+	return e.keyRuns(k, rows, needSort, par), nil
+}
+
+// matchRuns walks the runs of both inputs once, in key order, and returns
+// per physical left row the right run holding its join partners, or -1
+// (no partner, or a NULL key). Keys strictly ascend from run to run on
+// either side, so the right cursor only moves forward.
+func matchRuns(l, r *keyRuns, leftRows int) []int32 {
+	match := make([]int32, leftRows)
+	for i := range match {
+		match[i] = -1
+	}
+	ints, nc := l.key.ints && r.key.ints, len(l.key.cols)
+	j, nr := 0, len(r.starts)-1
+	for i := 0; i+1 < len(l.starts); i++ {
+		c := -1
+		for ; j < nr; j++ {
+			if ints {
+				c = slices.Compare(r.keys[j*nc:(j+1)*nc], l.keys[i*nc:(i+1)*nc])
+			} else {
+				c = cmpKeys(r.key, r.rows[r.starts[j]], l.key, l.rows[l.starts[i]])
+			}
+			if c >= 0 {
+				break
+			}
+		}
+		if j == nr {
+			break
+		}
+		if c == 0 {
+			for _, row := range l.rows[l.starts[i]:l.starts[i+1]] {
+				match[row] = int32(j)
+			}
+		}
+	}
+	return match
+}
+
+// BatchMergeJoin is the sort-merge equi-join of l and r on the batch
+// runtime. sortL and sortR say which inputs must be sorted; a false flag
+// is the eliminated-sort case and requires (and verifies) that the input
+// is already non-decreasing on its key slots. The output sequence equals
+// the hash operator's of the same kind exactly: left rows in input order,
+// each with its partners in right-input order. pad (MergeLeftOuter only)
+// must be a full row over r's schema.
+func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sortL, sortR bool, pad Row) (*ColTable, error) {
+	par := e.parForBatch(max(l.Card(), r.Card()))
+	lr, err := e.mergeInput(l, lk, sortL, par)
+	if err != nil {
+		return nil, fmt.Errorf("merge join, left input: %w", err)
+	}
+	rr, err := e.mergeInput(r, rk, sortR, par)
+	if err != nil {
+		return nil, fmt.Errorf("merge join, right input: %w", err)
+	}
+	match := matchRuns(lr, rr, l.N)
+	n := l.Card()
+	if kind == MergeSemi || kind == MergeAnti {
+		// A pure selection over the shared columns; NULL-key left rows
+		// have no partner, so the antijoin keeps them.
+		var sel []int32
+		for li := 0; li < n; li++ {
+			if i := l.phys(li); (match[i] >= 0) == (kind == MergeSemi) {
+				sel = append(sel, i)
+			}
+		}
+		return selTable(l, sel), nil
+	}
+	// The (left, right) output pairs in left-input order: every span
+	// counts its pairs, a prefix sum places it, the spans fill in place.
+	partners := func(i int32) []int32 {
+		if m := match[i]; m >= 0 {
+			return rr.rows[rr.starts[m]:rr.starts[m+1]]
+		}
 		return nil
 	}
-	viol := make([]int, e.morselCount(n))
-	for i := range viol {
-		viol[i] = -1
-	}
-	e.forMorsels(n, func(m, lo, hi int) {
-		if lo == 0 {
-			lo = 1
+	offs := make([]int, e.spans(n, par)+1)
+	e.forSpans(n, par, func(m, lo, hi int) {
+		c := 0
+		for li := lo; li < hi; li++ {
+			if ps := partners(l.phys(li)); len(ps) > 0 {
+				c += len(ps)
+			} else if kind == MergeLeftOuter {
+				c++
+			}
 		}
-		for i := lo; i < hi; i++ {
-			if compareKeySeq(t.Rows[i-1], slots, t.Rows[i], slots, compareGroupValue) > 0 {
-				viol[m] = i
-				return
+		offs[m+1] = c
+	})
+	for m := 1; m < len(offs); m++ {
+		offs[m] += offs[m-1]
+	}
+	lidx := make([]int32, offs[len(offs)-1])
+	ridx := make([]int32, len(lidx))
+	e.forSpans(n, par, func(m, lo, hi int) {
+		o := offs[m]
+		for li := lo; li < hi; li++ {
+			i := l.phys(li)
+			ps := partners(i)
+			if len(ps) == 0 && kind == MergeLeftOuter {
+				lidx[o], ridx[o] = i, -1
+				o++
+			}
+			for _, ri := range ps {
+				lidx[o], ridx[o] = i, ri
+				o++
 			}
 		}
 	})
-	// Morsels cover ascending index ranges and each records its first
-	// violation, so the first hit in morsel order is the global first.
-	for _, v := range viol {
-		if v >= 0 {
-			return fmt.Errorf(
-				"algebra: input declared ordered for streaming aggregation but row %d is out of order (violated scan-order declaration)", v)
-		}
-	}
-	return nil
+	return e.gatherConcat(l, r, lidx, ridx, nil, pad, par), nil
 }
 
-// mergePrepare runs both index preparations and the merge walk — the
-// shared first half of every merge join.
-func (e *Exec) mergePrepare(l, r *Table, lk, rk []int, sortL, sortR bool) ([]int32, [][2]int32, error) {
-	lIdx, err := e.joinIndex(l, lk, sortL)
-	if err != nil {
-		return nil, nil, fmt.Errorf("merge join, left input: %w", err)
-	}
-	rIdx, err := e.joinIndex(r, rk, sortR)
-	if err != nil {
-		return nil, nil, fmt.Errorf("merge join, right input: %w", err)
-	}
-	return rIdx, matchRanges(l, r, lIdx, rIdx, lk, rk), nil
-}
-
-// ---------------------------------------------------------------------
-// The operators
-// ---------------------------------------------------------------------
-
-// MergeJoin is the inner equi-join l ⋈ r on the sort-based layer. sortL
-// and sortR say which inputs must be sorted; a false flag is the
-// eliminated-sort case and requires (and verifies) that the input is
-// already non-decreasing on its key slots. The output sequence equals
-// HashJoin's exactly.
-func (e *Exec) MergeJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
-	rIdx, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
+// mergeTables runs BatchMergeJoin for the row runtime.
+func (e *Exec) mergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
+	out, err := e.BatchMergeJoin(kind, l.Columnar(), r.Columnar(), lk, rk, sortL, sortR, pad)
 	if err != nil {
 		return nil, err
 	}
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		ar := newRowArena(width)
-		for i := lo; i < hi; i++ {
-			rg := ranges[i]
-			for j := rg[0]; j < rg[1]; j++ {
-				chunk = append(chunk, ar.concat(l.Rows[i], r.Rows[rIdx[j]]))
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	return out.Table(), nil
+}
+
+// MergeJoin is the inner equi-join l ⋈ r on the sort-based layer; the
+// output sequence equals HashJoin's exactly.
+func (e *Exec) MergeJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
+	return e.mergeTables(MergeInner, l, r, lk, rk, sortL, sortR, nil)
 }
 
 // MergeSemiJoin is the left semijoin l ⋉ r on the sort-based layer.
 func (e *Exec) MergeSemiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema}
-	_, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
-	if err != nil {
-		return nil, err
-	}
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		for i := lo; i < hi; i++ {
-			if ranges[i][0] != noRange {
-				chunk = append(chunk, l.Rows[i])
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	return e.mergeTables(MergeSemi, l, r, lk, rk, sortL, sortR, nil)
 }
 
 // MergeAntiJoin is the left antijoin l ▷ r on the sort-based layer. Left
 // rows with NULL key components are kept, like in the hash operator.
 func (e *Exec) MergeAntiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema}
-	_, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
-	if err != nil {
-		return nil, err
-	}
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		for i := lo; i < hi; i++ {
-			if ranges[i][0] == noRange {
-				chunk = append(chunk, l.Rows[i])
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	return e.mergeTables(MergeAnti, l, r, lk, rk, sortL, sortR, nil)
 }
 
 // MergeLeftOuter is the left outerjoin on the sort-based layer. pad must
 // be a full row over r's schema (the engine's default vectors).
 func (e *Exec) MergeLeftOuter(l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
-	rIdx, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
+	return e.mergeTables(MergeLeftOuter, l, r, lk, rk, sortL, sortR, pad)
+}
+
+// ---------------------------------------------------------------------
+// Sort-group
+// ---------------------------------------------------------------------
+
+// BatchSortGroup is sort-group aggregation on the batch runtime: group
+// ids come from sorting instead of hashing. With sortInput true rows are
+// ordered by (grouping key, row) and every equal-key run is a group. With
+// sortInput false the input's contractual order already makes every group
+// a consecutive run (non-decreasing on the verify slots, the covering
+// order prefix — checked, not trusted) and the runs are read off the
+// input as it stands. Either way a run holds its rows in input order, the
+// runs fold through BatchHashGroup's typed kernels, and the groups are
+// emitted by ascending first row: the output is bit-identical to
+// BatchHashGroup's.
+func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*ColTable, error) {
+	bound := BindVector(f, t.Schema)
+	groupSlots := t.Schema.Slots(groupBy)
+	par := e.parForBatch(t.Card())
+	k := newSortKey(t, groupSlots, false)
+	rows := k.liveRows(t)
+	if !sortInput {
+		if bad := newSortKey(t, verify, false).firstDescent(rows); bad >= 0 {
+			return nil, fmt.Errorf(
+				"algebra: input declared ordered for streaming aggregation but row %d is out of order (violated scan-order declaration)", bad)
+		}
+	}
+	kr := e.keyRuns(k, rows, sortInput, par)
+	// Every span folds the runs that start in it, to completion, into a
+	// grouper of its own; a group is one run, so exactly one task folds
+	// it, front to back.
+	n := len(rows)
+	parts := make([]*batchGrouper, e.spans(n, par))
+	e.forSpans(n, par, func(m, lo, hi int) {
+		g := newBatchGrouper(t, groupSlots, bound, false)
+		g.addRuns(kr, lo, hi, e.batchSize())
+		g.finish(nil)
+		parts[m] = g
+	})
+	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, groupSchema(groupBy, f), par), nil
+}
+
+// SortGroup is sort-group aggregation on the row runtime; the output is
+// bit-identical to HashGroup's.
+func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*Table, error) {
+	out, err := e.BatchSortGroup(t.Columnar(), groupBy, f, sortInput, verify)
 	if err != nil {
 		return nil, err
 	}
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		ar := newRowArena(width)
-		for i := lo; i < hi; i++ {
-			rg := ranges[i]
-			if rg[0] == noRange {
-				chunk = append(chunk, ar.concat(l.Rows[i], pad))
-				continue
-			}
-			for j := rg[0]; j < rg[1]; j++ {
-				chunk = append(chunk, ar.concat(l.Rows[i], r.Rows[rIdx[j]]))
-			}
-		}
-		return chunk
-	})
-	return out, nil
-}
-
-// SortGroup is sort-group aggregation: the sort-based counterpart of
-// HashGroup. With sortInput false the input's contractual order already
-// makes every group a consecutive run, and the operator streams over the
-// input aggregating run by run — zero reorganization. With sortInput
-// true it orders rows by (grouping key, input index) first. Either way
-// every group folds its rows in input order and groups are emitted in
-// first-encounter order: the output is bit-identical to HashGroup.
-func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*Table, error) {
-	e = e.seqFor(len(t.Rows))
-	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
-	names := make([]string, 0, len(groupBy)+len(f))
-	names = append(names, groupBy...)
-	names = append(names, f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
-
-	if !sortInput {
-		if err := e.verifyOrderedBy(t, verify); err != nil {
-			return nil, err
-		}
-		e.streamRuns(t, groupSlots, bound, out)
-		return out, nil
-	}
-
-	idx := e.sortedIndexBy(t, groupSlots, compareGroupValue, false)
-	// Runs of equal keys are contiguous in idx and internally ascend by
-	// original index, so folding a run front to back is folding the
-	// group in input order. Emitting the finished groups by ascending
-	// first (= minimal original) index restores first-encounter order.
-	groups := e.foldSortedRuns(t, idx, groupSlots, bound)
-	sort.Slice(groups, func(i, j int) bool { return groups[i].first < groups[j].first })
-	out.Rows = make([]Row, len(groups))
-	for i, g := range groups {
-		out.Rows[i] = g.row
-	}
-	return out, nil
-}
-
-// foldSortedRuns folds each equal-key run of the sorted index into one
-// finished group row, in parallel across runs. Run boundaries are a pure
-// function of the data, and each run is owned start to finish by the
-// task whose original span contains its first element, so the result is
-// identical for every worker count.
-func (e *Exec) foldSortedRuns(t *Table, idx []int32, groupSlots []int, bound []BoundAgg) []groupOut {
-	sameKey := func(a, b int32) bool {
-		return compareKeySeq(t.Rows[a], groupSlots, t.Rows[b], groupSlots, compareGroupValue) == 0
-	}
-	runStart := func(p int) bool { return p == 0 || !sameKey(idx[p-1], idx[p]) }
-	n := len(idx)
-	if !e.parFor(n) {
-		return foldRunRange(t, idx, 0, n, n, groupSlots, bound, sameKey, runStart)
-	}
-	chunks := make([][]groupOut, e.morselCount(n))
-	e.forMorsels(n, func(m, lo, hi int) {
-		chunks[m] = foldRunRange(t, idx, lo, hi, n, groupSlots, bound, sameKey, runStart)
-	})
-	var all []groupOut
-	for _, c := range chunks {
-		all = append(all, c...)
-	}
-	return all
-}
-
-// foldRunRange folds every run starting in [lo, hi) to completion (a run
-// may extend past hi; runs starting before lo belong to earlier spans).
-func foldRunRange(t *Table, idx []int32, lo, hi, n int, groupSlots []int, bound []BoundAgg,
-	sameKey func(a, b int32) bool, runStart func(p int) bool) []groupOut {
-	var outs []groupOut
-	var scratch []byte
-	p := lo
-	for p < hi && !runStart(p) {
-		p++
-	}
-	for p < hi {
-		end := p + 1
-		for end < n && sameKey(idx[p], idx[end]) {
-			end++
-		}
-		rep := make(Row, len(groupSlots))
-		for i, s := range groupSlots {
-			rep[i] = t.Rows[idx[p]].get(s)
-		}
-		cells := make([]aggCell, len(bound))
-		for q := p; q < end; q++ {
-			row := t.Rows[idx[q]]
-			for i := range bound {
-				cells[i].update(&bound[i], row, &scratch)
-			}
-		}
-		row := make(Row, 0, len(groupSlots)+len(bound))
-		row = append(row, rep...)
-		for i := range bound {
-			row = append(row, cells[i].final(&bound[i]))
-		}
-		outs = append(outs, groupOut{first: idx[p], row: row})
-		p = end
-	}
-	return outs
-}
-
-// streamRuns is the eliminated-sort aggregation: the input's order makes
-// every group one consecutive run, so a single pass folds runs in place.
-// Boundaries are detected with the same collision-proof key encoding the
-// hash layer groups by, so run equality is exactly hash-group equality.
-func (e *Exec) streamRuns(t *Table, groupSlots []int, bound []BoundAgg, out *Table) {
-	n := len(t.Rows)
-	fold := func(lo, hi int) []Row { // runs starting in [lo,hi), folded to completion
-		var chunk []Row
-		// Per-call (= per-morsel) reusable key buffers: run-boundary
-		// detection and the distinct accumulators never allocate fresh
-		// encodings per row.
-		var key, next, scratch []byte
-		isStart := func(i int) bool {
-			if i == 0 {
-				return true
-			}
-			key = appendRowKey(key[:0], t.Rows[i-1], groupSlots)
-			next = appendRowKey(next[:0], t.Rows[i], groupSlots)
-			return string(key) != string(next)
-		}
-		p := lo
-		for p < hi && !isStart(p) {
-			p++
-		}
-		for p < hi {
-			key = appendRowKey(key[:0], t.Rows[p], groupSlots)
-			end := p + 1
-			for end < n {
-				next = appendRowKey(next[:0], t.Rows[end], groupSlots)
-				if string(next) != string(key) {
-					break
-				}
-				end++
-			}
-			rep := make(Row, len(groupSlots))
-			for i, s := range groupSlots {
-				rep[i] = t.Rows[p].get(s)
-			}
-			cells := make([]aggCell, len(bound))
-			for q := p; q < end; q++ {
-				for i := range bound {
-					cells[i].update(&bound[i], t.Rows[q], &scratch)
-				}
-			}
-			row := make(Row, 0, len(groupSlots)+len(bound))
-			row = append(row, rep...)
-			for i := range bound {
-				row = append(row, cells[i].final(&bound[i]))
-			}
-			chunk = append(chunk, row)
-			p = end
-		}
-		return chunk
-	}
-	if !e.parFor(n) {
-		out.Rows = fold(0, n)
-		return
-	}
-	chunks := make([][]Row, e.morselCount(n))
-	e.forMorsels(n, func(m, lo, hi int) {
-		chunks[m] = fold(lo, hi)
-	})
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out.Rows = make([]Row, 0, total)
-	for _, c := range chunks {
-		out.Rows = append(out.Rows, c...)
-	}
+	return out.Table(), nil
 }

@@ -28,3 +28,6 @@ func ExecTablesHashProject(q *query.Query, p *plan.Plan, data TableData, opts Ex
 	}
 	return rt.result(c.tab), nil
 }
+
+// FloatAggArgs exposes floatAggArgs to the external test package.
+var FloatAggArgs = floatAggArgs

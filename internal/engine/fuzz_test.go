@@ -184,14 +184,29 @@ func FuzzExecEquivalence(f *testing.F) {
 			t.Fatalf("phys parallel exec: %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v workers=%d", seed, n, physMode, workers), physTab, physPar)
-		// Sort-annotated plans on the batch runtime bridge the merge
-		// operators through the row representation — still bit-identical.
-		physBatch, err := ExecTablesOpts(q, pres.Plan, tables,
-			ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
+		// Sort-annotated plans on the batch runtime run the columnar
+		// sort-merge join and sort-group: bit-identical to the row
+		// runtime sequentially and span-parallel, and — over float
+		// aggregate arguments — to the hash layer's fold order.
+		strippedF, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), ftables, ExecOptions{Workers: 1})
 		if err != nil {
-			t.Fatalf("phys batch exec: %v", err)
+			t.Fatalf("phys stripped exec (float args): %v", err)
 		}
-		identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d", seed, n, physMode, bs), physTab, physBatch)
+		for _, bo := range []ExecOptions{
+			{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs},
+			{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs},
+		} {
+			physBatch, err := ExecTablesOpts(q, pres.Plan, tables, bo)
+			if err != nil {
+				t.Fatalf("phys batch exec (workers=%d): %v", bo.Workers, err)
+			}
+			identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d workers=%d", seed, n, physMode, bs, bo.Workers), physTab, physBatch)
+			physBatchF, err := ExecTablesOpts(q, pres.Plan, ftables, bo)
+			if err != nil {
+				t.Fatalf("phys batch exec (float args, workers=%d): %v", bo.Workers, err)
+			}
+			identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d workers=%d float args ≡ hash plan", seed, n, physMode, bs, bo.Workers), strippedF, physBatchF)
+		}
 
 		// Feedback arm: the cardinality feedback loop may change the
 		// chosen plan, never the answer — every re-optimized plan must

@@ -76,6 +76,14 @@ type runtimeOps interface {
 	product(t rtTable, name string, slots []int) rtTable
 }
 
+// mergeKinds maps the operators with a sort-based form onto it.
+var mergeKinds = map[query.OpKind]algebra.MergeKind{
+	query.KindJoin:      algebra.MergeInner,
+	query.KindSemiJoin:  algebra.MergeSemi,
+	query.KindAntiJoin:  algebra.MergeAnti,
+	query.KindLeftOuter: algebra.MergeLeftOuter,
+}
+
 // rowRuntime runs every operator on the row-at-a-time slot runtime.
 type rowRuntime struct{ ex *algebra.Exec }
 
@@ -135,33 +143,17 @@ func (rt rowRuntime) product(t rtTable, name string, slots []int) rtTable {
 	})
 }
 
-// batchRuntime runs the hash operators batch at a time on columnar
-// vectors. The sort-merge layer stays row-based — those operators bridge
-// through the row representation (their output, a *algebra.Table, is
-// itself an rtTable, and the next batch operator re-columnarizes it
-// lazily via Columnar). Output sequences are bit-identical to the row
+// batchRuntime runs every operator — both physical layers — batch at a
+// time on columnar vectors: a subplan's data is a *algebra.ColTable from
+// the scan to the plan root, and result, the one conversion to rows, is
+// called there only. Output sequences are bit-identical to the row
 // runtime's for every batch size.
 type batchRuntime struct{ ex *algebra.Exec }
 
-// col views any rtTable columnar: ColTables pass through (selection
-// vectors intact), row tables columnarize once and cache.
-func (rt batchRuntime) col(t rtTable) *algebra.ColTable {
-	switch v := t.(type) {
-	case *algebra.ColTable:
-		return v
-	case *algebra.Table:
-		return v.Columnar()
-	}
-	panic(fmt.Sprintf("engine: unknown runtime table %T", t))
-}
+func (rt batchRuntime) col(t rtTable) *algebra.ColTable { return t.(*algebra.ColTable) }
 
-func (rt batchRuntime) scan(t *algebra.Table) rtTable { return t.Columnar() }
-func (rt batchRuntime) result(t rtTable) *algebra.Table {
-	if v, ok := t.(*algebra.Table); ok {
-		return v
-	}
-	return rt.col(t).Table()
-}
+func (rt batchRuntime) scan(t *algebra.Table) rtTable   { return t.Columnar() }
+func (rt batchRuntime) result(t rtTable) *algebra.Table { return rt.col(t).Table() }
 func (rt batchRuntime) hashJoin(l, r rtTable, lk, rk []int) rtTable {
 	return rt.ex.BatchHashJoin(rt.col(l), rt.col(r), lk, rk)
 }
@@ -187,10 +179,22 @@ func (rt batchRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTa
 	return rt.ex.BatchProject(rt.col(t), groupBy, f)
 }
 func (rt batchRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error) {
-	return rt.ex.SortGroup(rt.result(t), groupBy, f, sortInput, verify)
+	out, err := rt.ex.BatchSortGroup(rt.col(t), groupBy, f, sortInput, verify)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 func (rt batchRuntime) mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error) {
-	return rowRuntime{ex: rt.ex}.mergeJoin(op, rt.result(l), rt.result(r), lk, rk, sortL, sortR, rpad)
+	kind, ok := mergeKinds[op]
+	if !ok {
+		return nil, fmt.Errorf("engine: %v has no sort-based form", op)
+	}
+	out, err := rt.ex.BatchMergeJoin(kind, rt.col(l), rt.col(r), lk, rk, sortL, sortR, rpad)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 func (rt batchRuntime) product(t rtTable, name string, slots []int) rtTable {
 	return rt.ex.BatchExtendProduct(rt.col(t), name, slots)

@@ -101,15 +101,20 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 }
 
 // TestSortParallelBitIdentity pins workers 1 vs 8 bit-identity for the
-// parallel sort path: the forced small morsel size pushes the parallel
-// machinery (chunked sorts, merge rounds, run-parallel aggregation) onto
-// every operator even at test sizes.
+// sort layer on both runtimes: the forced small morsel size pushes the
+// span-parallel machinery (radix passes, pair building, run folding and
+// the grouper merge) onto every operator even at test sizes, across batch
+// sizes. Alternating trials aggregate floats, so order-sensitive sums go
+// through the sort-group fold.
 func TestSortParallelBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(5)
 		q := randquery.Generate(rng, randquery.Params{Relations: n})
 		tables := engine.RandomData(rng, q, 12).Tables()
+		if trial%2 == 1 {
+			tables = engine.FloatAggArgs(q, tables)
+		}
 		mode := physModes[trial%len(physModes)]
 		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgH1, Phys: mode})
 		if err != nil {
@@ -124,9 +129,20 @@ func TestSortParallelBitIdentity(t *testing.T) {
 			t.Fatalf("trial=%d parallel: %v", trial, err)
 		}
 		identicalTables(t, fmt.Sprintf("trial=%d %v workers 1 vs 8", trial, mode), seq, par)
+		for _, bs := range []int{1, 7, 1024} {
+			for _, o := range []engine.ExecOptions{
+				{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs},
+				{Workers: 8, MorselSize: 3, Runtime: engine.RuntimeBatch, BatchSize: bs},
+			} {
+				got, err := engine.ExecTablesOpts(q, res.Plan, tables, o)
+				if err != nil {
+					t.Fatalf("trial=%d batch=%d workers=%d: %v", trial, bs, o.Workers, err)
+				}
+				identicalTables(t, fmt.Sprintf("trial=%d %v batch=%d workers=%d", trial, mode, bs, o.Workers), seq, got)
+			}
+		}
 	}
-	// The TPC-H queries at execution scale cross the parallel cutoff
-	// with adaptive morsels too.
+	// The TPC-H queries at execution scale.
 	for name, q := range tpch.Queries() {
 		tables := tpch.GenerateTables(rand.New(rand.NewSource(4)), q, tpch.ExecutionScale(name))
 		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort})
@@ -137,11 +153,17 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
+		for _, o := range []engine.ExecOptions{
+			{Workers: 8}, // adaptive morsels: the row hash operators cross their cutoff
+			{Workers: 8, MorselSize: 64},
+			{Workers: 8, MorselSize: 64, Runtime: engine.RuntimeBatch},
+		} {
+			par, err := engine.ExecTablesOpts(q, res.Plan, tables, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalTables(t, fmt.Sprintf("%s sort runtime=%v morsel=%d workers 1 vs 8", name, o.Runtime, o.MorselSize), seq, par)
 		}
-		identicalTables(t, name+" sort workers 1 vs 8", seq, par)
 	}
 }
 
