@@ -296,6 +296,23 @@ func (s VSet) Len() int {
 	return n
 }
 
+// Rank returns |{x ∈ s : x < e}|, the rank of e within s — the index of
+// e's entry in a per-element array kept in ascending element order.
+func (s VSet) Rank(e int) int {
+	if e < 64 {
+		return bits.OnesCount64(s.lo & (1<<uint(e) - 1))
+	}
+	n := bits.OnesCount64(s.lo)
+	for i := 0; i < s.hiWords() && i < e/64; i++ {
+		w := unpackWord(s.hi, i)
+		if i == e/64-1 {
+			w &= 1<<uint(e%64) - 1
+		}
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Min returns the smallest element of s. It panics on the empty set.
 func (s VSet) Min() int {
 	if s.lo != 0 {

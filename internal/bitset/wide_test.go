@@ -154,6 +154,24 @@ func TestVSetBasics(t *testing.T) {
 	}
 }
 
+// TestVSetRank checks Rank against a count over Elems, on both sides of
+// the inline-word boundary and for elements outside the set.
+func TestVSetRank(t *testing.T) {
+	for _, s := range []VSet{NewV(), NewV(0), NewV(3, 9, 63), NewV(1, 64, 65, 127, 128, 200), NewV(130)} {
+		for e := 0; e < 260; e++ {
+			want := 0
+			for _, x := range s.Elems() {
+				if x < e {
+					want++
+				}
+			}
+			if got := s.Rank(e); got != want {
+				t.Fatalf("%v.Rank(%d) = %d, want %d", s, e, got, want)
+			}
+		}
+	}
+}
+
 func TestVSetLessTotalOrder(t *testing.T) {
 	sets := []VSet{NewV(), NewV(0), NewV(5), NewV(63), NewV(64), NewV(0, 64), NewV(65), NewV(128), NewV(63, 128)}
 	shuffled := append([]VSet(nil), sets...)

@@ -1,0 +1,72 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"eagg/internal/query"
+	"eagg/internal/randquery"
+)
+
+// dpAllocs runs the sequential DP driver over the query — scans, pair
+// enumeration and query analysis happen before the measured window — and
+// returns the bytes and objects it allocated with the run's counters.
+func dpAllocs(t *testing.T, q *query.Query, alg Algorithm) (bytes, objects uint64, stats Stats) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := newGenerator(q, Options{Algorithm: alg, Workers: 1})
+	g.scans()
+	pairs, _ := g.det.Graph.CsgCmpPairsBudget(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.runLevelsSequential(pairs)
+	runtime.ReadMemStats(&after)
+	for _, e := range g.table {
+		g.stats.TablePlans += len(e.plans)
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, g.stats
+}
+
+// TestEAPruneAllocBudget is the deterministic stand-in for a timing gate
+// on the DP's candidate path: allocation repeats to a fraction of a
+// percent where wall time does not. Candidates are estimated in scratch
+// and only survivors become nodes, so an EA-Prune run may allocate at most
+// 250 bytes per plan built (it was ≈ 1,000 when every candidate was a
+// node with its own key, profile and predicate slices), and a single-plan
+// generator at most one object per retained plan — its entry's slot; the
+// nodes come out of the arena — plus a constant per level.
+func TestEAPruneAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation does not repeat under the race detector")
+	}
+	rng := rand.New(rand.NewSource(1))
+	var rand14 *query.Query
+	for i := 0; i <= 42; i++ { // rand14.2 of the optimize_cold population
+		rand14 = randquery.Generate(rng, randquery.Params{Relations: 6 + 2*(i/10)})
+	}
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{{"rand14.2", rand14}, {"star12", randquery.Star(12)}} {
+		bytes, _, stats := dpAllocs(t, c.q, AlgEAPrune)
+		per := float64(bytes) / float64(stats.PlansBuilt)
+		t.Logf("%s/EA-Prune: %d B for %d plans built (%d retained): %.0f B per plan built", c.name, bytes, stats.PlansBuilt, stats.TablePlans, per)
+		if per > 250 {
+			t.Errorf("%s/EA-Prune allocates %.0f B per plan built, over 250", c.name, per)
+		}
+	}
+	// The counters are process-wide; the least of three runs sheds what a
+	// runtime goroutine allocated meanwhile.
+	_, objects, stats := dpAllocs(t, randquery.Chain(12), AlgH1)
+	for i := 0; i < 2; i++ {
+		_, o, _ := dpAllocs(t, randquery.Chain(12), AlgH1)
+		objects = min(objects, o)
+	}
+	budget := uint64(stats.TablePlans + 4*len(stats.Levels))
+	t.Logf("chain12/H1: %d objects for %d retained plans over %d levels", objects, stats.TablePlans, len(stats.Levels))
+	if objects > budget {
+		t.Errorf("chain12/H1 allocates %d objects, over one per retained plan (%d) + 4 per level (%d)", objects, stats.TablePlans, len(stats.Levels))
+	}
+}

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"time"
 
@@ -221,11 +220,12 @@ func Optimize(q *query.Query, opts Options) (*Result, error) {
 
 func optimizeAs[S bitset.RelSet[S]](q *query.Query, est *cost.Estimator, opts Options) (*Result, error) {
 	g := &generator[S]{
-		q:    q,
-		det:  conflict.Detect[S](q),
-		est:  est,
-		opts: opts,
-		all:  bitset.RangeIn[S](0, len(q.Relations)),
+		q:              q,
+		det:            conflict.Detect[S](q),
+		est:            est,
+		opts:           opts,
+		all:            bitset.RangeIn[S](0, len(q.Relations)),
+		parallelCutoff: dpParallelCutoff,
 	}
 	g.allV = g.all.ToV()
 	g.prepare()
@@ -245,22 +245,33 @@ type generator[S bitset.RelSet[S]] struct {
 	allV bitset.VSet // g.all in VSet form, for comparing plan.Plan.Rels
 
 	// table maps a relation set to its retained plans. Heuristic
-	// algorithms keep exactly one entry; EA-All/EA-Prune keep lists. The
-	// entry for the complete set holds the single best top-level plan.
-	table map[S][]*plan.Plan
+	// algorithms keep exactly one plan per entry; EA-All/EA-Prune keep
+	// lists. The entry for the complete set holds the single best
+	// top-level plan.
+	table map[S]*entry
+
+	// w0 is the worker of the driver's own goroutine: the sequential
+	// driver runs everything on it, the parallel driver the levels under
+	// parallelCutoff (and its share of the others).
+	w0 *worker
+	// parallelCutoff is the level work (see levelWork) below which the
+	// parallel driver runs a level inline; dpParallelCutoff outside tests,
+	// which leave it 0 to force every level through the pool.
+	parallelCutoff int
 
 	// aggSrc[i] is the set of relations aggregate i draws from; aggOK[i]
 	// whether it is decomposable.
 	aggSrc []bitset.VSet
 	aggOK  []bool
 
-	// predAttrs[i] caches op i's predicate attribute set, predRels[i] the
-	// relations those attributes come from, and profAttrs the union of the
-	// grouping attributes with every predicate's attributes — all constant
-	// per query, all on the per-pair hot path (gPlus, profileAttrs).
-	predAttrs []bitset.VSet
-	predRels  []bitset.VSet
-	profAttrs bitset.VSet
+	// predAttrs[i] caches op i's predicate attribute set and predRels[i]
+	// the relations those attributes come from — constant per query, on
+	// the per-pair hot path (gPlus). finalKeyAttrs is the query-level FD
+	// closure of the grouping attributes, which every complete tree's
+	// final-grouping elimination tests its keys against.
+	predAttrs     []bitset.VSet
+	predRels      []bitset.VSet
+	finalKeyAttrs bitset.VSet
 
 	// gjRight is the union of all groupjoin right-subtree relations;
 	// groupings are never pushed there because they would aggregate away
@@ -271,20 +282,25 @@ type generator[S bitset.RelSet[S]] struct {
 }
 
 func (g *generator[S]) prepare() {
-	g.table = make(map[S][]*plan.Plan)
+	g.table = make(map[S]*entry)
+	g.w0 = &worker{est: g.est}
 	if g.q.HasGrouping {
 		g.aggSrc = g.q.AggSourceRels()
 		g.aggOK = make([]bool, len(g.q.Aggregates))
 		for i, a := range g.q.Aggregates {
 			g.aggOK[i] = a.Kind.Decomposable()
 		}
+		// At the top every predicate has been applied, so the query-level
+		// FD closure of G is valid: a key *implied* by the grouping
+		// attributes eliminates the final grouping just like one
+		// contained in them (Sec. 3.2 with FD+ instead of the syntactic
+		// test).
+		g.finalKeyAttrs = g.est.FDClosure(g.q.GroupBy)
 	}
-	g.profAttrs = g.q.GroupBy
 	for _, op := range g.det.Ops {
 		pa := op.Node.Pred.Attrs()
 		g.predAttrs = append(g.predAttrs, pa)
 		g.predRels = append(g.predRels, g.q.RelsOf(pa))
-		g.profAttrs = g.profAttrs.Union(pa)
 		if op.Node.Kind == query.KindGroupJoin {
 			g.gjRight = g.gjRight.Union(op.RightRels.ToV())
 		}
@@ -305,19 +321,27 @@ func (g *generator[S]) pairBudget() int {
 	return 0
 }
 
-func (g *generator[S]) run() (*Result, error) {
-	// Component 1: initial access paths (Fig. 5, lines 1-2).
+// scans is component 1: initial access paths (Fig. 5, lines 1-2), entered
+// through the retention policy like every other plan.
+func (g *generator[S]) scans() {
 	for r := range g.q.Relations {
 		p := g.est.Scan(r)
 		if g.physOn() {
 			g.est.PhysifyScan(p) // contractual scan order, zero overhead
 		}
-		g.table[bitset.SingleIn[S](r)] = []*plan.Plan{p}
+		e := g.w0.newEntry()
+		g.insert(g.w0, e, p)
+		g.table[bitset.SingleIn[S](r)] = e
 	}
+}
+
+func (g *generator[S]) run() (*Result, error) {
+	g.scans()
 	if len(g.q.Relations) == 1 {
 		g.stats.Workers = 1 // no pairs to enumerate; trivially sequential
-		best := g.table[bitset.SingleIn[S](0)][0]
-		return &Result{Plan: g.finalize(g.est, best), Stats: g.stats}, nil
+		top := &entry{}
+		g.finalizeEach(g.w0, top, g.table[g.all].plans[0])
+		return &Result{Plan: detach(top.plans[0]), Stats: g.stats}, nil
 	}
 
 	// Component 2: enumerate csg-cmp-pairs (Fig. 5, line 3). They come
@@ -348,16 +372,18 @@ func (g *generator[S]) run() (*Result, error) {
 	}
 
 	best := g.table[g.all]
-	if len(best) == 0 {
+	if best == nil || len(best.plans) == 0 {
 		return nil, errors.New("core: no plan found for the complete relation set (conflicting query graph)")
 	}
-	for s, plans := range g.table {
+	for s, e := range g.table {
 		if s != g.all {
-			g.stats.TablePlans += len(plans)
+			g.stats.TablePlans += len(e.plans)
 		}
 	}
 	g.stats.TablePlans++
-	return &Result{Plan: best[0], Stats: g.stats}, nil
+	// The winner leaves the run's arenas: everything else the DP built is
+	// garbage once the result is returned.
+	return &Result{Plan: detach(best.plans[0]), Stats: g.stats}, nil
 }
 
 // forEachLevel calls fn once per DP level with the contiguous slice of
@@ -380,22 +406,35 @@ func forEachLevel[S bitset.RelSet[S]](pairs []hypergraph.CsgCmpPair[S], fn func(
 func (g *generator[S]) runLevelsSequential(pairs []hypergraph.CsgCmpPair[S]) {
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[S]) {
 		start := time.Now()
-		subsets := make(map[S]struct{}, len(chunk))
-		for _, pr := range chunk {
-			s := pr.S1.Union(pr.S2)
-			subsets[s] = struct{}{}
-			g.processPair(pr, s)
-		}
+		subsets := g.runLevelInline(chunk)
 		g.stats.Levels = append(g.stats.Levels, LevelStat{
-			Level: level, Pairs: len(chunk), Subsets: len(subsets), Duration: time.Since(start),
+			Level: level, Pairs: len(chunk), Subsets: subsets, Duration: time.Since(start),
 		})
 	})
 }
 
+// runLevelInline processes one level's pairs in enumeration order on the
+// driver's own worker and returns the number of distinct result sets. An
+// entry is created at a result set's first pair (that is what counts the
+// sets), so a set no operator applies to keeps an empty one.
+func (g *generator[S]) runLevelInline(chunk []hypergraph.CsgCmpPair[S]) (subsets int) {
+	for _, pr := range chunk {
+		s := pr.S1.Union(pr.S2)
+		e := g.table[s]
+		if e == nil {
+			e = g.w0.newEntry()
+			g.table[s] = e
+			subsets++
+		}
+		g.stats.PlansBuilt += g.processPair(g.w0, e, pr, s == g.all)
+	}
+	return subsets
+}
+
 // forEachApplicable runs component 3 for one pair: the applicability test
 // per operator whose edge connects it (Fig. 5, lines 4-5), invoking apply
-// for every admissible orientation. Shared by the sequential and parallel
-// drivers so the commutativity guard cannot diverge between them.
+// for every admissible orientation. Shared by the exact drivers and the
+// greedy fallback so the commutativity guard cannot diverge between them.
 func (g *generator[S]) forEachApplicable(pr hypergraph.CsgCmpPair[S], apply func(s1, s2 S, op *conflict.Op[S])) {
 	// Edge scan inlined from ConnectingEdges: this runs once per
 	// csg-cmp-pair and must not allocate an index slice every time.
@@ -426,233 +465,76 @@ func (g *generator[S]) forEachApplicable(pr hypergraph.CsgCmpPair[S], apply func
 	}
 }
 
-// processPair is the sequential per-pair step.
-func (g *generator[S]) processPair(pr hypergraph.CsgCmpPair[S], s S) {
-	topLevel := s == g.all
+// processPair is the per-pair step of every exact driver: the edge loop of
+// Fig. 5 over one pair, every applicable operator's trees folded through
+// the retention policy into e, the entry of the pair's result set. It
+// returns the number of trees built.
+func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair[S], topLevel bool) int {
+	built := 0
 	g.forEachApplicable(pr, func(s1, s2 S, op *conflict.Op[S]) {
-		g.applySequential(s, s1, s2, op, topLevel)
+		built += g.buildInto(w, e, s1, s2, op, topLevel)
 	})
+	return built
 }
 
-func (g *generator[S]) applySequential(s, s1, s2 S, op *conflict.Op[S], topLevel bool) {
-	entry, built := g.buildInto(g.est, g.table[s], s, s1, s2, op, topLevel)
-	g.stats.PlansBuilt += built
-	if built > 0 {
-		g.table[s] = entry
-	}
-}
-
-// preds collects the predicates of every edge connecting S1 and S2, so
-// cyclic query graphs apply all cross predicates at once.
-func (g *generator[S]) preds(s1, s2 S) []*query.Predicate {
-	// Inlined ConnectingEdges: scanning the edge list directly avoids
-	// materializing the index slice on the per-pair hot path.
-	out := make([]*query.Predicate, 0, 2)
+// joinPreds collects the predicates of every edge connecting S1 and S2
+// into the worker's scratch, so cyclic query graphs apply all cross
+// predicates at once.
+func (g *generator[S]) joinPreds(w *worker, s1, s2 S) {
+	w.jp.Reset()
+	w.preds = nil
 	for i := range g.det.Graph.Edges {
 		e := &g.det.Graph.Edges[i]
 		if (e.Left.SubsetOf(s1) && e.Right.SubsetOf(s2)) ||
 			(e.Left.SubsetOf(s2) && e.Right.SubsetOf(s1)) {
-			out = append(out, g.det.OpForEdge(e.Payload).Node.Pred)
+			w.jp.Add(g.det.OpForEdge(e.Payload).Node.Pred)
 		}
 	}
-	return out
 }
 
-// buildInto constructs every operator tree for (s1, s2, op) — reading the
-// component subplans from sealed table levels — and folds each tree
-// through the algorithm's retention policy into entry, the caller-owned
-// plan list for the result set s. It returns the updated entry and the
-// number of trees built. The table is only ever read here, which is what
-// lets the parallel driver's level workers share it lock-free.
-func (g *generator[S]) buildInto(est *cost.Estimator, entry []*plan.Plan, s, s1, s2 S, op *conflict.Op[S], topLevel bool) ([]*plan.Plan, int) {
-	t1s, ok1 := g.table[s1]
-	t2s, ok2 := g.table[s2]
-	if !ok1 || !ok2 {
-		// The enumeration may emit pairs whose components are not
-		// buildable (or were blocked by applicability); skip them.
-		return entry, 0
-	}
-	preds := g.preds(s1, s2)
-	built := 0
-	for _, t1 := range t1s {
-		for _, t2 := range t2s {
-			for _, tree := range g.opTrees(est, t1, t2, op, preds) {
-				built++
-				if topLevel {
-					entry = g.insertTopLevelPlan(entry, tree)
-				} else {
-					entry = g.insert(est, s, entry, tree)
-				}
-			}
-		}
-	}
-	return entry, built
-}
-
-// insert applies the algorithm's retention policy for non-top entries and
-// returns the updated plan list. In the sort/auto physical modes the
-// policy applies per plan class (see phys.go).
-func (g *generator[S]) insert(est *cost.Estimator, s S, entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
+// insert applies the algorithm's retention policy for non-top entries. The
+// candidate t is a scratch estimate (see worker); a policy that retains it
+// stores w.keep(t), so a rejected candidate never becomes a node. In the
+// sort/auto physical modes the policy applies per plan class (see phys.go).
+func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
 	if g.physOn() {
-		return g.insertPhys(est, s, entry, t)
+		g.insertPhys(w, e, t)
+		return
 	}
 	switch g.opts.Algorithm {
 	case AlgEAAll:
-		return append(entry, t)
+		e.plans = append(e.plans, w.keep(t))
 	case AlgEAPrune:
-		return g.pruneDominatedPlans(est, s, entry, t)
+		g.pruneDominatedPlans(w, e, t)
 	case AlgBeam:
-		return g.insertBeam(entry, t)
+		g.insertBeam(w, e, t)
 	case AlgH2:
-		if len(entry) == 0 {
-			return []*plan.Plan{t}
+		if len(e.plans) == 0 {
+			e.plans = append(e.plans, w.keep(t))
+		} else if g.compareAdjustedCosts(t, e.plans[0], false) {
+			e.plans[0] = w.keep(t)
 		}
-		if g.compareAdjustedCosts(t, entry[0], false) {
-			entry[0] = t
-		}
-		return entry
 	default: // DPhyp, H1: single cheapest plan
-		if len(entry) == 0 {
-			return []*plan.Plan{t}
+		if len(e.plans) == 0 {
+			e.plans = append(e.plans, w.keep(t))
+		} else if t.Cost < e.plans[0].Cost {
+			e.plans[0] = w.keep(t)
 		}
-		if t.Cost < entry[0].Cost {
-			entry[0] = t
-		}
-		return entry
 	}
 }
 
 // insertTopLevelPlan implements Fig. 9's InsertTopLevelPlan: top-level
 // plans are always compared by plain cost — physical cost in the
 // sort/auto modes — and only the best one is kept. The final grouping
-// (or its elimination) has already been attached by opTrees.
-func (g *generator[S]) insertTopLevelPlan(entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
-	if len(entry) == 0 {
-		return []*plan.Plan{t}
+// (or its elimination) has already been attached by finalizeEach.
+func (g *generator[S]) insertTopLevelPlan(w *worker, e *entry, t *plan.Plan) {
+	switch {
+	case len(e.plans) == 0:
+		e.plans = append(e.plans, w.keep(t))
+	case g.physOn() && t.PhysCost < e.plans[0].PhysCost,
+		!g.physOn() && t.Cost < e.plans[0].Cost:
+		e.plans[0] = w.keep(t)
 	}
-	if g.physOn() {
-		if t.PhysCost < entry[0].PhysCost {
-			entry[0] = t
-		}
-		return entry
-	}
-	if t.Cost < entry[0].Cost {
-		entry[0] = t
-	}
-	return entry
-}
-
-// pruneDominatedPlans implements Fig. 13. Dominance (Def. 4) weakens the
-// FD-closure comparison to candidate-key implication, as the paper
-// suggests for implementations, and — because our distinct-count estimates
-// are plan-dependent — additionally compares the distinct profile of the
-// grouping-relevant attributes (the quantitative counterpart of the FD
-// condition: it is what determines future grouping cardinalities).
-func (g *generator[S]) pruneDominatedPlans(est *cost.Estimator, s S, entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
-	g.fillProfileWith(est, s, t)
-	for _, old := range entry {
-		if dominates(old, t) {
-			return entry
-		}
-	}
-	kept := entry[:0]
-	for _, old := range entry {
-		if !dominates(t, old) {
-			kept = append(kept, old)
-		}
-	}
-	return append(kept, t)
-}
-
-// profileAttrs returns the attributes whose distinct counts can influence
-// future groupings of a plan over S: grouping attributes and join
-// attributes of S.
-func (g *generator[S]) profileAttrs(sv bitset.VSet) bitset.VSet {
-	// ∩ distributes over ∪, so the per-predicate loop collapses onto the
-	// precomputed union: (G ∪ ⋃ᵢ predAttrs[i]) ∩ attrs(S).
-	return g.profAttrs.Intersect(g.q.AttrsOf(sv))
-}
-
-func (g *generator[S]) fillProfile(s S, t *plan.Plan) {
-	g.fillProfileWith(g.est, s, t)
-}
-
-// fillProfileWith computes the profile against the given estimator so
-// parallel workers can fill profiles through their own clone. Profiles are
-// pure functions of the plan and the query, so every clone produces the
-// same values.
-func (g *generator[S]) fillProfileWith(est *cost.Estimator, s S, t *plan.Plan) {
-	if t.Profile != nil {
-		return
-	}
-	sv := s.ToV()
-	attrs := g.profileAttrs(sv)
-	prof := make([]float64, 0, attrs.Len()+sv.Len())
-	// One path walk per relation of S instead of one per profile attribute
-	// plus one per relation: for a plan containing rel,
-	// Distinct(a, t) = max(1, min(Q.Distinct[a], RelPathCard(rel(a), t)))
-	// — distinctWalk and RelPathCard traverse the same root-to-scan path
-	// and fold the same cardinalities through an exact float min, so the
-	// identity is bit-for-bit. This loop was the EA-Prune hot spot.
-	pathCard := make([]float64, len(g.q.Relations))
-	for w, nw := 0, sv.NumWords(); w < nw; w++ {
-		for bs := sv.Word(w); bs != 0; bs &= bs - 1 {
-			rel := w*64 + bits.TrailingZeros64(bs)
-			pathCard[rel] = est.RelPathCard(rel, t)
-		}
-	}
-	for w, nw := 0, attrs.NumWords(); w < nw; w++ {
-		for bs := attrs.Word(w); bs != 0; bs &= bs - 1 {
-			a := w*64 + bits.TrailingZeros64(bs)
-			d := g.q.Distinct[a]
-			if pc := pathCard[g.q.AttrRel[a]]; pc < d {
-				d = pc
-			}
-			if d < 1 {
-				d = 1
-			}
-			prof = append(prof, d)
-		}
-	}
-	// Per-relation path cardinalities are a further hidden dimension:
-	// they cap future per-relation grouping contributions.
-	for w, nw := 0, sv.NumWords(); w < nw; w++ {
-		for bs := sv.Word(w); bs != 0; bs &= bs - 1 {
-			prof = append(prof, pathCard[w*64+bits.TrailingZeros64(bs)])
-		}
-	}
-	t.Profile = prof
-}
-
-// dominates reports whether a dominates b: cost ≤, cardinality ≤, a's key
-// set implies b's (every key of b is implied by some key of a),
-// duplicate-freeness at least as strong, and a distinct profile that is
-// pointwise ≤.
-func dominates(a, b *plan.Plan) bool {
-	if a.Cost > b.Cost || a.Card > b.Card {
-		return false
-	}
-	if !a.DupFree && b.DupFree {
-		return false
-	}
-	for i := range a.Profile {
-		if a.Profile[i] > b.Profile[i] {
-			return false
-		}
-	}
-	for _, kb := range b.Keys {
-		implied := false
-		for _, ka := range a.Keys {
-			if ka.SubsetOf(kb) {
-				implied = true
-				break
-			}
-		}
-		if !implied {
-			return false
-		}
-	}
-	return true
 }
 
 // compareAdjustedCosts implements Fig. 12: H2 biases the comparison toward
@@ -675,24 +557,23 @@ func (g *generator[S]) compareAdjustedCosts(t, cur *plan.Plan, topLevel bool) bo
 // diversity: a candidate costing the same as a retained plan but with a
 // strictly smaller cardinality replaces it (small results are what future
 // groupings and joins profit from).
-func (g *generator[S]) insertBeam(entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
+func (g *generator[S]) insertBeam(w *worker, e *entry, t *plan.Plan) {
 	k := g.opts.BeamWidth
 	// Insert in cost order.
-	pos := len(entry)
-	for i, old := range entry {
+	pos := len(e.plans)
+	for i, old := range e.plans {
 		if t.Cost < old.Cost || (t.Cost == old.Cost && t.Card < old.Card) {
 			pos = i
 			break
 		}
 	}
 	if pos >= k {
-		return entry
+		return
 	}
-	entry = append(entry, nil)
-	copy(entry[pos+1:], entry[pos:])
-	entry[pos] = t
-	if len(entry) > k {
-		entry = entry[:k]
+	e.plans = append(e.plans, nil)
+	copy(e.plans[pos+1:], e.plans[pos:])
+	e.plans[pos] = w.keep(t)
+	if len(e.plans) > k {
+		e.plans = e.plans[:k]
 	}
-	return entry
 }

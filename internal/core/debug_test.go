@@ -7,7 +7,6 @@ import (
 	"eagg/internal/bitset"
 	"eagg/internal/conflict"
 	"eagg/internal/cost"
-	"eagg/internal/plan"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
 )
@@ -27,19 +26,12 @@ func TestPruneCoverageInvariant(t *testing.T) {
 			all := tableOf(t, q, AlgEAAll)
 			pruned := tableOf(t, q, AlgEAPrune)
 			full := bitset.Range64(0, n)
-			for s, plans := range all {
+			for s, e := range all {
 				if s == full {
 					continue
 				}
-				for _, p := range plans {
-					covered := false
-					for _, kp := range pruned[s] {
-						if dominates(kp, p) {
-							covered = true
-							break
-						}
-					}
-					if !covered {
+				for _, p := range e.plans {
+					if !pruned[s].dominated(p, false) {
 						t.Fatalf("n=%d trial=%d set %v: plan not covered by EA-Prune retentions\ncost=%.6g card=%.6g keys=%v\n%v",
 							n, trial, s, p.Cost, p.Card, p.Keys, p.String())
 					}
@@ -49,26 +41,33 @@ func TestPruneCoverageInvariant(t *testing.T) {
 	}
 }
 
-// tableOf runs the generator and returns its DP table with profiles
-// filled, so dominance can be evaluated post hoc.
-func tableOf(t *testing.T, q *query.Query, alg Algorithm) map[bitset.Set64][]*plan.Plan {
+// tableOf runs the generator and returns its DP table, so dominance can be
+// evaluated post hoc.
+func tableOf(t *testing.T, q *query.Query, alg Algorithm) map[bitset.Set64]*entry {
 	t.Helper()
+	g := newGenerator(q, Options{Algorithm: alg})
+	if _, err := g.run(); err != nil {
+		t.Fatal(err)
+	}
+	return g.table
+}
+
+// newGenerator builds a Set64 generator the way optimizeAs does, except
+// that parallelCutoff stays 0: with Workers > 1 every level goes through
+// the pool.
+func newGenerator(q *query.Query, opts Options) *generator[bitset.Set64] {
+	est := cost.NewEstimator(q)
+	if opts.Stats != nil {
+		est.Source = opts.Stats
+	}
 	g := &generator[bitset.Set64]{
 		q:    q,
 		det:  conflict.Detect[bitset.Set64](q),
-		est:  cost.NewEstimator(q),
-		opts: Options{Algorithm: alg},
+		est:  est,
+		opts: opts,
 		all:  bitset.Range64(0, len(q.Relations)),
 	}
 	g.allV = g.all.ToV()
 	g.prepare()
-	if _, err := g.run(); err != nil {
-		t.Fatal(err)
-	}
-	for s, plans := range g.table {
-		for _, p := range plans {
-			g.fillProfile(s, p)
-		}
-	}
-	return g.table
+	return g
 }

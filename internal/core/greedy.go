@@ -16,9 +16,7 @@ import (
 	"time"
 
 	"eagg/internal/bitset"
-	"eagg/internal/conflict"
 	"eagg/internal/hypergraph"
-	"eagg/internal/plan"
 )
 
 // greedyFrontier is the number of result sets the fallback carries per
@@ -28,9 +26,9 @@ const greedyFrontier = 16
 
 // bestPlanCost returns the ranking cost of a DP-table entry: the
 // cheapest member, by physical cost when the sort layer participates.
-func (g *generator[S]) bestPlanCost(entry []*plan.Plan) float64 {
-	best := entry[0]
-	for _, p := range entry[1:] {
+func (g *generator[S]) bestPlanCost(e *entry) float64 {
+	best := e.plans[0]
+	for _, p := range e.plans[1:] {
 		if g.physOn() {
 			if p.PhysCost < best.PhysCost {
 				best = p
@@ -72,20 +70,19 @@ func (g *generator[S]) runGreedy() {
 					pr = hypergraph.CsgCmpPair[S]{S1: single, S2: s}
 				}
 				t := s.Add(r)
-				topLevel := t == g.all
 				levelPairs++
-				built := false
-				g.forEachApplicable(pr, func(s1, s2 S, op *conflict.Op[S]) {
-					entry, nb := g.buildInto(g.est, g.table[t], t, s1, s2, op, topLevel)
-					g.stats.PlansBuilt += nb
-					if nb > 0 {
-						g.table[t] = entry
-						built = true
+				e := g.table[t]
+				if e == nil {
+					e = g.w0.newEntry()
+				}
+				built := g.processPair(g.w0, e, pr, t == g.all)
+				g.stats.PlansBuilt += built
+				if built > 0 {
+					g.table[t] = e
+					if !seen[t] {
+						seen[t] = true
+						next = append(next, t)
 					}
-				})
-				if built && !seen[t] {
-					seen[t] = true
-					next = append(next, t)
 				}
 			}
 		}

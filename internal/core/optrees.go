@@ -8,176 +8,187 @@ import (
 	"eagg/internal/query"
 )
 
-// opTrees implements Fig. 6: for a pair of subplans and an operator it
-// returns the base tree plus the up-to-three eager-aggregation variants of
-// Fig. 8, each already wrapped with the final grouping (or its
-// elimination) when the tree completes the query.
+// buildInto implements Fig. 6 for one (pair, operator): for every pair of
+// subplans it considers the base tree plus the up-to-three
+// eager-aggregation variants of Fig. 8 — Γ(t1) ◦ t2, t1 ◦ Γ(t2),
+// Γ(t1) ◦ Γ(t2), in that order — each estimated into the worker's scratch
+// and folded through the algorithm's retention policy into e, the
+// caller-owned entry of the result set. It returns the number of trees
+// considered. The component subplans are read from sealed table levels
+// and the table is only ever read here, which is what lets the parallel
+// driver's level workers share it lock-free.
 //
-// DPhyp mode and grouping-free queries produce only the base tree.
-func (g *generator[S]) opTrees(est *cost.Estimator, t1, t2 *plan.Plan, op *conflict.Op[S], preds []*query.Predicate) []*plan.Plan {
+// The pushed groupings are estimated once per t1 and once per t2 — not
+// once per (t1, t2) — and become nodes only under a tree that survives.
+// DPhyp mode and grouping-free queries consider only the base tree.
+func (g *generator[S]) buildInto(w *worker, e *entry, s1, s2 S, op *conflict.Op[S], topLevel bool) int {
+	e1, e2 := g.table[s1], g.table[s2]
+	if e1 == nil || e2 == nil || len(e1.plans) == 0 || len(e2.plans) == 0 {
+		// The enumeration may emit pairs whose components are not
+		// buildable (or were blocked by applicability); skip them.
+		return 0
+	}
+	t1s, t2s := e1.plans, e2.plans
 	kind := op.Node.Kind
-	out := make([]*plan.Plan, 0, 4)
-	add := func(l, r *plan.Plan) {
-		if !g.physOn() {
-			tree := est.Op(kind, preds, l, r)
-			out = append(out, g.maybeFinalize(est, tree))
-			return
+	g.joinPreds(w, s1, s2)
+
+	kinds := len(g.groupPhysKinds())
+	w.gl, w.glNode = resize(w.gl, kinds), resize(w.glNode, kinds)
+	w.gr, w.grNode = resize(w.gr, kinds*len(t2s)), resize(w.grNode, kinds*len(t2s))
+	clear(w.grNode)
+	var gpL, gpR bitset.VSet
+	pushL, pushR := false, false
+	if g.opts.Algorithm != AlgDPhyp && g.q.HasGrouping {
+		if pushL = g.validPush(t1s[0].Rels, true, kind); pushL {
+			gpL = g.gPlus(w.est, t1s[0].Rels)
 		}
-		// Sort/auto physical modes: one tree per admissible physical
-		// kind, hash first (ties resolve toward hash in the retention
-		// policies), each completed tree finalized per physical kind of
-		// the final grouping.
-		for _, ph := range g.opPhysKinds(kind) {
-			tree := est.Op(kind, preds, l, r)
-			if !est.PhysifyOp(tree, ph) {
-				continue
-			}
-			if tree.Rels != g.allV {
-				out = append(out, tree)
-				continue
-			}
-			out = append(out, g.finalizeAll(est, tree)...)
+		if pushR = g.validPush(t2s[0].Rels, false, kind); pushR {
+			gpR = g.gPlus(w.est, t2s[0].Rels)
 		}
+	}
+	for j, t2 := range t2s {
+		g.pushedGroups(w, w.gr[j*kinds:(j+1)*kinds], t2, gpR, pushR)
 	}
 
-	add(t1, t2)
-	if g.opts.Algorithm == AlgDPhyp || !g.q.HasGrouping {
-		return out
-	}
-
-	gls := g.groupVariants(est, t1, t1.Rels, true, kind)
-	grs := g.groupVariants(est, t2, t2.Rels, false, kind)
-	for _, gl := range gls {
-		add(gl, t2)
-	}
-	for _, gr := range grs {
-		add(t1, gr)
-	}
-	for _, gl := range gls {
-		for _, gr := range grs {
-			add(gl, gr)
+	built := 0
+	for _, t1 := range t1s {
+		g.pushedGroups(w, w.gl, t1, gpL, pushL)
+		clear(w.glNode)
+		for j, t2 := range t2s {
+			gr, grNode := w.gr[j*kinds:(j+1)*kinds], w.grNode[j*kinds:(j+1)*kinds]
+			built += g.consider(w, e, kind, t1, t2, nil, nil, topLevel)
+			for i := range w.gl {
+				if w.gl[i].Left != nil {
+					built += g.consider(w, e, kind, &w.gl[i], t2, &w.glNode[i], nil, topLevel)
+				}
+			}
+			for k := range gr {
+				if gr[k].Left != nil {
+					built += g.consider(w, e, kind, t1, &gr[k], nil, &grNode[k], topLevel)
+				}
+			}
+			for i := range w.gl {
+				for k := range gr {
+					if w.gl[i].Left != nil && gr[k].Left != nil {
+						built += g.consider(w, e, kind, &w.gl[i], &gr[k], &w.glNode[i], &grNode[k], topLevel)
+					}
+				}
+			}
 		}
 	}
-	return out
+	return built
 }
 
-// groupVariants builds the admissible pushed-grouping plans for one side
-// of an operator: none when the push is invalid or unnecessary, one hash
-// grouping in the default mode, and one plan per enabled physical kind
-// otherwise (hash aggregation and sort-group aggregation are distinct
-// plan-class members: their costs and contractual orders differ).
-func (g *generator[S]) groupVariants(est *cost.Estimator, t *plan.Plan, side bitset.VSet, isLeft bool, kind query.OpKind) []*plan.Plan {
-	if !g.validPush(side, isLeft, kind) {
-		return nil
+// resize returns s with length n, reusing its backing array (and so the
+// key and vector buffers of scratch nodes) when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	gp := g.gPlus(est, side)
-	if !g.needsGrouping(gp, t) {
-		return nil
-	}
-	if !g.physOn() {
-		return []*plan.Plan{est.Group(t, gp)}
-	}
-	var out []*plan.Plan
-	for _, ph := range g.groupPhysKinds() {
-		gt := est.Group(t, gp)
-		if est.PhysifyGroup(gt, ph) {
-			out = append(out, gt)
+	return s[:n]
+}
+
+// consider estimates one operator tree l ◦ r into w.cand — once per
+// admissible physical kind in the sort/auto modes, hash first (ties
+// resolve toward hash in the retention policies) — and hands it to the
+// retention policy, each completed tree through finalizeEach. lNode/rNode
+// are the node-cache slots of scratch children. It returns the number of
+// trees considered.
+func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) int {
+	w.est.EstimateOp(&w.cand, kind, &w.jp, l, r)
+	w.lNode, w.rNode = lNode, rNode
+	built := 0
+	for _, ph := range g.opPhysKinds(kind) {
+		if g.physOn() && !w.est.PhysifyOp(&w.cand, ph) {
+			continue
+		}
+		if topLevel {
+			built += g.finalizeEach(w, e, &w.cand)
+		} else {
+			built++
+			g.insert(w, e, &w.cand)
 		}
 	}
-	return out
+	return built
 }
+
+// pushedGroups estimates the admissible pushed-grouping plans over t into
+// dst, one slot per enabled physical kind (hash aggregation and sort-group
+// aggregation are distinct plan-class members: their costs and contractual
+// orders differ); a slot's Left stays nil when the push is invalid or the
+// grouping unnecessary.
+func (g *generator[S]) pushedGroups(w *worker, dst []plan.Plan, t *plan.Plan, gp bitset.VSet, valid bool) {
+	needed := valid && g.needsGrouping(gp, t)
+	for i, ph := range g.groupPhysKinds() {
+		dst[i].Left = nil
+		if needed {
+			w.est.EstimateGroup(&dst[i], t, gp)
+			if g.physOn() && !w.est.PhysifyGroup(&dst[i], ph) {
+				dst[i].Left = nil
+			}
+		}
+	}
+}
+
+// The physical-kind lists the enumeration walks, hash before sort.
+var (
+	hashOnly     = []plan.PhysKind{plan.PhysHash}
+	sortOnly     = []plan.PhysKind{plan.PhysSortMerge}
+	hashThenSort = []plan.PhysKind{plan.PhysHash, plan.PhysSortMerge}
+)
 
 // opPhysKinds returns the physical kinds to enumerate for a binary
-// operator, hash before sort. Operators without a sort-based form (full
-// outerjoin, groupjoin) stay on the hash layer in every mode.
+// operator. Operators without a sort-based form (full outerjoin,
+// groupjoin) stay on the hash layer in every mode.
 func (g *generator[S]) opPhysKinds(kind query.OpKind) []plan.PhysKind {
-	switch g.opts.Phys {
-	case PhysModeSort:
-		switch kind {
-		case query.KindFullOuter, query.KindGroupJoin:
-			return []plan.PhysKind{plan.PhysHash}
-		}
-		return []plan.PhysKind{plan.PhysSortMerge}
-	case PhysModeAuto:
-		switch kind {
-		case query.KindFullOuter, query.KindGroupJoin:
-			return []plan.PhysKind{plan.PhysHash}
-		}
-		return []plan.PhysKind{plan.PhysHash, plan.PhysSortMerge}
+	if kind == query.KindFullOuter || kind == query.KindGroupJoin {
+		return hashOnly
 	}
-	return []plan.PhysKind{plan.PhysHash}
+	return g.groupPhysKinds()
 }
 
 // groupPhysKinds returns the physical kinds to enumerate for groupings.
 func (g *generator[S]) groupPhysKinds() []plan.PhysKind {
 	switch g.opts.Phys {
 	case PhysModeSort:
-		return []plan.PhysKind{plan.PhysSortMerge}
+		return sortOnly
 	case PhysModeAuto:
-		return []plan.PhysKind{plan.PhysHash, plan.PhysSortMerge}
+		return hashThenSort
 	}
-	return []plan.PhysKind{plan.PhysHash}
+	return hashOnly
 }
 
-// maybeFinalize attaches the final grouping to complete plans (Fig. 6,
-// lines 6-8 etc.): a grouping on G, or — when G contains a key of a
-// duplicate-free result — the free projection of Sec. 3.2.
-func (g *generator[S]) maybeFinalize(est *cost.Estimator, tree *plan.Plan) *plan.Plan {
-	if tree.Rels != g.allV {
-		return tree
-	}
-	return g.finalize(est, tree)
-}
-
-func (g *generator[S]) finalize(est *cost.Estimator, tree *plan.Plan) *plan.Plan {
+// finalizeEach attaches the final grouping to a complete tree (Fig. 6,
+// lines 6-8 etc.) and hands the result to the top-level policy: the tree
+// itself on grouping-free queries; the free projection of Sec. 3.2 when G
+// implies a key of a duplicate-free result; otherwise Γ_G, one plan per
+// enabled physical kind, hash first. The sort-group variant of the top Γ_G
+// is where a contractual order carried this far pays off: when it covers G
+// the final aggregation streams with zero reorganization. It returns the
+// number of plans considered.
+func (g *generator[S]) finalizeEach(w *worker, e *entry, tree *plan.Plan) int {
 	if !g.q.HasGrouping {
-		return tree
+		g.insertTopLevelPlan(w, e, tree)
+		return 1
 	}
-	if g.physOn() {
-		// Pick the physically cheapest finalization (used only where a
-		// single plan is needed, e.g. single-relation queries); ties
-		// keep the hash variant, which finalizeAll lists first.
-		variants := g.finalizeAll(est, tree)
-		best := variants[0]
-		for _, v := range variants[1:] {
-			if v.PhysCost < best.PhysCost {
-				best = v
-			}
+	if tree.DupFree && tree.HasKeySubsetOf(g.finalKeyAttrs) {
+		w.est.EstimateProject(&w.fin, tree)
+		if g.physOn() {
+			w.est.PhysifyProject(&w.fin)
 		}
-		return best
+		g.insertTopLevelPlan(w, e, &w.fin)
+		return 1
 	}
-	// At the top every predicate has been applied, so the query-level FD
-	// closure of G is valid: a key *implied* by the grouping attributes
-	// eliminates the final grouping just like one contained in them
-	// (Sec. 3.2 with FD+ instead of the syntactic test).
-	if tree.DupFree && tree.HasKeySubsetOf(est.FDClosure(g.q.GroupBy)) {
-		return est.Project(tree)
-	}
-	return est.FinalGroup(tree)
-}
-
-// finalizeAll attaches the final grouping (or its free projection) to a
-// complete tree, one plan per enabled physical kind of the final
-// grouping, hash first. The sort-group variant of the top Γ_G is where
-// a contractual order carried this far pays off: when it covers G the
-// final aggregation streams with zero reorganization.
-func (g *generator[S]) finalizeAll(est *cost.Estimator, tree *plan.Plan) []*plan.Plan {
-	if !g.q.HasGrouping {
-		return []*plan.Plan{tree}
-	}
-	if tree.DupFree && tree.HasKeySubsetOf(est.FDClosure(g.q.GroupBy)) {
-		p := est.Project(tree)
-		est.PhysifyProject(p)
-		return []*plan.Plan{p}
-	}
-	var out []*plan.Plan
+	built := 0
 	for _, ph := range g.groupPhysKinds() {
-		fg := est.FinalGroup(tree)
-		if est.PhysifyGroup(fg, ph) {
-			out = append(out, fg)
+		w.est.EstimateGroup(&w.fin, tree, g.q.GroupBy)
+		w.fin.Final = true
+		if !g.physOn() || w.est.PhysifyGroup(&w.fin, ph) {
+			built++
+			g.insertTopLevelPlan(w, e, &w.fin)
 		}
 	}
-	return out
+	return built
 }
 
 // needsGrouping implements Fig. 7: grouping on attrs is unnecessary iff

@@ -11,6 +11,10 @@
 // single-threaded. Because per-entry insertion order is preserved and all
 // estimates are pure functions of the query, any worker count produces
 // plans bit-identical to the sequential reference path (Workers: 1).
+//
+// A level whose work estimate is under dpParallelCutoff does not pay for
+// any of that: it runs inline, pair by pair, exactly as the sequential
+// driver runs it.
 package core
 
 import (
@@ -19,11 +23,15 @@ import (
 	"time"
 
 	"eagg/internal/bitset"
-	"eagg/internal/conflict"
-	"eagg/internal/cost"
 	"eagg/internal/hypergraph"
-	"eagg/internal/plan"
 )
+
+// dpParallelCutoff is the level work — candidate subplan combinations, see
+// levelWork — from which fanning a level out over the pool beats running
+// it inline. Read off BenchmarkDPParallelCrossover (DESIGN "The EA-Prune
+// inner loop" has the sweep): below it the goroutine start-up, the subset
+// grouping and the staging round trip cost more than a second core saves.
+const dpParallelCutoff = 4096
 
 // tableShards is the number of staging shards (a power of two). Entries
 // are spread by hash of the subproblem key, so with 64 shards even dozens
@@ -32,7 +40,7 @@ const tableShards = 64
 
 type tableShard[S bitset.RelSet[S]] struct {
 	mu      sync.Mutex
-	entries map[S][]*plan.Plan
+	entries map[S]*entry
 	// Pad the 8-byte mutex + 8-byte map header to a full 64-byte cache
 	// line so adjacent shard locks don't false-share.
 	_ [48]byte
@@ -49,7 +57,7 @@ type stagingTable[S bitset.RelSet[S]] struct {
 func newStagingTable[S bitset.RelSet[S]]() *stagingTable[S] {
 	st := &stagingTable[S]{}
 	for i := range st.shards {
-		st.shards[i].entries = make(map[S][]*plan.Plan)
+		st.shards[i].entries = make(map[S]*entry)
 	}
 	return st
 }
@@ -61,19 +69,19 @@ func shardOf[S bitset.RelSet[S]](s S) int {
 	return int(s.Hash64() & (tableShards - 1))
 }
 
-func (st *stagingTable[S]) put(s S, entry []*plan.Plan) {
+func (st *stagingTable[S]) put(s S, e *entry) {
 	sh := &st.shards[shardOf(s)]
 	if !sh.mu.TryLock() {
 		st.contention.Add(1)
 		sh.mu.Lock()
 	}
-	sh.entries[s] = entry
+	sh.entries[s] = e
 	sh.mu.Unlock()
 }
 
 // sealInto moves every staged entry into the main table and resets the
 // shards for the next level. Runs single-threaded at the level barrier.
-func (st *stagingTable[S]) sealInto(table map[S][]*plan.Plan) {
+func (st *stagingTable[S]) sealInto(table map[S]*entry) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		for s, e := range sh.entries {
@@ -112,57 +120,62 @@ func groupBySubset[S bitset.RelSet[S]](chunk []hypergraph.CsgCmpPair[S]) []subse
 }
 
 // processSubset builds the complete DP-table entry for one subproblem key:
-// the edge loop of Fig. 5 over every pair of the task, folded through the
-// retention policy into a locally owned plan list.
-func (g *generator[S]) processSubset(est *cost.Estimator, task subsetTask[S]) ([]*plan.Plan, int) {
-	topLevel := task.s == g.all
-	var entry []*plan.Plan
+// the per-pair step of the sequential driver over every pair of the task,
+// folded into a locally owned entry.
+func (g *generator[S]) processSubset(w *worker, task subsetTask[S]) (*entry, int) {
+	e := w.newEntry()
 	built := 0
-	apply := func(s1, s2 S, op *conflict.Op[S]) {
-		var n int
-		entry, n = g.buildInto(est, entry, task.s, s1, s2, op, topLevel)
-		built += n
-	}
 	for _, pr := range task.pairs {
-		g.forEachApplicable(pr, apply)
+		built += g.processPair(w, e, pr, task.s == g.all)
 	}
-	return entry, built
+	return e, built
 }
 
-// runLevelsParallel processes the DP levels with a worker pool. Workers
-// claim subset tasks off a shared atomic cursor; each worker estimates
-// through its own estimator clone (the clones share the immutable query
-// analysis but own their cardinality caches, so no estimator lock exists
-// on the hot path).
-func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], workers int) {
-	staging := newStagingTable[S]()
-	ests := make([]*cost.Estimator, workers)
-	ests[0] = g.est
-	for i := 1; i < workers; i++ {
-		ests[i] = g.est.Clone()
+// levelWork estimates a level's work before it starts: Σ over its pairs of
+// |table[S1]| · |table[S2]|, the subplan combinations buildInto will
+// consider — known exactly, because the lower levels are sealed. It stops
+// counting at limit.
+func (g *generator[S]) levelWork(chunk []hypergraph.CsgCmpPair[S], limit int) int {
+	work := 0
+	for _, pr := range chunk {
+		if e1, e2 := g.table[pr.S1], g.table[pr.S2]; e1 != nil && e2 != nil {
+			if work += len(e1.plans) * len(e2.plans); work >= limit {
+				break
+			}
+		}
 	}
+	return work
+}
+
+// runLevelsParallel processes the DP levels, the ones with enough work on
+// a worker pool. Pool workers claim subset tasks off a shared atomic
+// cursor; each estimates through its own estimator clone (the clones share
+// the immutable query analysis but own their cardinality caches, so no
+// estimator lock exists on the hot path). Clones, staging table and
+// goroutines first exist when a level first crosses the cutoff.
+func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], workers int) {
+	var staging *stagingTable[S]
+	var ws []*worker
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[S]) {
 		start := time.Now()
-		tasks := groupBySubset(chunk)
-		nw := workers
-		if nw > len(tasks) {
-			nw = len(tasks)
-		}
-		if nw <= 1 {
-			// A single subproblem key cannot fan out; skip the pool.
-			for _, task := range tasks {
-				entry, built := g.processSubset(g.est, task)
-				g.stats.PlansBuilt += built
-				if len(entry) > 0 {
-					g.table[task.s] = entry
+		var subsets int
+		if g.levelWork(chunk, g.parallelCutoff) < g.parallelCutoff {
+			subsets = g.runLevelInline(chunk)
+		} else {
+			if staging == nil {
+				staging = newStagingTable[S]()
+				ws = append(ws, g.w0)
+				for len(ws) < workers {
+					ws = append(ws, &worker{est: g.est.Clone()})
 				}
 			}
-		} else {
+			tasks := groupBySubset(chunk)
+			subsets = len(tasks)
 			var cursor, built atomic.Int64
 			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
+			for _, w := range ws[:min(workers, len(tasks))] {
 				wg.Add(1)
-				go func(est *cost.Estimator) {
+				go func(w *worker) {
 					defer wg.Done()
 					local := 0
 					for {
@@ -170,22 +183,24 @@ func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], worke
 						if i >= len(tasks) {
 							break
 						}
-						entry, n := g.processSubset(est, tasks[i])
+						e, n := g.processSubset(w, tasks[i])
 						local += n
-						if len(entry) > 0 {
-							staging.put(tasks[i].s, entry)
+						if len(e.plans) > 0 {
+							staging.put(tasks[i].s, e)
 						}
 					}
 					built.Add(int64(local))
-				}(ests[w])
+				}(w)
 			}
 			wg.Wait()
 			staging.sealInto(g.table)
 			g.stats.PlansBuilt += int(built.Load())
 		}
 		g.stats.Levels = append(g.stats.Levels, LevelStat{
-			Level: level, Pairs: len(chunk), Subsets: len(tasks), Duration: time.Since(start),
+			Level: level, Pairs: len(chunk), Subsets: subsets, Duration: time.Since(start),
 		})
 	})
-	g.stats.ShardContention = staging.contention.Load()
+	if staging != nil {
+		g.stats.ShardContention = staging.contention.Load()
+	}
 }

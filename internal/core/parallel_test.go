@@ -180,10 +180,10 @@ func TestShardOf(t *testing.T) {
 // between levels.
 func TestStagingTable(t *testing.T) {
 	st := newStagingTable[bitset.Set64]()
-	table := map[bitset.Set64][]*plan.Plan{}
-	p := &plan.Plan{}
+	table := map[bitset.Set64]*entry{}
+	e := &entry{plans: []*plan.Plan{{}}}
 	for i := 0; i < 100; i++ {
-		st.put(bitset.Set64(i+1), []*plan.Plan{p})
+		st.put(bitset.Set64(i+1), e)
 	}
 	st.sealInto(table)
 	if len(table) != 100 {

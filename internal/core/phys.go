@@ -19,7 +19,6 @@ package core
 // hash layer and keeps the choice deterministic for the parallel driver.
 
 import (
-	"eagg/internal/cost"
 	"eagg/internal/ordering"
 	"eagg/internal/plan"
 )
@@ -35,35 +34,36 @@ func sameClass(a, b *plan.Plan) bool {
 }
 
 // insertPhys is the retention policy of the sort/auto modes, applied per
-// plan class.
-func (g *generator[S]) insertPhys(est *cost.Estimator, s S, entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
+// plan class. EA-Prune runs the same frontier as the hash mode, its
+// dominance extended by the physical dimensions (see dominatesRest).
+func (g *generator[S]) insertPhys(w *worker, e *entry, t *plan.Plan) {
 	switch g.opts.Algorithm {
 	case AlgEAAll:
-		return append(entry, t)
+		e.plans = append(e.plans, w.keep(t))
 	case AlgEAPrune:
-		return g.pruneDominatedPlansPhys(est, s, entry, t)
+		g.pruneDominatedPlans(w, e, t)
 	case AlgBeam:
-		return g.insertBeamPhys(entry, t)
+		g.insertBeamPhys(w, e, t)
 	case AlgH2:
-		for i, old := range entry {
+		for i, old := range e.plans {
 			if sameClass(old, t) {
 				if g.compareAdjustedPhysCosts(t, old) {
-					entry[i] = t
+					e.plans[i] = w.keep(t)
 				}
-				return entry
+				return
 			}
 		}
-		return append(entry, t)
+		e.plans = append(e.plans, w.keep(t))
 	default: // DPhyp, H1: single cheapest plan per class
-		for i, old := range entry {
+		for i, old := range e.plans {
 			if sameClass(old, t) {
 				if t.PhysCost < old.PhysCost {
-					entry[i] = t
+					e.plans[i] = w.keep(t)
 				}
-				return entry
+				return
 			}
 		}
-		return append(entry, t)
+		e.plans = append(e.plans, w.keep(t))
 	}
 }
 
@@ -84,59 +84,25 @@ func (g *generator[S]) compareAdjustedPhysCosts(t, cur *plan.Plan) bool {
 	}
 }
 
-// physDominates extends the dominance test of Sec. 4.6 with the physical
-// dimensions: a only dominates b if it is also at least as cheap
-// physically and its contractual order is at least as strong (b's order
-// is a prefix of a's) — otherwise the dominated-but-ordered plan must
-// survive.
-func physDominates(a, b *plan.Plan) bool {
-	if a.PhysCost > b.PhysCost {
-		return false
-	}
-	if !ordering.Order(a.Ord).HasPrefix(ordering.Order(b.Ord)) {
-		return false
-	}
-	return dominates(a, b)
-}
-
-// pruneDominatedPlansPhys is Fig. 13 under the extended dominance.
-func (g *generator[S]) pruneDominatedPlansPhys(est *cost.Estimator, s S, entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
-	g.fillProfileWith(est, s, t)
-	for _, old := range entry {
-		if physDominates(old, t) {
-			return entry
-		}
-	}
-	kept := entry[:0]
-	for _, old := range entry {
-		if !physDominates(t, old) {
-			kept = append(kept, old)
-		}
-	}
-	return append(kept, t)
-}
-
 // insertBeamPhys keeps the BeamWidth physically cheapest plans per plan
 // class. Within a class the worst member is evicted; on cost ties the
 // earlier-enumerated plan stays (determinism).
-func (g *generator[S]) insertBeamPhys(entry []*plan.Plan, t *plan.Plan) []*plan.Plan {
+func (g *generator[S]) insertBeamPhys(w *worker, e *entry, t *plan.Plan) {
 	k := g.opts.BeamWidth
 	members := 0
 	worst := -1
-	for i, old := range entry {
+	for i, old := range e.plans {
 		if !sameClass(old, t) {
 			continue
 		}
 		members++
-		if worst < 0 || old.PhysCost > entry[worst].PhysCost {
+		if worst < 0 || old.PhysCost > e.plans[worst].PhysCost {
 			worst = i
 		}
 	}
 	if members < k {
-		return append(entry, t)
+		e.plans = append(e.plans, w.keep(t))
+	} else if worst >= 0 && t.PhysCost < e.plans[worst].PhysCost {
+		e.plans[worst] = w.keep(t)
 	}
-	if worst >= 0 && t.PhysCost < entry[worst].PhysCost {
-		entry[worst] = t
-	}
-	return entry
 }

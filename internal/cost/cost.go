@@ -189,8 +189,9 @@ func (e *Estimator) Scan(rel int) *plan.Plan {
 		Rel:     rel,
 		Card:    r.Card,
 		Cost:    0,
-		Keys:    capKeys(r.Keys),
+		Keys:    capKeys(nil, r.Keys),
 		DupFree: len(r.Keys) > 0,
+		Profile: []float64{r.Card},
 	}
 }
 
@@ -202,40 +203,54 @@ func (e *Estimator) Scan(rel int) *plan.Plan {
 // estimator see that grouping a customer⨝orders⨝lineitem intermediate by
 // c_custkey collapses to the number of participating customers.
 func (e *Estimator) Distinct(attr int, p *plan.Plan) float64 {
-	rel := e.Q.AttrRel[attr]
-	return maxf(1, e.distinctWalk(attr, rel, p))
+	d := e.Q.Distinct[attr]
+	if rel := e.Q.AttrRel[attr]; p != nil && p.Rels.Contains(rel) {
+		d = minf(d, e.RelPathCard(rel, p))
+	}
+	return maxf(1, d)
 }
 
-func (e *Estimator) distinctWalk(attr, rel int, p *plan.Plan) float64 {
-	if p == nil || !p.Rels.Contains(rel) {
-		return e.Q.Distinct[attr]
-	}
-	switch p.Kind {
-	case plan.NodeScan:
-		return minf(e.Q.Distinct[attr], p.Card)
-	case plan.NodeOp:
-		var d float64
-		if p.Left.Rels.Contains(rel) {
-			d = e.distinctWalk(attr, rel, p.Left)
-		} else {
-			d = e.distinctWalk(attr, rel, p.Right)
-		}
-		return minf(d, p.Card)
-	default: // grouping, projection
-		return minf(e.distinctWalk(attr, rel, p.Left), p.Card)
-	}
+// JoinPreds bundles the predicates one operator applies with what every
+// estimate of that operator reads from them: the combined selectivity and
+// the attribute sets of the two predicate sides. The plan generator fills
+// one per (csg-cmp-pair, operator) and estimates every candidate tree of
+// the pair against it.
+type JoinPreds struct {
+	Preds  []*query.Predicate
+	sel    float64
+	a1, a2 bitset.VSet
 }
 
-// selectivity multiplies the selectivities of the predicates.
-func selectivity(preds []*query.Predicate) float64 {
-	s := 1.0
+// Reset empties jp for the next operator, keeping its buffer.
+func (jp *JoinPreds) Reset() { *jp = JoinPreds{Preds: jp.Preds[:0], sel: 1} }
+
+// Add appends one predicate.
+func (jp *JoinPreds) Add(p *query.Predicate) {
+	jp.Preds = append(jp.Preds, p)
+	jp.sel *= p.Selectivity
+	jp.a1 = jp.a1.Union(p.LeftAttrs())
+	jp.a2 = jp.a2.Union(p.RightAttrs())
+}
+
+// Op builds a binary operator node: EstimateOp into a fresh allocation.
+func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right *plan.Plan) *plan.Plan {
+	var jp JoinPreds
+	jp.Reset()
 	for _, p := range preds {
-		s *= p.Selectivity
+		jp.Add(p)
 	}
-	return s
+	p := new(plan.Plan)
+	e.EstimateOp(p, kind, &jp, left, right)
+	return p
 }
 
-// Op builds a binary operator node and estimates its properties.
+// EstimateOp estimates the binary operator kind(left, right) into dst:
+// every logical property a retention policy reads — cardinality, C_out,
+// keys, duplicate-freeness, collapse state, path cardinalities — with
+// dst.Keys and dst.Profile written into dst's own buffers, so estimating
+// into a reused scratch node allocates nothing. The inputs may themselves
+// be scratch estimates; the caller copies dst (and them) only if the
+// candidate survives. dst must not be one of its own inputs.
 //
 // The cardinality model is kept consistent with the key inference: when a
 // side's join attributes contain one of its candidate keys, every tuple of
@@ -243,15 +258,10 @@ func selectivity(preds []*query.Predicate) float64 {
 // capped by the other side's cardinality. Without this cap the key rules
 // of Sec. 2.3 would declare keys that the cardinalities contradict, and
 // NeedsGrouping would skip groupings as "waste" that are anything but.
-func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right *plan.Plan) *plan.Plan {
-	sel := selectivity(preds)
-	var a1, a2 bitset.VSet
-	for _, p := range preds {
-		a1 = a1.Union(p.LeftAttrs())
-		a2 = a2.Union(p.RightAttrs())
-	}
-	leftKey := left.HasKeySubsetOf(a1)
-	rightKey := right.HasKeySubsetOf(a2)
+func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds, left, right *plan.Plan) {
+	sel := jp.sel
+	leftKey := left.HasKeySubsetOf(jp.a1)   // A1 contains a key of e1
+	rightKey := right.HasKeySubsetOf(jp.a2) // A2 contains a key of e2
 
 	inner := left.Card * right.Card * sel
 	if leftKey {
@@ -265,7 +275,6 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 	// the canonical right-side cardinality (see CanonCard).
 	perLeft := right.Card * sel
 	perRight := left.Card * sel
-	perLeftCanon := e.CanonCard(right.Rels) * sel
 
 	unmatchedLeft := left.Card * maxf(0, 1-perLeft)
 	if rightKey {
@@ -281,9 +290,9 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 	case query.KindJoin:
 		card = inner
 	case query.KindSemiJoin:
-		card = left.Card * minf(1, perLeftCanon)
+		card = left.Card * minf(1, e.CanonCard(right.Rels)*sel)
 	case query.KindAntiJoin:
-		card = left.Card * maxf(0, 1-perLeftCanon)
+		card = left.Card * maxf(0, 1-e.CanonCard(right.Rels)*sel)
 	case query.KindLeftOuter:
 		card = inner + unmatchedLeft
 	case query.KindFullOuter:
@@ -310,60 +319,62 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 	// measured empty intermediate is a real 0, not a 1.
 	card = e.sourceCard(CardKey{Rels: rels, Group: groupsBelow}, card)
 
-	p := &plan.Plan{
+	keys, path := dst.Keys[:0], dst.Profile[:0]
+	*dst = plan.Plan{
 		Kind:        plan.NodeOp,
 		Rels:        rels,
 		Op:          kind,
-		Preds:       preds,
+		Preds:       jp.Preds,
 		Left:        left,
 		Right:       right,
 		Card:        card,
 		Cost:        card + left.Cost + right.Cost,
+		DupFree:     opDupFree(kind, left, right),
 		GroupsBelow: groupsBelow,
 	}
-	p.Keys = e.opKeys(kind, preds, left, right)
-	p.DupFree = opDupFree(kind, left, right)
-	return p
+	dst.Keys = opKeys(keys, kind, leftKey, rightKey, left, right)
+	// The path-cardinality vector, merged from the children's in
+	// ascending relation order: each relation's entry is its entry below
+	// capped by this node's cardinality.
+	li, ri := 0, 0
+	for w, nw := 0, rels.NumWords(); w < nw; w++ {
+		for t := rels.Word(w); t != 0; t &= t - 1 {
+			var c float64
+			if left.Rels.Contains(w*64 + bits.TrailingZeros64(t)) {
+				c = left.Profile[li]
+				li++
+			} else {
+				c = right.Profile[ri]
+				ri++
+			}
+			path = append(path, minf(c, card))
+		}
+	}
+	dst.Profile = path
 }
 
-// opKeys implements the key-inference rules of Sec. 2.3.
-func (e *Estimator) opKeys(kind query.OpKind, preds []*query.Predicate, left, right *plan.Plan) []bitset.VSet {
-	var a1, a2 bitset.VSet
-	for _, p := range preds {
-		a1 = a1.Union(p.LeftAttrs())
-		a2 = a2.Union(p.RightAttrs())
-	}
-	leftKey := left.HasKeySubsetOf(a1)   // A1 contains a key of e1
-	rightKey := right.HasKeySubsetOf(a2) // A2 contains a key of e2
-
+// opKeys implements the key-inference rules of Sec. 2.3, writing into dst.
+func opKeys(dst []bitset.VSet, kind query.OpKind, leftKey, rightKey bool, left, right *plan.Plan) []bitset.VSet {
 	switch kind {
 	case query.KindSemiJoin, query.KindAntiJoin, query.KindGroupJoin:
 		// Only left attributes survive; result keys are the left keys
 		// (Sec. 2.3.4).
-		return capKeys(left.Keys)
+		return capKeys(dst, left.Keys)
 	case query.KindJoin:
 		switch {
 		case leftKey && rightKey:
-			ks := make([]bitset.VSet, 0, len(left.Keys)+len(right.Keys))
-			ks = append(ks, left.Keys...)
-			ks = append(ks, right.Keys...)
-			return capKeys(ks)
+			return capKeys(dst, left.Keys, right.Keys)
 		case leftKey:
-			return capKeys(right.Keys)
+			return capKeys(dst, right.Keys)
 		case rightKey:
-			return capKeys(left.Keys)
-		default:
-			return pairwiseKeys(left.Keys, right.Keys)
+			return capKeys(dst, left.Keys)
 		}
 	case query.KindLeftOuter:
 		if rightKey {
-			return capKeys(left.Keys)
+			return capKeys(dst, left.Keys)
 		}
-		return pairwiseKeys(left.Keys, right.Keys)
-	case query.KindFullOuter:
-		return pairwiseKeys(left.Keys, right.Keys)
 	}
-	return nil
+	return pairwiseKeys(dst, left.Keys, right.Keys)
 }
 
 // opDupFree: joins of duplicate-free inputs are duplicate-free; the
@@ -377,14 +388,23 @@ func opDupFree(kind query.OpKind, left, right *plan.Plan) bool {
 	}
 }
 
-// Group builds a pushed-down grouping Γ_{G⁺} on top of child.
+// Group builds a pushed-down grouping Γ_{G⁺} on top of child:
+// EstimateGroup into a fresh allocation.
 func (e *Estimator) Group(child *plan.Plan, groupBy bitset.VSet) *plan.Plan {
-	card := e.groupCard(child, groupBy)
+	p := new(plan.Plan)
+	e.EstimateGroup(p, child, groupBy)
+	return p
+}
+
+// EstimateGroup estimates Γ_groupBy(child) into dst, under the buffer
+// contract of EstimateOp.
+func (e *Estimator) EstimateGroup(dst, child *plan.Plan, groupBy bitset.VSet) {
 	// A grouping's output — the distinct G-combinations over the child's
 	// relation set — is invariant under join order and under groupings
 	// below, so its canonical key ignores the child's collapse state.
-	card = e.sourceCard(CardKey{Rels: child.Rels, Group: groupBy, IsGroup: true}, card)
-	p := &plan.Plan{
+	card := e.sourceCard(CardKey{Rels: child.Rels, Group: groupBy, IsGroup: true}, e.groupCard(child, groupBy))
+	keys, path := dst.Keys[:0], dst.Profile[:0]
+	*dst = plan.Plan{
 		Kind:        plan.NodeGroup,
 		Rels:        child.Rels,
 		GroupBy:     groupBy,
@@ -394,8 +414,17 @@ func (e *Estimator) Group(child *plan.Plan, groupBy bitset.VSet) *plan.Plan {
 		DupFree:     true,
 		GroupsBelow: child.GroupsBelow.Union(groupBy),
 	}
-	p.Keys = groupKeys(child, groupBy)
-	return p
+	dst.Keys = groupKeys(keys, child, groupBy)
+	dst.Profile = capPath(path, child.Profile, card)
+}
+
+// capPath appends the child's path cardinalities, capped by the unary
+// node's own cardinality.
+func capPath(dst, child []float64, card float64) []float64 {
+	for _, c := range child {
+		dst = append(dst, minf(c, card))
+	}
+	return dst
 }
 
 // sourceCard resolves one operator cardinality through the estimator's
@@ -416,18 +445,29 @@ func (e *Estimator) FinalGroup(child *plan.Plan) *plan.Plan {
 }
 
 // Project builds the duplicate-preserving projection replacing an
-// unnecessary final grouping (Sec. 3.2); it is free under C_out.
+// unnecessary final grouping (Sec. 3.2): EstimateProject into a fresh
+// allocation.
 func (e *Estimator) Project(child *plan.Plan) *plan.Plan {
-	return &plan.Plan{
+	p := new(plan.Plan)
+	e.EstimateProject(p, child)
+	return p
+}
+
+// EstimateProject estimates the projection into dst, under the buffer
+// contract of EstimateOp; it is free under C_out.
+func (e *Estimator) EstimateProject(dst, child *plan.Plan) {
+	keys, path := dst.Keys[:0], dst.Profile[:0]
+	*dst = plan.Plan{
 		Kind:        plan.NodeProject,
 		Rels:        child.Rels,
 		Left:        child,
 		Card:        child.Card,
 		Cost:        child.Cost,
-		Keys:        capKeys(child.Keys),
 		DupFree:     child.DupFree,
 		GroupsBelow: child.GroupsBelow,
 	}
+	dst.Keys = capKeys(keys, child.Keys)
+	dst.Profile = capPath(path, child.Profile, child.Card)
 }
 
 // groupCard estimates |Γ_G(e)| = min(|e|, Π d); the distinct product is
@@ -452,14 +492,22 @@ func (e *Estimator) groupCard(child *plan.Plan, groupBy bitset.VSet) float64 {
 	for w, nw := 0, rels.NumWords(); w < nw; w++ {
 		for t := rels.Word(w); t != 0; t &= t - 1 {
 			rel := w*64 + bits.TrailingZeros64(t)
+			// One path lookup per relation: each attribute's distinct count
+			// is its base count capped by the relation's surviving rows.
+			contained := child.Rels.Contains(rel)
+			pathCard := e.RelPathCard(rel, child)
 			relProd := 1.0
 			ra := reduced.Intersect(e.Q.Relations[rel].Attrs)
 			for w2, nw2 := 0, ra.NumWords(); w2 < nw2; w2++ {
 				for t2 := ra.Word(w2); t2 != 0; t2 &= t2 - 1 {
-					relProd *= e.Distinct(w2*64+bits.TrailingZeros64(t2), child)
+					d := e.Q.Distinct[w2*64+bits.TrailingZeros64(t2)]
+					if contained {
+						d = minf(d, pathCard)
+					}
+					relProd *= maxf(1, d)
 				}
 			}
-			card *= minf(relProd, e.RelPathCard(rel, child))
+			card *= minf(relProd, pathCard)
 		}
 	}
 	return maxf(1, minf(card, child.Card))
@@ -468,9 +516,15 @@ func (e *Estimator) groupCard(child *plan.Plan, groupBy bitset.VSet) float64 {
 // RelPathCard is the smallest cardinality of any subplan containing the
 // relation — an upper bound on how many of the relation's rows survive in
 // the result, and hence on the distinct combinations of its attributes.
+// Every node this estimator builds carries the values in its
+// path-cardinality vector (Plan.Profile, indexed by the relation's rank in
+// Rels); the walk below is the definition, kept for nodes without one.
 func (e *Estimator) RelPathCard(rel int, p *plan.Plan) float64 {
 	if p == nil || !p.Rels.Contains(rel) {
 		return e.Q.Relations[rel].Card
+	}
+	if len(p.Profile) > 0 {
+		return p.Profile[p.Rels.Rank(rel)]
 	}
 	switch p.Kind {
 	case plan.NodeScan:
@@ -490,23 +544,21 @@ func (e *Estimator) RelPathCard(rel int, p *plan.Plan) float64 {
 
 // groupKeys: the grouping attributes are a key of the result, and keys of
 // the child contained in G remain keys.
-func groupKeys(child *plan.Plan, groupBy bitset.VSet) []bitset.VSet {
-	keys := []bitset.VSet{groupBy}
+func groupKeys(dst []bitset.VSet, child *plan.Plan, groupBy bitset.VSet) []bitset.VSet {
+	out := addKey(dst[:0], groupBy)
 	for _, k := range child.Keys {
 		if k.SubsetOf(groupBy) && k != groupBy {
-			keys = append(keys, k)
+			if out = addKey(out, k); len(out) >= maxKeys {
+				break
+			}
 		}
 	}
-	return capKeys(keys)
+	return out
 }
 
 // pairwiseKeys combines keys k1 ∪ k2 per Sec. 2.3's fallback rule.
-func pairwiseKeys(a, b []bitset.VSet) []bitset.VSet {
-	n := len(a) * len(b)
-	if n > maxKeys {
-		n = maxKeys
-	}
-	out := make([]bitset.VSet, 0, n)
+func pairwiseKeys(dst, a, b []bitset.VSet) []bitset.VSet {
+	out := dst[:0]
 	for _, k1 := range a {
 		for _, k2 := range b {
 			out = append(out, k1.Union(k2))
@@ -518,38 +570,36 @@ func pairwiseKeys(a, b []bitset.VSet) []bitset.VSet {
 	return out
 }
 
-func capKeys(keys []bitset.VSet) []bitset.VSet {
-	// Deduplicate and drop dominated keys (a key that is a superset of
-	// another key carries no extra information).
-	n := len(keys)
-	if n > maxKeys {
-		n = maxKeys
-	}
-	out := make([]bitset.VSet, 0, n)
-	for _, k := range keys {
-		dominated := false
-		for _, o := range out {
-			if o.SubsetOf(k) {
-				dominated = true
-				break
+// capKeys writes the minimal form of the concatenated key lists into dst:
+// duplicates and dominated keys dropped, at most maxKeys kept.
+func capKeys(dst []bitset.VSet, lists ...[]bitset.VSet) []bitset.VSet {
+	out := dst[:0]
+	for _, keys := range lists {
+		for _, k := range keys {
+			if out = addKey(out, k); len(out) >= maxKeys {
+				return out
 			}
-		}
-		if dominated {
-			continue
-		}
-		// Remove existing keys dominated by k.
-		kept := out[:0]
-		for _, o := range out {
-			if !k.SubsetOf(o) {
-				kept = append(kept, o)
-			}
-		}
-		out = append(kept, k)
-		if len(out) >= maxKeys {
-			break
 		}
 	}
 	return out
+}
+
+// addKey folds k into the minimal key list out: a key that is a superset
+// of another key carries no extra information, so k is skipped when a
+// listed key implies it and evicts the listed keys it implies.
+func addKey(out []bitset.VSet, k bitset.VSet) []bitset.VSet {
+	for _, o := range out {
+		if o.SubsetOf(k) {
+			return out
+		}
+	}
+	kept := out[:0]
+	for _, o := range out {
+		if !k.SubsetOf(o) {
+			kept = append(kept, o)
+		}
+	}
+	return append(kept, k)
 }
 
 func minf(a, b float64) float64 {

@@ -195,7 +195,7 @@ func TestGroupOnEmptyAttrs(t *testing.T) {
 }
 
 func TestCapKeysDropsDominated(t *testing.T) {
-	keys := capKeys([]bitset.VSet{
+	keys := capKeys(nil, []bitset.VSet{
 		bitset.NewV(1, 2),
 		bitset.NewV(1),    // subsumes {1,2}
 		bitset.NewV(1, 2), // duplicate of a dominated key

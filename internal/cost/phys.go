@@ -43,8 +43,9 @@ func (e *Estimator) PhysifyScan(p *plan.Plan) {
 	p.PhysCost = 0
 }
 
-// PhysifyOp fills the physical properties of a freshly built binary
-// operator node for the requested physical kind. It returns false when
+// PhysifyOp fills the physical properties of a freshly estimated binary
+// operator node for the requested physical kind — every one of them, so
+// one estimate can be physified for each kind in turn. It returns false when
 // the kind does not support the operator (the sort-based layer
 // implements inner, semi, anti and left outer joins; full outer joins
 // and groupjoins stay on the hash layer).
@@ -53,6 +54,7 @@ func (e *Estimator) PhysifyOp(p *plan.Plan, phys plan.PhysKind) bool {
 	switch phys {
 	case plan.PhysHash:
 		p.Phys = plan.PhysHash
+		p.SortL, p.SortR, p.MergeL, p.MergeR = false, false, nil, nil
 		p.Ord = nil // the optimizer claims no order for the hash layer
 		p.PhysCost = p.Card + l.Card + r.Card + l.PhysCost + r.PhysCost
 		return true
@@ -105,6 +107,7 @@ func (e *Estimator) PhysifyGroup(p *plan.Plan, phys plan.PhysKind) bool {
 	switch phys {
 	case plan.PhysHash:
 		p.Phys = plan.PhysHash
+		p.SortL, p.MergeL = false, nil
 		p.Ord = nil
 		p.PhysCost = p.Card + child.Card + child.PhysCost
 		return true

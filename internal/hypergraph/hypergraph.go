@@ -35,8 +35,8 @@ type Graph[S bitset.RelSet[S]] struct {
 	Edges []Edge[S]
 
 	// adj[i] is the neighbor mask of node i when every edge is simple;
-	// nil on hypergraphs and until ensureAdj runs. It turns the
-	// per-edge subset tests of IsConnected/neighborhood — four generic
+	// nil on hypergraphs and until ensureAdj runs. It turns the per-edge
+	// subset tests of IsConnected and of a neighborhood — four generic
 	// method calls per edge per round — into a handful of word-wide
 	// set operations per node. Built single-threaded at the start of
 	// the DPhyp enumeration, invalidated by AddEdge.
@@ -163,20 +163,11 @@ func (g *Graph[S]) IsConnected(s S) bool {
 	return reach == s
 }
 
-// neighborHyper describes one reachable hypernode: Rep is its minimum
-// element (the DPhyp representative), Full the complete endpoint that must
-// be absorbed together.
-type neighborHyper[S bitset.RelSet[S]] struct {
-	Rep  int
-	Full S
-}
-
-// neighborMask computes 𝒩(S, X) on the simple-graph fast path (g.adj
-// non-nil): every reachable hypernode is a singleton, so the whole
-// neighborhood is one mask union over the members of S. The enumeration
-// recursion consumes the mask directly — reps are the mask itself and
-// growing by a rep subset is a plain union — skipping the hypernode
-// slice the general path materializes.
+// neighborMask computes 𝒩(S, X) on a simple graph (g.adj non-nil): every
+// neighbor is a single node, so the whole neighborhood is one mask union
+// over the members of S. The enumeration recursion consumes the mask
+// directly — representatives are the mask itself and growing by a subset
+// of it is a plain union.
 func (g *Graph[S]) neighborMask(s, x S) S {
 	var nb S
 	for rem := s; !rem.IsEmpty(); {
@@ -185,58 +176,6 @@ func (g *Graph[S]) neighborMask(s, x S) S {
 		nb = nb.Union(g.adj[i])
 	}
 	return nb.Diff(s).Diff(x)
-}
-
-// neighborhood computes 𝒩(S, X): for every edge with one endpoint inside
-// S, the not-yet-absorbed remainder of the other endpoint is reachable if
-// it avoids the exclusion set X. Taking the remainder v \ S (rather than
-// requiring v ∩ S = ∅) handles hyperedges whose endpoint partially overlaps
-// the grown set; every grown candidate is re-validated with IsConnected, so
-// this only adds reachable steps. When two edges offer hypernodes with the
-// same representative, the smaller one wins — larger supersets remain
-// reachable through subsequent recursion steps.
-func (g *Graph[S]) neighborhood(s, x S) []neighborHyper[S] {
-	if g.adj != nil {
-		nb := g.neighborMask(s, x)
-		out := make([]neighborHyper[S], 0, nb.Len())
-		nb.ForEach(func(v int) {
-			out = append(out, neighborHyper[S]{Rep: v, Full: bitset.SingleIn[S](v)})
-		})
-		return out
-	}
-	// Indexed by representative instead of a map: reps are node ids
-	// < N, so a rep bitset plus a flat array replaces map hashing and
-	// the final sort (ForEach yields reps in ascending order). This
-	// runs once per enumeration step and used to dominate its cost.
-	var repSet S
-	full := make([]S, g.N)
-	add := func(v S) {
-		rem := v.Diff(s)
-		if rem.IsEmpty() || rem.Intersects(x) {
-			return
-		}
-		rep := rem.Min()
-		if !repSet.Contains(rep) {
-			repSet = repSet.Add(rep)
-			full[rep] = rem
-		} else if rem.Len() < full[rep].Len() {
-			full[rep] = rem
-		}
-	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if e.Left.SubsetOf(s) {
-			add(e.Right)
-		}
-		if e.Right.SubsetOf(s) {
-			add(e.Left)
-		}
-	}
-	out := make([]neighborHyper[S], 0, repSet.Len())
-	repSet.ForEach(func(rep int) {
-		out = append(out, neighborHyper[S]{Rep: rep, Full: full[rep]})
-	})
-	return out
 }
 
 // CsgCmpPair is one enumerated pair per Def. 3.
@@ -314,10 +253,10 @@ func (g *Graph[S]) CsgCmpPairsBudget(budget int) ([]CsgCmpPair[S], bool) {
 	return sorted, true
 }
 
-// dphypPairs runs the DPhyp enumeration. Exact on simple graphs; on
+// dphypPairs runs the DPhyp enumeration on a simple graph. (On
 // hypergraphs the representative/exclusion-set mechanism can both miss
-// pairs and emit pairs with non-buildable components, so CsgCmpPairs never
-// uses it there. A positive budget aborts (complete=false) once that many
+// pairs and emit pairs with non-buildable components, so CsgCmpPairs
+// never comes here with one.) A positive budget aborts (complete=false) once that many
 // pairs were emitted, with a step cap guarding stretches of the subset
 // enumeration that emit nothing.
 func (g *Graph[S]) dphypPairs(budget int) ([]CsgCmpPair[S], bool) {
@@ -417,49 +356,23 @@ func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S],
 }
 
 // enumerateCsgRec grows the connected set s1 by subsets of its
-// neighborhood, emitting complements for every grown set.
+// neighborhood, emitting complements for every grown set. The DPhyp
+// recursion only ever runs on simple graphs (see CsgCmpPairsBudget), where
+// a connected set united with any subset of its neighborhood is connected
+// by construction — no grown set needs re-validating with IsConnected.
 func (g *Graph[S]) enumerateCsgRec(s1, x S, emit func(a, b S), stop *bool, step func() bool) {
 	if *stop {
 		return
 	}
-	var reps S
-	var neighbors []neighborHyper[S]
-	if g.adj != nil {
-		// Simple graph: reps are the neighbor mask and growing by a rep
-		// subset is a plain union (every hypernode is a singleton).
-		reps = g.neighborMask(s1, x)
-		if reps.IsEmpty() {
-			return
-		}
-	} else {
-		neighbors = g.neighborhood(s1, x)
-		if len(neighbors) == 0 {
-			return
-		}
-		for _, n := range neighbors {
-			reps = reps.Add(n.Rep)
-		}
-	}
-	expand := func(sub S) S {
-		if neighbors == nil {
-			return sub
-		}
-		var full S
-		for _, n := range neighbors {
-			if sub.Contains(n.Rep) {
-				full = full.Union(n.Full)
-			}
-		}
-		return full
+	reps := g.neighborMask(s1, x)
+	if reps.IsEmpty() {
+		return
 	}
 	reps.SubsetsAsc(func(sub S) bool {
 		if !step() {
 			return false
 		}
-		grown := s1.Union(expand(sub))
-		if g.IsConnected(grown) {
-			g.emitCsg(grown, emit, stop, step)
-		}
+		g.emitCsg(s1.Union(sub), emit, stop, step)
 		return !*stop
 	})
 	newX := x.Union(reps)
@@ -467,52 +380,28 @@ func (g *Graph[S]) enumerateCsgRec(s1, x S, emit func(a, b S), stop *bool, step 
 		if !step() {
 			return false
 		}
-		grown := s1.Union(expand(sub))
-		if g.IsConnected(grown) {
-			g.enumerateCsgRec(grown, newX, emit, stop, step)
-		}
+		g.enumerateCsgRec(s1.Union(sub), newX, emit, stop, step)
 		return !*stop
 	})
 }
 
-// emitCsg enumerates the complements of the connected set s1.
+// emitCsg enumerates the complements of the connected set s1: they seed
+// from single neighbors, visited in descending order, each excluding the
+// lower representatives so every complement grows from exactly one seed.
 func (g *Graph[S]) emitCsg(s1 S, emit func(a, b S), stop *bool, step func() bool) {
 	if *stop {
 		return
 	}
 	x := s1.Union(bitset.RangeIn[S](0, s1.Min()+1))
-	if g.adj != nil {
-		// Simple graph: complements seed from single neighbors, visited
-		// in descending order as below; the lower-representative
-		// exclusion is a range mask over the neighbor set.
-		nb := g.neighborMask(s1, x)
-		for rem := nb; !rem.IsEmpty() && !*stop; {
-			v := rem.Max()
-			rem = rem.Remove(v)
-			s2 := bitset.SingleIn[S](v)
-			if g.ConnectsSets(s1, s2) >= 0 {
-				emit(s1, s2)
-			}
-			lower := nb.Intersect(bitset.RangeIn[S](0, v+1))
-			g.enumerateCmpRec(s1, s2, x.Union(lower), emit, stop, step)
-		}
-		return
-	}
-	neighbors := g.neighborhood(s1, x)
-	for i := len(neighbors) - 1; i >= 0 && !*stop; i-- {
-		n := neighbors[i]
-		s2 := n.Full
-		if g.IsConnected(s2) && g.ConnectsSets(s1, s2) >= 0 {
+	nb := g.neighborMask(s1, x)
+	for rem := nb; !rem.IsEmpty() && !*stop; {
+		v := rem.Max()
+		rem = rem.Remove(v)
+		s2 := bitset.SingleIn[S](v)
+		if g.ConnectsSets(s1, s2) >= 0 {
 			emit(s1, s2)
 		}
-		// Exclude smaller representatives so each complement is grown
-		// from exactly one seed.
-		var lower S
-		for _, m := range neighbors {
-			if m.Rep <= n.Rep {
-				lower = lower.Add(m.Rep)
-			}
-		}
+		lower := nb.Intersect(bitset.RangeIn[S](0, v+1))
 		g.enumerateCmpRec(s1, s2, x.Union(lower), emit, stop, step)
 	}
 }
@@ -522,40 +411,16 @@ func (g *Graph[S]) enumerateCmpRec(s1, s2, x S, emit func(a, b S), stop *bool, s
 	if *stop {
 		return
 	}
-	var reps S
-	var neighbors []neighborHyper[S]
-	if g.adj != nil {
-		reps = g.neighborMask(s2, x)
-		if reps.IsEmpty() {
-			return
-		}
-	} else {
-		neighbors = g.neighborhood(s2, x)
-		if len(neighbors) == 0 {
-			return
-		}
-		for _, n := range neighbors {
-			reps = reps.Add(n.Rep)
-		}
-	}
-	expand := func(sub S) S {
-		if neighbors == nil {
-			return sub
-		}
-		var full S
-		for _, n := range neighbors {
-			if sub.Contains(n.Rep) {
-				full = full.Union(n.Full)
-			}
-		}
-		return full
+	reps := g.neighborMask(s2, x)
+	if reps.IsEmpty() {
+		return
 	}
 	reps.SubsetsAsc(func(sub S) bool {
 		if !step() {
 			return false
 		}
-		grown := s2.Union(expand(sub))
-		if !grown.Intersects(s1) && g.IsConnected(grown) && g.ConnectsSets(s1, grown) >= 0 {
+		grown := s2.Union(sub)
+		if !grown.Intersects(s1) && g.ConnectsSets(s1, grown) >= 0 {
 			emit(s1, grown)
 		}
 		return !*stop
@@ -565,8 +430,7 @@ func (g *Graph[S]) enumerateCmpRec(s1, s2, x S, emit func(a, b S), stop *bool, s
 		if !step() {
 			return false
 		}
-		grown := s2.Union(expand(sub))
-		if !grown.Intersects(s1) && g.IsConnected(grown) {
+		if grown := s2.Union(sub); !grown.Intersects(s1) {
 			g.enumerateCmpRec(s1, grown, newX, emit, stop, step)
 		}
 		return !*stop

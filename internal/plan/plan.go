@@ -116,13 +116,15 @@ type Plan struct {
 	// default hash mode, where plain Cost keeps ranking plans.
 	PhysCost float64
 
-	// Profile caches the distinct-count estimates of the
-	// grouping-relevant attributes for the dominance test of Sec. 4.6
-	// (lazily filled by the plan generator; nil until then). With a
-	// path-dependent distinct estimator, two plans of equal cost and
-	// cardinality can still differ in the cardinality of future
-	// groupings, so the profile joins cost, cardinality and keys as a
-	// dominance dimension.
+	// Profile is the path-cardinality vector: one entry per relation of
+	// Rels, in ascending relation order, holding the smallest cardinality
+	// of any node on the path from this node down to the relation's scan —
+	// an upper bound on how many of the relation's rows, and hence of its
+	// attributes' distinct values, survive. The estimator derives it from
+	// the children's vectors (an entry is min(child's entry, Card)) and
+	// reads it for every future grouping estimate; it is the dominance
+	// dimension of Sec. 4.6 that stands in for the paper's FD condition
+	// (DESIGN "The EA-Prune inner loop").
 	Profile []float64
 }
 
@@ -223,8 +225,9 @@ func (p *Plan) render(b *strings.Builder, depth int, q *query.Query) {
 // Equal reports whether two plans are structurally identical with
 // bit-identical estimates — the determinism contract between the
 // sequential and parallel plan generators. Profiles are excluded: they are
-// lazily filled caches, not plan properties. Predicates are compared by
-// identity, which is exact when both plans optimize the same Query.
+// a function of the Card values along the tree, which are compared.
+// Predicates are compared by identity, which is exact when both plans
+// optimize the same Query.
 func Equal(a, b *Plan) bool {
 	if a == nil || b == nil {
 		return a == b
