@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"eagg/internal/core"
+	"eagg/internal/engine"
 	"eagg/internal/experiments"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
@@ -136,7 +137,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *analyze {
-		rep := experiments.AnalyzeEval(experiments.Config{Workers: *workers}, *sf, tpchDemos[strings.ToLower(*demo)])
+		// The batch runtime: its operators report how they addressed their
+		// keys (table=dense|hash); results equal the row runtime's.
+		cfg := experiments.Config{Workers: *workers, Runtime: engine.RuntimeBatch}
+		rep := experiments.AnalyzeEval(cfg, *sf, tpchDemos[strings.ToLower(*demo)])
 		fmt.Fprint(stdout, rep.Format())
 		for _, c := range rep.Cells {
 			if !c.Match {

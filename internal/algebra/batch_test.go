@@ -470,6 +470,30 @@ func TestColTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowTableSpans pins the result boundary's concurrent arm: filling the
+// row spans of one slab on several workers — every column kind, NULLs, a
+// selection — yields the table the sequential conversion does, which in
+// turn is the row-by-row Value reading.
+func TestRowTableSpans(t *testing.T) {
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	view := (*Exec)(nil).BatchHashSemiJoin(lc, rc, []int{4}, []int{3})
+	for _, tc := range []*ColTable{lc, view, selTable(lc, nil)} {
+		want := &Table{Schema: tc.Schema}
+		for li := 0; li < tc.Card(); li++ {
+			row := make(Row, len(tc.Cols))
+			for ci := range tc.Cols {
+				row[ci] = tc.Cols[ci].Value(int(tc.phys(li)))
+			}
+			want.Rows = append(want.Rows, row)
+		}
+		identicalRows(t, "sequential", want, tc.Table())
+		for name, e := range intPathExecs() {
+			identicalRows(t, name, want, e.RowTable(tc))
+		}
+	}
+}
+
 // intPathExecs is the matrix of the int-key tests: the sequential arm
 // and the morsel-parallel arm at workers 2 and 8 × explicit morsel sizes
 // 64 (dozens of morsels) and 4096 (two), all of which must agree.
@@ -483,62 +507,68 @@ func intPathExecs() map[string]*Exec {
 	return m
 }
 
-// intKeyValue cycles an int key domain with negatives, both extremes and
-// NULLs; the first NULL arrives only after several other keys.
-func intKeyValue(i int) Value {
-	switch {
-	case i%29 == 17:
-		return Null
-	case i%101 == 50:
-		return Int(math.MinInt64)
-	case i%103 == 51:
-		return Int(math.MaxInt64)
-	}
-	return Int(int64(i%997 - 498))
-}
-
 // intKeyTables builds a probe table (5000 rows) and a build table (4500
 // rows) whose ki columns are typed int, next to float, mixed and string
-// columns over the same key domain.
-func intKeyTables() (l, r *Table) {
+// columns over the same key domain: negatives, NULLs (the first only after
+// several other keys) and both int64 extremes — a key range that
+// overflows int64, so these columns always take the hash path.
+func intKeyTables() (l, r *Table) { return keyTables(1, true) }
+
+// keyTables is intKeyTables over the 997-key domain [-498, 498]·stride,
+// with or without the int64 extremes. Without them and with stride 1 the
+// int columns qualify for direct addressing (dense.go); a stride beyond
+// denseMultiple·rows/997 keeps the same rows on the hash path.
+func keyTables(stride int64, extremes bool) (l, r *Table) {
+	base := func(i int) int64 { return int64(i%997-498) * stride }
+	key := func(i int) Value {
+		switch {
+		case i%29 == 17:
+			return Null
+		case extremes && i%101 == 50:
+			return Int(math.MinInt64)
+		case extremes && i%103 == 51:
+			return Int(math.MaxInt64)
+		}
+		return Int(base(i))
+	}
 	l = &Table{Schema: NewSchema([]string{"lid", "lki", "lkf", "lkx", "lks", "lf"})}
 	for i := 0; i < 5000; i++ {
-		kf := Float(float64(i%997 - 498)) // integral: joins with the int keys
+		kf := Float(float64(base(i))) // integral: joins with the int keys
 		switch {
 		case i%7 == 3:
-			kf = Float(float64(i%997-498) + 0.5)
+			kf = Float(float64(base(i)) + 0.5)
 		case i%31 == 5:
 			kf = Float(math.NaN())
 		case i%37 == 9:
 			kf = Null
-		case i%101 == 50:
+		case extremes && i%101 == 50:
 			kf = Float(math.MinInt64) // exactly -2^63: equals Int(MinInt64)
 		}
 		var kx Value
 		switch i % 5 {
 		case 0:
-			kx = intKeyValue(i)
+			kx = key(i)
 		case 1:
-			kx = Float(float64(i%997 - 498))
+			kx = Float(float64(base(i)))
 		case 2:
-			kx = Str(fmt.Sprintf("%d", i%997-498))
+			kx = Str(fmt.Sprintf("%d", base(i)))
 		case 3:
 			kx = Float(math.NaN())
 		default:
-			kx = Float(float64(i%997-498) + 0.25)
+			kx = Float(float64(base(i)) + 0.25)
 		}
 		l.Rows = append(l.Rows, Row{
-			Int(int64(i)), intKeyValue(i), kf, kx, Str(fmt.Sprintf("%d", i%997-498)), Float(float64(i) * 0.37),
+			Int(int64(i)), key(i), kf, kx, Str(fmt.Sprintf("%d", base(i))), Float(float64(i) * 0.37),
 		})
 	}
 	r = &Table{Schema: NewSchema([]string{"rid", "rki", "rkx", "rks", "rv"})}
 	for i := 0; i < 4500; i++ {
-		kx := intKeyValue(i * 3)
+		kx := key(i * 3)
 		if i%4 == 1 {
-			kx = Str(fmt.Sprintf("%d", i%997-498))
+			kx = Str(fmt.Sprintf("%d", base(i)))
 		}
 		r.Rows = append(r.Rows, Row{
-			Int(int64(100000 + i)), intKeyValue(i * 3), kx, Str(fmt.Sprintf("%d", (i*3)%997-200)), Int(int64(i)),
+			Int(int64(100000 + i)), key(i * 3), kx, Str(fmt.Sprintf("%d", base(i*3)+298*stride)), Int(int64(i)),
 		})
 	}
 	return l, r

@@ -271,8 +271,14 @@ type batchGrouper struct {
 	ints       bool        // keys are raw int64 payloads (keyScan's int path)
 	groups     *bytesIndex // encoded-key group index (hashtable.go)
 	intGroups  *intIndex   // int-key group index
-	nullGid    int32       // the NULL int key's group id; -1 until seen
-	firsts     []int32     // per group: physical index of its first row
+	// dense, when non-nil, replaces intGroups for a dense int key range
+	// (dense.go): dense[key−dmin] is the key's group id plus one, 0 until
+	// seen. A partition grouper holds its sub-range's slice of the one
+	// array all partitions share.
+	dense   []int32
+	dmin    int64
+	nullGid int32   // the NULL int key's group id; -1 until seen
+	firsts  []int32 // per group: physical index of its first row
 	// sc lends the per-batch scratch (sc.rows: physical rows, sc.gids:
 	// their group ids) from the first batch until finish.
 	sc      *batchScratch
@@ -321,10 +327,7 @@ func (g *batchGrouper) add(ents []keyEntry, arena []byte) {
 		case !g.ints:
 			id, added = g.groups.lookupOrAdd(en.hash, en.bytes(arena), next)
 		case en.klen == nullKey:
-			if added = g.nullGid < 0; added {
-				g.nullGid = next
-			}
-			id = g.nullGid
+			id, added = g.nullID(next)
 		default:
 			id, added = g.intGroups.lookupOrAddHashed(en.hash, en.key, next)
 		}
@@ -332,6 +335,60 @@ func (g *batchGrouper) add(ents []keyEntry, arena []byte) {
 			g.firsts = append(g.firsts, en.row)
 		}
 		sc.rows[k], sc.gids[k] = en.row, id
+	}
+	g.foldBatch()
+}
+
+// nullID returns the NULL int key's group id, claiming next for it on
+// first encounter.
+func (g *batchGrouper) nullID(next int32) (id int32, added bool) {
+	if added = g.nullGid < 0; added {
+		g.nullGid = next
+	}
+	return g.nullGid, added
+}
+
+// useDense switches the grouper to the direct-addressed index over the
+// key sub-range [lo, hi) of a dense scan — index is the array all of the
+// scan's groupers share — and sizes its arrays once for the rows it is
+// about to see, instead of doubling into them: at most one group per key
+// of the range and per row, plus the NULL key's. On a dense range that
+// bound is close (Q3's Γ{l_orderkey}: 400k for 253k groups, 9 MB less
+// allocated than by doubling) and never more than one group per row.
+func (g *batchGrouper) useDense(ks *keyScan, index []int32, lo, hi, rows int) {
+	g.dense, g.dmin = index[lo:hi], ks.min+int64(lo)
+	bound := min(hi-lo, rows) + 1
+	g.firsts = make([]int32, 0, bound)
+	for j := range g.states {
+		g.states[j].grow(g.folds[j].parts(), bound)
+	}
+}
+
+// addDense folds one run of rows of a dense key scan, resolving group ids
+// by direct addressing: no hash, no probing, no entries. Ids are claimed
+// in first-encounter order exactly as add claims them, so the output is
+// the same.
+func (g *batchGrouper) addDense(rows []int32) {
+	col := &g.t.Cols[g.groupSlots[0]]
+	sc := g.resetBatch(len(rows))
+	copy(sc.rows, rows)
+	for k, i := range rows {
+		next := int32(len(g.firsts))
+		var id int32
+		var added bool
+		if col.IsNull(int(i)) {
+			id, added = g.nullID(next)
+		} else {
+			slot := &g.dense[col.Ints[i]-g.dmin]
+			if added = *slot == 0; added {
+				*slot = next + 1
+			}
+			id = *slot - 1
+		}
+		if added {
+			g.firsts = append(g.firsts, i)
+		}
+		sc.gids[k] = id
 	}
 	g.foldBatch()
 }
@@ -402,6 +459,13 @@ func (g *batchGrouper) finish(hs *HashStats) {
 	}
 	if g.intGroups != nil {
 		g.intGroups.record(hs)
+	}
+	if g.dense != nil {
+		keys := len(g.firsts)
+		if g.nullGid >= 0 {
+			keys--
+		}
+		hs.recordDense(keys, len(g.dense))
 	}
 }
 
@@ -736,27 +800,46 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 	n := t.Card()
 	ks := newKeyScan(t, groupSlots, false)
 
-	if !e.parForBatch(n) {
+	bs := e.batchSize()
+	var index []int32 // dense keys: the direct-addressed group index all groupers share
+	if ks.dense {
+		index = make([]int32, ks.span)
+	}
+	par := e.parForBatch(n)
+	if !par || ks.dense && !e.parForDense(n) {
 		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
-		ks.scan(0, n, e.batchSize(), g.add)
+		if ks.dense {
+			g.useDense(ks, index, 0, ks.span, n)
+		}
+		ks.feed(g, n, bs)
 		g.finish(e.hashStats())
-		return g.emitTable(e, outSchema, false)
+		return g.emitTable(e, outSchema, par)
 	}
 
-	rp := e.radixScatter(ks, n)
+	var kp keyParts
+	if ks.dense {
+		kp = e.denseScatter(ks, n)
+	} else {
+		kp = e.radixScatter(ks, n)
+	}
 	parts := make([]*batchGrouper, partitions)
 	e.forParts(func(p int) {
-		if rp.count(p) == 0 {
+		c := kp.count(p)
+		if c == 0 {
 			return
 		}
 		// Every group lives in exactly one partition and is folded here,
 		// by one task, in global input order.
 		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
-		rp.runs(p, e.batchSize(), g.add)
+		if ks.dense {
+			lo, hi := ks.partRange(p)
+			g.useDense(ks, index, lo, hi, c)
+		}
+		kp.feed(p, bs, g)
 		g.finish(e.hashStats())
 		parts[p] = g
 	})
-	rp.release()
+	kp.release()
 	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, outSchema, true)
 }
 

@@ -50,15 +50,32 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // the encoding applies). bloom, when non-nil, pre-filters probe keys by
 // their cached hashes: negatives are exact (an absent key resolves to
 // nil postings either way) and false positives just fall through to the
-// table probe, so the filter never changes results.
+// table probe, so the filter never changes results. A single int column
+// with a dense key range is not hashed at all: dense holds it
+// direct-addressed (dense.go), same posting lists again, and needs
+// neither tables nor filter.
 type batchBuild struct {
+	dense *denseTable   // single-ColInt build key, dense range
 	its   []*intTable   // single-ColInt build key
 	bts   []*bytesTable // encoded keys
 	pmask uint64        // table count - 1: the hash's low bits pick the table
 	bloom *bloomFilter
 }
 
-func (b *batchBuild) lookInt(h uint64, v int64) []int32 {
+// lookInt resolves an int build's postings for probe key v, counting the
+// Bloom filter's traffic when one is attached.
+func (b *batchBuild) lookInt(v int64, checks, passes *int) []int32 {
+	if b.dense != nil {
+		return b.dense.lookup(v)
+	}
+	h := hashInt64(v)
+	if b.bloom != nil {
+		*checks++
+		if !b.bloom.mayContain(h) {
+			return nil
+		}
+		*passes++
+	}
 	if t := b.its[h&b.pmask]; t != nil {
 		return t.lookupHashed(h, v)
 	}
@@ -114,6 +131,9 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *b
 	hs := e.hashStats()
 	n := r.Card()
 	ks := newKeyScan(r, rk, true)
+	if ks.dense {
+		return &batchBuild{dense: e.buildDense(ks, par && e.parForDense(n))}
+	}
 	nt := 1
 	if par {
 		nt = partitions
@@ -173,7 +193,7 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 	bs := e.batchSize()
 	bloomChecks, bloomPasses := 0, 0
 	defer func() { e.hashStats().recordBloom(bloomChecks, bloomPasses) }()
-	if b.its == nil {
+	if b.bts != nil {
 		sc := batchScratchPool.Get().(*batchScratch)
 		for bb := lo; bb < hi; bb += bs {
 			sc.rows = l.physBatch(bb, min(bb+bs, hi), sc.rows)
@@ -206,17 +226,7 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 	}
 	// Single-int build: the probe key is the raw int64 payload, one
 	// column-kind dispatch per batch.
-	look := func(v int64) []int32 {
-		h := hashInt64(v)
-		if b.bloom != nil {
-			bloomChecks++
-			if !b.bloom.mayContain(h) {
-				return nil
-			}
-			bloomPasses++
-		}
-		return b.lookInt(h, v)
-	}
+	look := func(v int64) []int32 { return b.lookInt(v, &bloomChecks, &bloomPasses) }
 	sc := batchScratchPool.Get().(*batchScratch)
 	slot := lk[0]
 	var col *Vector

@@ -209,14 +209,29 @@ func BenchmarkTableOpAllocs(b *testing.B) {
 	})
 }
 
+// benchAggCols is benchAggTable built columnar (the crossover sweep goes
+// up to a million rows) with the grouping key taken from key(i).
+func benchAggCols(n int, key func(i int) int64) *ColTable {
+	g, v, f := make([]int64, n), make([]int64, n), make([]float64, n)
+	for i := range g {
+		g[i], v[i], f[i] = key(i), int64(i), float64(i)*0.5
+	}
+	return &ColTable{Schema: NewSchema([]string{"g", "v", "f"}), N: n,
+		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}, {Kind: ColFloat, Floats: f}}}
+}
+
 // BenchmarkBatchParallelCrossover is the measurement behind
-// batchParallelCutoff: the batch hash aggregation and join and their
-// sort-based counterparts (both sorts performed) on int keys, input
-// sizes 256 … 256k rows × a low (16) and a high (n/4) distinct-key count
-// × workers 1 (the sequential arm) and 2 (the morsel-parallel arm, forced
-// below the cutoff too by passing the adaptive morsel size explicitly).
-// The crossover is the smallest size from which workers=2 stays faster;
-// DESIGN.md §PR 12 and §PR 14 record the tables the cutoff was read off.
+// batchParallelCutoff and denseParallelCutoff: the batch hash aggregation
+// and join on int keys, hashed (table=hash: keys spread beyond the density
+// bound) and direct-addressed (table=dense: the same keys, consecutive),
+// and their sort-based counterparts (both sorts performed), input sizes
+// 256 … 1M rows × a low (16) and a high (n/4) distinct-key count × workers
+// 1 (the sequential arm) and 2 (the morsel-parallel arm, forced below the
+// cutoffs too by passing the adaptive morsel size explicitly). The
+// crossover is the smallest size from which workers=2 stays faster;
+// DESIGN.md §PR 12, §PR 14 and "Direct-addressed keys" record the tables
+// the cutoffs were read off. The sweep=density arms are the measurement
+// behind denseMultiple.
 func BenchmarkBatchParallelCrossover(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -224,44 +239,117 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 		{Out: "m", Kind: aggfn.Min, Arg: "f"},
 	}
 	lk, rk := []int{0}, []int{0}
-	for n := 256; n <= 256<<10; n *= 4 {
+	for n := 256; n <= 1<<20; n *= 4 {
 		for _, groups := range []int{16, n / 4} {
-			agg := ColTableOf(benchAggTable(n, groups))
-			build := ColTableOf(benchAggTable(groups, groups))
-			build.Schema = NewSchema([]string{"pk", "pv", "pf"})
-			for _, w := range []int{1, 2} {
-				e := NewExec(w)
-				e = e.WithMorselSize(e.sizeFor(n))
-				name := fmt.Sprintf("rows=%d/keys=%d/workers=%d", n, groups, w)
-				b.Run("op=group/"+name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
-							b.Fatalf("got %d groups, want %d", out.Card(), groups)
+			for _, table := range []string{"hash", "dense"} {
+				stride := 1
+				if table == "hash" {
+					stride = 1 << 20
+				}
+				agg := benchAggCols(n, func(i int) int64 { return int64(i % groups * stride) })
+				build := benchAggCols(groups, func(i int) int64 { return int64(i * stride) })
+				build.Schema = NewSchema([]string{"pk", "pv", "pf"})
+				if newKeyScan(agg, lk, false).dense != (table == "dense") || newKeyScan(build, rk, true).dense != (table == "dense") {
+					b.Fatalf("rows=%d keys=%d: inputs do not take the %s path", n, groups, table)
+				}
+				for _, w := range []int{1, 2} {
+					e := NewExec(w)
+					e = e.WithMorselSize(e.sizeFor(n))
+					name := fmt.Sprintf("rows=%d/keys=%d/workers=%d", n, groups, w)
+					b.Run("op=group/table="+table+"/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
+								b.Fatalf("got %d groups, want %d", out.Card(), groups)
+							}
 						}
-					}
-				})
-				b.Run("op=join/"+name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
-							b.Fatalf("got %d rows, want %d", out.Card(), n)
+					})
+					b.Run("op=join/table="+table+"/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
+								b.Fatalf("got %d rows, want %d", out.Card(), n)
+							}
 						}
+					})
+					if table == "hash" || n > 256<<10 {
+						continue // the sort layer has no table to choose, and its cutoff was read off ≤ 256k rows
 					}
-				})
-				b.Run("op=sortgroup/"+name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if out, err := e.BatchSortGroup(agg, []string{"g"}, f, true, nil); err != nil || out.Card() != groups {
-							b.Fatalf("got %v, want %d groups", err, groups)
+					b.Run("op=sortgroup/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out, err := e.BatchSortGroup(agg, []string{"g"}, f, true, nil); err != nil || out.Card() != groups {
+								b.Fatalf("got %v, want %d groups", err, groups)
+							}
 						}
-					}
-				})
-				b.Run("op=mergejoin/"+name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil); err != nil || out.Card() != n {
-							b.Fatalf("got %v, want %d rows", err, n)
+					})
+					b.Run("op=mergejoin/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil); err != nil || out.Card() != n {
+								b.Fatalf("got %v, want %d rows", err, n)
+							}
 						}
-					}
-				})
+					})
+				}
 			}
+		}
+	}
+
+	// The density sweep: 128k rows whose keys fall, in scrambled order,
+	// into a range of 1 … 32 times the row count, grouped (32k groups) and
+	// built-and-probed (unique build keys, 4 probes each, a quarter of them
+	// misses) through the sequential kernels of either path, forced by
+	// hand — the operators would switch paths at denseMultiple.
+	const n = 1 << 17
+	bound := BindVector(f, benchAggCols(0, nil).Schema)
+	scramble := func(i, m int) int { return i * 40503 % m } // a permutation of [0, m) for m a power of two
+	for _, mult := range []int{1, 2, 4, 8, 16, 32} {
+		matches := -1 // of the probe, whichever table answers it
+		agg := benchAggCols(n, func(i int) int64 { return int64(scramble(i, n/4) * 4 * mult) })
+		build := benchAggCols(n, func(i int) int64 { return int64(scramble(i, n) * mult) })
+		probe := benchAggCols(4*n, func(i int) int64 { return int64(i * 40503 % (n + n/3) * mult) })
+		for _, table := range []string{"hash", "dense"} {
+			scan := func(t *ColTable, join bool) *keyScan {
+				ks := newKeyScan(t, lk, join)
+				if ks.dense = table == "dense"; ks.dense {
+					ks.min, ks.span = 0, n*mult
+				}
+				return ks
+			}
+			e := NewExec(1)
+			name := fmt.Sprintf("sweep=density/table=%s/range=%dx", table, mult)
+			b.Run("op=group/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ks := scan(agg, false)
+					g := newBatchGrouper(agg, lk, bound, true)
+					if ks.dense {
+						g.useDense(ks, make([]int32, ks.span), 0, ks.span, n)
+					}
+					ks.feed(g, n, e.batchSize())
+					g.finish(nil)
+					if out := g.emitTable(e, groupSchema([]string{"g"}, f), false); out.Card() != n/4 {
+						b.Fatalf("got %d groups, want %d", out.Card(), n/4)
+					}
+				}
+			})
+			b.Run("op=join/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ks := scan(build, true)
+					bld := &batchBuild{its: make([]*intTable, 1)}
+					if ks.dense {
+						bld = &batchBuild{dense: e.buildDense(ks, false)}
+					} else {
+						bld.buildInts(0, n, nil, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
+					}
+					hits, checks, passes := 0, 0, 0
+					for _, v := range probe.Cols[0].Ints {
+						hits += len(bld.lookInt(v, &checks, &passes))
+					}
+					if matches < 0 {
+						matches = hits
+					}
+					if hits != matches || hits < 2*n {
+						b.Fatalf("got %d matches, want %d", hits, matches)
+					}
+				}
+			})
 		}
 	}
 }

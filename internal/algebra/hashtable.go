@@ -70,10 +70,12 @@ func tableGeometry(hint int) (capacity int, mask uint64, shift uint) {
 	return c, uint64(c - 1), uint(64 - bits.Len(uint(c-1)))
 }
 
-// intSlot is one open-addressing slot of an intTable. first < 0 marks an
-// empty slot. While building, head/tail are the overflow chain's ends
-// (indices into ovRow/ovNext, -1 for none); after finalize they are the
-// slot's (offset, length) into the flat postings slab.
+// intSlot is one open-addressing slot of an intTable. The zero slot is
+// the empty slot, so a fresh slot array is just make's zeroed memory:
+// first is the first row plus one, and while building head/tail are the
+// overflow chain's ends plus one (indices into ovRow/ovNext, 0 for
+// none); after finalize they are the slot's (offset, length) into the
+// flat postings slab.
 type intSlot struct {
 	key   int64
 	first int32
@@ -101,17 +103,9 @@ type intTable struct {
 func newIntTable(hint int) *intTable {
 	t := &intTable{}
 	c, mask, shift := tableGeometry(hint)
-	t.slots, t.mask, t.shift = newIntSlots(c), mask, shift
+	t.slots, t.mask, t.shift = make([]intSlot, c), mask, shift
 	t.growAt = c - c/4
 	return t
-}
-
-func newIntSlots(c int) []intSlot {
-	s := make([]intSlot, c)
-	for i := range s {
-		s[i].first = -1
-	}
-	return s
 }
 
 // insert appends row to key's posting list, claiming a slot on first
@@ -130,7 +124,7 @@ func (t *intTable) insertHashed(h uint64, key int64, row int32) {
 		d := 1
 		for {
 			s := &t.slots[i]
-			if s.first < 0 {
+			if s.first == 0 {
 				if t.n >= t.growAt {
 					t.grow()
 					break // re-probe in the grown table
@@ -139,7 +133,7 @@ func (t *intTable) insertHashed(h uint64, key int64, row int32) {
 				if d > t.maxProbe {
 					t.maxProbe = d
 				}
-				*s = intSlot{key: key, first: row, head: -1, tail: -1}
+				*s = intSlot{key: key, first: row + 1}
 				return
 			}
 			if s.key == key {
@@ -156,12 +150,12 @@ func (t *intTable) appendOverflow(s *intSlot, row int32) {
 	e := int32(len(t.ovRow))
 	t.ovRow = append(t.ovRow, row)
 	t.ovNext = append(t.ovNext, -1)
-	if s.tail >= 0 {
-		t.ovNext[s.tail] = e
+	if s.tail != 0 {
+		t.ovNext[s.tail-1] = e
 	} else {
-		s.head = e
+		s.head = e + 1
 	}
-	s.tail = e
+	s.tail = e + 1
 }
 
 // grow doubles the slot array and re-places every occupied slot by its
@@ -170,19 +164,19 @@ func (t *intTable) appendOverflow(s *intSlot, row int32) {
 func (t *intTable) grow() {
 	old := t.slots
 	c := 2 * len(old)
-	t.slots = newIntSlots(c)
+	t.slots = make([]intSlot, c)
 	t.mask = uint64(c - 1)
 	t.shift--
 	t.growAt = c - c/4
 	t.maxProbe = 0
 	for oi := range old {
 		s := &old[oi]
-		if s.first < 0 {
+		if s.first == 0 {
 			continue
 		}
 		i := hashInt64(s.key) >> t.shift
 		d := 1
-		for t.slots[i].first >= 0 {
+		for t.slots[i].first != 0 {
 			i = (i + 1) & t.mask
 			d++
 		}
@@ -201,12 +195,12 @@ func (t *intTable) finalize() {
 	t.posts = make([]int32, 0, t.rows)
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.first < 0 {
+		if s.first == 0 {
 			continue
 		}
 		off := int32(len(t.posts))
-		t.posts = append(t.posts, s.first)
-		for e := s.head; e >= 0; e = t.ovNext[e] {
+		t.posts = append(t.posts, s.first-1)
+		for e := s.head - 1; e >= 0; e = t.ovNext[e] {
 			t.posts = append(t.posts, t.ovRow[e])
 		}
 		s.head = off
@@ -224,7 +218,7 @@ func (t *intTable) lookupHashed(h uint64, key int64) []int32 {
 	i := h >> t.shift
 	for {
 		s := &t.slots[i]
-		if s.first < 0 {
+		if s.first == 0 {
 			return nil
 		}
 		if s.key == key {
@@ -237,7 +231,7 @@ func (t *intTable) lookupHashed(h uint64, key int64) []int32 {
 // fillBloom adds every distinct key's hash to the filter.
 func (t *intTable) fillBloom(f *bloomFilter) {
 	for i := range t.slots {
-		if t.slots[i].first >= 0 {
+		if t.slots[i].first != 0 {
 			f.add(hashInt64(t.slots[i].key))
 		}
 	}
@@ -251,7 +245,7 @@ func (t *intTable) record(hs *HashStats) {
 
 // bytesSlot is one open-addressing slot of a bytesTable: the cached key
 // hash, the key's (offset, length) in the table's arena, and the same
-// first/head/tail posting layout as intSlot. first < 0 marks empty (the
+// first/head/tail posting layout as intSlot: first == 0 marks empty (the
 // empty key is legal — klen 0 — so occupancy needs its own marker).
 type bytesSlot struct {
 	hash       uint64
@@ -285,17 +279,9 @@ type bytesTable struct {
 func newBytesTable(hint int) *bytesTable {
 	t := &bytesTable{}
 	c, mask, shift := tableGeometry(hint)
-	t.slots, t.mask, t.shift = newBytesSlots(c), mask, shift
+	t.slots, t.mask, t.shift = make([]bytesSlot, c), mask, shift
 	t.growAt = c - c/4
 	return t
-}
-
-func newBytesSlots(c int) []bytesSlot {
-	s := make([]bytesSlot, c)
-	for i := range s {
-		s[i].first = -1
-	}
-	return s
 }
 
 func (t *bytesTable) key(s *bytesSlot) []byte {
@@ -313,7 +299,7 @@ func (t *bytesTable) insert(h uint64, key []byte, row int32) {
 		d := 1
 		for {
 			s := &t.slots[i]
-			if s.first < 0 {
+			if s.first == 0 {
 				if t.n >= t.growAt {
 					t.grow()
 					break // re-probe in the grown table
@@ -324,7 +310,7 @@ func (t *bytesTable) insert(h uint64, key []byte, row int32) {
 				}
 				koff := int32(len(t.arena))
 				t.arena = append(t.arena, key...)
-				*s = bytesSlot{hash: h, koff: koff, klen: int32(len(key)), first: row, head: -1, tail: -1}
+				*s = bytesSlot{hash: h, koff: koff, klen: int32(len(key)), first: row + 1}
 				return
 			}
 			if s.hash == h && bytes.Equal(t.key(s), key) {
@@ -341,30 +327,30 @@ func (t *bytesTable) appendOverflow(s *bytesSlot, row int32) {
 	e := int32(len(t.ovRow))
 	t.ovRow = append(t.ovRow, row)
 	t.ovNext = append(t.ovNext, -1)
-	if s.tail >= 0 {
-		t.ovNext[s.tail] = e
+	if s.tail != 0 {
+		t.ovNext[s.tail-1] = e
 	} else {
-		s.head = e
+		s.head = e + 1
 	}
-	s.tail = e
+	s.tail = e + 1
 }
 
 func (t *bytesTable) grow() {
 	old := t.slots
 	c := 2 * len(old)
-	t.slots = newBytesSlots(c)
+	t.slots = make([]bytesSlot, c)
 	t.mask = uint64(c - 1)
 	t.shift--
 	t.growAt = c - c/4
 	t.maxProbe = 0
 	for oi := range old {
 		s := &old[oi]
-		if s.first < 0 {
+		if s.first == 0 {
 			continue
 		}
 		i := s.hash >> t.shift
 		d := 1
-		for t.slots[i].first >= 0 {
+		for t.slots[i].first != 0 {
 			i = (i + 1) & t.mask
 			d++
 		}
@@ -380,12 +366,12 @@ func (t *bytesTable) finalize() {
 	t.posts = make([]int32, 0, t.rows)
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.first < 0 {
+		if s.first == 0 {
 			continue
 		}
 		off := int32(len(t.posts))
-		t.posts = append(t.posts, s.first)
-		for e := s.head; e >= 0; e = t.ovNext[e] {
+		t.posts = append(t.posts, s.first-1)
+		for e := s.head - 1; e >= 0; e = t.ovNext[e] {
 			t.posts = append(t.posts, t.ovRow[e])
 		}
 		s.head = off
@@ -403,7 +389,7 @@ func (t *bytesTable) lookupHashed(h uint64, key []byte) []int32 {
 	i := h >> t.shift
 	for {
 		s := &t.slots[i]
-		if s.first < 0 {
+		if s.first == 0 {
 			return nil
 		}
 		if s.hash == h && bytes.Equal(t.key(s), key) {
@@ -415,7 +401,7 @@ func (t *bytesTable) lookupHashed(h uint64, key []byte) []int32 {
 
 func (t *bytesTable) fillBloom(f *bloomFilter) {
 	for i := range t.slots {
-		if t.slots[i].first >= 0 {
+		if t.slots[i].first != 0 {
 			f.add(t.slots[i].hash)
 		}
 	}
@@ -436,7 +422,7 @@ const groupIndexSeedCap = 64
 // group index of the single-ColInt aggregation fast path.
 type intIndex struct {
 	keys     []int64
-	ids      []int32 // < 0 marks an empty slot
+	ids      []int32 // id + 1; 0 marks an empty slot
 	mask     uint64
 	shift    uint
 	n        int
@@ -447,17 +433,9 @@ type intIndex struct {
 func newIntIndex(hint int) *intIndex {
 	x := &intIndex{}
 	c, mask, shift := tableGeometry(hint)
-	x.keys, x.ids, x.mask, x.shift = make([]int64, c), newIds(c), mask, shift
+	x.keys, x.ids, x.mask, x.shift = make([]int64, c), make([]int32, c), mask, shift
 	x.growAt = c - c/4
 	return x
-}
-
-func newIds(c int) []int32 {
-	ids := make([]int32, c)
-	for i := range ids {
-		ids[i] = -1
-	}
-	return ids
 }
 
 // lookupOrAdd returns key's id, inserting it as id on first encounter
@@ -472,7 +450,7 @@ func (x *intIndex) lookupOrAddHashed(h uint64, key int64, id int32) (got int32, 
 		i := h >> x.shift
 		d := 1
 		for {
-			if x.ids[i] < 0 {
+			if x.ids[i] == 0 {
 				if x.n >= x.growAt {
 					x.grow()
 					break // re-probe in the grown index
@@ -481,11 +459,11 @@ func (x *intIndex) lookupOrAddHashed(h uint64, key int64, id int32) (got int32, 
 				if d > x.maxProbe {
 					x.maxProbe = d
 				}
-				x.keys[i], x.ids[i] = key, id
+				x.keys[i], x.ids[i] = key, id+1
 				return id, true
 			}
 			if x.keys[i] == key {
-				return x.ids[i], false
+				return x.ids[i] - 1, false
 			}
 			i = (i + 1) & x.mask
 			d++
@@ -496,18 +474,18 @@ func (x *intIndex) lookupOrAddHashed(h uint64, key int64, id int32) (got int32, 
 func (x *intIndex) grow() {
 	oldKeys, oldIds := x.keys, x.ids
 	c := 2 * len(oldKeys)
-	x.keys, x.ids = make([]int64, c), newIds(c)
+	x.keys, x.ids = make([]int64, c), make([]int32, c)
 	x.mask = uint64(c - 1)
 	x.shift--
 	x.growAt = c - c/4
 	x.maxProbe = 0
 	for oi, id := range oldIds {
-		if id < 0 {
+		if id == 0 {
 			continue
 		}
 		i := hashInt64(oldKeys[oi]) >> x.shift
 		d := 1
-		for x.ids[i] >= 0 {
+		for x.ids[i] != 0 {
 			i = (i + 1) & x.mask
 			d++
 		}
@@ -524,7 +502,8 @@ func (x *intIndex) record(hs *HashStats) {
 	}
 }
 
-// bytesIndexSlot is one slot of a bytesIndex; id < 0 marks empty.
+// bytesIndexSlot is one slot of a bytesIndex; id holds the group id plus
+// one, 0 marks empty.
 type bytesIndexSlot struct {
 	hash       uint64
 	koff, klen int32
@@ -547,17 +526,9 @@ type bytesIndex struct {
 func newBytesIndex(hint int) *bytesIndex {
 	x := &bytesIndex{}
 	c, mask, shift := tableGeometry(hint)
-	x.slots, x.mask, x.shift = newBytesIndexSlots(c), mask, shift
+	x.slots, x.mask, x.shift = make([]bytesIndexSlot, c), mask, shift
 	x.growAt = c - c/4
 	return x
-}
-
-func newBytesIndexSlots(c int) []bytesIndexSlot {
-	s := make([]bytesIndexSlot, c)
-	for i := range s {
-		s[i].id = -1
-	}
-	return s
 }
 
 // lookupOrAdd returns key's id under its precomputed hash, inserting it
@@ -569,7 +540,7 @@ func (x *bytesIndex) lookupOrAdd(h uint64, key []byte, id int32) (got int32, add
 		d := 1
 		for {
 			s := &x.slots[i]
-			if s.id < 0 {
+			if s.id == 0 {
 				if x.n >= x.growAt {
 					x.grow()
 					break // re-probe in the grown index
@@ -580,11 +551,11 @@ func (x *bytesIndex) lookupOrAdd(h uint64, key []byte, id int32) (got int32, add
 				}
 				koff := int32(len(x.arena))
 				x.arena = append(x.arena, key...)
-				*s = bytesIndexSlot{hash: h, koff: koff, klen: int32(len(key)), id: id}
+				*s = bytesIndexSlot{hash: h, koff: koff, klen: int32(len(key)), id: id + 1}
 				return id, true
 			}
 			if s.hash == h && bytes.Equal(x.arena[s.koff:s.koff+s.klen], key) {
-				return s.id, false
+				return s.id - 1, false
 			}
 			i = (i + 1) & x.mask
 			d++
@@ -595,19 +566,19 @@ func (x *bytesIndex) lookupOrAdd(h uint64, key []byte, id int32) (got int32, add
 func (x *bytesIndex) grow() {
 	old := x.slots
 	c := 2 * len(old)
-	x.slots = newBytesIndexSlots(c)
+	x.slots = make([]bytesIndexSlot, c)
 	x.mask = uint64(c - 1)
 	x.shift--
 	x.growAt = c - c/4
 	x.maxProbe = 0
 	for oi := range old {
 		s := &old[oi]
-		if s.id < 0 {
+		if s.id == 0 {
 			continue
 		}
 		i := s.hash >> x.shift
 		d := 1
-		for x.slots[i].id >= 0 {
+		for x.slots[i].id != 0 {
 			i = (i + 1) & x.mask
 			d++
 		}
@@ -688,6 +659,7 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 // finish inside forParts fan-outs. A nil *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64
+	dense       atomic.Int64
 	entries     atomic.Int64
 	capacity    atomic.Int64
 	maxProbe    atomic.Int64
@@ -710,6 +682,15 @@ func (hs *HashStats) recordTable(entries, capacity, maxProbe int) {
 	}
 }
 
+// recordDense records a direct-addressed table (dense.go) over a key
+// range of the given width: no probe sequence, so its probe length is 1.
+func (hs *HashStats) recordDense(entries, width int) {
+	if hs != nil {
+		hs.dense.Add(1)
+		hs.recordTable(entries, width, 1)
+	}
+}
+
 func (hs *HashStats) recordBloom(checks, passes int) {
 	if hs == nil || checks == 0 {
 		return
@@ -725,6 +706,7 @@ func (hs *HashStats) Snapshot() HashTableStats {
 	}
 	return HashTableStats{
 		Builds:      hs.builds.Load(),
+		Dense:       hs.dense.Load(),
 		Entries:     hs.entries.Load(),
 		Capacity:    hs.capacity.Load(),
 		MaxProbe:    hs.maxProbe.Load(),
@@ -734,11 +716,13 @@ func (hs *HashStats) Snapshot() HashTableStats {
 }
 
 // HashTableStats is a point-in-time view of HashStats: how many flat
-// tables were built, their summed entries and capacities (the quotient
+// tables were built (Dense of them direct-addressed, whose capacity is
+// their key range), their summed entries and capacities (the quotient
 // is the mean load factor), the worst probe sequence any build walked,
 // and the Bloom filter's check/pass traffic.
 type HashTableStats struct {
 	Builds      int64
+	Dense       int64
 	Entries     int64
 	Capacity    int64
 	MaxProbe    int64

@@ -297,13 +297,15 @@ func TestBloomFilterSemantics(t *testing.T) {
 }
 
 // bloomJoinTables builds a join shape that clears the bloom gate: a tiny
-// build side and a probe side ≥ 8x larger whose keys mostly miss.
+// build side and a probe side ≥ 8x larger whose keys mostly miss. The int
+// keys are spread out so the build stays on the hash path — a dense key
+// range is direct-addressed and has no filter.
 func bloomJoinTables(strKeys bool) (l, r *Table) {
 	key := func(i int) Value {
 		if strKeys {
 			return Str(fmt.Sprintf("bk-%04d", i))
 		}
-		return Int(int64(i))
+		return Int(int64(i) * 1000)
 	}
 	r = &Table{Schema: NewSchema([]string{"rk", "rv"})}
 	for i := 0; i < 32; i++ {
@@ -521,7 +523,8 @@ func TestPartitionedBuildMatchesSequential(t *testing.T) {
 			for _, en := range ents {
 				var want, got []int32
 				if seq.its != nil {
-					want, got = seq.lookInt(en.hash, en.key), par.lookInt(en.hash, en.key)
+					var checks, passes int
+					want, got = seq.lookInt(en.key, &checks, &passes), par.lookInt(en.key, &checks, &passes)
 				} else {
 					want, got = seq.lookBytes(en.hash, en.bytes(arena)), par.lookBytes(en.hash, en.bytes(arena))
 				}

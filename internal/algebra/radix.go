@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -41,12 +42,23 @@ type keyScan struct {
 	slots []int
 	join  bool
 	col   *Vector // non-nil: the single typed-int key column — the int path
+	// dense: the int column's keys fill [min, min+span) densely enough to
+	// be addressed directly. Such a scan yields no entries at all: the
+	// operators take the kernels of dense.go, which partition on the bits
+	// of key−min from shift up.
+	dense bool
+	min   int64
+	span  int
+	shift uint
 }
 
 func newKeyScan(t *ColTable, slots []int, join bool) *keyScan {
 	ks := &keyScan{t: t, slots: slots, join: join}
 	if len(slots) == 1 && slots[0] >= 0 && t.Cols[slots[0]].Kind == ColInt {
 		ks.col = &t.Cols[slots[0]]
+		if ks.min, ks.span, ks.dense = denseRange(t, ks.col); ks.dense {
+			ks.shift = uint(max(bits.Len(uint(max(ks.span, 1)-1)), 6) - 6) // (span−1)>>shift < partitions
+		}
 	}
 	return ks
 }
@@ -105,6 +117,31 @@ func (ks *keyScan) scan(lo, hi, bs int, fn func(ents []keyEntry, arena []byte)) 
 	batchScratchPool.Put(sc)
 }
 
+// feed folds all n logical rows into g batch by batch: as key entries, or
+// — a dense scan — as the bare rows.
+func (ks *keyScan) feed(g *batchGrouper, n, bs int) {
+	if !ks.dense {
+		ks.scan(0, n, bs, g.add)
+		return
+	}
+	var rows []int32
+	for b := 0; b < n; b += bs {
+		rows = ks.t.physBatch(b, min(b+bs, n), rows)
+		g.addDense(rows)
+	}
+}
+
+// keyParts is a partitioned grouping input, whichever way its keys are
+// addressed: hashed entries (radixParts) or the rows of a dense scan
+// (rowParts, dense.go). count is the number of rows in partition p, feed
+// folds them into g in input order at most bs at a time, release ends
+// the use of the partition's memory.
+type keyParts interface {
+	count(p int) int
+	feed(p, bs int, g *batchGrouper)
+	release()
+}
+
 // radixParts is an input's key entries partitioned by the low hash bits.
 // Partition p's entries are contiguous in ents, morsel by morsel and in
 // row order within a morsel — global input order — so building or
@@ -151,16 +188,7 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 			rp.arenas[m] = arena
 		}
 	})
-	pos := int32(0)
-	for p := 0; p < partitions; p++ {
-		for m := 0; m < morsels; m++ {
-			c := rp.offs[m*partitions+p]
-			rp.offs[m*partitions+p] = pos
-			pos += c
-		}
-		rp.offs[morsels*partitions+p] = pos
-	}
-	rp.ents = getEntries(int(pos))
+	rp.ents = getEntries(prefixParts(rp.offs, morsels))
 	e.forMorsels(n, func(m, lo, hi int) {
 		var next [partitions]int32
 		copy(next[:], rp.offs[m*partitions:])
@@ -172,6 +200,22 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 	})
 	putEntries(tmp)
 	return rp
+}
+
+// prefixParts turns the per-(morsel, partition) counts in offs into start
+// offsets, partition-major, stores every partition's end in row morsels,
+// and returns the total.
+func prefixParts(offs []int32, morsels int) int {
+	pos := int32(0)
+	for p := 0; p < partitions; p++ {
+		for m := 0; m < morsels; m++ {
+			c := offs[m*partitions+p]
+			offs[m*partitions+p] = pos
+			pos += c
+		}
+		offs[morsels*partitions+p] = pos
+	}
+	return int(pos)
 }
 
 // release recycles the entry array; rp must not be used afterwards.
@@ -197,6 +241,8 @@ func putEntries(s []keyEntry) { entryPool.Put(&s) }
 func (rp *radixParts) count(p int) int {
 	return int(rp.offs[rp.morsels*partitions+p] - rp.offs[p])
 }
+
+func (rp *radixParts) feed(p, bs int, g *batchGrouper) { rp.runs(p, bs, g.add) }
 
 // runs hands fn partition p's entries in input order: int keys at most bs
 // at a time, encoded keys one morsel's run at a time, with that morsel's

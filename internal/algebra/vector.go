@@ -271,45 +271,67 @@ func ColTableOf(t *Table) *ColTable {
 }
 
 // Table materializes the columnar table back into rows (logical order),
-// slicing every row out of one backing slab. Values are rebuilt through
-// the canonical constructors, so a round trip through the batch runtime
-// is bit-identical to the row pipeline.
-func (t *ColTable) Table() *Table {
-	w := t.Schema.Len()
+// slicing every row out of one backing slab. Values are rebuilt field for
+// field as the canonical constructors build them, so a round trip through
+// the batch runtime is bit-identical to the row pipeline.
+func (t *ColTable) Table() *Table { return (*Exec)(nil).RowTable(t) }
+
+// RowTable is t.Table() on e's workers: from batchParallelCutoff rows up
+// the row spans are filled concurrently — disjoint spans of one pre-sized
+// slab, so the result is the same for every worker count.
+func (e *Exec) RowTable(t *ColTable) *Table {
 	n := t.Card()
 	rows := make([]Row, n)
-	slab := make([]Value, n*w) // zero Value = NULL, so NULLs need no writes
-	for i := range rows {
-		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
-	for ci := range t.Cols {
-		col := &t.Cols[ci]
-		switch col.Kind {
-		case ColInt:
-			for i := 0; i < n; i++ {
-				if p := int(t.phys(i)); !col.IsNull(p) {
-					rows[i][ci] = Int(col.Ints[p])
+	slab := make([]Value, n*t.Schema.Len()) // zero Value = NULL, so NULLs need no writes
+	e.forSpans(n, e.parForBatch(n), func(_, lo, hi int) { t.fillRows(rows, slab, lo, hi) })
+	return &Table{Schema: t.Schema, Rows: rows}
+}
+
+// rowBlock is how many rows fillRows converts at a time: their slab
+// stretch stays cache-resident while one column after the other is
+// written into it, where whole-column passes over the slab would touch a
+// new cache line per value.
+const rowBlock = 128
+
+// fillRows materializes logical rows [lo, hi) into their stretch of slab.
+func (t *ColTable) fillRows(rows []Row, slab []Value, lo, hi int) {
+	w := len(t.Cols)
+	for b := lo; b < hi; b += rowBlock {
+		end := min(b+rowBlock, hi)
+		for i := b; i < end; i++ {
+			rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		}
+		for ci := range t.Cols {
+			col := &t.Cols[ci]
+			switch col.Kind {
+			case ColInt:
+				for i := b; i < end; i++ {
+					if p := int(t.phys(i)); !col.IsNull(p) {
+						v := &slab[i*w+ci]
+						v.Kind, v.I = KindInt, col.Ints[p]
+					}
 				}
-			}
-		case ColFloat:
-			for i := 0; i < n; i++ {
-				if p := int(t.phys(i)); !col.IsNull(p) {
-					rows[i][ci] = Float(col.Floats[p])
+			case ColFloat:
+				for i := b; i < end; i++ {
+					if p := int(t.phys(i)); !col.IsNull(p) {
+						v := &slab[i*w+ci]
+						v.Kind, v.F = KindFloat, col.Floats[p]
+					}
 				}
-			}
-		case ColStr:
-			for i := 0; i < n; i++ {
-				if p := int(t.phys(i)); !col.IsNull(p) {
-					rows[i][ci] = Str(col.Strs[p])
+			case ColStr:
+				for i := b; i < end; i++ {
+					if p := int(t.phys(i)); !col.IsNull(p) {
+						v := &slab[i*w+ci]
+						v.Kind, v.S = KindString, col.Strs[p]
+					}
 				}
-			}
-		case ColMixed:
-			for i := 0; i < n; i++ {
-				rows[i][ci] = col.Vals[int(t.phys(i))]
+			case ColMixed:
+				for i := b; i < end; i++ {
+					slab[i*w+ci] = col.Vals[int(t.phys(i))]
+				}
 			}
 		}
 	}
-	return &Table{Schema: t.Schema, Rows: rows}
 }
 
 // Compact materializes the selection: a dense table (Sel == nil) with the

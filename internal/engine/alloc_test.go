@@ -16,6 +16,14 @@ import (
 // executions have filled the columnar caches and the scratch pools.
 func allocPerExec(t *testing.T, name string, factor float64, phys core.PhysMode, opts engine.ExecOptions) (bytes, objects float64) {
 	t.Helper()
+	return allocPerExecRuns(t, name, factor, phys, opts, 3, 5)
+}
+
+// allocPerExecRuns is allocPerExec over the given number of warm-up and
+// measured executions (the collector is off for all of them: keep the
+// product of executions and data size small).
+func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysMode, opts engine.ExecOptions, warm, runs int) (bytes, objects float64) {
+	t.Helper()
 	q := tpch.Queries()[name]
 	tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(name, factor))
 	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: phys})
@@ -28,7 +36,6 @@ func allocPerExec(t *testing.T, name string, factor float64, phys core.PhysMode,
 	// task, never what a task allocates.)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const warm, runs = 3, 5
 	var before, after runtime.MemStats
 	for i := 0; i < warm+runs; i++ {
 		if i == warm {
@@ -39,7 +46,7 @@ func allocPerExec(t *testing.T, name string, factor float64, phys core.PhysMode,
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestParallelAllocBudget is the deterministic stand-in for a timing
@@ -49,8 +56,9 @@ func allocPerExec(t *testing.T, name string, factor float64, phys core.PhysMode,
 // 100 under the default options (before PR 12: 2.0× and ~1000×; these
 // inputs now lie below batchParallelCutoff, so the case also pins that
 // small operators stay on the sequential arm), and on Q3 with an explicit
-// morsel size, which forces every operator through the radix scatter, the
-// per-partition tables and groupers and the rank merge.
+// morsel size, which forces every operator through the scatter, the
+// per-partition tables and groupers and the rank merge — and an absolute
+// byte budget on Q3 at factor 1000, the repo benchmark's size.
 func TestParallelAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation does not repeat under the race detector (sync.Pool drops items at random)")
@@ -67,6 +75,21 @@ func TestParallelAllocBudget(t *testing.T) {
 		if w2 > 1.25*w1 {
 			t.Errorf("%s morsel=%d: workers=2 allocates %.0f B per execution, over 1.25 x the %.0f B of workers=1",
 				c.query, c.morsel, w2, w1)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	// The benchmark's size (400k-row lineitem), where every key column is
+	// direct-addressed: 70.6 MB at workers=1 and 67.3 MB at workers=2 per
+	// execution (109.2 and 110.5 MB on the hash tables alone).
+	const budget = 76e6
+	for _, workers := range []int{1, 2} {
+		opts := engine.ExecOptions{Workers: workers, Runtime: engine.RuntimeBatch}
+		b, _ := allocPerExecRuns(t, "Q3", 1000, core.PhysModeHash, opts, 1, 2)
+		t.Logf("Q3 factor 1000 workers=%d: %.0f B", workers, b)
+		if b > budget {
+			t.Errorf("Q3 factor 1000 workers=%d allocates %.0f B per execution, over the %.0f B budget", workers, b, budget)
 		}
 	}
 }

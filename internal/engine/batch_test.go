@@ -128,32 +128,46 @@ func convertSums(q *query.Query, toAvg bool) int {
 }
 
 // TestExecStatsHashTelemetry pins that hash-table telemetry flows
-// through ExecProfiledOpts: the batch runtime builds flat tables (so
-// Builds > 0 with a sane load factor), while the sequential row runtime
-// stays on Go maps and reports zero builds.
+// through ExecProfiledOpts: on RandomData's few-valued int columns the
+// batch runtime addresses its single-column keys directly (those builds
+// are counted as dense; occupancy at most 1); with the values spread out
+// it builds the flat hash tables only (none dense, load factor at most
+// 0.75); the sequential row runtime stays on Go maps and reports zero
+// builds.
 func TestExecStatsHashTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(90218))
 	q := randquery.Generate(rng, randquery.Params{Relations: 4})
-	data := RandomData(rng, q, 14).Tables()
+	rel := RandomData(rng, q, 14)
 	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, batch, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 1, Runtime: RuntimeBatch})
+	_, batch, err := ExecProfiledOpts(q, res.Plan, rel.Tables(), ExecOptions{Workers: 1, Runtime: RuntimeBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Hash.Builds == 0 || batch.Hash.Entries == 0 {
-		t.Fatalf("batch runtime reported no flat-table builds: %+v", batch.Hash)
+	if h := batch.Hash; h.Builds == 0 || h.Entries == 0 || h.Dense == 0 || h.Dense > h.Builds {
+		t.Fatalf("batch runtime on dense keys: want direct-addressed builds: %+v", h)
 	}
-	if lf := batch.Hash.LoadFactor(); lf <= 0 || lf > 0.75 {
-		t.Fatalf("batch load factor %v outside (0, 0.75]", lf)
+	if lf := batch.Hash.LoadFactor(); lf <= 0 || lf > 1 {
+		t.Fatalf("dense occupancy %v outside (0, 1]", lf)
 	}
-	_, row, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 1})
+	_, row, err := ExecProfiledOpts(q, res.Plan, rel.Tables(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.Hash.Builds != 0 {
 		t.Fatalf("sequential row runtime built flat tables: %+v", row.Hash)
+	}
+	spreadInts(rel, 1000)
+	_, sparse, err := ExecProfiledOpts(q, res.Plan, rel.Tables(), ExecOptions{Workers: 1, Runtime: RuntimeBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := sparse.Hash; h.Builds == 0 || h.Entries == 0 || h.Dense != 0 {
+		t.Fatalf("batch runtime on spread keys: want only flat-table builds: %+v", h)
+	}
+	if lf := sparse.Hash.LoadFactor(); lf <= 0 || lf > 0.75 {
+		t.Fatalf("batch load factor %v outside (0, 0.75]", lf)
 	}
 }

@@ -340,6 +340,10 @@ type executor struct {
 	rt    runtimeOps
 	tr    *obs.Trace         // nil = no tracing
 	hs    *algebra.HashStats // live hash telemetry, for per-span deltas
+	// hsMark is hs as of the last span closed (annotateSpan): operators run
+	// one after another on the driver goroutine, so a span's own traffic
+	// is what hs gained since.
+	hsMark algebra.HashTableStats
 }
 
 // record accumulates one operator's actual output cardinality, both into
@@ -368,10 +372,6 @@ func (e *executor) compile(p *plan.Plan) (*compiled, error) {
 	if e.tr == nil {
 		return e.compileNode(p)
 	}
-	var before algebra.HashTableStats
-	if e.hs != nil {
-		before = e.hs.Snapshot()
-	}
 	sid := e.tr.Begin(spanName(e.q, p), "op")
 	c, err := e.compileNode(p)
 	if err != nil {
@@ -389,7 +389,7 @@ func (e *executor) compile(p *plan.Plan) (*compiled, error) {
 		}
 	}
 	e.tr.SetRows(sid, rowsIn, int64(c.tab.Card()))
-	annotateSpan(e.tr, sid, p, e.hs, before)
+	annotateSpan(e.tr, sid, p, e.hs, &e.hsMark)
 	e.tr.End(sid)
 	return c, nil
 }

@@ -20,7 +20,10 @@ import (
 // bit-identical to the sequential reference path — float sums and
 // output order included. The cardinality feedback loop (Reoptimize) may
 // change the chosen plan but must still reproduce the canonical result.
-// Run the smoke locally with
+// RandomData draws every int from a range of a few values, which the
+// batch runtime addresses directly (algebra/dense.go); odd seeds spread
+// the values out so that its hash path is fuzzed as well — the seed corpus
+// holds both parities. Run the smoke locally with
 //
 //	go test -run '^$' -fuzz FuzzExecEquivalence -fuzztime 20s ./internal/engine
 //
@@ -49,6 +52,9 @@ func FuzzExecEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randquery.Generate(rng, randquery.Params{Relations: n})
 		data := RandomData(rng, q, rows)
+		if seed%2 != 0 {
+			spreadInts(data, 1000)
+		}
 		attrs := OutputAttrs(q)
 
 		want, err := Canonical(q, data)
@@ -222,4 +228,19 @@ func FuzzExecEquivalence(f *testing.F) {
 				final.Plan.StringWithQuery(q), want, fb.Result.Rel())
 		}
 	})
+}
+
+// spreadInts multiplies every int in data by stride: an injective map, so
+// joins and groups pair up the same rows, but key ranges grow beyond what
+// the batch runtime addresses directly.
+func spreadInts(data Data, stride int64) {
+	for _, rel := range data {
+		for _, tup := range rel.Tuples {
+			for name, v := range tup {
+				if v.Kind == algebra.KindInt {
+					tup[name] = algebra.Int(v.I * stride)
+				}
+			}
+		}
+	}
 }

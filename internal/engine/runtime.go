@@ -153,7 +153,7 @@ type batchRuntime struct{ ex *algebra.Exec }
 func (rt batchRuntime) col(t rtTable) *algebra.ColTable { return t.(*algebra.ColTable) }
 
 func (rt batchRuntime) scan(t *algebra.Table) rtTable   { return t.Columnar() }
-func (rt batchRuntime) result(t rtTable) *algebra.Table { return rt.col(t).Table() }
+func (rt batchRuntime) result(t rtTable) *algebra.Table { return rt.ex.RowTable(rt.col(t)) }
 func (rt batchRuntime) hashJoin(l, r rtTable, lk, rk []int) rtTable {
 	return rt.ex.BatchHashJoin(rt.col(l), rt.col(r), lk, rk)
 }

@@ -55,10 +55,14 @@ func groupAttrList(q *query.Query, p *plan.Plan) string {
 // annotateSpan attaches the non-deterministic (worker-count-dependent or
 // advisory) operator telemetry to a finished span: the estimate the
 // optimizer planned with, the sort decisions of the sort-merge layer,
-// and the flat hash-table delta this operator contributed (batch
-// runtime). Annotations are excluded from the fingerprint, so they may
-// depend on the execution configuration freely.
-func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, before algebra.HashTableStats) {
+// and the hash-table delta this operator contributed (batch runtime),
+// with the way its keys were addressed: table=dense for direct-addressed
+// builds and group indexes, table=hash for the flat hash tables.
+// Annotations are excluded from the fingerprint, so they may depend on
+// the execution configuration freely. mark is the telemetry as of the
+// last span closed before this operator ran — its last child's, children
+// run first — and advances to this span's end.
+func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, mark *algebra.HashTableStats) {
 	if p.Kind == plan.NodeOp || p.Kind == plan.NodeGroup {
 		tr.Annotatef(id, "est_rows", "%.6g", p.Card)
 	}
@@ -83,10 +87,19 @@ func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, be
 	// The operator barrier has passed: every morsel task that touched the
 	// shared HashStats is done, so the snapshot delta is exactly this
 	// operator's traffic.
-	after := hs.Snapshot()
+	before, after := *mark, hs.Snapshot()
+	*mark = after
 	if builds := after.Builds - before.Builds; builds > 0 {
 		tr.Annotatef(id, "ht_builds", "%d", builds)
 		tr.Annotatef(id, "ht_entries", "%d", after.Entries-before.Entries)
+		switch dense := after.Dense - before.Dense; dense {
+		case builds:
+			tr.Annotate(id, "table", "dense")
+		case 0:
+			tr.Annotate(id, "table", "hash")
+		default:
+			tr.Annotate(id, "table", "dense+hash")
+		}
 	}
 	if checks := after.BloomChecks - before.BloomChecks; checks > 0 {
 		tr.Annotatef(id, "bloom_checks", "%d", checks)
@@ -166,12 +179,18 @@ func ExplainAnalyze(q *query.Query, p *plan.Plan, tr *obs.Trace) string {
 			idx++
 			act := sp.RowsOut
 			ms := float64(sp.DurNS) / 1e6
+			table := "" // how the operator's keys were addressed, when it built a table
+			for _, kv := range sp.Args {
+				if kv.Key == "table" {
+					table = " table=" + kv.Value
+				}
+			}
 			switch n.Kind {
 			case plan.NodeScan:
 				fmt.Fprintf(&b, "%s (rows=%d time=%.3fms)\n", line, act, ms)
 			default:
-				fmt.Fprintf(&b, "%s (est=%.6g act=%d q=%.2f time=%.3fms)\n",
-					line, n.Card, act, qerror(n.Card, float64(act)), ms)
+				fmt.Fprintf(&b, "%s (est=%.6g act=%d q=%.2f time=%.3fms%s)\n",
+					line, n.Card, act, qerror(n.Card, float64(act)), ms, table)
 			}
 		} else {
 			// No span left (foreign trace): degrade to the estimate-only view.
