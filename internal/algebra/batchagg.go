@@ -194,6 +194,16 @@ func growTo[T any](s []T, n int) []T {
 	return ns
 }
 
+// exactSize returns s's first n elements for an output column: in place,
+// unless s was presized (useDense) for far more groups than were found —
+// doubling never leaves more than 2n — and would pin that size downstream.
+func exactSize[T any](s []T, n int) []T {
+	if cap(s) > 2*n+64 {
+		return slices.Clone(s[:n])
+	}
+	return s[:n:n]
+}
+
 // grow extends the given components to ng groups.
 func (st *aggState) grow(parts uint8, ng int) {
 	if parts&partCount != 0 {
@@ -273,8 +283,7 @@ type batchGrouper struct {
 	intGroups  *intIndex   // int-key group index
 	// dense, when non-nil, replaces intGroups for a dense int key range
 	// (dense.go): dense[key−dmin] is the key's group id plus one, 0 until
-	// seen. A partition grouper holds its sub-range's slice of the one
-	// array all partitions share.
+	// seen.
 	dense   []int32
 	dmin    int64
 	nullGid int32   // the NULL int key's group id; -1 until seen
@@ -348,16 +357,16 @@ func (g *batchGrouper) nullID(next int32) (id int32, added bool) {
 	return g.nullGid, added
 }
 
-// useDense switches the grouper to the direct-addressed index over the
-// key sub-range [lo, hi) of a dense scan — index is the array all of the
-// scan's groupers share — and sizes its arrays once for the rows it is
-// about to see, instead of doubling into them: at most one group per key
-// of the range and per row, plus the NULL key's. On a dense range that
-// bound is close (Q3's Γ{l_orderkey}: 400k for 253k groups, 9 MB less
-// allocated than by doubling) and never more than one group per row.
-func (g *batchGrouper) useDense(ks *keyScan, index []int32, lo, hi, rows int) {
-	g.dense, g.dmin = index[lo:hi], ks.min+int64(lo)
-	bound := min(hi-lo, rows) + 1
+// useDense switches the grouper to the direct-addressed index of a dense
+// scan over rows rows, and sizes its arrays once instead of doubling into
+// them: at most one group per key of the range and per row, plus the NULL
+// key's. On a dense range that bound is close (Q3's Γ{l_orderkey}: 400k
+// for 253k groups, 9 MB less allocated than by doubling) and never more
+// than one group per row; where it is not — few keys far apart — aggCol
+// hands out exact-size copies instead of the presized arrays.
+func (g *batchGrouper) useDense(ks *keyScan, rows int) {
+	g.dense, g.dmin = make([]int32, ks.span), ks.min
+	bound := min(ks.span, rows) + 1
 	g.firsts = make([]int32, 0, bound)
 	for j := range g.states {
 		g.states[j].grow(g.folds[j].parts(), bound)
@@ -702,13 +711,13 @@ func (g *batchGrouper) aggCol(j int) Vector {
 	var v Vector
 	switch g.folds[j] {
 	case foldCountStar, foldCount:
-		return Vector{Kind: ColInt, Ints: st.count[:ng:ng]}
+		return Vector{Kind: ColInt, Ints: exactSize(st.count, ng)}
 	case foldSumInt, foldSumTimesInt, foldSumIfInt, foldMinInt, foldMaxInt:
-		v = Vector{Kind: ColInt, Ints: st.i[:ng:ng]}
+		v = Vector{Kind: ColInt, Ints: exactSize(st.i, ng)}
 	case foldSumFloat, foldSumTimesFloat, foldMinFloat, foldMaxFloat:
-		v = Vector{Kind: ColFloat, Floats: st.f[:ng:ng]}
+		v = Vector{Kind: ColFloat, Floats: exactSize(st.f, ng)}
 	case foldMinStr, foldMaxStr:
-		v = Vector{Kind: ColStr, Strs: st.s[:ng:ng]}
+		v = Vector{Kind: ColStr, Strs: exactSize(st.s, ng)}
 	default:
 		var b colBuilder
 		for gi := 0; gi < ng; gi++ {
@@ -800,46 +809,33 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 	n := t.Card()
 	ks := newKeyScan(t, groupSlots, false)
 
-	bs := e.batchSize()
-	var index []int32 // dense keys: the direct-addressed group index all groupers share
-	if ks.dense {
-		index = make([]int32, ks.span)
-	}
+	// A dense grouping is a one-goroutine operator at every size (dense.go);
+	// only its emit fans out.
 	par := e.parForBatch(n)
-	if !par || ks.dense && !e.parForDense(n) {
+	if !par || ks.dense {
 		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
 		if ks.dense {
-			g.useDense(ks, index, 0, ks.span, n)
+			g.useDense(ks, n)
 		}
-		ks.feed(g, n, bs)
+		ks.feed(g, n, e.batchSize())
 		g.finish(e.hashStats())
 		return g.emitTable(e, outSchema, par)
 	}
 
-	var kp keyParts
-	if ks.dense {
-		kp = e.denseScatter(ks, n)
-	} else {
-		kp = e.radixScatter(ks, n)
-	}
+	rp := e.radixScatter(ks, n)
 	parts := make([]*batchGrouper, partitions)
 	e.forParts(func(p int) {
-		c := kp.count(p)
-		if c == 0 {
+		if rp.count(p) == 0 {
 			return
 		}
 		// Every group lives in exactly one partition and is folded here,
 		// by one task, in global input order.
 		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
-		if ks.dense {
-			lo, hi := ks.partRange(p)
-			g.useDense(ks, index, lo, hi, c)
-		}
-		kp.feed(p, bs, g)
+		rp.runs(p, e.batchSize(), g.add)
 		g.finish(e.hashStats())
 		parts[p] = g
 	})
-	kp.release()
+	rp.release()
 	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, outSchema, true)
 }
 

@@ -132,7 +132,7 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *b
 	n := r.Card()
 	ks := newKeyScan(r, rk, true)
 	if ks.dense {
-		return &batchBuild{dense: e.buildDense(ks, par && e.parForDense(n))}
+		return &batchBuild{dense: e.buildDense(ks)}
 	}
 	nt := 1
 	if par {

@@ -221,17 +221,17 @@ func benchAggCols(n int, key func(i int) int64) *ColTable {
 }
 
 // BenchmarkBatchParallelCrossover is the measurement behind
-// batchParallelCutoff and denseParallelCutoff: the batch hash aggregation
-// and join on int keys, hashed (table=hash: keys spread beyond the density
-// bound) and direct-addressed (table=dense: the same keys, consecutive),
-// and their sort-based counterparts (both sorts performed), input sizes
-// 256 … 1M rows × a low (16) and a high (n/4) distinct-key count × workers
-// 1 (the sequential arm) and 2 (the morsel-parallel arm, forced below the
-// cutoffs too by passing the adaptive morsel size explicitly). The
-// crossover is the smallest size from which workers=2 stays faster;
-// DESIGN.md §PR 12, §PR 14 and "Direct-addressed keys" record the tables
-// the cutoffs were read off. The sweep=density arms are the measurement
-// behind denseMultiple.
+// batchParallelCutoff: the batch hash aggregation and join on int keys,
+// hashed (table=hash: keys spread beyond the density bound) and
+// direct-addressed (table=dense: the same keys, consecutive), and their
+// sort-based counterparts (both sorts performed), input sizes 256 … 1M
+// rows × a low (16) and a high (n/4) distinct-key count × workers 1 (the
+// sequential arm) and 2 (the morsel-parallel arm, forced below the cutoff
+// too by passing the adaptive morsel size explicitly; a dense grouping has
+// none, so it runs at workers 1 only, and a dense join's is its probe and
+// gather). The crossover is the smallest size from which workers=2 stays
+// faster; DESIGN.md §PR 12, §PR 14 and "Direct-addressed keys" record the
+// tables. The sweep=density arms are the measurement behind denseMultiple.
 func BenchmarkBatchParallelCrossover(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -256,13 +256,15 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					e := NewExec(w)
 					e = e.WithMorselSize(e.sizeFor(n))
 					name := fmt.Sprintf("rows=%d/keys=%d/workers=%d", n, groups, w)
-					b.Run("op=group/table="+table+"/"+name, func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
-								b.Fatalf("got %d groups, want %d", out.Card(), groups)
+					if table == "hash" || w == 1 {
+						b.Run("op=group/table="+table+"/"+name, func(b *testing.B) {
+							for i := 0; i < b.N; i++ {
+								if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
+									b.Fatalf("got %d groups, want %d", out.Card(), groups)
+								}
 							}
-						}
-					})
+						})
+					}
 					b.Run("op=join/table="+table+"/"+name, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
@@ -320,7 +322,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					ks := scan(agg, false)
 					g := newBatchGrouper(agg, lk, bound, true)
 					if ks.dense {
-						g.useDense(ks, make([]int32, ks.span), 0, ks.span, n)
+						g.useDense(ks, n)
 					}
 					ks.feed(g, n, e.batchSize())
 					g.finish(nil)
@@ -334,7 +336,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					ks := scan(build, true)
 					bld := &batchBuild{its: make([]*intTable, 1)}
 					if ks.dense {
-						bld = &batchBuild{dense: e.buildDense(ks, false)}
+						bld = &batchBuild{dense: e.buildDense(ks)}
 					} else {
 						bld.buildInts(0, n, nil, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
 					}

@@ -1,9 +1,6 @@
 package algebra
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Direct-addressed keys. A join build or grouping key that is one typed
 // int column whose values fill a range not much wider than the row count
@@ -22,19 +19,19 @@ import (
 //     .dense) that hands out ids in first-encounter order exactly like the
 //     hash index it replaces, feeding the same fold kernels and emit.
 //
-// Both consume runs of physical rows in input order. The sequential arms
-// take them from the input batch by batch; the parallel arms partition the
-// rows first (denseScatter) — radix.go's two passes on 4-byte row ids, the
-// partition being the HIGH bits of key−min: partition p owns one
-// contiguous key sub-range, so all partitions work on disjoint slices of
-// the same arrays, and a partition's random accesses stay within 1/64 of
-// the range.
+// Both consume the input's physical rows batch by batch in input order, on
+// one goroutine whatever the worker count: the passes are streaming and
+// cheap enough that partitioning the rows first does not pay for itself
+// (DESIGN.md "Direct-addressed keys"). The rest of the operator — probe,
+// gather, emit — still fans out under parForBatch.
 
 // denseMultiple bounds the key range of the direct-addressed path at this
 // many times the input's row count, read off the sweep=density arms of
 // BenchmarkBatchParallelCrossover (DESIGN.md "Direct-addressed keys"): up
-// to it the arrays are no larger than the hash table they replace, and
-// faster at every width.
+// to it the join build allocates under half of what the hash tables do;
+// the group index costs about 13 B per row more than the hash index at
+// 4×, and its allocation doubles one step further. Time alone would
+// favour dense up to about 16×.
 const denseMultiple = 4
 
 // denseRange returns the smallest key of the int column col over t's rows
@@ -62,76 +59,6 @@ func denseRange(t *ColTable, col *Vector) (lo int64, span int, ok bool) {
 		return lo, int(w) + 1, true
 	}
 	return 0, 0, false
-}
-
-// partRange returns the sub-range of [0, span) that partition p owns.
-func (ks *keyScan) partRange(p int) (lo, hi int) {
-	return min(p<<ks.shift, ks.span), min((p+1)<<ks.shift, ks.span)
-}
-
-// densePart returns the partition of physical row i: its key's sub-range,
-// partition 0 for the NULL key of a grouping scan, -1 for the NULL key of
-// a join scan (it matches nothing).
-func (ks *keyScan) densePart(i int32) int {
-	if ks.col.IsNull(int(i)) {
-		if ks.join {
-			return -1
-		}
-		return 0
-	}
-	return int((uint64(ks.col.Ints[i]) - uint64(ks.min)) >> ks.shift)
-}
-
-// rowParts is an input's rows partitioned by key sub-range: partition p's
-// rows are contiguous, morsel by morsel and ascending within a morsel —
-// global input order, like radixParts' entries.
-type rowParts struct {
-	rows    []int32
-	offs    []int32 // as radixParts.offs
-	morsels int
-}
-
-func (rp *rowParts) part(p int) []int32 {
-	return rp.rows[rp.offs[p]:rp.offs[rp.morsels*partitions+p]]
-}
-
-func (rp *rowParts) count(p int) int { return len(rp.part(p)) }
-
-func (rp *rowParts) feed(p, bs int, g *batchGrouper) {
-	for rows := rp.part(p); len(rows) > 0; rows = rows[min(bs, len(rows)):] {
-		g.addDense(rows[:min(bs, len(rows))])
-	}
-}
-
-func (rp *rowParts) release() {}
-
-// denseScatter partitions the rows of a dense key scan in radixScatter's
-// two morsel-parallel passes, reading the key column twice instead of
-// writing entries: count per (morsel, partition), prefix sum, place.
-func (e *Exec) denseScatter(ks *keyScan, n int) *rowParts {
-	morsels := e.morselCount(n)
-	rp := &rowParts{morsels: morsels, offs: make([]int32, (morsels+1)*partitions)}
-	e.forMorsels(n, func(m, lo, hi int) {
-		hist := rp.offs[m*partitions : (m+1)*partitions]
-		for li := lo; li < hi; li++ {
-			if p := ks.densePart(ks.t.phys(li)); p >= 0 {
-				hist[p]++
-			}
-		}
-	})
-	rp.rows = make([]int32, prefixParts(rp.offs, morsels))
-	e.forMorsels(n, func(m, lo, hi int) {
-		var next [partitions]int32
-		copy(next[:], rp.offs[m*partitions:])
-		for li := lo; li < hi; li++ {
-			i := ks.t.phys(li)
-			if p := ks.densePart(i); p >= 0 {
-				rp.rows[next[p]] = i
-				next[p]++
-			}
-		}
-	})
-	return rp
 }
 
 // denseTable is a direct-addressed join build side: key k's postings are
@@ -167,9 +94,9 @@ func (dt *denseTable) count(rows []int32) {
 	}
 }
 
-// countEnds covers the key sub-range whose counts are cnt and whose first
-// posting goes to base; it returns how many of its keys are present.
-func countEnds(cnt []int32, base int32) (keys int) {
+// countEnds returns how many keys are present.
+func countEnds(cnt []int32) (keys int) {
+	var base int32
 	for d, c := range cnt {
 		if c > 0 {
 			keys++
@@ -190,37 +117,23 @@ func (dt *denseTable) place(rows []int32) {
 	}
 }
 
-// buildDense counting-sorts the build rows of a dense key scan: batch by
-// batch off the input, or (par) every partition into its own slices of
-// the shared arrays. The result is the same CSR either way — it is a
-// function of the input alone.
-func (e *Exec) buildDense(ks *keyScan, par bool) *denseTable {
+// buildDense counting-sorts the build rows of a dense key scan, batch by
+// batch off the input, on the calling goroutine: three streaming passes
+// that a partitioning pass in front of them does not pay for at any
+// measured size (DESIGN.md "Direct-addressed keys").
+func (e *Exec) buildDense(ks *keyScan) *denseTable {
 	t, n, bs := ks.t, ks.t.Card(), e.batchSize()
 	dt := &denseTable{col: ks.col, min: ks.min, offs: make([]int32, ks.span+1)}
-	var keys int
-	if !par {
-		var rows []int32
-		for b := 0; b < n; b += bs {
-			rows = t.physBatch(b, min(b+bs, n), rows)
-			dt.count(rows)
-		}
-		keys = countEnds(dt.offs[:ks.span], 0)
-		dt.posts = make([]int32, dt.offs[max(ks.span, 1)-1])
-		for b := (n - 1) / bs * bs; n > 0 && b >= 0; b -= bs {
-			rows = t.physBatch(b, min(b+bs, n), rows)
-			dt.place(rows)
-		}
-	} else {
-		rp := e.denseScatter(ks, n)
-		dt.posts = make([]int32, len(rp.rows))
-		var total atomic.Int64
-		e.forParts(func(p int) {
-			dt.count(rp.part(p))
-			lo, hi := ks.partRange(p)
-			total.Add(int64(countEnds(dt.offs[lo:hi], rp.offs[p])))
-			dt.place(rp.part(p))
-		})
-		keys = int(total.Load())
+	var rows []int32
+	for b := 0; b < n; b += bs {
+		rows = t.physBatch(b, min(b+bs, n), rows)
+		dt.count(rows)
+	}
+	keys := countEnds(dt.offs[:ks.span])
+	dt.posts = make([]int32, dt.offs[max(ks.span, 1)-1])
+	for b := (n - 1) / bs * bs; n > 0 && b >= 0; b -= bs {
+		rows = t.physBatch(b, min(b+bs, n), rows)
+		dt.place(rows)
 	}
 	dt.offs[ks.span] = int32(len(dt.posts))
 	e.hashStats().recordDense(keys, ks.span)

@@ -241,6 +241,32 @@ func TestDenseGroupMatchesRow(t *testing.T) {
 	}
 }
 
+// TestDenseFewGroupsExactSize: a dense range holding few keys far apart
+// presizes the accumulators for the range, but the output columns must not
+// keep those arrays alive.
+func TestDenseFewGroupsExactSize(t *testing.T) {
+	const n = 4096
+	g, v := make([]int64, n), make([]int64, n)
+	for i := range g {
+		g[i], v[i] = int64(i%2*(n-1)), int64(i)
+	}
+	tc := &ColTable{Schema: NewSchema([]string{"g", "v"}), N: n,
+		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}}}
+	if ks := newKeyScan(tc, []int{0}, false); !ks.dense || ks.span != n {
+		t.Fatalf("fixture: dense=%v span=%d", ks.dense, ks.span)
+	}
+	out := (*Exec)(nil).BatchHashGroup(tc, []string{"g"}, aggfn.Vector{
+		{Out: "c", Kind: aggfn.CountStar}, {Out: "s", Kind: aggfn.Sum, Arg: "v"}})
+	if out.Card() != 2 {
+		t.Fatalf("got %d groups, want 2", out.Card())
+	}
+	for j, col := range out.Cols {
+		if c := cap(col.Ints); c > 64 {
+			t.Errorf("output column %d pins %d elements for 2 groups", j, c)
+		}
+	}
+}
+
 // TestDenseUnderSelection feeds semijoin views of the dense tables into
 // the direct-addressed paths as build side, probe side and grouping input.
 func TestDenseUnderSelection(t *testing.T) {
@@ -262,76 +288,12 @@ func TestDenseUnderSelection(t *testing.T) {
 	}
 }
 
-// TestDenseScatterLayout pins the row partition of the parallel arms:
-// every row lands in the partition its key's sub-range names, partitions
-// hold their rows in ascending (input) order, join scans drop exactly the
-// NULL-key rows and grouping scans send them to partition 0.
-func TestDenseScatterLayout(t *testing.T) {
-	l, r := keyTables(1, false)
-	lc, rc := ColTableOf(l), ColTableOf(r)
-	sel := (*Exec)(nil).BatchHashSemiJoin(lc, rc, []int{4}, []int{3})
-	for _, tc := range []*ColTable{lc, sel} {
-		for _, join := range []bool{true, false} {
-			ks := newKeyScan(tc, []int{1}, join)
-			if !ks.dense {
-				t.Fatal("fixture not dense")
-			}
-			for _, ms := range []int{64, 4096} {
-				rp := NewExec(4).WithMorselSize(ms).denseScatter(ks, tc.Card())
-				label := fmt.Sprintf("sel=%v join=%v morsel=%d", tc.Sel != nil, join, ms)
-				total, nulls := 0, 0
-				for p := 0; p < partitions; p++ {
-					lo, hi := ks.partRange(p)
-					last := int32(-1)
-					for _, i := range rp.part(p) {
-						if i <= last {
-							t.Fatalf("%s: partition %d out of input order: row %d after %d", label, p, i, last)
-						}
-						last = i
-						if ks.col.IsNull(int(i)) {
-							nulls++
-							if join || p != 0 {
-								t.Fatalf("%s: NULL-key row %d in partition %d", label, i, p)
-							}
-						} else if d := int(ks.col.Ints[i] - ks.min); d < lo || d >= hi {
-							t.Fatalf("%s: row %d (key offset %d) in partition %d = [%d, %d)", label, i, d, p, lo, hi)
-						}
-					}
-					total += rp.count(p)
-				}
-				wantNulls := 0
-				for li := 0; li < tc.Card(); li++ {
-					if ks.col.IsNull(int(tc.phys(li))) {
-						wantNulls++
-					}
-				}
-				if wantNulls == 0 || (!join && nulls != wantNulls) || total != tc.Card()-wantNulls+nulls {
-					t.Fatalf("%s: %d rows scattered (%d NULL keys) of %d (%d NULL keys)", label, total, nulls, tc.Card(), wantNulls)
-				}
-			}
-		}
-	}
-}
-
-// TestDenseBuildArmsAgree: the partitioned counting sort produces the very
-// arrays of the sequential one — the CSR is a function of the input alone
-// — and its posting lists are the hash tables'.
-func TestDenseBuildArmsAgree(t *testing.T) {
-	l, r := keyTables(1, false)
+// TestDensePostingsMatchHash: the counting sort's posting lists are the
+// hash tables' on the same rows with their keys ×1000.
+func TestDensePostingsMatchHash(t *testing.T) {
+	_, r := keyTables(1, false)
 	_, sparseR := keyTables(1000, false)
-	lc, rc, hc := ColTableOf(l), ColTableOf(r), ColTableOf(sparseR)
-	sel := (*Exec)(nil).BatchHashSemiJoin(rc, lc, []int{3}, []int{4})
-	for _, tc := range []*ColTable{rc, sel} {
-		ks := newKeyScan(tc, []int{1}, true)
-		seq := (*Exec)(nil).buildDense(ks, false)
-		for _, ms := range []int{64, 4096} {
-			par := NewExec(4).WithMorselSize(ms).WithBatchSize(100).buildDense(ks, true)
-			if !slices.Equal(seq.offs, par.offs) || !slices.Equal(seq.posts, par.posts) {
-				t.Fatalf("sel=%v morsel=%d: partitioned CSR differs from the sequential one", tc.Sel != nil, ms)
-			}
-		}
-	}
-	// Same rows, keys ×1000: the hash build must hold the same postings.
+	rc, hc := ColTableOf(r), ColTableOf(sparseR)
 	dense := (*Exec)(nil).batchBuildSide(rc, []int{1}, false, -1)
 	hash := (*Exec)(nil).batchBuildSide(hc, []int{1}, false, -1)
 	if dense.dense == nil || hash.its == nil {
@@ -367,11 +329,8 @@ func TestDenseHashStats(t *testing.T) {
 		hs = &HashStats{}
 		e.WithHashStats(hs).BatchHashGroup(rc, []string{"rki"}, aggfn.Vector{{Out: "n", Kind: aggfn.CountStar}})
 		s := hs.Snapshot()
-		if s.Builds == 0 || s.Dense != s.Builds || s.Entries != int64(len(distinct)) || s.Capacity != int64(ks.span) || s.MaxProbe != 1 {
-			t.Errorf("%s group: %+v, want dense indexes of %d keys over %d", name, s, len(distinct), ks.span)
-		}
-		if (name == "seq") != (s.Builds == 1) {
-			t.Errorf("%s group: %d index builds", name, s.Builds)
+		if s.Builds != 1 || s.Dense != 1 || s.Entries != int64(len(distinct)) || s.Capacity != int64(ks.span) || s.MaxProbe != 1 {
+			t.Errorf("%s group: %+v, want one dense index of %d keys over %d", name, s, len(distinct), ks.span)
 		}
 	}
 }

@@ -203,20 +203,6 @@ func (e *Exec) parForBatch(n int) bool {
 	return e.par() && (e.morsel > 0 || n >= batchParallelCutoff)
 }
 
-// denseParallelCutoff is the threshold of the direct-addressed kernels'
-// own partitioned arms (dense.go), read off the table=dense arms of the
-// same benchmark (DESIGN.md "Direct-addressed keys"): their sequential
-// arms are streaming passes so cheap that splitting the rows by key range
-// first only draws level, on 2 CPUs, around a million rows — where the
-// arrays they address at random also stop fitting the L2 cache. Whatever
-// else the operator does (probe, gather, emit) follows parForBatch.
-const denseParallelCutoff = 1 << 20
-
-// parForDense is parFor for a direct-addressed build or grouping of n rows.
-func (e *Exec) parForDense(n int) bool {
-	return e.par() && (e.morsel > 0 || n >= denseParallelCutoff)
-}
-
 // sizeFor returns the morsel size for an n-row input: the explicitly
 // configured size, or — by default — a size aiming at morselsPerWorker
 // morsels per worker, clamped to [minMorselSize, DefaultMorselSize], so

@@ -33,17 +33,14 @@ type poolJob struct {
 	fin chan struct{}
 }
 
-// runOne claims and runs one task, counting it in ran; it reports whether
-// a task was left to claim. The goroutine that completes the last task
-// closes fin — after the count, so the pool's statistics are exact once
-// Run returns.
-func (j *poolJob) runOne(ran *atomic.Int64) bool {
+// runOne claims and runs one task; it reports whether a task was left to
+// claim. The goroutine that completes the last task closes fin.
+func (j *poolJob) runOne() bool {
 	t := int(j.next.Add(1)) - 1
 	if t >= j.n {
 		return false
 	}
 	j.fn(t)
-	ran.Add(1)
 	if int(j.done.Add(1)) == j.n {
 		close(j.fin)
 	}
@@ -128,7 +125,9 @@ func (p *Pool) workerLoop() {
 		}
 		// One task per pick: the rotation in pick is what gives
 		// concurrent queries morsel-granular fairness.
-		j.runOne(&p.workerTasks)
+		if j.runOne() {
+			p.workerTasks.Add(1)
+		}
 	}
 }
 
@@ -160,7 +159,8 @@ func (p *Pool) Run(n int, fn func(i int)) {
 
 	// Help drain our own job (never other jobs: a query's submitter
 	// should not add latency to itself by running strangers' morsels).
-	for j.runOne(&p.helperTasks) {
+	for j.runOne() {
+		p.helperTasks.Add(1)
 	}
 	<-j.fin
 }

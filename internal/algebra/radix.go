@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 )
@@ -44,21 +43,17 @@ type keyScan struct {
 	col   *Vector // non-nil: the single typed-int key column — the int path
 	// dense: the int column's keys fill [min, min+span) densely enough to
 	// be addressed directly. Such a scan yields no entries at all: the
-	// operators take the kernels of dense.go, which partition on the bits
-	// of key−min from shift up.
+	// operators take the kernels of dense.go.
 	dense bool
 	min   int64
 	span  int
-	shift uint
 }
 
 func newKeyScan(t *ColTable, slots []int, join bool) *keyScan {
 	ks := &keyScan{t: t, slots: slots, join: join}
 	if len(slots) == 1 && slots[0] >= 0 && t.Cols[slots[0]].Kind == ColInt {
 		ks.col = &t.Cols[slots[0]]
-		if ks.min, ks.span, ks.dense = denseRange(t, ks.col); ks.dense {
-			ks.shift = uint(max(bits.Len(uint(max(ks.span, 1)-1)), 6) - 6) // (span−1)>>shift < partitions
-		}
+		ks.min, ks.span, ks.dense = denseRange(t, ks.col)
 	}
 	return ks
 }
@@ -131,17 +126,6 @@ func (ks *keyScan) feed(g *batchGrouper, n, bs int) {
 	}
 }
 
-// keyParts is a partitioned grouping input, whichever way its keys are
-// addressed: hashed entries (radixParts) or the rows of a dense scan
-// (rowParts, dense.go). count is the number of rows in partition p, feed
-// folds them into g in input order at most bs at a time, release ends
-// the use of the partition's memory.
-type keyParts interface {
-	count(p int) int
-	feed(p, bs int, g *batchGrouper)
-	release()
-}
-
 // radixParts is an input's key entries partitioned by the low hash bits.
 // Partition p's entries are contiguous in ents, morsel by morsel and in
 // row order within a morsel — global input order — so building or
@@ -188,7 +172,16 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 			rp.arenas[m] = arena
 		}
 	})
-	rp.ents = getEntries(prefixParts(rp.offs, morsels))
+	pos := int32(0)
+	for p := 0; p < partitions; p++ {
+		for m := 0; m < morsels; m++ {
+			c := rp.offs[m*partitions+p]
+			rp.offs[m*partitions+p] = pos
+			pos += c
+		}
+		rp.offs[morsels*partitions+p] = pos
+	}
+	rp.ents = getEntries(int(pos))
 	e.forMorsels(n, func(m, lo, hi int) {
 		var next [partitions]int32
 		copy(next[:], rp.offs[m*partitions:])
@@ -200,22 +193,6 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 	})
 	putEntries(tmp)
 	return rp
-}
-
-// prefixParts turns the per-(morsel, partition) counts in offs into start
-// offsets, partition-major, stores every partition's end in row morsels,
-// and returns the total.
-func prefixParts(offs []int32, morsels int) int {
-	pos := int32(0)
-	for p := 0; p < partitions; p++ {
-		for m := 0; m < morsels; m++ {
-			c := offs[m*partitions+p]
-			offs[m*partitions+p] = pos
-			pos += c
-		}
-		offs[morsels*partitions+p] = pos
-	}
-	return int(pos)
 }
 
 // release recycles the entry array; rp must not be used afterwards.
@@ -241,8 +218,6 @@ func putEntries(s []keyEntry) { entryPool.Put(&s) }
 func (rp *radixParts) count(p int) int {
 	return int(rp.offs[rp.morsels*partitions+p] - rp.offs[p])
 }
-
-func (rp *radixParts) feed(p, bs int, g *batchGrouper) { rp.runs(p, bs, g.add) }
 
 // runs hands fn partition p's entries in input order: int keys at most bs
 // at a time, encoded keys one morsel's run at a time, with that morsel's
