@@ -321,6 +321,47 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeHeavyCells times the five cells that decide the repo
+// benchmark's optimize_cold workload (together ≈ 80 % of a 261-cell pass):
+// EA-Prune on rand16.5, rand14.2, rand14.6 and star12 — the dominance
+// frontier — and H1 on chain64, the bitset.Wide path. The random queries
+// are that benchmark's frozen population, redrawn from its seed in its
+// order; workers are left at the default, as the workload leaves them.
+// The CI smoke's 'Optimize' pattern picks it up with -benchmem, so the
+// cells' ns/op and B/op land in BENCH_ci.json.
+func BenchmarkOptimizeHeavyCells(b *testing.B) {
+	type cell struct {
+		name string
+		q    *query.Query
+		alg  core.Algorithm
+	}
+	heavy := map[string]bool{"rand16.5": true, "rand14.2": true, "rand14.6": true}
+	var cells []cell
+	rng := rand.New(rand.NewSource(1)) // bench/optimize.go: populationSeed
+	for n := 6; n <= 16; n += 2 {
+		for i := 0; i < 10; i++ {
+			q := randquery.Generate(rng, randquery.Params{Relations: n})
+			if name := fmt.Sprintf("rand%d.%d", n, i); heavy[name] {
+				cells = append(cells, cell{name, q, core.AlgEAPrune})
+			}
+		}
+	}
+	cells = append(cells, cell{"star12", randquery.Star(12), core.AlgEAPrune}, cell{"chain64", randquery.Chain(64), core.AlgH1})
+	for _, c := range cells {
+		b.Run(fmt.Sprintf("%s/%v", c.name, c.alg), func(b *testing.B) {
+			built := 0
+			for i := 0; i < b.N; i++ {
+				res, err := core.Optimize(c.q, core.Options{Algorithm: c.alg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				built = res.Stats.PlansBuilt
+			}
+			b.ReportMetric(float64(built), "built")
+		})
+	}
+}
+
 // BenchmarkLargeEnumeration measures the wide set representation past
 // the 63-relation fast path: 100-relation chain and star shapes under
 // the generators that stay feasible at that scale, sequentially and with

@@ -152,3 +152,74 @@ var wantSequence = map[string]string{
 	"star11":   "5120:ff8bcf7881c3dad9",
 	"star12":   "11264:8c97a2ecdc132c47",
 }
+
+// oncePopulation is the population of TestDPhypEmitsEachPairOnce: the
+// sequence test's graphs and 200 seeded random connected graphs of 3…12
+// nodes, sparse to dense.
+func oncePopulation() map[string]*Graph[bitset.Set64] {
+	out := simpleGraphs[bitset.Set64]()
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + trial%10
+		g := New[bitset.Set64](n)
+		for i := 1; i < n; i++ {
+			g.AddSimpleEdge(rng.Intn(i), i, len(g.Edges))
+		}
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddSimpleEdge(min(u, v), max(u, v), len(g.Edges))
+			}
+		}
+		out[fmt.Sprintf("once%d", trial)] = g
+	}
+	return out
+}
+
+// emitsOnce fails the test if g's enumeration emits a csg-cmp-pair twice
+// (in either orientation) or one not oriented min(S1) < min(S2), and
+// returns the number of pairs. The set that would see a repeat is kept
+// here, not in the enumerator.
+func emitsOnce[S bitset.RelSet[S]](t *testing.T, name string, g *Graph[S]) int {
+	t.Helper()
+	seen := map[CsgCmpPair[S]]bool{}
+	for _, p := range g.CsgCmpPairs() {
+		if seen[p] || seen[CsgCmpPair[S]{S1: p.S2, S2: p.S1}] {
+			t.Fatalf("%s: pair (%v, %v) emitted twice", name, p.S1, p.S2)
+		}
+		if p.S1.Min() > p.S2.Min() {
+			t.Fatalf("%s: pair (%v, %v) is not oriented", name, p.S1, p.S2)
+		}
+		seen[p] = true
+	}
+	return len(seen)
+}
+
+// TestDPhypEmitsEachPairOnce is what lets the simple-graph enumeration run
+// without a de-duplication set: on every graph of the population — and on
+// the 64-node chain of the benchmark's wide cell — no csg-cmp-pair comes
+// out twice, and where the brute-force count is feasible (≤ 10 nodes) it
+// agrees, so nothing is missing either.
+func TestDPhypEmitsEachPairOnce(t *testing.T) {
+	pairs, checked := 0, 0
+	for name, g := range oncePopulation() {
+		n := emitsOnce(t, name, g)
+		pairs += n
+		if g.N <= 10 {
+			checked++
+			if want := g.CountCsgCmpPairsBrute(); n != want {
+				t.Errorf("%s: %d pairs, brute force counts %d", name, n, want)
+			}
+		}
+	}
+	chain64 := New[bitset.Wide](64)
+	for i := 0; i+1 < 64; i++ {
+		chain64.AddSimpleEdge(i, i+1, i)
+	}
+	if n, want := emitsOnce(t, "chain64", chain64), 64*63*65/6; n != want {
+		t.Errorf("chain64: %d pairs, want %d", n, want)
+	}
+	if seenHits != 0 {
+		t.Errorf("the enumerator's own seen map suppressed %d pairs", seenHits)
+	}
+	t.Logf("%d pairs over the population, %d graphs checked against brute force", pairs, checked)
+}
