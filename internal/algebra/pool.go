@@ -33,14 +33,17 @@ type poolJob struct {
 	fin chan struct{}
 }
 
-// runOne claims and runs one task; it reports whether a task was left to
-// claim. The goroutine that completes the last task closes fin.
-func (j *poolJob) runOne() bool {
+// runOne claims and runs one task, counting it in tasks — before fin can
+// close, so the counters are exact once Run returns; it reports whether a
+// task was left to claim. The goroutine that completes the last task closes
+// fin.
+func (j *poolJob) runOne(tasks *atomic.Int64) bool {
 	t := int(j.next.Add(1)) - 1
 	if t >= j.n {
 		return false
 	}
 	j.fn(t)
+	tasks.Add(1)
 	if int(j.done.Add(1)) == j.n {
 		close(j.fin)
 	}
@@ -125,9 +128,7 @@ func (p *Pool) workerLoop() {
 		}
 		// One task per pick: the rotation in pick is what gives
 		// concurrent queries morsel-granular fairness.
-		if j.runOne() {
-			p.workerTasks.Add(1)
-		}
+		j.runOne(&p.workerTasks)
 	}
 }
 
@@ -159,8 +160,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 
 	// Help drain our own job (never other jobs: a query's submitter
 	// should not add latency to itself by running strangers' morsels).
-	for j.runOne() {
-		p.helperTasks.Add(1)
+	for j.runOne(&p.helperTasks) {
 	}
 	<-j.fin
 }

@@ -30,6 +30,7 @@ type RelSet[S comparable] interface {
 	ForEach(f func(e int))
 	Elems() []int
 	SubsetsAsc(f func(sub S) bool)
+	NextSubset(sub S) S
 	Hash64() uint64
 	Cap() int
 	ToV() VSet

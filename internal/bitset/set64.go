@@ -1,6 +1,8 @@
 // Package bitset provides the small-set machinery the plan generator is
-// built on: Set64, a value-type bitset over the universe {0,…,63}, and Set,
-// an arbitrary-width bitset for larger universes.
+// built on, three value types: Set64, a bitset over the universe {0,…,63};
+// Wide, its fixed-width multi-word counterpart for the enumeration layers
+// beyond 63 relations (both satisfy RelSet); and VSet, the adaptive-width
+// set of the query, plan and cost layers.
 //
 // The dynamic-programming plan generator identifies every subset of
 // relations, every set of attributes, every key, and every grouping set with
@@ -185,23 +187,15 @@ func (s Set64) Select(i int) int {
 // SubsetsAsc calls f for every non-empty subset of s in the canonical
 // ascending enumeration order (numerically increasing as uint64). If f
 // returns false the enumeration stops.
-//
-// This is the classic "increasing subsets" loop: s1 = s & -s; s1 = s & (s1-s).
 func (s Set64) SubsetsAsc(f func(sub Set64) bool) {
-	if s == 0 {
-		return
-	}
-	sub := s & (-s)
-	for {
-		if !f(sub) {
-			return
-		}
-		if sub == s {
-			return
-		}
-		sub = s & (sub - s)
+	for sub := s.MinSet(); sub != 0 && f(sub); sub = s.NextSubset(sub) {
 	}
 }
+
+// NextSubset returns the subset of s that follows sub in SubsetsAsc's
+// order, or the empty set after the last one (sub = s): the classic
+// "increasing subsets" step s & (sub - s), started from s.MinSet().
+func (s Set64) NextSubset(sub Set64) Set64 { return s & (sub - s) }
 
 // SubsetsDesc calls f for every non-empty subset of s in numerically
 // decreasing order. If f returns false the enumeration stops.

@@ -103,8 +103,22 @@ func (s VSet) words() []uint64 {
 	return ws
 }
 
-// fromWords rebuilds a canonical VSet from a word slice.
-func fromWords(ws []uint64) VSet {
+// OrInto ors s into the word slice ws (word 0 holds elements 0–63), growing
+// it as needed, and returns it. With FromWords it accumulates a union of
+// many sets without rebuilding the packed form at every step.
+func (s VSet) OrInto(ws []uint64) []uint64 {
+	for len(ws) < s.NumWords() {
+		ws = append(ws, 0)
+	}
+	ws[0] |= s.lo
+	for i := 0; i < s.hiWords(); i++ {
+		ws[i+1] |= unpackWord(s.hi, i)
+	}
+	return ws
+}
+
+// FromWords rebuilds a canonical VSet from a word slice.
+func FromWords(ws []uint64) VSet {
 	if len(ws) == 0 {
 		return VSet{}
 	}
@@ -150,7 +164,7 @@ func (s VSet) Remove(e int) VSet {
 	}
 	ws := s.words()
 	ws[w+1] &^= 1 << uint(e%64)
-	return fromWords(ws)
+	return FromWords(ws)
 }
 
 // Contains reports whether e ∈ s.
@@ -179,6 +193,14 @@ func (s VSet) Union(t VSet) VSet {
 }
 
 func (s VSet) unionHi(t VSet) VSet {
+	// Accumulations start from the empty set; returning the other operand
+	// spares them the five allocations of a rebuilt copy.
+	if s.IsEmpty() {
+		return t
+	}
+	if t.IsEmpty() {
+		return s
+	}
 	a, b := s.words(), t.words()
 	if len(a) < len(b) {
 		a, b = b, a
@@ -188,7 +210,7 @@ func (s VSet) unionHi(t VSet) VSet {
 	for i := range b {
 		out[i] |= b[i]
 	}
-	return fromWords(out)
+	return FromWords(out)
 }
 
 // Intersect returns s ∩ t.
@@ -206,7 +228,7 @@ func (s VSet) intersectHi(t VSet) VSet {
 	for i := 0; i < n; i++ {
 		out[i] = a[i] & b[i]
 	}
-	return fromWords(out)
+	return FromWords(out)
 }
 
 // Diff returns s \ t.
@@ -223,7 +245,7 @@ func (s VSet) diffHi(t VSet) VSet {
 	for i := 0; i < minInt(len(out), len(b)); i++ {
 		out[i] &^= b[i]
 	}
-	return fromWords(out)
+	return FromWords(out)
 }
 
 // IsEmpty reports whether s = ∅.

@@ -5,92 +5,82 @@ import (
 	"testing"
 )
 
+// These tests covered the reference-typed Set until it was deleted (it had
+// no importer); they now hold VSet — the arbitrary-width set that is live —
+// to the same word-boundary cases and map-model cross-checks.
+
 func TestSetBasics(t *testing.T) {
-	s := NewSet(200)
-	s.Add(0)
-	s.Add(130)
-	s.Add(199)
+	s := NewV(0, 130, 199)
 	if !s.Contains(130) || s.Contains(131) {
 		t.Error("Contains broken across word boundaries")
 	}
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	s.Remove(130)
+	s = s.Remove(130)
 	if s.Contains(130) || s.Len() != 2 {
 		t.Error("Remove broken")
 	}
 }
 
 func TestSetZeroValue(t *testing.T) {
-	var s Set
+	var s VSet
 	if !s.IsEmpty() || s.Len() != 0 {
 		t.Error("zero value should be empty")
 	}
-	s.Add(70)
-	if !s.Contains(70) {
+	if s = s.Add(70); !s.Contains(70) {
 		t.Error("Add on zero value broken")
 	}
 }
 
 func TestSetGrowth(t *testing.T) {
-	s := NewSetOf()
-	s.Add(500)
+	s := NewV().Add(500)
 	if !s.Contains(500) || s.Contains(499) {
 		t.Error("growth broken")
 	}
-	s.Remove(10000) // beyond capacity: no-op, no panic
-	if s.Len() != 1 {
+	if s = s.Remove(10000); s.Len() != 1 { // beyond the packed words: no-op, no panic
 		t.Error("Remove beyond capacity changed set")
 	}
 }
 
 func TestSetAlgebraOps(t *testing.T) {
-	a := NewSetOf(1, 100, 200)
-	b := NewSetOf(100, 300)
-	u := a.Union(b)
-	for _, e := range []int{1, 100, 200, 300} {
-		if !u.Contains(e) {
-			t.Errorf("union missing %d", e)
-		}
+	a := NewV(1, 100, 200)
+	b := NewV(100, 300)
+	if u := a.Union(b); u != NewV(1, 100, 200, 300) {
+		t.Errorf("union = %v", u)
 	}
-	i := a.Intersect(b)
-	if i.Len() != 1 || !i.Contains(100) {
+	if i := a.Intersect(b); i != NewV(100) {
 		t.Errorf("intersect = %v", i)
 	}
-	d := a.Diff(b)
-	if d.Contains(100) || !d.Contains(1) || !d.Contains(200) {
+	if d := a.Diff(b); d != NewV(1, 200) {
 		t.Errorf("diff = %v", d)
 	}
-	// Originals untouched by the non-mutating forms.
+	// Union with the empty set returns the other operand, either way round.
+	if a.Union(VSet{}) != a || (VSet{}).Union(a) != a {
+		t.Error("union with the empty set changed the set")
+	}
 	if a.Len() != 3 || b.Len() != 2 {
-		t.Error("non-mutating ops mutated inputs")
+		t.Error("value ops mutated inputs")
 	}
 }
 
 func TestSetSubsetEqual(t *testing.T) {
-	a := NewSetOf(1, 128)
-	b := NewSetOf(1, 128, 400)
+	a := NewV(1, 128)
+	b := NewV(1, 128, 400)
 	if !a.SubsetOf(b) || b.SubsetOf(a) {
 		t.Error("SubsetOf broken")
 	}
-	if !a.Equal(a.Clone()) || a.Equal(b) {
-		t.Error("Equal broken")
+	// Canonical packing: a set that shrank back equals one that never grew.
+	if c := NewV(1, 128, 900).Remove(900); a != c {
+		t.Error("== must ignore trailing zero words")
 	}
-	// Different backing lengths, same content.
-	c := NewSet(1000)
-	c.Add(1)
-	c.Add(128)
-	if !a.Equal(c) {
-		t.Error("Equal must ignore trailing zero words")
-	}
-	if !a.Intersects(b) || a.Intersects(NewSetOf(77)) {
+	if !a.Intersects(b) || a.Intersects(NewV(77)) {
 		t.Error("Intersects broken")
 	}
 }
 
 func TestSetMinMaxElems(t *testing.T) {
-	s := NewSetOf(65, 3, 500)
+	s := NewV(65, 3, 500)
 	if s.Min() != 3 || s.Max() != 500 {
 		t.Errorf("Min/Max = %d/%d", s.Min(), s.Max())
 	}
@@ -101,41 +91,37 @@ func TestSetMinMaxElems(t *testing.T) {
 			t.Fatalf("Elems = %v", got)
 		}
 	}
-	var empty Set
-	if empty.Min() != -1 || empty.Max() != -1 {
-		t.Error("Min/Max of empty should be -1")
-	}
 }
 
 func TestFromSet64(t *testing.T) {
-	s := FromSet64(New64(0, 63))
+	s := New64(0, 63).ToV()
 	if !s.Contains(0) || !s.Contains(63) || s.Len() != 2 {
-		t.Errorf("FromSet64 = %v", s)
+		t.Errorf("ToV = %v", s)
 	}
-	if !FromSet64(Empty64).IsEmpty() {
-		t.Error("FromSet64(empty) should be empty")
+	if !Empty64.ToV().IsEmpty() {
+		t.Error("ToV(empty) should be empty")
 	}
 }
 
 func TestSetString(t *testing.T) {
-	if got := NewSetOf(2, 70).String(); got != "{2, 70}" {
+	if got := NewV(2, 70).String(); got != "{2, 70}" {
 		t.Errorf("String = %q", got)
 	}
 }
 
-// Randomized cross-check of Set against a map-based model.
+// Randomized cross-check of VSet against a map-based model.
 func TestSetAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSet(0)
+	var s VSet
 	model := map[int]bool{}
 	for op := 0; op < 5000; op++ {
 		e := rng.Intn(300)
 		switch rng.Intn(3) {
 		case 0:
-			s.Add(e)
+			s = s.Add(e)
 			model[e] = true
 		case 1:
-			s.Remove(e)
+			s = s.Remove(e)
 			delete(model, e)
 		case 2:
 			if s.Contains(e) != model[e] {
@@ -153,20 +139,21 @@ func TestSetAgainstModel(t *testing.T) {
 	})
 }
 
-// Randomized cross-check of UnionWith/IntersectWith/DiffWith semantics.
+// Randomized cross-check of Union/Intersect/Diff semantics, one operand
+// sometimes narrow (≤ 64) so the single-word fast paths are in the mix.
 func TestSetMutatingOpsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
-		a, b := NewSet(0), NewSet(0)
+		var a, b VSet
 		ma, mb := map[int]bool{}, map[int]bool{}
 		for i := 0; i < 40; i++ {
-			x, y := rng.Intn(256), rng.Intn(256)
-			a.Add(x)
+			x, y := rng.Intn(256), rng.Intn(64+192*(trial%2))
+			a = a.Add(x)
 			ma[x] = true
-			b.Add(y)
+			b = b.Add(y)
 			mb[y] = true
 		}
-		check := func(got *Set, pred func(e int) bool) {
+		check := func(got VSet, pred func(e int) bool) {
 			for e := 0; e < 256; e++ {
 				if got.Contains(e) != pred(e) {
 					t.Fatalf("trial %d: element %d mismatch", trial, e)
@@ -176,5 +163,6 @@ func TestSetMutatingOpsAgainstModel(t *testing.T) {
 		check(a.Union(b), func(e int) bool { return ma[e] || mb[e] })
 		check(a.Intersect(b), func(e int) bool { return ma[e] && mb[e] })
 		check(a.Diff(b), func(e int) bool { return ma[e] && !mb[e] })
+		check(b.Diff(a), func(e int) bool { return mb[e] && !ma[e] })
 	}
 }

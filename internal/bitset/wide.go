@@ -70,7 +70,7 @@ func (s Wide) Diff(t Wide) Wide {
 
 // IsEmpty reports whether s = ∅.
 func (s Wide) IsEmpty() bool {
-	return s == Wide{}
+	return s[0]|s[1]|s[2]|s[3]|s[4]|s[5]|s[6]|s[7] == 0
 }
 
 // IsSingleton reports whether |s| = 1.
@@ -182,24 +182,15 @@ func (s Wide) sub(t Wide) Wide {
 // read as one big little-endian integer) — the same order Set64
 // enumerates, which the enumeration-determinism contract relies on. If f
 // returns false the enumeration stops.
-//
-// This is the multi-word form of the classic loop sub = s & (sub - s):
-// the per-word subtraction carries its borrow across word boundaries.
 func (s Wide) SubsetsAsc(f func(sub Wide) bool) {
-	if s.IsEmpty() {
-		return
-	}
-	sub := s.MinSet()
-	for {
-		if !f(sub) {
-			return
-		}
-		if sub == s {
-			return
-		}
-		sub = s.Intersect(sub.sub(s))
+	for sub := s.MinSet(); !sub.IsEmpty() && f(sub); sub = s.NextSubset(sub) {
 	}
 }
+
+// NextSubset returns the subset of s that follows sub in SubsetsAsc's
+// order, or the empty set after the last one (sub = s): the multi-word
+// form of s & (sub - s), the subtraction carrying its borrow across words.
+func (s Wide) NextSubset(sub Wide) Wide { return s.Intersect(sub.sub(s)) }
 
 // Hash64 returns a well-mixed 64-bit hash of the set, for sharding. Each
 // word runs through a splitmix64-style finalizer so the heavily clustered

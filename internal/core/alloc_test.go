@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -18,7 +19,7 @@ func dpAllocs(t *testing.T, q *query.Query, alg Algorithm) (bytes, objects uint6
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := newGenerator(q, Options{Algorithm: alg, Workers: 1})
 	g.scans()
-	pairs, _ := g.det.Graph.CsgCmpPairsBudget(0)
+	pairs := g.det.Graph.CsgCmpPairs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	g.runLevelsSequential(pairs)
@@ -27,6 +28,17 @@ func dpAllocs(t *testing.T, q *query.Query, alg Algorithm) (bytes, objects uint6
 		g.stats.TablePlans += len(e.plans)
 	}
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, g.stats
+}
+
+// rand14dot2 rebuilds rand14.2 of the benchmark's optimize_cold population
+// (bench/optimize.go: populationSeed 1, ten queries each at n = 6, 8, …).
+func rand14dot2() *query.Query {
+	rng := rand.New(rand.NewSource(1))
+	var q *query.Query
+	for i := 0; i <= 42; i++ {
+		q = randquery.Generate(rng, randquery.Params{Relations: 6 + 2*(i/10)})
+	}
+	return q
 }
 
 // TestEAPruneAllocBudget is the deterministic stand-in for a timing gate
@@ -41,15 +53,10 @@ func TestEAPruneAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation does not repeat under the race detector")
 	}
-	rng := rand.New(rand.NewSource(1))
-	var rand14 *query.Query
-	for i := 0; i <= 42; i++ { // rand14.2 of the optimize_cold population
-		rand14 = randquery.Generate(rng, randquery.Params{Relations: 6 + 2*(i/10)})
-	}
 	for _, c := range []struct {
 		name string
 		q    *query.Query
-	}{{"rand14.2", rand14}, {"star12", randquery.Star(12)}} {
+	}{{"rand14.2", rand14dot2()}, {"star12", randquery.Star(12)}} {
 		bytes, _, stats := dpAllocs(t, c.q, AlgEAPrune)
 		per := float64(bytes) / float64(stats.PlansBuilt)
 		t.Logf("%s/EA-Prune: %d B for %d plans built (%d retained): %.0f B per plan built", c.name, bytes, stats.PlansBuilt, stats.TablePlans, per)
@@ -68,5 +75,29 @@ func TestEAPruneAllocBudget(t *testing.T) {
 	t.Logf("chain12/H1: %d objects for %d retained plans over %d levels", objects, stats.TablePlans, len(stats.Levels))
 	if objects > budget {
 		t.Errorf("chain12/H1 allocates %d objects, over one per retained plan (%d) + 4 per level (%d)", objects, stats.TablePlans, len(stats.Levels))
+	}
+
+	// chain64/H1 is the bitset.Wide path, measured over the whole of
+	// Optimize — the pair enumeration is half of what it allocates. It took
+	// 88.7 MB and 28 objects per csg-cmp-pair while the enumeration kept a
+	// de-duplication map and a second, sorted copy of its 128-byte pairs,
+	// and every pair walked the edge list and rebuilt attribute sets.
+	chain64 := randquery.Chain(64)
+	var bytes, pairs uint64
+	objects = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Optimize(chain64, Options{Algorithm: AlgH1, Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes, pairs = after.TotalAlloc-before.TotalAlloc, uint64(res.Stats.CsgCmpPairs)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("chain64/H1: %.1f MB and %d objects for %d pairs: %.1f objects per pair", float64(bytes)/1e6, objects, pairs, float64(objects)/float64(pairs))
+	if bytes > 45e6 || objects > 8*pairs {
+		t.Errorf("chain64/H1 allocates %.1f MB and %.1f objects per pair, over 45 MB or 8 per pair", float64(bytes)/1e6, float64(objects)/float64(pairs))
 	}
 }

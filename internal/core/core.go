@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -254,6 +255,12 @@ type generator[S bitset.RelSet[S]] struct {
 	// driver runs everything on it, the parallel driver the levels under
 	// parallelCutoff (and its share of the others).
 	w0 *worker
+	// opened collects the entries runLevelInline created for the level it
+	// is running, to seal them at its end.
+	opened []*entry
+	// examined, when set (tests only), receives per EA-Prune candidate the
+	// number of retained plans the frontier's two scans examined.
+	examined func(plans int)
 	// parallelCutoff is the level work (see levelWork) below which the
 	// parallel driver runs a level inline; dpParallelCutoff outside tests,
 	// which leave it 0 to force every level through the pool.
@@ -264,14 +271,18 @@ type generator[S bitset.RelSet[S]] struct {
 	aggSrc []bitset.VSet
 	aggOK  []bool
 
-	// predAttrs[i] caches op i's predicate attribute set and predRels[i]
-	// the relations those attributes come from — constant per query, on
-	// the per-pair hot path (gPlus). finalKeyAttrs is the query-level FD
-	// closure of the grouping attributes, which every complete tree's
-	// final-grouping elimination tests its keys against.
-	predAttrs     []bitset.VSet
-	predRels      []bitset.VSet
-	finalKeyAttrs bitset.VSet
+	// predAttrs[i] caches op i's predicate attribute set, predL/predR[i]
+	// its two sides and predRels[i] the relations those attributes come
+	// from — constant per query, read per pair (joinPreds) and per table
+	// entry (gPlus). finalKeyAttrs is the query-level FD closure of the
+	// grouping attributes, which every complete tree's final-grouping
+	// elimination tests its keys against.
+	predAttrs, predL, predR []bitset.VSet
+	predRels                []bitset.VSet
+	finalKeyAttrs           bitset.VSet
+	// pushes reports whether the run considers pushed groupings at all
+	// (an eager generator on a query with a grouping).
+	pushes bool
 
 	// gjRight is the union of all groupjoin right-subtree relations;
 	// groupings are never pushed there because they would aggregate away
@@ -297,9 +308,11 @@ func (g *generator[S]) prepare() {
 		// test).
 		g.finalKeyAttrs = g.est.FDClosure(g.q.GroupBy)
 	}
+	g.pushes = g.opts.Algorithm != AlgDPhyp && g.q.HasGrouping
 	for _, op := range g.det.Ops {
 		pa := op.Node.Pred.Attrs()
 		g.predAttrs = append(g.predAttrs, pa)
+		g.predL, g.predR = append(g.predL, op.Node.Pred.LeftAttrs()), append(g.predR, op.Node.Pred.RightAttrs())
 		g.predRels = append(g.predRels, g.q.RelsOf(pa))
 		if op.Node.Kind == query.KindGroupJoin {
 			g.gjRight = g.gjRight.Union(op.RightRels.ToV())
@@ -329,10 +342,46 @@ func (g *generator[S]) scans() {
 		if g.physOn() {
 			g.est.PhysifyScan(p) // contractual scan order, zero overhead
 		}
-		e := g.w0.newEntry()
+		s := bitset.SingleIn[S](r)
+		e := g.open(g.w0, s)
 		g.insert(g.w0, e, p)
-		g.table[bitset.SingleIn[S](r)] = e
+		e.seal()
+		g.table[s] = e
 	}
+}
+
+// open returns a new table entry for the relation set s, carrying what
+// every csg-cmp-pair with s on a side reads of it: its touch set — the
+// edges with a relation of s in their TES, so a pair finds its connecting
+// edges among touch(S1) ∩ touch(S2) instead of in the whole edge list — and,
+// where groupings can be pushed, its G⁺.
+func (g *generator[S]) open(w *worker, s S) *entry {
+	e := w.newEntry()
+	w.touch = g.det.Graph.Touch(w.touch[:0], s)
+	e.touch = take(&w.words, w.touch, 512)
+	if g.pushes {
+		e.gp = g.gPlus(s.ToV(), e.touch)
+	}
+	return e
+}
+
+// gPlus computes G⁺ for a relation set S: the grouping attributes plus
+// every join attribute of predicates not yet applied inside S, restricted
+// to S's attributes (Sec. 3.1: G⁺ᵢ = Gᵢ ∪ Jᵢ, generalized to all
+// predicates that still connect S to the rest of the query). Only a
+// predicate in S's touch set has attributes in S at all.
+func (g *generator[S]) gPlus(s bitset.VSet, touch []uint64) bitset.VSet {
+	var buf [8]uint64
+	ws := g.q.GroupBy.OrInto(buf[:1])
+	for k, word := range touch {
+		for t := word; t != 0; t &= t - 1 {
+			i := g.det.Graph.Edges[k*64+bits.TrailingZeros64(t)].Payload
+			if !g.predRels[i].SubsetOf(s) {
+				ws = g.predAttrs[i].OrInto(ws)
+			}
+		}
+	}
+	return bitset.FromWords(ws).Intersect(g.q.AttrsOf(s))
 }
 
 func (g *generator[S]) run() (*Result, error) {
@@ -346,12 +395,12 @@ func (g *generator[S]) run() (*Result, error) {
 
 	// Component 2: enumerate csg-cmp-pairs (Fig. 5, line 3). They come
 	// back ordered by |S1 ∪ S2|, so the DP levels are contiguous runs.
-	pairs, complete := g.det.Graph.CsgCmpPairsBudget(g.pairBudget())
-	g.stats.CsgCmpPairs = len(pairs)
+	pairs, emitted, complete := g.det.Graph.CsgCmpPairsBudget(g.pairBudget())
+	g.stats.CsgCmpPairs = emitted
 
 	if !complete {
-		// The enumeration was cut off: the partial pair list is useless
-		// for DP (sub-pairs may be missing), so discard it and build the
+		// The enumeration was cut off: a partial pair list is useless for
+		// DP (sub-pairs may be missing), so none comes back; build the
 		// plan with the deterministic greedy fallback. It is sequential
 		// regardless of Workers, so the workers-invariance contract holds
 		// trivially.
@@ -416,37 +465,55 @@ func (g *generator[S]) runLevelsSequential(pairs []hypergraph.CsgCmpPair[S]) {
 // runLevelInline processes one level's pairs in enumeration order on the
 // driver's own worker and returns the number of distinct result sets. An
 // entry is created at a result set's first pair (that is what counts the
-// sets), so a set no operator applies to keeps an empty one.
+// sets), so a set no operator applies to keeps an empty one; the level's
+// entries are sealed once its last pair is through.
 func (g *generator[S]) runLevelInline(chunk []hypergraph.CsgCmpPair[S]) (subsets int) {
+	g.opened = g.opened[:0]
 	for _, pr := range chunk {
 		s := pr.S1.Union(pr.S2)
 		e := g.table[s]
 		if e == nil {
-			e = g.w0.newEntry()
+			e = g.open(g.w0, s)
 			g.table[s] = e
-			subsets++
+			g.opened = append(g.opened, e)
 		}
 		g.stats.PlansBuilt += g.processPair(g.w0, e, pr, s == g.all)
 	}
-	return subsets
+	for _, e := range g.opened {
+		e.seal()
+	}
+	return len(g.opened)
 }
 
-// forEachApplicable runs component 3 for one pair: the applicability test
-// per operator whose edge connects it (Fig. 5, lines 4-5), invoking apply
-// for every admissible orientation. Shared by the exact drivers and the
-// greedy fallback so the commutativity guard cannot diverge between them.
-func (g *generator[S]) forEachApplicable(pr hypergraph.CsgCmpPair[S], apply func(s1, s2 S, op *conflict.Op[S])) {
-	// Edge scan inlined from ConnectingEdges: this runs once per
-	// csg-cmp-pair and must not allocate an index slice every time.
-	for i := range g.det.Graph.Edges {
-		e := &g.det.Graph.Edges[i]
-		if !((e.Left.SubsetOf(pr.S1) && e.Right.SubsetOf(pr.S2)) ||
-			(e.Left.SubsetOf(pr.S2) && e.Right.SubsetOf(pr.S1))) {
-			continue
-		}
-		op := g.det.OpForEdge(e.Payload)
+// processPair is the per-pair step of every exact driver and of the greedy
+// fallback (one copy, so the commutativity guard cannot diverge between
+// them): component 3 of Fig. 5 over one pair — the applicability test per
+// operator whose edge connects it (lines 4-5) — with every applicable
+// orientation's trees folded through the retention policy into e, the
+// entry of the pair's result set. It returns the number of trees built.
+func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair[S], topLevel bool) int {
+	e1, e2 := g.table[pr.S1], g.table[pr.S2]
+	if e1 == nil || e2 == nil || len(e1.plans) == 0 || len(e2.plans) == 0 {
+		// The enumeration may emit pairs whose components are not
+		// buildable (or were blocked by applicability); skip them.
+		return 0
+	}
+	// The connecting edges, ascending, found once per pair: they select
+	// the operators below and carry the predicates of every tree built —
+	// all of them at once, so cyclic query graphs apply every cross
+	// predicate.
+	w.edges = g.det.Graph.Connecting(w.edges[:0], e1.touch, e2.touch, pr.S1, pr.S2)
+	w.jp.Reset()
+	w.preds = nil
+	for _, i := range w.edges {
+		op := g.det.Graph.Edges[i].Payload
+		w.jp.Add(g.det.Ops[op].Node.Pred, g.predL[op], g.predR[op])
+	}
+	built := 0
+	for _, i := range w.edges {
+		op := g.det.OpForEdge(g.det.Graph.Edges[i].Payload)
 		if op.Applicable(pr.S1, pr.S2) {
-			apply(pr.S1, pr.S2, op)
+			built += g.buildInto(w, e, e1, e2, op, topLevel)
 		}
 		// Commutative operators (B, K) could also be applied with
 		// swapped arguments (Fig. 5, lines 7-8). Under the symmetric
@@ -460,36 +527,10 @@ func (g *generator[S]) forEachApplicable(pr hypergraph.CsgCmpPair[S], apply func
 		if op.Node.Kind.Commutative() && op.Applicable(pr.S2, pr.S1) &&
 			(!op.Applicable(pr.S1, pr.S2) ||
 				(g.physOn() && op.Node.Kind == query.KindJoin)) {
-			apply(pr.S2, pr.S1, op)
+			built += g.buildInto(w, e, e2, e1, op, topLevel)
 		}
 	}
-}
-
-// processPair is the per-pair step of every exact driver: the edge loop of
-// Fig. 5 over one pair, every applicable operator's trees folded through
-// the retention policy into e, the entry of the pair's result set. It
-// returns the number of trees built.
-func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair[S], topLevel bool) int {
-	built := 0
-	g.forEachApplicable(pr, func(s1, s2 S, op *conflict.Op[S]) {
-		built += g.buildInto(w, e, s1, s2, op, topLevel)
-	})
 	return built
-}
-
-// joinPreds collects the predicates of every edge connecting S1 and S2
-// into the worker's scratch, so cyclic query graphs apply all cross
-// predicates at once.
-func (g *generator[S]) joinPreds(w *worker, s1, s2 S) {
-	w.jp.Reset()
-	w.preds = nil
-	for i := range g.det.Graph.Edges {
-		e := &g.det.Graph.Edges[i]
-		if (e.Left.SubsetOf(s1) && e.Right.SubsetOf(s2)) ||
-			(e.Left.SubsetOf(s2) && e.Right.SubsetOf(s1)) {
-			w.jp.Add(g.det.OpForEdge(e.Payload).Node.Pred)
-		}
-	}
 }
 
 // insert applies the algorithm's retention policy for non-top entries. The

@@ -85,7 +85,7 @@ type crossoverLevel struct {
 func crossoverLevels(q *query.Query, alg Algorithm) []crossoverLevel {
 	g := newGenerator(q, Options{Algorithm: alg})
 	g.scans()
-	pairs, _ := g.det.Graph.CsgCmpPairsBudget(0)
+	pairs := g.det.Graph.CsgCmpPairs()
 	var out []crossoverLevel
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[bitset.Set64]) {
 		if work := g.levelWork(chunk, math.MaxInt); level < len(q.Relations) {
@@ -99,7 +99,7 @@ func crossoverLevels(q *query.Query, alg Algorithm) []crossoverLevel {
 func (l *crossoverLevel) run(b *testing.B, workers int) {
 	g := newGenerator(l.q, Options{Algorithm: l.alg})
 	g.scans()
-	pairs, _ := g.det.Graph.CsgCmpPairsBudget(0)
+	pairs := g.det.Graph.CsgCmpPairs()
 	var measured []hypergraph.CsgCmpPair[bitset.Set64]
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[bitset.Set64]) {
 		if level < l.level {

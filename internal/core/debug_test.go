@@ -31,7 +31,11 @@ func TestPruneCoverageInvariant(t *testing.T) {
 					continue
 				}
 				for _, p := range e.plans {
-					if !pruned[s].dominated(p, false) {
+					covered := false
+					for _, kept := range pruned[s].plans {
+						covered = covered || frontierDominates(kept, p, false)
+					}
+					if !covered {
 						t.Fatalf("n=%d trial=%d set %v: plan not covered by EA-Prune retentions\ncost=%.6g card=%.6g keys=%v\n%v",
 							n, trial, s, p.Cost, p.Card, p.Keys, p.String())
 					}

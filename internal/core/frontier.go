@@ -1,32 +1,72 @@
 package core
 
 import (
+	"math"
+	"sort"
+
+	"eagg/internal/bitset"
 	"eagg/internal/ordering"
 	"eagg/internal/plan"
 )
 
 // entry is one DP-table cell: the plans retained for a relation set, in
-// insertion order. Under EA-Prune it also carries the dominance frontier:
-// the numeric half of every retained plan's dominance dimensions — C_out,
-// cardinality and the path-cardinality vector (row-major, one row of
-// |S| entries per plan) — in flat arrays parallel to plans, so the two
-// scans of Fig. 13 run over contiguous floats and touch a plan node only
-// for the key test of a pair that already passed the numeric one.
+// insertion order, with the set's touch set and G⁺ (see open).
+//
+// While EA-Prune builds the entry it also carries the dominance frontier:
+// one row of floats per retained plan, ordered by C_out (ties by
+// insertion), holding the plan's index in plans and the numeric dimensions
+// of dominance — C_out, cardinality, two numbers that bound the key test
+// from below, and the path-cardinality vector. A plan can only be
+// dominated by plans costing no more and can only dominate plans costing
+// no less, so either scan of Fig. 13 covers one side of a binary-searched
+// bound, over contiguous floats, and touches a plan node only for the key
+// test of a pair that already passed the numeric one. plans itself is
+// append-only until then: a dropped plan leaves a nil behind, and seal, at
+// the entry's level barrier, closes the gaps and releases the rows — which
+// is the only state any reader sees.
 type entry struct {
-	plans    []*plan.Plan
-	cost     []float64
-	card     []float64
-	pathCard []float64
-	// last is the index of the plan that most recently dominated a
+	plans  []*plan.Plan
+	rows   []float64 // retained plans × stride; nil outside EA-Prune and once sealed
+	stride int       // rowVec + |S|
+	// last is the row of the plan that most recently dominated a
 	// candidate. Any dominator rejects, so trying it first changes no
 	// outcome; consecutive candidates tend to fall to the same one.
-	last int
+	last  int
+	touch []uint64
+	gp    bitset.VSet
 }
 
-// pruneDominatedPlans implements Fig. 13 on the flat frontier: t is dropped
-// if a retained plan dominates it; otherwise the retained plans t
-// dominates are dropped (stably, in place — insertion order is what breaks
-// ties downstream) and t is built and appended.
+// Offsets within a frontier row. Everything from rowCard on is compared
+// pointwise: a dominates b only if a's row is ≤ b's there.
+const (
+	rowPlan = iota // index in entry.plans
+	rowCost
+	rowCard
+	rowWeak   // 0 if duplicate-free, else 1: a duplicate-free plan is dominated only by another
+	rowMinKey // size of the smallest key, +Inf without one: a key implying one of b's is no larger than it
+	rowVec    // the path-cardinality vector, |S| entries
+)
+
+// frontierRow writes t's row (all but rowPlan) into the worker's scratch.
+func (w *worker) frontierRow(t *plan.Plan) []float64 {
+	w.row = append(w.row[:0], 0, t.Cost, t.Card, 1, math.Inf(1))
+	if t.DupFree {
+		w.row[rowWeak] = 0
+	}
+	for _, k := range t.Keys {
+		w.row[rowMinKey] = min(w.row[rowMinKey], float64(k.Len()))
+	}
+	w.row = append(w.row, t.Profile...)
+	return w.row
+}
+
+// pruneDominatedPlans implements Fig. 13 on the cost-ordered frontier: t is
+// dropped if a retained plan dominates it; otherwise the retained plans t
+// dominates are dropped and t is built and inserted at its cost. Which plans
+// an entry retains does not depend on the order they are scanned in, and
+// plans keeps the order they were inserted in — the order that breaks ties
+// downstream — so the outcome is that of two full scans over an
+// insertion-ordered list.
 //
 // Dominance (Def. 4) weakens the FD-closure comparison to candidate-key
 // implication, as the paper suggests for implementations, and — because
@@ -37,52 +77,99 @@ type entry struct {
 // are ≤ b's and dominatesRest(a, b).
 func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 	phys := g.physOn()
-	if e.dominated(t, phys) {
+	c := w.frontierRow(t)
+	st := len(c)
+	n := len(e.rows) / st
+	e.stride = st
+	// [0, ub) cost no more than t, [lb, n) no less; they overlap in the
+	// plans of t's own cost.
+	ub := sort.Search(n, func(i int) bool { return e.rows[i*st+rowCost] > t.Cost })
+	examined, dominated := e.dominated(c, t, ub, phys)
+	lb := ub
+	for lb > 0 && e.rows[(lb-1)*st+rowCost] == t.Cost {
+		lb--
+	}
+	if g.examined != nil {
+		if !dominated {
+			examined += n - lb
+		}
+		g.examined(examined)
+	}
+	if dominated {
 		return
 	}
-	n := len(t.Profile)
-	kept := 0
-	for i, old := range e.plans {
-		if !(t.Cost > e.cost[i] || t.Card > e.card[i]) &&
-			pointwiseLE(t.Profile, e.pathCard[i*n:i*n+n]) && dominatesRest(t, old, phys) {
+	kept, at := lb, ub // at: where t goes, behind the survivors of its own cost
+	for i := lb; i < n; i++ {
+		r := e.rows[i*st : i*st+st]
+		if p := int(r[rowPlan]); !(c[rowCard] > r[rowCard]) && pointwiseLE(c[rowCard+1:], r[rowCard+1:]) && dominatesRest(t, e.plans[p], phys) {
+			e.plans[p] = nil
+			if i < ub {
+				at--
+			}
 			continue
 		}
 		if kept != i {
 			if i == e.last {
 				e.last = kept
 			}
-			e.plans[kept], e.cost[kept], e.card[kept] = old, e.cost[i], e.card[i]
-			copy(e.pathCard[kept*n:kept*n+n], e.pathCard[i*n:i*n+n])
+			copy(e.rows[kept*st:], r)
 		}
 		kept++
 	}
-	e.plans = append(e.plans[:kept], w.keep(t))
-	e.cost = append(e.cost[:kept], t.Cost)
-	e.card = append(e.card[:kept], t.Card)
-	e.pathCard = append(e.pathCard[:kept*n], t.Profile...)
+	if e.last >= at && e.last < kept {
+		e.last++
+	}
+	c[rowPlan] = float64(len(e.plans))
+	e.plans = append(e.plans, w.keep(t))
+	e.rows = append(e.rows[:kept*st], c...)
+	copy(e.rows[(at+1)*st:], e.rows[at*st:kept*st])
+	copy(e.rows[at*st:], c)
 }
 
-// dominated reports whether some retained plan dominates t.
-func (e *entry) dominated(t *plan.Plan, phys bool) bool {
-	n := len(t.Profile)
+// dominated reports whether one of the first ub plans — the ones costing no
+// more than t, whose row is c — dominates t, and how many of them it
+// examined: the last dominator first, then the nearest cheaper plan first,
+// which is where a candidate's dominator most often sits.
+func (e *entry) dominated(c []float64, t *plan.Plan, ub int, phys bool) (examined int, ok bool) {
+	st, dims := e.stride, c[rowCard:]
 	by := func(i int) bool {
-		return !(e.cost[i] > t.Cost || e.card[i] > t.Card) &&
-			pointwiseLE(e.pathCard[i*n:i*n+n], t.Profile) && dominatesRest(e.plans[i], t, phys)
+		r := e.rows[i*st : i*st+st]
+		return !(r[rowCard] > dims[0]) && pointwiseLE(r[rowCard+1:], dims[1:]) && dominatesRest(e.plans[int(r[rowPlan])], t, phys)
 	}
-	if e.last < len(e.plans) && by(e.last) {
-		return true
+	if e.last < ub {
+		if by(e.last) {
+			return 1, true
+		}
+		examined = 1
 	}
-	for i := range e.plans {
+	for i := ub - 1; i >= 0; i-- {
 		if by(i) {
 			e.last = i
-			return true
+			return examined + ub - i, true
 		}
 	}
-	return false
+	return examined + ub, false
+}
+
+// seal ends the building of an entry at its level barrier: the gaps dropped
+// plans left in plans close, in place, and the frontier is released.
+func (e *entry) seal() {
+	if e.rows == nil {
+		return
+	}
+	kept := e.plans[:0]
+	for _, p := range e.plans {
+		if p != nil {
+			kept = append(kept, p)
+		}
+	}
+	clear(e.plans[len(kept):])
+	e.plans, e.rows = kept, nil
 }
 
 // pointwiseLE reports a[i] ≤ b[i] for every i (equal lengths).
 func pointwiseLE(a, b []float64) bool {
+	b = b[:len(a)]
 	for i, v := range a {
 		if v > b[i] {
 			return false

@@ -73,7 +73,7 @@ func (g *generator[S]) runGreedy() {
 				levelPairs++
 				e := g.table[t]
 				if e == nil {
-					e = g.w0.newEntry()
+					e = g.open(g.w0, t)
 				}
 				built := g.processPair(g.w0, e, pr, t == g.all)
 				g.stats.PlansBuilt += built
@@ -85,6 +85,9 @@ func (g *generator[S]) runGreedy() {
 					}
 				}
 			}
+		}
+		for _, s := range next {
+			g.table[s].seal()
 		}
 		// Beam: keep the cheapest greedyFrontier result sets. The stable
 		// sort preserves first-appearance order on cost ties.

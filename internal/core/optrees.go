@@ -3,7 +3,6 @@ package core
 import (
 	"eagg/internal/bitset"
 	"eagg/internal/conflict"
-	"eagg/internal/cost"
 	"eagg/internal/plan"
 	"eagg/internal/query"
 )
@@ -13,24 +12,18 @@ import (
 // eager-aggregation variants of Fig. 8 — Γ(t1) ◦ t2, t1 ◦ Γ(t2),
 // Γ(t1) ◦ Γ(t2), in that order — each estimated into the worker's scratch
 // and folded through the algorithm's retention policy into e, the
-// caller-owned entry of the result set. It returns the number of trees
-// considered. The component subplans are read from sealed table levels
-// and the table is only ever read here, which is what lets the parallel
-// driver's level workers share it lock-free.
+// caller-owned entry of the result set; e1 and e2 are the entries of the
+// operand sets and w.jp holds the pair's predicates (processPair). It
+// returns the number of trees considered. The component subplans are read
+// from sealed table levels and the table is only ever read here, which is
+// what lets the parallel driver's level workers share it lock-free.
 //
 // The pushed groupings are estimated once per t1 and once per t2 — not
 // once per (t1, t2) — and become nodes only under a tree that survives.
 // DPhyp mode and grouping-free queries consider only the base tree.
-func (g *generator[S]) buildInto(w *worker, e *entry, s1, s2 S, op *conflict.Op[S], topLevel bool) int {
-	e1, e2 := g.table[s1], g.table[s2]
-	if e1 == nil || e2 == nil || len(e1.plans) == 0 || len(e2.plans) == 0 {
-		// The enumeration may emit pairs whose components are not
-		// buildable (or were blocked by applicability); skip them.
-		return 0
-	}
+func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S], topLevel bool) int {
 	t1s, t2s := e1.plans, e2.plans
 	kind := op.Node.Kind
-	g.joinPreds(w, s1, s2)
 
 	kinds := len(g.groupPhysKinds())
 	w.gl, w.glNode = resize(w.gl, kinds), resize(w.glNode, kinds)
@@ -38,12 +31,12 @@ func (g *generator[S]) buildInto(w *worker, e *entry, s1, s2 S, op *conflict.Op[
 	clear(w.grNode)
 	var gpL, gpR bitset.VSet
 	pushL, pushR := false, false
-	if g.opts.Algorithm != AlgDPhyp && g.q.HasGrouping {
+	if g.pushes {
 		if pushL = g.validPush(t1s[0].Rels, true, kind); pushL {
-			gpL = g.gPlus(w.est, t1s[0].Rels)
+			gpL = e1.gp
 		}
 		if pushR = g.validPush(t2s[0].Rels, false, kind); pushR {
-			gpR = g.gPlus(w.est, t2s[0].Rels)
+			gpR = e2.gp
 		}
 	}
 	for j, t2 := range t2s {
@@ -236,41 +229,4 @@ func (g *generator[S]) validPush(side bitset.VSet, isLeft bool, kind query.OpKin
 		}
 	}
 	return true
-}
-
-// gPlus computes G⁺ for a relation set S: the grouping attributes plus
-// every join attribute of predicates not yet applied inside S, restricted
-// to S's attributes (Sec. 3.1: G⁺ᵢ = Gᵢ ∪ Jᵢ, generalized to all
-// predicates that still connect S to the rest of the query).
-func (g *generator[S]) gPlus(est *cost.Estimator, s bitset.VSet) bitset.VSet {
-	// Memoized per worker (the estimator is the per-worker object): the
-	// same side sets recur across every pair they participate in. Narrow
-	// sets key a uint64 map, which hashes much faster than the VSet form.
-	lo, narrow := s.Lo()
-	if narrow {
-		if gp, ok := est.GPlusLo[lo]; ok {
-			return gp
-		}
-	} else if gp, ok := est.GPlus[s]; ok {
-		return gp
-	}
-	attrs := g.q.AttrsOf(s)
-	gp := g.q.GroupBy.Intersect(attrs)
-	for i := range g.predAttrs {
-		if !g.predRels[i].SubsetOf(s) {
-			gp = gp.Union(g.predAttrs[i].Intersect(attrs))
-		}
-	}
-	if narrow {
-		if est.GPlusLo == nil {
-			est.GPlusLo = make(map[uint64]bitset.VSet)
-		}
-		est.GPlusLo[lo] = gp
-	} else {
-		if est.GPlus == nil {
-			est.GPlus = make(map[bitset.VSet]bitset.VSet)
-		}
-		est.GPlus[s] = gp
-	}
-	return gp
 }

@@ -121,13 +121,14 @@ func groupBySubset[S bitset.RelSet[S]](chunk []hypergraph.CsgCmpPair[S]) []subse
 
 // processSubset builds the complete DP-table entry for one subproblem key:
 // the per-pair step of the sequential driver over every pair of the task,
-// folded into a locally owned entry.
+// folded into a locally owned entry and sealed.
 func (g *generator[S]) processSubset(w *worker, task subsetTask[S]) (*entry, int) {
-	e := w.newEntry()
+	e := g.open(w, task.s)
 	built := 0
 	for _, pr := range task.pairs {
 		built += g.processPair(w, e, pr, task.s == g.all)
 	}
+	e.seal()
 	return e, built
 }
 

@@ -17,10 +17,15 @@ import (
 // EA-Prune run rejects are never allocated.
 type worker struct {
 	est *cost.Estimator
-	jp  cost.JoinPreds
-	// preds is the arena copy of jp.Preds that built nodes share; nil
-	// until the operator's first survivor.
+	// edges holds the current pair's connecting edges, jp their predicates;
+	// preds is the arena copy of jp.Preds that built nodes share, nil until
+	// the pair's first survivor. touch is open's scratch.
+	edges []int
+	jp    cost.JoinPreds
 	preds []*query.Predicate
+	touch []uint64
+	// row is the frontier row of the candidate EA-Prune is testing.
+	row []float64
 
 	cand, fin plan.Plan
 	// gl holds the estimates of Γ(t1) for the current t1, one per
@@ -42,6 +47,7 @@ type worker struct {
 	vectors []float64
 	predPtr []*query.Predicate
 	entries []entry
+	words   []uint64
 }
 
 // take copies src to the end of the chunk *slab, starting a new chunk when

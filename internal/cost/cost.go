@@ -60,15 +60,6 @@ type Estimator struct {
 	// physical layer (see phys.go); nil until the first Physify call,
 	// so the default hash mode never builds it.
 	ord *ordering.Info
-
-	// GPlusLo/GPlus are scratch owned by the optimizer core: they memoize
-	// the G⁺ computation per relation set, split by key width like the
-	// canon cache. They ride on the estimator because estimators are
-	// cloned per worker in the parallel driver, so each worker gets a
-	// lock-free cache that persists across DP levels. Lazily initialized
-	// by the core; Clone starts clones empty.
-	GPlusLo map[uint64]bitset.VSet
-	GPlus   map[bitset.VSet]bitset.VSet
 }
 
 type predInfo struct {
@@ -224,12 +215,14 @@ type JoinPreds struct {
 // Reset empties jp for the next operator, keeping its buffer.
 func (jp *JoinPreds) Reset() { *jp = JoinPreds{Preds: jp.Preds[:0], sel: 1} }
 
-// Add appends one predicate.
-func (jp *JoinPreds) Add(p *query.Predicate) {
+// Add appends one predicate; left and right are p.LeftAttrs() and
+// p.RightAttrs(), which a caller adding the same predicate for every pair
+// it connects computes once.
+func (jp *JoinPreds) Add(p *query.Predicate, left, right bitset.VSet) {
 	jp.Preds = append(jp.Preds, p)
 	jp.sel *= p.Selectivity
-	jp.a1 = jp.a1.Union(p.LeftAttrs())
-	jp.a2 = jp.a2.Union(p.RightAttrs())
+	jp.a1 = jp.a1.Union(left)
+	jp.a2 = jp.a2.Union(right)
 }
 
 // Op builds a binary operator node: EstimateOp into a fresh allocation.
@@ -237,7 +230,7 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 	var jp JoinPreds
 	jp.Reset()
 	for _, p := range preds {
-		jp.Add(p)
+		jp.Add(p, p.LeftAttrs(), p.RightAttrs())
 	}
 	p := new(plan.Plan)
 	e.EstimateOp(p, kind, &jp, left, right)

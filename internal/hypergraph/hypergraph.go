@@ -18,6 +18,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"math/bits"
 
 	"eagg/internal/bitset"
 )
@@ -41,6 +42,11 @@ type Graph[S bitset.RelSet[S]] struct {
 	// set operations per node. Built single-threaded at the start of
 	// the DPhyp enumeration, invalidated by AddEdge.
 	adj []S
+
+	// inc is the incident-edge index behind Touch: row i (TouchWords words,
+	// bit k = edge k) holds the edges with node i in an endpoint. Built
+	// single-threaded by the first Touch, invalidated by AddEdge.
+	inc []uint64
 }
 
 // ensureAdj builds the simple-graph adjacency masks. Callers guarantee
@@ -74,7 +80,7 @@ func (g *Graph[S]) AddEdge(left, right S, payload int) {
 		panic("hypergraph: invalid hyperedge endpoints")
 	}
 	g.Edges = append(g.Edges, Edge[S]{Left: left, Right: right, Payload: payload})
-	g.adj = nil
+	g.adj, g.inc = nil, nil
 }
 
 // AddSimpleEdge adds the edge ({u},{v}).
@@ -100,16 +106,58 @@ func (g *Graph[S]) ConnectsSets(s1, s2 S) int {
 	return -1
 }
 
-// ConnectingEdges returns the indices of all edges connecting S1 and S2.
-func (g *Graph[S]) ConnectingEdges(s1, s2 S) []int {
-	var out []int
-	for i, e := range g.Edges {
-		if (e.Left.SubsetOf(s1) && e.Right.SubsetOf(s2)) ||
-			(e.Left.SubsetOf(s2) && e.Right.SubsetOf(s1)) {
-			out = append(out, i)
+// TouchWords is the length of a touch set: one bit per edge.
+func (g *Graph[S]) TouchWords() int { return (len(g.Edges) + 63) / 64 }
+
+// Touch appends to dst the touch set of s — the edges with a node of s in
+// an endpoint, bit k of the set standing for edge k — and returns the
+// extended slice. Touch sets are unions over the nodes, so touch(S1 ∪ S2) =
+// touch(S1) | touch(S2); a DP driver computes one per table entry. The
+// first call builds the index and must not race with another.
+func (g *Graph[S]) Touch(dst []uint64, s S) []uint64 {
+	w := g.TouchWords()
+	if g.inc == nil {
+		g.inc = make([]uint64, g.N*w)
+		for k := range g.Edges {
+			for rem := g.Edges[k].Left.Union(g.Edges[k].Right); !rem.IsEmpty(); {
+				i := rem.Min()
+				rem = rem.Remove(i)
+				g.inc[i*w+k/64] |= 1 << uint(k%64)
+			}
 		}
 	}
-	return out
+	n := len(dst)
+	dst = append(dst, make([]uint64, w)...)
+	for rem := s; !rem.IsEmpty(); {
+		i := rem.Min()
+		rem = rem.Remove(i)
+		for k, bitsOf := range g.inc[i*w : i*w+w] {
+			dst[n+k] |= bitsOf
+		}
+	}
+	return dst
+}
+
+// Connecting appends to dst the indices of all edges connecting S1 and S2,
+// ascending, given the two sets' touch sets: an edge connecting them has an
+// endpoint inside each, so only the edges in both touch sets take the
+// endpoint test — one edge on a chain, whatever its length.
+func (g *Graph[S]) Connecting(dst []int, t1, t2 []uint64, s1, s2 S) []int {
+	for k, w1 := range t1 {
+		for t := w1 & t2[k]; t != 0; t &= t - 1 {
+			i := k*64 + bits.TrailingZeros64(t)
+			if e := &g.Edges[i]; (e.Left.SubsetOf(s1) && e.Right.SubsetOf(s2)) ||
+				(e.Left.SubsetOf(s2) && e.Right.SubsetOf(s1)) {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
+}
+
+// ConnectingEdges returns the indices of all edges connecting S1 and S2.
+func (g *Graph[S]) ConnectingEdges(s1, s2 S) []int {
+	return g.Connecting(nil, g.Touch(nil, s1), g.Touch(nil, s2), s1, s2)
 }
 
 // IsConnected reports whether S induces a connected subgraph under the
@@ -163,19 +211,18 @@ func (g *Graph[S]) IsConnected(s S) bool {
 	return reach == s
 }
 
-// neighborMask computes 𝒩(S, X) on a simple graph (g.adj non-nil): every
-// neighbor is a single node, so the whole neighborhood is one mask union
-// over the members of S. The enumeration recursion consumes the mask
-// directly — representatives are the mask itself and growing by a subset
-// of it is a plain union.
-func (g *Graph[S]) neighborMask(s, x S) S {
+// adjOf returns the union of the neighbor masks of s's members on a simple
+// graph (g.adj non-nil): every neighbor is a single node, so 𝒩(S, X) is
+// adjOf(S) \ S \ X, and adjOf(S ∪ T) = adjOf(S) ∪ adjOf(T) lets the
+// enumeration carry it down the recursion instead of recomputing it.
+func (g *Graph[S]) adjOf(s S) S {
 	var nb S
 	for rem := s; !rem.IsEmpty(); {
 		i := rem.Min()
 		rem = rem.Remove(i)
 		nb = nb.Union(g.adj[i])
 	}
-	return nb.Diff(s).Diff(x)
+	return nb
 }
 
 // CsgCmpPair is one enumerated pair per Def. 3.
@@ -209,94 +256,109 @@ func (g *Graph[S]) HasHyperedges() bool {
 // of an edge endpoint whose other endpoint is contained", and complements
 // are enumerated the same way within the exterior of each S1.
 func (g *Graph[S]) CsgCmpPairs() []CsgCmpPair[S] {
-	pairs, _ := g.CsgCmpPairsBudget(0)
+	pairs, _, _ := g.CsgCmpPairsBudget(0)
 	return pairs
 }
 
 // CsgCmpPairsBudget is CsgCmpPairs with an emission budget: once budget
 // pairs have been emitted (budget 0 = unlimited) the enumeration aborts
-// deterministically and returns complete=false. The partial pair list is
-// returned unsorted — a DP driver cannot use it (sub-pairs may be
+// deterministically and returns complete=false with the number emitted and
+// no list — a DP driver cannot use a partial one (sub-pairs may be
 // missing), so callers fall back to a heuristic; the budget exists to
 // bound enumeration time on graphs whose connected-subgraph count is
 // exponential (e.g. large stars and cliques).
-func (g *Graph[S]) CsgCmpPairsBudget(budget int) ([]CsgCmpPair[S], bool) {
-	var pairs []CsgCmpPair[S]
-	complete := true
-	if g.HasHyperedges() {
-		_, pairs, complete = g.buildableSets(budget)
-	} else {
-		pairs, complete = g.dphypPairs(budget)
+func (g *Graph[S]) CsgCmpPairsBudget(budget int) (pairs []CsgCmpPair[S], emitted int, complete bool) {
+	if !g.HasHyperedges() {
+		return g.dphypPairs(budget)
 	}
+	_, pairs, complete = g.buildableSets(budget)
 	if !complete {
-		return pairs, false
+		return nil, len(pairs), false
 	}
-	// Stable counting sort by |S1 ∪ S2|: the key range is just [2, N], and
-	// on large graphs the pair list dominates the optimizer's footprint —
-	// O(n) with one Union per pair beats sort.SliceStable's reflection-
-	// driven swapping (which showed up as a top-ten profile entry).
-	lens := make([]int, len(pairs))
+	// Stable counting sort by |S1 ∪ S2|: the key range is just [2, N].
 	pos := make([]int, g.N+2)
-	for i, p := range pairs {
-		l := p.S1.Union(p.S2).Len()
-		lens[i] = l
-		pos[l+1]++
+	for _, p := range pairs {
+		pos[p.S1.Len()+p.S2.Len()+1]++
 	}
 	for l := 1; l < len(pos); l++ {
 		pos[l] += pos[l-1]
 	}
 	sorted := make([]CsgCmpPair[S], len(pairs))
-	for i, p := range pairs {
-		sorted[pos[lens[i]]] = p
-		pos[lens[i]]++
+	for _, p := range pairs {
+		l := p.S1.Len() + p.S2.Len()
+		sorted[pos[l]] = p
+		pos[l]++
 	}
-	return sorted, true
+	return sorted, len(sorted), true
 }
 
-// seenHits counts the pairs dphypPairs' seen map suppressed.
-var seenHits int
+// dphypPairs runs the DPhyp enumeration on a simple graph (on hypergraphs
+// the representative/exclusion-set mechanism can both miss pairs and emit
+// pairs with non-buildable components, so CsgCmpPairsBudget never comes
+// here with one). DPhyp emits every csg-cmp-pair exactly once
+// (TestDPhypEmitsEachPairOnce), so nothing is de-duplicated; and it emits
+// them in an order of its own, not by level, so it runs twice: a counting
+// pass sizes each level |S1 ∪ S2| — and is all that runs when the budget
+// cuts the enumeration off — then a placing pass writes every pair
+// straight into its level's run of one exact-size slice, in emission order
+// within the level.
+func (g *Graph[S]) dphypPairs(budget int) ([]CsgCmpPair[S], int, bool) {
+	g.ensureAdj() // no hyperedges on this path
+	en := pairEnum[S]{g: g, budget: budget, slot: make([]int, g.N+1)}
+	en.run()
+	if en.stop {
+		return nil, en.n, false
+	}
+	total := 0
+	for l, c := range en.slot {
+		en.slot[l], total = total, total+c
+	}
+	en.out, en.n, en.steps = make([]CsgCmpPair[S], total), 0, 0
+	en.run()
+	return en.out, total, true
+}
 
-// dphypPairs runs the DPhyp enumeration on a simple graph. (On
-// hypergraphs the representative/exclusion-set mechanism can both miss
-// pairs and emit pairs with non-buildable components, so CsgCmpPairs
-// never comes here with one.) A positive budget aborts (complete=false) once that many
-// pairs were emitted, with a step cap guarding stretches of the subset
-// enumeration that emit nothing.
-func (g *Graph[S]) dphypPairs(budget int) ([]CsgCmpPair[S], bool) {
-	g.ensureAdj() // no hyperedges on this path; see CsgCmpPairsBudget
-	var pairs []CsgCmpPair[S]
-	seen := map[[2]S]bool{}
-	stop := false
-	steps := 0
-	emit := func(s1, s2 S) {
-		key := [2]S{s1, s2}
-		if seen[key] {
-			seenHits++ // TestDPhypEmitsEachPairOnce: never, so seen can go
-			return
-		}
-		seen[key] = true
-		pairs = append(pairs, CsgCmpPair[S]{S1: s1, S2: s2})
-		if budget > 0 && len(pairs) >= budget {
-			stop = true
+// pairEnum is one pass of the simple-graph DPhyp enumeration
+// (EnumerateCsg/EmitCsg/EnumerateCsgRec/EnumerateCmpRec). A positive budget
+// stops it once that many pairs were emitted, with a step cap guarding
+// stretches of the subset enumeration that emit nothing.
+type pairEnum[S bitset.RelSet[S]] struct {
+	g                *Graph[S]
+	budget, n, steps int
+	stop             bool
+	// slot[l] counts the pairs of level l while out is nil, and is the next
+	// free index of level l's run in out afterwards.
+	slot []int
+	out  []CsgCmpPair[S]
+}
+
+func (en *pairEnum[S]) emit(s1, s2 S) {
+	l := s1.Len() + s2.Len()
+	if en.out != nil {
+		en.out[en.slot[l]] = CsgCmpPair[S]{S1: s1, S2: s2}
+	}
+	en.slot[l]++
+	if en.n++; en.budget > 0 && en.n >= en.budget {
+		en.stop = true
+	}
+}
+
+func (en *pairEnum[S]) step() bool {
+	if en.budget > 0 {
+		if en.steps++; en.steps >= en.budget*8 {
+			en.stop = true
 		}
 	}
-	step := func() bool {
-		if budget > 0 {
-			steps++
-			if steps >= budget*8 {
-				stop = true
-			}
-		}
-		return !stop
-	}
-	// EnumerateCsg: seed with every node, descending, then grow.
-	for i := g.N - 1; i >= 0 && !stop; i-- {
+	return !en.stop
+}
+
+// run is EnumerateCsg: seed with every node, descending, then grow.
+func (en *pairEnum[S]) run() {
+	for i := en.g.N - 1; i >= 0 && !en.stop; i-- {
 		s1 := bitset.SingleIn[S](i)
-		below := bitset.RangeIn[S](0, i+1)
-		g.emitCsg(s1, emit, &stop, step)
-		g.enumerateCsgRec(s1, below, emit, &stop, step)
+		en.emitCsg(s1, en.g.adj[i])
+		en.csgRec(s1, en.g.adj[i], bitset.RangeIn[S](0, i+1))
 	}
-	return pairs, !stop
 }
 
 // BuildableSets computes the family of connected sets under the recursive
@@ -359,86 +421,57 @@ func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S],
 	return family, pairs, true
 }
 
-// enumerateCsgRec grows the connected set s1 by subsets of its
-// neighborhood, emitting complements for every grown set. The DPhyp
-// recursion only ever runs on simple graphs (see CsgCmpPairsBudget), where
-// a connected set united with any subset of its neighborhood is connected
-// by construction — no grown set needs re-validating with IsConnected.
-func (g *Graph[S]) enumerateCsgRec(s1, x S, emit func(a, b S), stop *bool, step func() bool) {
-	if *stop {
+// csgRec grows the connected set s1 (a1 = adjOf(s1), x ⊇ s1 the exclusion
+// set) by subsets of its neighborhood, emitting complements for every grown
+// set. On a simple graph a connected set united with any subset of its
+// neighborhood is connected by construction — no grown set needs
+// re-validating with IsConnected.
+func (en *pairEnum[S]) csgRec(s1, a1, x S) {
+	reps := a1.Diff(x)
+	if en.stop || reps.IsEmpty() {
 		return
 	}
-	reps := g.neighborMask(s1, x)
-	if reps.IsEmpty() {
-		return
+	for sub := reps.MinSet(); !sub.IsEmpty() && en.step(); sub = reps.NextSubset(sub) {
+		en.emitCsg(s1.Union(sub), a1.Union(en.g.adjOf(sub)))
 	}
-	reps.SubsetsAsc(func(sub S) bool {
-		if !step() {
-			return false
-		}
-		g.emitCsg(s1.Union(sub), emit, stop, step)
-		return !*stop
-	})
-	newX := x.Union(reps)
-	reps.SubsetsAsc(func(sub S) bool {
-		if !step() {
-			return false
-		}
-		g.enumerateCsgRec(s1.Union(sub), newX, emit, stop, step)
-		return !*stop
-	})
+	x = x.Union(reps)
+	for sub := reps.MinSet(); !sub.IsEmpty() && en.step(); sub = reps.NextSubset(sub) {
+		en.csgRec(s1.Union(sub), a1.Union(en.g.adjOf(sub)), x)
+	}
 }
 
-// emitCsg enumerates the complements of the connected set s1: they seed
-// from single neighbors, visited in descending order, each excluding the
-// lower representatives so every complement grows from exactly one seed.
-func (g *Graph[S]) emitCsg(s1 S, emit func(a, b S), stop *bool, step func() bool) {
-	if *stop {
-		return
-	}
+// emitCsg enumerates the complements of the connected set s1 (a1 =
+// adjOf(s1)): they seed from single neighbors, visited in descending order,
+// each excluding the lower representatives so every complement grows from
+// exactly one seed. A seed is a neighbor of s1 and a complement only ever
+// grows around its seed, outside x ⊇ s1, so every (s1, complement) is
+// disjoint and connected by an edge without being tested for either.
+func (en *pairEnum[S]) emitCsg(s1, a1 S) {
 	x := s1.Union(bitset.RangeIn[S](0, s1.Min()+1))
-	nb := g.neighborMask(s1, x)
-	for rem := nb; !rem.IsEmpty() && !*stop; {
+	nb := a1.Diff(x)
+	for rem := nb; !rem.IsEmpty() && !en.stop; {
 		v := rem.Max()
 		rem = rem.Remove(v)
 		s2 := bitset.SingleIn[S](v)
-		if g.ConnectsSets(s1, s2) >= 0 {
-			emit(s1, s2)
-		}
-		lower := nb.Intersect(bitset.RangeIn[S](0, v+1))
-		g.enumerateCmpRec(s1, s2, x.Union(lower), emit, stop, step)
+		en.emit(s1, s2)
+		en.cmpRec(s1, s2, en.g.adj[v], x.Union(nb.Intersect(bitset.RangeIn[S](0, v+1))))
 	}
 }
 
-// enumerateCmpRec grows the complement s2 within the exclusion set x.
-func (g *Graph[S]) enumerateCmpRec(s1, s2, x S, emit func(a, b S), stop *bool, step func() bool) {
-	if *stop {
+// cmpRec grows the complement s2 (a2 = adjOf(s2)) outside the exclusion set
+// x ⊇ s1 ∪ s2.
+func (en *pairEnum[S]) cmpRec(s1, s2, a2, x S) {
+	reps := a2.Diff(x)
+	if en.stop || reps.IsEmpty() {
 		return
 	}
-	reps := g.neighborMask(s2, x)
-	if reps.IsEmpty() {
-		return
+	for sub := reps.MinSet(); !sub.IsEmpty() && en.step(); sub = reps.NextSubset(sub) {
+		en.emit(s1, s2.Union(sub))
 	}
-	reps.SubsetsAsc(func(sub S) bool {
-		if !step() {
-			return false
-		}
-		grown := s2.Union(sub)
-		if !grown.Intersects(s1) && g.ConnectsSets(s1, grown) >= 0 {
-			emit(s1, grown)
-		}
-		return !*stop
-	})
-	newX := x.Union(reps)
-	reps.SubsetsAsc(func(sub S) bool {
-		if !step() {
-			return false
-		}
-		if grown := s2.Union(sub); !grown.Intersects(s1) {
-			g.enumerateCmpRec(s1, grown, newX, emit, stop, step)
-		}
-		return !*stop
-	})
+	x = x.Union(reps)
+	for sub := reps.MinSet(); !sub.IsEmpty() && en.step(); sub = reps.NextSubset(sub) {
+		en.cmpRec(s1, s2.Union(sub), a2.Union(en.g.adjOf(sub)), x)
+	}
 }
 
 // Buildable reports whether S is connected under the recursive DP

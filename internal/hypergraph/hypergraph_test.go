@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"eagg/internal/bitset"
@@ -253,4 +255,100 @@ func TestConnectingEdges(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("ConnectingEdges = %v", got)
 	}
+}
+
+// scanConnecting is what the incident-edge index replaces: the indices of
+// the edges connecting S1 and S2, found by walking the whole edge list.
+func scanConnecting[S bitset.RelSet[S]](g *Graph[S], s1, s2 S) []int {
+	var out []int
+	for i, e := range g.Edges {
+		if (e.Left.SubsetOf(s1) && e.Right.SubsetOf(s2)) ||
+			(e.Left.SubsetOf(s2) && e.Right.SubsetOf(s1)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// widen rebuilds a Set64 graph on the multi-word representation, shifted up
+// by 70 nodes so that sets and — past 64 edges — touch sets span words; up
+// maps a set of the graph to its image.
+func widen(g *Graph[bitset.Set64]) (w *Graph[bitset.Wide], up func(bitset.Set64) bitset.Wide) {
+	const shift = 70
+	up = func(s bitset.Set64) bitset.Wide {
+		var w bitset.Wide
+		s.ForEach(func(e int) { w = w.Add(e + shift) })
+		return w
+	}
+	w = New[bitset.Wide](g.N + shift)
+	for i := 0; i+1 < shift; i++ {
+		w.AddSimpleEdge(i, i+1, 0) // a chain below the graph: 69 more edges
+	}
+	for _, e := range g.Edges {
+		w.AddEdge(up(e.Left), up(e.Right), e.Payload)
+	}
+	return w, up
+}
+
+// connectingMatchesScan checks Connecting over touch sets against the full
+// scan — same edges, same (ascending) order — on every csg-cmp-pair of the
+// graph and on random disjoint set pairs, most of them unconnected.
+func connectingMatchesScan[S bitset.RelSet[S]](t *testing.T, name string, g *Graph[S], rng *rand.Rand, pairs []CsgCmpPair[S]) int {
+	t.Helper()
+	for trial := 0; trial < 200; trial++ {
+		var p CsgCmpPair[S]
+		for i := 0; i < g.N; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				p.S1 = p.S1.Add(i)
+			case 1:
+				p.S2 = p.S2.Add(i)
+			}
+		}
+		pairs = append(pairs, p)
+	}
+	var buf []int
+	for _, p := range pairs {
+		want := scanConnecting(g, p.S1, p.S2)
+		buf = g.Connecting(buf[:0], g.Touch(nil, p.S1), g.Touch(nil, p.S2), p.S1, p.S2)
+		if fmt.Sprint(buf) != fmt.Sprint(want) || fmt.Sprint(g.ConnectingEdges(p.S2, p.S1)) != fmt.Sprint(want) {
+			t.Fatalf("%s (%v, %v): indexed lookup finds edges %v, the scan %v", name, p.S1, p.S2, buf, want)
+		}
+	}
+	return len(pairs)
+}
+
+// TestConnectingEdgesMatchScan: the per-pair edge lookup the DP uses —
+// touch(S1) ∩ touch(S2), then the endpoint test — returns exactly the edges
+// a walk over the whole edge list returns, in the same order, on chains,
+// stars, cliques, cycles, cyclic random graphs and TES-style hypergraphs,
+// on Set64 and on Wide.
+func TestConnectingEdgesMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	graphs := map[string]*Graph[bitset.Set64]{
+		"chain12": chain(12), "star12": star(12), "clique7": clique(7), "cycle9": cycle(9),
+	}
+	for name, g := range simpleGraphs[bitset.Set64]() {
+		if strings.HasPrefix(name, "random") {
+			graphs[name] = g
+		}
+	}
+	for i := 0; i < 20; i++ {
+		graphs[fmt.Sprintf("laminar%d", i)] = genLaminarTES(rng, 4+i%6)
+	}
+	checked := 0
+	for name, g := range graphs {
+		if g.N > 10 && strings.HasPrefix(name, "random") {
+			continue // thousands of pairs each; the smaller ones cover the shape
+		}
+		pairs := g.CsgCmpPairs()
+		checked += connectingMatchesScan(t, name, g, rng, pairs)
+		w, up := widen(g)
+		var wide []CsgCmpPair[bitset.Wide]
+		for _, p := range pairs {
+			wide = append(wide, CsgCmpPair[bitset.Wide]{S1: up(p.S1), S2: up(p.S2)})
+		}
+		checked += connectingMatchesScan(t, name+"/wide", w, rng, wide)
+	}
+	t.Logf("%d set pairs checked", checked)
 }

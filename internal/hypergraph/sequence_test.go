@@ -218,8 +218,5 @@ func TestDPhypEmitsEachPairOnce(t *testing.T) {
 	if n, want := emitsOnce(t, "chain64", chain64), 64*63*65/6; n != want {
 		t.Errorf("chain64: %d pairs, want %d", n, want)
 	}
-	if seenHits != 0 {
-		t.Errorf("the enumerator's own seen map suppressed %d pairs", seenHits)
-	}
 	t.Logf("%d pairs over the population, %d graphs checked against brute force", pairs, checked)
 }

@@ -300,13 +300,14 @@ func (q *Query) RelsOf(attrs bitset.VSet) bitset.VSet {
 
 // AttrsOf returns the union of attribute sets of the given relations.
 func (q *Query) AttrsOf(rels bitset.VSet) bitset.VSet {
-	var out bitset.VSet
+	var buf [8]uint64
+	ws := buf[:1]
 	for w, nw := 0, rels.NumWords(); w < nw; w++ {
 		for t := rels.Word(w); t != 0; t &= t - 1 {
-			out = out.Union(q.Relations[w*64+bits.TrailingZeros64(t)].Attrs)
+			ws = q.Relations[w*64+bits.TrailingZeros64(t)].Attrs.OrInto(ws)
 		}
 	}
-	return out
+	return bitset.FromWords(ws)
 }
 
 // AggSourceRels returns, per aggregate of F, the set of relations its
