@@ -506,8 +506,8 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 	w.jp.Reset()
 	w.preds = nil
 	for _, i := range w.edges {
-		op := g.det.Graph.Edges[i].Payload
-		w.jp.Add(g.det.Ops[op].Node.Pred, g.predL[op], g.predR[op])
+		p := g.det.Graph.Edges[i].Payload
+		w.jp.Add(g.det.OpForEdge(p).Node.Pred, g.predL[p], g.predR[p])
 	}
 	built := 0
 	for _, i := range w.edges {

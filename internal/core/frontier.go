@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"eagg/internal/bitset"
@@ -25,9 +26,8 @@ import (
 // the entry's level barrier, closes the gaps and releases the rows — which
 // is the only state any reader sees.
 type entry struct {
-	plans  []*plan.Plan
-	rows   []float64 // retained plans × stride; nil outside EA-Prune and once sealed
-	stride int       // rowVec + |S|
+	plans []*plan.Plan
+	rows  []float64 // retained plans × (rowVec + |S|); nil outside EA-Prune and once sealed
 	// last is the row of the plan that most recently dominated a
 	// candidate. Any dominator rejects, so trying it first changes no
 	// outcome; consecutive candidates tend to fall to the same one.
@@ -37,7 +37,7 @@ type entry struct {
 }
 
 // Offsets within a frontier row. Everything from rowCard on is compared
-// pointwise: a dominates b only if a's row is ≤ b's there.
+// pointwise (rowLE): a dominates b only if a's row is ≤ b's there.
 const (
 	rowPlan = iota // index in entry.plans
 	rowCost
@@ -80,7 +80,6 @@ func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 	c := w.frontierRow(t)
 	st := len(c)
 	n := len(e.rows) / st
-	e.stride = st
 	// [0, ub) cost no more than t, [lb, n) no less; they overlap in the
 	// plans of t's own cost.
 	ub := sort.Search(n, func(i int) bool { return e.rows[i*st+rowCost] > t.Cost })
@@ -101,7 +100,7 @@ func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 	kept, at := lb, ub // at: where t goes, behind the survivors of its own cost
 	for i := lb; i < n; i++ {
 		r := e.rows[i*st : i*st+st]
-		if p := int(r[rowPlan]); !(c[rowCard] > r[rowCard]) && pointwiseLE(c[rowCard+1:], r[rowCard+1:]) && dominatesRest(t, e.plans[p], phys) {
+		if p := int(r[rowPlan]); rowLE(c, r) && dominatesRest(t, e.plans[p], phys) {
 			e.plans[p] = nil
 			if i < ub {
 				at--
@@ -131,10 +130,10 @@ func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 // examined: the last dominator first, then the nearest cheaper plan first,
 // which is where a candidate's dominator most often sits.
 func (e *entry) dominated(c []float64, t *plan.Plan, ub int, phys bool) (examined int, ok bool) {
-	st, dims := e.stride, c[rowCard:]
+	st := len(c)
 	by := func(i int) bool {
 		r := e.rows[i*st : i*st+st]
-		return !(r[rowCard] > dims[0]) && pointwiseLE(r[rowCard+1:], dims[1:]) && dominatesRest(e.plans[int(r[rowPlan])], t, phys)
+		return rowLE(r, c) && dominatesRest(e.plans[int(r[rowPlan])], t, phys)
 	}
 	if e.last < ub {
 		if by(e.last) {
@@ -157,14 +156,15 @@ func (e *entry) seal() {
 	if e.rows == nil {
 		return
 	}
-	kept := e.plans[:0]
-	for _, p := range e.plans {
-		if p != nil {
-			kept = append(kept, p)
-		}
-	}
-	clear(e.plans[len(kept):])
-	e.plans, e.rows = kept, nil
+	e.plans = slices.DeleteFunc(e.plans, func(p *plan.Plan) bool { return p == nil })
+	e.rows = nil
+}
+
+// rowLE reports whether frontier row a is ≤ row b in every dominance
+// dimension. The cardinality decides most pairs, so it is tested before the
+// loop over the rest is entered.
+func rowLE(a, b []float64) bool {
+	return !(a[rowCard] > b[rowCard]) && pointwiseLE(a[rowCard+1:], b[rowCard+1:])
 }
 
 // pointwiseLE reports a[i] ≤ b[i] for every i (equal lengths).

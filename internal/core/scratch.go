@@ -63,13 +63,13 @@ func take[T any](slab *[]T, src []T, chunk int) []T {
 }
 
 // alloc returns a zero T at the end of the chunk *slab, starting a new chunk
-// of the given size when the current one is full.
+// of the given size when the current one is full. A chunk is never reused,
+// so the element past its length is still the zero make left there.
 func alloc[T any](slab *[]T, chunk int) *T {
 	if len(*slab) == cap(*slab) {
 		*slab = make([]T, 0, chunk)
 	}
-	var zero T
-	*slab = append(*slab, zero)
+	*slab = (*slab)[:len(*slab)+1]
 	return &(*slab)[len(*slab)-1]
 }
 

@@ -43,9 +43,9 @@ type Graph[S bitset.RelSet[S]] struct {
 	// the DPhyp enumeration, invalidated by AddEdge.
 	adj []S
 
-	// inc is the incident-edge index behind Touch: row i (TouchWords words,
-	// bit k = edge k) holds the edges with node i in an endpoint. Built
-	// single-threaded by the first Touch, invalidated by AddEdge.
+	// inc is the incident-edge index behind Touch: row i is the touch set
+	// of node i. Built single-threaded by the first Touch, invalidated by
+	// AddEdge.
 	inc []uint64
 }
 
@@ -106,16 +106,13 @@ func (g *Graph[S]) ConnectsSets(s1, s2 S) int {
 	return -1
 }
 
-// TouchWords is the length of a touch set: one bit per edge.
-func (g *Graph[S]) TouchWords() int { return (len(g.Edges) + 63) / 64 }
-
 // Touch appends to dst the touch set of s — the edges with a node of s in
-// an endpoint, bit k of the set standing for edge k — and returns the
-// extended slice. Touch sets are unions over the nodes, so touch(S1 ∪ S2) =
-// touch(S1) | touch(S2); a DP driver computes one per table entry. The
-// first call builds the index and must not race with another.
+// an endpoint, one bit per edge, bit k standing for edge k — and returns
+// the extended slice. Touch sets are unions over the nodes, so
+// touch(S1 ∪ S2) = touch(S1) | touch(S2); a DP driver computes one per table
+// entry. The first call builds the index and must not race with another.
 func (g *Graph[S]) Touch(dst []uint64, s S) []uint64 {
-	w := g.TouchWords()
+	w := (len(g.Edges) + 63) / 64
 	if g.inc == nil {
 		g.inc = make([]uint64, g.N*w)
 		for k := range g.Edges {
