@@ -358,7 +358,7 @@ func (g *generator[S]) scans() {
 func (g *generator[S]) open(w *worker, s S) *entry {
 	e := w.newEntry()
 	w.touch = g.det.Graph.Touch(w.touch[:0], s)
-	e.touch = take(&w.words, w.touch, 512)
+	e.touch = take(nil, &w.words, w.touch, 512)
 	if g.pushes {
 		e.gp = g.gPlus(s.ToV(), e.touch)
 	}

@@ -101,7 +101,7 @@ func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 	for i := lb; i < n; i++ {
 		r := e.rows[i*st : i*st+st]
 		if p := int(r[rowPlan]); rowLE(c, r) && dominatesRest(t, e.plans[p], phys) {
-			e.plans[p] = nil
+			w.free, e.plans[p] = append(w.free, e.plans[p]), nil
 			if i < ub {
 				at--
 			}

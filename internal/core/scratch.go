@@ -43,6 +43,7 @@ type worker struct {
 	// a copy, not one allocation per node, key list and vector. It is
 	// scoped to the run — run() detaches the winner.
 	plans   []plan.Plan
+	free    []*plan.Plan // root nodes dropped from an unsealed entry: nothing else refers to one
 	keys    []bitset.VSet
 	vectors []float64
 	predPtr []*query.Predicate
@@ -50,10 +51,15 @@ type worker struct {
 	words   []uint64
 }
 
-// take copies src to the end of the chunk *slab, starting a new chunk when
-// the current one cannot hold it, and returns the copy with its capacity
-// clipped so that appending to it never runs into a neighbor.
-func take[T any](slab *[]T, src []T, chunk int) []T {
+// take copies src into old, a slice taken earlier that nothing refers to
+// any more, if it is large enough; else to the end of the chunk *slab,
+// starting a new chunk when the current one cannot hold it. It returns the
+// copy with its capacity clipped so that appending to it never runs into a
+// neighbor.
+func take[T any](old []T, slab *[]T, src []T, chunk int) []T {
+	if cap(old) >= len(src) && cap(old) > 0 {
+		return append(old[:0], src...)
+	}
 	if cap(*slab)-len(*slab) < len(src) {
 		*slab = make([]T, 0, max(chunk, len(src)))
 	}
@@ -73,12 +79,20 @@ func alloc[T any](slab *[]T, chunk int) *T {
 	return &(*slab)[len(*slab)-1]
 }
 
-// node copies a scratch estimate into the arena.
+// node copies a scratch estimate into the arena, or into the node, key list
+// and vector of a plan EA-Prune has since dropped from the entry it is
+// building.
 func (w *worker) node(t *plan.Plan) *plan.Plan {
-	n := alloc(&w.plans, 64)
+	var n *plan.Plan
+	if k := len(w.free) - 1; k >= 0 {
+		n, w.free = w.free[k], w.free[:k]
+	} else {
+		n = alloc(&w.plans, 64)
+	}
+	keys, vector := n.Keys, n.Profile
 	*n = *t
-	n.Keys = take(&w.keys, t.Keys, 256)
-	n.Profile = take(&w.vectors, t.Profile, 1024)
+	n.Keys = take(keys, &w.keys, t.Keys, 256)
+	n.Profile = take(vector, &w.vectors, t.Profile, 1024)
 	return n
 }
 
@@ -96,7 +110,7 @@ func (w *worker) keep(t *plan.Plan) *plan.Plan {
 		n.Left = w.keep(&w.cand)
 	case t == &w.cand:
 		if w.preds == nil {
-			w.preds = take(&w.predPtr, t.Preds, 256)
+			w.preds = take(nil, &w.predPtr, t.Preds, 256)
 		}
 		n.Preds = w.preds
 		n.Left, n.Right = w.child(t.Left, w.lNode), w.child(t.Right, w.rNode)
