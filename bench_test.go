@@ -972,7 +972,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // 0.83), Q10 98 / 72 ms → 43 / 38 ms (0.73 → 0.89), Q5 92 / 61 → 57 / 43
 // (0.66 → 0.75), Ex 14.9 / 10.4 → 7.8 / 6.6 (0.70 → 0.85). The bar that
 // remains: workers=2 never above workers=1, and both arms at these absolute
-// figures, not the hashed ones (DESIGN.md "Direct-addressed keys").
+// figures, not the hashed ones (DESIGN.md "Direct-addressed keys"). B/op is
+// what joins copy: 70.6 / 67.3 MB (Q3), 53.7 / 48.7 (Q10), 40.8 / 37.5 (Q5)
+// while they gathered every column, 49.3 / 48.7, 29.8 / 30.0, 19.6 / 19.4
+// since they hand on views (DESIGN.md "Late materialization").
 func BenchmarkBatchParallelScaling(b *testing.B) {
 	workers := []int{1, 2}
 	if runtime.GOMAXPROCS(0) >= 4 {

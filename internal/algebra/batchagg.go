@@ -668,16 +668,26 @@ func (g *batchGrouper) fold(j int) {
 // group's first row — the input is immutable, so they equal the values
 // seen at discovery), aggregate columns come straight from the flat
 // accumulator arrays — no per-group row materialization at all. Columns
-// are independent, so par fans them out over the task scheduler.
+// are independent, so par fans them out over the task scheduler. When
+// every row of a table without a selection is a group of its own (the
+// projection, a grouping on a key) the first rows are all rows in order:
+// the group columns are the input's as they stand — read here, once, if
+// they were still deferred.
 func (g *batchGrouper) emitTable(e *Exec, s *Schema, par bool) *ColTable {
 	ng := len(g.firsts)
 	out := &ColTable{Schema: s, N: ng}
 	out.Cols = make([]Vector, len(g.groupSlots)+len(g.bound))
+	allRows := g.t.Sel == nil && ng == g.t.N
+	if allRows {
+		e.read(g.t, g.groupSlots...)
+	}
 	task := func(ci int) {
 		if ci >= len(g.groupSlots) {
 			out.Cols[ci] = g.aggCol(ci - len(g.groupSlots))
-		} else if slot := g.groupSlots[ci]; slot >= 0 {
-			out.Cols[ci] = gatherCol(&g.t.Cols[slot], g.firsts)
+		} else if slot := g.groupSlots[ci]; slot >= 0 && allRows {
+			out.Cols[ci] = g.t.Cols[slot]
+		} else if slot >= 0 {
+			out.Cols[ci] = e.gatherCol(&g.t.Cols[slot], g.firsts, false) // columns fan out, not rows
 		} else {
 			// Absent grouping attribute: an all-NULL column, like the
 			// untyped colBuilder produces.
@@ -807,6 +817,8 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 	groupSlots := t.Schema.Slots(groupBy)
 	outSchema := groupSchema(groupBy, f)
 	n := t.Card()
+	e.read(t, groupSlots...)
+	e.readAggs(t, bound)
 	ks := newKeyScan(t, groupSlots, false)
 
 	// A dense grouping is a one-goroutine operator at every size (dense.go);
@@ -846,7 +858,9 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 // BatchHashGroup, whose output it reproduces exactly (input order is
 // first-encounter order) without hashing anything.
 func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
-	g := newBatchGrouper(t, t.Schema.Slots(groupBy), BindVector(f, t.Schema), false)
+	bound := BindVector(f, t.Schema)
+	e.readAggs(t, bound)
+	g := newBatchGrouper(t, t.Schema.Slots(groupBy), bound, false)
 	bs := e.batchSize()
 	n := t.Card()
 	g.firsts = make([]int32, 0, n)
@@ -860,6 +874,13 @@ func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColT
 	}
 	g.finish(nil)
 	return g.emitTable(e, groupSchema(groupBy, f), e.parForBatch(n))
+}
+
+// readAggs reads the columns the aggregates fold (Exec.read).
+func (e *Exec) readAggs(t *ColTable, bound []BoundAgg) {
+	for i := range bound {
+		e.read(t, bound[i].Arg, bound[i].Arg2, bound[i].Wgt)
+	}
 }
 
 // groupSchema is the output schema of an aggregation: the grouping
@@ -877,82 +898,57 @@ func groupSchema(groupBy []string, f aggfn.Vector) *Schema {
 // engine's weights always are) run a typed kernel; anything else folds
 // Values through Mul itself.
 func (e *Exec) BatchExtendProduct(t *ColTable, name string, slots []int) *ColTable {
-	tc := t.Compact() // the new column is dense; align the others
-	out := &ColTable{Schema: tc.Schema.Extend(name), N: tc.N}
-	out.Cols = make([]Vector, len(tc.Cols)+1)
-	copy(out.Cols, tc.Cols)
-
-	allInt := true
+	e.read(t, slots...)
+	// The product is dense over t's logical rows; t's columns stay views.
+	out := e.extended(t, t.Schema.Extend(name))
+	allInt, anyNulls := true, false
 	for _, s := range slots {
-		if tc.Cols[s].Kind != ColInt {
-			allInt = false
-			break
-		}
+		allInt = allInt && t.Cols[s].Kind == ColInt
+		anyNulls = anyNulls || t.Cols[s].Nulls != nil
 	}
-	n := tc.N
-	if allInt {
-		anyNulls := false
-		for _, s := range slots {
-			if tc.Cols[s].Nulls != nil {
-				anyNulls = true
-				break
-			}
-		}
-		v := Vector{Kind: ColInt, Ints: make([]int64, n)}
-		if !anyNulls {
-			fill := func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					prod := int64(1)
-					for _, s := range slots {
-						prod *= tc.Cols[s].Ints[i]
-					}
-					v.Ints[i] = prod
-				}
-			}
-			if e.parForBatch(n) {
-				e.forMorsels(n, func(m, lo, hi int) { fill(lo, hi) })
-			} else {
-				fill(0, n)
-			}
-			out.Cols[len(tc.Cols)] = v
-			return out
-		}
-		// NULL factors are absorbing (Mul(_, NULL) is NULL). Sequential:
-		// morsel spans share bitmap words, so a parallel fill would race.
-		nulls := make([]uint64, (n+63)/64)
-		hasNull := false
+	n := t.Card()
+	if !allInt {
+		var b colBuilder
 		for i := 0; i < n; i++ {
-			prod := int64(1)
-			null := false
+			v := Int(1)
 			for _, s := range slots {
-				if tc.Cols[s].IsNull(i) {
-					null = true
-					break
-				}
-				prod *= tc.Cols[s].Ints[i]
+				v = Mul(v, t.Cols[s].Value(int(t.phys(i))))
 			}
-			if null {
-				nulls[i>>6] |= 1 << (uint(i) & 63)
-				hasNull = true
-			} else {
-				v.Ints[i] = prod
-			}
+			b.append(v)
 		}
-		if hasNull {
-			v.Nulls = nulls
-		}
-		out.Cols[len(tc.Cols)] = v
+		out.addDense(b.finish())
 		return out
 	}
-
-	var b colBuilder
-	for i := 0; i < n; i++ {
-		v := Int(1)
-		for _, s := range slots {
-			v = Mul(v, tc.Cols[s].Value(i))
-		}
-		b.append(v)
+	v := Vector{Kind: ColInt, Ints: make([]int64, n)}
+	if !anyNulls {
+		e.forSpans(n, e.parForBatch(n), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				p, prod := t.phys(i), int64(1)
+				for _, s := range slots {
+					prod *= t.Cols[s].Ints[p]
+				}
+				v.Ints[i] = prod
+			}
+		})
+		out.addDense(v)
+		return out
 	}
-	out.Cols[len(tc.Cols)] = b.finish()
+	// NULL factors are absorbing (Mul(_, NULL) is NULL). Sequential:
+	// morsel spans share bitmap words, so a parallel fill would race.
+	nulls := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		p, prod, null := int(t.phys(i)), int64(1), false
+		for _, s := range slots {
+			null = null || t.Cols[s].IsNull(p)
+			prod *= t.Cols[s].Ints[p]
+		}
+		if null {
+			nulls[i>>6] |= 1 << (uint(i) & 63)
+			v.Nulls = nulls
+		} else {
+			v.Ints[i] = prod
+		}
+	}
+	out.addDense(v)
 	return out
 }

@@ -13,9 +13,10 @@ import (
 // same probe order, same NULL-key semantics — but work on ColTables:
 // keys are encoded column-major a batch at a time (batchkey.go), probes
 // accumulate (left, right) physical index pairs instead of copying rows,
-// and the output columns are assembled by one typed gather per column.
-// Semijoin and antijoin never copy anything: their output is a selection
-// vector over the shared input columns.
+// and the output is a view of both inputs' columns through the pair lists
+// (vector.go): no column is copied until an operator reads it. Semijoin
+// and antijoin are the one-input case: a selection vector over the shared
+// input columns.
 //
 // All indices flowing through here are physical row numbers. Because
 // selection vectors are monotone (vector.go), physical order equals
@@ -25,9 +26,9 @@ import (
 
 // batchScratch bundles the per-batch scratch buffers (physical row list,
 // key encodings, hashed key entries, group ids, resolved posting lists)
-// one batch driver needs. Pooled: an operator borrows one set for its
-// whole scan instead of growing fresh buffers, so steady-state batch
-// iteration allocates nothing.
+// one batch driver needs, and a probe morsel's output pairs. Pooled: an
+// operator borrows one set for its whole scan instead of growing fresh
+// buffers, so steady-state batch iteration allocates nothing.
 type batchScratch struct {
 	kb    keyBatch
 	rows  []int32
@@ -35,6 +36,10 @@ type batchScratch struct {
 	posts [][]int32
 	ents  []keyEntry
 	arena []byte
+	// li, ri: the (left, right) pairs a probe morsel emitted; padded: some
+	// ri is -1 (a left row without a partner under an outer join).
+	li, ri []int32
+	padded bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -130,6 +135,7 @@ func (b *batchBuild) buildBytes(p, hint int, hs *HashStats, src entrySource) int
 func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
 	hs := e.hashStats()
 	n := r.Card()
+	e.read(r, rk...)
 	ks := newKeyScan(r, rk, true)
 	if ks.dense {
 		return &batchBuild{dense: e.buildDense(ks)}
@@ -187,14 +193,14 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *b
 // key components match nothing) and for keys without a partner, which
 // every probe operator treats identically. On the int fast path the
 // resolution is one column-kind dispatch per batch over the raw payloads;
-// otherwise keys are encoded and looked up. posts is scratch; fn must not
-// retain it.
-func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, fn func(rows []int32, posts [][]int32)) {
+// otherwise keys are encoded and looked up. rows and posts live in the
+// caller's scratch sc; fn must not retain them. l's key columns must have
+// been read.
+func (e *Exec) probePostings(sc *batchScratch, l *ColTable, lk []int, b *batchBuild, lo, hi int, fn func(rows []int32, posts [][]int32)) {
 	bs := e.batchSize()
 	bloomChecks, bloomPasses := 0, 0
 	defer func() { e.hashStats().recordBloom(bloomChecks, bloomPasses) }()
 	if b.bts != nil {
-		sc := batchScratchPool.Get().(*batchScratch)
 		for bb := lo; bb < hi; bb += bs {
 			sc.rows = l.physBatch(bb, min(bb+bs, hi), sc.rows)
 			sc.kb.encodeJoin(l, sc.rows, lk)
@@ -221,13 +227,11 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 			}
 			fn(rows, posts)
 		}
-		batchScratchPool.Put(sc)
 		return
 	}
 	// Single-int build: the probe key is the raw int64 payload, one
 	// column-kind dispatch per batch.
 	look := func(v int64) []int32 { return b.lookInt(v, &bloomChecks, &bloomPasses) }
-	sc := batchScratchPool.Get().(*batchScratch)
 	slot := lk[0]
 	var col *Vector
 	if slot >= 0 {
@@ -290,256 +294,159 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 		}
 		fn(rows, posts)
 	}
-	batchScratchPool.Put(sc)
 }
 
-// idxPairs is one morsel's accumulated (left, right) output pairs.
-type idxPairs struct {
-	li, ri []int32
+// probePairs probes l's rows against bld, morsel by morsel when par; emit
+// appends a batch's output pairs (or, for a selection, left rows alone) to
+// the morsel's pooled scratch. The lists come back concatenated in morsel
+// order, allocated once at their final size plus room for extra more
+// pairs (non-nil: counted after the probe barrier), with whether any ri is
+// a pad.
+func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extra func() int, emit func(sc *batchScratch, rows []int32, posts [][]int32)) (li, ri []int32, padded bool) {
+	e.read(l, lk...)
+	n := l.Card()
+	chunks := make([]*batchScratch, e.spans(n, par))
+	e.forSpans(n, par, func(m, lo, hi int) {
+		sc := batchScratchPool.Get().(*batchScratch)
+		sc.li, sc.ri, sc.padded = sc.li[:0], sc.ri[:0], false
+		e.probePostings(sc, l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) { emit(sc, rows, posts) })
+		chunks[m] = sc
+	})
+	nl := 0
+	if extra != nil {
+		nl = extra()
+	}
+	nr := nl
+	for _, sc := range chunks {
+		nl, nr = nl+len(sc.li), nr+len(sc.ri)
+	}
+	li, ri = make([]int32, 0, nl), make([]int32, 0, nr)
+	for _, sc := range chunks {
+		li, ri, padded = append(li, sc.li...), append(ri, sc.ri...), padded || sc.padded
+		batchScratchPool.Put(sc)
+	}
+	return li, ri, padded
 }
 
-// concatPairs concatenates per-morsel pair chunks in morsel order.
-func concatPairs(chunks []idxPairs) (li, ri []int32) {
-	total := 0
-	for _, c := range chunks {
-		total += len(c.li)
-	}
-	li = make([]int32, 0, total)
-	ri = make([]int32, 0, total)
-	for _, c := range chunks {
-		li = append(li, c.li...)
-		ri = append(ri, c.ri...)
-	}
-	return li, ri
-}
-
-// gatherConcat assembles the concatenated join output: left columns
-// gathered by lidx, right columns by ridx, one typed gather per column
-// (fanned out over the task scheduler when par). Index -1 reads the
-// corresponding pad value; a nil pad row means NULL padding.
-func (e *Exec) gatherConcat(l, r *ColTable, lidx, ridx []int32, lpad, rpad Row, par bool) *ColTable {
-	out := &ColTable{Schema: l.Schema.Concat(r.Schema), N: len(lidx)}
-	lw := l.Schema.Len()
-	out.Cols = make([]Vector, lw+r.Schema.Len())
-	task := func(ci int) {
-		if ci < lw {
-			pad := Null
-			if lpad != nil {
-				pad = lpad[ci]
-			}
-			out.Cols[ci] = gatherColPad(&l.Cols[ci], lidx, pad)
-		} else {
-			pad := Null
-			if rpad != nil {
-				pad = rpad[ci-lw]
-			}
-			out.Cols[ci] = gatherColPad(&r.Cols[ci-lw], ridx, pad)
-		}
-	}
-	if par {
-		e.forTasks(len(out.Cols), task)
-	} else {
-		for ci := range out.Cols {
-			task(ci)
-		}
-	}
+// joinView is the join output over the pairs (lidx, ridx): a view of both
+// inputs' columns (carry). A side that holds pads is gathered; a nil pad
+// row means NULL padding.
+func (e *Exec) joinView(l, r *ColTable, lidx, ridx []int32, lpad, rpad Row, lpadded, rpadded, par bool) *ColTable {
+	w := l.Schema.Len() + r.Schema.Len()
+	out := &ColTable{Schema: l.Schema.Concat(r.Schema), N: len(lidx), Cols: make([]Vector, 0, w), side: make([]int16, 0, w),
+		via: make([][]int32, 0, len(l.via)+len(r.via)+2)}
+	e.carry(out, l, lidx, lpad, lpadded, par)
+	e.carry(out, r, ridx, rpad, rpadded, par)
 	return out
 }
 
-// selTable wraps the shared input columns under a selection vector; a nil
-// sel (no surviving rows) becomes the empty selection, not "all rows".
+// selTable is t's rows at the physical rows sel, ascending: the shared
+// input columns under a selection vector, or — t a view — the view through
+// sel. A nil sel (no surviving rows) is the empty selection, not "all
+// rows".
 func selTable(t *ColTable, sel []int32) *ColTable {
 	if sel == nil {
 		sel = []int32{}
 	}
-	return &ColTable{Schema: t.Schema, Cols: t.Cols, N: t.N, Sel: sel}
+	if t.side == nil {
+		return &ColTable{Schema: t.Schema, Cols: t.Cols, N: t.N, Sel: sel}
+	}
+	out := &ColTable{Schema: t.Schema, N: len(sel)}
+	(*Exec)(nil).carry(out, t, sel, nil, false, false)
+	return out
 }
 
 // BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime.
 func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				for _, ri := range posts[k] {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
-				}
+	lidx, ridx, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
+		for k, i := range rows {
+			for _, ri := range posts[k] {
+				sc.li = append(sc.li, i)
+				sc.ri = append(sc.ri, ri)
 			}
-		})
-		chunks[m] = p
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	lidx, ridx := concatPairs(chunks)
-	return e.gatherConcat(l, r, lidx, ridx, nil, nil, par)
+		}
+	})
+	return e.joinView(l, r, lidx, ridx, nil, nil, false, false, par)
 }
 
-// BatchHashSemiJoin is the left semijoin l ⋉ r: a pure selection-vector
-// operation, zero row copies.
+// batchHashFilter is the left semijoin (matched) or antijoin (!matched): a
+// pure selection-vector operation, zero row copies. Dead rows resolve to
+// nil postings, so the antijoin keeps NULL-key rows — strict equality
+// matches them to nothing.
+func (e *Exec) batchHashFilter(l, r *ColTable, lk, rk []int, matched bool) *ColTable {
+	par := e.parForBatch(max(l.Card(), r.Card()))
+	bld := e.batchBuildSide(r, rk, par, l.Card())
+	sel, _, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
+		for k, i := range rows {
+			if (len(posts[k]) > 0) == matched {
+				sc.li = append(sc.li, i)
+			}
+		}
+	})
+	return selTable(l, sel)
+}
+
+// BatchHashSemiJoin is the left semijoin l ⋉ r.
 func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([][]int32, nm)
-	work := func(m, lo, hi int) {
-		var sel []int32
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) > 0 {
-					sel = append(sel, i)
-				}
-			}
-		})
-		chunks[m] = sel
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	var sel []int32
-	for _, c := range chunks {
-		sel = append(sel, c...)
-	}
-	return selTable(l, sel)
+	return e.batchHashFilter(l, r, lk, rk, true)
 }
 
-// BatchHashAntiJoin is the left antijoin l ▷ r: a selection keeping rows
-// without a partner (NULL-key rows included — strict equality matches
-// them to nothing).
+// BatchHashAntiJoin is the left antijoin l ▷ r: the rows without a partner.
 func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([][]int32, nm)
-	work := func(m, lo, hi int) {
-		var sel []int32
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				// Dead rows resolve to nil postings, so NULL-key rows are
-				// kept — strict equality matches them to nothing.
-				if len(posts[k]) == 0 {
-					sel = append(sel, i)
-				}
-			}
-		})
-		chunks[m] = sel
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	var sel []int32
-	for _, c := range chunks {
-		sel = append(sel, c...)
-	}
-	return selTable(l, sel)
+	return e.batchHashFilter(l, r, lk, rk, false)
 }
 
 // BatchHashLeftOuter is the left outerjoin on the batch runtime. pad must
 // be a full row over r's schema.
 func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTable {
-	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) == 0 {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, -1)
-					continue
-				}
-				for _, ri := range posts[k] {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
-				}
-			}
-		})
-		chunks[m] = p
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	lidx, ridx := concatPairs(chunks)
-	return e.gatherConcat(l, r, lidx, ridx, nil, pad, par)
+	return e.batchHashOuter(l, r, lk, rk, nil, pad, false)
 }
 
-// BatchHashFullOuter is the full outerjoin on the batch runtime. Matched
-// build rows are marked through atomics (false→true only, so concurrent
-// marking is order-independent); the unmatched right rows are appended
-// after the probe barrier in build-input order.
+// BatchHashFullOuter is the full outerjoin on the batch runtime.
 func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
+	return e.batchHashOuter(l, r, lk, rk, lpad, rpad, true)
+}
+
+// batchHashOuter is the left outerjoin and, with the right tail, the full
+// one: matched build rows are marked through atomics (false→true only, so
+// concurrent marking is order-independent) and the unmatched right rows
+// appended after the probe barrier in build-input order.
+func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, tail bool) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
+	var matched []atomic.Bool
+	var unmatched []int32
+	if tail {
+		matched = make([]atomic.Bool, r.N)
 	}
-	matched := make([]atomic.Bool, r.N)
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) == 0 {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, -1)
-					continue
-				}
-				for _, ri := range posts[k] {
-					matched[ri].Store(true)
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
-				}
+	lidx, ridx, rpadded := e.probePairs(l, lk, bld, par, func() int {
+		for j := 0; tail && j < r.Card(); j++ {
+			if ri := r.phys(j); !matched[ri].Load() {
+				unmatched = append(unmatched, ri)
 			}
-		})
-		chunks[m] = p
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	lidx, ridx := concatPairs(chunks)
-	for j := 0; j < r.Card(); j++ {
-		ri := r.phys(j)
-		if !matched[ri].Load() {
-			lidx = append(lidx, -1)
-			ridx = append(ridx, ri)
 		}
+		return len(unmatched)
+	}, func(sc *batchScratch, rows []int32, posts [][]int32) {
+		for k, i := range rows {
+			if len(posts[k]) == 0 {
+				sc.li, sc.ri, sc.padded = append(sc.li, i), append(sc.ri, -1), true
+				continue
+			}
+			for _, ri := range posts[k] {
+				if tail {
+					matched[ri].Store(true)
+				}
+				sc.li = append(sc.li, i)
+				sc.ri = append(sc.ri, ri)
+			}
+		}
+	})
+	for _, ri := range unmatched {
+		lidx, ridx = append(lidx, -1), append(ridx, ri)
 	}
-	return e.gatherConcat(l, r, lidx, ridx, lpad, rpad, par)
+	return e.joinView(l, r, lidx, ridx, lpad, rpad, len(unmatched) > 0, rpadded, par)
 }
 
 // BatchHashGroupJoin is the groupjoin on the batch runtime: every left
@@ -551,14 +458,17 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) 
 	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
-	lc := l.Compact() // output appends dense agg columns alongside l's
-	n := lc.Card()
+	e.read(l, lk...)
+	e.readAggs(r, bound)
+	n := l.Card()
 	aggRows := make([][]Value, n)
-	work := func(m, lo, hi int) {
+	e.forSpans(n, par, func(_, lo, hi int) {
 		var scratch []byte
 		cells := make([]aggCell, len(bound))
-		e.probePostings(lc, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
+		sc := batchScratchPool.Get().(*batchScratch)
+		at := lo // the batch's first logical row
+		e.probePostings(sc, l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
+			for k := range rows {
 				for c := range cells {
 					cells[c] = aggCell{}
 				}
@@ -572,24 +482,20 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) 
 				for c := range bound {
 					vals[c] = cells[c].final(&bound[c])
 				}
-				aggRows[i] = vals // lc is dense: physical row == logical row
+				aggRows[at+k] = vals
 			}
+			at += len(rows)
 		})
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	out := &ColTable{Schema: NewSchema(names), N: n}
-	out.Cols = make([]Vector, len(names))
-	copy(out.Cols, lc.Cols)
+		batchScratchPool.Put(sc)
+	})
+	// l's columns stay views; the aggregate columns are dense beside them.
+	out := e.extended(l, NewSchema(names))
 	for c := range bound {
 		var b colBuilder
 		for _, vals := range aggRows {
 			b.append(vals[c])
 		}
-		out.Cols[lc.Schema.Len()+c] = b.finish()
+		out.addDense(b.finish())
 	}
 	return out
 }

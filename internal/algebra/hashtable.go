@@ -655,8 +655,9 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 
 // HashStats aggregates hash-table telemetry across one execution:
 // every table/index build records its geometry here, every bloom-
-// filtered probe its check/pass counts. All counters are atomic — builds
-// finish inside forParts fan-outs. A nil *HashStats disables recording.
+// filtered probe its check/pass counts, every gather of a view's column
+// (vector.go) its size. All counters are atomic — builds finish inside
+// forParts fan-outs. A nil *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64
 	dense       atomic.Int64
@@ -665,6 +666,8 @@ type HashStats struct {
 	maxProbe    atomic.Int64
 	bloomChecks atomic.Int64
 	bloomPasses atomic.Int64
+	gatherCols  atomic.Int64
+	gatherRows  atomic.Int64
 }
 
 func (hs *HashStats) recordTable(entries, capacity, maxProbe int) {
@@ -699,6 +702,14 @@ func (hs *HashStats) recordBloom(checks, passes int) {
 	hs.bloomPasses.Add(int64(passes))
 }
 
+// recordGather records cols columns of a view gathered, rows values in all.
+func (hs *HashStats) recordGather(cols, rows int) {
+	if hs != nil {
+		hs.gatherCols.Add(int64(cols))
+		hs.gatherRows.Add(int64(rows))
+	}
+}
+
 // Snapshot captures the counters as plain values.
 func (hs *HashStats) Snapshot() HashTableStats {
 	if hs == nil {
@@ -712,6 +723,8 @@ func (hs *HashStats) Snapshot() HashTableStats {
 		MaxProbe:    hs.maxProbe.Load(),
 		BloomChecks: hs.bloomChecks.Load(),
 		BloomPasses: hs.bloomPasses.Load(),
+		GatherCols:  hs.gatherCols.Load(),
+		GatherRows:  hs.gatherRows.Load(),
 	}
 }
 
@@ -719,7 +732,9 @@ func (hs *HashStats) Snapshot() HashTableStats {
 // tables were built (Dense of them direct-addressed, whose capacity is
 // their key range), their summed entries and capacities (the quotient
 // is the mean load factor), the worst probe sequence any build walked,
-// and the Bloom filter's check/pass traffic.
+// the Bloom filter's check/pass traffic, and how many columns of join
+// outputs were gathered (GatherRows values in all) — the rest was carried
+// as views and never read.
 type HashTableStats struct {
 	Builds      int64
 	Dense       int64
@@ -728,6 +743,8 @@ type HashTableStats struct {
 	MaxProbe    int64
 	BloomChecks int64
 	BloomPasses int64
+	GatherCols  int64
+	GatherRows  int64
 }
 
 // LoadFactor is the mean occupancy of the built tables (0 when none).

@@ -270,8 +270,12 @@ func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
 			return int(a - b)
 		})
 	}
+	first := func(i int) bool { return i == 0 || cmpKeys(k, rows[i-1], k, rows[i]) != 0 }
+	if k.ints {
+		kr.sizeRuns(len(rows), first)
+	}
 	for i, r := range rows {
-		if i == 0 || cmpKeys(k, rows[i-1], k, r) != 0 {
+		if first(i) {
 			kr.starts = append(kr.starts, int32(i))
 			for c := 0; k.ints && c < len(k.cols); c++ {
 				kr.keys = append(kr.keys, k.cols[c].Ints[r])
@@ -280,6 +284,20 @@ func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
 	}
 	kr.starts = append(kr.starts, int32(len(rows)))
 	return kr
+}
+
+// sizeRuns allocates starts and keys for the runs among n sorted rows at
+// their final size — first(i) says whether row i starts one — where append
+// would grow into them by reallocating: a cheap counting pass over int
+// keys, skipped for comparator keys (which have no key tuples to store).
+func (kr *keyRuns) sizeRuns(n int, first func(i int) bool) {
+	runs := 0
+	for i := 0; i < n; i++ {
+		if first(i) {
+			runs++
+		}
+	}
+	kr.starts, kr.keys = make([]int32, 0, runs+1), make([]int64, 0, runs*len(kr.key.cols))
 }
 
 // ---------------------------------------------------------------------
@@ -348,13 +366,17 @@ func (e *Exec) radixSort(kr *keyRuns, par bool) {
 	}
 	// The records now carry the first column's keys.
 	rest := k.cols[1:]
+	first := func(i int) bool {
+		same := i > 0 && recs[i].key == recs[i-1].key
+		for c := 0; same && c < len(rest); c++ {
+			same = rest[c].Ints[recs[i].row] == rest[c].Ints[recs[i-1].row]
+		}
+		return !same
+	}
+	kr.sizeRuns(n, first)
 	for i, rc := range recs {
 		rows[i] = rc.row
-		same := i > 0 && rc.key == recs[i-1].key
-		for c := 0; same && c < len(rest); c++ {
-			same = rest[c].Ints[rc.row] == rest[c].Ints[recs[i-1].row]
-		}
-		if !same {
+		if first(i) {
 			kr.starts = append(kr.starts, int32(i))
 			kr.keys = append(kr.keys, int64(rc.key^signBit))
 			for _, c := range rest {
@@ -419,6 +441,7 @@ const (
 // the scan-order declaration (or an unsound order inference) lied about
 // the data.
 func (e *Exec) mergeInput(t *ColTable, slots []int, needSort, par bool) (*keyRuns, error) {
+	e.read(t, slots...)
 	k := newSortKey(t, slots, true)
 	rows := k.liveRows(t)
 	if !needSort {
@@ -504,6 +527,7 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 		return nil
 	}
 	offs := make([]int, e.spans(n, par)+1)
+	padded := make([]bool, len(offs)) // per span: it emits a pad
 	e.forSpans(n, par, func(m, lo, hi int) {
 		c := 0
 		for li := lo; li < hi; li++ {
@@ -511,6 +535,7 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 				c += len(ps)
 			} else if kind == MergeLeftOuter {
 				c++
+				padded[m] = true
 			}
 		}
 		offs[m+1] = c
@@ -535,7 +560,7 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 			}
 		}
 	})
-	return e.gatherConcat(l, r, lidx, ridx, nil, pad, par), nil
+	return e.joinView(l, r, lidx, ridx, nil, pad, false, slices.Contains(padded, true), par), nil
 }
 
 // mergeTables runs BatchMergeJoin for the row runtime.
@@ -588,6 +613,9 @@ func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sor
 	bound := BindVector(f, t.Schema)
 	groupSlots := t.Schema.Slots(groupBy)
 	par := e.parForBatch(t.Card())
+	e.read(t, groupSlots...)
+	e.read(t, verify...)
+	e.readAggs(t, bound)
 	k := newSortKey(t, groupSlots, false)
 	rows := k.liveRows(t)
 	if !sortInput {

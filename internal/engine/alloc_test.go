@@ -57,8 +57,8 @@ func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysM
 // inputs now lie below batchParallelCutoff, so the case also pins that
 // small operators stay on the sequential arm), and on Q3 with an explicit
 // morsel size, which forces every operator through the scatter, the
-// per-partition tables and groupers and the rank merge — and an absolute
-// byte budget on Q3 at factor 1000, the repo benchmark's size.
+// per-partition tables and groupers and the rank merge — and absolute byte
+// budgets on Q3, Q10 and Q5 at factor 1000, the repo benchmark's size.
 func TestParallelAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation does not repeat under the race detector (sync.Pool drops items at random)")
@@ -80,16 +80,66 @@ func TestParallelAllocBudget(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	// The benchmark's size (400k-row lineitem), where every key column is
-	// direct-addressed: 70.6 MB at workers=1 and 67.3 MB at workers=2 per
-	// execution (109.2 and 110.5 MB on the hash tables alone).
-	const budget = 76e6
-	for _, workers := range []int{1, 2} {
-		opts := engine.ExecOptions{Workers: workers, Runtime: engine.RuntimeBatch}
-		b, _ := allocPerExecRuns(t, "Q3", 1000, core.PhysModeHash, opts, 1, 2)
-		t.Logf("Q3 factor 1000 workers=%d: %.0f B", workers, b)
-		if b > budget {
-			t.Errorf("Q3 factor 1000 workers=%d allocates %.0f B per execution, over the %.0f B budget", workers, b, budget)
+	// The benchmark's size (400k-row lineitem for Q3), where every key column
+	// is direct-addressed and joins hand on views (late materialization):
+	// measured, workers 1 / 2, Q3 48.3 / 49.2 MB per execution (70.6 / 67.3
+	// while joins gathered every column), Q10 29.8 / 30.0 (53.7 / 48.7), Q5
+	// 19.6 / 19.4 (40.8 / 37.5). Most of what is left is the result's rows.
+	for _, c := range []struct {
+		query  string
+		budget float64
+	}{{"Q3", 56e6}, {"Q10", 38e6}, {"Q5", 26e6}} {
+		for _, workers := range []int{1, 2} {
+			opts := engine.ExecOptions{Workers: workers, Runtime: engine.RuntimeBatch}
+			b, _ := allocPerExecRuns(t, c.query, 1000, core.PhysModeHash, opts, 1, 2)
+			t.Logf("%s factor 1000 workers=%d: %.0f B", c.query, workers, b)
+			if b > c.budget {
+				t.Errorf("%s factor 1000 workers=%d allocates %.0f B per execution, over the %.0f B budget", c.query, workers, b, c.budget)
+			}
+		}
+	}
+}
+
+// TestUnreadColumnsNeverGathered counts the columns gathered out of join
+// outputs (algebra.HashTableStats.GatherCols) on the EA-Prune hash plans of
+// the benchmark's shapes against the number read off each plan: a join's
+// output is a view of its inputs, and only a column that an operator above
+// reads is ever copied.
+func TestUnreadColumnsNeverGathered(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		cols  int64
+		plan  string
+	}{
+		// Π(c ⋈ (o ⋈ Γ(l))): the upper join reads o_custkey of the lower
+		// one's output, Π its three grouping columns and the revenue sum.
+		// c_custkey and o_orderkey are read off the base tables only; all
+		// other carried columns — nine of the upper join's fourteen — never.
+		{"Q3", 1 + 4, "join reads o_custkey; Π reads 3 grouping columns + 1 sum"},
+		// Π((c ⋈ Γ{o_custkey}(o ⋈ l)) ⋈ n): Γ reads its key and its one
+		// argument, the top join c_nationkey, Π three grouping columns and
+		// the revenue sum.
+		{"Q10", 2 + 1 + 4, "Γ reads 2; join reads c_nationkey; Π reads 4"},
+		// Γ(final)(((c ⋈ o) ⋈ l) ⋈ (s ⋈ (n ⋈ r))): o_orderkey; n_nationkey of
+		// n ⋈ r; both key columns of either side of the two-column join
+		// with the suppliers; the final Γ's key and argument.
+		{"Q5", 1 + 1 + 4 + 2, "joins read 1 + 1 + 4; Γ(final) reads 2"},
+	} {
+		q := tpch.Queries()[c.query]
+		tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(c.query, 100))
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeHash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			opts := engine.ExecOptions{Workers: workers, Runtime: engine.RuntimeBatch, MorselSize: 1024}
+			_, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stats.Hash.GatherCols; got != c.cols {
+				t.Errorf("%s workers=%d: %d columns gathered, want %d (%s)\n%s", c.query, workers, got, c.cols, c.plan, res.Plan)
+			}
 		}
 	}
 }

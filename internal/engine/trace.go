@@ -57,7 +57,9 @@ func groupAttrList(q *query.Query, p *plan.Plan) string {
 // optimizer planned with, the sort decisions of the sort-merge layer,
 // and the hash-table delta this operator contributed (batch runtime),
 // with the way its keys were addressed: table=dense for direct-addressed
-// builds and group indexes, table=hash for the flat hash tables.
+// builds and group indexes, table=hash for the flat hash tables — and
+// gathered=<columns>, how many columns of the views its inputs are
+// (algebra.ColTable) this operator was the first to read, and so copied.
 // Annotations are excluded from the fingerprint, so they may depend on
 // the execution configuration freely. mark is the telemetry as of the
 // last span closed before this operator ran — its last child's, children
@@ -104,6 +106,10 @@ func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, ma
 	if checks := after.BloomChecks - before.BloomChecks; checks > 0 {
 		tr.Annotatef(id, "bloom_checks", "%d", checks)
 		tr.Annotatef(id, "bloom_passes", "%d", after.BloomPasses-before.BloomPasses)
+	}
+	if cols := after.GatherCols - before.GatherCols; cols > 0 {
+		tr.Annotatef(id, "gathered", "%d", cols)
+		tr.Annotatef(id, "gathered_rows", "%d", after.GatherRows-before.GatherRows)
 	}
 }
 
@@ -179,10 +185,12 @@ func ExplainAnalyze(q *query.Query, p *plan.Plan, tr *obs.Trace) string {
 			idx++
 			act := sp.RowsOut
 			ms := float64(sp.DurNS) / 1e6
-			table := "" // how the operator's keys were addressed, when it built a table
+			// How the operator's keys were addressed, when it built a table,
+			// and how many columns of its input views it gathered.
+			notes := ""
 			for _, kv := range sp.Args {
-				if kv.Key == "table" {
-					table = " table=" + kv.Value
+				if kv.Key == "table" || kv.Key == "gathered" {
+					notes += " " + kv.Key + "=" + kv.Value
 				}
 			}
 			switch n.Kind {
@@ -190,7 +198,7 @@ func ExplainAnalyze(q *query.Query, p *plan.Plan, tr *obs.Trace) string {
 				fmt.Fprintf(&b, "%s (rows=%d time=%.3fms)\n", line, act, ms)
 			default:
 				fmt.Fprintf(&b, "%s (est=%.6g act=%d q=%.2f time=%.3fms%s)\n",
-					line, n.Card, act, qerror(n.Card, float64(act)), ms, table)
+					line, n.Card, act, qerror(n.Card, float64(act)), ms, notes)
 			}
 		} else {
 			// No span left (foreign trace): degrade to the estimate-only view.
