@@ -534,7 +534,8 @@ func BenchmarkExecution(b *testing.B) {
 // lineitem, grouped with a sum) at three data scales. Two axes:
 //
 //   - engine=slot is the live executor (schema-resolved slots, hash
-//     joins, typed hash aggregation); engine=seed is the frozen
+//     joins, typed hash aggregation on the batch runtime, one worker);
+//     engine=seed is the frozen
 //     map-tuple/nested-loop reference executor it replaced. Their ns/op
 //     ratio at equal plan and scale is the runtime speedup (the
 //     acceptance bar is ≥5x at the largest scale).
@@ -594,50 +595,8 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteParallel measures morsel-driven parallel execution
-// (engine.ExecOptions.Workers) on the Q3 core at sf=10: lazy and eager
-// plans × workers 1/2/4/8. Results are bit-identical for every worker
-// count (the equivalence tests enforce it), so the ns/op ratio between
-// the sub-benchmarks is a pure speedup measurement; workers=1 is the
-// sequential reference path. Run on a multi-core machine to see the
-// scaling — the acceptance bar is ≥2x at 4 workers on a ≥4-core runner.
-func BenchmarkExecuteParallel(b *testing.B) {
-	q := tpch.Q3()
-	tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt("Q3", 10))
-	for _, pl := range []struct {
-		name string
-		alg  core.Algorithm
-	}{
-		{"lazy", core.AlgDPhyp},
-		{"eager", core.AlgEAPrune},
-	} {
-		res, err := core.Optimize(q, core.Options{Algorithm: pl.alg, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("plan=%s/workers=%d", pl.name, w), func(b *testing.B) {
-				var rows float64
-				for i := 0; i < b.N; i++ {
-					tab, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: w})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if tab.Card() == 0 {
-						b.Fatal("empty result")
-					}
-					rows += stats.ActualCout
-				}
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(rows/secs, "rows/s")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkBatchVsRow measures the vectorized batch runtime against the
-// row-at-a-time reference on the Q3 and Q5 cores: eager plans at sf 1
+// sequential row-at-a-time reference on the Q3 and Q5 cores: eager plans at sf 1
 // and 4, single-threaded (the two runtimes produce bit-identical
 // results, so the ns/op and rows/s ratios are pure runtime speedups).
 // The batch axis varies the rows-per-batch granularity around the
@@ -649,7 +608,7 @@ func BenchmarkBatchVsRow(b *testing.B) {
 		opts engine.ExecOptions
 	}
 	cases := []rtCase{
-		{"runtime=row", engine.ExecOptions{Workers: 1}},
+		{"runtime=row", rowOracle},
 		{"runtime=batch/batch=256", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 256}},
 		{"runtime=batch/batch=1024", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 1024}},
 		{"runtime=batch/batch=4096", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 4096}},
@@ -922,7 +881,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures the cost of the observability layer on
-// plan execution: the tracing=off arm is the PR 9 baseline hot path (one
+// plan execution: the tracing=off arm is the untraced hot path (one
 // nil-pointer test per operator) and must stay within 2% of it — the CI
 // benchmark lane records both arms so a regression of the off arm is
 // visible as a plain ns/op jump. The tracing=on arm bounds the opt-in

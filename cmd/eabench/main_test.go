@@ -19,8 +19,7 @@ func TestFlagHygiene(t *testing.T) {
 	}{
 		{"phys without exec", []string{"-phys", "sort"}, "-phys requires -exec"},
 		{"unknown phys value", []string{"-exec", "-phys", "bogus"}, "unknown physical mode"},
-		{"runtime without exec", []string{"-runtime", "batch"}, "-runtime requires -exec"},
-		{"unknown runtime value", []string{"-exec", "-runtime", "vector"}, "unknown runtime"},
+		{"runtime flag is gone", []string{"-exec", "-runtime", "row"}, "flag provided but not defined: -runtime"},
 		{"feedback without exec", []string{"-feedback"}, "-feedback requires -exec"},
 		{"negative workers", []string{"-workers", "-2"}, "-workers must be"},
 		{"bad sf", []string{"-exec", "-sf", "0"}, "-sf must be > 0"},
@@ -81,23 +80,37 @@ func TestExecPhysRuns(t *testing.T) {
 	}
 }
 
-// TestExecRuntimeRuns drives the -exec mode end to end per execution
-// runtime on the smallest instance: exit 0 (the batch runtime reproduces
-// the canonical result bit for bit) and the report header naming the
-// runtime. -runtime batch also composes with -serve.
+// TestExecRuntimeRuns pins which runtime the CLI's executing modes run:
+// -exec on the smallest instance exits 0 (the plans reproduce the canonical
+// result, which the sequential row operators evaluate) with the hash-table
+// telemetry columns populated — only the batch runtime's tables report —
+// and -serve answers from the same runtime.
 func TestExecRuntimeRuns(t *testing.T) {
-	for _, rt := range []string{"row", "batch"} {
-		var out, errOut bytes.Buffer
-		code := run([]string{"-exec", "-runtime", rt, "-sf", "0.2", "-query", "Q3"}, &out, &errOut)
-		if code != 0 {
-			t.Fatalf("-runtime %s: exit %d\nstderr: %s\nstdout: %s", rt, code, errOut.String(), out.String())
-		}
-		if !strings.Contains(out.String(), "runtime "+rt) {
-			t.Fatalf("-runtime %s: report header missing the runtime\n%s", rt, out.String())
+	var out, errOut bytes.Buffer
+	code := run([]string{"-exec", "-sf", "0.2", "-query", "Q3", "-json"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("-exec: exit %d\nstderr: %s\nstdout: %s", code, errOut.String(), out.String())
+	}
+	var rep struct {
+		Rows []struct {
+			Plan string
+			Hash struct{ Builds int64 }
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("-exec -json: %v\n%s", err, out.String())
+	}
+	if len(rep.Rows) == 0 {
+		t.Fatalf("-exec -json: no rows\n%s", out.String())
+	}
+	for _, row := range rep.Rows {
+		if row.Hash.Builds == 0 {
+			t.Errorf("plan %s built no hash table: -exec did not run the batch runtime", row.Plan)
 		}
 	}
-	var out, errOut bytes.Buffer
-	args := []string{"-serve", "-runtime", "batch", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}
+	out.Reset()
+	errOut.Reset()
+	args := []string{"-serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -268,7 +281,6 @@ func TestJSONMode(t *testing.T) {
 	var execRep struct {
 		Mode     string `json:"mode"`
 		Phys     string `json:"phys"`
-		Runtime  string `json:"runtime"`
 		AllMatch bool   `json:"all_match"`
 		Rows     []struct {
 			Query string
@@ -278,7 +290,7 @@ func TestJSONMode(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &execRep); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out.String())
 	}
-	if execRep.Mode != "exec" || execRep.Phys != "hash" || execRep.Runtime != "row" {
+	if execRep.Mode != "exec" || execRep.Phys != "hash" {
 		t.Errorf("unexpected header: %+v", execRep)
 	}
 	if !execRep.AllMatch || len(execRep.Rows) != 2 {

@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"eagg/internal/core"
-	"eagg/internal/engine"
 	"eagg/internal/experiments"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
@@ -137,9 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *analyze {
-		// The batch runtime: its operators report how they addressed their
-		// keys (table=dense|hash); results equal the row runtime's.
-		cfg := experiments.Config{Workers: *workers, Runtime: engine.RuntimeBatch}
+		cfg := experiments.Config{Workers: *workers}
 		rep := experiments.AnalyzeEval(cfg, *sf, tpchDemos[strings.ToLower(*demo)])
 		fmt.Fprint(stdout, rep.Format())
 		for _, c := range rep.Cells {

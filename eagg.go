@@ -130,11 +130,10 @@ type FeedbackRound = engine.FeedbackRound
 // convergence flag, the final result table and the harvested profile.
 type FeedbackResult = engine.FeedbackResult
 
-// ExecOptions configures plan execution. Workers selects the
-// morsel-driven runtime's per-operator worker count (0 = GOMAXPROCS,
-// 1 = the exact sequential reference path); results are bit-identical
-// for every value, mirroring how Options.Workers behaves for the
-// optimizer.
+// ExecOptions configures plan execution. Workers selects the batch
+// runtime's per-operator worker count (0 = GOMAXPROCS, 1 = every
+// operator on the calling goroutine); results are bit-identical for
+// every value, mirroring how Options.Workers behaves for the optimizer.
 type ExecOptions = engine.ExecOptions
 
 // Trace is a per-query structured trace: optimizer phases (dp levels,
@@ -235,22 +234,22 @@ const (
 // ParsePhysMode resolves "hash", "sort" or "auto" ("" = hash).
 func ParsePhysMode(s string) (PhysMode, error) { return core.ParsePhysMode(s) }
 
-// ExecRuntime selects the execution runtime: row-at-a-time (default,
-// the reference) or batch-at-a-time columnar vectors (see
-// ExecOptions.Runtime and the README's "-runtime" section). Results are
-// bit-identical between the two.
+// ExecRuntime is the type of ExecOptions.Runtime. Plans execute on the
+// batch runtime — columnar vectors, morsel-parallel under
+// ExecOptions.Workers — unless the options name the row runtime, the
+// sequential reference the batch runtime is tested against; it ignores
+// Workers, MorselSize and Pool. Results are bit-identical between the two.
 type ExecRuntime = engine.Runtime
 
 // The execution runtimes.
 const (
-	// RuntimeRow executes plans row at a time (the default).
-	RuntimeRow = engine.RuntimeRow
-	// RuntimeBatch executes plans batch at a time on columnar vectors.
+	// RuntimeBatch executes plans batch at a time on columnar vectors
+	// (the zero value, the default).
 	RuntimeBatch = engine.RuntimeBatch
+	// RuntimeRow executes plans row at a time on one goroutine: the
+	// differential oracle, not a performance path.
+	RuntimeRow = engine.RuntimeRow
 )
-
-// ParseExecRuntime resolves "row" or "batch" ("" = row).
-func ParseExecRuntime(s string) (ExecRuntime, error) { return engine.ParseRuntime(s) }
 
 // The plan generators: the paper's five (Sec. 4) plus the beam extension.
 const (
@@ -321,9 +320,9 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 }
 
 // Execute runs an optimized plan on concrete data, returning the result
-// relation over G ∪ A(F). Execution is slot-based: equi-joins run as
-// build/probe hash joins and groupings as typed hash aggregation (see
-// DESIGN.md).
+// relation over G ∪ A(F). Execution is slot-based and columnar: equi-joins
+// run as build/probe hash joins and groupings as typed hash aggregation on
+// the batch runtime (see DESIGN.md).
 func Execute(q *Query, p *Plan, data Data) (*Rel, error) {
 	return engine.Exec(q, p, data)
 }
@@ -371,12 +370,6 @@ func Canonical(q *Query, data Data) (*Rel, error) {
 // CanonicalTables is Canonical on slot-based tables.
 func CanonicalTables(q *Query, data TableData) (*Table, error) {
 	return engine.CanonicalTables(q, data)
-}
-
-// CanonicalTablesOpts is CanonicalTables under explicit execution
-// options.
-func CanonicalTablesOpts(q *Query, data TableData, opts ExecOptions) (*Table, error) {
-	return engine.CanonicalTablesOpts(q, data, opts)
 }
 
 // OutputAttrs returns the result schema of the query.

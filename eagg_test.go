@@ -51,6 +51,10 @@ func TestFacadeEagerBeatsLazy(t *testing.T) {
 	}
 }
 
+// rowOracle names the sequential row runtime: the reference side of the
+// comparisons and benchmark arms in this package's tests.
+var rowOracle = eagg.ExecOptions{Runtime: eagg.RuntimeRow}
+
 func TestFacadeExecuteMatchesCanonical(t *testing.T) {
 	q, _ := buildStarQuery()
 	data := engine.RandomData(rand.New(rand.NewSource(3)), q, 8)
@@ -65,6 +69,19 @@ func TestFacadeExecuteMatchesCanonical(t *testing.T) {
 	}
 	if !eagg.SameResult(q, want, got) {
 		t.Errorf("optimized result differs\nwant:\n%v\ngot:\n%v", want, got)
+	}
+	// The reference runtime is reachable through the facade by name, and
+	// the default reproduces it as a sequence.
+	row, err := eagg.ExecuteTablesOpts(q, res.Plan, data.Tables(), rowOracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := eagg.ExecuteTables(q, res.Plan, data.Tables())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(row.Rows) != fmt.Sprint(def.Rows) || !eagg.SameResult(q, want, row.Rel()) {
+		t.Errorf("row runtime and default execution differ\nrow:\n%v\ndefault:\n%v", row.Rel(), def.Rel())
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Batch-at-a-time hash joins over columnar tables. The operators mirror
-// the row runtime's hashjoin.go/parallel.go exactly — same build order,
+// the row runtime's hashjoin.go exactly — same build order,
 // same probe order, same NULL-key semantics — but work on ColTables:
 // keys are encoded column-major a batch at a time (batchkey.go), probes
 // accumulate (left, right) physical index pairs instead of copying rows,

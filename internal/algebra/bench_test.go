@@ -48,7 +48,7 @@ func BenchmarkHashGroupRuntimes(b *testing.B) {
 		b.Run(fmt.Sprintf("runtime=row/groups=%d", groups), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if out := e.HashGroup(t, groupBy, f); len(out.Rows) != groups {
+				if out := HashGroup(t, groupBy, f); len(out.Rows) != groups {
 					b.Fatalf("got %d groups, want %d", len(out.Rows), groups)
 				}
 			}
@@ -168,7 +168,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 	b.Run("runtime=row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out := e.HashJoin(l, r, lk, rk); len(out.Rows) != nl {
+			if out := HashJoin(l, r, lk, rk); len(out.Rows) != nl {
 				b.Fatalf("got %d rows, want %d", len(out.Rows), nl)
 			}
 		}

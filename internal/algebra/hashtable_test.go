@@ -398,10 +398,10 @@ func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
 		w1.BatchHashGroup(lc, []string{"lk"}, f).Table(),
 		w8.BatchHashGroup(lc, []string{"lk"}, f).Table())
 
-	// The row-runtime parallel joins share the partitioned flat tables.
-	identicalRows(t, "row join seq≡w8",
+	// And both equal the sequential row operator on its Go maps.
+	identicalRows(t, "join row≡w8",
 		HashJoin(l, r, []int{0}, []int{0}),
-		w8.WithMorselSize(128).HashJoin(l, r, []int{0}, []int{0}))
+		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}).Table())
 }
 
 // TestHashStatsRecording pins the collector arithmetic and that grouper

@@ -1,144 +1,10 @@
 package algebra
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"eagg/internal/aggfn"
 )
-
-// identicalTables asserts two tables are bit-identical: same schema in
-// slot order, same rows as a sequence, every value equal in kind and
-// payload (floats compared by bit pattern, so even -0 vs +0 or different
-// summation orders are caught).
-func identicalTables(t *testing.T, label string, want, got *Table) {
-	t.Helper()
-	if fmt.Sprint(want.Schema.Names()) != fmt.Sprint(got.Schema.Names()) {
-		t.Fatalf("%s: schema differs: %v vs %v", label, want.Schema.Names(), got.Schema.Names())
-	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: cardinality differs: want %d got %d", label, len(want.Rows), len(got.Rows))
-	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			a, b := want.Rows[i][j], got.Rows[i][j]
-			if a.Kind != b.Kind || a.I != b.I || a.S != b.S ||
-				math.Float64bits(a.F) != math.Float64bits(b.F) {
-				t.Fatalf("%s: row %d slot %d differs: %v (%#v) vs %v (%#v)", label, i, j, a, a, b, b)
-			}
-		}
-	}
-}
-
-// TestParallelOpsIdenticalToSequential is the operator-level determinism
-// contract of the morsel-driven runtime: for every operator, every
-// worker count and every morsel size, the parallel variant must produce
-// a bit-identical copy of the sequential output — same rows, same
-// order, same float payloads.
-func TestParallelOpsIdenticalToSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	execs := []*Exec{
-		NewExec(2).WithMorselSize(1),
-		NewExec(3).WithMorselSize(2),
-		NewExec(8).WithMorselSize(7),
-		NewExec(4), // default morsel size: single-morsel fallback on small data
-	}
-	for trial := 0; trial < 120; trial++ {
-		la := []string{"l.k1", "l.k2", "l.v"}
-		ra := []string{"r.k1", "r.k2", "r.w"}
-		l := randomRel(rng, la, rng.Intn(30))
-		r := randomRel(rng, ra, rng.Intn(30))
-		for _, tu := range r.Tuples {
-			// r.w and l.v are aggregated below; keep them numeric (the
-			// runtime's relations are typed consistently per attribute).
-			if tu["r.w"].Kind == KindString {
-				tu["r.w"] = Int(int64(len(tu["r.w"].S)))
-			}
-		}
-		for _, tu := range l.Tuples {
-			if tu["l.v"].Kind == KindString {
-				tu["l.v"] = Int(int64(len(tu["l.v"].S)))
-			}
-		}
-		lt, rt := TableOf(l), TableOf(r)
-
-		nKeys := rng.Intn(3)
-		var lk, rk []int
-		for i := 0; i < nKeys; i++ {
-			lk = append(lk, lt.Schema.MustSlot(la[i]))
-			rk = append(rk, rt.Schema.MustSlot(ra[i]))
-		}
-		pad := NullRow(rt.Schema)
-		pad[rt.Schema.MustSlot("r.w")] = Int(1)
-		lpad := NullRow(lt.Schema)
-		gjVec := aggfn.Vector{
-			{Out: "gj_cnt", Kind: aggfn.CountStar},
-			{Out: "gj_sum", Kind: aggfn.Sum, Arg: "r.w"},
-		}
-
-		e := execs[trial%len(execs)]
-		identicalTables(t, "join", HashJoin(lt, rt, lk, rk), e.HashJoin(lt, rt, lk, rk))
-		identicalTables(t, "semi", HashSemiJoin(lt, rt, lk, rk), e.HashSemiJoin(lt, rt, lk, rk))
-		identicalTables(t, "anti", HashAntiJoin(lt, rt, lk, rk), e.HashAntiJoin(lt, rt, lk, rk))
-		identicalTables(t, "leftouter",
-			HashLeftOuter(lt, rt, lk, rk, pad), e.HashLeftOuter(lt, rt, lk, rk, pad))
-		identicalTables(t, "fullouter",
-			HashFullOuter(lt, rt, lk, rk, lpad, pad), e.HashFullOuter(lt, rt, lk, rk, lpad, pad))
-		identicalTables(t, "groupjoin",
-			HashGroupJoin(lt, rt, lk, rk, gjVec), e.HashGroupJoin(lt, rt, lk, rk, gjVec))
-
-		groupBy := []string{"l.k1", "l.k2"}[:1+rng.Intn(2)]
-		aggVec := aggfn.Vector{
-			{Out: "cnt", Kind: aggfn.CountStar},
-			{Out: "mn", Kind: aggfn.Min, Arg: "l.v"},
-			{Out: "cd", Kind: aggfn.CountDistinct, Arg: "l.v"},
-		}
-		identicalTables(t, "group",
-			HashGroup(lt, groupBy, aggVec), e.HashGroup(lt, groupBy, aggVec))
-
-		wSlot := rt.Schema.MustSlot("r.w")
-		ext := func(row Row) Value { return Mul(row.get(wSlot), Int(2)) }
-		identicalTables(t, "extend",
-			ExtendTable(rt, "x", ext), e.ExtendTable(rt, "x", ext))
-	}
-}
-
-// TestParallelFloatSumOrder pins the core determinism promise for
-// order-sensitive float aggregation: sums whose value depends on
-// accumulation order (catastrophic cancellation between big and small
-// terms) must come out bit-identical under parallel aggregation, because
-// each group's rows are folded in global input order by exactly one
-// partition task.
-func TestParallelFloatSumOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab := NewTable(NewSchema([]string{"g", "v"}))
-	for i := 0; i < 5000; i++ {
-		g := Int(int64(rng.Intn(17)))
-		var v Value
-		switch rng.Intn(3) {
-		case 0:
-			v = Float(1e16)
-		case 1:
-			v = Float(-1e16)
-		default:
-			v = Float(rng.Float64())
-		}
-		tab.Rows = append(tab.Rows, Row{g, v})
-	}
-	vec := aggfn.Vector{
-		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
-		{Out: "a", Kind: aggfn.Avg, Arg: "v"},
-	}
-	want := HashGroup(tab, []string{"g"}, vec)
-	for _, workers := range []int{2, 4, 8} {
-		e := NewExec(workers).WithMorselSize(64)
-		identicalTables(t, fmt.Sprintf("workers=%d", workers), want, e.HashGroup(tab, []string{"g"}, vec))
-	}
-}
 
 // TestExecSettings pins the Exec settings resolution: 0 and negatives
 // resolve to GOMAXPROCS, nil and 1 are sequential, WithMorselSize(0)
@@ -213,38 +79,6 @@ func TestForMorsels(t *testing.T) {
 						t.Fatalf("n=%d w=%d size=%d: row %d covered %d times", n, workers, size, i, covered[i].Load())
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestPartitionedBuildMatchesBuildSide: the partitioned table must hold
-// exactly the sequential buildSide postings, split by key hash.
-func TestPartitionedBuildMatchesBuildSide(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		ra := []string{"r.k1", "r.k2"}
-		r := randomRel(rng, ra, rng.Intn(40))
-		rt := TableOf(r)
-		rk := []int{0, 1}[:1+rng.Intn(2)]
-
-		want := buildSide(rt, rk)
-		e := NewExec(4).WithMorselSize(3)
-		pt := e.buildPartitioned(rt, rk)
-
-		total := 0
-		for _, mp := range pt.parts {
-			if mp != nil {
-				total += mp.n
-			}
-		}
-		if total != len(want) {
-			t.Fatalf("partitioned table has %d keys, sequential %d", total, len(want))
-		}
-		for key, rows := range want {
-			got := pt.lookup([]byte(key))
-			if fmt.Sprint(got) != fmt.Sprint(rows) {
-				t.Fatalf("postings differ for key %q: want %v got %v", key, rows, got)
 			}
 		}
 	}

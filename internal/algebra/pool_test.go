@@ -73,10 +73,10 @@ func TestPoolZeroTasks(t *testing.T) {
 }
 
 // TestPoolOperatorsBitIdentical is the determinism half of the shared
-// scheduler: hash operators executing on a pool-attached Exec must
-// produce results bit-identical to the plain sequential operators —
-// the same contract the goroutine-spawning fan-out already satisfies.
-// Tiny morsels force the parallel machinery onto the small inputs.
+// scheduler: batch hash operators executing on a pool-attached Exec must
+// produce results bit-identical to the sequential row operators — the
+// same contract the goroutine-spawning fan-out already satisfies. Tiny
+// morsels force the parallel machinery onto the small inputs.
 func TestPoolOperatorsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(615))
 	p := NewPool(3)
@@ -86,11 +86,11 @@ func TestPoolOperatorsBitIdentical(t *testing.T) {
 		l := TableOf(randomRel(rng, []string{"a", "b"}, 60))
 		r := TableOf(randomRel(rng, []string{"c", "d"}, 40))
 		want := HashJoin(l, r, []int{0}, []int{0})
-		got := ex.HashJoin(l, r, []int{0}, []int{0})
+		got := ex.RowTable(ex.BatchHashJoin(l.Columnar(), r.Columnar(), []int{0}, []int{0}))
 		sameRel(t, want.Rel(), got.Rel(), []string{"a", "b", "c", "d"})
 
 		gwant := HashGroup(l, []string{"a"}, nil)
-		ggot := ex.HashGroup(l, []string{"a"}, nil)
+		ggot := ex.RowTable(ex.BatchHashGroup(l.Columnar(), []string{"a"}, nil))
 		sameRel(t, gwant.Rel(), ggot.Rel(), []string{"a"})
 	}
 	if p.Stats().WorkerTasks+p.Stats().HelperTasks == 0 {

@@ -110,21 +110,6 @@ func TestHashJoinsMatchNestedLoops(t *testing.T) {
 		sameRel(t, GroupJoin(l, r, pred, gjVec),
 			HashGroupJoin(lt, rt, lk, rk, gjVec).Rel(),
 			append(la, "gj_cnt", "gj_sum", "gj_min"))
-
-		// Workers>1 arm: the morsel-parallel variants must reproduce
-		// the same nested-loop reference, output order included. Tiny
-		// morsels force real fan-out even on these small inputs.
-		par := NewExec(3).WithMorselSize(2)
-		sameRel(t, Join(l, r, pred), par.HashJoin(lt, rt, lk, rk).Rel(), append(la, ra...))
-		sameRel(t, SemiJoin(l, r, pred), par.HashSemiJoin(lt, rt, lk, rk).Rel(), la)
-		sameRel(t, AntiJoin(l, r, pred), par.HashAntiJoin(lt, rt, lk, rk).Rel(), la)
-		sameRel(t, LeftOuter(l, r, pred, defs),
-			par.HashLeftOuter(lt, rt, lk, rk, pad).Rel(), append(la, ra...))
-		sameRel(t, FullOuter(l, r, pred, nil, defs),
-			par.HashFullOuter(lt, rt, lk, rk, lpad, pad).Rel(), append(la, ra...))
-		sameRel(t, GroupJoin(l, r, pred, gjVec),
-			par.HashGroupJoin(lt, rt, lk, rk, gjVec).Rel(),
-			append(la, "gj_cnt", "gj_sum", "gj_min"))
 	}
 }
 
@@ -178,11 +163,6 @@ func TestHashGroupMatchesGroup(t *testing.T) {
 		got := HashGroup(et, g, vec)
 		outAttrs := append(append([]string{}, g...), vec.Outs()...)
 		sameRel(t, want, got.Rel(), outAttrs)
-
-		// Workers>1 arm: partition-parallel aggregation against the
-		// same reference, for every aggregate kind.
-		par := NewExec(4).WithMorselSize(3)
-		sameRel(t, want, par.HashGroup(et, g, vec).Rel(), outAttrs)
 	}
 }
 

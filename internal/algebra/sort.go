@@ -3,7 +3,7 @@ package algebra
 // Sort-based physical operators: sort-merge equi-joins
 // (inner/semi/anti/leftouter) and sort-group aggregation over columnar
 // tables — the second physical layer beside the hash operators. The row
-// runtime's MergeJoin/…/SortGroup are Columnar() → batch operator →
+// runtime's MergeTables and SortGroup are Columnar() → batch operator →
 // Table() wrappers around the same code.
 //
 // Every operator here emits the *hash-canonical output sequence*: the
@@ -563,36 +563,15 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 	return e.joinView(l, r, lidx, ridx, nil, pad, false, slices.Contains(padded, true), par), nil
 }
 
-// mergeTables runs BatchMergeJoin for the row runtime.
-func (e *Exec) mergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
+// MergeTables is the sort-merge equi-join of the given kind for the row
+// runtime: BatchMergeJoin between a conversion to columns and one back.
+// The output sequence equals the hash operator's of the same kind exactly.
+func (e *Exec) MergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
 	out, err := e.BatchMergeJoin(kind, l.Columnar(), r.Columnar(), lk, rk, sortL, sortR, pad)
 	if err != nil {
 		return nil, err
 	}
 	return out.Table(), nil
-}
-
-// MergeJoin is the inner equi-join l ⋈ r on the sort-based layer; the
-// output sequence equals HashJoin's exactly.
-func (e *Exec) MergeJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	return e.mergeTables(MergeInner, l, r, lk, rk, sortL, sortR, nil)
-}
-
-// MergeSemiJoin is the left semijoin l ⋉ r on the sort-based layer.
-func (e *Exec) MergeSemiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	return e.mergeTables(MergeSemi, l, r, lk, rk, sortL, sortR, nil)
-}
-
-// MergeAntiJoin is the left antijoin l ▷ r on the sort-based layer. Left
-// rows with NULL key components are kept, like in the hash operator.
-func (e *Exec) MergeAntiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	return e.mergeTables(MergeAnti, l, r, lk, rk, sortL, sortR, nil)
-}
-
-// MergeLeftOuter is the left outerjoin on the sort-based layer. pad must
-// be a full row over r's schema (the engine's default vectors).
-func (e *Exec) MergeLeftOuter(l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
-	return e.mergeTables(MergeLeftOuter, l, r, lk, rk, sortL, sortR, pad)
 }
 
 // ---------------------------------------------------------------------

@@ -73,29 +73,22 @@ func TestMergeJoinsMatchHash(t *testing.T) {
 			ex := NewExec(workers).WithMorselSize(3)
 			label := fmt.Sprintf("trial=%d workers=%d lSorted=%v rSorted=%v", trial, workers, lSorted, rSorted)
 
-			got, err := ex.MergeJoin(l, r, lk, rk, !lSorted, !rSorted)
-			if err != nil {
-				t.Fatalf("%s join: %v", label, err)
+			for _, c := range []struct {
+				name string
+				kind MergeKind
+				want *Table
+			}{
+				{"join", MergeInner, HashJoin(l, r, lk, rk)},
+				{"semi", MergeSemi, HashSemiJoin(l, r, lk, rk)},
+				{"anti", MergeAnti, HashAntiJoin(l, r, lk, rk)},
+				{"leftouter", MergeLeftOuter, HashLeftOuter(l, r, lk, rk, pad)},
+			} {
+				got, err := ex.MergeTables(c.kind, l, r, lk, rk, !lSorted, !rSorted, pad)
+				if err != nil {
+					t.Fatalf("%s %s: %v", label, c.name, err)
+				}
+				identical(t, label+" "+c.name, c.want, got)
 			}
-			identical(t, label+" join", HashJoin(l, r, lk, rk), got)
-
-			got, err = ex.MergeSemiJoin(l, r, lk, rk, !lSorted, !rSorted)
-			if err != nil {
-				t.Fatalf("%s semi: %v", label, err)
-			}
-			identical(t, label+" semi", HashSemiJoin(l, r, lk, rk), got)
-
-			got, err = ex.MergeAntiJoin(l, r, lk, rk, !lSorted, !rSorted)
-			if err != nil {
-				t.Fatalf("%s anti: %v", label, err)
-			}
-			identical(t, label+" anti", HashAntiJoin(l, r, lk, rk), got)
-
-			got, err = ex.MergeLeftOuter(l, r, lk, rk, !lSorted, !rSorted, pad)
-			if err != nil {
-				t.Fatalf("%s leftouter: %v", label, err)
-			}
-			identical(t, label+" leftouter", HashLeftOuter(l, r, lk, rk, pad), got)
 		}
 	}
 }
@@ -143,13 +136,13 @@ func TestSortGroupMatchesHash(t *testing.T) {
 func TestMergeJoinVerifiesOrder(t *testing.T) {
 	l := &Table{Schema: NewSchema([]string{"l.k"}), Rows: []Row{{Int(2)}, {Int(1)}}}
 	r := &Table{Schema: NewSchema([]string{"r.k"}), Rows: []Row{{Int(1)}}}
-	if _, err := NewExec(1).MergeJoin(l, r, []int{0}, []int{0}, false, true); err == nil {
+	if _, err := NewExec(1).MergeTables(MergeInner, l, r, []int{0}, []int{0}, false, true, nil); err == nil {
 		t.Fatal("merge join accepted an unsorted input declared sorted")
 	}
 	// NULL keys are filtered before the check, so a NULL between ordered
 	// keys is fine.
 	l2 := &Table{Schema: NewSchema([]string{"l.k"}), Rows: []Row{{Int(1)}, {Null}, {Int(2)}}}
-	if _, err := NewExec(1).MergeJoin(l2, r, []int{0}, []int{0}, false, true); err != nil {
+	if _, err := NewExec(1).MergeTables(MergeInner, l2, r, []int{0}, []int{0}, false, true, nil); err != nil {
 		t.Fatalf("NULL key between ordered keys rejected: %v", err)
 	}
 	for name, rows := range map[string][]Row{

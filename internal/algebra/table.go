@@ -87,8 +87,7 @@ func (t *Table) Rel() *Rel {
 // operators with data-dependent output cardinalities (join probes) pay
 // one allocation per chunk instead of one per row. Rows are capped
 // slices, so appending to one can never clobber its neighbor. Arenas are
-// single-owner (one per operator or per probe morsel) and never shared
-// across goroutines.
+// single-owner (one per operator) and never shared across goroutines.
 type rowArena struct {
 	slab []Value
 	w    int // row width

@@ -12,10 +12,12 @@ import (
 	"eagg/internal/randquery"
 )
 
-// TestParseRuntime pins the flag-surface contract: empty and "row" are
-// the row runtime, "batch" is the batch runtime, anything else errors.
+// TestParseRuntime pins the name-resolution contract: empty and "batch"
+// are the batch runtime (the default, and the zero value), "row" is the
+// row runtime, anything else errors — and so does executing under a
+// Runtime value that names neither.
 func TestParseRuntime(t *testing.T) {
-	for s, want := range map[string]Runtime{"": RuntimeRow, "row": RuntimeRow, "batch": RuntimeBatch} {
+	for s, want := range map[string]Runtime{"": RuntimeBatch, "batch": RuntimeBatch, "row": RuntimeRow} {
 		got, err := ParseRuntime(s)
 		if err != nil || got != want {
 			t.Errorf("ParseRuntime(%q) = %v, %v; want %v", s, got, err, want)
@@ -26,6 +28,24 @@ func TestParseRuntime(t *testing.T) {
 	}
 	if RuntimeRow.String() != "row" || RuntimeBatch.String() != "batch" {
 		t.Error("Runtime.String mismatch")
+	}
+	if (ExecOptions{}).Runtime != RuntimeBatch {
+		t.Error("the zero-value ExecOptions must select the batch runtime")
+	}
+
+	rng := rand.New(rand.NewSource(90216))
+	q := randquery.Generate(rng, randquery.Params{Relations: 3})
+	data := RandomData(rng, q, 6).Tables()
+	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgDPhyp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "engine: unknown runtime Runtime(7)"
+	if _, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Runtime: 7}); err == nil || err.Error() != want {
+		t.Errorf("ExecTablesOpts under Runtime(7): error %v, want %q", err, want)
+	}
+	if _, _, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Runtime: 7}); err == nil || err.Error() != want {
+		t.Errorf("ExecProfiledOpts under Runtime(7): error %v, want %q", err, want)
 	}
 }
 
@@ -60,7 +80,7 @@ func floatAggArgs(q *query.Query, data TableData) TableData {
 // central determinism contract: on random queries and data, executing an
 // optimized plan on the batch runtime — for every (workers, batch-size)
 // pair — must return a table bit-identical to the sequential row
-// reference path. Every second query aggregates floats, with its sums
+// runtime's. Every second query aggregates floats, with its sums
 // turned into averages on alternate occasions, so order-sensitive float
 // sum and avg states cross the parallel aggregation's partition merge.
 func TestBatchParallelDeterminism(t *testing.T) {
@@ -86,7 +106,7 @@ func TestBatchParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Workers: 1})
+			seq, err := ExecTablesOpts(q, res.Plan, data, RowOracle)
 			if err != nil {
 				t.Fatalf("n=%d trial=%d sequential: %v", n, trial, err)
 			}
@@ -152,7 +172,7 @@ func TestExecStatsHashTelemetry(t *testing.T) {
 	if lf := batch.Hash.LoadFactor(); lf <= 0 || lf > 1 {
 		t.Fatalf("dense occupancy %v outside (0, 1]", lf)
 	}
-	_, row, err := ExecProfiledOpts(q, res.Plan, rel.Tables(), ExecOptions{Workers: 1})
+	_, row, err := ExecProfiledOpts(q, res.Plan, rel.Tables(), RowOracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestBatchTPCHShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			row, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
+			row, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
 			if err != nil {
 				t.Fatalf("%s row exec: %v", label, err)
 			}
@@ -106,5 +106,77 @@ func TestProjectionMatchesHashGroup(t *testing.T) {
 	}
 	if projections < 4 {
 		t.Fatalf("only %d plans with a projection: the suite lost its subject", projections)
+	}
+}
+
+// TestRowRuntimeIsSequential pins what naming the row runtime means: the
+// reference runs on one goroutine whatever Workers, MorselSize and Pool
+// say — on the hash layer (map-based operators, no flat table) and on the
+// sort layer (the Columnar() → batch → Table() wrappers) — and the batch
+// runtime, fanned out over the same pool, reproduces it bit for bit.
+func TestRowRuntimeIsSequential(t *testing.T) {
+	q := tpch.Queries()["Q3"]
+	tables := tpch.GenerateTables(rand.New(rand.NewSource(5)), q, tpch.ExecutionScaleAt("Q3", 2))
+	for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort} {
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: phys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, reused := res.Plan.SortStats(); (done+reused > 0) != (phys == core.PhysModeSort) {
+			t.Fatalf("phys=%v: plan has %d+%d sorts", phys, done, reused)
+		}
+		p := algebra.NewPool(3)
+		defer p.Close()
+		row, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables,
+			engine.ExecOptions{Runtime: engine.RuntimeRow, Workers: 8, MorselSize: 1, Pool: p})
+		if err != nil {
+			t.Fatalf("phys=%v row exec: %v", phys, err)
+		}
+		if ps := p.Stats(); ps.Jobs != 0 || ps.WorkerTasks != 0 || ps.HelperTasks != 0 {
+			t.Errorf("phys=%v: the row runtime fanned out over the pool: %+v", phys, ps)
+		}
+		if stats.Workers != 1 {
+			t.Errorf("phys=%v: ExecStats.Workers = %d under the row runtime, want 1", phys, stats.Workers)
+		}
+		if phys == core.PhysModeHash && stats.Hash != (algebra.HashTableStats{}) {
+			t.Errorf("the row runtime's hash layer reported flat-table telemetry: %+v", stats.Hash)
+		}
+		if row.Card() == 0 {
+			t.Fatalf("phys=%v: empty result proves nothing", phys)
+		}
+		batch, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8, MorselSize: 1, Pool: p})
+		if err != nil {
+			t.Fatalf("phys=%v batch exec: %v", phys, err)
+		}
+		identicalTables(t, fmt.Sprintf("phys=%v row ≡ batch", phys), row, batch)
+		if ps := p.Stats(); ps.WorkerTasks+ps.HelperTasks == 0 {
+			t.Errorf("phys=%v: the batch runtime never used the pool — the zero counters above prove nothing", phys)
+		}
+	}
+}
+
+// TestZeroValueOptionsRunBatch pins the default: options that name no
+// runtime execute on the batch kernels, which — unlike the row runtime's
+// Go maps — report their table builds.
+func TestZeroValueOptionsRunBatch(t *testing.T) {
+	q := tpch.Queries()["Q3"]
+	tables := tpch.GenerateTables(rand.New(rand.NewSource(5)), q, tpch.ExecutionScale("Q3"))
+	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Hash.Builds == 0 {
+		t.Fatalf("ExecOptions{} built no hash table on a join plan — it did not run the batch runtime: %+v", stats.Hash)
+	}
+	_, stats, err = engine.ExecProfiled(q, res.Plan, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Hash.Builds == 0 {
+		t.Fatalf("ExecProfiled built no hash table on a join plan — it did not run the batch runtime: %+v", stats.Hash)
 	}
 }

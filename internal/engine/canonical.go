@@ -10,9 +10,10 @@ import (
 
 // Canonical evaluates the query exactly as written: the initial operator
 // tree followed by the top grouping. It is the reference result against
-// which optimized plans are checked. Like Exec it runs on the slot-based
-// hash runtime; the frozen nested-loop evaluator (CanonicalRef) provides
-// an independent second opinion for the differential tests.
+// which optimized plans are checked, and it runs on the sequential row
+// operators — code the batch runtime shares nothing with; the frozen
+// nested-loop evaluator (CanonicalRef) provides an independent second
+// opinion for the differential tests.
 func Canonical(q *query.Query, data Data) (*algebra.Rel, error) {
 	tab, err := CanonicalTables(q, data.Tables())
 	if err != nil {
@@ -21,21 +22,12 @@ func Canonical(q *query.Query, data Data) (*algebra.Rel, error) {
 	return tab.Rel(), nil
 }
 
-// CanonicalTables evaluates the query as written on slot-based tables on
-// the sequential reference path; CanonicalTablesOpts adds morsel-driven
-// parallelism.
+// CanonicalTables evaluates the query as written on slot-based tables.
 func CanonicalTables(q *query.Query, data TableData) (*algebra.Table, error) {
-	return CanonicalTablesOpts(q, data, ExecOptions{Workers: 1})
-}
-
-// CanonicalTablesOpts evaluates the query as written under the given
-// execution options. Results are bit-identical for every worker count.
-func CanonicalTablesOpts(q *query.Query, data TableData, opts ExecOptions) (*algebra.Table, error) {
 	if q.Root == nil {
 		return nil, fmt.Errorf("engine: query has no operator tree")
 	}
-	ex := opts.exec()
-	tab, err := evalTreeTables(q, q.Root, data, ex)
+	tab, err := evalTreeTables(q, q.Root, data)
 	if err != nil {
 		return nil, err
 	}
@@ -44,10 +36,17 @@ func CanonicalTablesOpts(q *query.Query, data TableData, opts ExecOptions) (*alg
 	}
 	var g []string
 	q.GroupBy.ForEach(func(a int) { g = append(g, q.AttrNames[a]) })
-	return ex.HashGroup(tab, g, q.Aggregates), nil
+	return algebra.HashGroup(tab, g, q.Aggregates), nil
 }
 
-func evalTreeTables(q *query.Query, n *query.OpNode, data TableData, ex *algebra.Exec) (*algebra.Table, error) {
+// CanonicalTablesOpts is CanonicalTables: the canonical evaluator is
+// sequential by definition and reads no option. The name and signature
+// are kept because the repository benchmark (bench/api.go) pins them.
+func CanonicalTablesOpts(q *query.Query, data TableData, _ ExecOptions) (*algebra.Table, error) {
+	return CanonicalTables(q, data)
+}
+
+func evalTreeTables(q *query.Query, n *query.OpNode, data TableData) (*algebra.Table, error) {
 	if n.Kind == query.KindScan {
 		tab, ok := data[n.Rel]
 		if !ok {
@@ -55,28 +54,28 @@ func evalTreeTables(q *query.Query, n *query.OpNode, data TableData, ex *algebra
 		}
 		return tab, nil
 	}
-	l, err := evalTreeTables(q, n.Left, data, ex)
+	l, err := evalTreeTables(q, n.Left, data)
 	if err != nil {
 		return nil, err
 	}
-	r, err := evalTreeTables(q, n.Right, data, ex)
+	r, err := evalTreeTables(q, n.Right, data)
 	if err != nil {
 		return nil, err
 	}
 	lk, rk := joinKeys(q, []*query.Predicate{n.Pred}, l.Schema, r.Schema)
 	switch n.Kind {
 	case query.KindJoin:
-		return ex.HashJoin(l, r, lk, rk), nil
+		return algebra.HashJoin(l, r, lk, rk), nil
 	case query.KindSemiJoin:
-		return ex.HashSemiJoin(l, r, lk, rk), nil
+		return algebra.HashSemiJoin(l, r, lk, rk), nil
 	case query.KindAntiJoin:
-		return ex.HashAntiJoin(l, r, lk, rk), nil
+		return algebra.HashAntiJoin(l, r, lk, rk), nil
 	case query.KindLeftOuter:
-		return ex.HashLeftOuter(l, r, lk, rk, algebra.NullRow(r.Schema)), nil
+		return algebra.HashLeftOuter(l, r, lk, rk, algebra.NullRow(r.Schema)), nil
 	case query.KindFullOuter:
-		return ex.HashFullOuter(l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema)), nil
+		return algebra.HashFullOuter(l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema)), nil
 	case query.KindGroupJoin:
-		return ex.HashGroupJoin(l, r, lk, rk, n.GroupJoinAggs), nil
+		return algebra.HashGroupJoin(l, r, lk, rk, n.GroupJoinAggs), nil
 	}
 	return nil, fmt.Errorf("engine: unsupported node kind %v", n.Kind)
 }

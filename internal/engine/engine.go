@@ -2,15 +2,17 @@
 // using eager aggregation can be verified to produce exactly the same
 // results as the canonical (lazy) plan — and timed against it.
 //
-// The execution runtime is slot-based and columnar-friendly: every
-// operator resolves the attribute names it touches against its input
-// Schema once, at plan-compilation time, and then works on flat
-// []Value rows. Equi-joins (the only join form the optimizer emits) run
-// as build/probe hash joins over collision-proof typed keys, and every
-// grouping runs as typed hash aggregation (internal/algebra's slot
-// runtime). A frozen map-tuple/nested-loop implementation of the same
-// compilation is kept in reference.go (ExecRef, CanonicalRef) as the
-// differential-testing oracle and benchmark baseline.
+// Execution is slot-based: every operator resolves the attribute names
+// it touches against its input Schema once, at plan-compilation time.
+// Plans run on the batch runtime — columnar vectors, typed per-column
+// kernels, morsel-parallel under ExecOptions.Workers (internal/algebra's
+// ColTable operators); equi-joins (the only join form the optimizer
+// emits) run as build/probe hash joins or sort-merge joins, groupings as
+// hash or sort-group aggregation. Two independent implementations of the
+// same compilation are kept as differential-testing oracles: the
+// sequential row runtime (flat []Value rows on Go maps; RuntimeRow, and
+// what Canonical evaluates the unoptimized tree on) and the frozen
+// map-tuple/nested-loop executor in reference.go (ExecRef, CanonicalRef).
 //
 // The compilation realizes the mechanics behind the paper's equivalences
 // in composed form. Every pushed-down grouping Γ_{G⁺} computes
@@ -61,11 +63,12 @@ func (d Data) Tables() TableData {
 
 // ExecOptions configures plan execution.
 type ExecOptions struct {
-	// Workers is the number of goroutines the morsel-driven runtime
-	// uses inside each operator: 0 (or negative) selects GOMAXPROCS,
-	// 1 is the exact sequential reference path, larger counts enable
-	// the parallel operator variants. Results are bit-identical for
-	// every value (see DESIGN.md's determinism argument).
+	// Workers is the number of goroutines the batch runtime uses inside
+	// each operator: 0 (or negative) selects GOMAXPROCS, 1 runs every
+	// operator on the calling goroutine, larger counts enable the
+	// morsel-parallel operator arms. Results are bit-identical for every
+	// value (see DESIGN.md's determinism argument). The row runtime is
+	// sequential whatever this says, and so ignores MorselSize and Pool.
 	Workers int
 	// MorselSize overrides the rows-per-morsel granularity (0 = the
 	// adaptive default: several morsels per worker, clamped to
@@ -82,8 +85,9 @@ type ExecOptions struct {
 	// size-derived) work decomposition, so results are bit-identical
 	// with and without a pool.
 	Pool *algebra.Pool
-	// Runtime selects row-at-a-time (the default, the reference) or
-	// batch-at-a-time columnar execution. Results are bit-identical.
+	// Runtime is RuntimeBatch (the zero value: batch-at-a-time columnar
+	// execution) unless a test or a benchmark oracle names RuntimeRow,
+	// the sequential row-at-a-time reference. Results are bit-identical.
 	Runtime Runtime
 	// BatchSize overrides the rows-per-batch granularity of the batch
 	// runtime (0 = algebra.DefaultBatchSize). Results are identical for
@@ -101,8 +105,13 @@ type ExecOptions struct {
 	Trace *obs.Trace
 }
 
-// exec resolves the options into operator execution settings.
+// exec resolves the options into operator execution settings. The row
+// runtime gets one worker and no pool: its hash operators are sequential
+// functions, and this keeps its sort wrappers sequential too.
 func (o ExecOptions) exec() *algebra.Exec {
+	if o.Runtime == RuntimeRow {
+		return algebra.NewExec(1).WithBatchSize(o.BatchSize)
+	}
 	e := algebra.NewExec(o.Workers)
 	if o.MorselSize > 0 {
 		e = e.WithMorselSize(o.MorselSize)
@@ -118,11 +127,14 @@ func (o ExecOptions) exec() *algebra.Exec {
 
 // runtime resolves the options into the operator runtime the compiler
 // executes against.
-func (o ExecOptions) runtime(ex *algebra.Exec) runtimeOps {
-	if o.Runtime == RuntimeBatch {
-		return batchRuntime{ex: ex}
+func (o ExecOptions) runtime(ex *algebra.Exec) (runtimeOps, error) {
+	switch o.Runtime {
+	case RuntimeBatch:
+		return batchRuntime{ex: ex}, nil
+	case RuntimeRow:
+		return rowRuntime{ex: ex}, nil
 	}
-	return rowRuntime{ex: ex}
+	return nil, fmt.Errorf("engine: unknown runtime %v", o.Runtime)
 }
 
 // ExecStats profiles one execution: a per-operator cardinality profile
@@ -139,15 +151,15 @@ type ExecStats struct {
 	// ResultRows is the cardinality of the final result.
 	ResultRows int
 	// Workers is the resolved per-operator worker count the execution
-	// used (1 = sequential reference path).
+	// used (1 = sequential; always 1 under the row runtime).
 	Workers int
 	// Ops is the per-operator cardinality profile, one entry per costed
 	// operator in compile (bottom-up) order. Relation bitsets survive
 	// the binder, so keys are recorded at operator-completion time.
 	Ops []OpCard
 	// Hash aggregates the flat hash-table telemetry of the execution
-	// (batch-runtime builds and bloom-filtered probes; zero-valued under
-	// the row runtime's map-based sequential operators).
+	// (builds and bloom-filtered probes; zero-valued under the row
+	// runtime's map-based hash operators).
 	Hash algebra.HashTableStats
 }
 
@@ -285,18 +297,20 @@ func Exec(q *query.Query, p *plan.Plan, data Data) (*algebra.Rel, error) {
 	return tab.Rel(), nil
 }
 
-// ExecTables executes an optimized plan on slot-based tables on the
-// sequential reference path; ExecTablesOpts adds morsel-driven
-// parallelism.
+// ExecTables executes an optimized plan on slot-based tables with one
+// worker; ExecTablesOpts adds morsel-driven parallelism.
 func ExecTables(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, error) {
 	return ExecTablesOpts(q, p, data, ExecOptions{Workers: 1})
 }
 
 // ExecTablesOpts executes an optimized plan on slot-based tables under
 // the given execution options. Results are bit-identical for every
-// worker count.
+// worker count and runtime.
 func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	rt := opts.runtime(opts.exec())
+	rt, err := opts.runtime(opts.exec())
+	if err != nil {
+		return nil, err
+	}
 	e := &executor{binder: binder{q: q}, data: data, rt: rt, tr: opts.Trace}
 	c, err := e.compile(p)
 	if err != nil {
@@ -305,9 +319,9 @@ func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptio
 	return rt.result(c.tab), nil
 }
 
-// ExecProfiled executes an optimized plan and reports execution
-// statistics, including the measured counterpart of the plan's C_out
-// estimate, on the sequential reference path.
+// ExecProfiled executes an optimized plan with one worker and reports
+// execution statistics, including the measured counterpart of the plan's
+// C_out estimate.
 func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, *ExecStats, error) {
 	return ExecProfiledOpts(q, p, data, ExecOptions{Workers: 1})
 }
@@ -320,7 +334,10 @@ func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table,
 func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, *ExecStats, error) {
 	hs := &algebra.HashStats{}
 	ex := opts.exec().WithHashStats(hs)
-	rt := opts.runtime(ex)
+	rt, err := opts.runtime(ex)
+	if err != nil {
+		return nil, nil, err
+	}
 	stats := &ExecStats{EstimatedCout: p.Cost, Workers: ex.Workers()}
 	e := &executor{binder: binder{q: q}, data: data, stats: stats, rt: rt, tr: opts.Trace, hs: hs}
 	c, err := e.compile(p)

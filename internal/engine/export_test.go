@@ -31,3 +31,8 @@ func ExecTablesHashProject(q *query.Query, p *plan.Plan, data TableData, opts Ex
 
 // FloatAggArgs exposes floatAggArgs to the external test package.
 var FloatAggArgs = floatAggArgs
+
+// RowOracle names the sequential row runtime: the reference side of the
+// differential comparisons in this package's tests (internal and
+// external). It ignores Workers, MorselSize and Pool.
+var RowOracle = ExecOptions{Runtime: RuntimeRow}

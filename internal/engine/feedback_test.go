@@ -111,8 +111,8 @@ func TestFeedbackChangesPlanQ5(t *testing.T) {
 }
 
 // TestReoptimizeParallelDeterminism: the feedback loop composed with
-// parallel optimization and parallel execution must reproduce the
-// sequential run bit-identically — same rounds, same plans, same
+// parallel optimization and parallel batch execution must reproduce the
+// sequential run on the row runtime bit-identically — same rounds, same plans, same
 // measured profiles, same result table.
 func TestReoptimizeParallelDeterminism(t *testing.T) {
 	queries := []*query.Query{tpch.Queries()["Q5"], tpch.Queries()["Q10"]}
@@ -132,7 +132,7 @@ func TestReoptimizeParallelDeterminism(t *testing.T) {
 		}
 		seq, err := engine.Reoptimize(q, data, engine.FeedbackOptions{
 			Opt:  core.Options{Algorithm: core.AlgEAPrune, Workers: 1},
-			Exec: engine.ExecOptions{Workers: 1},
+			Exec: engine.RowOracle,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,12 +13,13 @@ import (
 
 // FuzzExecEquivalence fuzzes the end-to-end correctness property of the
 // execution stack: for a random query (derived deterministically from the
-// fuzz inputs) and random data, the optimized plan executed on the slot
-// runtime must equal the canonical result, both slot-runtime evaluators
-// must equal their frozen nested-loop references, and morsel-driven
-// parallel execution (Workers>1, fuzz-chosen morsel size) must be
-// bit-identical to the sequential reference path — float sums and
-// output order included. The cardinality feedback loop (Reoptimize) may
+// fuzz inputs) and random data, the optimized plan executed on the batch
+// runtime must equal the canonical result (evaluated by the sequential
+// row operators), both must equal their frozen nested-loop references,
+// and batch execution — sequential and morsel-parallel (Workers>1,
+// fuzz-chosen morsel and batch sizes) — must be bit-identical to the
+// sequential row runtime (RowOracle), float sums and output order
+// included. The cardinality feedback loop (Reoptimize) may
 // change the chosen plan but must still reproduce the canonical result.
 // RandomData draws every int from a range of a few values, which the
 // batch runtime addresses directly (algebra/dense.go); odd seeds spread
@@ -115,11 +116,11 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 
 		// Workers>1 arm: parallel execution must be bit-identical to
-		// the sequential reference path (not merely bag-equal).
+		// the sequential row runtime (not merely bag-equal).
 		tables := data.Tables()
 		workers := 2 + int(algPick)%7
 		popts := ExecOptions{Workers: workers, MorselSize: 1 + int(maxRows)%5}
-		seqTab, err := ExecTablesOpts(q, res.Plan, tables, ExecOptions{Workers: 1})
+		seqTab, err := ExecTablesOpts(q, res.Plan, tables, RowOracle)
 		if err != nil {
 			t.Fatalf("sequential exec: %v", err)
 		}
@@ -129,9 +130,8 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v workers=%d", seed, n, opts.Algorithm, workers), seqTab, parTab)
 
-		// Batch-runtime arm: columnar batch execution must be
-		// bit-identical to the row runtime — sequentially and under
-		// morsel parallelism, for a fuzz-chosen batch size.
+		// Batch-size arm: the same against the row runtime sequentially
+		// and under morsel parallelism, for a fuzz-chosen batch size.
 		bs := 1 + int(maxRows)%9
 		batchTab, err := ExecTablesOpts(q, res.Plan, tables, ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
 		if err != nil {
@@ -148,7 +148,7 @@ func FuzzExecEquivalence(f *testing.F) {
 		// sums must cross the parallel aggregation's partition merge
 		// unchanged.
 		ftables := floatAggArgs(q, tables)
-		seqF, err := ExecTablesOpts(q, res.Plan, ftables, ExecOptions{Workers: 1})
+		seqF, err := ExecTablesOpts(q, res.Plan, ftables, RowOracle)
 		if err != nil {
 			t.Fatalf("sequential exec (float args): %v", err)
 		}
@@ -162,9 +162,9 @@ func FuzzExecEquivalence(f *testing.F) {
 		// -phys arm: the sort-based physical layer. The sort/auto plan
 		// (annotated with merge keys, sort/reuse decisions and
 		// contractual orders) must execute bit-identically to the same
-		// logical plan stripped to the hash layer, and bag-equal to the
-		// canonical result; its parallel execution must be bit-identical
-		// to its sequential one.
+		// logical plan stripped to the hash layer — both on the row
+		// runtime — and bag-equal to the canonical result; its parallel
+		// batch execution must be bit-identical to that.
 		physMode := []core.PhysMode{core.PhysModeSort, core.PhysModeAuto}[int(algPick/8)%2]
 		popt := opts
 		popt.Phys = physMode
@@ -172,11 +172,11 @@ func FuzzExecEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("phys optimize (%v): %v", physMode, err)
 		}
-		physTab, err := ExecTablesOpts(q, pres.Plan, tables, ExecOptions{Workers: 1})
+		physTab, err := ExecTablesOpts(q, pres.Plan, tables, RowOracle)
 		if err != nil {
 			t.Fatalf("phys exec (%v): %v\nplan:\n%v", physMode, err, pres.Plan.StringWithQuery(q))
 		}
-		strippedTab, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), tables, ExecOptions{Workers: 1})
+		strippedTab, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), tables, RowOracle)
 		if err != nil {
 			t.Fatalf("phys stripped exec: %v", err)
 		}
@@ -194,7 +194,7 @@ func FuzzExecEquivalence(f *testing.F) {
 		// sort-merge join and sort-group: bit-identical to the row
 		// runtime sequentially and span-parallel, and — over float
 		// aggregate arguments — to the hash layer's fold order.
-		strippedF, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), ftables, ExecOptions{Workers: 1})
+		strippedF, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), ftables, RowOracle)
 		if err != nil {
 			t.Fatalf("phys stripped exec (float args): %v", err)
 		}

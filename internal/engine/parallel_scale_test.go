@@ -36,8 +36,9 @@ func identicalTables(t *testing.T, label string, want, got *algebra.Table) {
 
 // TestExecParallelAtScale runs the default morsel geometry on inputs
 // large enough to span many real morsels (TPC-H Q3 core at a few
-// thousand rows): workers 1 vs 4 must agree bit for bit, and the
-// deterministic cardinality profile (ActualCout) must be identical.
+// thousand rows): workers 1 vs 4 must agree bit for bit with each other
+// and with the sequential row runtime, and the deterministic cardinality
+// profile (ActualCout) must be identical.
 func TestExecParallelAtScale(t *testing.T) {
 	q := tpch.Q3()
 	data := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt("Q3", 20))
@@ -55,7 +56,12 @@ func TestExecParallelAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalTables(t, fmt.Sprintf("%v", alg), seq, par)
+		row, err := engine.ExecTablesOpts(q, res.Plan, data, engine.RowOracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalTables(t, fmt.Sprintf("%v row ≡ workers 1", alg), row, seq)
+		identicalTables(t, fmt.Sprintf("%v row ≡ workers 4", alg), row, par)
 		if sstats.ActualCout != pstats.ActualCout || sstats.ResultRows != pstats.ResultRows {
 			t.Fatalf("%v: profile diverged: sequential %+v parallel %+v", alg, sstats, pstats)
 		}

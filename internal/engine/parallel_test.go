@@ -36,11 +36,11 @@ func identicalTables(t *testing.T, label string, want, got *algebra.Table) {
 // TestExecParallelDeterminism is the central contract of the
 // morsel-driven runtime, mirroring internal/core/parallel_test.go for
 // execution: on random queries and data, executing any optimized plan
-// with Workers: 8 must return a table bit-identical to the sequential
-// reference path (Workers: 1) — full-outer padding, weight products and
-// order-sensitive float sums included. Tiny morsels force real fan-out
-// on the small fuzz-sized inputs; run with -race to make the schedule
-// adversarial.
+// on the batch runtime with Workers: 8 must return a table bit-identical
+// to the sequential row runtime's — full-outer padding, weight products
+// and order-sensitive float sums included — and the canonical evaluation
+// must equal both as bags. Tiny morsels force real fan-out on the small
+// fuzz-sized inputs; run with -race to make the schedule adversarial.
 func TestExecParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20153))
 	algs := []core.Options{
@@ -62,9 +62,9 @@ func TestExecParallelDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			seq, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Workers: 1})
+			seq, err := ExecTablesOpts(q, res.Plan, data, RowOracle)
 			if err != nil {
-				t.Fatalf("n=%d trial=%d sequential: %v", n, trial, err)
+				t.Fatalf("n=%d trial=%d row oracle: %v", n, trial, err)
 			}
 			par, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Workers: 8, MorselSize: 2})
 			if err != nil {
@@ -72,15 +72,17 @@ func TestExecParallelDeterminism(t *testing.T) {
 			}
 			identicalTables(t, fmt.Sprintf("n=%d trial=%d %v exec", n, trial, opts.Algorithm), seq, par)
 
-			cseq, err := CanonicalTablesOpts(q, data, ExecOptions{Workers: 1})
+			canon, err := CanonicalTables(q, data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpar, err := CanonicalTablesOpts(q, data, ExecOptions{Workers: 8, MorselSize: 2})
-			if err != nil {
-				t.Fatal(err)
+			attrs := OutputAttrs(q)
+			for name, got := range map[string]*algebra.Table{"row oracle": seq, "batch workers=8": par} {
+				if !algebra.EqualBags(canon.Rel(), got.Rel(), attrs) {
+					t.Fatalf("n=%d trial=%d %v: %s ≢ Canonical\nplan:\n%v",
+						n, trial, opts.Algorithm, name, res.Plan.StringWithQuery(q))
+				}
 			}
-			identicalTables(t, fmt.Sprintf("n=%d trial=%d canonical", n, trial), cseq, cpar)
 		}
 	}
 	if queries < 50 {

@@ -10,11 +10,12 @@ import (
 )
 
 // TestSlotRuntimeMatchesReference is the differential gate between the
-// two executors: on random queries and data, the slot-based hash runtime
-// (Exec, Canonical) and the frozen map/nested-loop runtime (ExecRef,
+// executors: on random queries and data, both slot-based runtimes (the
+// batch runtime Exec runs on, and the row runtime that is its oracle and
+// Canonical's evaluator) and the frozen map/nested-loop runtime (ExecRef,
 // CanonicalRef) must produce identical result bags. Because the reference
-// shares no operator code with the hash runtime, a systematic bug in the
-// typed keys or accumulators cannot cancel out of this comparison.
+// shares no operator code with either, a systematic bug in the typed keys
+// or accumulators cannot cancel out of this comparison.
 func TestSlotRuntimeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	for n := 2; n <= 6; n++ {
@@ -41,17 +42,19 @@ func TestSlotRuntimeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slot, err := Exec(q, res.Plan, data)
-				if err != nil {
-					t.Fatalf("slot exec: %v\nplan:\n%v", err, res.Plan.StringWithQuery(q))
-				}
 				ref, err := ExecRef(q, res.Plan, data)
 				if err != nil {
 					t.Fatalf("ref exec: %v\nplan:\n%v", err, res.Plan.StringWithQuery(q))
 				}
-				if !algebra.EqualBags(ref, slot, attrs) {
-					t.Fatalf("n=%d trial=%d %v: Exec (slot) differs from ExecRef\nplan:\n%v\nref:\n%v\nslot:\n%v",
-						n, trial, alg, res.Plan.StringWithQuery(q), ref, slot)
+				for _, eo := range []ExecOptions{{Workers: 1}, RowOracle} {
+					tab, err := ExecTablesOpts(q, res.Plan, data.Tables(), eo)
+					if err != nil {
+						t.Fatalf("%v exec: %v\nplan:\n%v", eo.Runtime, err, res.Plan.StringWithQuery(q))
+					}
+					if slot := tab.Rel(); !algebra.EqualBags(ref, slot, attrs) {
+						t.Fatalf("n=%d trial=%d %v: the %v runtime differs from ExecRef\nplan:\n%v\nref:\n%v\nslot:\n%v",
+							n, trial, alg, eo.Runtime, res.Plan.StringWithQuery(q), ref, slot)
+					}
 				}
 			}
 		}

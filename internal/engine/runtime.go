@@ -8,41 +8,46 @@ import (
 	"eagg/internal/query"
 )
 
-// Runtime selects the physical execution runtime: row-at-a-time over
-// []Value rows (the reference), or batch-at-a-time over columnar vectors
-// (internal/algebra's ColTable operators). Both produce bit-identical
-// output sequences — the batch runtime exists purely for speed, and the
-// row runtime stays the differential oracle.
+// Runtime selects the physical execution runtime. The batch runtime —
+// batch-at-a-time over columnar vectors (internal/algebra's ColTable
+// operators), morsel-parallel under ExecOptions.Workers — is what
+// executes plans; the row runtime — row-at-a-time over []Value rows on
+// Go maps, always sequential — is the differential oracle the batch
+// runtime is tested against, reachable only by naming it. Both produce
+// bit-identical output sequences.
 type Runtime int
 
 const (
-	// RuntimeRow executes operators row at a time on *algebra.Table.
-	RuntimeRow Runtime = iota
-	// RuntimeBatch executes operators batch at a time on columnar
-	// vectors, converting to rows only at the result boundary.
-	RuntimeBatch
+	// RuntimeBatch, the zero value and the default, executes operators
+	// batch at a time on columnar vectors, converting to rows only at the
+	// result boundary.
+	RuntimeBatch Runtime = iota
+	// RuntimeRow executes operators row at a time on *algebra.Table, on
+	// one goroutine: the sequential reference. It ignores
+	// ExecOptions.Workers, MorselSize and Pool.
+	RuntimeRow
 )
 
 func (r Runtime) String() string {
 	switch r {
-	case RuntimeRow:
-		return "row"
 	case RuntimeBatch:
 		return "batch"
+	case RuntimeRow:
+		return "row"
 	}
 	return fmt.Sprintf("Runtime(%d)", int(r))
 }
 
-// ParseRuntime parses a runtime name. The empty string selects the row
+// ParseRuntime parses a runtime name. The empty string selects the batch
 // runtime (the default).
 func ParseRuntime(s string) (Runtime, error) {
 	switch s {
-	case "", "row":
-		return RuntimeRow, nil
-	case "batch":
+	case "", "batch":
 		return RuntimeBatch, nil
+	case "row":
+		return RuntimeRow, nil
 	}
-	return 0, fmt.Errorf("engine: unknown runtime %q (want row or batch)", s)
+	return 0, fmt.Errorf("engine: unknown runtime %q (want batch or row)", s)
 }
 
 // rtTable is a compiled subplan's materialized data in whichever
@@ -84,7 +89,10 @@ var mergeKinds = map[query.OpKind]algebra.MergeKind{
 	query.KindLeftOuter: algebra.MergeLeftOuter,
 }
 
-// rowRuntime runs every operator on the row-at-a-time slot runtime.
+// rowRuntime runs every operator on the sequential row-at-a-time
+// operators. ex is a one-worker Exec (ExecOptions.exec): the hash layer
+// does not use it, the sort layer's Columnar() → batch → Table() wrappers
+// run sequentially under it.
 type rowRuntime struct{ ex *algebra.Exec }
 
 func (rt rowRuntime) tab(t rtTable) *algebra.Table { return t.(*algebra.Table) }
@@ -94,25 +102,25 @@ func (rt rowRuntime) result(t rtTable) *algebra.Table {
 	return rt.tab(t)
 }
 func (rt rowRuntime) hashJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.HashJoin(rt.tab(l), rt.tab(r), lk, rk)
+	return algebra.HashJoin(rt.tab(l), rt.tab(r), lk, rk)
 }
 func (rt rowRuntime) hashSemiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.HashSemiJoin(rt.tab(l), rt.tab(r), lk, rk)
+	return algebra.HashSemiJoin(rt.tab(l), rt.tab(r), lk, rk)
 }
 func (rt rowRuntime) hashAntiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.HashAntiJoin(rt.tab(l), rt.tab(r), lk, rk)
+	return algebra.HashAntiJoin(rt.tab(l), rt.tab(r), lk, rk)
 }
 func (rt rowRuntime) hashLeftOuter(l, r rtTable, lk, rk []int, rpad algebra.Row) rtTable {
-	return rt.ex.HashLeftOuter(rt.tab(l), rt.tab(r), lk, rk, rpad)
+	return algebra.HashLeftOuter(rt.tab(l), rt.tab(r), lk, rk, rpad)
 }
 func (rt rowRuntime) hashFullOuter(l, r rtTable, lk, rk []int, lpad, rpad algebra.Row) rtTable {
-	return rt.ex.HashFullOuter(rt.tab(l), rt.tab(r), lk, rk, lpad, rpad)
+	return algebra.HashFullOuter(rt.tab(l), rt.tab(r), lk, rk, lpad, rpad)
 }
 func (rt rowRuntime) hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) rtTable {
-	return rt.ex.HashGroupJoin(rt.tab(l), rt.tab(r), lk, rk, f)
+	return algebra.HashGroupJoin(rt.tab(l), rt.tab(r), lk, rk, f)
 }
 func (rt rowRuntime) hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return rt.ex.HashGroup(rt.tab(t), groupBy, f)
+	return algebra.HashGroup(rt.tab(t), groupBy, f)
 }
 func (rt rowRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
 	return rt.hashGroup(t, groupBy, f)
@@ -121,20 +129,14 @@ func (rt rowRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sort
 	return rt.ex.SortGroup(rt.tab(t), groupBy, f, sortInput, verify)
 }
 func (rt rowRuntime) mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error) {
-	switch op {
-	case query.KindJoin:
-		return rt.ex.MergeJoin(rt.tab(l), rt.tab(r), lk, rk, sortL, sortR)
-	case query.KindSemiJoin:
-		return rt.ex.MergeSemiJoin(rt.tab(l), rt.tab(r), lk, rk, sortL, sortR)
-	case query.KindAntiJoin:
-		return rt.ex.MergeAntiJoin(rt.tab(l), rt.tab(r), lk, rk, sortL, sortR)
-	case query.KindLeftOuter:
-		return rt.ex.MergeLeftOuter(rt.tab(l), rt.tab(r), lk, rk, sortL, sortR, rpad)
+	kind, ok := mergeKinds[op]
+	if !ok {
+		return nil, fmt.Errorf("engine: %v has no sort-based form", op)
 	}
-	return nil, fmt.Errorf("engine: %v has no sort-based form", op)
+	return rt.ex.MergeTables(kind, rt.tab(l), rt.tab(r), lk, rk, sortL, sortR, rpad)
 }
 func (rt rowRuntime) product(t rtTable, name string, slots []int) rtTable {
-	return rt.ex.ExtendTable(rt.tab(t), name, func(row algebra.Row) algebra.Value {
+	return algebra.ExtendTable(rt.tab(t), name, func(row algebra.Row) algebra.Value {
 		v := algebra.Int(1)
 		for _, s := range slots {
 			v = algebra.Mul(v, row[s])

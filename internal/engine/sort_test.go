@@ -19,8 +19,8 @@ var physModes = []core.PhysMode{core.PhysModeSort, core.PhysModeAuto}
 // TestSortPhysTPCHDifferential is the TPC-H arm of the differential
 // coverage: for every query and sort mode, the sort-annotated plan must
 // execute bit-identically to the same logical plan stripped to the hash
-// layer (the sort operators emit the hash-canonical sequence), and
-// bag-equal to the canonical evaluation and the frozen nested-loop
+// layer and run on the row runtime (the sort operators emit the
+// hash-canonical sequence), and bag-equal to the canonical evaluation and the frozen nested-loop
 // reference executor.
 func TestSortPhysTPCHDifferential(t *testing.T) {
 	for name, q := range tpch.Queries() {
@@ -45,7 +45,7 @@ func TestSortPhysTPCHDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s exec: %v\nplan:\n%v", label, err, res.Plan.StringWithQuery(q))
 				}
-				stripped, err := engine.ExecTables(q, plan.StripPhys(res.Plan), tables)
+				stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
 				if err != nil {
 					t.Fatalf("%s stripped exec: %v", label, err)
 				}
@@ -89,7 +89,7 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial=%d %v exec: %v\nplan:\n%v", trial, mode, err, res.Plan.StringWithQuery(q))
 		}
-		stripped, err := engine.ExecTables(q, plan.StripPhys(res.Plan), tables)
+		stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
 		if err != nil {
 			t.Fatalf("trial=%d stripped: %v", trial, err)
 		}
@@ -100,8 +100,9 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 	}
 }
 
-// TestSortParallelBitIdentity pins workers 1 vs 8 bit-identity for the
-// sort layer on both runtimes: the forced small morsel size pushes the
+// TestSortParallelBitIdentity pins the sort layer's bit-identity with
+// the sequential row runtime for workers 1 and 8: the forced small morsel
+// size pushes the
 // span-parallel machinery (radix passes, pair building, run folding and
 // the grouper merge) onto every operator even at test sizes, across batch
 // sizes. Alternating trials aggregate floats, so order-sensitive sums go
@@ -120,7 +121,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
+		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
 		if err != nil {
 			t.Fatalf("trial=%d sequential: %v", trial, err)
 		}
@@ -128,7 +129,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial=%d parallel: %v", trial, err)
 		}
-		identicalTables(t, fmt.Sprintf("trial=%d %v workers 1 vs 8", trial, mode), seq, par)
+		identicalTables(t, fmt.Sprintf("trial=%d %v row vs workers 8", trial, mode), seq, par)
 		for _, bs := range []int{1, 7, 1024} {
 			for _, o := range []engine.ExecOptions{
 				{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs},
@@ -149,20 +150,19 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
+		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, o := range []engine.ExecOptions{
-			{Workers: 8}, // adaptive morsels: the row hash operators cross their cutoff
+			{Workers: 8}, // adaptive morsels: under the cutoff, the sequential arms
 			{Workers: 8, MorselSize: 64},
-			{Workers: 8, MorselSize: 64, Runtime: engine.RuntimeBatch},
 		} {
 			par, err := engine.ExecTablesOpts(q, res.Plan, tables, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			identicalTables(t, fmt.Sprintf("%s sort runtime=%v morsel=%d workers 1 vs 8", name, o.Runtime, o.MorselSize), seq, par)
+			identicalTables(t, fmt.Sprintf("%s sort morsel=%d row vs workers 8", name, o.MorselSize), seq, par)
 		}
 	}
 }
@@ -208,7 +208,7 @@ func TestAutoEliminatesSortOnTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashTab, err := engine.ExecTables(q, hashRes.Plan, tables)
+	hashTab, err := engine.ExecTablesOpts(q, hashRes.Plan, tables, engine.RowOracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,9 @@ func TestTraceDeterminismConcurrent(t *testing.T) {
 		label string
 		opts  engine.ExecOptions
 	}{
-		{"workers=1/row", engine.ExecOptions{Workers: 1}},
-		{"workers=8/row", engine.ExecOptions{Workers: 8, MorselSize: 2}},
-		{"workers=1/batch", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch}},
-		{"workers=8/batch", engine.ExecOptions{Workers: 8, MorselSize: 2, Runtime: engine.RuntimeBatch}},
+		{"row", engine.RowOracle}, // first: the reference fingerprint
+		{"workers=1/batch", engine.ExecOptions{Workers: 1}},
+		{"workers=8/batch", engine.ExecOptions{Workers: 8, MorselSize: 2}},
 	}
 
 	// TPC-H shapes at execution scale plus random fuzz-sized queries.

@@ -44,7 +44,6 @@ type AnalyzeReport struct {
 	Factor  float64
 	Workers int
 	Phys    core.PhysMode
-	Runtime engine.Runtime
 	Cells   []AnalyzeCell
 }
 
@@ -56,7 +55,7 @@ type AnalyzeReport struct {
 func AnalyzeEval(cfg Config, factor float64, name string) *AnalyzeReport {
 	cfg = cfg.Defaults()
 	q, data, wantRel, attrs, _ := execSetup(cfg, factor, name)
-	rep := &AnalyzeReport{Query: name, Factor: factor, Workers: cfg.Workers, Phys: cfg.Phys, Runtime: cfg.Runtime}
+	rep := &AnalyzeReport{Query: name, Factor: factor, Workers: cfg.Workers, Phys: cfg.Phys}
 
 	for _, alg := range execAlgs {
 		overlay := cost.NewFeedbackOverlay()
@@ -79,7 +78,7 @@ func AnalyzeEval(cfg Config, factor float64, name string) *AnalyzeReport {
 			}
 			tr := obs.NewTrace()
 			tab, stats, err := engine.ExecProfiledOpts(q, res.Plan, data, engine.ExecOptions{
-				Workers: cfg.Workers, Runtime: cfg.Runtime, Trace: tr,
+				Workers: cfg.Workers, Trace: tr,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: analyze %s/%s round %d: %v", name, alg.label, round+1, err))
@@ -109,8 +108,8 @@ func AnalyzeEval(cfg Config, factor float64, name string) *AnalyzeReport {
 // and — when feedback changed the plan — after it.
 func (r *AnalyzeReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "EXPLAIN ANALYZE: %s (scale factor %g, workers %d, phys %v, runtime %v)\n",
-		r.Query, r.Factor, r.Workers, r.Phys, r.Runtime)
+	fmt.Fprintf(&b, "EXPLAIN ANALYZE: %s (scale factor %g, workers %d, phys %v)\n",
+		r.Query, r.Factor, r.Workers, r.Phys)
 	for _, c := range r.Cells {
 		match := "ok"
 		if !c.Match {

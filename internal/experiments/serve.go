@@ -146,7 +146,7 @@ func ServeEvalMetrics(cfg Config, factor float64, names []string, sessions, requ
 					reqStart := time.Now()
 					resp, err := sess.Execute(sh.q.q, service.Request{
 						Opt:     core.Options{Algorithm: core.AlgEAPrune, Workers: cfg.Workers, Phys: cfg.Phys},
-						Exec:    engine.ExecOptions{Workers: cfg.Workers, Runtime: cfg.Runtime},
+						Exec:    engine.ExecOptions{Workers: cfg.Workers},
 						Dataset: sh.name,
 					})
 					lat := float64(time.Since(reqStart).Microseconds()) / 1000

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,10 @@ import (
 	"eagg/internal/randquery"
 	"eagg/internal/tpch"
 )
+
+// rowOracle names the sequential row runtime: the library reference the
+// engine's responses (batch runtime, shared pool) are compared against.
+var rowOracle = engine.ExecOptions{Runtime: engine.RuntimeRow}
 
 // identicalTables asserts bit-identical results: same schema, same rows
 // in the same order, floats compared by bit pattern — the same contract
@@ -143,7 +148,7 @@ func TestServiceConcurrentDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := engine.ExecTablesOpts(q, res.Plan, data, engine.ExecOptions{Workers: 1})
+			want, err := engine.ExecTablesOpts(q, res.Plan, data, rowOracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +198,7 @@ func TestServiceConcurrentMixedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.ExecTablesOpts(q, res.Plan, data, engine.ExecOptions{Workers: 1})
+		want, err := engine.ExecTablesOpts(q, res.Plan, data, rowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,6 +288,22 @@ func TestServiceEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestZeroValueOptionsRunBatch pins the service default: a request that
+// names no runtime executes on the batch kernels, which — unlike the row
+// runtime's Go maps — report their table builds.
+func TestZeroValueOptionsRunBatch(t *testing.T) {
+	q, data := q3Data(t)
+	e := NewEngine(EngineOptions{Workers: 2})
+	defer e.Close()
+	resp, err := e.NewSession().Execute(q, Request{Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.Hash.Builds == 0 {
+		t.Fatalf("a default request built no hash table on a join plan — it did not run the batch runtime: %+v", resp.Stats.Hash)
+	}
+}
+
 // TestServiceRequestValidation pins the request-hygiene errors: the
 // engine owns statistics and the scheduler, data must resolve, and a
 // closed engine refuses work.
@@ -296,6 +317,9 @@ func TestServiceRequestValidation(t *testing.T) {
 	}
 	if _, err := s.Execute(q, Request{Data: data, Exec: engine.ExecOptions{Pool: algebra.NewPool(0)}}); err == nil {
 		t.Error("Exec.Pool accepted")
+	}
+	if _, err := s.Execute(q, Request{Data: data, Exec: engine.ExecOptions{Runtime: 7}}); err == nil || !strings.Contains(err.Error(), "unknown runtime Runtime(7)") {
+		t.Errorf("Exec.Runtime 7: error %v, want an unknown-runtime error", err)
 	}
 	if _, err := s.Execute(q, Request{}); err == nil {
 		t.Error("request without data accepted")
