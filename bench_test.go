@@ -815,7 +815,8 @@ func BenchmarkSortVsHash(b *testing.B) {
 // mode is auto (hash and sort layers compete, the priciest enumeration)
 // so the workload is optimization-bound — the regime the plan cache is
 // for; at large scale factors execution dominates and the ratio
-// approaches 1 regardless of the cache.
+// approaches 1 regardless of the cache. cache=hit, below, is the other
+// end: requests so small that the fixed cost of a hit is what is timed.
 func BenchmarkServiceThroughput(b *testing.B) {
 	type shape struct {
 		name string
@@ -878,6 +879,40 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			})
 		}
 	}
+	// cache=hit is what a request costs when the cache answers and the
+	// kernels have next to nothing to do: 4…8-relation random shapes over
+	// 8-row tables, one session, every plan cached. allocs/op is the
+	// figure to watch — the key encoding and lookup contribute none.
+	b.Run("cache=hit", func(b *testing.B) {
+		eng := service.NewEngine(service.EngineOptions{Workers: 2})
+		defer eng.Close()
+		sess := eng.NewSession()
+		rng := rand.New(rand.NewSource(1))
+		qs := make([]*query.Query, 16)
+		names := make([]string, len(qs))
+		issue := func(i int) {
+			_, err := sess.Execute(qs[i], service.Request{
+				Opt:     core.Options{Algorithm: core.AlgEAPrune},
+				Dataset: names[i],
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range qs {
+			qs[i] = randquery.Generate(rng, randquery.Params{Relations: 4 + i%5})
+			names[i] = fmt.Sprintf("s%d", i)
+			eng.Register(names[i], engine.RandomData(rng, qs[i], 8).Tables())
+			issue(i)
+		}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			issue(i % len(qs))
+		}
+		if m := eng.Metrics(); m.PlanCacheMiss != int64(len(qs)) {
+			b.Fatalf("%d plan-cache misses, want %d: the arm must measure hits", m.PlanCacheMiss, len(qs))
+		}
+	})
 }
 
 // BenchmarkTraceOverhead measures the cost of the observability layer on

@@ -211,7 +211,8 @@ func NewSharedOverlay() *SharedOverlay { return cost.NewSharedOverlay() }
 // Fingerprint returns the canonical signature of a (query, options)
 // pair — equal fingerprints guarantee the same chosen plan under the
 // same statistics. Workers and Stats are excluded (plans are shareable
-// across both); it is the query half of the service plan-cache key.
+// across both); it is the query half of the service plan-cache key: an
+// opaque byte string to compare, not a rendering to print or parse.
 func Fingerprint(q *Query, opts Options) string { return core.Fingerprint(q, opts) }
 
 // PhysMode selects the physical algebra the plan generator may use: the

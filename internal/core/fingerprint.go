@@ -1,17 +1,26 @@
-// The query fingerprint: a canonical string identifying everything that
-// shapes which plan Optimize chooses — the plan-relevant optimizer
+// The query fingerprint: a canonical byte string identifying everything
+// that shapes which plan Optimize chooses — the plan-relevant optimizer
 // options plus the complete optimizer input (relations, statistics,
 // keys, declared orders, the initial tree, predicates, grouping and
 // aggregates). Two (query, options) pairs with equal fingerprints are
 // guaranteed the same chosen plan when optimized under the same stats
 // snapshot, which is exactly the property the service layer's plan
 // cache needs: its key is (Fingerprint, stats epoch).
+//
+// The encoding is self-delimiting — every name is length-prefixed, every
+// list count-prefixed, every number a varint or eight fixed bytes — so
+// equal fingerprints mean equal inputs whatever bytes the names contain.
+// It is an opaque key, not a rendering: nothing may parse or print it.
+// It is built without fmt, by appends into a caller-supplied buffer,
+// because the service pays for it on every request, hit or miss.
 package core
 
 import (
-	"fmt"
-	"strings"
+	"encoding/binary"
+	"math"
 
+	"eagg/internal/aggfn"
+	"eagg/internal/bitset"
 	"eagg/internal/query"
 )
 
@@ -28,9 +37,19 @@ import (
 //
 // Everything else is normalized the way Optimize resolves it (BeamWidth
 // defaulting, F only mattering to H2), so option spellings that resolve
-// to the same search also share a fingerprint.
+// to the same search also share a fingerprint. The result is an opaque
+// map key (binary, not printable); compare it, never parse it.
 func Fingerprint(q *query.Query, opts Options) string {
-	var b strings.Builder
+	// The stack array spares the append growth steps on ordinary queries;
+	// the string conversion is then the one allocation.
+	var buf [1024]byte
+	return string(AppendFingerprint(buf[:0], q, opts))
+}
+
+// AppendFingerprint appends the fingerprint of (q, opts) to dst and
+// returns the extended buffer. Into a buffer with enough capacity it
+// allocates nothing, which is how the service keys its plan cache.
+func AppendFingerprint(dst []byte, q *query.Query, opts Options) []byte {
 	// Options half.
 	f := 0.0
 	if opts.Algorithm == AlgH2 {
@@ -43,58 +62,125 @@ func Fingerprint(q *query.Query, opts Options) string {
 			bw = 4
 		}
 	}
+	dst = appendInt(dst, int(opts.Algorithm))
+	dst = appendFloat(dst, f)
+	dst = appendInt(dst, bw)
+	dst = appendBool(dst, opts.FDReduceGroups)
+	dst = appendInt(dst, int(opts.Phys))
 	// ForceWide and PairBudget are plan-relevant: the wide path is
 	// bit-identical only while the enumeration completes, and the budget
 	// decides where the greedy fallback takes over.
-	fmt.Fprintf(&b, "alg=%d f=%g bw=%d fd=%t phys=%d wide=%t pb=%d;",
-		opts.Algorithm, f, bw, opts.FDReduceGroups, opts.Phys, opts.ForceWide, opts.PairBudget)
+	dst = appendBool(dst, opts.ForceWide)
+	dst = appendInt(dst, opts.PairBudget)
 
 	// Relations with their statistics, keys and declared orders.
+	dst = appendInt(dst, len(q.Relations))
 	for i := range q.Relations {
 		r := &q.Relations[i]
-		fmt.Fprintf(&b, "R%d=%s c=%g a=%v k=", i, r.Name, r.Card, r.Attrs)
+		dst = appendName(dst, r.Name)
+		dst = appendFloat(dst, r.Card)
+		dst = appendSet(dst, r.Attrs)
+		dst = appendInt(dst, len(r.Keys))
 		for _, k := range r.Keys {
-			fmt.Fprintf(&b, "%v,", k)
+			dst = appendSet(dst, k)
 		}
-		fmt.Fprintf(&b, " o=%v;", r.Ordered)
+		dst = appendInts(dst, r.Ordered)
 	}
 	// Attributes: name, owner, distinct count.
+	dst = appendInt(dst, len(q.AttrNames))
 	for a, name := range q.AttrNames {
-		fmt.Fprintf(&b, "A%d=%s@%d d=%g;", a, name, q.AttrRel[a], q.Distinct[a])
+		dst = appendName(dst, name)
+		dst = appendInt(dst, q.AttrRel[a])
+		dst = appendFloat(dst, q.Distinct[a])
 	}
 	// The initial operator tree with predicates and groupjoin vectors.
-	b.WriteString("T=")
-	fingerprintNode(&b, q.Root)
+	dst = appendNode(dst, q.Root)
 	// Grouping and the aggregation vector.
-	fmt.Fprintf(&b, ";G=%v hg=%t F=", q.GroupBy, q.HasGrouping)
-	for _, a := range q.Aggregates {
-		fmt.Fprintf(&b, "%s:%d(%s|%s|%s),", a.Out, a.Kind, a.Arg, a.Arg2, a.Weight)
-	}
-	return b.String()
+	dst = appendSet(dst, q.GroupBy)
+	dst = appendBool(dst, q.HasGrouping)
+	return appendAggs(dst, q.Aggregates)
 }
 
-// fingerprintNode renders one initial-tree node. Predicates are rendered
-// by content (paired attribute ids and selectivity), not identity, so
-// two independently built but identical queries fingerprint equal.
-func fingerprintNode(b *strings.Builder, n *query.OpNode) {
+// Node tags of the initial tree's pre-order encoding.
+const (
+	fpNil byte = iota
+	fpScan
+	fpOp
+)
+
+// appendNode encodes one initial-tree node. Predicates are encoded by
+// content (paired attribute ids and selectivity), not identity, so two
+// independently built but identical queries fingerprint equal.
+func appendNode(dst []byte, n *query.OpNode) []byte {
 	if n == nil {
-		b.WriteString("·")
-		return
+		return append(dst, fpNil)
 	}
 	if n.Kind == query.KindScan {
-		fmt.Fprintf(b, "s%d", n.Rel)
-		return
+		return appendInt(append(dst, fpScan), n.Rel)
 	}
-	fmt.Fprintf(b, "(%d", n.Kind)
+	dst = appendInt(append(dst, fpOp), int(n.Kind))
+	dst = appendBool(dst, n.Pred != nil)
 	if p := n.Pred; p != nil {
-		fmt.Fprintf(b, "[%v=%v@%g]", p.Left, p.Right, p.Selectivity)
+		dst = appendInts(dst, p.Left)
+		dst = appendInts(dst, p.Right)
+		dst = appendFloat(dst, p.Selectivity)
 	}
-	for _, a := range n.GroupJoinAggs {
-		fmt.Fprintf(b, "{%s:%d(%s|%s|%s)}", a.Out, a.Kind, a.Arg, a.Arg2, a.Weight)
+	dst = appendAggs(dst, n.GroupJoinAggs)
+	dst = appendNode(dst, n.Left)
+	return appendNode(dst, n.Right)
+}
+
+func appendAggs(dst []byte, v aggfn.Vector) []byte {
+	dst = appendInt(dst, len(v))
+	for i := range v {
+		a := &v[i]
+		dst = appendName(dst, a.Out)
+		dst = appendInt(dst, int(a.Kind))
+		dst = appendName(dst, a.Arg)
+		dst = appendName(dst, a.Arg2)
+		dst = appendName(dst, a.Weight)
 	}
-	b.WriteString(" ")
-	fingerprintNode(b, n.Left)
-	b.WriteString(" ")
-	fingerprintNode(b, n.Right)
-	b.WriteString(")")
+	return dst
+}
+
+// appendInt writes a signed varint: one byte for the small ids and
+// counts that make up nearly all of a query, and still injective on
+// whatever an unvalidated query holds.
+func appendInt(dst []byte, v int) []byte {
+	return binary.AppendVarint(dst, int64(v))
+}
+
+func appendInts(dst []byte, vs []int) []byte {
+	dst = appendInt(dst, len(vs))
+	for _, v := range vs {
+		dst = appendInt(dst, v)
+	}
+	return dst
+}
+
+// appendFloat writes the value's bits: exact, fixed width, no formatting.
+func appendFloat(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendName(dst []byte, s string) []byte {
+	return append(appendInt(dst, len(s)), s...)
+}
+
+// appendSet writes a VSet word by word. Its packed form is canonical
+// (trailing zero words trimmed), so the word count is too.
+func appendSet(dst []byte, s bitset.VSet) []byte {
+	nw := s.NumWords()
+	dst = appendInt(dst, nw)
+	for w := 0; w < nw; w++ {
+		dst = binary.LittleEndian.AppendUint64(dst, s.Word(w))
+	}
+	return dst
 }

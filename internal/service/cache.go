@@ -21,22 +21,38 @@ type cacheKey struct {
 
 // cacheEntry is one plan cache slot with single-flight semantics: the
 // first request for a key computes while later requests block on ready.
-// plan/stats/err are written exactly once, before ready closes.
+// plan/stats/err are written exactly once, before ready closes. key and
+// the recency links belong to the cache and are touched only under its
+// mutex; an entry is on the list exactly while the map holds it.
 type cacheEntry struct {
 	ready chan struct{}
 	plan  *plan.Plan
 	stats core.Stats
 	err   error
-	epoch uint64
+
+	key        cacheKey
+	prev, next *cacheEntry
 }
 
-// planCache is a bounded plan cache with single-flight computation.
-// Plans are immutable after optimization, so handing the same *plan.Plan
-// to any number of concurrent executions is safe.
+// planCache is a bounded plan cache with single-flight computation and
+// least-recently-used eviction. Plans are immutable after optimization,
+// so handing the same *plan.Plan to any number of concurrent executions
+// is safe.
+//
+// Every entry of m sits on an intrusive recency list — a ring through
+// root, hottest at root.next, coldest at root.prev — that getOrCompute
+// and pruneBelow maintain under mu: a hit moves its entry to the hot
+// end, a miss inserts there and unlinks from the cold end while the map
+// is over its cap. The one exception to recency is a plan optimized
+// under an epoch older than the newest the cache has seen (a request
+// that froze its statistics just before a feedback advance): no later
+// request can ask for it, so it is inserted at the cold end.
 type planCache struct {
-	mu  sync.Mutex
-	max int
-	m   map[cacheKey]*cacheEntry
+	mu     sync.Mutex
+	max    int
+	m      map[cacheKey]*cacheEntry
+	root   cacheEntry // list sentinel
+	newest uint64     // highest epoch inserted or pruned up to
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -44,18 +60,45 @@ type planCache struct {
 }
 
 func newPlanCache(max int) *planCache {
-	return &planCache{max: max, m: map[cacheKey]*cacheEntry{}}
+	c := &planCache{max: max, m: map[cacheKey]*cacheEntry{}}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
-// getOrCompute returns the cached plan for key, computing it via fn on
-// the first request. Concurrent requests for the same key wait for the
-// single in-flight computation and count as hits (they skipped the DP
-// search — which is what hit/miss measures). A failed computation is
-// not cached: its waiters see the error, and the entry is removed so
-// later requests retry.
-func (c *planCache) getOrCompute(key cacheKey, fn func() (*plan.Plan, core.Stats, error)) (*plan.Plan, core.Stats, bool, error) {
+// linkAfter puts en on the list behind at. Called with mu held.
+func (en *cacheEntry) linkAfter(at *cacheEntry) {
+	en.prev, en.next = at, at.next
+	at.next.prev = en
+	at.next = en
+}
+
+// unlink takes en off the list. Called with mu held.
+func (en *cacheEntry) unlink() {
+	en.prev.next, en.next.prev = en.next, en.prev
+	en.prev, en.next = nil, nil
+}
+
+// dropLocked removes en from the map and the list. Called with mu held.
+func (c *planCache) dropLocked(en *cacheEntry) {
+	delete(c.m, en.key)
+	en.unlink()
+}
+
+// getOrCompute returns the cached plan for (sig, epoch), computing it
+// via fn on the first request. sig is only read, and only until the
+// lookup is done: a hit indexes the map through it without allocating,
+// a miss copies it into the key it inserts. Concurrent requests for the
+// same key wait for the single in-flight computation and count as hits
+// (they skipped the DP search — which is what hit/miss measures). A
+// failed computation is not cached: its waiters see the error, and the
+// entry is removed so later requests retry. An entry evicted or pruned
+// while in flight still completes and answers its own requester and
+// waiters; only the cache stops serving it.
+func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (*plan.Plan, core.Stats, error)) (*plan.Plan, core.Stats, bool, error) {
 	c.mu.Lock()
-	if en, ok := c.m[key]; ok {
+	if en, ok := c.m[cacheKey{sig: string(sig), epoch: epoch}]; ok {
+		en.unlink()
+		en.linkAfter(&c.root)
 		c.mu.Unlock()
 		<-en.ready
 		if en.err != nil {
@@ -64,9 +107,18 @@ func (c *planCache) getOrCompute(key cacheKey, fn func() (*plan.Plan, core.Stats
 		c.hits.Add(1)
 		return en.plan, en.stats, true, nil
 	}
-	en := &cacheEntry{ready: make(chan struct{}), epoch: key.epoch}
-	c.m[key] = en
-	c.evictLocked(key)
+	en := &cacheEntry{ready: make(chan struct{}), key: cacheKey{sig: string(sig), epoch: epoch}}
+	c.m[en.key] = en
+	if epoch < c.newest {
+		en.linkAfter(c.root.prev)
+	} else {
+		c.newest = epoch
+		en.linkAfter(&c.root)
+	}
+	for len(c.m) > c.max {
+		c.dropLocked(c.root.prev)
+		c.evictions.Add(1)
+	}
 	c.mu.Unlock()
 	c.misses.Add(1)
 
@@ -74,36 +126,13 @@ func (c *planCache) getOrCompute(key cacheKey, fn func() (*plan.Plan, core.Stats
 	close(en.ready)
 	if en.err != nil {
 		c.mu.Lock()
-		if c.m[key] == en {
-			delete(c.m, key)
+		if c.m[en.key] == en {
+			c.dropLocked(en)
 		}
 		c.mu.Unlock()
 		return nil, core.Stats{}, false, en.err
 	}
 	return en.plan, en.stats, false, nil
-}
-
-// evictLocked enforces the size cap after an insert, preferring entries
-// from older epochs (already unreachable for new requests under the
-// current epoch). keep is never evicted. Called with mu held.
-func (c *planCache) evictLocked(keep cacheKey) {
-	for len(c.m) > c.max {
-		var victim cacheKey
-		found := false
-		for k := range c.m {
-			if k == keep {
-				continue
-			}
-			if !found || k.epoch < victim.epoch {
-				victim, found = k, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(c.m, victim)
-		c.evictions.Add(1)
-	}
 }
 
 // pruneBelow drops every entry optimized under an epoch older than
@@ -113,11 +142,16 @@ func (c *planCache) evictLocked(keep cacheKey) {
 func (c *planCache) pruneBelow(epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.m {
-		if k.epoch < epoch {
-			delete(c.m, k)
+	if epoch > c.newest {
+		c.newest = epoch
+	}
+	for en := c.root.next; en != &c.root; {
+		next := en.next
+		if en.key.epoch < epoch {
+			c.dropLocked(en)
 			c.evictions.Add(1)
 		}
+		en = next
 	}
 }
 

@@ -53,8 +53,8 @@ type EngineOptions struct {
 	// against the current snapshot, and the plan cache invalidates by
 	// epoch when measurements actually change.
 	SharedFeedback bool
-	// PlanCacheSize caps the plan cache (entries; 0 = 256). Stale-epoch
-	// entries are evicted first.
+	// PlanCacheSize caps the plan cache (entries; 0 = 256). Eviction is
+	// least recently used; stale-epoch entries go first.
 	PlanCacheSize int
 }
 
@@ -101,6 +101,9 @@ type Engine struct {
 	interRows     *obs.Counter
 	errorsTotal   *obs.Counter
 }
+
+// sigBufs recycles the buffers requests encode their plan-cache key into.
+var sigBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewEngine starts a service engine: the shared worker pool is running
 // and the plan cache and feedback overlay (if enabled) are empty.
@@ -388,9 +391,12 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 		}
 		resp.Plan, resp.OptStats = res.Plan, res.Stats
 	} else {
-		key := cacheKey{sig: core.Fingerprint(q, opt), epoch: epoch}
+		// The key is encoded into a reused buffer and stays bytes unless
+		// the lookup misses: a hit allocates nothing for it.
+		sig := sigBufs.Get().(*[]byte)
+		*sig = core.AppendFingerprint((*sig)[:0], q, opt)
 		_, err := engine.TraceOptimize(tr, "optimize", func() (*core.Result, error) {
-			p, stats, hit, err := e.cache.getOrCompute(key, func() (*plan.Plan, core.Stats, error) {
+			p, stats, hit, err := e.cache.getOrCompute(*sig, epoch, func() (*plan.Plan, core.Stats, error) {
 				res, err := core.Optimize(q, opt)
 				if err != nil {
 					return nil, core.Stats{}, err
@@ -406,6 +412,7 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 			}
 			return &core.Result{Plan: p, Stats: resp.OptStats}, nil
 		})
+		sigBufs.Put(sig)
 		if err != nil {
 			return nil, err
 		}
