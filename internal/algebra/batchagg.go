@@ -178,51 +178,46 @@ func (fk foldKind) parts() uint8 {
 	return partGen
 }
 
-// growTo extends s to n elements: exactly on first use (callers that
-// know their group count size once), doubling afterwards. Accumulator
-// arrays only ever grow, so spare capacity is still the zeroed memory
-// make handed out — reslicing exposes valid empty state.
-func growTo[T any](s []T, n int) []T {
-	if n <= cap(s) {
+// growTo extends s to at least n elements, taken from e: exactly on first
+// use (callers that know their group count size once), doubling
+// afterwards. A taken array's spare capacity holds stale values, so the
+// elements a reslice exposes are cleared — valid empty state.
+func growTo[T any](e *Exec, s []T, n int) []T {
+	switch {
+	case n <= len(s):
+		return s
+	case n <= cap(s):
+		clear(s[len(s):n])
 		return s[:n]
 	}
-	if s == nil {
-		return make([]T, n)
+	size := n
+	if s != nil {
+		size = 2 * n
 	}
-	ns := make([]T, n, 2*n)
-	copy(ns, s)
+	ns := takeDirty[T](e, size)[:n]
+	clear(ns[copy(ns, s):])
 	return ns
 }
 
-// exactSize returns s's first n elements for an output column: in place,
-// unless s was presized (useDense) for far more groups than were found —
-// doubling never leaves more than 2n — and would pin that size downstream.
-func exactSize[T any](s []T, n int) []T {
-	if cap(s) > 2*n+64 {
-		return slices.Clone(s[:n])
-	}
-	return s[:n:n]
-}
-
-// grow extends the given components to ng groups.
-func (st *aggState) grow(parts uint8, ng int) {
+// grow extends the given components to at least ng groups.
+func (st *aggState) grow(e *Exec, parts uint8, ng int) {
 	if parts&partCount != 0 {
-		st.count = growTo(st.count, ng)
+		st.count = growTo(e, st.count, ng)
 	}
 	if parts&partInt != 0 {
-		st.i = growTo(st.i, ng)
+		st.i = growTo(e, st.i, ng)
 	}
 	if parts&partFloat != 0 {
-		st.f = growTo(st.f, ng)
+		st.f = growTo(e, st.f, ng)
 	}
 	if parts&partSeen != 0 {
-		st.seen = growTo(st.seen, (ng+63)/64)
+		st.seen = growTo(e, st.seen, (ng+63)/64)
 	}
 	if parts&partStr != 0 {
-		st.s = growTo(st.s, ng)
+		st.s = growTo(e, st.s, ng)
 	}
 	if parts&partGen != 0 {
-		st.gen = growTo(st.gen, ng)
+		st.gen = growTo(e, st.gen, ng)
 	}
 }
 
@@ -273,6 +268,7 @@ func (st *aggState) final(fk foldKind, a *BoundAgg, gi int32) Value {
 // each aggregate's kernel folds the whole batch against the resolved
 // group ids — one kernel dispatch per aggregate per batch.
 type batchGrouper struct {
+	e          *Exec // what the accumulators and indexes are taken from
 	t          *ColTable
 	groupSlots []int
 	bound      []BoundAgg
@@ -296,8 +292,9 @@ type batchGrouper struct {
 
 // newBatchGrouper returns an empty grouper; ints selects the int-key
 // group index over the encoded-key one.
-func newBatchGrouper(t *ColTable, groupSlots []int, bound []BoundAgg, ints bool) *batchGrouper {
+func newBatchGrouper(e *Exec, t *ColTable, groupSlots []int, bound []BoundAgg, ints bool) *batchGrouper {
 	g := &batchGrouper{
+		e:          e,
 		t:          t,
 		groupSlots: groupSlots,
 		bound:      bound,
@@ -362,14 +359,14 @@ func (g *batchGrouper) nullID(next int32) (id int32, added bool) {
 // them: at most one group per key of the range and per row, plus the NULL
 // key's. On a dense range that bound is close (Q3's Γ{l_orderkey}: 400k
 // for 253k groups, 9 MB less allocated than by doubling) and never more
-// than one group per row; where it is not — few keys far apart — aggCol
-// hands out exact-size copies instead of the presized arrays.
+// than one group per row; where it is not — few keys far apart — the
+// presized arrays go back to the free lists with the rest (recycle.go).
 func (g *batchGrouper) useDense(ks *keyScan, rows int) {
-	g.dense, g.dmin = make([]int32, ks.span), ks.min
+	g.dense, g.dmin = take[int32](g.e, ks.span), ks.min
 	bound := min(ks.span, rows) + 1
-	g.firsts = make([]int32, 0, bound)
+	g.firsts = takeDirty[int32](g.e, bound)[:0]
 	for j := range g.states {
-		g.states[j].grow(g.folds[j].parts(), bound)
+		g.states[j].grow(g.e, g.folds[j].parts(), bound)
 	}
 }
 
@@ -424,7 +421,7 @@ func (g *batchGrouper) addRuns(kr *keyRuns, lo, hi, bs int) {
 	if ra == rb {
 		return
 	}
-	g.firsts = make([]int32, rb-ra)
+	g.firsts = takeDirty[int32](g.e, rb-ra)
 	for i := range g.firsts {
 		g.firsts[i] = kr.rows[kr.starts[ra+i]]
 	}
@@ -482,7 +479,7 @@ func (g *batchGrouper) finish(hs *HashStats) {
 // every aggregate's kernel over the batch in the scratch.
 func (g *batchGrouper) foldBatch() {
 	for j := range g.bound {
-		g.states[j].grow(g.folds[j].parts(), len(g.firsts))
+		g.states[j].grow(g.e, g.folds[j].parts(), len(g.firsts))
 		g.fold(j)
 	}
 }
@@ -717,17 +714,17 @@ func (g *batchGrouper) emitTable(e *Exec, s *Schema, par bool) *ColTable {
 func (g *batchGrouper) aggCol(j int) Vector {
 	ng := len(g.firsts)
 	st := &g.states[j]
-	st.grow(g.folds[j].parts(), ng) // a grouper that never saw a batch has no arrays yet
+	st.grow(g.e, g.folds[j].parts(), ng) // a grouper that never saw a batch has no arrays yet
 	var v Vector
 	switch g.folds[j] {
 	case foldCountStar, foldCount:
-		return Vector{Kind: ColInt, Ints: exactSize(st.count, ng)}
+		return Vector{Kind: ColInt, Ints: st.count[:ng:ng]}
 	case foldSumInt, foldSumTimesInt, foldSumIfInt, foldMinInt, foldMaxInt:
-		v = Vector{Kind: ColInt, Ints: exactSize(st.i, ng)}
+		v = Vector{Kind: ColInt, Ints: st.i[:ng:ng]}
 	case foldSumFloat, foldSumTimesFloat, foldMinFloat, foldMaxFloat:
-		v = Vector{Kind: ColFloat, Floats: exactSize(st.f, ng)}
+		v = Vector{Kind: ColFloat, Floats: st.f[:ng:ng]}
 	case foldMinStr, foldMaxStr:
-		v = Vector{Kind: ColStr, Strs: exactSize(st.s, ng)}
+		v = Vector{Kind: ColStr, Strs: st.s[:ng:ng]}
 	default:
 		var b colBuilder
 		for gi := 0; gi < ng; gi++ {
@@ -735,9 +732,9 @@ func (g *batchGrouper) aggCol(j int) Vector {
 		}
 		return b.finish()
 	}
-	nulls := make([]uint64, len(st.seen))
+	nulls := takeDirty[uint64](g.e, (ng+63)/64)
 	hasNull := false
-	for w, seen := range st.seen {
+	for w, seen := range st.seen[:len(nulls)] {
 		nulls[w] = ^seen
 		if w == len(nulls)-1 && ng&63 != 0 {
 			nulls[w] &= 1<<(uint(ng)&63) - 1
@@ -760,7 +757,7 @@ func (g *batchGrouper) aggCol(j int) Vector {
 // one typed pass per aggregate, fanned out over the aggregates. No rows,
 // no comparison sort.
 func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrouper {
-	marks := make(bitmap, (t.N+63)/64)
+	marks := bitmap(take[uint64](e, (t.N+63)/64))
 	ng := 0
 	for _, g := range parts {
 		if g != nil {
@@ -770,14 +767,14 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 			}
 		}
 	}
-	below := make([]int32, len(marks)) // marked rows in earlier words
+	below := takeDirty[int32](e, len(marks)) // marked rows in earlier words
 	for w, n := 0, int32(0); w < len(marks); w++ {
 		below[w] = n
 		n += int32(bits.OnesCount64(marks[w]))
 	}
-	out := newBatchGrouper(t, groupSlots, bound, false)
-	out.firsts = make([]int32, ng)
-	perm := make([]int32, 0, ng) // the groups' ranks, partition by partition
+	out := newBatchGrouper(e, t, groupSlots, bound, false)
+	out.firsts = takeDirty[int32](e, ng)
+	perm := takeDirty[int32](e, ng)[:0] // the groups' ranks, partition by partition
 	for _, g := range parts {
 		if g != nil {
 			for _, f := range g.firsts {
@@ -790,7 +787,7 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 	e.forTasks(len(bound), func(j int) {
 		comps := out.folds[j].parts()
 		st := &out.states[j]
-		st.grow(comps, ng)
+		st.grow(e, comps, ng)
 		to := perm
 		for _, g := range parts {
 			if g != nil {
@@ -825,7 +822,7 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 	// only its emit fans out.
 	par := e.parForBatch(n)
 	if !par || ks.dense {
-		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
+		g := newBatchGrouper(e, t, groupSlots, bound, ks.col != nil)
 		if ks.dense {
 			g.useDense(ks, n)
 		}
@@ -842,12 +839,12 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 		}
 		// Every group lives in exactly one partition and is folded here,
 		// by one task, in global input order.
-		g := newBatchGrouper(t, groupSlots, bound, ks.col != nil)
+		g := newBatchGrouper(e, t, groupSlots, bound, ks.col != nil)
 		rp.runs(p, e.batchSize(), g.add)
 		g.finish(e.hashStats())
 		parts[p] = g
 	})
-	rp.release()
+	rp.release(e)
 	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, outSchema, true)
 }
 
@@ -860,12 +857,12 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
 	bound := BindVector(f, t.Schema)
 	e.readAggs(t, bound)
-	g := newBatchGrouper(t, t.Schema.Slots(groupBy), bound, false)
+	g := newBatchGrouper(e, t, t.Schema.Slots(groupBy), bound, false)
 	bs := e.batchSize()
 	n := t.Card()
-	g.firsts = make([]int32, 0, n)
+	g.firsts = takeDirty[int32](e, n)[:0]
 	for j := range g.states {
-		g.states[j].grow(g.folds[j].parts(), n)
+		g.states[j].grow(e, g.folds[j].parts(), n)
 	}
 	var rows []int32
 	for b := 0; b < n; b += bs {
@@ -919,7 +916,7 @@ func (e *Exec) BatchExtendProduct(t *ColTable, name string, slots []int) *ColTab
 		out.addDense(b.finish())
 		return out
 	}
-	v := Vector{Kind: ColInt, Ints: make([]int64, n)}
+	v := Vector{Kind: ColInt, Ints: take[int64](e, n)}
 	if !anyNulls {
 		e.forSpans(n, e.parForBatch(n), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -935,7 +932,7 @@ func (e *Exec) BatchExtendProduct(t *ColTable, name string, slots []int) *ColTab
 	}
 	// NULL factors are absorbing (Mul(_, NULL) is NULL). Sequential:
 	// morsel spans share bitmap words, so a parallel fill would race.
-	nulls := make([]uint64, (n+63)/64)
+	nulls := take[uint64](e, (n+63)/64)
 	for i := 0; i < n; i++ {
 		p, prod, null := int(t.phys(i)), int64(1), false
 		for _, s := range slots {

@@ -167,7 +167,7 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *b
 			}
 		})
 		keys = int(total.Load())
-		rp.release()
+		rp.release(e)
 	}
 	if f := buildBloom(keys, probeCard); f != nil {
 		// The tables cache every distinct key's hash, so the filter fills
@@ -301,7 +301,7 @@ func (e *Exec) probePostings(sc *batchScratch, l *ColTable, lk []int, b *batchBu
 // the morsel's pooled scratch. The lists come back concatenated in morsel
 // order, allocated once at their final size plus room for extra more
 // pairs (non-nil: counted after the probe barrier), with whether any ri is
-// a pad.
+// a pad. The lists are e's until Release: the output view keeps them.
 func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extra func() int, emit func(sc *batchScratch, rows []int32, posts [][]int32)) (li, ri []int32, padded bool) {
 	e.read(l, lk...)
 	n := l.Card()
@@ -320,7 +320,7 @@ func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extr
 	for _, sc := range chunks {
 		nl, nr = nl+len(sc.li), nr+len(sc.ri)
 	}
-	li, ri = make([]int32, 0, nl), make([]int32, 0, nr)
+	li, ri = takeDirty[int32](e, nl)[:0], takeDirty[int32](e, nr)[:0]
 	for _, sc := range chunks {
 		li, ri, padded = append(li, sc.li...), append(ri, sc.ri...), padded || sc.padded
 		batchScratchPool.Put(sc)

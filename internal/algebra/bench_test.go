@@ -59,6 +59,7 @@ func BenchmarkHashGroupRuntimes(b *testing.B) {
 				if out := e.BatchHashGroup(ct, groupBy, f); out.Card() != groups {
 					b.Fatalf("got %d groups, want %d", out.Card(), groups)
 				}
+				e.Release()
 			}
 		})
 	}
@@ -179,6 +180,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 			if out := e.BatchHashJoin(cl, cr, lk, rk); out.Card() != nl {
 				b.Fatalf("got %d rows, want %d", out.Card(), nl)
 			}
+			e.Release()
 		}
 	})
 }
@@ -262,6 +264,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 								if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
 									b.Fatalf("got %d groups, want %d", out.Card(), groups)
 								}
+								e.Release()
 							}
 						})
 					}
@@ -270,6 +273,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 							if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
 								b.Fatalf("got %d rows, want %d", out.Card(), n)
 							}
+							e.Release()
 						}
 					})
 					if table == "hash" || n > 256<<10 {
@@ -280,6 +284,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 							if out, err := e.BatchSortGroup(agg, []string{"g"}, f, true, nil); err != nil || out.Card() != groups {
 								b.Fatalf("got %v, want %d groups", err, groups)
 							}
+							e.Release()
 						}
 					})
 					b.Run("op=mergejoin/"+name, func(b *testing.B) {
@@ -287,6 +292,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 							if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil); err != nil || out.Card() != n {
 								b.Fatalf("got %v, want %d rows", err, n)
 							}
+							e.Release()
 						}
 					})
 				}
@@ -320,7 +326,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 			b.Run("op=group/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ks := scan(agg, false)
-					g := newBatchGrouper(agg, lk, bound, true)
+					g := newBatchGrouper(e, agg, lk, bound, true)
 					if ks.dense {
 						g.useDense(ks, n)
 					}
@@ -329,6 +335,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					if out := g.emitTable(e, groupSchema([]string{"g"}, f), false); out.Card() != n/4 {
 						b.Fatalf("got %d groups, want %d", out.Card(), n/4)
 					}
+					e.Release()
 				}
 			})
 			b.Run("op=join/"+name, func(b *testing.B) {
@@ -350,6 +357,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					if hits != matches || hits < 2*n {
 						b.Fatalf("got %d matches, want %d", hits, matches)
 					}
+					e.Release()
 				}
 			})
 		}

@@ -123,14 +123,14 @@ func (dt *denseTable) place(rows []int32) {
 // measured size (DESIGN.md "Direct-addressed keys").
 func (e *Exec) buildDense(ks *keyScan) *denseTable {
 	t, n, bs := ks.t, ks.t.Card(), e.batchSize()
-	dt := &denseTable{col: ks.col, min: ks.min, offs: make([]int32, ks.span+1)}
+	dt := &denseTable{col: ks.col, min: ks.min, offs: take[int32](e, ks.span+1)}
 	var rows []int32
 	for b := 0; b < n; b += bs {
 		rows = t.physBatch(b, min(b+bs, n), rows)
 		dt.count(rows)
 	}
 	keys := countEnds(dt.offs[:ks.span])
-	dt.posts = make([]int32, dt.offs[max(ks.span, 1)-1])
+	dt.posts = takeDirty[int32](e, int(dt.offs[max(ks.span, 1)-1]))
 	for b := (n - 1) / bs * bs; n > 0 && b >= 0; b -= bs {
 		rows = t.physBatch(b, min(b+bs, n), rows)
 		dt.place(rows)

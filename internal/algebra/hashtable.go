@@ -656,8 +656,9 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 // HashStats aggregates hash-table telemetry across one execution:
 // every table/index build records its geometry here, every bloom-
 // filtered probe its check/pass counts, every gather of a view's column
-// (vector.go) its size. All counters are atomic — builds finish inside
-// forParts fan-outs. A nil *HashStats disables recording.
+// (vector.go) its size, every recycled buffer (recycle.go) its bytes. All
+// counters are atomic — builds finish inside forParts fan-outs. A nil
+// *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64
 	dense       atomic.Int64
@@ -668,6 +669,8 @@ type HashStats struct {
 	bloomPasses atomic.Int64
 	gatherCols  atomic.Int64
 	gatherRows  atomic.Int64
+	bufBytes    atomic.Int64
+	bufReused   atomic.Int64
 }
 
 func (hs *HashStats) recordTable(entries, capacity, maxProbe int) {
@@ -710,6 +713,16 @@ func (hs *HashStats) recordGather(cols, rows int) {
 	}
 }
 
+// recordBuf records a buffer taken through the recycler (recycle.go).
+func (hs *HashStats) recordBuf(bytes int, reused bool) {
+	if hs != nil {
+		hs.bufBytes.Add(int64(bytes))
+		if reused {
+			hs.bufReused.Add(int64(bytes))
+		}
+	}
+}
+
 // Snapshot captures the counters as plain values.
 func (hs *HashStats) Snapshot() HashTableStats {
 	if hs == nil {
@@ -725,6 +738,8 @@ func (hs *HashStats) Snapshot() HashTableStats {
 		BloomPasses: hs.bloomPasses.Load(),
 		GatherCols:  hs.gatherCols.Load(),
 		GatherRows:  hs.gatherRows.Load(),
+		BufBytes:    hs.bufBytes.Load(),
+		BufReused:   hs.bufReused.Load(),
 	}
 }
 
@@ -734,7 +749,9 @@ func (hs *HashStats) Snapshot() HashTableStats {
 // is the mean load factor), the worst probe sequence any build walked,
 // the Bloom filter's check/pass traffic, and how many columns of join
 // outputs were gathered (GatherRows values in all) — the rest was carried
-// as views and never read.
+// as views and never read — and how many bytes of intermediate buffers the
+// execution took through the recycler (BufReused of them from its free
+// lists rather than fresh).
 type HashTableStats struct {
 	Builds      int64
 	Dense       int64
@@ -745,6 +762,8 @@ type HashTableStats struct {
 	BloomPasses int64
 	GatherCols  int64
 	GatherRows  int64
+	BufBytes    int64
+	BufReused   int64
 }
 
 // LoadFactor is the mean occupancy of the built tables (0 when none).

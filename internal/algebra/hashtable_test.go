@@ -486,7 +486,7 @@ func TestRadixScatterLayout(t *testing.T) {
 					if len(rows) != len(seq) {
 						t.Fatalf("%s: %d entries scattered, sequential scan has %d", label, len(rows), len(seq))
 					}
-					rp.release()
+					rp.release(e)
 				}
 				nulls := 0
 				for _, en := range seq {

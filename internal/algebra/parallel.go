@@ -63,6 +63,9 @@ type Exec struct {
 	// (hashtable.go). Observation only — never consulted for decisions,
 	// so attaching it cannot change results.
 	hstats *HashStats
+	// rec lists the buffers the execution took (recycle.go); the With*
+	// copies share it.
+	rec *recycler
 }
 
 // DefaultBatchSize is the default row count per columnar batch: large
@@ -92,12 +95,13 @@ func (e *Exec) batchSize() int {
 // NewExec returns execution settings for the given worker count:
 // 0 (or negative) selects GOMAXPROCS, 1 runs every operator on the
 // calling goroutine, larger counts enable the morsel-parallel operator
-// arms. Results are bit-identical for every value.
+// arms. Results are bit-identical for every value. The intermediates of
+// its operators are recycled once Release is called.
 func NewExec(workers int) *Exec {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Exec{workers: workers}
+	return &Exec{workers: workers, rec: &recycler{}}
 }
 
 // Workers returns the resolved worker count (1 for a nil Exec).

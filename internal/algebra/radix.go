@@ -1,9 +1,6 @@
 package algebra
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Hashed key entries and their radix partition: the one key pipeline all
 // batch hash operators share. A keyScan turns a table's key columns into
@@ -155,7 +152,7 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 	if ks.col == nil {
 		rp.arenas = make([][]byte, morsels)
 	}
-	tmp := getEntries(n)
+	tmp := scratch[keyEntry](e, n)
 	cnts := make([]int32, morsels)
 	e.forMorsels(n, func(m, lo, hi int) {
 		var arena []byte
@@ -181,7 +178,7 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 		}
 		rp.offs[morsels*partitions+p] = pos
 	}
-	rp.ents = getEntries(int(pos))
+	rp.ents = scratch[keyEntry](e, int(pos))
 	e.forMorsels(n, func(m, lo, hi int) {
 		var next [partitions]int32
 		copy(next[:], rp.offs[m*partitions:])
@@ -191,28 +188,15 @@ func (e *Exec) radixScatter(ks *keyScan, n int) *radixParts {
 			next[p]++
 		}
 	})
-	putEntries(tmp)
+	give(e, tmp)
 	return rp
 }
 
-// release recycles the entry array; rp must not be used afterwards.
-func (rp *radixParts) release() { putEntries(rp.ents) }
-
-// entryPool recycles entry arrays across operators: a scatter needs two
-// input-sized arrays for the length of one build or aggregation, and
-// allocating them fresh every time is what drives the collector — over a
-// heap of pointer-rich base tables — on the parallel arm. Stale contents
-// are harmless: both passes write every entry they later read.
-var entryPool sync.Pool
-
-func getEntries(n int) []keyEntry {
-	if p, _ := entryPool.Get().(*[]keyEntry); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]keyEntry, n)
-}
-
-func putEntries(s []keyEntry) { entryPool.Put(&s) }
+// release hands the entry array back — operator scratch, recycled as soon
+// as the build or aggregation is done with it; rp must not be used
+// afterwards. Stale contents are harmless: both passes of a scatter write
+// every entry they later read.
+func (rp *radixParts) release(e *Exec) { give(e, rp.ents) }
 
 // count returns the number of entries in partition p.
 func (rp *radixParts) count(p int) int {

@@ -45,7 +45,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"eagg/internal/aggfn"
 )
@@ -214,8 +213,8 @@ func (k *sortKey) dead(i int32) bool {
 // liveRows returns the physical rows of t that take part in the sort, in
 // input order: all of them under the grouping order (NULL is a key value
 // of its own), those not dead under the join order.
-func (k *sortKey) liveRows(t *ColTable) []int32 {
-	rows := t.physBatch(0, t.Card(), make([]int32, 0, t.Card()))
+func (e *Exec) liveRows(k *sortKey, t *ColTable) []int32 {
+	rows := t.physBatch(0, t.Card(), takeDirty[int32](e, t.Card()))
 	if !k.join || (k.ints && !slices.ContainsFunc(k.cols, func(c *Vector) bool { return c.Nulls != nil })) {
 		return rows
 	}
@@ -272,7 +271,7 @@ func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
 	}
 	first := func(i int) bool { return i == 0 || cmpKeys(k, rows[i-1], k, rows[i]) != 0 }
 	if k.ints {
-		kr.sizeRuns(len(rows), first)
+		e.sizeRuns(kr, len(rows), first)
 	}
 	for i, r := range rows {
 		if first(i) {
@@ -286,18 +285,18 @@ func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
 	return kr
 }
 
-// sizeRuns allocates starts and keys for the runs among n sorted rows at
+// sizeRuns takes kr's starts and keys for the runs among n sorted rows at
 // their final size — first(i) says whether row i starts one — where append
 // would grow into them by reallocating: a cheap counting pass over int
 // keys, skipped for comparator keys (which have no key tuples to store).
-func (kr *keyRuns) sizeRuns(n int, first func(i int) bool) {
+func (e *Exec) sizeRuns(kr *keyRuns, n int, first func(i int) bool) {
 	runs := 0
 	for i := 0; i < n; i++ {
 		if first(i) {
 			runs++
 		}
 	}
-	kr.starts, kr.keys = make([]int32, 0, runs+1), make([]int64, 0, runs*len(kr.key.cols))
+	kr.starts, kr.keys = takeDirty[int32](e, runs+1)[:0], takeDirty[int64](e, runs*len(kr.key.cols))[:0]
 }
 
 // ---------------------------------------------------------------------
@@ -311,31 +310,19 @@ type sortRec struct {
 	row int32
 }
 
-// recPool recycles record arrays across sorts, like entryPool does for
-// the hash layer's key entries. Stale contents are harmless: a sort
-// writes every record it later reads.
-var recPool sync.Pool
-
-func getRecs(n int) []sortRec {
-	if p, _ := recPool.Get().(*[]sortRec); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]sortRec, n)
-}
-
-func putRecs(s []sortRec) { recPool.Put(&s) }
-
 // radixSort orders kr's rows by (int key, row) and finds the runs: a
 // stable LSD radix sort over the key columns from the last to the first
 // and, within a column, over its bytes from the lowest — rows arrive
 // ascending and no pass reorders equal digits, so ties end up in row
 // order. Bytes on which all of a column's keys agree are skipped. The
-// runs are read off the sorted records, whose keys are at hand.
+// runs are read off the sorted records, whose keys are at hand. The two
+// record arrays are the sort's scratch, handed back when it ends; stale
+// contents are harmless, a sort writes every record it later reads.
 func (e *Exec) radixSort(kr *keyRuns, par bool) {
 	const signBit = 1 << 63
 	k, rows := kr.key, kr.rows
 	n := len(rows)
-	recs, tmp := getRecs(n), getRecs(n)
+	recs, tmp := scratch[sortRec](e, n), scratch[sortRec](e, n)
 	for i, r := range rows {
 		recs[i].row = r
 	}
@@ -373,7 +360,7 @@ func (e *Exec) radixSort(kr *keyRuns, par bool) {
 		}
 		return !same
 	}
-	kr.sizeRuns(n, first)
+	e.sizeRuns(kr, n, first)
 	for i, rc := range recs {
 		rows[i] = rc.row
 		if first(i) {
@@ -385,8 +372,8 @@ func (e *Exec) radixSort(kr *keyRuns, par bool) {
 		}
 	}
 	kr.starts = append(kr.starts, int32(n))
-	putRecs(recs)
-	putRecs(tmp)
+	give(e, recs)
+	give(e, tmp)
 }
 
 // radixPass moves src into dst ordered by the key byte at shift, keeping
@@ -443,7 +430,7 @@ const (
 func (e *Exec) mergeInput(t *ColTable, slots []int, needSort, par bool) (*keyRuns, error) {
 	e.read(t, slots...)
 	k := newSortKey(t, slots, true)
-	rows := k.liveRows(t)
+	rows := e.liveRows(k, t)
 	if !needSort {
 		if bad := k.firstDescent(rows); bad >= 0 {
 			return nil, fmt.Errorf(
@@ -457,8 +444,8 @@ func (e *Exec) mergeInput(t *ColTable, slots []int, needSort, par bool) (*keyRun
 // per physical left row the right run holding its join partners, or -1
 // (no partner, or a NULL key). Keys strictly ascend from run to run on
 // either side, so the right cursor only moves forward.
-func matchRuns(l, r *keyRuns, leftRows int) []int32 {
-	match := make([]int32, leftRows)
+func (e *Exec) matchRuns(l, r *keyRuns, leftRows int) []int32 {
+	match := takeDirty[int32](e, leftRows)
 	for i := range match {
 		match[i] = -1
 	}
@@ -505,7 +492,7 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 	if err != nil {
 		return nil, fmt.Errorf("merge join, right input: %w", err)
 	}
-	match := matchRuns(lr, rr, l.N)
+	match := e.matchRuns(lr, rr, l.N)
 	n := l.Card()
 	if kind == MergeSemi || kind == MergeAnti {
 		// A pure selection over the shared columns; NULL-key left rows
@@ -543,8 +530,8 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 	for m := 1; m < len(offs); m++ {
 		offs[m] += offs[m-1]
 	}
-	lidx := make([]int32, offs[len(offs)-1])
-	ridx := make([]int32, len(lidx))
+	lidx := takeDirty[int32](e, offs[len(offs)-1])
+	ridx := takeDirty[int32](e, len(lidx))
 	e.forSpans(n, par, func(m, lo, hi int) {
 		o := offs[m]
 		for li := lo; li < hi; li++ {
@@ -596,7 +583,7 @@ func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sor
 	e.read(t, verify...)
 	e.readAggs(t, bound)
 	k := newSortKey(t, groupSlots, false)
-	rows := k.liveRows(t)
+	rows := e.liveRows(k, t)
 	if !sortInput {
 		if bad := newSortKey(t, verify, false).firstDescent(rows); bad >= 0 {
 			return nil, fmt.Errorf(
@@ -610,7 +597,7 @@ func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sor
 	n := len(rows)
 	parts := make([]*batchGrouper, e.spans(n, par))
 	e.forSpans(n, par, func(m, lo, hi int) {
-		g := newBatchGrouper(t, groupSlots, bound, false)
+		g := newBatchGrouper(e, t, groupSlots, bound, false)
 		g.addRuns(kr, lo, hi, e.batchSize())
 		g.finish(nil)
 		parts[m] = g

@@ -416,7 +416,7 @@ func (e *Exec) carry(out, t *ColTable, idx []int32, pad Row, padded, par bool) {
 			v := idx
 			if k > 0 {
 				inner := t.via[k-1]
-				v = make([]int32, len(idx))
+				v = takeDirty[int32](e, len(idx))
 				e.forSpans(len(idx), par, func(_, lo, hi int) {
 					for i, p := range idx[lo:hi] {
 						v[lo+i] = -1
@@ -478,25 +478,25 @@ func (t *ColTable) addDense(v Vector) {
 	}
 }
 
-// gatherCol builds a fresh dense vector holding col[idx[0]], col[idx[1]],
-// … — the typed assembly step of the batch operators, fanned out over
-// 64-aligned row spans (so no two share a bitmap word) when par. Every
-// index must be a valid physical row (no pads).
+// gatherCol builds a dense vector, taken from e, holding col[idx[0]],
+// col[idx[1]], … — the typed assembly step of the batch operators, fanned
+// out over 64-aligned row spans (so no two share a bitmap word) when par.
+// Every index must be a valid physical row (no pads).
 func (e *Exec) gatherCol(col *Vector, idx []int32, par bool) Vector {
 	n := len(idx)
 	out := Vector{Kind: col.Kind}
 	switch col.Kind {
 	case ColInt:
-		out.Ints = make([]int64, n)
+		out.Ints = takeDirty[int64](e, n)
 	case ColFloat:
-		out.Floats = make([]float64, n)
+		out.Floats = takeDirty[float64](e, n)
 	case ColStr:
-		out.Strs = make([]string, n)
+		out.Strs = takeDirty[string](e, n)
 	case ColMixed:
 		out.Vals = make([]Value, n)
 	}
 	if col.Kind != ColMixed && col.Nulls != nil {
-		out.Nulls = make([]uint64, (n+63)/64)
+		out.Nulls = take[uint64](e, (n+63)/64)
 	}
 	hasNull := false
 	if par {

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"eagg/internal/algebra"
 	"eagg/internal/core"
 	"eagg/internal/engine"
 	"eagg/internal/tpch"
@@ -16,24 +17,25 @@ import (
 // executions have filled the columnar caches and the scratch pools.
 func allocPerExec(t *testing.T, name string, factor float64, phys core.PhysMode, opts engine.ExecOptions) (bytes, objects float64) {
 	t.Helper()
-	return allocPerExecRuns(t, name, factor, phys, opts, 3, 5)
+	bytes, objects, _ = allocPerExecRuns(t, name, factor, phys, opts, 3, 5)
+	return bytes, objects
 }
 
 // allocPerExecRuns is allocPerExec over the given number of warm-up and
 // measured executions (the collector is off for all of them: keep the
-// product of executions and data size small).
-func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysMode, opts engine.ExecOptions, warm, runs int) (bytes, objects float64) {
+// product of executions and data size small), with the last result.
+func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysMode, opts engine.ExecOptions, warm, runs int) (bytes, objects float64, res *algebra.Table) {
 	t.Helper()
 	q := tpch.Queries()[name]
 	tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(name, factor))
-	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: phys})
+	opt, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: phys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the scratch pools warm for the measured window: a collection
-	// empties them, and a goroutine that moves to another P misses what
-	// it pooled on the first. (One P changes which goroutine runs a
-	// task, never what a task allocates.)
+	// Keep the free lists and scratch pools warm for the measured window: a
+	// collection empties them, and a goroutine that moves to another P
+	// misses what it pooled on the first. (One P changes which goroutine
+	// runs a task, never what a task allocates.)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -41,12 +43,12 @@ func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysM
 		if i == warm {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := engine.ExecTablesOpts(q, res.Plan, tables, opts); err != nil {
+		if res, err = engine.ExecTablesOpts(q, opt.Plan, tables, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs), res
 }
 
 // TestParallelAllocBudget is the deterministic stand-in for a timing
@@ -81,20 +83,27 @@ func TestParallelAllocBudget(t *testing.T) {
 		return
 	}
 	// The benchmark's size (400k-row lineitem for Q3), where every key column
-	// is direct-addressed and joins hand on views (late materialization):
-	// measured, workers 1 / 2, Q3 48.3 / 49.2 MB per execution (70.6 / 67.3
-	// while joins gathered every column), Q10 29.8 / 30.0 (53.7 / 48.7), Q5
-	// 19.6 / 19.4 (40.8 / 37.5). Most of what is left is the result's rows.
+	// is direct-addressed, joins hand on views (late materialization) and
+	// every intermediate buffer is recycled from the execution before:
+	// measured, workers 1 / 2, Q3 23.4 / 24.3 MB per execution (48.3 / 49.2
+	// while each execution allocated its intermediates afresh), Q10 13.3 /
+	// 13.7 (29.8 / 30.0), Q5 9.7 / 7.2 (19.6 / 19.4). A warm Q3 execution
+	// allocates its result's rows and little else: at most 1.15 × the row
+	// slab, 40 B per value and a 24-byte row header.
 	for _, c := range []struct {
 		query  string
 		budget float64
-	}{{"Q3", 56e6}, {"Q10", 38e6}, {"Q5", 26e6}} {
+	}{{"Q3", 28e6}, {"Q10", 16e6}, {"Q5", 11.5e6}} {
 		for _, workers := range []int{1, 2} {
 			opts := engine.ExecOptions{Workers: workers, Runtime: engine.RuntimeBatch}
-			b, _ := allocPerExecRuns(t, c.query, 1000, core.PhysModeHash, opts, 1, 2)
-			t.Logf("%s factor 1000 workers=%d: %.0f B", c.query, workers, b)
+			b, _, res := allocPerExecRuns(t, c.query, 1000, core.PhysModeHash, opts, 1, 2)
+			slab := float64(res.Card()) * float64(40*res.Schema.Len()+24)
+			t.Logf("%s factor 1000 workers=%d: %.0f B, %.2f x the result's %.0f B row slab", c.query, workers, b, b/slab, slab)
 			if b > c.budget {
 				t.Errorf("%s factor 1000 workers=%d allocates %.0f B per execution, over the %.0f B budget", c.query, workers, b, c.budget)
+			}
+			if c.query == "Q3" && b > 1.15*slab {
+				t.Errorf("Q3 factor 1000 workers=%d allocates %.0f B per execution, over 1.15 x its result's %.0f B row slab", workers, b, slab)
 			}
 		}
 	}
@@ -147,12 +156,14 @@ func TestUnreadColumnsNeverGathered(t *testing.T) {
 // TestSortAllocBudget is the same kind of gate for the columnar sort
 // layer, against the hash layer on the same data: the sort-merge joins
 // and sort-groups may add their pointer-free sort scratch and nothing per
-// row beyond it. Q3 (wide join outputs dominate either way) may allocate
-// at most 2 × the hash plan's bytes, in at most 10k objects (the row
-// sort layer took 4.2× and 382k at factor 500). Ex, whose hash form
-// allocates almost nothing (25 groups), may add at most 32 bytes per
-// sorted input row — supplier and customer, each sorted once on its
-// nation key (it was ~175× the hash figure).
+// row beyond it. Q3 may allocate at most 2 × the hash plan's bytes, in at
+// most 10k objects (the row sort layer took 4.2× and 382k at factor 500);
+// since intermediates are recycled (PR 25) both plans allocate about their
+// result's rows alone, and the sort plan reads 0.98 × the hash plan's
+// bytes in ~180 objects. Ex, whose hash form allocates almost nothing (25
+// groups), may add at most 32 bytes per sorted input row — supplier and
+// customer, each sorted once on its nation key (it was ~175× the hash
+// figure; it now adds none).
 func TestSortAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation does not repeat under the race detector (sync.Pool drops items at random)")

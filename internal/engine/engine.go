@@ -305,9 +305,13 @@ func ExecTables(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, e
 
 // ExecTablesOpts executes an optimized plan on slot-based tables under
 // the given execution options. Results are bit-identical for every
-// worker count and runtime.
+// worker count and runtime. The intermediates go back to the free lists
+// once the result's rows are copied out (algebra.Exec.Release); the
+// result shares no memory with them.
 func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	rt, err := opts.runtime(opts.exec())
+	ex := opts.exec()
+	defer ex.Release()
+	rt, err := opts.runtime(ex)
 	if err != nil {
 		return nil, err
 	}
@@ -334,12 +338,17 @@ func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table,
 func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, *ExecStats, error) {
 	hs := &algebra.HashStats{}
 	ex := opts.exec().WithHashStats(hs)
+	defer ex.Release()
 	rt, err := opts.runtime(ex)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := &ExecStats{EstimatedCout: p.Cost, Workers: ex.Workers()}
 	e := &executor{binder: binder{q: q}, data: data, stats: stats, rt: rt, tr: opts.Trace, hs: hs}
+	root := -1 // the root operator's span
+	if e.tr != nil {
+		root = e.tr.Len()
+	}
 	c, err := e.compile(p)
 	if err != nil {
 		return nil, nil, err
@@ -347,6 +356,10 @@ func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOpt
 	res := rt.result(c.tab)
 	stats.ResultRows = res.Card()
 	stats.Hash = hs.Snapshot()
+	if root >= 0 {
+		// MB of intermediate buffers served from the free lists / MB taken.
+		e.tr.Annotatef(root, "reused", "%.1f/%.1f", float64(stats.Hash.BufReused)/1e6, float64(stats.Hash.BufBytes)/1e6)
+	}
 	return res, stats, nil
 }
 

@@ -20,7 +20,9 @@ func (rt hashProject) project(t rtTable, groupBy []string, f aggfn.Vector) rtTab
 // the hash-free projection's differential test, for the external test
 // package (which can import tpch).
 func ExecTablesHashProject(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	rt := hashProject{batchRuntime{ex: opts.exec()}}
+	ex := opts.exec()
+	defer ex.Release()
+	rt := hashProject{batchRuntime{ex: ex}}
 	e := &executor{binder: binder{q: q}, data: data, rt: rt}
 	c, err := e.compile(p)
 	if err != nil {
