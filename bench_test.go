@@ -882,7 +882,9 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	// cache=hit is what a request costs when the cache answers and the
 	// kernels have next to nothing to do: 4…8-relation random shapes over
 	// 8-row tables, one session, every plan cached. allocs/op is the
-	// figure to watch — the key encoding and lookup contribute none.
+	// figure to watch (~136; 240 while every request compiled its plan) —
+	// the key encoding and lookup contribute none, and the cached program
+	// compiles nothing. TestServiceHitAllocs gates it at 140.
 	b.Run("cache=hit", func(b *testing.B) {
 		eng := service.NewEngine(service.EngineOptions{Workers: 2})
 		defer eng.Close()

@@ -29,6 +29,11 @@ func batchExecs() map[string]*Exec {
 	}
 }
 
+// gjSchema is a groupjoin's output schema: l's, then f's outputs.
+func gjSchema(l *ColTable, f aggfn.Vector) *Schema {
+	return NewSchema(append(append([]string(nil), l.Schema.Names()...), f.Outs()...))
+}
+
 // identicalRows fails unless want and got agree as value sequences, bit
 // for bit (float payloads compared by Float64bits, so -0.0 ≠ +0.0 and
 // NaN payloads must match).
@@ -144,7 +149,7 @@ func TestBatchJoinsMatchRow(t *testing.T) {
 			prefix := fmt.Sprintf("%s/%s", ks.name, name)
 			identicalRows(t, prefix+"/join",
 				HashJoin(l, r, ks.lk, ks.rk),
-				e.BatchHashJoin(lc, rc, ks.lk, ks.rk).Table())
+				e.BatchHashJoin(lc, rc, ks.lk, ks.rk, lc.Schema.Concat(rc.Schema)).Table())
 			identicalRows(t, prefix+"/semi",
 				HashSemiJoin(l, r, ks.lk, ks.rk),
 				e.BatchHashSemiJoin(lc, rc, ks.lk, ks.rk).Table())
@@ -153,18 +158,18 @@ func TestBatchJoinsMatchRow(t *testing.T) {
 				e.BatchHashAntiJoin(lc, rc, ks.lk, ks.rk).Table())
 			identicalRows(t, prefix+"/leftouter-null",
 				HashLeftOuter(l, r, ks.lk, ks.rk, npad),
-				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, npad).Table())
+				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, npad, lc.Schema.Concat(rc.Schema)).Table())
 			identicalRows(t, prefix+"/leftouter-defaults",
 				HashLeftOuter(l, r, ks.lk, ks.rk, vpad),
-				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, vpad).Table())
+				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, vpad, lc.Schema.Concat(rc.Schema)).Table())
 			identicalRows(t, prefix+"/fullouter",
 				HashFullOuter(l, r, ks.lk, ks.rk, lpad, vpad),
-				e.BatchHashFullOuter(lc, rc, ks.lk, ks.rk, lpad, vpad).Table())
+				e.BatchHashFullOuter(lc, rc, ks.lk, ks.rk, lpad, vpad, lc.Schema.Concat(rc.Schema)).Table())
 			for kind, want := range []*Table{
 				HashJoin(l, r, ks.lk, ks.rk), HashSemiJoin(l, r, ks.lk, ks.rk),
 				HashAntiJoin(l, r, ks.lk, ks.rk), HashLeftOuter(l, r, ks.lk, ks.rk, vpad),
 			} {
-				got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, ks.lk, ks.rk, true, true, vpad)
+				got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, ks.lk, ks.rk, true, true, vpad, lc.Schema.Concat(rc.Schema))
 				if err != nil {
 					t.Fatalf("%s/merge kind %d: %v", prefix, kind, err)
 				}
@@ -264,9 +269,9 @@ func TestBatchGroupMatchesRow(t *testing.T) {
 		want := HashGroup(tb, groupBy, f)
 		tc := ColTableOf(tb)
 		for name, e := range batchExecs() {
-			got := e.BatchHashGroup(tc, groupBy, f).Table()
+			got := e.BatchHashGroup(tc, BindAggregation(tc.Schema, groupBy, f)).Table()
 			identicalRows(t, fmt.Sprintf("group%v/%s", groupBy, name), want, got)
-			sorted, err := e.BatchSortGroup(tc, groupBy, f, true, nil)
+			sorted, err := e.BatchSortGroup(tc, BindAggregation(tc.Schema, groupBy, f), true, nil)
 			if err != nil {
 				t.Fatalf("sortgroup%v/%s: %v", groupBy, name, err)
 			}
@@ -287,7 +292,7 @@ func TestBatchGroupJoinMatchesRow(t *testing.T) {
 	want := HashGroupJoin(l, r, []int{1}, []int{1}, f)
 	lc, rc := ColTableOf(l), ColTableOf(r)
 	for name, e := range batchExecs() {
-		got := e.BatchHashGroupJoin(lc, rc, []int{1}, []int{1}, f).Table()
+		got := e.BatchHashGroupJoin(lc, rc, []int{1}, []int{1}, BindVector(f, rc.Schema), gjSchema(lc, f)).Table()
 		identicalRows(t, "groupjoin/"+name, want, got)
 	}
 }
@@ -309,27 +314,25 @@ func TestBatchSelectionChaining(t *testing.T) {
 	wantAnti := HashAntiJoin(l, r, lk, rk)
 	wantJoin := HashJoin(wantAnti, r, lk, rk) // empty by construction, still must agree
 	wantBuild := HashJoin(r, wantSemi, rk, lk)
-	wantGJ := HashGroupJoin(r, wantSemi, rk, lk, aggfn.Vector{
+	gjf := aggfn.Vector{
 		{Out: "n", Kind: aggfn.CountStar},
 		{Out: "s", Kind: aggfn.Sum, Arg: "lf"},
-	})
+	}
+	wantGJ := HashGroupJoin(r, wantSemi, rk, lk, gjf)
 
 	lc, rc := ColTableOf(l), ColTableOf(r)
 	for name, e := range batchExecs() {
 		semi := e.BatchHashSemiJoin(lc, rc, lk, rk)
 		identicalRows(t, "chain-semi/"+name, wantSemi, semi.Table())
 		identicalRows(t, "chain-semi-group/"+name, wantGroup,
-			e.BatchHashGroup(semi, []string{"ls"}, f).Table())
+			e.BatchHashGroup(semi, BindAggregation(semi.Schema, []string{"ls"}, f)).Table())
 		anti := e.BatchHashAntiJoin(lc, rc, lk, rk)
 		identicalRows(t, "chain-anti-join/"+name, wantJoin,
-			e.BatchHashJoin(anti, rc, lk, rk).Table())
+			e.BatchHashJoin(anti, rc, lk, rk, anti.Schema.Concat(rc.Schema)).Table())
 		identicalRows(t, "chain-build-sel/"+name, wantBuild,
-			e.BatchHashJoin(rc, semi, rk, lk).Table())
+			e.BatchHashJoin(rc, semi, rk, lk, rc.Schema.Concat(semi.Schema)).Table())
 		identicalRows(t, "chain-gj-sel/"+name, wantGJ,
-			e.BatchHashGroupJoin(rc, semi, rk, lk, aggfn.Vector{
-				{Out: "n", Kind: aggfn.CountStar},
-				{Out: "s", Kind: aggfn.Sum, Arg: "lf"},
-			}).Table())
+			e.BatchHashGroupJoin(rc, semi, rk, lk, BindVector(gjf, semi.Schema), gjSchema(rc, gjf)).Table())
 	}
 }
 
@@ -375,7 +378,7 @@ func TestBatchExtendProductMatchesRow(t *testing.T) {
 		})
 		tc := ColTableOf(tb)
 		for name, e := range batchExecs() {
-			got := e.BatchExtendProduct(tc, "prod", slots).Table()
+			got := e.BatchExtendProduct(tc, tc.Schema.Extend("prod"), slots).Table()
 			identicalRows(t, fmt.Sprintf("product%v/%s", attrs, name), want, got)
 		}
 	}
@@ -453,7 +456,7 @@ func TestDistinctScratchReuse(t *testing.T) {
 	}
 	// And the batch runtime agrees.
 	for name, e := range batchExecs() {
-		identicalRows(t, "distinct/"+name, got, e.BatchHashGroup(ColTableOf(tb), []string{"g"}, f).Table())
+		identicalRows(t, "distinct/"+name, got, e.BatchHashGroup(ColTableOf(tb), BindAggregation(tb.Schema, []string{"g"}, f)).Table())
 	}
 }
 
@@ -577,7 +580,7 @@ func keyTables(stride int64, extremes bool) (l, r *Table) {
 // mustSortGroup is BatchSortGroup with the sort performed.
 func mustSortGroup(t *testing.T, e *Exec, in *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
 	t.Helper()
-	out, err := e.BatchSortGroup(in, groupBy, f, true, nil)
+	out, err := e.BatchSortGroup(in, BindAggregation(in.Schema, groupBy, f), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,12 +611,12 @@ func newRowJoins(l, r *Table, lk, rk []int) *rowJoins {
 
 func (j *rowJoins) check(t *testing.T, label string, e *Exec, lc, rc *ColTable, lk, rk []int) {
 	t.Helper()
-	identicalRows(t, label+"/join", j.want[0], e.BatchHashJoin(lc, rc, lk, rk).Table())
+	identicalRows(t, label+"/join", j.want[0], e.BatchHashJoin(lc, rc, lk, rk, lc.Schema.Concat(rc.Schema)).Table())
 	identicalRows(t, label+"/semi", j.want[1], e.BatchHashSemiJoin(lc, rc, lk, rk).Table())
 	identicalRows(t, label+"/anti", j.want[2], e.BatchHashAntiJoin(lc, rc, lk, rk).Table())
-	identicalRows(t, label+"/leftouter", j.want[3], e.BatchHashLeftOuter(lc, rc, lk, rk, j.pad).Table())
-	identicalRows(t, label+"/fullouter", j.want[4], e.BatchHashFullOuter(lc, rc, lk, rk, j.lpad, j.pad).Table())
-	identicalRows(t, label+"/groupjoin", j.want[5], e.BatchHashGroupJoin(lc, rc, lk, rk, j.f).Table())
+	identicalRows(t, label+"/leftouter", j.want[3], e.BatchHashLeftOuter(lc, rc, lk, rk, j.pad, lc.Schema.Concat(rc.Schema)).Table())
+	identicalRows(t, label+"/fullouter", j.want[4], e.BatchHashFullOuter(lc, rc, lk, rk, j.lpad, j.pad, lc.Schema.Concat(rc.Schema)).Table())
+	identicalRows(t, label+"/groupjoin", j.want[5], e.BatchHashGroupJoin(lc, rc, lk, rk, BindVector(j.f, rc.Schema), gjSchema(lc, j.f)).Table())
 	j.checkMerge(t, label, e, lc, rc, lk, rk, true, true)
 }
 
@@ -623,7 +626,7 @@ func (j *rowJoins) check(t *testing.T, label string, e *Exec, lc, rc *ColTable, 
 func (j *rowJoins) checkMerge(t *testing.T, label string, e *Exec, lc, rc *ColTable, lk, rk []int, sortL, sortR bool) {
 	t.Helper()
 	for kind, name := range []string{"merge", "mergesemi", "mergeanti", "mergeleftouter"} {
-		got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, lk, rk, sortL, sortR, j.pad)
+		got, err := e.BatchMergeJoin(MergeKind(kind), lc, rc, lk, rk, sortL, sortR, j.pad, lc.Schema.Concat(rc.Schema))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, name, err)
 		}
@@ -693,7 +696,7 @@ func TestParallelIntGroup(t *testing.T) {
 		t.Fatalf("NULL group at %d of %d: the fixture must put it mid-sequence", nullAt, len(want.Rows))
 	}
 	for name, e := range intPathExecs() {
-		identicalRows(t, "group/"+name, want, e.BatchHashGroup(lc, []string{"lki"}, f).Table())
+		identicalRows(t, "group/"+name, want, e.BatchHashGroup(lc, BindAggregation(lc.Schema, []string{"lki"}, f)).Table())
 		identicalRows(t, "sortgroup/"+name, want, mustSortGroup(t, e, lc, []string{"lki"}, f).Table())
 	}
 }
@@ -716,7 +719,7 @@ func TestParallelIntUnderSelection(t *testing.T) {
 		if lv.Sel == nil || rv.Sel == nil || lv.Card() == lc.Card() || rv.Card() == rc.Card() {
 			t.Fatalf("%s: semijoin views carry no real selection", name)
 		}
-		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, []string{"lki"}, f).Table())
+		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, BindAggregation(lv.Schema, []string{"lki"}, f)).Table())
 		identicalRows(t, "sel-sortgroup/"+name, wantGroup, mustSortGroup(t, e, lv, []string{"lki"}, f).Table())
 		wantJoins.check(t, "sel-join/"+name, e, lv, rv, lk, rk)
 	}

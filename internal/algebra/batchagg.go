@@ -809,10 +809,8 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 // partitions merge by ascending first-row index. Because selection
 // vectors are monotone, ascending physical first-row order is
 // first-encounter order even under a selection.
-func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
-	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
-	outSchema := groupSchema(groupBy, f)
+func (e *Exec) BatchHashGroup(t *ColTable, a *Aggregation) *ColTable {
+	bound, groupSlots, outSchema := a.Aggs, a.Groups, a.Out
 	n := t.Card()
 	e.read(t, groupSlots...)
 	e.readAggs(t, bound)
@@ -854,10 +852,9 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 // folds as its own group through the same kernels and the same emit as
 // BatchHashGroup, whose output it reproduces exactly (input order is
 // first-encounter order) without hashing anything.
-func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColTable {
-	bound := BindVector(f, t.Schema)
-	e.readAggs(t, bound)
-	g := newBatchGrouper(e, t, t.Schema.Slots(groupBy), bound, false)
+func (e *Exec) BatchProject(t *ColTable, a *Aggregation) *ColTable {
+	e.readAggs(t, a.Aggs)
+	g := newBatchGrouper(e, t, a.Groups, a.Aggs, false)
 	bs := e.batchSize()
 	n := t.Card()
 	g.firsts = takeDirty[int32](e, n)[:0]
@@ -870,7 +867,7 @@ func (e *Exec) BatchProject(t *ColTable, groupBy []string, f aggfn.Vector) *ColT
 		g.addSingletons(rows)
 	}
 	g.finish(nil)
-	return g.emitTable(e, groupSchema(groupBy, f), e.parForBatch(n))
+	return g.emitTable(e, a.Out, e.parForBatch(n))
 }
 
 // readAggs reads the columns the aggregates fold (Exec.read).
@@ -880,24 +877,33 @@ func (e *Exec) readAggs(t *ColTable, bound []BoundAgg) {
 	}
 }
 
-// groupSchema is the output schema of an aggregation: the grouping
-// attributes, then the vector's outputs.
-func groupSchema(groupBy []string, f aggfn.Vector) *Schema {
+// Aggregation is an aggregation vector resolved against its input schema
+// ahead of execution, so the batch aggregation operators resolve no name.
+type Aggregation struct {
+	Groups []int      // the grouping attributes' input slots (-1: absent, reads NULL)
+	Aggs   []BoundAgg // the vector bound to the input schema
+	Out    *Schema    // the grouping attributes, then the vector's outputs
+}
+
+// BindAggregation resolves the grouping of an input with schema in by
+// groupBy, computing f.
+func BindAggregation(in *Schema, groupBy []string, f aggfn.Vector) *Aggregation {
 	names := make([]string, 0, len(groupBy)+len(f))
 	names = append(names, groupBy...)
 	names = append(names, f.Outs()...)
-	return NewSchema(names)
+	return &Aggregation{Groups: in.Slots(groupBy), Aggs: BindVector(f, in), Out: NewSchema(names)}
 }
 
 // BatchExtendProduct appends the product column of the slot values (the
 // engine's weight-product extension): Int(1) times every slot value, NULL
-// if any factor is NULL — exactly Mul's trajectory. All-int inputs (the
-// engine's weights always are) run a typed kernel; anything else folds
-// Values through Mul itself.
-func (e *Exec) BatchExtendProduct(t *ColTable, name string, slots []int) *ColTable {
+// if any factor is NULL — exactly Mul's trajectory. s is t's schema
+// extended by the product's name. All-int inputs (the engine's weights
+// always are) run a typed kernel; anything else folds Values through Mul
+// itself.
+func (e *Exec) BatchExtendProduct(t *ColTable, s *Schema, slots []int) *ColTable {
 	e.read(t, slots...)
 	// The product is dense over t's logical rows; t's columns stay views.
-	out := e.extended(t, t.Schema.Extend(name))
+	out := e.extended(t, s)
 	allInt, anyNulls := true, false
 	for _, s := range slots {
 		allInt = allInt && t.Cols[s].Kind == ColInt

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"eagg/internal/aggfn"
 )
 
 // Batch-at-a-time hash joins over columnar tables. The operators mirror
@@ -328,12 +326,12 @@ func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extr
 	return li, ri, padded
 }
 
-// joinView is the join output over the pairs (lidx, ridx): a view of both
-// inputs' columns (carry). A side that holds pads is gathered; a nil pad
-// row means NULL padding.
-func (e *Exec) joinView(l, r *ColTable, lidx, ridx []int32, lpad, rpad Row, lpadded, rpadded, par bool) *ColTable {
-	w := l.Schema.Len() + r.Schema.Len()
-	out := &ColTable{Schema: l.Schema.Concat(r.Schema), N: len(lidx), Cols: make([]Vector, 0, w), side: make([]int16, 0, w),
+// joinView is the join output over the pairs (lidx, ridx) under the
+// schema s, l's ◦ r's: a view of both inputs' columns (carry). A side that
+// holds pads is gathered; a nil pad row means NULL padding.
+func (e *Exec) joinView(l, r *ColTable, s *Schema, lidx, ridx []int32, lpad, rpad Row, lpadded, rpadded, par bool) *ColTable {
+	w := s.Len()
+	out := &ColTable{Schema: s, N: len(lidx), Cols: make([]Vector, 0, w), side: make([]int16, 0, w),
 		via: make([][]int32, 0, len(l.via)+len(r.via)+2)}
 	e.carry(out, l, lidx, lpad, lpadded, par)
 	e.carry(out, r, ridx, rpad, rpadded, par)
@@ -356,8 +354,9 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 	return out
 }
 
-// BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime.
-func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
+// BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime. s is
+// the output schema, l.Schema.Concat(r.Schema), resolved by the caller.
+func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, l.Card())
 	lidx, ridx, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
@@ -368,7 +367,7 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
 			}
 		}
 	})
-	return e.joinView(l, r, lidx, ridx, nil, nil, false, false, par)
+	return e.joinView(l, r, s, lidx, ridx, nil, nil, false, false, par)
 }
 
 // batchHashFilter is the left semijoin (matched) or antijoin (!matched): a
@@ -399,21 +398,21 @@ func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 }
 
 // BatchHashLeftOuter is the left outerjoin on the batch runtime. pad must
-// be a full row over r's schema.
-func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTable {
-	return e.batchHashOuter(l, r, lk, rk, nil, pad, false)
+// be a full row over r's schema; s is as for BatchHashJoin.
+func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row, s *Schema) *ColTable {
+	return e.batchHashOuter(l, r, lk, rk, nil, pad, s, false)
 }
 
 // BatchHashFullOuter is the full outerjoin on the batch runtime.
-func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
-	return e.batchHashOuter(l, r, lk, rk, lpad, rpad, true)
+func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, s *Schema) *ColTable {
+	return e.batchHashOuter(l, r, lk, rk, lpad, rpad, s, true)
 }
 
 // batchHashOuter is the left outerjoin and, with the right tail, the full
 // one: matched build rows are marked through atomics (false→true only, so
 // concurrent marking is order-independent) and the unmatched right rows
 // appended after the probe barrier in build-input order.
-func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, tail bool) *ColTable {
+func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, s *Schema, tail bool) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
 	var matched []atomic.Bool
@@ -446,16 +445,16 @@ func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, tail
 	for _, ri := range unmatched {
 		lidx, ridx = append(lidx, -1), append(ridx, ri)
 	}
-	return e.joinView(l, r, lidx, ridx, lpad, rpad, len(unmatched) > 0, rpadded, par)
+	return e.joinView(l, r, s, lidx, ridx, lpad, rpad, len(unmatched) > 0, rpadded, par)
 }
 
 // BatchHashGroupJoin is the groupjoin on the batch runtime: every left
 // row is extended by the vector's aggregates over its partner bucket,
 // folded in build-input order through the shared accumulator core
-// (updateVals), so results equal the row operator's bit for bit.
-func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) *ColTable {
-	bound := BindVector(f, r.Schema)
-	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
+// (updateVals), so results equal the row operator's bit for bit. bound is
+// the groupjoin's vector bound to r's schema, s the output schema: l's,
+// then the vector's outputs.
+func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, bound []BoundAgg, s *Schema) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, par, -1)
 	e.read(l, lk...)
@@ -489,7 +488,7 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) 
 		batchScratchPool.Put(sc)
 	})
 	// l's columns stay views; the aggregate columns are dense beside them.
-	out := e.extended(l, NewSchema(names))
+	out := e.extended(l, s)
 	for c := range bound {
 		var b colBuilder
 		for _, vals := range aggRows {

@@ -56,7 +56,7 @@ func BenchmarkHashGroupRuntimes(b *testing.B) {
 		b.Run(fmt.Sprintf("runtime=batch/groups=%d", groups), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if out := e.BatchHashGroup(ct, groupBy, f); out.Card() != groups {
+				if out := e.BatchHashGroup(ct, BindAggregation(ct.Schema, groupBy, f)); out.Card() != groups {
 					b.Fatalf("got %d groups, want %d", out.Card(), groups)
 				}
 				e.Release()
@@ -177,7 +177,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 	b.Run("runtime=batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out := e.BatchHashJoin(cl, cr, lk, rk); out.Card() != nl {
+			if out := e.BatchHashJoin(cl, cr, lk, rk, cl.Schema.Concat(cr.Schema)); out.Card() != nl {
 				b.Fatalf("got %d rows, want %d", out.Card(), nl)
 			}
 			e.Release()
@@ -261,7 +261,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					if table == "hash" || w == 1 {
 						b.Run("op=group/table="+table+"/"+name, func(b *testing.B) {
 							for i := 0; i < b.N; i++ {
-								if out := e.BatchHashGroup(agg, []string{"g"}, f); out.Card() != groups {
+								if out := e.BatchHashGroup(agg, BindAggregation(agg.Schema, []string{"g"}, f)); out.Card() != groups {
 									b.Fatalf("got %d groups, want %d", out.Card(), groups)
 								}
 								e.Release()
@@ -270,7 +270,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					}
 					b.Run("op=join/table="+table+"/"+name, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							if out := e.BatchHashJoin(agg, build, lk, rk); out.Card() != n {
+							if out := e.BatchHashJoin(agg, build, lk, rk, agg.Schema.Concat(build.Schema)); out.Card() != n {
 								b.Fatalf("got %d rows, want %d", out.Card(), n)
 							}
 							e.Release()
@@ -281,7 +281,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					}
 					b.Run("op=sortgroup/"+name, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							if out, err := e.BatchSortGroup(agg, []string{"g"}, f, true, nil); err != nil || out.Card() != groups {
+							if out, err := e.BatchSortGroup(agg, BindAggregation(agg.Schema, []string{"g"}, f), true, nil); err != nil || out.Card() != groups {
 								b.Fatalf("got %v, want %d groups", err, groups)
 							}
 							e.Release()
@@ -289,7 +289,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					})
 					b.Run("op=mergejoin/"+name, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil); err != nil || out.Card() != n {
+							if out, err := e.BatchMergeJoin(MergeInner, agg, build, lk, rk, true, true, nil, agg.Schema.Concat(build.Schema)); err != nil || out.Card() != n {
 								b.Fatalf("got %v, want %d rows", err, n)
 							}
 							e.Release()
@@ -332,7 +332,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					}
 					ks.feed(g, n, e.batchSize())
 					g.finish(nil)
-					if out := g.emitTable(e, groupSchema([]string{"g"}, f), false); out.Card() != n/4 {
+					if out := g.emitTable(e, NewSchema(append([]string{"g"}, f.Outs()...)), false); out.Card() != n/4 {
 						b.Fatalf("got %d groups, want %d", out.Card(), n/4)
 					}
 					e.Release()

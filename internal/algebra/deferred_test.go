@@ -79,23 +79,24 @@ func (n *dnode) batch(t *testing.T, e *Exec) *ColTable {
 	lk, rk := l.Schema.Slots([]string{n.lk}), r.Schema.Slots([]string{n.rk})
 	switch n.kind {
 	case "join":
-		return e.BatchHashJoin(l, r, lk, rk)
+		return e.BatchHashJoin(l, r, lk, rk, l.Schema.Concat(r.Schema))
 	case "semi":
 		return e.BatchHashSemiJoin(l, r, lk, rk)
 	case "anti":
 		return e.BatchHashAntiJoin(l, r, lk, rk)
 	case "leftouter":
-		return e.BatchHashLeftOuter(l, r, lk, rk, n.rpad())
+		return e.BatchHashLeftOuter(l, r, lk, rk, n.rpad(), l.Schema.Concat(r.Schema))
 	case "fullouter":
-		return e.BatchHashFullOuter(l, r, lk, rk, NullRow(l.Schema), n.rpad())
+		return e.BatchHashFullOuter(l, r, lk, rk, NullRow(l.Schema), n.rpad(), l.Schema.Concat(r.Schema))
 	case "groupjoin":
-		return e.BatchHashGroupJoin(l, r, lk, rk, n.groupJoinAggs())
+		f := n.groupJoinAggs()
+		return e.BatchHashGroupJoin(l, r, lk, rk, BindVector(f, r.Schema), gjSchema(l, f))
 	}
 	kind := MergeInner
 	if n.kind == "mergeouter" {
 		kind = MergeLeftOuter
 	}
-	out, err := e.BatchMergeJoin(kind, l, r, lk, rk, true, true, n.rpad())
+	out, err := e.BatchMergeJoin(kind, l, r, lk, rk, true, true, n.rpad(), l.Schema.Concat(r.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,15 +248,15 @@ func checkDeferred(t *testing.T, label string, n *dnode) {
 		}
 	}
 	for name, e := range deferredExecs() {
-		prod := e.BatchExtendProduct(n.batch(t, e), "w", fslots)
+		prod := e.BatchExtendProduct(n.batch(t, e), wantProd.Schema, fslots)
 		got := map[string]*ColTable{
-			"rows": n.batch(t, e), "group": e.BatchHashGroup(n.batch(t, e), gBy, gf), "project": e.BatchProject(n.batch(t, e), pBy, pf),
-			"product-group": e.BatchHashGroup(prod, gBy, wf), "product": prod, // Γ first: it gathers into prod
+			"rows": n.batch(t, e), "group": e.BatchHashGroup(n.batch(t, e), BindAggregation(s, gBy, gf)), "project": e.BatchProject(n.batch(t, e), BindAggregation(s, pBy, pf)),
+			"product-group": e.BatchHashGroup(prod, BindAggregation(prod.Schema, gBy, wf)), "product": prod, // Γ first: it gathers into prod
 		}
 		for _, read := range []string{"rows", "group", "project", "product-group", "product"} {
 			identicalRows(t, label+"/"+read+"/"+name, want[read], got[read].Table())
 		}
-		sorted, err := e.BatchSortGroup(n.batch(t, e), gBy, gf, true, nil)
+		sorted, err := e.BatchSortGroup(n.batch(t, e), BindAggregation(s, gBy, gf), true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func TestDeferredViewGathersOnRead(t *testing.T) {
 	e := NewExec(2).WithMorselSize(64).WithHashStats(hs)
 	gathered := func() int64 { return hs.Snapshot().GatherCols }
 
-	v := e.BatchHashJoin(lc, rc, []int{1}, []int{1})
+	v := e.BatchHashJoin(lc, rc, []int{1}, []int{1}, lc.Schema.Concat(rc.Schema))
 	if gathered() != 0 {
 		t.Fatalf("an inner join gathered %d columns", gathered())
 	}
@@ -287,7 +288,8 @@ func TestDeferredViewGathersOnRead(t *testing.T) {
 	}
 	// A second join on a column of the view reads that one column and
 	// composes the rest.
-	v2 := e.BatchHashJoin(v, ColTableOf(renamed(r, "d", 0, len(r.Rows))), []int{0}, []int{4})
+	d := ColTableOf(renamed(r, "d", 0, len(r.Rows)))
+	v2 := e.BatchHashJoin(v, d, []int{0}, []int{4}, v.Schema.Concat(d.Schema))
 	if gathered() != 1 || v.ix(0) != nil || v.ix(1) == nil {
 		t.Fatalf("joining on one column of a view gathered %d columns", gathered())
 	}
@@ -296,11 +298,11 @@ func TestDeferredViewGathersOnRead(t *testing.T) {
 	}
 	// Γ reads its key and its argument; reading them again gathers nothing.
 	f := aggfn.Vector{{Out: "s", Kind: aggfn.Sum, Arg: "lf"}}
-	e.BatchHashGroup(v2, []string{"lks"}, f)
+	e.BatchHashGroup(v2, BindAggregation(v2.Schema, []string{"lks"}, f))
 	if gathered() != 3 {
 		t.Fatalf("Γ over two columns of a view brought the count to %d, want 3", gathered())
 	}
-	e.BatchHashGroup(v2, []string{"lks"}, f)
+	e.BatchHashGroup(v2, BindAggregation(v2.Schema, []string{"lks"}, f))
 	if gathered() != 3 {
 		t.Fatalf("reading gathered columns again gathered %d more", gathered()-3)
 	}

@@ -230,8 +230,8 @@ func TestDenseGroupMatchesRow(t *testing.T) {
 		}
 		for name, e := range execs {
 			label := fmt.Sprintf("stride%d/%s", stride, name)
-			identicalRows(t, label, want, e.BatchHashGroup(tc, []string{"g1"}, f).Table())
-			identicalRows(t, label+"/sel", wantView, e.BatchHashGroup(selTable(tc, sel), []string{"g1"}, f).Table())
+			identicalRows(t, label, want, e.BatchHashGroup(tc, BindAggregation(tc.Schema, []string{"g1"}, f)).Table())
+			identicalRows(t, label+"/sel", wantView, e.BatchHashGroup(selTable(tc, sel), BindAggregation(tc.Schema, []string{"g1"}, f)).Table())
 		}
 	}
 	for fk := foldGeneric; fk <= foldAvgFloat; fk++ {
@@ -256,8 +256,8 @@ func TestDenseFewGroupsExactSize(t *testing.T) {
 	if ks := newKeyScan(tc, []int{0}, false); !ks.dense || ks.span != n {
 		t.Fatalf("fixture: dense=%v span=%d", ks.dense, ks.span)
 	}
-	out := (*Exec)(nil).BatchHashGroup(tc, []string{"g"}, aggfn.Vector{
-		{Out: "c", Kind: aggfn.CountStar}, {Out: "s", Kind: aggfn.Sum, Arg: "v"}})
+	out := (*Exec)(nil).BatchHashGroup(tc, BindAggregation(tc.Schema, []string{"g"}, aggfn.Vector{
+		{Out: "c", Kind: aggfn.CountStar}, {Out: "s", Kind: aggfn.Sum, Arg: "v"}}))
 	if out.Card() != 2 {
 		t.Fatalf("got %d groups, want 2", out.Card())
 	}
@@ -284,7 +284,7 @@ func TestDenseUnderSelection(t *testing.T) {
 		if lv.Sel == nil || rv.Sel == nil || !newKeyScan(rv, rk, true).dense || !newKeyScan(lv, lk, false).dense {
 			t.Fatalf("%s: the views must carry a selection and stay dense", name)
 		}
-		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, []string{"lki"}, f).Table())
+		identicalRows(t, "sel-group/"+name, wantGroup, e.BatchHashGroup(lv, BindAggregation(lv.Schema, []string{"lki"}, f)).Table())
 		wantJoins.check(t, "sel-join/"+name, e, lv, rv, lk, rk)
 	}
 }
@@ -328,7 +328,7 @@ func TestDenseHashStats(t *testing.T) {
 			t.Errorf("%s join: %+v, want one dense build of %d keys over %d", name, s, len(distinct), ks.span)
 		}
 		hs = &HashStats{}
-		e.WithHashStats(hs).BatchHashGroup(rc, []string{"rki"}, aggfn.Vector{{Out: "n", Kind: aggfn.CountStar}})
+		e.WithHashStats(hs).BatchHashGroup(rc, BindAggregation(rc.Schema, []string{"rki"}, aggfn.Vector{{Out: "n", Kind: aggfn.CountStar}}))
 		s := hs.Snapshot()
 		if s.Builds != 1 || s.Dense != 1 || s.Entries != int64(len(distinct)) || s.Capacity != int64(ks.span) || s.MaxProbe != 1 {
 			t.Errorf("%s group: %+v, want one dense index of %d keys over %d", name, s, len(distinct), ks.span)

@@ -337,7 +337,7 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 			e = e.WithHashStats(hs)
 			prefix := fmt.Sprintf("str=%v/%s", strKeys, name)
 			identicalRows(t, prefix+"/join",
-				HashJoin(l, r, lk, rk), e.BatchHashJoin(lc, rc, lk, rk).Table())
+				HashJoin(l, r, lk, rk), e.BatchHashJoin(lc, rc, lk, rk, lc.Schema.Concat(rc.Schema)).Table())
 			identicalRows(t, prefix+"/semi",
 				HashSemiJoin(l, r, lk, rk), e.BatchHashSemiJoin(lc, rc, lk, rk).Table())
 			identicalRows(t, prefix+"/anti",
@@ -357,7 +357,7 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 			hs2 := &HashStats{}
 			e2 := e.WithHashStats(hs2)
 			pad := NullRow(r.Schema)
-			e2.BatchHashLeftOuter(lc, rc, lk, rk, pad)
+			e2.BatchHashLeftOuter(lc, rc, lk, rk, pad, lc.Schema.Concat(rc.Schema))
 			if got := hs2.Snapshot().BloomChecks; got != 0 {
 				t.Fatalf("%s: left outer consulted a bloom filter (%d checks)", prefix, got)
 			}
@@ -387,21 +387,21 @@ func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
 	w8 := NewExec(8).WithMorselSize(128)
 
 	identicalRows(t, "join w1≡w8",
-		w1.BatchHashJoin(lc, rc, []int{0}, []int{0}).Table(),
-		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}).Table())
+		w1.BatchHashJoin(lc, rc, []int{0}, []int{0}, lc.Schema.Concat(rc.Schema)).Table(),
+		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}, lc.Schema.Concat(rc.Schema)).Table())
 
 	f := aggfn.Vector{
 		{Out: "c", Kind: aggfn.CountStar},
 		{Out: "s", Kind: aggfn.Sum, Arg: "lf"}, // float sum: order-sensitive
 	}
 	identicalRows(t, "group w1≡w8",
-		w1.BatchHashGroup(lc, []string{"lk"}, f).Table(),
-		w8.BatchHashGroup(lc, []string{"lk"}, f).Table())
+		w1.BatchHashGroup(lc, BindAggregation(lc.Schema, []string{"lk"}, f)).Table(),
+		w8.BatchHashGroup(lc, BindAggregation(lc.Schema, []string{"lk"}, f)).Table())
 
 	// And both equal the sequential row operator on its Go maps.
 	identicalRows(t, "join row≡w8",
 		HashJoin(l, r, []int{0}, []int{0}),
-		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}).Table())
+		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}, lc.Schema.Concat(rc.Schema)).Table())
 }
 
 // TestHashStatsRecording pins the collector arithmetic and that grouper
@@ -434,7 +434,7 @@ func TestHashStatsRecording(t *testing.T) {
 		ghs := &HashStats{}
 		NewExec(1).WithHashStats(ghs) // exercise the copy semantics: original untouched
 		ex := e.WithHashStats(ghs)
-		ex.BatchHashGroup(tc, []string{"g1"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}})
+		ex.BatchHashGroup(tc, BindAggregation(tc.Schema, []string{"g1"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}}))
 		if snap := ghs.Snapshot(); snap.Builds == 0 || snap.Entries == 0 {
 			t.Fatalf("%s: grouper recorded nothing: %+v", name, snap)
 		}

@@ -86,11 +86,11 @@ func TestPoolOperatorsBitIdentical(t *testing.T) {
 		l := TableOf(randomRel(rng, []string{"a", "b"}, 60))
 		r := TableOf(randomRel(rng, []string{"c", "d"}, 40))
 		want := HashJoin(l, r, []int{0}, []int{0})
-		got := ex.RowTable(ex.BatchHashJoin(l.Columnar(), r.Columnar(), []int{0}, []int{0}))
+		got := ex.RowTable(ex.BatchHashJoin(l.Columnar(), r.Columnar(), []int{0}, []int{0}, l.Schema.Concat(r.Schema)))
 		sameRel(t, want.Rel(), got.Rel(), []string{"a", "b", "c", "d"})
 
 		gwant := HashGroup(l, []string{"a"}, nil)
-		ggot := ex.RowTable(ex.BatchHashGroup(l.Columnar(), []string{"a"}, nil))
+		ggot := ex.RowTable(ex.BatchHashGroup(l.Columnar(), BindAggregation(l.Schema, []string{"a"}, nil)))
 		sameRel(t, gwant.Rel(), ggot.Rel(), []string{"a"})
 	}
 	if p.Stats().WorkerTasks+p.Stats().HelperTasks == 0 {

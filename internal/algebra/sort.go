@@ -481,8 +481,9 @@ func (e *Exec) matchRuns(l, r *keyRuns, leftRows int) []int32 {
 // is already non-decreasing on its key slots. The output sequence equals
 // the hash operator's of the same kind exactly: left rows in input order,
 // each with its partners in right-input order. pad (MergeLeftOuter only)
-// must be a full row over r's schema.
-func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sortL, sortR bool, pad Row) (*ColTable, error) {
+// must be a full row over r's schema. s is the output schema of the inner
+// and left outer kinds, l.Schema.Concat(r.Schema).
+func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sortL, sortR bool, pad Row, s *Schema) (*ColTable, error) {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	lr, err := e.mergeInput(l, lk, sortL, par)
 	if err != nil {
@@ -547,14 +548,14 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 			}
 		}
 	})
-	return e.joinView(l, r, lidx, ridx, nil, pad, false, slices.Contains(padded, true), par), nil
+	return e.joinView(l, r, s, lidx, ridx, nil, pad, false, slices.Contains(padded, true), par), nil
 }
 
 // MergeTables is the sort-merge equi-join of the given kind for the row
 // runtime: BatchMergeJoin between a conversion to columns and one back.
 // The output sequence equals the hash operator's of the same kind exactly.
 func (e *Exec) MergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
-	out, err := e.BatchMergeJoin(kind, l.Columnar(), r.Columnar(), lk, rk, sortL, sortR, pad)
+	out, err := e.BatchMergeJoin(kind, l.Columnar(), r.Columnar(), lk, rk, sortL, sortR, pad, l.Schema.Concat(r.Schema))
 	if err != nil {
 		return nil, err
 	}
@@ -575,9 +576,8 @@ func (e *Exec) MergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sor
 // runs fold through BatchHashGroup's typed kernels, and the groups are
 // emitted by ascending first row: the output is bit-identical to
 // BatchHashGroup's.
-func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*ColTable, error) {
-	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
+func (e *Exec) BatchSortGroup(t *ColTable, a *Aggregation, sortInput bool, verify []int) (*ColTable, error) {
+	bound, groupSlots := a.Aggs, a.Groups
 	par := e.parForBatch(t.Card())
 	e.read(t, groupSlots...)
 	e.read(t, verify...)
@@ -602,13 +602,13 @@ func (e *Exec) BatchSortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sor
 		g.finish(nil)
 		parts[m] = g
 	})
-	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, groupSchema(groupBy, f), par), nil
+	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, a.Out, par), nil
 }
 
 // SortGroup is sort-group aggregation on the row runtime; the output is
 // bit-identical to HashGroup's.
 func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*Table, error) {
-	out, err := e.BatchSortGroup(t.Columnar(), groupBy, f, sortInput, verify)
+	out, err := e.BatchSortGroup(t.Columnar(), BindAggregation(t.Schema, groupBy, f), sortInput, verify)
 	if err != nil {
 		return nil, err
 	}

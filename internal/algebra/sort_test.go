@@ -156,7 +156,8 @@ func TestMergeJoinVerifiesOrder(t *testing.T) {
 			for kind := MergeInner; kind <= MergeLeftOuter; kind++ {
 				label := fmt.Sprintf("%s/%s/kind %d", name, ename, kind)
 				join := func(l, r []Row, sortL, sortR bool) error {
-					_, err := e.BatchMergeJoin(kind, side("l.k", l), side("r.k", r), []int{0}, []int{0}, sortL, sortR, Row{Null})
+					lc, rc := side("l.k", l), side("r.k", r)
+					_, err := e.BatchMergeJoin(kind, lc, rc, []int{0}, []int{0}, sortL, sortR, Row{Null}, lc.Schema.Concat(rc.Schema))
 					return err
 				}
 				if err := join(rows, rows[:2], false, true); err == nil || !strings.Contains(err.Error(), "left input") {
@@ -197,7 +198,7 @@ func TestSortGroupKindSensitive(t *testing.T) {
 		identicalRows(t, "batch kind-sensitive groups/"+name, want, mustSortGroup(t, e, ct, []string{"t.k"}, f).Table())
 	}
 	one := ColTableOf(&Table{Schema: NewSchema([]string{"r.k"}), Rows: []Row{{Int(2)}}})
-	joined, err := NewExec(1).BatchMergeJoin(MergeInner, ct, one, []int{0}, []int{0}, true, true, nil)
+	joined, err := NewExec(1).BatchMergeJoin(MergeInner, ct, one, []int{0}, []int{0}, true, true, nil, ct.Schema.Concat(one.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +231,11 @@ func TestSortGroupVerifiesOrder(t *testing.T) {
 	str := &Table{Schema: NewSchema([]string{"t.k"}), Rows: []Row{{Str("a")}, {Str("b")}, {Str("a")}}}
 	for name, e := range sortExecs() {
 		for kname, tab := range map[string]*Table{"int": in, "str": str} {
-			if _, err := e.BatchSortGroup(ColTableOf(tab), []string{"t.k"}, f, false, []int{0}); err == nil {
+			if _, err := e.BatchSortGroup(ColTableOf(tab), BindAggregation(tab.Schema, []string{"t.k"}, f), false, []int{0}); err == nil {
 				t.Fatalf("%s/%s: batch streaming aggregation accepted an unsorted run column", kname, name)
 			}
 		}
-		out, err := e.BatchSortGroup(ColTableOf(ok), []string{"t.k"}, f, false, []int{0})
+		out, err := e.BatchSortGroup(ColTableOf(ok), BindAggregation(ok.Schema, []string{"t.k"}, f), false, []int{0})
 		if err != nil {
 			t.Fatalf("%s: sorted stream rejected: %v", name, err)
 		}
@@ -377,15 +378,15 @@ func TestBatchMergeJoinsMatchBatchHash(t *testing.T) {
 				{"empty-right", l, selTable(r, nil)},
 			} {
 				want := []*ColTable{
-					seq.BatchHashJoin(in.l, in.r, ks.slots, ks.slots),
+					seq.BatchHashJoin(in.l, in.r, ks.slots, ks.slots, in.l.Schema.Concat(in.r.Schema)),
 					seq.BatchHashSemiJoin(in.l, in.r, ks.slots, ks.slots),
 					seq.BatchHashAntiJoin(in.l, in.r, ks.slots, ks.slots),
-					seq.BatchHashLeftOuter(in.l, in.r, ks.slots, ks.slots, pad),
+					seq.BatchHashLeftOuter(in.l, in.r, ks.slots, ks.slots, pad, in.l.Schema.Concat(in.r.Schema)),
 				}
 				for ename, e := range sortExecs() {
 					for kind := range want {
 						label := fmt.Sprintf("%s/sortL=%v/sortR=%v/%s/%s/kind %d", ks.name, sortL, sortR, in.name, ename, kind)
-						got, err := e.BatchMergeJoin(MergeKind(kind), in.l, in.r, ks.slots, ks.slots, sortL, sortR, pad)
+						got, err := e.BatchMergeJoin(MergeKind(kind), in.l, in.r, ks.slots, ks.slots, sortL, sortR, pad, in.l.Schema.Concat(in.r.Schema))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -434,10 +435,10 @@ func TestBatchSortGroupMatchesBatchHash(t *testing.T) {
 				in = ColTableOf(orderedBy(base, ks.verify, false))
 			}
 			for vname, view := range map[string]*ColTable{"dense": in, "sel": dropEvery(in, 4), "empty": selTable(in, nil)} {
-				want := seq.BatchHashGroup(view, ks.groupBy, f).Table()
+				want := seq.BatchHashGroup(view, BindAggregation(view.Schema, ks.groupBy, f)).Table()
 				for ename, e := range sortExecs() {
 					label := fmt.Sprintf("%s/sort=%v/%s/%s", ks.name, sortInput, vname, ename)
-					got, err := e.BatchSortGroup(view, ks.groupBy, f, sortInput, ks.verify)
+					got, err := e.BatchSortGroup(view, BindAggregation(view.Schema, ks.groupBy, f), sortInput, ks.verify)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

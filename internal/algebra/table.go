@@ -35,10 +35,6 @@ func NewTable(s *Schema) *Table { return &Table{Schema: s} }
 // Card returns the number of rows.
 func (t *Table) Card() int { return len(t.Rows) }
 
-// TabSchema returns the schema — the runtime-neutral accessor shared with
-// ColTable.
-func (t *Table) TabSchema() *Schema { return t.Schema }
-
 // Columnar returns the columnar form of the table, converting on first
 // use and caching the result (base tables are scanned by every query of a
 // session, so the conversion amortizes across the workload).

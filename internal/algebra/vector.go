@@ -62,11 +62,6 @@ func (t *ColTable) Card() int {
 	return t.N
 }
 
-// TabSchema returns the schema — the runtime-neutral accessor shared with
-// Table so the engine can hold either representation behind one
-// interface.
-func (t *ColTable) TabSchema() *Schema { return t.Schema }
-
 // phys maps a logical row index to its physical index.
 func (t *ColTable) phys(i int) int32 {
 	if t.Sel != nil {

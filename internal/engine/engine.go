@@ -2,10 +2,11 @@
 // using eager aggregation can be verified to produce exactly the same
 // results as the canonical (lazy) plan — and timed against it.
 //
-// Execution is slot-based: every operator resolves the attribute names
-// it touches against its input Schema once, at plan-compilation time.
-// Plans run on the batch runtime — columnar vectors, typed per-column
-// kernels, morsel-parallel under ExecOptions.Workers (internal/algebra's
+// Execution is slot-based: Prepare resolves every attribute name an
+// operator touches against its input Schema once, into a Program that
+// Run executes any number of times (program.go). Plans run on the batch
+// runtime — columnar vectors, typed per-column kernels, morsel-parallel
+// under ExecOptions.Workers (internal/algebra's
 // ColTable operators); equi-joins (the only join form the optimizer
 // emits) run as build/probe hash joins or sort-merge joins, groupings as
 // hash or sort-group aggregation. Two independent implementations of the
@@ -125,8 +126,8 @@ func (o ExecOptions) exec() *algebra.Exec {
 	return e
 }
 
-// runtime resolves the options into the operator runtime the compiler
-// executes against.
+// runtime resolves the options into the operator runtime a Program runs
+// on.
 func (o ExecOptions) runtime(ex *algebra.Exec) (runtimeOps, error) {
 	switch o.Runtime {
 	case RuntimeBatch:
@@ -154,7 +155,7 @@ type ExecStats struct {
 	// used (1 = sequential; always 1 under the row runtime).
 	Workers int
 	// Ops is the per-operator cardinality profile, one entry per costed
-	// operator in compile (bottom-up) order. Relation bitsets survive
+	// operator in execution (bottom-up) order. Relation bitsets survive
 	// the binder, so keys are recorded at operator-completion time.
 	Ops []OpCard
 	// Hash aggregates the flat hash-table telemetry of the execution
@@ -260,7 +261,7 @@ type weight struct {
 
 // binder is the representation-independent part of plan compilation: the
 // query, fresh-name generation and the aggregate bookkeeping rewrites
-// shared by the slot executor and the reference executor.
+// shared by Prepare and the reference executor.
 type binder struct {
 	q   *query.Query
 	seq int
@@ -275,15 +276,6 @@ func (e *binder) attrNames(set bitset.VSet) []string {
 	var out []string
 	set.ForEach(func(a int) { out = append(out, e.q.AttrNames[a]) })
 	return out
-}
-
-// compiled is an executed subplan plus its aggregate bookkeeping. The
-// table lives in whichever representation the selected runtime works on
-// (rows or columnar batches).
-type compiled struct {
-	tab     rtTable
-	weights []weight
-	aggs    []aggState // indexed like the query's aggregation vector
 }
 
 // Exec executes an optimized plan against boundary data and returns the
@@ -303,24 +295,10 @@ func ExecTables(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, e
 	return ExecTablesOpts(q, p, data, ExecOptions{Workers: 1})
 }
 
-// ExecTablesOpts executes an optimized plan on slot-based tables under
-// the given execution options. Results are bit-identical for every
-// worker count and runtime. The intermediates go back to the free lists
-// once the result's rows are copied out (algebra.Exec.Release); the
-// result shares no memory with them.
+// ExecTablesOpts is Prepare and Run, keeping the result only.
 func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	ex := opts.exec()
-	defer ex.Release()
-	rt, err := opts.runtime(ex)
-	if err != nil {
-		return nil, err
-	}
-	e := &executor{binder: binder{q: q}, data: data, rt: rt, tr: opts.Trace}
-	c, err := e.compile(p)
-	if err != nil {
-		return nil, err
-	}
-	return rt.result(c.tab), nil
+	tab, _, err := ExecProfiledOpts(q, p, data, opts)
+	return tab, err
 }
 
 // ExecProfiled executes an optimized plan with one worker and reports
@@ -330,139 +308,14 @@ func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table,
 	return ExecProfiledOpts(q, p, data, ExecOptions{Workers: 1})
 }
 
-// ExecProfiledOpts is ExecProfiled under the given execution options.
-// Parallelism is intra-operator (morsels inside each hash operator), so
-// the per-operator cardinality profile is accumulated by the single
-// driver goroutine after each operator's barrier — no synchronization
-// on ExecStats is needed, and the profile itself is deterministic.
+// ExecProfiledOpts prepares the plan against data's schemas and runs it
+// once under the given options (Prepare, Program.Run).
 func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, *ExecStats, error) {
-	hs := &algebra.HashStats{}
-	ex := opts.exec().WithHashStats(hs)
-	defer ex.Release()
-	rt, err := opts.runtime(ex)
+	prog, err := Prepare(q, p, data.Schemas())
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &ExecStats{EstimatedCout: p.Cost, Workers: ex.Workers()}
-	e := &executor{binder: binder{q: q}, data: data, stats: stats, rt: rt, tr: opts.Trace, hs: hs}
-	root := -1 // the root operator's span
-	if e.tr != nil {
-		root = e.tr.Len()
-	}
-	c, err := e.compile(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := rt.result(c.tab)
-	stats.ResultRows = res.Card()
-	stats.Hash = hs.Snapshot()
-	if root >= 0 {
-		// MB of intermediate buffers served from the free lists / MB taken.
-		e.tr.Annotatef(root, "reused", "%.1f/%.1f", float64(stats.Hash.BufReused)/1e6, float64(stats.Hash.BufBytes)/1e6)
-	}
-	return res, stats, nil
-}
-
-type executor struct {
-	binder
-	data  TableData
-	stats *ExecStats
-	rt    runtimeOps
-	tr    *obs.Trace         // nil = no tracing
-	hs    *algebra.HashStats // live hash telemetry, for per-span deltas
-	// hsMark is hs as of the last span closed (annotateSpan): operators run
-	// one after another on the driver goroutine, so a span's own traffic
-	// is what hs gained since.
-	hsMark algebra.HashTableStats
-}
-
-// record accumulates one operator's actual output cardinality, both into
-// the summed actual C_out and — keyed by the operator's canonical
-// (relation-set, grouping-attrs) identity — into the per-operator profile
-// the feedback loop harvests.
-func (e *executor) record(p *plan.Plan, t rtTable) {
-	if e.stats == nil {
-		return
-	}
-	act := float64(t.Card())
-	e.stats.ActualCout += act
-	if key, ok := cost.KeyOf(p); ok {
-		e.stats.Ops = append(e.stats.Ops, OpCard{Key: key, Est: p.Card, Act: act})
-	}
-}
-
-// compile executes one plan node (children first), wrapped in a trace
-// span when tracing is on. The span is opened before the children
-// compile and closed at the node's operator barrier, so spans nest by
-// plan structure and a span's duration is the node's inclusive wall
-// time — exactly what EXPLAIN ANALYZE prints. All recording happens on
-// the driver goroutine; the morsel fan-outs inside operators never see
-// the trace.
-func (e *executor) compile(p *plan.Plan) (*compiled, error) {
-	if e.tr == nil {
-		return e.compileNode(p)
-	}
-	sid := e.tr.Begin(spanName(e.q, p), "op")
-	c, err := e.compileNode(p)
-	if err != nil {
-		e.tr.End(sid)
-		return nil, err
-	}
-	// Rows in = the outputs of the direct child spans (none for scans).
-	rowsIn := int64(-1)
-	for _, sp := range e.tr.Spans() {
-		if sp.Parent == sid {
-			if rowsIn < 0 {
-				rowsIn = 0
-			}
-			rowsIn += sp.RowsOut
-		}
-	}
-	e.tr.SetRows(sid, rowsIn, int64(c.tab.Card()))
-	annotateSpan(e.tr, sid, p, e.hs, &e.hsMark)
-	e.tr.End(sid)
-	return c, nil
-}
-
-func (e *executor) compileNode(p *plan.Plan) (*compiled, error) {
-	switch p.Kind {
-	case plan.NodeScan:
-		tab, ok := e.data[p.Rel]
-		if !ok {
-			return nil, fmt.Errorf("engine: no data for relation %d", p.Rel)
-		}
-		return &compiled{tab: e.rt.scan(tab), aggs: make([]aggState, len(e.q.Aggregates))}, nil
-	case plan.NodeOp:
-		return e.compileOp(p)
-	case plan.NodeGroup:
-		child, err := e.compile(p.Left)
-		if err != nil {
-			return nil, err
-		}
-		var c *compiled
-		if p.Final {
-			c, err = e.finalGroup(child, p.GroupBy, p)
-		} else {
-			c, err = e.group(child, p)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.record(p, c.tab)
-		return c, nil
-	case plan.NodeProject:
-		child, err := e.compile(p.Left)
-		if err != nil {
-			return nil, err
-		}
-		// The projection replaces the final grouping when every group is
-		// a single tuple; evaluating the final vector per group yields
-		// identical results (Eqv. 42). It is free under C_out, so its
-		// output is not recorded into ActualCout — matching the
-		// estimator, which prices NodeProject at its child's cost.
-		return e.finalGroup(child, e.q.GroupBy, nil)
-	}
-	return nil, fmt.Errorf("engine: unknown node kind %d", p.Kind)
+	return prog.Run(data, opts)
 }
 
 // joinKeys resolves the plan node's equi-predicates into paired key
@@ -512,7 +365,7 @@ func mergeKeySlots(q *query.Query, p *plan.Plan, ls, rs *algebra.Schema) (lk, rk
 // padRow builds the outerjoin default row for a padded side: NULL
 // everywhere except weights (1) and partial attributes ({⊥} defaults).
 func padRow(c *compiled) algebra.Row {
-	s := c.tab.TabSchema()
+	s := c.schema
 	pad := algebra.NullRow(s)
 	set := func(attr string, v algebra.Value) {
 		if slot, ok := s.Slot(attr); ok {
@@ -533,80 +386,6 @@ func padRow(c *compiled) algebra.Row {
 		}
 	}
 	return pad
-}
-
-func (e *executor) compileOp(p *plan.Plan) (*compiled, error) {
-	l, err := e.compile(p.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.compile(p.Right)
-	if err != nil {
-		return nil, err
-	}
-	lk, rk := joinKeys(e.q, p.Preds, l.tab.TabSchema(), r.tab.TabSchema())
-
-	out := &compiled{aggs: make([]aggState, len(e.q.Aggregates))}
-	dropRight := p.Op.LeftOnly()
-	for i := range out.aggs {
-		switch {
-		case l.aggs[i].partial != nil:
-			out.aggs[i] = l.aggs[i]
-		case !dropRight && r.aggs[i].partial != nil:
-			out.aggs[i] = r.aggs[i]
-		}
-	}
-	out.weights = append(out.weights, l.weights...)
-	if !dropRight {
-		out.weights = append(out.weights, r.weights...)
-	}
-
-	if p.Phys == plan.PhysSortMerge {
-		// The sort-based layer: merge joins over the plan's merge-key
-		// order, sorting only the inputs the optimizer could not prove
-		// ordered. Output sequences equal the hash operators', so the
-		// choice of layer never shows in results — only in the sorts
-		// performed.
-		mlk, mrk := mergeKeySlots(e.q, p, l.tab.TabSchema(), r.tab.TabSchema())
-		var rpad algebra.Row
-		if p.Op == query.KindLeftOuter {
-			rpad = padRow(r)
-		}
-		tab, err := e.rt.mergeJoin(p.Op, l.tab, r.tab, mlk, mrk, p.SortL, p.SortR, rpad)
-		if err != nil {
-			return nil, err
-		}
-		out.tab = tab
-		e.record(p, out.tab)
-		return out, nil
-	}
-
-	switch p.Op {
-	case query.KindJoin:
-		out.tab = e.rt.hashJoin(l.tab, r.tab, lk, rk)
-	case query.KindSemiJoin:
-		out.tab = e.rt.hashSemiJoin(l.tab, r.tab, lk, rk)
-	case query.KindAntiJoin:
-		out.tab = e.rt.hashAntiJoin(l.tab, r.tab, lk, rk)
-	case query.KindLeftOuter:
-		out.tab = e.rt.hashLeftOuter(l.tab, r.tab, lk, rk, padRow(r))
-	case query.KindFullOuter:
-		out.tab = e.rt.hashFullOuter(l.tab, r.tab, lk, rk, padRow(l), padRow(r))
-	case query.KindGroupJoin:
-		if len(r.weights) != 0 {
-			return nil, fmt.Errorf("engine: groupjoin over a pre-aggregated right side is not supported")
-		}
-		// Locate the groupjoin's own vector on the original tree node.
-		gj := findGroupJoin(e.q.Root, p.Rels)
-		if gj == nil {
-			return nil, fmt.Errorf("engine: groupjoin node not found in the query tree")
-		}
-		out.tab = e.rt.hashGroupJoin(l.tab, r.tab, lk, rk, gj.GroupJoinAggs)
-	default:
-		return nil, fmt.Errorf("engine: unsupported operator %v", p.Op)
-	}
-	e.record(p, out.tab)
-	return out, nil
 }
 
 // findGroupJoin locates the original groupjoin node covering exactly the

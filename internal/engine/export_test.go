@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"eagg/internal/aggfn"
 	"eagg/internal/algebra"
 	"eagg/internal/plan"
 	"eagg/internal/query"
@@ -11,8 +10,11 @@ import (
 // full hash aggregation it replaces.
 type hashProject struct{ batchRuntime }
 
-func (rt hashProject) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return rt.hashGroup(t, groupBy, f)
+func (rt hashProject) group(st *step, t rtTable) (rtTable, error) {
+	if st.kind == stepProject {
+		return rt.ex.BatchHashGroup(rt.col(t), st.group.agg), nil
+	}
+	return rt.batchRuntime.group(st, t)
 }
 
 // ExecTablesHashProject is ExecTablesOpts on the batch runtime with
@@ -20,15 +22,15 @@ func (rt hashProject) project(t rtTable, groupBy []string, f aggfn.Vector) rtTab
 // the hash-free projection's differential test, for the external test
 // package (which can import tpch).
 func ExecTablesHashProject(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	ex := opts.exec()
-	defer ex.Release()
-	rt := hashProject{batchRuntime{ex: ex}}
-	e := &executor{binder: binder{q: q}, data: data, rt: rt}
-	c, err := e.compile(p)
+	prog, err := Prepare(q, p, data.Schemas())
 	if err != nil {
 		return nil, err
 	}
-	return rt.result(c.tab), nil
+	hs := &algebra.HashStats{}
+	ex := opts.exec().WithHashStats(hs)
+	defer ex.Release()
+	tab, _, err := prog.run(data, hashProject{batchRuntime{ex: ex}}, ex, hs, nil)
+	return tab, err
 }
 
 // FloatAggArgs exposes floatAggArgs to the external test package.

@@ -4,26 +4,28 @@ import (
 	"fmt"
 
 	"eagg/internal/aggfn"
+	"eagg/internal/algebra"
 	"eagg/internal/bitset"
 	"eagg/internal/plan"
 )
 
-// product materializes the product of the given weight attributes as a
-// fresh column and returns its name ("" when there are none, the
-// attribute itself when there is exactly one). The column is computed
-// slot-wise: the weight attributes are resolved against the table schema
-// once, and the runtime multiplies plain slot reads (per row, or as a
-// typed columnar kernel on the batch runtime).
-func (e *executor) product(tab rtTable, attrs []string) (string, rtTable) {
+// product names the product of the given weight attributes ("" when there
+// are none, the attribute itself when there is exactly one). Several are
+// multiplied into a fresh column: the step extends its input *s by it,
+// from the factors' slots, before aggregating (per row, or as a typed
+// columnar kernel on the batch runtime).
+func (c *compiler) product(st *step, s **algebra.Schema, attrs []string) string {
 	switch len(attrs) {
 	case 0:
-		return "", tab
+		return ""
 	case 1:
-		return attrs[0], tab
+		return attrs[0]
 	}
-	name := e.fresh("prod")
-	slots := tab.TabSchema().Slots(attrs)
-	return name, e.rt.product(tab, name, slots)
+	name := c.fresh("prod")
+	pr := product{slots: (*s).Slots(attrs), out: (*s).Extend(name)}
+	st.group.prods = append(st.group.prods, pr)
+	*s = pr.out
+	return name
 }
 
 func weightAttrs(ws []weight, excludeCover bitset.VSet) []string {
@@ -36,21 +38,19 @@ func weightAttrs(ws []weight, excludeCover bitset.VSet) []string {
 	return out
 }
 
-// group executes a pushed-down grouping node: collapse the subtree to one
+// group prepares a pushed-down grouping node: collapse the subtree to one
 // row per G⁺ value, computing a fresh weight and partial aggregate
-// states, via typed hash aggregation.
-func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
+// states.
+func (c *compiler) group(st *step, child *compiled, p *plan.Plan) (*compiled, error) {
 	s := p.Rels
-	gNames := e.attrNames(p.GroupBy)
-	tab := child.tab
-	out := &compiled{aggs: make([]aggState, len(e.q.Aggregates))}
+	in := child.schema
+	out := &compiled{aggs: make([]aggState, len(c.q.Aggregates))}
 
 	// Fresh weight: the number of original tuple combinations each
 	// grouped row stands for — Σ over the group of the product of the
 	// existing weights (count(*) when none exist yet).
-	wAll, tab2 := e.product(tab, weightAttrs(child.weights, bitset.VSet{}))
-	tab = tab2
-	wNew := e.fresh("w")
+	wAll := c.product(st, &in, weightAttrs(child.weights, bitset.VSet{}))
+	wNew := c.fresh("w")
 	inner := aggfn.Vector{}
 	if wAll == "" {
 		inner = append(inner, aggfn.Agg{Out: wNew, Kind: aggfn.CountStar})
@@ -58,16 +58,15 @@ func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
 		inner = append(inner, aggfn.Agg{Out: wNew, Kind: aggfn.Sum, Arg: wAll})
 	}
 
-	srcs := e.q.AggSourceRels()
-	for i, agg := range e.q.Aggregates {
-		st := child.aggs[i]
+	srcs := c.q.AggSourceRels()
+	for i, agg := range c.q.Aggregates {
+		state := child.aggs[i]
 		switch {
-		case st.partial != nil:
+		case state.partial != nil:
 			// Re-aggregate the partial, weighted by the multiplicities
 			// of the other collapsed sides (the ⊗ adjustment).
-			wOther, tab3 := e.product(tab, weightAttrs(child.weights, st.cover))
-			tab = tab3
-			ns, err := e.reaggregate(agg.Kind, st, wOther, &inner, s)
+			wOther := c.product(st, &in, weightAttrs(child.weights, state.cover))
+			ns, err := c.reaggregate(agg.Kind, state, wOther, &inner, s)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +80,7 @@ func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
 		default:
 			// First collapse: raw → partial, weighted by all existing
 			// multiplicities.
-			ns, err := e.collapse(agg, wAll, &inner, s)
+			ns, err := c.collapse(agg, wAll, &inner, s)
 			if err != nil {
 				return nil, err
 			}
@@ -89,38 +88,38 @@ func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
 		}
 	}
 
-	res, err := e.groupTable(tab, gNames, inner, p)
-	if err != nil {
-		return nil, err
-	}
-	out.tab = res
+	out.schema = c.aggregate(st, in, c.attrNames(p.GroupBy), inner, p)
 	out.weights = []weight{{attr: wNew, cover: s}}
 	return out, nil
 }
 
-// groupTable runs one aggregation on the physical layer the plan node
-// selected: typed hash aggregation, or sort-group aggregation that
-// either streams over the input's existing order (SortL false — the
-// eliminated sort, verified against the covering order prefix the
-// optimizer recorded in p.MergeL) or sorts by the grouping key first.
-// Both layers emit the identical output sequence. A nil p is the
-// projection: every group is a single row, which the runtime may exploit.
-func (e *executor) groupTable(tab rtTable, gNames []string, f aggfn.Vector, p *plan.Plan) (rtTable, error) {
-	if p == nil {
-		return e.rt.project(tab, gNames, f), nil
-	}
-	if p.Phys == plan.PhysSortMerge {
-		var verify []int
+// aggregate resolves the step's aggregation of an input with schema in, on
+// the physical layer the plan node selected: typed hash aggregation, or
+// sort-group aggregation that either streams over the input's existing
+// order (SortL false — the eliminated sort, verified against the covering
+// order prefix the optimizer recorded in p.MergeL) or sorts by the
+// grouping key first. Both layers emit the identical output sequence. A
+// nil p is the projection: every group is a single row, which the runtime
+// may exploit. It returns the output schema.
+func (c *compiler) aggregate(st *step, in *algebra.Schema, gNames []string, f aggfn.Vector, p *plan.Plan) *algebra.Schema {
+	g := st.group
+	g.names, g.f, g.agg = gNames, f, algebra.BindAggregation(in, gNames, f)
+	switch {
+	case p == nil:
+		st.kind = stepProject
+	case p.Phys == plan.PhysSortMerge:
+		st.kind = stepSortGroup
 		if !p.SortL {
 			for _, a := range p.MergeL {
-				if slot, ok := tab.TabSchema().Slot(e.q.AttrNames[a]); ok {
-					verify = append(verify, slot)
+				if slot, ok := in.Slot(c.q.AttrNames[a]); ok {
+					g.verify = append(g.verify, slot)
 				}
 			}
 		}
-		return e.rt.sortGroup(tab, gNames, f, p.SortL, verify)
+	default:
+		st.kind = stepHashGroup
 	}
-	return e.rt.hashGroup(tab, gNames, f), nil
+	return g.agg.Out
 }
 
 // collapse turns a raw aggregate into a partial state, appending the
@@ -198,21 +197,20 @@ func (e *binder) reaggregate(kind aggfn.Kind, st aggState, wOther string, inner 
 	return aggState{}, fmt.Errorf("engine: cannot re-aggregate partial of kind %v", kind)
 }
 
-// finalGroup evaluates the query's final grouping (or its projection
+// finalGroup prepares the query's final grouping (or its projection
 // replacement — results are identical when G holds a key of a
 // duplicate-free input, which is exactly when the optimizer chooses the
 // projection). p is the plan node selecting the physical layer; nil is
 // the projection path.
-func (e *executor) finalGroup(child *compiled, groupBy bitset.VSet, p *plan.Plan) (*compiled, error) {
-	tab := child.tab
+func (c *compiler) finalGroup(st *step, child *compiled, groupBy bitset.VSet, p *plan.Plan) (*compiled, error) {
+	in := child.schema
 	final := aggfn.Vector{}
-	srcs := e.q.AggSourceRels()
-	for i, agg := range e.q.Aggregates {
-		st := child.aggs[i]
-		if st.partial != nil {
-			wOther, tab2 := e.product(tab, weightAttrs(child.weights, st.cover))
-			tab = tab2
-			fa, err := finalOfPartial(agg, st, wOther)
+	srcs := c.q.AggSourceRels()
+	for i, agg := range c.q.Aggregates {
+		state := child.aggs[i]
+		if state.partial != nil {
+			wOther := c.product(st, &in, weightAttrs(child.weights, state.cover))
+			fa, err := finalOfPartial(agg, state, wOther)
 			if err != nil {
 				return nil, err
 			}
@@ -220,20 +218,15 @@ func (e *executor) finalGroup(child *compiled, groupBy bitset.VSet, p *plan.Plan
 			continue
 		}
 		// Raw aggregate (or count(*)): weight by every collapsed side.
-		wAll, tab2 := e.product(tab, weightAttrs(child.weights, srcs[i]))
-		tab = tab2
+		wAll := c.product(st, &in, weightAttrs(child.weights, srcs[i]))
 		fa, err := finalOfRaw(agg, wAll)
 		if err != nil {
 			return nil, err
 		}
 		final = append(final, fa)
 	}
-	gNames := e.attrNames(groupBy)
-	res, err := e.groupTable(tab, gNames, final, p)
-	if err != nil {
-		return nil, err
-	}
-	return &compiled{tab: res, aggs: make([]aggState, len(e.q.Aggregates))}, nil
+	out := c.aggregate(st, in, c.attrNames(groupBy), final, p)
+	return &compiled{schema: out, aggs: make([]aggState, len(c.q.Aggregates))}, nil
 }
 
 func finalOfPartial(agg aggfn.Agg, st aggState, w string) (aggfn.Agg, error) {

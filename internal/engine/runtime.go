@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"eagg/internal/aggfn"
 	"eagg/internal/algebra"
 	"eagg/internal/query"
 )
@@ -50,35 +49,24 @@ func ParseRuntime(s string) (Runtime, error) {
 	return 0, fmt.Errorf("engine: unknown runtime %q (want batch or row)", s)
 }
 
-// rtTable is a compiled subplan's materialized data in whichever
-// representation the runtime works on. Both *algebra.Table and
-// *algebra.ColTable implement it; the compiler only ever needs the
-// cardinality and the schema — everything else goes through runtimeOps.
+// rtTable is a step's output in whichever representation the runtime
+// works on. Both *algebra.Table and *algebra.ColTable implement it; a
+// Program only ever reads the cardinality — everything else goes through
+// runtimeOps.
 type rtTable interface {
 	Card() int
-	TabSchema() *algebra.Schema
 }
 
-// runtimeOps is the operator surface the plan compiler executes against.
-// scan converts a stored table into the runtime's representation and
-// result converts back; every operator maps a plan node onto the
-// corresponding algebra call.
+// runtimeOps is the operator surface a Program runs on. scan converts a
+// stored table into the runtime's representation and result converts
+// back; join, group and product run a step's operator from what Prepare
+// resolved.
 type runtimeOps interface {
 	scan(t *algebra.Table) rtTable
 	result(t rtTable) *algebra.Table
-	hashJoin(l, r rtTable, lk, rk []int) rtTable
-	hashSemiJoin(l, r rtTable, lk, rk []int) rtTable
-	hashAntiJoin(l, r rtTable, lk, rk []int) rtTable
-	hashLeftOuter(l, r rtTable, lk, rk []int, rpad algebra.Row) rtTable
-	hashFullOuter(l, r rtTable, lk, rk []int, lpad, rpad algebra.Row) rtTable
-	hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) rtTable
-	hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable
-	// project is hashGroup for an input whose every group is known to be
-	// a single row (plan.NodeProject).
-	project(t rtTable, groupBy []string, f aggfn.Vector) rtTable
-	sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error)
-	mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error)
-	product(t rtTable, name string, slots []int) rtTable
+	join(st *step, l, r rtTable) (rtTable, error)
+	group(st *step, t rtTable) (rtTable, error)
+	product(pr *product, t rtTable) rtTable
 }
 
 // mergeKinds maps the operators with a sort-based form onto it.
@@ -90,9 +78,9 @@ var mergeKinds = map[query.OpKind]algebra.MergeKind{
 }
 
 // rowRuntime runs every operator on the sequential row-at-a-time
-// operators. ex is a one-worker Exec (ExecOptions.exec): the hash layer
-// does not use it, the sort layer's Columnar() → batch → Table() wrappers
-// run sequentially under it.
+// operators, by attribute name where they take names. ex is a one-worker
+// Exec (ExecOptions.exec): the hash layer does not use it, the sort
+// layer's Columnar() → batch → Table() wrappers run sequentially under it.
 type rowRuntime struct{ ex *algebra.Exec }
 
 func (rt rowRuntime) tab(t rtTable) *algebra.Table { return t.(*algebra.Table) }
@@ -101,44 +89,44 @@ func (rt rowRuntime) scan(t *algebra.Table) rtTable { return t }
 func (rt rowRuntime) result(t rtTable) *algebra.Table {
 	return rt.tab(t)
 }
-func (rt rowRuntime) hashJoin(l, r rtTable, lk, rk []int) rtTable {
-	return algebra.HashJoin(rt.tab(l), rt.tab(r), lk, rk)
-}
-func (rt rowRuntime) hashSemiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return algebra.HashSemiJoin(rt.tab(l), rt.tab(r), lk, rk)
-}
-func (rt rowRuntime) hashAntiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return algebra.HashAntiJoin(rt.tab(l), rt.tab(r), lk, rk)
-}
-func (rt rowRuntime) hashLeftOuter(l, r rtTable, lk, rk []int, rpad algebra.Row) rtTable {
-	return algebra.HashLeftOuter(rt.tab(l), rt.tab(r), lk, rk, rpad)
-}
-func (rt rowRuntime) hashFullOuter(l, r rtTable, lk, rk []int, lpad, rpad algebra.Row) rtTable {
-	return algebra.HashFullOuter(rt.tab(l), rt.tab(r), lk, rk, lpad, rpad)
-}
-func (rt rowRuntime) hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) rtTable {
-	return algebra.HashGroupJoin(rt.tab(l), rt.tab(r), lk, rk, f)
-}
-func (rt rowRuntime) hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return algebra.HashGroup(rt.tab(t), groupBy, f)
-}
-func (rt rowRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return rt.hashGroup(t, groupBy, f)
-}
-func (rt rowRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error) {
-	return rt.ex.SortGroup(rt.tab(t), groupBy, f, sortInput, verify)
-}
-func (rt rowRuntime) mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error) {
-	kind, ok := mergeKinds[op]
-	if !ok {
-		return nil, fmt.Errorf("engine: %v has no sort-based form", op)
+func (rt rowRuntime) join(st *step, lt, rtt rtTable) (rtTable, error) {
+	l, r, j := rt.tab(lt), rt.tab(rtt), st.join
+	if st.kind == stepMergeJoin {
+		out, err := rt.ex.MergeTables(j.merge, l, r, j.lk, j.rk, st.node.SortL, st.node.SortR, j.rpad)
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	return rt.ex.MergeTables(kind, rt.tab(l), rt.tab(r), lk, rk, sortL, sortR, rpad)
+	switch st.node.Op {
+	case query.KindJoin:
+		return algebra.HashJoin(l, r, j.lk, j.rk), nil
+	case query.KindSemiJoin:
+		return algebra.HashSemiJoin(l, r, j.lk, j.rk), nil
+	case query.KindAntiJoin:
+		return algebra.HashAntiJoin(l, r, j.lk, j.rk), nil
+	case query.KindLeftOuter:
+		return algebra.HashLeftOuter(l, r, j.lk, j.rk, j.rpad), nil
+	case query.KindFullOuter:
+		return algebra.HashFullOuter(l, r, j.lk, j.rk, j.lpad, j.rpad), nil
+	}
+	return algebra.HashGroupJoin(l, r, j.lk, j.rk, j.gjAggs), nil
 }
-func (rt rowRuntime) product(t rtTable, name string, slots []int) rtTable {
-	return algebra.ExtendTable(rt.tab(t), name, func(row algebra.Row) algebra.Value {
+func (rt rowRuntime) group(st *step, t rtTable) (rtTable, error) {
+	g := st.group
+	if st.kind == stepSortGroup {
+		out, err := rt.ex.SortGroup(rt.tab(t), g.names, g.f, st.node.SortL, g.verify)
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	return algebra.HashGroup(rt.tab(t), g.names, g.f), nil
+}
+func (rt rowRuntime) product(pr *product, t rtTable) rtTable {
+	return algebra.ExtendTable(rt.tab(t), pr.out.Name(pr.out.Len()-1), func(row algebra.Row) algebra.Value {
 		v := algebra.Int(1)
-		for _, s := range slots {
+		for _, s := range pr.slots {
 			v = algebra.Mul(v, row[s])
 		}
 		return v
@@ -146,58 +134,53 @@ func (rt rowRuntime) product(t rtTable, name string, slots []int) rtTable {
 }
 
 // batchRuntime runs every operator — both physical layers — batch at a
-// time on columnar vectors: a subplan's data is a *algebra.ColTable from
-// the scan to the plan root, and result, the one conversion to rows, is
-// called there only. Output sequences are bit-identical to the row
-// runtime's for every batch size.
+// time on columnar vectors: a step's data is a *algebra.ColTable from the
+// scan to the plan root, and result, the one conversion to rows, is called
+// there only. Output sequences are bit-identical to the row runtime's for
+// every batch size.
 type batchRuntime struct{ ex *algebra.Exec }
 
 func (rt batchRuntime) col(t rtTable) *algebra.ColTable { return t.(*algebra.ColTable) }
 
 func (rt batchRuntime) scan(t *algebra.Table) rtTable   { return t.Columnar() }
 func (rt batchRuntime) result(t rtTable) *algebra.Table { return rt.ex.RowTable(rt.col(t)) }
-func (rt batchRuntime) hashJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.BatchHashJoin(rt.col(l), rt.col(r), lk, rk)
-}
-func (rt batchRuntime) hashSemiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.BatchHashSemiJoin(rt.col(l), rt.col(r), lk, rk)
-}
-func (rt batchRuntime) hashAntiJoin(l, r rtTable, lk, rk []int) rtTable {
-	return rt.ex.BatchHashAntiJoin(rt.col(l), rt.col(r), lk, rk)
-}
-func (rt batchRuntime) hashLeftOuter(l, r rtTable, lk, rk []int, rpad algebra.Row) rtTable {
-	return rt.ex.BatchHashLeftOuter(rt.col(l), rt.col(r), lk, rk, rpad)
-}
-func (rt batchRuntime) hashFullOuter(l, r rtTable, lk, rk []int, lpad, rpad algebra.Row) rtTable {
-	return rt.ex.BatchHashFullOuter(rt.col(l), rt.col(r), lk, rk, lpad, rpad)
-}
-func (rt batchRuntime) hashGroupJoin(l, r rtTable, lk, rk []int, f aggfn.Vector) rtTable {
-	return rt.ex.BatchHashGroupJoin(rt.col(l), rt.col(r), lk, rk, f)
-}
-func (rt batchRuntime) hashGroup(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return rt.ex.BatchHashGroup(rt.col(t), groupBy, f)
-}
-func (rt batchRuntime) project(t rtTable, groupBy []string, f aggfn.Vector) rtTable {
-	return rt.ex.BatchProject(rt.col(t), groupBy, f)
-}
-func (rt batchRuntime) sortGroup(t rtTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (rtTable, error) {
-	out, err := rt.ex.BatchSortGroup(rt.col(t), groupBy, f, sortInput, verify)
-	if err != nil {
-		return nil, err
+func (rt batchRuntime) join(st *step, lt, rtt rtTable) (rtTable, error) {
+	l, r, j := rt.col(lt), rt.col(rtt), st.join
+	if st.kind == stepMergeJoin {
+		out, err := rt.ex.BatchMergeJoin(j.merge, l, r, j.lk, j.rk, st.node.SortL, st.node.SortR, j.rpad, st.out)
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	return out, nil
-}
-func (rt batchRuntime) mergeJoin(op query.OpKind, l, r rtTable, lk, rk []int, sortL, sortR bool, rpad algebra.Row) (rtTable, error) {
-	kind, ok := mergeKinds[op]
-	if !ok {
-		return nil, fmt.Errorf("engine: %v has no sort-based form", op)
+	switch st.node.Op {
+	case query.KindJoin:
+		return rt.ex.BatchHashJoin(l, r, j.lk, j.rk, st.out), nil
+	case query.KindSemiJoin:
+		return rt.ex.BatchHashSemiJoin(l, r, j.lk, j.rk), nil
+	case query.KindAntiJoin:
+		return rt.ex.BatchHashAntiJoin(l, r, j.lk, j.rk), nil
+	case query.KindLeftOuter:
+		return rt.ex.BatchHashLeftOuter(l, r, j.lk, j.rk, j.rpad, st.out), nil
+	case query.KindFullOuter:
+		return rt.ex.BatchHashFullOuter(l, r, j.lk, j.rk, j.lpad, j.rpad, st.out), nil
 	}
-	out, err := rt.ex.BatchMergeJoin(kind, rt.col(l), rt.col(r), lk, rk, sortL, sortR, rpad)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return rt.ex.BatchHashGroupJoin(l, r, j.lk, j.rk, j.gjBound, st.out), nil
 }
-func (rt batchRuntime) product(t rtTable, name string, slots []int) rtTable {
-	return rt.ex.BatchExtendProduct(rt.col(t), name, slots)
+func (rt batchRuntime) group(st *step, t rtTable) (rtTable, error) {
+	g := st.group
+	switch st.kind {
+	case stepProject:
+		return rt.ex.BatchProject(rt.col(t), g.agg), nil
+	case stepSortGroup:
+		out, err := rt.ex.BatchSortGroup(rt.col(t), g.agg, st.node.SortL, g.verify)
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	return rt.ex.BatchHashGroup(rt.col(t), g.agg), nil
+}
+func (rt batchRuntime) product(pr *product, t rtTable) rtTable {
+	return rt.ex.BatchExtendProduct(rt.col(t), pr.out, pr.slots)
 }

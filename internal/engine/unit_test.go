@@ -13,25 +13,24 @@ func TestProductHelper(t *testing.T) {
 		[]any{2, 3, 5},
 		[]any{1, nil, 4},
 	))
+	c := &compiler{}
+	st := step{group: &groupOp{}}
+	s := tab.Schema
+	// No attributes: no column, empty name.
+	if name := c.product(&st, &s, nil); name != "" || s != tab.Schema || len(st.group.prods) != 0 {
+		t.Error("empty product must be a no-op")
+	}
+	// Single attribute: passthrough.
+	if name := c.product(&st, &s, []string{"w1"}); name != "w1" || s != tab.Schema || len(st.group.prods) != 0 {
+		t.Error("single product must pass through")
+	}
+	// Multiple: one extension, materialized with NULL propagation.
+	name := c.product(&st, &s, []string{"w1", "w2", "w3"})
+	if name == "" || !s.Has(name) || len(st.group.prods) != 1 || st.group.prods[0].out != s {
+		t.Fatal("product column missing")
+	}
 	for _, rt := range []runtimeOps{rowRuntime{}, batchRuntime{}} {
-		e := &executor{rt: rt}
-		in := rt.scan(tab)
-		// No attributes: no column, empty name.
-		name, out := e.product(in, nil)
-		if name != "" || out != in {
-			t.Error("empty product must be a no-op")
-		}
-		// Single attribute: passthrough.
-		name, out = e.product(in, []string{"w1"})
-		if name != "w1" || out != in {
-			t.Error("single product must pass through")
-		}
-		// Multiple: materialized column with NULL propagation.
-		name, out = e.product(in, []string{"w1", "w2", "w3"})
-		if name == "" || !out.TabSchema().Has(name) {
-			t.Fatal("product column missing")
-		}
-		rel := rt.result(out).Rel()
+		rel := rt.result(rt.product(&st.group.prods[0], rt.scan(tab))).Rel()
 		if v := rel.Tuples[0].Get(name); v.I != 30 {
 			t.Errorf("product = %v, want 30", v)
 		}
@@ -83,10 +82,10 @@ func TestSideDefaults(t *testing.T) {
 	if got := sideDefaults(&refCompiled{aggs: []aggState{{}}}); got != nil {
 		t.Errorf("expected nil defaults, got %v", got)
 	}
-	// The slot executor's padRow realizes the same defaults as a full
+	// Prepare's padRow realizes the same defaults as a full
 	// row: weights 1, zero-default partials 0, NULL-default partials NULL.
 	sc := &compiled{
-		tab:     algebra.NewTable(algebra.NewSchema([]string{"w", "p_sum", "p_cnt", "x"})),
+		schema:  algebra.NewSchema([]string{"w", "p_sum", "p_cnt", "x"}),
 		weights: []weight{{attr: "w", cover: bitset.NewV(0)}},
 		aggs: []aggState{
 			{},
@@ -98,7 +97,7 @@ func TestSideDefaults(t *testing.T) {
 		},
 	}
 	pad := padRow(sc)
-	s := sc.tab.TabSchema()
+	s := sc.schema
 	if pad[s.MustSlot("w")] != algebra.Int(1) {
 		t.Errorf("pad weight = %v, want 1", pad[s.MustSlot("w")])
 	}
@@ -111,7 +110,7 @@ func TestSideDefaults(t *testing.T) {
 }
 
 func TestCollapseRejectsNonDecomposable(t *testing.T) {
-	e := &executor{}
+	e := &binder{}
 	var inner aggfn.Vector
 	_, err := e.collapse(aggfn.Agg{Out: "d", Kind: aggfn.CountDistinct, Arg: "a"}, "", &inner, bitset.NewV(0))
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"eagg/internal/core"
+	"eagg/internal/engine"
 	"eagg/internal/plan"
 )
 
@@ -19,15 +20,22 @@ type cacheKey struct {
 	epoch uint64
 }
 
+// planned is what a cache entry holds: the plan, the program prepared
+// from it (engine.Prepare), and the optimizer's search effort.
+type planned struct {
+	plan  *plan.Plan
+	prog  *engine.Program
+	stats core.Stats
+}
+
 // cacheEntry is one plan cache slot with single-flight semantics: the
 // first request for a key computes while later requests block on ready.
-// plan/stats/err are written exactly once, before ready closes. key and
-// the recency links belong to the cache and are touched only under its
-// mutex; an entry is on the list exactly while the map holds it.
+// val/err are written exactly once, before ready closes. key and the
+// recency links belong to the cache and are touched only under its mutex;
+// an entry is on the list exactly while the map holds it.
 type cacheEntry struct {
 	ready chan struct{}
-	plan  *plan.Plan
-	stats core.Stats
+	val   planned
 	err   error
 
 	key        cacheKey
@@ -35,9 +43,9 @@ type cacheEntry struct {
 }
 
 // planCache is a bounded plan cache with single-flight computation and
-// least-recently-used eviction. Plans are immutable after optimization,
-// so handing the same *plan.Plan to any number of concurrent executions
-// is safe.
+// least-recently-used eviction. Plans and programs are immutable, so
+// handing the same ones to any number of concurrent executions is safe; a
+// program is evicted with its plan.
 //
 // Every entry of m sits on an intrusive recency list — a ring through
 // root, hottest at root.next, coldest at root.prev — that getOrCompute
@@ -84,7 +92,7 @@ func (c *planCache) dropLocked(en *cacheEntry) {
 	en.unlink()
 }
 
-// getOrCompute returns the cached plan for (sig, epoch), computing it
+// getOrCompute returns the cached entry for (sig, epoch), computing it
 // via fn on the first request. sig is only read, and only until the
 // lookup is done: a hit indexes the map through it without allocating,
 // a miss copies it into the key it inserts. Concurrent requests for the
@@ -94,7 +102,7 @@ func (c *planCache) dropLocked(en *cacheEntry) {
 // entry is removed so later requests retry. An entry evicted or pruned
 // while in flight still completes and answers its own requester and
 // waiters; only the cache stops serving it.
-func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (*plan.Plan, core.Stats, error)) (*plan.Plan, core.Stats, bool, error) {
+func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (planned, error)) (planned, bool, error) {
 	c.mu.Lock()
 	if en, ok := c.m[cacheKey{sig: string(sig), epoch: epoch}]; ok {
 		en.unlink()
@@ -102,10 +110,10 @@ func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (*plan.Plan
 		c.mu.Unlock()
 		<-en.ready
 		if en.err != nil {
-			return nil, core.Stats{}, false, en.err
+			return planned{}, false, en.err
 		}
 		c.hits.Add(1)
-		return en.plan, en.stats, true, nil
+		return en.val, true, nil
 	}
 	en := &cacheEntry{ready: make(chan struct{}), key: cacheKey{sig: string(sig), epoch: epoch}}
 	c.m[en.key] = en
@@ -122,7 +130,7 @@ func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (*plan.Plan
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	en.plan, en.stats, en.err = fn()
+	en.val, en.err = fn()
 	close(en.ready)
 	if en.err != nil {
 		c.mu.Lock()
@@ -130,9 +138,9 @@ func (c *planCache) getOrCompute(sig []byte, epoch uint64, fn func() (*plan.Plan
 			c.dropLocked(en)
 		}
 		c.mu.Unlock()
-		return nil, core.Stats{}, false, en.err
+		return planned{}, false, en.err
 	}
-	return en.plan, en.stats, false, nil
+	return en.val, false, nil
 }
 
 // pruneBelow drops every entry optimized under an epoch older than

@@ -32,9 +32,9 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 	computes := 0
 	get := func(sig string, epoch uint64) {
 		t.Helper()
-		_, _, _, err := c.getOrCompute([]byte(sig), epoch, func() (*plan.Plan, core.Stats, error) {
+		_, _, err := c.getOrCompute([]byte(sig), epoch, func() (planned, error) {
 			computes++
-			return mkPlan(), core.Stats{}, nil
+			return planned{plan: mkPlan()}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,15 +73,15 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			p, _, _, err := c.getOrCompute(key, 0, func() (*plan.Plan, core.Stats, error) {
+			v, _, err := c.getOrCompute(key, 0, func() (planned, error) {
 				computes.Add(1)
 				<-gate // hold every waiter on the in-flight entry
-				return mkPlan(), core.Stats{}, nil
+				return planned{plan: mkPlan()}, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			plans[i] = p
+			plans[i] = v.plan
 		}(i)
 	}
 	close(gate)
@@ -105,8 +105,8 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	c := newPlanCache(4)
 	key := []byte("flaky")
 	boom := errors.New("boom")
-	_, _, _, err := c.getOrCompute(key, 0, func() (*plan.Plan, core.Stats, error) {
-		return nil, core.Stats{}, boom
+	_, _, err := c.getOrCompute(key, 0, func() (planned, error) {
+		return planned{}, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want boom", err)
@@ -114,11 +114,11 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	if c.size() != 0 {
 		t.Fatal("failed entry stayed cached")
 	}
-	p, _, hit, err := c.getOrCompute(key, 0, func() (*plan.Plan, core.Stats, error) {
-		return mkPlan(), core.Stats{}, nil
+	v, hit, err := c.getOrCompute(key, 0, func() (planned, error) {
+		return planned{plan: mkPlan()}, nil
 	})
-	if err != nil || hit || p == nil {
-		t.Fatalf("retry: p=%v hit=%v err=%v", p, hit, err)
+	if err != nil || hit || v.plan == nil {
+		t.Fatalf("retry: p=%v hit=%v err=%v", v.plan, hit, err)
 	}
 }
 
@@ -150,11 +150,11 @@ func (c *planCache) cached(sig string, epoch uint64) bool {
 // fill requests (sig, epoch) with a compute function that always succeeds.
 func (c *planCache) fill(t *testing.T, sig string, epoch uint64) {
 	t.Helper()
-	p, _, _, err := c.getOrCompute([]byte(sig), epoch, func() (*plan.Plan, core.Stats, error) {
-		return mkPlan(), core.Stats{}, nil
+	v, _, err := c.getOrCompute([]byte(sig), epoch, func() (planned, error) {
+		return planned{plan: mkPlan()}, nil
 	})
-	if err != nil || p == nil {
-		t.Fatalf("%s@%d: plan %v, err %v", sig, epoch, p, err)
+	if err != nil || v.plan == nil {
+		t.Fatalf("%s@%d: plan %v, err %v", sig, epoch, v.plan, err)
 	}
 }
 
@@ -219,10 +219,10 @@ func TestPlanCacheHitAllocatesNothing(t *testing.T) {
 	c.fill(t, "a", 0)
 	c.fill(t, "b", 0)
 	sigs := [][]byte{[]byte("a"), []byte("b")}
-	fn := func() (*plan.Plan, core.Stats, error) { return nil, core.Stats{}, errors.New("recomputed") }
+	fn := func() (planned, error) { return planned{}, errors.New("recomputed") }
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, hit, _ := c.getOrCompute(sigs[i%2], 0, fn); !hit {
+		if _, hit, _ := c.getOrCompute(sigs[i%2], 0, fn); !hit {
 			t.Fatal("miss on a cached key")
 		}
 		i++
@@ -243,14 +243,14 @@ func TestPlanCacheHitShareZipf(t *testing.T) {
 	for i := range sigs {
 		sigs[i] = []byte(fmt.Sprintf("shape%d", i))
 	}
-	fn := func() (*plan.Plan, core.Stats, error) { return mkPlan(), core.Stats{}, nil }
+	fn := func() (planned, error) { return planned{plan: mkPlan()}, nil }
 	for i := shapes - 1; i >= 0; i-- {
 		c.getOrCompute(sigs[i], 0, fn)
 	}
 	z := rand.NewZipf(rand.New(rand.NewSource(7)), 1.1, 1, shapes-1)
 	hits := 0
 	for i := 0; i < draws; i++ {
-		if _, _, hit, _ := c.getOrCompute(sigs[z.Uint64()], 0, fn); hit {
+		if _, hit, _ := c.getOrCompute(sigs[z.Uint64()], 0, fn); hit {
 			hits++
 		}
 	}
@@ -274,11 +274,11 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < requests; i++ {
 				k := rng.Intn(keys)
-				p, _, _, err := c.getOrCompute([]byte(fmt.Sprintf("k%d", k)), 0, func() (*plan.Plan, core.Stats, error) {
-					return &plan.Plan{Kind: plan.NodeScan, Rel: k}, core.Stats{}, nil
+				v, _, err := c.getOrCompute([]byte(fmt.Sprintf("k%d", k)), 0, func() (planned, error) {
+					return planned{plan: &plan.Plan{Kind: plan.NodeScan, Rel: k}}, nil
 				})
-				if err != nil || p.Rel != k {
-					t.Errorf("key %d: plan %+v, err %v", k, p, err)
+				if err != nil || v.plan.Rel != k {
+					t.Errorf("key %d: plan %+v, err %v", k, v.plan, err)
 					return
 				}
 				if n := c.size(); n > max {

@@ -107,6 +107,10 @@ func TestServiceMetricsEndpointConcurrent(t *testing.T) {
 	if hits, misses := m["eagg_plan_cache_hits_total"], m["eagg_plan_cache_misses_total"]; hits+misses != total {
 		t.Errorf("cache hits %v + misses %v != %d requests", hits, misses, total)
 	}
+	// One dataset, one schema: each miss prepares the one program its hits run.
+	if prepared, misses := m["eagg_programs_prepared_total"], m["eagg_plan_cache_misses_total"]; prepared != misses {
+		t.Errorf("eagg_programs_prepared_total = %v, want %v (one per miss)", prepared, misses)
+	}
 	for _, h := range []string{"eagg_optimize_ms", "eagg_exec_ms"} {
 		if got := m[h+"_count"]; got != total {
 			t.Errorf("%s_count = %v, want %d", h, got, total)
@@ -138,8 +142,9 @@ func TestServiceMetricsEndpointConcurrent(t *testing.T) {
 }
 
 // TestServiceRequestTrace exercises Exec.Trace through the service path:
-// the optimize span must carry the plan-cache outcome, and operator
-// spans must be recorded for the execution.
+// the optimize span must carry the plan-cache outcome, operator spans
+// must be recorded for the execution, and the root operator span says
+// whether the request ran the cached program or prepared one.
 func TestServiceRequestTrace(t *testing.T) {
 	q, data := q3Data(t)
 	e := NewEngine(EngineOptions{Workers: 2})
@@ -160,6 +165,22 @@ func TestServiceRequestTrace(t *testing.T) {
 		}
 		return ""
 	}
+	// The root operator span is the first "op" span (spans open in
+	// pre-order).
+	program := func(tr *obs.Trace) string {
+		for _, sp := range tr.Spans() {
+			if sp.Cat != "op" {
+				continue
+			}
+			for _, kv := range sp.Args {
+				if kv.Key == "program" {
+					return kv.Value
+				}
+			}
+			return ""
+		}
+		return ""
+	}
 	countOps := func(tr *obs.Trace) int {
 		n := 0
 		for _, sp := range tr.Spans() {
@@ -170,15 +191,18 @@ func TestServiceRequestTrace(t *testing.T) {
 		return n
 	}
 
-	for i, want := range []string{"miss", "hit"} {
+	for i, want := range []struct{ cache, program string }{{"miss", "prepared"}, {"hit", "cached"}} {
 		tr := obs.NewTrace()
 		req := Request{Opt: core.Options{Algorithm: core.AlgEAPrune}, Dataset: "q3"}
 		req.Exec.Trace = tr
 		if _, err := s.Execute(q, req); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		if got := outcome(tr); got != want {
-			t.Errorf("request %d: plan_cache = %q, want %q", i, got, want)
+		if got := outcome(tr); got != want.cache {
+			t.Errorf("request %d: plan_cache = %q, want %q", i, got, want.cache)
+		}
+		if got := program(tr); got != want.program {
+			t.Errorf("request %d: program = %q, want %q", i, got, want.program)
 		}
 		if countOps(tr) == 0 {
 			t.Errorf("request %d: no operator spans recorded", i)
@@ -193,6 +217,9 @@ func TestServiceRequestTrace(t *testing.T) {
 	}
 	if got := outcome(tr); got != "bypass" {
 		t.Errorf("NoCache: plan_cache = %q, want %q", got, "bypass")
+	}
+	if got := program(tr); got != "prepared" {
+		t.Errorf("NoCache: program = %q, want %q", got, "prepared")
 	}
 }
 
@@ -213,6 +240,7 @@ func TestEngineRegistryExposition(t *testing.T) {
 	for _, want := range []string{
 		"eagg_requests_total 1",
 		"eagg_plan_cache_misses_total 1",
+		"eagg_programs_prepared_total 1",
 		// The execution's publish advanced the epoch, pruning the plan
 		// optimized under epoch 0 — entries 0, one eviction.
 		"eagg_plan_cache_entries 0",

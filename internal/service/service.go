@@ -3,9 +3,10 @@
 // three things across them that the one-shot library calls cannot:
 //
 //   - a plan cache keyed by (query fingerprint, stats epoch): repeated
-//     query shapes skip DP enumeration entirely, with single-flight
-//     deduplication so a popular shape is optimized once even when many
-//     sessions race on a cold cache;
+//     query shapes skip DP enumeration and plan compilation entirely —
+//     an entry holds the plan and the engine.Program prepared from it —
+//     with single-flight deduplication so a popular shape is optimized
+//     once even when many sessions race on a cold cache;
 //   - a global feedback overlay (cost.SharedOverlay): measured
 //     per-operator cardinalities harvested from every execution improve
 //     the estimates of every later optimization, across sessions, behind
@@ -17,8 +18,8 @@
 //     with round-robin per-query fairness at morsel granularity, plus a
 //     simple admission semaphore bounding the queries executing at once.
 //
-// Everything the engine shares is either immutable (plans, overlay
-// snapshots) or synchronized (cache, overlay versions, pool), so results
+// Everything the engine shares is either immutable (plans, programs,
+// overlay snapshots) or synchronized (cache, overlay versions, pool), so results
 // are bit-identical to the corresponding one-shot library call — the
 // concurrent-determinism suite enforces exactly that.
 package service
@@ -100,6 +101,7 @@ type Engine struct {
 	resultRows    *obs.Counter
 	interRows     *obs.Counter
 	errorsTotal   *obs.Counter
+	prepared      *obs.Counter
 }
 
 // sigBufs recycles the buffers requests encode their plan-cache key into.
@@ -176,6 +178,8 @@ func (e *Engine) instrument() {
 	e.resultRows = r.Counter("eagg_result_rows_total", "result rows produced")
 	e.interRows = r.Counter("eagg_intermediate_rows_total", "intermediate rows materialized (measured C_out)")
 	e.errorsTotal = r.Counter("eagg_errors_total", "requests that failed")
+	e.prepared = r.Counter("eagg_programs_prepared_total",
+		"plans compiled into programs (cache misses, uncached requests, tables whose schemas differ from the cached program's)")
 }
 
 // Registry returns the engine's metrics registry — mount
@@ -231,6 +235,7 @@ type Metrics struct {
 	PlanCacheMiss      int64
 	PlanCacheEvictions int64  // capacity evictions + stale-epoch prunes
 	PlanCacheSize      int    // entries currently cached
+	ProgramsPrepared   int64  // plans compiled into programs; a plan-cache hit compiles none
 	Epoch              uint64 // current feedback epoch
 	FeedbackKeys       int    // measured cardinalities in the shared overlay
 	Pool               algebra.PoolStats
@@ -245,6 +250,7 @@ func (e *Engine) Metrics() Metrics {
 		PlanCacheMiss:      e.cache.misses.Load(),
 		PlanCacheEvictions: e.cache.evictions.Load(),
 		PlanCacheSize:      e.cache.size(),
+		ProgramsPrepared:   e.prepared.Value(),
 		Pool:               e.pool.Stats(),
 	}
 	if e.stats != nil {
@@ -309,6 +315,13 @@ type Response struct {
 // use; the result table is bit-identical to the one-shot library call
 // (core.Optimize + engine.ExecTablesOpts) under the same statistics
 // snapshot, whatever the concurrency.
+//
+// A plan-cache miss prepares the plan's program against the request's
+// tables inside the single flight and caches it beside the plan; a hit
+// runs the cached program and compiles nothing. A request whose tables'
+// schemas differ from the ones the cached program was prepared for (the
+// same fingerprint over columns in another order) prepares a program of
+// its own and leaves the cached one alone.
 func (s *Session) Execute(q *query.Query, req Request) (*Response, error) {
 	return s.eng.execute(q, req)
 }
@@ -382,6 +395,7 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 		sid = tr.Len()
 	}
 	optStart := time.Now()
+	var prog *engine.Program
 	if req.NoCache {
 		res, err := engine.TraceOptimize(tr, "optimize", func() (*core.Result, error) {
 			return core.Optimize(q, opt)
@@ -396,21 +410,24 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 		sig := sigBufs.Get().(*[]byte)
 		*sig = core.AppendFingerprint((*sig)[:0], q, opt)
 		_, err := engine.TraceOptimize(tr, "optimize", func() (*core.Result, error) {
-			p, stats, hit, err := e.cache.getOrCompute(*sig, epoch, func() (*plan.Plan, core.Stats, error) {
+			v, hit, err := e.cache.getOrCompute(*sig, epoch, func() (planned, error) {
 				res, err := core.Optimize(q, opt)
 				if err != nil {
-					return nil, core.Stats{}, err
+					return planned{}, err
 				}
-				return res.Plan, res.Stats, nil
+				// A plan these tables cannot be prepared for (one is missing)
+				// is cached without a program; requests prepare their own.
+				prog, _ := e.prepare(q, res.Plan, data)
+				return planned{plan: res.Plan, prog: prog, stats: res.Stats}, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			resp.Plan, resp.CacheHit = p, hit
+			resp.Plan, resp.CacheHit, prog = v.plan, hit, v.prog
 			if !hit {
-				resp.OptStats = stats
+				resp.OptStats = v.stats
 			}
-			return &core.Result{Plan: p, Stats: resp.OptStats}, nil
+			return &core.Result{Plan: v.plan, Stats: resp.OptStats}, nil
 		})
 		sigBufs.Put(sig)
 		if err != nil {
@@ -436,9 +453,33 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 	}
 	ex.Pool = e.pool
 	execStart := time.Now()
-	tab, stats, err := engine.ExecProfiledOpts(q, resp.Plan, data, ex)
+	root := -1 // the root operator's span
+	if tr != nil {
+		root = tr.Len()
+	}
+	reused := resp.CacheHit && prog != nil
+	var tab *algebra.Table
+	var stats *engine.ExecStats
+	var err error
+	if prog != nil {
+		tab, stats, err = prog.Run(data, ex)
+	}
+	if _, mismatch := err.(*engine.SchemaError); prog == nil || mismatch {
+		// Run refused before executing anything, so nothing was traced.
+		reused = false
+		if prog, err = e.prepare(q, resp.Plan, data); err == nil {
+			tab, stats, err = prog.Run(data, ex)
+		}
+	}
 	if err != nil {
 		return nil, err
+	}
+	if root >= 0 {
+		program := "prepared"
+		if reused {
+			program = "cached"
+		}
+		tr.Annotate(root, "program", program)
 	}
 	resp.ExecMillis = float64(time.Since(execStart).Microseconds()) / 1000
 	e.execMS.Observe(resp.ExecMillis)
@@ -458,4 +499,13 @@ func (e *Engine) doExecute(q *query.Query, req Request) (*Response, error) {
 		}
 	}
 	return resp, nil
+}
+
+// prepare compiles the plan into a program for data's tables, counting it.
+func (e *Engine) prepare(q *query.Query, p *plan.Plan, data engine.TableData) (*engine.Program, error) {
+	prog, err := engine.Prepare(q, p, data.Schemas())
+	if err == nil {
+		e.prepared.Inc()
+	}
+	return prog, err
 }
