@@ -335,7 +335,7 @@ func (g *batchGrouper) add(ents []keyEntry, arena []byte) {
 		case en.klen == nullKey:
 			id, added = g.nullID(next)
 		default:
-			id, added = g.intGroups.lookupOrAddHashed(en.hash, en.key, next)
+			id, added = g.intGroups.lookupOrAdd(en.hash, en.key, next)
 		}
 		if added {
 			g.firsts = append(g.firsts, en.row)

@@ -42,26 +42,28 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// batchBuild is a hashed build side over the flat tables of
-// hashtable.go: one table when built sequentially, one per radix
-// partition when built in parallel (a nil partition holds no keys).
+// batchBuild is a join build side: a key → id map and the build rows
+// counting-sorted by id into CSR postings (sortPostings, dense.go), so
+// every posting list is in build-input order. A single int column with a
+// dense key range maps key−min (dense, dense.go) and needs neither index
+// nor filter. Otherwise the map is a key index of hashtable.go — one for
+// the sequential build, one per radix partition for the parallel one (nil
+// where a partition holds no keys), each with its partition's postings.
 // Joins on a single int column — the overwhelmingly common equi-join
-// shape — skip byte encoding entirely and hash the int64 payloads
-// themselves; everything else uses the canonical key encoding. Posting
-// lists are identical either way: same keys, same build-input order
-// (integral floats probe the int64 table through the same normalization
-// the encoding applies). bloom, when non-nil, pre-filters probe keys by
-// their cached hashes: negatives are exact (an absent key resolves to
-// nil postings either way) and false positives just fall through to the
-// table probe, so the filter never changes results. A single int column
-// with a dense key range is not hashed at all: dense holds it
-// direct-addressed (dense.go), same posting lists again, and needs
-// neither tables nor filter.
+// shape — skip byte encoding and key the int64 payloads themselves;
+// everything else uses the canonical key encoding. Posting lists are
+// identical either way: same keys, same build-input order (integral floats
+// probe the int64 index through the same normalization the encoding
+// applies). bloom, when non-nil, pre-filters probe keys by their cached
+// hashes: negatives are exact (an absent key resolves to nil postings
+// either way) and false positives just fall through to the index probe, so
+// the filter never changes results.
 type batchBuild struct {
 	dense *denseTable   // single-ColInt build key, dense range
-	its   []*intTable   // single-ColInt build key
-	bts   []*bytesTable // encoded keys
-	pmask uint64        // table count - 1: the hash's low bits pick the table
+	ints  []*intIndex   // single-ColInt build key
+	bytes []*bytesIndex // encoded keys
+	posts []postings    // partition p's posting lists, by its index's ids
+	pmask uint64        // partition count - 1: the hash's low bits pick one
 	bloom *bloomFilter
 }
 
@@ -79,15 +81,19 @@ func (b *batchBuild) lookInt(v int64, checks, passes *int) []int32 {
 		}
 		*passes++
 	}
-	if t := b.its[h&b.pmask]; t != nil {
-		return t.lookupHashed(h, v)
+	if x := b.ints[h&b.pmask]; x != nil {
+		if id, ok := x.find(h, v); ok {
+			return b.posts[h&b.pmask].of(id)
+		}
 	}
 	return nil
 }
 
 func (b *batchBuild) lookBytes(h uint64, key []byte) []int32 {
-	if t := b.bts[h&b.pmask]; t != nil {
-		return t.lookupHashed(h, key)
+	if x := b.bytes[h&b.pmask]; x != nil {
+		if id, ok := x.find(h, key); ok {
+			return b.posts[h&b.pmask].of(id)
+		}
 	}
 	return nil
 }
@@ -95,90 +101,97 @@ func (b *batchBuild) lookBytes(h uint64, key []byte) []int32 {
 // entrySource yields a run of key entries at a time, in input order.
 type entrySource func(fn func(ents []keyEntry, arena []byte))
 
-// buildInts builds table p over the int-keyed entries src yields and
-// returns its distinct key count; buildBytes is the encoded-key twin.
-func (b *batchBuild) buildInts(p, hint int, hs *HashStats, src entrySource) int {
-	t := newIntTable(hint)
-	src(func(ents []keyEntry, _ []byte) {
-		for i := range ents {
-			t.insertHashed(ents[i].hash, ents[i].key, ents[i].row)
-		}
-	})
-	t.finalize()
-	t.record(hs)
-	b.its[p] = t
-	return t.n
+// buildPart builds partition p over the hint entries src yields (the
+// index is sized for hint keys; more only make it grow): the partition's
+// index hands every entry's key an id in first-encounter order, and
+// sortPostings lays the entries' rows out by id. It returns the
+// partition's distinct key count.
+func (e *Exec) buildPart(b *batchBuild, p, hint int, src entrySource) int {
+	buf := scratch[int32](e, 2*hint)
+	ids, rows := buf[:0:hint], buf[hint:hint]
+	var keys int
+	if b.ints != nil {
+		x := newIntIndex(hint)
+		src(func(ents []keyEntry, _ []byte) {
+			for i := range ents {
+				id, _ := x.lookupOrAdd(ents[i].hash, ents[i].key, int32(x.n))
+				ids, rows = append(ids, id), append(rows, ents[i].row)
+			}
+		})
+		x.record(e.hashStats())
+		b.ints[p], keys = x, x.n
+	} else {
+		x := newBytesIndex(hint)
+		src(func(ents []keyEntry, arena []byte) {
+			for i := range ents {
+				id, _ := x.lookupOrAdd(ents[i].hash, ents[i].bytes(arena), int32(x.n))
+				ids, rows = append(ids, id), append(rows, ents[i].row)
+			}
+		})
+		x.record(e.hashStats())
+		b.bytes[p], keys = x, x.n
+	}
+	b.posts[p], _ = e.sortPostings(keys, len(ids), func(lo, hi int) ([]int32, []int32) { return ids[lo:hi], rows[lo:hi] })
+	give(e, buf)
+	return keys
 }
 
-func (b *batchBuild) buildBytes(p, hint int, hs *HashStats, src entrySource) int {
-	t := newBytesTable(hint)
-	src(func(ents []keyEntry, arena []byte) {
-		for i := range ents {
-			t.insert(ents[i].hash, ents[i].bytes(arena), ents[i].row)
-		}
-	})
-	t.finalize()
-	t.record(hs)
-	b.bts[p] = t
-	return t.n
-}
-
-// batchBuildSide hashes the build input's join keys: one scan into one
-// table, or (par) a radix scatter and one table per partition, every
-// partition inserting its entries in build-input order. Posting lists
-// are identical to the row runtime's up to physical renumbering under a
-// selection — same keys, same order. probeCard is the probe input's
-// cardinality, used only to gate the optional Bloom filter; pass -1 to
-// disable it (operators that emit every probe row regardless).
+// batchBuildSide builds the build input's join keys (buildKeys).
 func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
-	hs := e.hashStats()
-	n := r.Card()
 	e.read(r, rk...)
-	ks := newKeyScan(r, rk, true)
+	return e.buildKeys(newKeyScan(r, rk, true), par, probeCard)
+}
+
+// buildKeys builds a join build side over ks's keys: direct-addressed, or
+// one scan into one partition, or (par) a radix scatter and one partition
+// per radix partition, every partition taking its entries in build-input
+// order. Posting lists are identical to the row runtime's up to physical
+// renumbering under a selection — same keys, same order. probeCard is the
+// probe input's cardinality, used only to gate the optional Bloom filter;
+// pass -1 to disable it (operators that emit every probe row regardless).
+func (e *Exec) buildKeys(ks *keyScan, par bool, probeCard int) *batchBuild {
 	if ks.dense {
 		return &batchBuild{dense: e.buildDense(ks)}
 	}
-	nt := 1
+	n, nt := ks.t.Card(), 1
 	if par {
 		nt = partitions
 	}
-	b := &batchBuild{pmask: uint64(nt - 1)}
-	build := b.buildBytes
+	b := &batchBuild{pmask: uint64(nt - 1), posts: make([]postings, nt)}
 	if ks.col != nil {
-		b.its = make([]*intTable, nt)
-		build = b.buildInts
+		b.ints = make([]*intIndex, nt)
 	} else {
-		b.bts = make([]*bytesTable, nt)
+		b.bytes = make([]*bytesIndex, nt)
 	}
 	keys := 0 // distinct build keys, for the Bloom gate
 	if !par {
-		keys = build(0, n, hs, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
+		keys = e.buildPart(b, 0, n, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
 	} else {
-		// Every partition's table is sized exactly from its entry count
+		// Every partition's index is sized exactly from its entry count
 		// (a pure function of the data), so capacities, and with them
 		// every probe sequence, are identical for every worker count.
 		rp := e.radixScatter(ks, n)
 		var total atomic.Int64
 		e.forParts(func(p int) {
 			if c := rp.count(p); c > 0 {
-				total.Add(int64(build(p, c, hs, func(fn func([]keyEntry, []byte)) { rp.runs(p, e.batchSize(), fn) })))
+				total.Add(int64(e.buildPart(b, p, c, func(fn func([]keyEntry, []byte)) { rp.runs(p, e.batchSize(), fn) })))
 			}
 		})
 		keys = int(total.Load())
 		rp.release(e)
 	}
 	if f := buildBloom(keys, probeCard); f != nil {
-		// The tables cache every distinct key's hash, so the filter fills
-		// from them in one sequential pass — no racing bit-sets inside
-		// the partition fan-out.
-		for _, t := range b.its {
-			if t != nil {
-				t.fillBloom(f)
+		// The indexes cache every distinct key, so the filter fills from
+		// them in one sequential pass — no racing bit-sets inside the
+		// partition fan-out.
+		for _, x := range b.ints {
+			if x != nil {
+				x.fillBloom(f)
 			}
 		}
-		for _, t := range b.bts {
-			if t != nil {
-				t.fillBloom(f)
+		for _, x := range b.bytes {
+			if x != nil {
+				x.fillBloom(f)
 			}
 		}
 		b.bloom = f
@@ -198,7 +211,7 @@ func (e *Exec) probePostings(sc *batchScratch, l *ColTable, lk []int, b *batchBu
 	bs := e.batchSize()
 	bloomChecks, bloomPasses := 0, 0
 	defer func() { e.hashStats().recordBloom(bloomChecks, bloomPasses) }()
-	if b.bts != nil {
+	if b.bytes != nil {
 		for bb := lo; bb < hi; bb += bs {
 			sc.rows = l.physBatch(bb, min(bb+bs, hi), sc.rows)
 			sc.kb.encodeJoin(l, sc.rows, lk)

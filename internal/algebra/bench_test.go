@@ -65,37 +65,44 @@ func BenchmarkHashGroupRuntimes(b *testing.B) {
 	}
 }
 
-// BenchmarkHashTable is the backend shootout behind every batch join and
-// aggregation: the flat open-addressing tables against the Go maps they
-// replaced, build + full probe, on int and encoded byte keys. The flat
-// tables must win on allocations by construction (slab postings, no
-// per-key list headers) — this benchmark keeps the rows/s and allocs/op
-// numbers visible in CI.
+// BenchmarkHashTable is the backend shootout behind every hashed batch
+// join: the sequential join build (key index + counting-sorted postings)
+// and its probe against the Go maps they replaced, build + full probe, on
+// int and encoded byte keys. The flat build must win on allocations by
+// construction (slab postings, no per-key list headers) — this benchmark
+// keeps the rows/s and allocs/op numbers visible in CI.
 func BenchmarkHashTable(b *testing.B) {
 	const nBuild, nProbe, dups = 1 << 12, 1 << 14, 4
 	ikeys := make([]int64, nBuild)
+	icol := Vector{Kind: ColInt, Ints: ikeys}
 	for i := range ikeys {
 		ikeys[i] = int64(i/dups) * 2654435761
 	}
 	bkeys := make([][]byte, nBuild)
+	scol := Vector{Kind: ColStr, Strs: make([]string, nBuild)}
 	for i := range bkeys {
 		bkeys[i] = []byte(fmt.Sprintf("key-%06d", i/dups))
+		scol.Strs[i] = string(bkeys[i])
 	}
+	build := func(col Vector) *ColTable {
+		return &ColTable{Schema: NewSchema([]string{"k"}), N: nBuild, Cols: []Vector{col}}
+	}
+	it, st := build(icol), build(scol)
+	// The string keys' canonical encodings, probed as a join probe would.
+	probe, arena := newKeyScan(st, []int{0}, true).fill(0, nBuild, nBuild, nil, nil)
+	e := NewExec(1)
 	b.Run("keys=int/backend=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := newIntTable(nBuild)
-			for r, k := range ikeys {
-				t.insert(k, int32(r))
-			}
-			t.finalize()
+			bld := e.batchBuildSide(it, []int{0}, false, -1)
 			hits := 0
 			for p := 0; p < nProbe; p++ {
-				hits += len(t.lookup(ikeys[p%nBuild]))
+				hits += len(bld.lookIntKey(ikeys[p%nBuild]))
 			}
 			if hits != nProbe*dups {
 				b.Fatalf("hits %d, want %d", hits, nProbe*dups)
 			}
+			e.Release()
 		}
 	})
 	b.Run("keys=int/backend=map", func(b *testing.B) {
@@ -117,18 +124,16 @@ func BenchmarkHashTable(b *testing.B) {
 	b.Run("keys=bytes/backend=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := newBytesTable(nBuild)
-			for r, k := range bkeys {
-				t.insert(hashKey(k), k, int32(r))
-			}
-			t.finalize()
+			bld := e.batchBuildSide(st, []int{0}, false, -1)
 			hits := 0
 			for p := 0; p < nProbe; p++ {
-				hits += len(t.lookup(bkeys[p%nBuild]))
+				en := &probe[p%nBuild]
+				hits += len(bld.lookBytes(en.hash, en.bytes(arena)))
 			}
 			if hits != nProbe*dups {
 				b.Fatalf("hits %d, want %d", hits, nProbe*dups)
 			}
+			e.Release()
 		}
 	})
 	b.Run("keys=bytes/backend=map", func(b *testing.B) {
@@ -340,16 +345,10 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 			})
 			b.Run("op=join/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ks := scan(build, true)
-					bld := &batchBuild{its: make([]*intTable, 1)}
-					if ks.dense {
-						bld = &batchBuild{dense: e.buildDense(ks)}
-					} else {
-						bld.buildInts(0, n, nil, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
-					}
-					hits, checks, passes := 0, 0, 0
+					bld := e.buildKeys(scan(build, true), false, -1)
+					hits := 0
 					for _, v := range probe.Cols[0].Ints {
-						hits += len(bld.lookInt(v, &checks, &passes))
+						hits += len(bld.lookIntKey(v))
 					}
 					if matches < 0 {
 						matches = hits

@@ -1,6 +1,9 @@
 package algebra
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Direct-addressed keys. A join build or grouping key that is one typed
 // int column whose values fill a range not much wider than the row count
@@ -11,10 +14,12 @@ import "math"
 // build side. newKeyScan makes the choice from the data (denseRange);
 // everything else keeps the hash path.
 //
-//   - A join build side becomes a denseTable: a counting sort of the build
-//     rows by key into one postings slab in CSR form. A counting sort is
-//     stable, so every posting list is in build-input order by
-//     construction — the lists the flat hash tables produce.
+//   - A join build side becomes a denseTable: the build rows counting-sorted
+//     by key−min into one postings slab in CSR form. The hash paths run the
+//     same counting sort (sortPostings) over the dense ids their key index
+//     hands out, so a join build is postings + min here, postings + index
+//     there. A counting sort is stable: every posting list is in
+//     build-input order by construction.
 //   - A grouper's key→group-id index becomes a plain array (batchGrouper
 //     .dense) that hands out ids in first-encounter order exactly like the
 //     hash index it replaces, feeding the same fold kernels and emit.
@@ -61,37 +66,45 @@ func denseRange(t *ColTable, col *Vector) (lo int64, span int, ok bool) {
 	return 0, 0, false
 }
 
-// denseTable is a direct-addressed join build side: key k's postings are
-// posts[offs[k−min]:offs[k−min+1]], in build-input order.
-type denseTable struct {
-	col   *Vector
-	min   int64
-	offs  []int32
-	posts []int32
+// postings are a join build side's posting lists in CSR form: id d's rows
+// are rows[offs[d]:offs[d+1]], in build-input order.
+type postings struct {
+	offs, rows []int32
 }
 
-// lookup returns v's postings, empty if absent.
-func (dt *denseTable) lookup(v int64) []int32 {
-	d := uint64(v) - uint64(dt.min)
-	if d >= uint64(len(dt.offs)-1) {
-		return nil
-	}
-	return dt.posts[dt.offs[d]:dt.offs[d+1]]
-}
+func (p *postings) of(d int32) []int32 { return p.rows[p.offs[d]:p.offs[d+1]] }
 
-// The counting sort is count, countEnds, place — over the same rows, place
-// seeing them in reverse: count leaves every key's posting count at its
-// offset, countEnds turns the counts into end offsets, and place
-// decrements a key's offset before every write. That leaves each offset at
-// its key's start and the postings in input order, with no second cursor
-// array. NULL keys are skipped.
-
-func (dt *denseTable) count(rows []int32) {
-	for _, i := range rows {
-		if !dt.col.IsNull(int(i)) {
-			dt.offs[uint64(dt.col.Ints[i])-uint64(dt.min)]++
+// sortPostings is the counting sort every join build fills its postings
+// through: n entries with ids in [0, width), handed over by batch(lo, hi)
+// as parallel id and physical-row lists (a batch may drop entries — NULL
+// keys), a batch of the operator's size at a time. It runs count,
+// countEnds, place — over the same batches, place seeing them in reverse:
+// count leaves every id's posting count at its offset, countEnds turns the
+// counts into end offsets, and place decrements an id's offset before
+// every write. That leaves each offset at its id's start and the postings
+// in input order, with no second cursor array. It returns how many ids
+// have postings.
+func (e *Exec) sortPostings(width, n int, batch func(lo, hi int) (ids, rows []int32)) (postings, int) {
+	bs := e.batchSize()
+	offs := take[int32](e, width+1)
+	for lo := 0; lo < n; lo += bs {
+		ids, _ := batch(lo, min(lo+bs, n))
+		for _, d := range ids {
+			offs[d]++
 		}
 	}
+	keys := countEnds(offs[:width])
+	out := takeDirty[int32](e, int(offs[max(width, 1)-1]))
+	for lo := (n - 1) / bs * bs; n > 0 && lo >= 0; lo -= bs {
+		ids, rows := batch(lo, min(lo+bs, n))
+		for k := len(ids) - 1; k >= 0; k-- {
+			d := ids[k]
+			offs[d]--
+			out[offs[d]] = rows[k]
+		}
+	}
+	offs[width] = int32(len(out))
+	return postings{offs, out}, keys
 }
 
 // countEnds returns how many keys are present.
@@ -107,35 +120,49 @@ func countEnds(cnt []int32) (keys int) {
 	return keys
 }
 
-func (dt *denseTable) place(rows []int32) {
-	for k := len(rows) - 1; k >= 0; k-- {
-		if i := rows[k]; !dt.col.IsNull(int(i)) {
-			d := uint64(dt.col.Ints[i]) - uint64(dt.min)
-			dt.offs[d]--
-			dt.posts[dt.offs[d]] = i
-		}
-	}
+// denseTable is a direct-addressed join build side: postings whose ids
+// are key−min.
+type denseTable struct {
+	postings
+	min int64
 }
 
-// buildDense counting-sorts the build rows of a dense key scan, batch by
-// batch off the input, on the calling goroutine: three streaming passes
+// lookup returns v's postings, empty if absent.
+func (dt *denseTable) lookup(v int64) []int32 {
+	d := uint64(v) - uint64(dt.min)
+	if d >= uint64(len(dt.offs)-1) {
+		return nil
+	}
+	return dt.of(int32(d))
+}
+
+// buildDense counting-sorts the build rows of a dense key scan by key−min,
+// batch by batch off the input, on the calling goroutine: streaming passes
 // that a partitioning pass in front of them does not pay for at any
-// measured size (DESIGN.md "Direct-addressed keys").
+// measured size (DESIGN.md "Direct-addressed keys"). NULL keys are dropped.
 func (e *Exec) buildDense(ks *keyScan) *denseTable {
-	t, n, bs := ks.t, ks.t.Card(), e.batchSize()
-	dt := &denseTable{col: ks.col, min: ks.min, offs: take[int32](e, ks.span+1)}
-	var rows []int32
-	for b := 0; b < n; b += bs {
-		rows = t.physBatch(b, min(b+bs, n), rows)
-		dt.count(rows)
-	}
-	keys := countEnds(dt.offs[:ks.span])
-	dt.posts = takeDirty[int32](e, int(dt.offs[max(ks.span, 1)-1]))
-	for b := (n - 1) / bs * bs; n > 0 && b >= 0; b -= bs {
-		rows = t.physBatch(b, min(b+bs, n), rows)
-		dt.place(rows)
-	}
-	dt.offs[ks.span] = int32(len(dt.posts))
+	t, col, lo := ks.t, ks.col, uint64(ks.min)
+	sc := batchScratchPool.Get().(*batchScratch)
+	p, keys := e.sortPostings(ks.span, t.Card(), func(b, end int) ([]int32, []int32) {
+		rows := t.physBatch(b, end, sc.rows)
+		ids := slices.Grow(sc.gids[:0], len(rows))[:len(rows)]
+		sc.rows, sc.gids = rows, ids
+		if col.Nulls == nil {
+			for k, i := range rows {
+				ids[k] = int32(uint64(col.Ints[i]) - lo)
+			}
+			return ids, rows
+		}
+		k := 0 // rows[k:] are past the kept ones: a NULL row's slot is overwritten
+		for _, i := range rows {
+			rows[k], ids[k] = i, int32(uint64(col.Ints[i])-lo)
+			if !col.IsNull(int(i)) {
+				k++
+			}
+		}
+		return ids[:k], rows[:k]
+	})
+	batchScratchPool.Put(sc)
 	e.hashStats().recordDense(keys, ks.span)
-	return dt
+	return &denseTable{postings: p, min: ks.min}
 }

@@ -289,15 +289,16 @@ func TestDenseUnderSelection(t *testing.T) {
 	}
 }
 
-// TestDensePostingsMatchHash: the counting sort's posting lists are the
-// hash tables' on the same rows with their keys ×1000.
+// TestDensePostingsMatchHash: the posting lists of a build sorted by
+// key−min are those of the hashed build on the same rows with their keys
+// ×1000.
 func TestDensePostingsMatchHash(t *testing.T) {
 	_, r := keyTables(1, false)
 	_, sparseR := keyTables(1000, false)
 	rc, hc := ColTableOf(r), ColTableOf(sparseR)
 	dense := (*Exec)(nil).batchBuildSide(rc, []int{1}, false, -1)
 	hash := (*Exec)(nil).batchBuildSide(hc, []int{1}, false, -1)
-	if dense.dense == nil || hash.its == nil {
+	if dense.dense == nil || hash.ints == nil {
 		t.Fatal("fixtures do not take the dense and the hash path")
 	}
 	var checks, passes int

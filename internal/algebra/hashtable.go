@@ -1,42 +1,33 @@
 package algebra
 
-// Flat open-addressing hash tables for the batch runtime's hot paths.
+// Flat open-addressing key indexes for the batch runtime's hot paths.
 // Go's generic map pays a hash of an already-hashed key, pointer-chasing
 // buckets and a per-insert allocation on exactly the traffic the paper's
-// C_out metric counts; these tables are the cache-conscious replacement
+// C_out metric counts; these indexes are the cache-conscious replacement
 // in the X100 tradition (Boncz et al., CIDR'05): one flat slot array,
-// linear probing, power-of-two capacity, cached 64-bit hashes, and
-// posting lists stored inline — the first matching row lives in the slot
-// itself, overflow rows go to a slab-backed chain that a finalize pass
-// flattens into one contiguous postings slab, so a lookup returns a
-// zero-allocation subslice.
+// linear probing, power-of-two capacity, cached 64-bit hashes. An index
+// maps a key to a caller-assigned dense id, handed out in first-encounter
+// order; one structure per key shape serves both hash operators:
 //
-// Two posting-table specializations cover the runtime's key shapes:
+//   - intIndex keys raw int64 payloads (the single-ColInt fast path)
+//     through a splitmix64-style mixer.
+//   - bytesIndex keys the canonical typed binary key encodings
+//     (batchkey.go) under the same word-at-a-time hash (hashKey) the
+//     partition scatter uses, so one hash per key serves both the partition
+//     choice (low bits) and the slot choice (high bits). Keys are copied
+//     into an index-owned arena on first insert — callers hand in pooled
+//     scratch buffers that are overwritten batch to batch.
 //
-//   - intTable hashes raw int64 payloads (the single-ColInt fast path of
-//     batchBuildSide) through a splitmix64-style mixer.
-//   - bytesTable hashes the canonical typed binary key encodings
-//     (batchkey.go) under the same word-at-a-time hash (hashKey) the partition
-//     scatter uses, so one hash per key serves both the partition choice
-//     (low bits) and the slot choice (high bits). Keys are copied into a
-//     table-owned arena on first insert — callers hand in pooled scratch
-//     buffers that are overwritten batch to batch.
+// A grouping's ids address its accumulators (batchagg.go). A join build's
+// ids feed the counting sort of dense.go (sortPostings), which lays the
+// build rows out as CSR posting lists in build-input order — the same
+// routine that sorts a direct-addressed build by key−min. The probe asks
+// the index with find, which never inserts.
 //
 // Slots are derived from the HIGH bits of the hash (h >> shift). The
 // radix partitioner has already consumed the LOW log2(partitions) bits
-// when a table holds one partition's keys; taking high bits keeps the
+// when an index holds one partition's keys; taking high bits keeps the
 // slot distribution independent of the partition choice.
-//
-// Posting lists preserve build-input order by construction: the slot
-// holds the first row, overflow rows are appended to the chain tail, and
-// finalize walks first-then-chain. That is the whole PR 3 determinism
-// argument — per-partition inserts in morsel order produce the exact
-// posting sequences of the sequential build, so workers 1 ≡ N stays
-// bit-identical without any sorting.
-//
-// intIndex / bytesIndex are the companion key→group-id maps of batch
-// aggregation: same probing scheme, but the payload is a caller-assigned
-// dense id, preserving first-encounter group order.
 
 import (
 	"bytes"
@@ -70,356 +61,13 @@ func tableGeometry(hint int) (capacity int, mask uint64, shift uint) {
 	return c, uint64(c - 1), uint(64 - bits.Len(uint(c-1)))
 }
 
-// intSlot is one open-addressing slot of an intTable. The zero slot is
-// the empty slot, so a fresh slot array is just make's zeroed memory:
-// first is the first row plus one, and while building head/tail are the
-// overflow chain's ends plus one (indices into ovRow/ovNext, 0 for
-// none); after finalize they are the slot's (offset, length) into the
-// flat postings slab.
-type intSlot struct {
-	key   int64
-	first int32
-	head  int32
-	tail  int32
-}
-
-// intTable maps int64 keys to posting lists of int32 rows in insertion
-// order. Build with insert, seal with finalize, then read with lookup.
-type intTable struct {
-	slots []intSlot
-	mask  uint64
-	shift uint
-
-	n        int // distinct keys
-	growAt   int // grow before exceeding ¾ load
-	rows     int // total postings inserted
-	maxProbe int // longest probe sequence any insert walked
-
-	ovRow  []int32 // overflow postings (rows beyond each key's first)
-	ovNext []int32 // chain links through ovRow; -1 ends a chain
-	posts  []int32 // finalized postings slab
-}
-
-func newIntTable(hint int) *intTable {
-	t := &intTable{}
-	c, mask, shift := tableGeometry(hint)
-	t.slots, t.mask, t.shift = make([]intSlot, c), mask, shift
-	t.growAt = c - c/4
-	return t
-}
-
-// insert appends row to key's posting list, claiming a slot on first
-// encounter. Postings keep insertion order: first row inline, the rest
-// tail-appended to the overflow chain.
-func (t *intTable) insert(key int64, row int32) {
-	t.insertHashed(hashInt64(key), key, row)
-}
-
-// insertHashed is insert under the key's precomputed hash (hashInt64(key)
-// — the hash the partition scatter already took).
-func (t *intTable) insertHashed(h uint64, key int64, row int32) {
-	t.rows++
-	for {
-		i := h >> t.shift
-		d := 1
-		for {
-			s := &t.slots[i]
-			if s.first == 0 {
-				if t.n >= t.growAt {
-					t.grow()
-					break // re-probe in the grown table
-				}
-				t.n++
-				if d > t.maxProbe {
-					t.maxProbe = d
-				}
-				*s = intSlot{key: key, first: row + 1}
-				return
-			}
-			if s.key == key {
-				t.appendOverflow(s, row)
-				return
-			}
-			i = (i + 1) & t.mask
-			d++
-		}
-	}
-}
-
-func (t *intTable) appendOverflow(s *intSlot, row int32) {
-	e := int32(len(t.ovRow))
-	t.ovRow = append(t.ovRow, row)
-	t.ovNext = append(t.ovNext, -1)
-	if s.tail != 0 {
-		t.ovNext[s.tail-1] = e
-	} else {
-		s.head = e + 1
-	}
-	s.tail = e + 1
-}
-
-// grow doubles the slot array and re-places every occupied slot by its
-// key's hash. Overflow chains index into slabs, never into slots, so
-// growing moves no postings.
-func (t *intTable) grow() {
-	old := t.slots
-	c := 2 * len(old)
-	t.slots = make([]intSlot, c)
-	t.mask = uint64(c - 1)
-	t.shift--
-	t.growAt = c - c/4
-	t.maxProbe = 0
-	for oi := range old {
-		s := &old[oi]
-		if s.first == 0 {
-			continue
-		}
-		i := hashInt64(s.key) >> t.shift
-		d := 1
-		for t.slots[i].first != 0 {
-			i = (i + 1) & t.mask
-			d++
-		}
-		if d > t.maxProbe {
-			t.maxProbe = d
-		}
-		t.slots[i] = *s
-	}
-}
-
-// finalize flattens every key's inline-first-plus-chain postings into
-// one contiguous slab (insertion order preserved) and repurposes
-// head/tail as its (offset, length). Must be called exactly once, after
-// the last insert and before the first lookup.
-func (t *intTable) finalize() {
-	t.posts = make([]int32, 0, t.rows)
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.first == 0 {
-			continue
-		}
-		off := int32(len(t.posts))
-		t.posts = append(t.posts, s.first-1)
-		for e := s.head - 1; e >= 0; e = t.ovNext[e] {
-			t.posts = append(t.posts, t.ovRow[e])
-		}
-		s.head = off
-		s.tail = int32(len(t.posts)) - off
-	}
-	t.ovRow, t.ovNext = nil, nil
-}
-
-// lookup returns key's postings in insertion order, nil if absent.
-func (t *intTable) lookup(key int64) []int32 {
-	return t.lookupHashed(hashInt64(key), key)
-}
-
-func (t *intTable) lookupHashed(h uint64, key int64) []int32 {
-	i := h >> t.shift
-	for {
-		s := &t.slots[i]
-		if s.first == 0 {
-			return nil
-		}
-		if s.key == key {
-			return t.posts[s.head : s.head+s.tail]
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// fillBloom adds every distinct key's hash to the filter.
-func (t *intTable) fillBloom(f *bloomFilter) {
-	for i := range t.slots {
-		if t.slots[i].first != 0 {
-			f.add(hashInt64(t.slots[i].key))
-		}
-	}
-}
-
-func (t *intTable) record(hs *HashStats) {
-	if hs != nil {
-		hs.recordTable(t.n, len(t.slots), t.maxProbe)
-	}
-}
-
-// bytesSlot is one open-addressing slot of a bytesTable: the cached key
-// hash, the key's (offset, length) in the table's arena, and the same
-// first/head/tail posting layout as intSlot: first == 0 marks empty (the
-// empty key is legal — klen 0 — so occupancy needs its own marker).
-type bytesSlot struct {
-	hash       uint64
-	koff, klen int32
-	first      int32
-	head       int32
-	tail       int32
-}
-
-// bytesTable maps encoded byte keys to posting lists of int32 rows in
-// insertion order. Keys are copied into the table-owned arena on first
-// insert (callers reuse their encoding buffers); equality is cached-hash
-// first, bytes second. Resizing re-places slots by the cached hash and
-// never touches key bytes.
-type bytesTable struct {
-	slots []bytesSlot
-	mask  uint64
-	shift uint
-
-	n        int
-	growAt   int
-	rows     int
-	maxProbe int
-
-	arena  []byte
-	ovRow  []int32
-	ovNext []int32
-	posts  []int32
-}
-
-func newBytesTable(hint int) *bytesTable {
-	t := &bytesTable{}
-	c, mask, shift := tableGeometry(hint)
-	t.slots, t.mask, t.shift = make([]bytesSlot, c), mask, shift
-	t.growAt = c - c/4
-	return t
-}
-
-func (t *bytesTable) key(s *bytesSlot) []byte {
-	return t.arena[s.koff : s.koff+s.klen]
-}
-
-// insert appends row to key's posting list under its precomputed hash
-// (hashKey(key) — the same hash that picked this table's partition, when
-// partitioned). key may point into caller scratch; it is copied on first
-// encounter.
-func (t *bytesTable) insert(h uint64, key []byte, row int32) {
-	t.rows++
-	for {
-		i := h >> t.shift
-		d := 1
-		for {
-			s := &t.slots[i]
-			if s.first == 0 {
-				if t.n >= t.growAt {
-					t.grow()
-					break // re-probe in the grown table
-				}
-				t.n++
-				if d > t.maxProbe {
-					t.maxProbe = d
-				}
-				koff := int32(len(t.arena))
-				t.arena = append(t.arena, key...)
-				*s = bytesSlot{hash: h, koff: koff, klen: int32(len(key)), first: row + 1}
-				return
-			}
-			if s.hash == h && bytes.Equal(t.key(s), key) {
-				t.appendOverflow(s, row)
-				return
-			}
-			i = (i + 1) & t.mask
-			d++
-		}
-	}
-}
-
-func (t *bytesTable) appendOverflow(s *bytesSlot, row int32) {
-	e := int32(len(t.ovRow))
-	t.ovRow = append(t.ovRow, row)
-	t.ovNext = append(t.ovNext, -1)
-	if s.tail != 0 {
-		t.ovNext[s.tail-1] = e
-	} else {
-		s.head = e + 1
-	}
-	s.tail = e + 1
-}
-
-func (t *bytesTable) grow() {
-	old := t.slots
-	c := 2 * len(old)
-	t.slots = make([]bytesSlot, c)
-	t.mask = uint64(c - 1)
-	t.shift--
-	t.growAt = c - c/4
-	t.maxProbe = 0
-	for oi := range old {
-		s := &old[oi]
-		if s.first == 0 {
-			continue
-		}
-		i := s.hash >> t.shift
-		d := 1
-		for t.slots[i].first != 0 {
-			i = (i + 1) & t.mask
-			d++
-		}
-		if d > t.maxProbe {
-			t.maxProbe = d
-		}
-		t.slots[i] = *s
-	}
-}
-
-// finalize flattens postings exactly like intTable.finalize.
-func (t *bytesTable) finalize() {
-	t.posts = make([]int32, 0, t.rows)
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.first == 0 {
-			continue
-		}
-		off := int32(len(t.posts))
-		t.posts = append(t.posts, s.first-1)
-		for e := s.head - 1; e >= 0; e = t.ovNext[e] {
-			t.posts = append(t.posts, t.ovRow[e])
-		}
-		s.head = off
-		s.tail = int32(len(t.posts)) - off
-	}
-	t.ovRow, t.ovNext = nil, nil
-}
-
-// lookup returns key's postings in insertion order, nil if absent.
-func (t *bytesTable) lookup(key []byte) []int32 {
-	return t.lookupHashed(hashKey(key), key)
-}
-
-func (t *bytesTable) lookupHashed(h uint64, key []byte) []int32 {
-	i := h >> t.shift
-	for {
-		s := &t.slots[i]
-		if s.first == 0 {
-			return nil
-		}
-		if s.hash == h && bytes.Equal(t.key(s), key) {
-			return t.posts[s.head : s.head+s.tail]
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *bytesTable) fillBloom(f *bloomFilter) {
-	for i := range t.slots {
-		if t.slots[i].first != 0 {
-			f.add(t.slots[i].hash)
-		}
-	}
-}
-
-func (t *bytesTable) record(hs *HashStats) {
-	if hs != nil {
-		hs.recordTable(t.n, len(t.slots), t.maxProbe)
-	}
-}
-
 // groupIndexSeedCap seeds the group indexes small: group counts are
 // unknown up front (often tiny against the row count), and growth is
 // deterministic anyway.
 const groupIndexSeedCap = 64
 
-// intIndex maps int64 keys to caller-assigned dense int32 ids — the
-// group index of the single-ColInt aggregation fast path.
+// intIndex maps int64 keys to caller-assigned dense int32 ids: the key
+// index of the single-ColInt fast path.
 type intIndex struct {
 	keys     []int64
 	ids      []int32 // id + 1; 0 marks an empty slot
@@ -438,14 +86,11 @@ func newIntIndex(hint int) *intIndex {
 	return x
 }
 
-// lookupOrAdd returns key's id, inserting it as id on first encounter
-// (added reports which). Assigned ids are stable across growth.
-func (x *intIndex) lookupOrAdd(key int64, id int32) (got int32, added bool) {
-	return x.lookupOrAddHashed(hashInt64(key), key, id)
-}
-
-// lookupOrAddHashed is lookupOrAdd under the key's precomputed hash.
-func (x *intIndex) lookupOrAddHashed(h uint64, key int64, id int32) (got int32, added bool) {
+// lookupOrAdd returns key's id under its precomputed hash (hashInt64(key)
+// — the hash the partition scatter already took), inserting it as id on
+// first encounter (added reports which). Assigned ids are stable across
+// growth.
+func (x *intIndex) lookupOrAdd(h uint64, key int64, id int32) (got int32, added bool) {
 	for {
 		i := h >> x.shift
 		d := 1
@@ -496,23 +141,43 @@ func (x *intIndex) grow() {
 	}
 }
 
+// find returns key's id under its hash, if present. It never inserts.
+func (x *intIndex) find(h uint64, key int64) (int32, bool) {
+	for i := h >> x.shift; x.ids[i] != 0; i = (i + 1) & x.mask {
+		if x.keys[i] == key {
+			return x.ids[i] - 1, true
+		}
+	}
+	return 0, false
+}
+
+// fillBloom adds every present key's hash to the filter.
+func (x *intIndex) fillBloom(f *bloomFilter) {
+	for i, id := range x.ids {
+		if id != 0 {
+			f.add(hashInt64(x.keys[i]))
+		}
+	}
+}
+
 func (x *intIndex) record(hs *HashStats) {
 	if hs != nil {
 		hs.recordTable(x.n, len(x.ids), x.maxProbe)
 	}
 }
 
-// bytesIndexSlot is one slot of a bytesIndex; id holds the group id plus
-// one, 0 marks empty.
+// bytesIndexSlot is one slot of a bytesIndex; id holds the id plus one, 0
+// marks empty (the empty key is legal, so occupancy needs its own marker).
 type bytesIndexSlot struct {
 	hash       uint64
 	koff, klen int32
 	id         int32
 }
 
-// bytesIndex maps encoded byte keys to caller-assigned dense int32 ids —
-// the group index of batch aggregation's encoded-key path. Keys are
-// copied into the index-owned arena on first encounter.
+// bytesIndex maps encoded byte keys to caller-assigned dense int32 ids:
+// the key index of the encoded-key path. Keys are copied into the
+// index-owned arena on first encounter; equality is cached-hash first,
+// bytes second, and growing re-places slots by the cached hash.
 type bytesIndex struct {
 	slots    []bytesIndexSlot
 	mask     uint64
@@ -554,7 +219,7 @@ func (x *bytesIndex) lookupOrAdd(h uint64, key []byte, id int32) (got int32, add
 				*s = bytesIndexSlot{hash: h, koff: koff, klen: int32(len(key)), id: id + 1}
 				return id, true
 			}
-			if s.hash == h && bytes.Equal(x.arena[s.koff:s.koff+s.klen], key) {
+			if s.hash == h && bytes.Equal(x.key(s), key) {
 				return s.id - 1, false
 			}
 			i = (i + 1) & x.mask
@@ -589,6 +254,29 @@ func (x *bytesIndex) grow() {
 	}
 }
 
+func (x *bytesIndex) key(s *bytesIndexSlot) []byte {
+	return x.arena[s.koff : s.koff+s.klen]
+}
+
+// find returns key's id under its hash, if present. It never inserts.
+func (x *bytesIndex) find(h uint64, key []byte) (int32, bool) {
+	for i := h >> x.shift; x.slots[i].id != 0; i = (i + 1) & x.mask {
+		if s := &x.slots[i]; s.hash == h && bytes.Equal(x.key(s), key) {
+			return s.id - 1, true
+		}
+	}
+	return 0, false
+}
+
+// fillBloom adds every present key's hash to the filter.
+func (x *bytesIndex) fillBloom(f *bloomFilter) {
+	for i := range x.slots {
+		if x.slots[i].id != 0 {
+			f.add(x.slots[i].hash)
+		}
+	}
+}
+
 func (x *bytesIndex) record(hs *HashStats) {
 	if hs != nil {
 		hs.recordTable(x.n, len(x.slots), x.maxProbe)
@@ -608,7 +296,7 @@ const bloomMinBits = 256
 const bloomProbeBuildRatio = 8
 
 // bloomFilter is a split two-probe Bloom filter over cached 64-bit key
-// hashes. Both probes derive from the one hash the table already
+// hashes. Both probes derive from the one hash the index already
 // computed — no extra hashing on either side.
 type bloomFilter struct {
 	words []uint64

@@ -3,16 +3,18 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eagg/internal/aggfn"
 )
 
-// Adversarial coverage for the flat open-addressing tables: property
-// tests against naive map models, engineered hash collisions (keys
-// brute-forced onto one home slot), resize-boundary sweeps across every
-// grow threshold, bloom-filter semantics, and a grow-under-parallel-
-// scatter determinism test (workers 1 vs 8, bit-identical).
+// Adversarial coverage for the flat open-addressing indexes and the join
+// builds over them: property tests against naive map models, engineered
+// hash collisions (keys brute-forced onto one home slot), resize-boundary
+// sweeps across every grow threshold, bloom-filter semantics, and a
+// grow-under-parallel-scatter determinism test (workers 1 vs 8,
+// bit-identical).
 
 func equalPosts(a, b []int32) bool {
 	if len(a) != len(b) {
@@ -26,75 +28,104 @@ func equalPosts(a, b []int32) bool {
 	return true
 }
 
-// TestIntTableVsMapModel drives an intTable with random inserts from a
-// dup-heavy key domain and checks every posting list — content and
-// order — against the map the table replaces.
-func TestIntTableVsMapModel(t *testing.T) {
+// intBuild runs the join build of one partition over int keys — row
+// rows[i] has key keys[i] (row i when rows is nil) — its index seeded for
+// hint keys: below the distinct key count, it grows while it builds.
+func intBuild(hint int, keys []int64, rows []int32) *batchBuild {
+	b := &batchBuild{ints: make([]*intIndex, 1), posts: make([]postings, 1)}
+	(*Exec)(nil).buildPart(b, 0, hint, func(fn func([]keyEntry, []byte)) {
+		for i, k := range keys {
+			row := int32(i)
+			if rows != nil {
+				row = rows[i]
+			}
+			fn([]keyEntry{{row: row, key: k, hash: hashInt64(k)}}, nil)
+		}
+	})
+	return b
+}
+
+// bytesBuild is intBuild over encoded keys, handed over in one reused
+// scratch arena: the index must copy them.
+func bytesBuild(hint int, keys [][]byte) *batchBuild {
+	b := &batchBuild{bytes: make([]*bytesIndex, 1), posts: make([]postings, 1)}
+	(*Exec)(nil).buildPart(b, 0, hint, func(fn func([]keyEntry, []byte)) {
+		arena := make([]byte, 0, 64)
+		for i, k := range keys {
+			arena = append(arena[:0], k...)
+			fn([]keyEntry{{row: int32(i), klen: int32(len(k)), hash: hashKey(k)}}, arena)
+			clear(arena[:cap(arena)])
+		}
+	})
+	return b
+}
+
+func (b *batchBuild) lookIntKey(k int64) []int32 {
+	var checks, passes int
+	return b.lookInt(k, &checks, &passes)
+}
+
+// TestIntBuildVsMapModel drives the int-key join build with random rows
+// from a dup-heavy key domain and checks every posting list — content and
+// order — against the map the build replaces; absent keys resolve to nil.
+func TestIntBuildVsMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
 		n := rng.Intn(3000)
 		domain := 1 + rng.Intn(400) // heavy duplication at small domains
-		tab := newIntTable(1 + rng.Intn(8))
+		keys := make([]int64, n)
 		model := map[int64][]int32{}
-		for i := 0; i < n; i++ {
-			k := int64(rng.Intn(domain)) * 7919 // spread, deterministic
-			tab.insert(k, int32(i))
-			model[k] = append(model[k], int32(i))
+		for i := range keys {
+			keys[i] = int64(rng.Intn(domain)) * 7919 // spread, deterministic
+			model[keys[i]] = append(model[keys[i]], int32(i))
 		}
-		tab.finalize()
-		if tab.n != len(model) {
-			t.Fatalf("trial %d: %d distinct keys, want %d", trial, tab.n, len(model))
-		}
-		if tab.rows != n {
-			t.Fatalf("trial %d: %d postings, want %d", trial, tab.rows, n)
+		b := intBuild(1+rng.Intn(8), keys, nil)
+		if x := b.ints[0]; x.n != len(model) || len(b.posts[0].rows) != n {
+			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts[0].rows), len(model), n)
 		}
 		for k, want := range model {
-			if got := tab.lookup(k); !equalPosts(got, want) {
+			if got := b.lookIntKey(k); !equalPosts(got, want) {
 				t.Fatalf("trial %d: key %d: got %v want %v", trial, k, got, want)
 			}
 		}
 		for i := 0; i < 50; i++ {
-			if k := int64(domain+i) * 7919; tab.lookup(k) != nil {
+			if k := int64(domain+i) * 7919; b.lookIntKey(k) != nil {
 				t.Fatalf("trial %d: absent key %d resolved postings", trial, k)
 			}
 		}
-		if load := float64(tab.n) / float64(len(tab.slots)); load > 0.75 {
-			t.Fatalf("trial %d: load factor %.3f exceeds ¾", trial, load)
+		if x := b.ints[0]; float64(x.n)/float64(len(x.ids)) > 0.75 {
+			t.Fatalf("trial %d: load factor %d/%d exceeds ¾", trial, x.n, len(x.ids))
 		}
 	}
 }
 
-// TestBytesTableVsMapModel is the byte-key mirror, with shared prefixes,
-// the empty key, and scratch-buffer reuse (the table must copy keys).
-func TestBytesTableVsMapModel(t *testing.T) {
+// TestBytesBuildVsMapModel is the byte-key mirror, with shared prefixes,
+// the empty key, and scratch-buffer reuse (the index must copy keys).
+func TestBytesBuildVsMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 20; trial++ {
 		n := rng.Intn(2000)
 		domain := 1 + rng.Intn(300)
-		tab := newBytesTable(1 + rng.Intn(8))
+		keys := make([][]byte, n)
 		model := map[string][]int32{}
-		scratch := make([]byte, 0, 64) // reused: inserts must copy
-		for i := 0; i < n; i++ {
-			d := rng.Intn(domain)
-			scratch = scratch[:0]
-			if d > 0 { // d == 0 is the empty key (legal: empty key list)
-				scratch = append(scratch, fmt.Sprintf("prefix/%03d", d)...)
+		for i := range keys {
+			if d := rng.Intn(domain); d > 0 { // d == 0 is the empty key (legal: empty key list)
+				keys[i] = fmt.Appendf(nil, "prefix/%03d", d)
 			}
-			tab.insert(hashKey(scratch), scratch, int32(i))
-			model[string(scratch)] = append(model[string(scratch)], int32(i))
+			model[string(keys[i])] = append(model[string(keys[i])], int32(i))
 		}
-		tab.finalize()
-		if tab.n != len(model) {
-			t.Fatalf("trial %d: %d distinct keys, want %d", trial, tab.n, len(model))
+		b := bytesBuild(1+rng.Intn(8), keys)
+		if x := b.bytes[0]; x.n != len(model) || len(b.posts[0].rows) != n {
+			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts[0].rows), len(model), n)
 		}
 		for k, want := range model {
-			if got := tab.lookup([]byte(k)); !equalPosts(got, want) {
+			if got := b.lookBytes(hashKey([]byte(k)), []byte(k)); !equalPosts(got, want) {
 				t.Fatalf("trial %d: key %q: got %v want %v", trial, k, got, want)
 			}
 		}
 		for i := 0; i < 50; i++ {
-			key := []byte(fmt.Sprintf("prefix/%03d", domain+i))
-			if tab.lookup(key) != nil {
+			key := fmt.Appendf(nil, "prefix/%03d", domain+i)
+			if b.lookBytes(hashKey(key), key) != nil {
 				t.Fatalf("trial %d: absent key %q resolved postings", trial, key)
 			}
 		}
@@ -102,7 +133,9 @@ func TestBytesTableVsMapModel(t *testing.T) {
 }
 
 // TestIndexesVsMapModel checks intIndex and bytesIndex against map
-// models: first-encounter id assignment, id stability across growth.
+// models: first-encounter id assignment, id stability across growth, and
+// find — the probe's lookup — answering present keys with their ids and
+// absent ones with not-found, without inserting or growing.
 func TestIndexesVsMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 20; trial++ {
@@ -119,7 +152,7 @@ func TestIndexesVsMapModel(t *testing.T) {
 				wantID = int32(len(im))
 				im[k] = wantID
 			}
-			gotID, added := ii.lookupOrAdd(k, int32(len(im))-1)
+			gotID, added := ii.lookupOrAdd(hashInt64(k), k, int32(len(im))-1)
 			if gotID != wantID || added == ok {
 				t.Fatalf("trial %d intIndex key %d: got (%d,%v) want (%d,%v)", trial, k, gotID, added, wantID, !ok)
 			}
@@ -138,6 +171,28 @@ func TestIndexesVsMapModel(t *testing.T) {
 		if ii.n != len(im) || bi.n != len(bm) {
 			t.Fatalf("trial %d: index sizes %d/%d, want %d/%d", trial, ii.n, bi.n, len(im), len(bm))
 		}
+		for k, want := range im {
+			if id, ok := ii.find(hashInt64(k), k); !ok || id != want {
+				t.Fatalf("trial %d: intIndex find %d: (%d,%v), want %d", trial, k, id, ok, want)
+			}
+			bk := []byte(fmt.Sprintf("g%04d", k))
+			if id, ok := bi.find(hashKey(bk), bk); !ok || id != bm[string(bk)] {
+				t.Fatalf("trial %d: bytesIndex find %q: (%d,%v), want %d", trial, bk, id, ok, bm[string(bk)])
+			}
+		}
+		icap, bcap := len(ii.ids), len(bi.slots)
+		for k := int64(domain); k < int64(domain)+2000; k++ {
+			bk := []byte(fmt.Sprintf("g%04d", k))
+			if _, ok := ii.find(hashInt64(k), k); ok {
+				t.Fatalf("trial %d: intIndex found absent key %d", trial, k)
+			}
+			if _, ok := bi.find(hashKey(bk), bk); ok {
+				t.Fatalf("trial %d: bytesIndex found absent key %q", trial, bk)
+			}
+		}
+		if ii.n != len(im) || bi.n != len(bm) || len(ii.ids) != icap || len(bi.slots) != bcap {
+			t.Fatalf("trial %d: find inserted or grew: sizes %d/%d capacities %d/%d", trial, ii.n, bi.n, len(ii.ids), len(bi.slots))
+		}
 	}
 }
 
@@ -155,60 +210,73 @@ func collidingInts(shift uint, n int) []int64 {
 
 // TestEngineeredCollisions inserts keys that all hash to the same home
 // slot: the probe chain must stay correct, maxProbe must reflect the
-// pile-up, and a subsequent grow must redistribute without losing
-// postings.
+// pile-up, and a subsequent grow must redistribute without losing ids —
+// nor, in a join build over the same keys, postings.
 func TestEngineeredCollisions(t *testing.T) {
-	tab := newIntTable(48) // capacity 64, growAt 48
-	if len(tab.slots) != 64 {
-		t.Fatalf("geometry: capacity %d, want 64", len(tab.slots))
+	x := newIntIndex(48) // capacity 64, growAt 48
+	if len(x.ids) != 64 {
+		t.Fatalf("geometry: capacity %d, want 64", len(x.ids))
 	}
-	keys := collidingInts(tab.shift, 24)
-	for rep := 0; rep < 2; rep++ { // two postings per key
+	keys := collidingInts(x.shift, 24)
+	for rep := 0; rep < 2; rep++ { // every key twice: the second finds the first's id
 		for i, k := range keys {
-			tab.insert(k, int32(rep*len(keys)+i))
+			if id, added := x.lookupOrAdd(hashInt64(k), k, int32(i)); id != int32(i) || added == (rep > 0) {
+				t.Fatalf("rep %d key %d: (%d,%v)", rep, k, id, added)
+			}
 		}
 	}
-	if tab.maxProbe != len(keys) {
-		t.Fatalf("maxProbe %d after %d same-slot keys, want %d", tab.maxProbe, len(keys), len(keys))
+	if x.maxProbe != len(keys) {
+		t.Fatalf("maxProbe %d after %d same-slot keys, want %d", x.maxProbe, len(keys), len(keys))
 	}
-	// Push past growAt with fresh keys; the colliding keys' postings must
+	// Push past growAt with fresh keys; the colliding keys' ids must
 	// survive the redistribution.
-	next := int32(2 * len(keys))
+	build := append(append(slices.Clone(keys), keys...), make([]int64, 40)...)
 	for i := 0; i < 40; i++ {
-		tab.insert(int64(1_000_000+i), next)
-		next++
+		k := int64(1_000_000 + i)
+		build[2*len(keys)+i] = k
+		x.lookupOrAdd(hashInt64(k), k, int32(x.n))
 	}
-	tab.finalize()
-	if len(tab.slots) != 128 {
-		t.Fatalf("capacity %d after grow, want 128", len(tab.slots))
+	if len(x.ids) != 128 {
+		t.Fatalf("capacity %d after grow, want 128", len(x.ids))
 	}
 	for i, k := range keys {
-		want := []int32{int32(i), int32(len(keys) + i)}
-		if got := tab.lookup(k); !equalPosts(got, want) {
-			t.Fatalf("key %d after grow: got %v want %v", k, got, want)
+		if id, ok := x.find(hashInt64(k), k); !ok || id != int32(i) {
+			t.Fatalf("key %d after grow: (%d,%v), want %d", k, id, ok, i)
+		}
+	}
+	b := intBuild(48, build, nil)
+	if len(b.ints[0].ids) != 128 {
+		t.Fatalf("build capacity %d, want 128", len(b.ints[0].ids))
+	}
+	for i, k := range keys {
+		if got, want := b.lookIntKey(k), []int32{int32(i), int32(len(keys) + i)}; !equalPosts(got, want) {
+			t.Fatalf("build key %d after grow: got %v want %v", k, got, want)
 		}
 	}
 
-	// The byte-key table under the same attack (keys colliding under
+	// The byte-key index under the same attack (keys colliding under
 	// hashKey's high bits at its geometry).
-	bt := newBytesTable(48)
+	bx := newBytesIndex(48)
 	var bkeys [][]byte
 	for i := 0; len(bkeys) < 16; i++ {
 		k := []byte(fmt.Sprintf("c%d", i))
-		if hashKey(k)>>bt.shift == 0 {
+		if hashKey(k)>>bx.shift == 0 {
 			bkeys = append(bkeys, k)
 		}
 	}
 	for i, k := range bkeys {
-		bt.insert(hashKey(k), k, int32(i))
+		bx.lookupOrAdd(hashKey(k), k, int32(i))
 	}
-	if bt.maxProbe != len(bkeys) {
-		t.Fatalf("bytes maxProbe %d, want %d", bt.maxProbe, len(bkeys))
+	if bx.maxProbe != len(bkeys) {
+		t.Fatalf("bytes maxProbe %d, want %d", bx.maxProbe, len(bkeys))
 	}
-	bt.finalize()
+	bb := bytesBuild(48, bkeys)
 	for i, k := range bkeys {
-		if got := bt.lookup(k); !equalPosts(got, []int32{int32(i)}) {
-			t.Fatalf("bytes key %q: got %v want [%d]", k, got, i)
+		if id, ok := bx.find(hashKey(k), k); !ok || id != int32(i) {
+			t.Fatalf("bytes key %q: (%d,%v), want %d", k, id, ok, i)
+		}
+		if got := bb.lookBytes(hashKey(k), k); !equalPosts(got, []int32{int32(i)}) {
+			t.Fatalf("bytes build key %q: got %v want [%d]", k, got, i)
 		}
 	}
 }
@@ -219,49 +287,48 @@ func TestEngineeredCollisions(t *testing.T) {
 // boundary exactly.
 func TestResizeBoundaryKeys(t *testing.T) {
 	for _, n := range []int{1, 5, 6, 7, 11, 12, 13, 23, 24, 25, 47, 48, 49, 95, 96, 97, 191, 192, 193} {
-		tab := newIntTable(1)
-		bt := newBytesTable(1)
+		ikeys, irows := make([]int64, 0, 2*n), make([]int32, 0, 2*n)
+		bkeys := make([][]byte, 0, n)
 		ii := newIntIndex(1)
 		bi := newBytesIndex(1)
 		for i := 0; i < n; i++ {
-			k := int64(i) * 2654435761 // spread; distinct
-			tab.insert(k, int32(i))
-			tab.insert(k, int32(i+n)) // a duplicate posting per key
+			// Spread, distinct keys, each with a duplicate posting.
+			k := int64(i) * 2654435761
+			ikeys, irows = append(ikeys, k, k), append(irows, int32(i), int32(i+n))
 			bk := []byte(fmt.Sprintf("rk-%05d", i))
-			bt.insert(hashKey(bk), bk, int32(i))
-			if id, added := ii.lookupOrAdd(k, int32(i)); !added || id != int32(i) {
+			bkeys = append(bkeys, bk)
+			if id, added := ii.lookupOrAdd(hashInt64(k), k, int32(i)); !added || id != int32(i) {
 				t.Fatalf("n=%d: intIndex add %d: (%d,%v)", n, i, id, added)
 			}
 			if id, added := bi.lookupOrAdd(hashKey(bk), bk, int32(i)); !added || id != int32(i) {
 				t.Fatalf("n=%d: bytesIndex add %d: (%d,%v)", n, i, id, added)
 			}
 		}
-		tab.finalize()
-		bt.finalize()
-		if tab.n != n || bt.n != n || ii.n != n || bi.n != n {
-			t.Fatalf("n=%d: sizes %d/%d/%d/%d", n, tab.n, bt.n, ii.n, bi.n)
+		ib, bb := intBuild(1, ikeys, irows), bytesBuild(1, bkeys)
+		if ib.ints[0].n != n || bb.bytes[0].n != n || ii.n != n || bi.n != n {
+			t.Fatalf("n=%d: sizes %d/%d/%d/%d", n, ib.ints[0].n, bb.bytes[0].n, ii.n, bi.n)
 		}
 		for i := 0; i < n; i++ {
 			k := int64(i) * 2654435761
-			if got := tab.lookup(k); !equalPosts(got, []int32{int32(i), int32(i + n)}) {
-				t.Fatalf("n=%d: intTable key %d: %v", n, k, got)
+			if got := ib.lookIntKey(k); !equalPosts(got, []int32{int32(i), int32(i + n)}) {
+				t.Fatalf("n=%d: int build key %d: %v", n, k, got)
 			}
 			bk := []byte(fmt.Sprintf("rk-%05d", i))
-			if got := bt.lookup(bk); !equalPosts(got, []int32{int32(i)}) {
-				t.Fatalf("n=%d: bytesTable key %q: %v", n, bk, got)
+			if got := bb.lookBytes(hashKey(bk), bk); !equalPosts(got, []int32{int32(i)}) {
+				t.Fatalf("n=%d: bytes build key %q: %v", n, bk, got)
 			}
 			// Ids assigned before any grow must survive every grow after.
-			if id, added := ii.lookupOrAdd(k, -2); added || id != int32(i) {
+			if id, added := ii.lookupOrAdd(hashInt64(k), k, -2); added || id != int32(i) {
 				t.Fatalf("n=%d: intIndex id for %d changed: (%d,%v)", n, k, id, added)
 			}
 			if id, added := bi.lookupOrAdd(hashKey(bk), bk, -2); added || id != int32(i) {
 				t.Fatalf("n=%d: bytesIndex id for %q changed: (%d,%v)", n, bk, id, added)
 			}
 		}
-		if tab.lookup(int64(n)*2654435761) != nil {
+		if ib.lookIntKey(int64(n)*2654435761) != nil {
 			t.Fatalf("n=%d: absent int key resolved", n)
 		}
-		if bt.lookup([]byte(fmt.Sprintf("rk-%05d", n))) != nil {
+		if bk := []byte(fmt.Sprintf("rk-%05d", n)); bb.lookBytes(hashKey(bk), bk) != nil {
 			t.Fatalf("n=%d: absent byte key resolved", n)
 		}
 	}
@@ -404,8 +471,8 @@ func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
 		w8.BatchHashJoin(lc, rc, []int{0}, []int{0}, lc.Schema.Concat(rc.Schema)).Table())
 }
 
-// TestHashStatsRecording pins the collector arithmetic and that grouper
-// builds report through it (joins are covered by TestBloomJoinsMatchRow).
+// TestHashStatsRecording pins the collector arithmetic, that grouper
+// builds report through it, and the exact figures of hashed join builds.
 func TestHashStatsRecording(t *testing.T) {
 	hs := &HashStats{}
 	hs.recordTable(6, 8, 3)
@@ -437,6 +504,60 @@ func TestHashStatsRecording(t *testing.T) {
 		ex.BatchHashGroup(tc, BindAggregation(tc.Schema, []string{"g1"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}}))
 		if snap := ghs.Snapshot(); snap.Builds == 0 || snap.Entries == 0 {
 			t.Fatalf("%s: grouper recorded nothing: %+v", name, snap)
+		}
+	}
+
+	// Join builds, sequential and partitioned, int- and bytes-keyed, with
+	// and without a Bloom filter: the exact telemetry of the posting tables
+	// these builds replaced (a partitioned build records one index per
+	// non-empty partition).
+	l, r := intKeyTables()
+	lc, rc := ColTableOf(l), ColTableOf(r)
+	bl, br := bloomJoinTables(false)
+	sl, sr := bloomJoinTables(true)
+	type stats struct{ builds, entries, capacity, maxProbe, checks, passes int64 }
+	for _, c := range []struct {
+		name     string
+		l, r     *ColTable
+		lk, rk   []int
+		seq, par stats
+	}{
+		{"int", lc, rc, []int{1}, []int{1}, stats{1, 999, 8192, 3, 0, 0}, stats{64, 999, 8192, 3, 0, 0}},
+		{"bytes", lc, rc, []int{4}, []int{3}, stats{1, 997, 8192, 5, 0, 0}, stats{64, 997, 8192, 3, 0, 0}},
+		{"bloom-int", ColTableOf(bl), ColTableOf(br), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 66}, stats{21, 24, 168, 1, 600, 66}},
+		{"bloom-bytes", ColTableOf(sl), ColTableOf(sr), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 65}, stats{21, 24, 168, 2, 600, 65}},
+	} {
+		for name, e := range map[string]*Exec{"seq": NewExec(1), "par": NewExec(4).WithMorselSize(64)} {
+			want := c.seq
+			if name == "par" {
+				want = c.par
+			}
+			hs := &HashStats{}
+			e.WithHashStats(hs).BatchHashSemiJoin(c.l, c.r, c.lk, c.rk)
+			s := hs.Snapshot()
+			if got := (stats{s.Builds, s.Entries, s.Capacity, s.MaxProbe, s.BloomChecks, s.BloomPasses}); got != want || s.Dense != 0 {
+				t.Errorf("%s/%s join: %+v (dense %d), want %+v", c.name, name, got, s.Dense, want)
+			}
+		}
+	}
+	// A build whose index grows: seeded for one key, it doubles its way to
+	// 2,048 slots.
+	for _, c := range []struct {
+		rk   []int
+		want stats
+	}{{[]int{1}, stats{1, 999, 2048, 10, 0, 0}}, {[]int{3}, stats{1, 997, 2048, 11, 0, 0}}} {
+		hs := &HashStats{}
+		ks := newKeyScan(rc, c.rk, true)
+		b := &batchBuild{posts: make([]postings, 1)}
+		if ks.col != nil {
+			b.ints = make([]*intIndex, 1)
+		} else {
+			b.bytes = make([]*bytesIndex, 1)
+		}
+		NewExec(1).WithHashStats(hs).buildPart(b, 0, 1, func(fn func([]keyEntry, []byte)) { ks.scan(0, rc.Card(), 64, fn) })
+		s := hs.Snapshot()
+		if got := (stats{s.Builds, s.Entries, s.Capacity, s.MaxProbe, s.BloomChecks, s.BloomPasses}); got != c.want {
+			t.Errorf("rk=%v growing build: %+v, want %+v", c.rk, got, c.want)
 		}
 	}
 }
@@ -505,7 +626,7 @@ func TestRadixScatterLayout(t *testing.T) {
 	}
 }
 
-// TestPartitionedBuildMatchesSequential: the per-partition tables of the
+// TestPartitionedBuildMatchesSequential: the per-partition postings of the
 // parallel build hold exactly the sequential build's posting lists —
 // same keys, same build-input order — on the int and the encoded path.
 func TestPartitionedBuildMatchesSequential(t *testing.T) {
@@ -514,15 +635,15 @@ func TestPartitionedBuildMatchesSequential(t *testing.T) {
 	for _, rk := range [][]int{{1}, {2}, {1, 3}} {
 		seq := (*Exec)(nil).batchBuildSide(rc, rk, false, -1)
 		par := NewExec(4).WithMorselSize(64).batchBuildSide(rc, rk, true, -1)
-		if len(par.its)+len(par.bts) != partitions || len(seq.its)+len(seq.bts) != 1 {
-			t.Fatalf("rk=%v: %d+%d partition tables, %d+%d sequential", rk, len(par.its), len(par.bts), len(seq.its), len(seq.bts))
+		if len(par.ints)+len(par.bytes) != partitions || len(seq.ints)+len(seq.bytes) != 1 {
+			t.Fatalf("rk=%v: %d+%d partition indexes, %d+%d sequential", rk, len(par.ints), len(par.bytes), len(seq.ints), len(seq.bytes))
 		}
 		// Probe both builds with every key of both tables.
 		for _, probe := range []*ColTable{lc, rc} {
 			ents, arena := newKeyScan(probe, rk, true).fill(0, probe.Card(), 64, nil, nil)
 			for _, en := range ents {
 				var want, got []int32
-				if seq.its != nil {
+				if seq.ints != nil {
 					var checks, passes int
 					want, got = seq.lookInt(en.key, &checks, &passes), par.lookInt(en.key, &checks, &passes)
 				} else {
