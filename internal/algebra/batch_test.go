@@ -634,8 +634,8 @@ func (j *rowJoins) checkMerge(t *testing.T, label string, e *Exec, lc, rc *ColTa
 	}
 }
 
-// TestParallelIntJoins drives the int-partitioned build (a single ColInt
-// build key: raw payloads scattered, one intIndex per partition) against
+// TestParallelIntJoins drives the int-keyed build (a single ColInt build
+// key: raw payloads, one intIndex) under a parallel probe against
 // probe columns of every kind — int, integral/fractional/NaN floats,
 // mixed, string, absent — with NULL, negative and MinInt64/MaxInt64
 // keys, and the reverse shapes (mixed or string build key, int probe),

@@ -222,7 +222,7 @@ func (st *aggState) grow(e *Exec, parts uint8, ng int) {
 }
 
 // move copies the given components of src's group from into st's group
-// to — the merge step of the parallel aggregation.
+// to — the merge step of mergeGroupers.
 func (st *aggState) move(parts uint8, to int32, src *aggState, from int32) {
 	if parts&partCount != 0 {
 		st.count[to] = src.count[from]
@@ -263,8 +263,8 @@ func (st *aggState) final(fk foldKind, a *BoundAgg, gi int32) Value {
 	return st.gen[gi].final(a)
 }
 
-// batchGrouper accumulates groups of one aggregation (one partition of
-// it, under the parallel variant). Groups are discovered per batch, then
+// batchGrouper accumulates groups of one aggregation (one span of it,
+// under a parallel sort-group). Groups are discovered per batch, then
 // each aggregate's kernel folds the whole batch against the resolved
 // group ids — one kernel dispatch per aggregate per batch.
 type batchGrouper struct {
@@ -747,24 +747,22 @@ func (g *batchGrouper) aggCol(j int) Vector {
 	return v
 }
 
-// mergeGroupers combines the partition groupers of one parallel
-// aggregation into a single grouper whose group ids ascend with the
-// groups' first input rows — first-encounter order, whatever partition a
-// hash sent a key to. First rows are distinct physical indices, so a
-// group's id is simply the rank of its first row among all of them: one
-// bitmap over the input marks them, a running popcount ranks them (that
-// is the whole permutation), and every accumulator moves to its rank in
-// one typed pass per aggregate, fanned out over the aggregates. No rows,
-// no comparison sort.
-func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrouper {
+// mergeGroupers combines the span groupers of one parallel sort-group
+// (BatchSortGroup, sort.go) into a single grouper whose group ids ascend
+// with the groups' first input rows — first-encounter order, whatever span
+// folded a group. First rows are distinct physical indices, so a group's
+// id is simply the rank of its first row among all of them: one bitmap
+// over the input marks them, a running popcount ranks them (that is the
+// whole permutation), and every accumulator moves to its rank in one typed
+// pass per aggregate, fanned out over the aggregates. No rows, no
+// comparison sort.
+func (e *Exec) mergeGroupers(spans []*batchGrouper, t *ColTable, groupSlots []int, bound []BoundAgg) *batchGrouper {
 	marks := bitmap(take[uint64](e, (t.N+63)/64))
 	ng := 0
-	for _, g := range parts {
-		if g != nil {
-			ng += len(g.firsts)
-			for _, f := range g.firsts {
-				marks.set(f)
-			}
+	for _, g := range spans {
+		ng += len(g.firsts)
+		for _, f := range g.firsts {
+			marks.set(f)
 		}
 	}
 	below := takeDirty[int32](e, len(marks)) // marked rows in earlier words
@@ -774,14 +772,12 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 	}
 	out := newBatchGrouper(e, t, groupSlots, bound, false)
 	out.firsts = takeDirty[int32](e, ng)
-	perm := takeDirty[int32](e, ng)[:0] // the groups' ranks, partition by partition
-	for _, g := range parts {
-		if g != nil {
-			for _, f := range g.firsts {
-				r := below[f>>6] + int32(bits.OnesCount64(marks[f>>6]&(1<<(uint(f)&63)-1)))
-				out.firsts[r] = f
-				perm = append(perm, r)
-			}
+	perm := takeDirty[int32](e, ng)[:0] // the groups' ranks, span by span
+	for _, g := range spans {
+		for _, f := range g.firsts {
+			r := below[f>>6] + int32(bits.OnesCount64(marks[f>>6]&(1<<(uint(f)&63)-1)))
+			out.firsts[r] = f
+			perm = append(perm, r)
 		}
 	}
 	e.forTasks(len(bound), func(j int) {
@@ -789,13 +785,11 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 		st := &out.states[j]
 		st.grow(e, comps, ng)
 		to := perm
-		for _, g := range parts {
-			if g != nil {
-				for li := range g.firsts {
-					st.move(comps, to[li], &g.states[j], int32(li))
-				}
-				to = to[len(g.firsts):]
+		for _, g := range spans {
+			for li := range g.firsts {
+				st.move(comps, to[li], &g.states[j], int32(li))
 			}
+			to = to[len(g.firsts):]
 		}
 	})
 	return out
@@ -803,47 +797,22 @@ func (e *Exec) mergeGroupers(parts []*batchGrouper, t *ColTable, groupSlots []in
 
 // BatchHashGroup is typed hash aggregation on the batch runtime: one
 // output row per distinct grouping key in first-encounter order, exactly
-// HashGroup's contract. Sequential: groups discovered and folded batch by
-// batch. Parallel: the input's keys are radix-partitioned (radix.go), one
-// grouper per partition folds its entries in global input order, and the
-// partitions merge by ascending first-row index. Because selection
-// vectors are monotone, ascending physical first-row order is
-// first-encounter order even under a selection.
+// HashGroup's contract. One grouper discovers and folds the groups batch
+// by batch in input order, on the calling goroutine at every size — a
+// dense key through its gid array, any other through its key index
+// (DESIGN.md "One goroutine, by measurement"); only the emit fans out.
 func (e *Exec) BatchHashGroup(t *ColTable, a *Aggregation) *ColTable {
-	bound, groupSlots, outSchema := a.Aggs, a.Groups, a.Out
 	n := t.Card()
-	e.read(t, groupSlots...)
-	e.readAggs(t, bound)
-	ks := newKeyScan(t, groupSlots, false)
-
-	// A dense grouping is a one-goroutine operator at every size (dense.go);
-	// only its emit fans out.
-	par := e.parForBatch(n)
-	if !par || ks.dense {
-		g := newBatchGrouper(e, t, groupSlots, bound, ks.col != nil)
-		if ks.dense {
-			g.useDense(ks, n)
-		}
-		ks.feed(g, n, e.batchSize())
-		g.finish(e.hashStats())
-		return g.emitTable(e, outSchema, par)
+	e.read(t, a.Groups...)
+	e.readAggs(t, a.Aggs)
+	ks := newKeyScan(t, a.Groups, false)
+	g := newBatchGrouper(e, t, a.Groups, a.Aggs, ks.col != nil)
+	if ks.dense {
+		g.useDense(ks, n)
 	}
-
-	rp := e.radixScatter(ks, n)
-	parts := make([]*batchGrouper, partitions)
-	e.forParts(func(p int) {
-		if rp.count(p) == 0 {
-			return
-		}
-		// Every group lives in exactly one partition and is folded here,
-		// by one task, in global input order.
-		g := newBatchGrouper(e, t, groupSlots, bound, ks.col != nil)
-		rp.runs(p, e.batchSize(), g.add)
-		g.finish(e.hashStats())
-		parts[p] = g
-	})
-	rp.release(e)
-	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, outSchema, true)
+	ks.feed(g, n, e.batchSize())
+	g.finish(e.hashStats())
+	return g.emitTable(e, a.Out, e.parForBatch(n))
 }
 
 // BatchProject evaluates an aggregation vector over groups the caller

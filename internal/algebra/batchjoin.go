@@ -46,24 +46,20 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // counting-sorted by id into CSR postings (sortPostings, dense.go), so
 // every posting list is in build-input order. A single int column with a
 // dense key range maps key−min (dense, dense.go) and needs neither index
-// nor filter. Otherwise the map is a key index of hashtable.go — one for
-// the sequential build, one per radix partition for the parallel one (nil
-// where a partition holds no keys), each with its partition's postings.
-// Joins on a single int column — the overwhelmingly common equi-join
-// shape — skip byte encoding and key the int64 payloads themselves;
-// everything else uses the canonical key encoding. Posting lists are
-// identical either way: same keys, same build-input order (integral floats
-// probe the int64 index through the same normalization the encoding
-// applies). bloom, when non-nil, pre-filters probe keys by their cached
-// hashes: negatives are exact (an absent key resolves to nil postings
-// either way) and false positives just fall through to the index probe, so
-// the filter never changes results.
+// nor filter. Otherwise the map is one key index of hashtable.go: joins on
+// a single int column — the overwhelmingly common equi-join shape — key
+// the int64 payloads themselves, everything else the canonical key
+// encoding. Posting lists are identical either way: same keys, same
+// build-input order (integral floats probe the int64 index through the
+// same normalization the encoding applies). bloom, when non-nil,
+// pre-filters probe keys by their cached hashes: negatives are exact (an
+// absent key resolves to nil postings either way) and false positives just
+// fall through to the index probe, so the filter never changes results.
 type batchBuild struct {
-	dense *denseTable   // single-ColInt build key, dense range
-	ints  []*intIndex   // single-ColInt build key
-	bytes []*bytesIndex // encoded keys
-	posts []postings    // partition p's posting lists, by its index's ids
-	pmask uint64        // partition count - 1: the hash's low bits pick one
+	dense *denseTable // single-ColInt build key, dense range
+	ints  *intIndex   // single-ColInt build key
+	bytes *bytesIndex // encoded keys
+	posts postings    // by the index's ids
 	bloom *bloomFilter
 }
 
@@ -81,36 +77,59 @@ func (b *batchBuild) lookInt(v int64, checks, passes *int) []int32 {
 		}
 		*passes++
 	}
-	if x := b.ints[h&b.pmask]; x != nil {
-		if id, ok := x.find(h, v); ok {
-			return b.posts[h&b.pmask].of(id)
-		}
+	if id, ok := b.ints.find(h, v); ok {
+		return b.posts.of(id)
 	}
 	return nil
 }
 
 func (b *batchBuild) lookBytes(h uint64, key []byte) []int32 {
-	if x := b.bytes[h&b.pmask]; x != nil {
-		if id, ok := x.find(h, key); ok {
-			return b.posts[h&b.pmask].of(id)
-		}
+	if id, ok := b.bytes.find(h, key); ok {
+		return b.posts.of(id)
 	}
 	return nil
 }
 
-// entrySource yields a run of key entries at a time, in input order.
-type entrySource func(fn func(ents []keyEntry, arena []byte))
+// batchBuildSide builds the build input's join keys (buildKeys).
+func (e *Exec) batchBuildSide(r *ColTable, rk []int, probeCard int) *batchBuild {
+	e.read(r, rk...)
+	return e.buildKeys(newKeyScan(r, rk, true), probeCard)
+}
 
-// buildPart builds partition p over the hint entries src yields (the
-// index is sized for hint keys; more only make it grow): the partition's
-// index hands every entry's key an id in first-encounter order, and
-// sortPostings lays the entries' rows out by id. It returns the
-// partition's distinct key count.
-func (e *Exec) buildPart(b *batchBuild, p, hint int, src entrySource) int {
+// buildKeys builds a join build side over ks's keys on the calling
+// goroutine, like every build: direct-addressed, or one scan into one key
+// index (buildHashed). Posting lists are identical to the row runtime's up
+// to physical renumbering under a selection — same keys, same order.
+// probeCard is the probe input's cardinality, used only to gate the
+// optional Bloom filter; pass -1 to disable it (operators that emit every
+// probe row regardless).
+func (e *Exec) buildKeys(ks *keyScan, probeCard int) *batchBuild {
+	if ks.dense {
+		return &batchBuild{dense: e.buildDense(ks)}
+	}
+	n := ks.t.Card()
+	b := e.buildHashed(ks.col != nil, n, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
+	if b.bloom = buildBloom(len(b.posts.offs)-1, probeCard); b.bloom != nil {
+		// The index caches every distinct key (ids 0 … len(offs)−2): the
+		// filter fills from it.
+		if b.ints != nil {
+			b.ints.fillBloom(b.bloom)
+		} else {
+			b.bytes.fillBloom(b.bloom)
+		}
+	}
+	return b
+}
+
+// buildHashed builds a join build side over the hint entries src yields
+// in input order (the index is sized for hint keys; more only make it
+// grow): an intIndex (ints) or bytesIndex hands every entry's key an id in
+// first-encounter order, and sortPostings lays the entries' rows out by id.
+func (e *Exec) buildHashed(ints bool, hint int, src func(fn func(ents []keyEntry, arena []byte))) *batchBuild {
 	buf := scratch[int32](e, 2*hint)
 	ids, rows := buf[:0:hint], buf[hint:hint]
-	var keys int
-	if b.ints != nil {
+	b, keys := &batchBuild{}, 0
+	if ints {
 		x := newIntIndex(hint)
 		src(func(ents []keyEntry, _ []byte) {
 			for i := range ents {
@@ -119,7 +138,7 @@ func (e *Exec) buildPart(b *batchBuild, p, hint int, src entrySource) int {
 			}
 		})
 		x.record(e.hashStats())
-		b.ints[p], keys = x, x.n
+		b.ints, keys = x, x.n
 	} else {
 		x := newBytesIndex(hint)
 		src(func(ents []keyEntry, arena []byte) {
@@ -129,73 +148,10 @@ func (e *Exec) buildPart(b *batchBuild, p, hint int, src entrySource) int {
 			}
 		})
 		x.record(e.hashStats())
-		b.bytes[p], keys = x, x.n
+		b.bytes, keys = x, x.n
 	}
-	b.posts[p], _ = e.sortPostings(keys, len(ids), func(lo, hi int) ([]int32, []int32) { return ids[lo:hi], rows[lo:hi] })
+	b.posts, _ = e.sortPostings(keys, len(ids), func(lo, hi int) ([]int32, []int32) { return ids[lo:hi], rows[lo:hi] })
 	give(e, buf)
-	return keys
-}
-
-// batchBuildSide builds the build input's join keys (buildKeys).
-func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
-	e.read(r, rk...)
-	return e.buildKeys(newKeyScan(r, rk, true), par, probeCard)
-}
-
-// buildKeys builds a join build side over ks's keys: direct-addressed, or
-// one scan into one partition, or (par) a radix scatter and one partition
-// per radix partition, every partition taking its entries in build-input
-// order. Posting lists are identical to the row runtime's up to physical
-// renumbering under a selection — same keys, same order. probeCard is the
-// probe input's cardinality, used only to gate the optional Bloom filter;
-// pass -1 to disable it (operators that emit every probe row regardless).
-func (e *Exec) buildKeys(ks *keyScan, par bool, probeCard int) *batchBuild {
-	if ks.dense {
-		return &batchBuild{dense: e.buildDense(ks)}
-	}
-	n, nt := ks.t.Card(), 1
-	if par {
-		nt = partitions
-	}
-	b := &batchBuild{pmask: uint64(nt - 1), posts: make([]postings, nt)}
-	if ks.col != nil {
-		b.ints = make([]*intIndex, nt)
-	} else {
-		b.bytes = make([]*bytesIndex, nt)
-	}
-	keys := 0 // distinct build keys, for the Bloom gate
-	if !par {
-		keys = e.buildPart(b, 0, n, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
-	} else {
-		// Every partition's index is sized exactly from its entry count
-		// (a pure function of the data), so capacities, and with them
-		// every probe sequence, are identical for every worker count.
-		rp := e.radixScatter(ks, n)
-		var total atomic.Int64
-		e.forParts(func(p int) {
-			if c := rp.count(p); c > 0 {
-				total.Add(int64(e.buildPart(b, p, c, func(fn func([]keyEntry, []byte)) { rp.runs(p, e.batchSize(), fn) })))
-			}
-		})
-		keys = int(total.Load())
-		rp.release(e)
-	}
-	if f := buildBloom(keys, probeCard); f != nil {
-		// The indexes cache every distinct key, so the filter fills from
-		// them in one sequential pass — no racing bit-sets inside the
-		// partition fan-out.
-		for _, x := range b.ints {
-			if x != nil {
-				x.fillBloom(f)
-			}
-		}
-		for _, x := range b.bytes {
-			if x != nil {
-				x.fillBloom(f)
-			}
-		}
-		b.bloom = f
-	}
 	return b
 }
 
@@ -371,7 +327,7 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 // the output schema, l.Schema.Concat(r.Schema), resolved by the caller.
 func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
+	bld := e.batchBuildSide(r, rk, l.Card())
 	lidx, ridx, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
 		for k, i := range rows {
 			for _, ri := range posts[k] {
@@ -389,7 +345,7 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable 
 // matches them to nothing.
 func (e *Exec) batchHashFilter(l, r *ColTable, lk, rk []int, matched bool) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
+	bld := e.batchBuildSide(r, rk, l.Card())
 	sel, _, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
 		for k, i := range rows {
 			if (len(posts[k]) > 0) == matched {
@@ -427,7 +383,7 @@ func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, 
 // appended after the probe barrier in build-input order.
 func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, s *Schema, tail bool) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
+	bld := e.batchBuildSide(r, rk, -1)
 	var matched []atomic.Bool
 	var unmatched []int32
 	if tail {
@@ -469,7 +425,7 @@ func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, s *S
 // then the vector's outputs.
 func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, bound []BoundAgg, s *Schema) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
+	bld := e.batchBuildSide(r, rk, -1)
 	e.read(l, lk...)
 	e.readAggs(r, bound)
 	n := l.Card()

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"eagg/internal/aggfn"
@@ -94,7 +95,7 @@ func BenchmarkHashTable(b *testing.B) {
 	b.Run("keys=int/backend=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bld := e.batchBuildSide(it, []int{0}, false, -1)
+			bld := e.batchBuildSide(it, []int{0}, -1)
 			hits := 0
 			for p := 0; p < nProbe; p++ {
 				hits += len(bld.lookIntKey(ikeys[p%nBuild]))
@@ -124,7 +125,7 @@ func BenchmarkHashTable(b *testing.B) {
 	b.Run("keys=bytes/backend=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bld := e.batchBuildSide(st, []int{0}, false, -1)
+			bld := e.batchBuildSide(st, []int{0}, -1)
 			hits := 0
 			for p := 0; p < nProbe; p++ {
 				en := &probe[p%nBuild]
@@ -227,18 +228,58 @@ func benchAggCols(n int, key func(i int) int64) *ColTable {
 		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}, {Kind: ColFloat, Floats: f}}}
 }
 
+// benchKeyCols is benchAggCols keyed on an encoded-key shape — keys=str:
+// one string column; keys=int2: two int columns — with distinct keys
+// cycling over its n rows, and the build side of a join on that key: one
+// row per key. It returns both tables, the grouping attributes and the
+// key slots.
+func benchKeyCols(n, distinct int, keys string) (agg, build *ColTable, groupBy []string, slots []int) {
+	table := func(n int, names []string) *ColTable {
+		t := &ColTable{Schema: NewSchema(names), N: n}
+		if keys == "str" {
+			strs := make([]string, n)
+			for i := range strs {
+				strs[i] = fmt.Sprintf("key-%07d", i%distinct)
+			}
+			t.Cols = append(t.Cols, Vector{Kind: ColStr, Strs: strs})
+		} else {
+			hi, lo := make([]int64, n), make([]int64, n)
+			for i := range hi {
+				hi[i], lo[i] = int64(i%distinct>>6), int64(i%distinct&63)
+			}
+			t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: hi}, Vector{Kind: ColInt, Ints: lo})
+		}
+		v, f := make([]int64, n), make([]float64, n)
+		for i := range v {
+			v[i], f[i] = int64(i), float64(i)*0.5
+		}
+		t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: v}, Vector{Kind: ColFloat, Floats: f})
+		return t
+	}
+	groupBy, slots = []string{"g"}, []int{0}
+	if keys == "int2" {
+		groupBy, slots = []string{"g", "h"}, []int{0, 1}
+	}
+	agg = table(n, append(slices.Clone(groupBy), "v", "f"))
+	build = table(distinct, append([]string{"pk", "pk2"}[:len(slots)], "pv", "pf"))
+	return agg, build, groupBy, slots
+}
+
 // BenchmarkBatchParallelCrossover is the measurement behind
 // batchParallelCutoff: the batch hash aggregation and join on int keys,
 // hashed (table=hash: keys spread beyond the density bound) and
 // direct-addressed (table=dense: the same keys, consecutive), and their
 // sort-based counterparts (both sorts performed), input sizes 256 … 1M
-// rows × a low (16) and a high (n/4) distinct-key count × workers 1 (the
-// sequential arm) and 2 (the morsel-parallel arm, forced below the cutoff
-// too by passing the adaptive morsel size explicitly; a dense grouping has
-// none, so it runs at workers 1 only, and a dense join's is its probe and
-// gather). The crossover is the smallest size from which workers=2 stays
-// faster; DESIGN.md §PR 12, §PR 14 and "Direct-addressed keys" record the
-// tables. The sweep=density arms are the measurement behind denseMultiple.
+// rows × a low (16) and a high (n/4) distinct-key count × workers 1 and 2
+// (forced parallel below the cutoff too by passing the adaptive morsel
+// size explicitly). Every build and grouping runs on one goroutine, so
+// workers=2 fans out what follows it: a join's probe and gather, a
+// grouping's emit (a dense grouping's emit is one column of key payloads,
+// so it runs at workers 1 only). The crossover is the smallest size from
+// which workers=2 stays faster; DESIGN.md "batchParallelCutoff, measured",
+// §PR 14 and "Direct-addressed keys" record the tables. The keys=str and
+// keys=int2 arms are the encoded-key shapes, 64k … 1M rows; the
+// sweep=density arms are the measurement behind denseMultiple.
 func BenchmarkBatchParallelCrossover(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -305,6 +346,36 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 		}
 	}
 
+	// The encoded-key shapes, always hashed, from the cutoff up.
+	for n := 1 << 16; n <= 1<<20; n *= 4 {
+		for _, distinct := range []int{16, n / 4} {
+			for _, keys := range []string{"str", "int2"} {
+				agg, build, groupBy, slots := benchKeyCols(n, distinct, keys)
+				for _, w := range []int{1, 2} {
+					e := NewExec(w)
+					e = e.WithMorselSize(e.sizeFor(n))
+					name := fmt.Sprintf("keys=%s/rows=%d/distinct=%d/workers=%d", keys, n, distinct, w)
+					b.Run("op=group/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out := e.BatchHashGroup(agg, BindAggregation(agg.Schema, groupBy, f)); out.Card() != distinct {
+								b.Fatalf("got %d groups, want %d", out.Card(), distinct)
+							}
+							e.Release()
+						}
+					})
+					b.Run("op=join/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if out := e.BatchHashJoin(agg, build, slots, slots, agg.Schema.Concat(build.Schema)); out.Card() != n {
+								b.Fatalf("got %d rows, want %d", out.Card(), n)
+							}
+							e.Release()
+						}
+					})
+				}
+			}
+		}
+	}
+
 	// The density sweep: 128k rows whose keys fall, in scrambled order,
 	// into a range of 1 … 32 times the row count, grouped (32k groups) and
 	// built-and-probed (unique build keys, 4 probes each, a quarter of them
@@ -345,7 +416,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 			})
 			b.Run("op=join/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					bld := e.buildKeys(scan(build, true), false, -1)
+					bld := e.buildKeys(scan(build, true), -1)
 					hits := 0
 					for _, v := range probe.Cols[0].Ints {
 						hits += len(bld.lookIntKey(v))

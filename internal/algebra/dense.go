@@ -25,10 +25,11 @@ import (
 //     hash index it replaces, feeding the same fold kernels and emit.
 //
 // Both consume the input's physical rows batch by batch in input order, on
-// one goroutine whatever the worker count: the passes are streaming and
-// cheap enough that partitioning the rows first does not pay for itself
-// (DESIGN.md "Direct-addressed keys"). The rest of the operator — probe,
-// gather, emit — still fans out under parForBatch.
+// one goroutine whatever the worker count, like the hashed builds and
+// groupings: the passes are streaming and cheap enough that partitioning
+// the rows first does not pay for itself (DESIGN.md "One goroutine, by
+// measurement"). The rest of the operator — probe, gather, emit — still
+// fans out under parForBatch.
 
 // denseMultiple bounds the key range of the direct-addressed path at this
 // many times the input's row count, read off the sweep=density arms of

@@ -296,8 +296,8 @@ func TestDensePostingsMatchHash(t *testing.T) {
 	_, r := keyTables(1, false)
 	_, sparseR := keyTables(1000, false)
 	rc, hc := ColTableOf(r), ColTableOf(sparseR)
-	dense := (*Exec)(nil).batchBuildSide(rc, []int{1}, false, -1)
-	hash := (*Exec)(nil).batchBuildSide(hc, []int{1}, false, -1)
+	dense := (*Exec)(nil).batchBuildSide(rc, []int{1}, -1)
+	hash := (*Exec)(nil).batchBuildSide(hc, []int{1}, -1)
 	if dense.dense == nil || hash.ints == nil {
 		t.Fatal("fixtures do not take the dense and the hash path")
 	}

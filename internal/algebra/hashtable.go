@@ -12,9 +12,7 @@ package algebra
 //   - intIndex keys raw int64 payloads (the single-ColInt fast path)
 //     through a splitmix64-style mixer.
 //   - bytesIndex keys the canonical typed binary key encodings
-//     (batchkey.go) under the same word-at-a-time hash (hashKey) the
-//     partition scatter uses, so one hash per key serves both the partition
-//     choice (low bits) and the slot choice (high bits). Keys are copied
+//     (batchkey.go) under a word-at-a-time hash (hashKey). Keys are copied
 //     into an index-owned arena on first insert — callers hand in pooled
 //     scratch buffers that are overwritten batch to batch.
 //
@@ -22,12 +20,11 @@ package algebra
 // ids feed the counting sort of dense.go (sortPostings), which lays the
 // build rows out as CSR posting lists in build-input order — the same
 // routine that sorts a direct-addressed build by key−min. The probe asks
-// the index with find, which never inserts.
-//
-// Slots are derived from the HIGH bits of the hash (h >> shift). The
-// radix partitioner has already consumed the LOW log2(partitions) bits
-// when an index holds one partition's keys; taking high bits keeps the
-// slot distribution independent of the partition choice.
+// the index with find, which never inserts. Every index is built by one
+// pass over its input in input order, on one goroutine, so its geometry
+// and probe sequences are the same for every worker count. Slots are
+// derived from the HIGH bits of the hash (h >> shift); the Bloom filter
+// reads the low ones.
 
 import (
 	"bytes"
@@ -87,7 +84,7 @@ func newIntIndex(hint int) *intIndex {
 }
 
 // lookupOrAdd returns key's id under its precomputed hash (hashInt64(key)
-// — the hash the partition scatter already took), inserting it as id on
+// — the hash the key scan already took), inserting it as id on
 // first encounter (added reports which). Assigned ids are stable across
 // growth.
 func (x *intIndex) lookupOrAdd(h uint64, key int64, id int32) (got int32, added bool) {
@@ -345,8 +342,8 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 // every table/index build records its geometry here, every bloom-
 // filtered probe its check/pass counts, every gather of a view's column
 // (vector.go) its size, every recycled buffer (recycle.go) its bytes. All
-// counters are atomic — builds finish inside forParts fan-outs. A nil
-// *HashStats disables recording.
+// counters are atomic: probes, gathers and takes run inside task fan-outs.
+// A nil *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64
 	dense       atomic.Int64

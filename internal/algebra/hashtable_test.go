@@ -12,9 +12,9 @@ import (
 // Adversarial coverage for the flat open-addressing indexes and the join
 // builds over them: property tests against naive map models, engineered
 // hash collisions (keys brute-forced onto one home slot), resize-boundary
-// sweeps across every grow threshold, bloom-filter semantics, and a
-// grow-under-parallel-scatter determinism test (workers 1 vs 8,
-// bit-identical).
+// sweeps across every grow threshold, bloom-filter semantics, the key
+// scan's entries, and a grow-under-parallelism determinism test (workers
+// 1 vs 8, bit-identical).
 
 func equalPosts(a, b []int32) bool {
 	if len(a) != len(b) {
@@ -28,12 +28,11 @@ func equalPosts(a, b []int32) bool {
 	return true
 }
 
-// intBuild runs the join build of one partition over int keys — row
-// rows[i] has key keys[i] (row i when rows is nil) — its index seeded for
-// hint keys: below the distinct key count, it grows while it builds.
+// intBuild runs the hashed join build over int keys — row rows[i] has key
+// keys[i] (row i when rows is nil) — its index seeded for hint keys: below
+// the distinct key count, it grows while it builds.
 func intBuild(hint int, keys []int64, rows []int32) *batchBuild {
-	b := &batchBuild{ints: make([]*intIndex, 1), posts: make([]postings, 1)}
-	(*Exec)(nil).buildPart(b, 0, hint, func(fn func([]keyEntry, []byte)) {
+	return (*Exec)(nil).buildHashed(true, hint, func(fn func([]keyEntry, []byte)) {
 		for i, k := range keys {
 			row := int32(i)
 			if rows != nil {
@@ -42,14 +41,12 @@ func intBuild(hint int, keys []int64, rows []int32) *batchBuild {
 			fn([]keyEntry{{row: row, key: k, hash: hashInt64(k)}}, nil)
 		}
 	})
-	return b
 }
 
 // bytesBuild is intBuild over encoded keys, handed over in one reused
 // scratch arena: the index must copy them.
 func bytesBuild(hint int, keys [][]byte) *batchBuild {
-	b := &batchBuild{bytes: make([]*bytesIndex, 1), posts: make([]postings, 1)}
-	(*Exec)(nil).buildPart(b, 0, hint, func(fn func([]keyEntry, []byte)) {
+	return (*Exec)(nil).buildHashed(false, hint, func(fn func([]keyEntry, []byte)) {
 		arena := make([]byte, 0, 64)
 		for i, k := range keys {
 			arena = append(arena[:0], k...)
@@ -57,7 +54,6 @@ func bytesBuild(hint int, keys [][]byte) *batchBuild {
 			clear(arena[:cap(arena)])
 		}
 	})
-	return b
 }
 
 func (b *batchBuild) lookIntKey(k int64) []int32 {
@@ -80,8 +76,8 @@ func TestIntBuildVsMapModel(t *testing.T) {
 			model[keys[i]] = append(model[keys[i]], int32(i))
 		}
 		b := intBuild(1+rng.Intn(8), keys, nil)
-		if x := b.ints[0]; x.n != len(model) || len(b.posts[0].rows) != n {
-			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts[0].rows), len(model), n)
+		if x := b.ints; x.n != len(model) || len(b.posts.rows) != n {
+			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts.rows), len(model), n)
 		}
 		for k, want := range model {
 			if got := b.lookIntKey(k); !equalPosts(got, want) {
@@ -93,7 +89,7 @@ func TestIntBuildVsMapModel(t *testing.T) {
 				t.Fatalf("trial %d: absent key %d resolved postings", trial, k)
 			}
 		}
-		if x := b.ints[0]; float64(x.n)/float64(len(x.ids)) > 0.75 {
+		if x := b.ints; float64(x.n)/float64(len(x.ids)) > 0.75 {
 			t.Fatalf("trial %d: load factor %d/%d exceeds ¾", trial, x.n, len(x.ids))
 		}
 	}
@@ -115,8 +111,8 @@ func TestBytesBuildVsMapModel(t *testing.T) {
 			model[string(keys[i])] = append(model[string(keys[i])], int32(i))
 		}
 		b := bytesBuild(1+rng.Intn(8), keys)
-		if x := b.bytes[0]; x.n != len(model) || len(b.posts[0].rows) != n {
-			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts[0].rows), len(model), n)
+		if x := b.bytes; x.n != len(model) || len(b.posts.rows) != n {
+			t.Fatalf("trial %d: %d distinct keys, %d postings; want %d, %d", trial, x.n, len(b.posts.rows), len(model), n)
 		}
 		for k, want := range model {
 			if got := b.lookBytes(hashKey([]byte(k)), []byte(k)); !equalPosts(got, want) {
@@ -245,8 +241,8 @@ func TestEngineeredCollisions(t *testing.T) {
 		}
 	}
 	b := intBuild(48, build, nil)
-	if len(b.ints[0].ids) != 128 {
-		t.Fatalf("build capacity %d, want 128", len(b.ints[0].ids))
+	if len(b.ints.ids) != 128 {
+		t.Fatalf("build capacity %d, want 128", len(b.ints.ids))
 	}
 	for i, k := range keys {
 		if got, want := b.lookIntKey(k), []int32{int32(i), int32(len(keys) + i)}; !equalPosts(got, want) {
@@ -305,8 +301,8 @@ func TestResizeBoundaryKeys(t *testing.T) {
 			}
 		}
 		ib, bb := intBuild(1, ikeys, irows), bytesBuild(1, bkeys)
-		if ib.ints[0].n != n || bb.bytes[0].n != n || ii.n != n || bi.n != n {
-			t.Fatalf("n=%d: sizes %d/%d/%d/%d", n, ib.ints[0].n, bb.bytes[0].n, ii.n, bi.n)
+		if ib.ints.n != n || bb.bytes.n != n || ii.n != n || bi.n != n {
+			t.Fatalf("n=%d: sizes %d/%d/%d/%d", n, ib.ints.n, bb.bytes.n, ii.n, bi.n)
 		}
 		for i := 0; i < n; i++ {
 			k := int64(i) * 2654435761
@@ -387,8 +383,8 @@ func bloomJoinTables(strKeys bool) (l, r *Table) {
 
 // TestBloomJoinsMatchRow pins bloom safety end to end: with the filter
 // demonstrably active (BloomChecks > 0), inner/semi/anti results equal
-// the row runtime bit for bit — on the int fast path, the encoded
-// sequential path and the partitioned parallel path — and the outer
+// the row runtime bit for bit — on the int fast path and the encoded
+// path, under a sequential and a parallel probe — and the outer
 // joins never consult a filter.
 func TestBloomJoinsMatchRow(t *testing.T) {
 	for _, strKeys := range []bool{false, true} {
@@ -432,11 +428,11 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 	}
 }
 
-// TestGrowUnderParallelScatterDeterminism drives joins and aggregation
-// over thousands of distinct string keys — group indexes seed at
-// groupIndexSeedCap and must grow repeatedly inside the partition
-// fan-out — and asserts workers 1 and 8 produce bit-identical results.
-func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
+// TestGrowUnderParallelDeterminism drives joins and aggregation over
+// thousands of distinct string keys — the key indexes seed small and must
+// grow repeatedly while the probe and the emit fan out — and asserts
+// workers 1 and 8 produce bit-identical results.
+func TestGrowUnderParallelDeterminism(t *testing.T) {
 	r := &Table{Schema: NewSchema([]string{"rk", "rv"})}
 	for i := 0; i < 3000; i++ {
 		r.Rows = append(r.Rows, Row{Str(fmt.Sprintf("key-%04d", i)), Int(int64(i))})
@@ -507,36 +503,31 @@ func TestHashStatsRecording(t *testing.T) {
 		}
 	}
 
-	// Join builds, sequential and partitioned, int- and bytes-keyed, with
-	// and without a Bloom filter: the exact telemetry of the posting tables
-	// these builds replaced (a partitioned build records one index per
-	// non-empty partition).
+	// Join builds, int- and bytes-keyed, with and without a Bloom filter,
+	// under a sequential and a parallel probe: one index per build, the
+	// same figures for every worker count.
 	l, r := intKeyTables()
 	lc, rc := ColTableOf(l), ColTableOf(r)
 	bl, br := bloomJoinTables(false)
 	sl, sr := bloomJoinTables(true)
 	type stats struct{ builds, entries, capacity, maxProbe, checks, passes int64 }
 	for _, c := range []struct {
-		name     string
-		l, r     *ColTable
-		lk, rk   []int
-		seq, par stats
+		name   string
+		l, r   *ColTable
+		lk, rk []int
+		want   stats
 	}{
-		{"int", lc, rc, []int{1}, []int{1}, stats{1, 999, 8192, 3, 0, 0}, stats{64, 999, 8192, 3, 0, 0}},
-		{"bytes", lc, rc, []int{4}, []int{3}, stats{1, 997, 8192, 5, 0, 0}, stats{64, 997, 8192, 3, 0, 0}},
-		{"bloom-int", ColTableOf(bl), ColTableOf(br), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 66}, stats{21, 24, 168, 1, 600, 66}},
-		{"bloom-bytes", ColTableOf(sl), ColTableOf(sr), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 65}, stats{21, 24, 168, 2, 600, 65}},
+		{"int", lc, rc, []int{1}, []int{1}, stats{1, 999, 8192, 3, 0, 0}},
+		{"bytes", lc, rc, []int{4}, []int{3}, stats{1, 997, 8192, 5, 0, 0}},
+		{"bloom-int", ColTableOf(bl), ColTableOf(br), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 66}},
+		{"bloom-bytes", ColTableOf(sl), ColTableOf(sr), []int{0}, []int{0}, stats{1, 24, 64, 4, 600, 65}},
 	} {
 		for name, e := range map[string]*Exec{"seq": NewExec(1), "par": NewExec(4).WithMorselSize(64)} {
-			want := c.seq
-			if name == "par" {
-				want = c.par
-			}
 			hs := &HashStats{}
 			e.WithHashStats(hs).BatchHashSemiJoin(c.l, c.r, c.lk, c.rk)
 			s := hs.Snapshot()
-			if got := (stats{s.Builds, s.Entries, s.Capacity, s.MaxProbe, s.BloomChecks, s.BloomPasses}); got != want || s.Dense != 0 {
-				t.Errorf("%s/%s join: %+v (dense %d), want %+v", c.name, name, got, s.Dense, want)
+			if got := (stats{s.Builds, s.Entries, s.Capacity, s.MaxProbe, s.BloomChecks, s.BloomPasses}); got != c.want || s.Dense != 0 {
+				t.Errorf("%s/%s join: %+v (dense %d), want %+v", c.name, name, got, s.Dense, c.want)
 			}
 		}
 	}
@@ -548,13 +539,7 @@ func TestHashStatsRecording(t *testing.T) {
 	}{{[]int{1}, stats{1, 999, 2048, 10, 0, 0}}, {[]int{3}, stats{1, 997, 2048, 11, 0, 0}}} {
 		hs := &HashStats{}
 		ks := newKeyScan(rc, c.rk, true)
-		b := &batchBuild{posts: make([]postings, 1)}
-		if ks.col != nil {
-			b.ints = make([]*intIndex, 1)
-		} else {
-			b.bytes = make([]*bytesIndex, 1)
-		}
-		NewExec(1).WithHashStats(hs).buildPart(b, 0, 1, func(fn func([]keyEntry, []byte)) { ks.scan(0, rc.Card(), 64, fn) })
+		NewExec(1).WithHashStats(hs).buildHashed(ks.col != nil, 1, func(fn func([]keyEntry, []byte)) { ks.scan(0, rc.Card(), 64, fn) })
 		s := hs.Snapshot()
 		if got := (stats{s.Builds, s.Entries, s.Capacity, s.MaxProbe, s.BloomChecks, s.BloomPasses}); got != c.want {
 			t.Errorf("rk=%v growing build: %+v, want %+v", c.rk, got, c.want)
@@ -562,95 +547,78 @@ func TestHashStatsRecording(t *testing.T) {
 	}
 }
 
-// TestRadixScatterLayout pins the two-pass partition on int and encoded
-// keys, join and grouping scans, dense and selected inputs: every entry
-// lands in the partition its hash names, partitions hold their entries
-// in ascending row order (global input order), runs covers each entry
-// exactly once, join scans drop exactly the NULL-key rows, and the NULL
-// key of an int grouping travels as a marked entry.
-func TestRadixScatterLayout(t *testing.T) {
+// TestKeyScanEntries pins the key scan on int and encoded keys, join and
+// grouping scans, dense and selected inputs, against the row runtime's key
+// functions: entries arrive in input order, one per row except that join
+// scans drop exactly the NULL/NaN-key rows; an int grouping marks its NULL
+// key; an int entry carries its payload, an encoded one its row key's bytes
+// and their hash; and scan hands out batch by batch what fill returns.
+func TestKeyScanEntries(t *testing.T) {
 	l, r := intKeyTables()
 	lc, rc := ColTableOf(l), ColTableOf(r)
 	sel := (*Exec)(nil).BatchHashSemiJoin(lc, rc, []int{4}, []int{3})
 	for _, tc := range []*ColTable{lc, sel} {
+		rows := tc.Table().Rows
 		for _, slots := range [][]int{{1}, {3}, {1, 4}} {
 			for _, join := range []bool{true, false} {
+				label := fmt.Sprintf("sel=%v slots=%v join=%v", tc.Sel != nil, slots, join)
 				ks := newKeyScan(tc, slots, join)
-				seq, _ := ks.fill(0, tc.Card(), 100, nil, nil)
-				for _, ms := range []int{64, 4096} {
-					e := NewExec(4).WithMorselSize(ms).WithBatchSize(100)
-					rp := e.radixScatter(ks, tc.Card())
-					label := fmt.Sprintf("sel=%v slots=%v join=%v morsel=%d", tc.Sel != nil, slots, join, ms)
-					var rows []int32
-					for p := 0; p < partitions; p++ {
-						last, n := int32(-1), 0
-						rp.runs(p, 100, func(ents []keyEntry, arena []byte) {
-							for _, en := range ents {
-								if int(en.hash&(partitions-1)) != p {
-									t.Fatalf("%s: row %d in partition %d, hash says %d", label, en.row, p, en.hash&(partitions-1))
-								}
-								if en.row <= last {
-									t.Fatalf("%s: partition %d out of input order: row %d after %d", label, p, en.row, last)
-								}
-								if ks.col == nil && hashKey(en.bytes(arena)) != en.hash {
-									t.Fatalf("%s: row %d: arena bytes do not hash to the entry's hash", label, en.row)
-								}
-								last = en.row
-								rows = append(rows, en.row)
-								n++
-							}
-						})
-						if n != rp.count(p) {
-							t.Fatalf("%s: partition %d ran %d entries, count says %d", label, p, n, rp.count(p))
+				ents, arena := ks.fill(0, tc.Card(), 100, nil, nil)
+				k, nulls := 0, 0
+				for li, row := range rows {
+					if join && rowHasNullKey(row, slots) {
+						continue
+					}
+					if k == len(ents) {
+						t.Fatalf("%s: %d entries, row %d has none", label, len(ents), li)
+					}
+					en := &ents[k]
+					k++
+					if en.row != tc.phys(li) {
+						t.Fatalf("%s: entry %d is row %d, want %d", label, k-1, en.row, tc.phys(li))
+					}
+					switch v := row[slots[0]]; {
+					case ks.col != nil && v.IsNull():
+						nulls++
+						if en.klen != nullKey {
+							t.Fatalf("%s: row %d: NULL key not marked", label, en.row)
+						}
+					case ks.col != nil:
+						if en.klen != 0 || en.key != v.I || en.hash != hashInt64(v.I) {
+							t.Fatalf("%s: row %d: entry %+v for key %d", label, en.row, *en, v.I)
+						}
+					default:
+						want := appendRowKey(nil, row, slots)
+						if join {
+							want = appendJoinKey(nil, row, slots)
+						}
+						if got := en.bytes(arena); string(got) != string(want) || en.hash != hashKey(got) {
+							t.Fatalf("%s: row %d: key %x (hash %x), want %x", label, en.row, got, en.hash, want)
 						}
 					}
-					if len(rows) != len(seq) {
-						t.Fatalf("%s: %d entries scattered, sequential scan has %d", label, len(rows), len(seq))
+				}
+				if k != len(ents) {
+					t.Fatalf("%s: %d entries for %d keyed rows", label, len(ents), k)
+				}
+				if ks.col != nil && !join && nulls == 0 {
+					t.Fatalf("%s: the grouping scan saw no NULL key", label)
+				}
+				if join && len(ents) == tc.Card() {
+					t.Fatalf("%s: join scan dropped no NULL-key row", label)
+				}
+				var scanned []keyEntry
+				ks.scan(0, tc.Card(), 100, func(batch []keyEntry, barena []byte) {
+					for _, en := range batch {
+						want := &ents[len(scanned)]
+						if en.row != want.row || en.klen != want.klen || (ks.col != nil && en.key != want.key) ||
+							(ks.col == nil && string(en.bytes(barena)) != string(want.bytes(arena))) {
+							t.Fatalf("%s: scan entry %d is %+v, fill's %+v", label, len(scanned), en, *want)
+						}
+						scanned = append(scanned, en)
 					}
-					rp.release(e)
-				}
-				nulls := 0
-				for _, en := range seq {
-					if ks.col != nil && en.klen == nullKey {
-						nulls++
-					}
-				}
-				if ks.col != nil && (nulls > 0) == join {
-					t.Fatalf("slots=%v join=%v: %d NULL-key entries", slots, join, nulls)
-				}
-				if join && len(seq) == tc.Card() {
-					t.Fatalf("slots=%v: join scan dropped no NULL-key row", slots)
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionedBuildMatchesSequential: the per-partition postings of the
-// parallel build hold exactly the sequential build's posting lists —
-// same keys, same build-input order — on the int and the encoded path.
-func TestPartitionedBuildMatchesSequential(t *testing.T) {
-	l, r := intKeyTables()
-	lc, rc := ColTableOf(l), ColTableOf(r)
-	for _, rk := range [][]int{{1}, {2}, {1, 3}} {
-		seq := (*Exec)(nil).batchBuildSide(rc, rk, false, -1)
-		par := NewExec(4).WithMorselSize(64).batchBuildSide(rc, rk, true, -1)
-		if len(par.ints)+len(par.bytes) != partitions || len(seq.ints)+len(seq.bytes) != 1 {
-			t.Fatalf("rk=%v: %d+%d partition indexes, %d+%d sequential", rk, len(par.ints), len(par.bytes), len(seq.ints), len(seq.bytes))
-		}
-		// Probe both builds with every key of both tables.
-		for _, probe := range []*ColTable{lc, rc} {
-			ents, arena := newKeyScan(probe, rk, true).fill(0, probe.Card(), 64, nil, nil)
-			for _, en := range ents {
-				var want, got []int32
-				if seq.ints != nil {
-					var checks, passes int
-					want, got = seq.lookInt(en.key, &checks, &passes), par.lookInt(en.key, &checks, &passes)
-				} else {
-					want, got = seq.lookBytes(en.hash, en.bytes(arena)), par.lookBytes(en.hash, en.bytes(arena))
-				}
-				if !equalPosts(want, got) {
-					t.Fatalf("rk=%v row %d: postings %v, sequential %v", rk, en.row, got, want)
+				})
+				if len(scanned) != len(ents) {
+					t.Fatalf("%s: scan yielded %d entries, fill %d", label, len(scanned), len(ents))
 				}
 			}
 		}

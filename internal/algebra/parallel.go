@@ -4,14 +4,14 @@ package algebra
 // the batch operators run on: Exec carries the worker count, morsel
 // granularity, task pool and batch size of one execution; forMorsels
 // splits an input into size-derived row ranges and forTasks hands them to
-// the workers; forParts fans out over the fixed partition count of the
-// radix-partitioned builds and aggregations (radix.go, batchagg.go).
+// the workers. Probes, gathers, emits and sort passes fan out; every join
+// build and grouping is one pass on the calling goroutine.
 //
-// Morsel boundaries and the partition count are pure functions of the
-// input size and the configuration — never of the worker that happens to
-// run a task — and every operator assembles its per-morsel or
-// per-partition outputs in morsel (or first-input-row) order. Together
-// that makes every result bit-identical for every worker count. The row
+// Morsel boundaries are pure functions of the input size and the
+// configuration — never of the worker that happens to run a task — and
+// every operator assembles its per-morsel outputs in morsel (or
+// first-input-row) order. Together that makes every result bit-identical
+// for every worker count. The row
 // operators (hashjoin.go, hashagg.go) use none of this: they are the
 // sequential reference.
 
@@ -35,11 +35,6 @@ const minMorselSize = 64
 // worker that the atomic hand-out evens out per-morsel skew.
 const morselsPerWorker = 4
 
-// partitions is the fixed fan-out of partitioned builds and
-// aggregations. Must be a power of two (the partition of a key is its
-// hash masked by partitions-1).
-const partitions = 64
-
 // Exec carries execution-wide settings for the batch operators: the
 // worker count of their morsel-parallel arms and the morsel granularity.
 // A nil *Exec runs every operator sequentially.
@@ -51,9 +46,9 @@ type Exec struct {
 	morsel int
 	// pool, when set, supplies the goroutines for every task fan-out
 	// instead of spawning fresh ones — the shared-scheduler seam of the
-	// service layer. The work decomposition (morsel geometry, partition
-	// count) still derives only from workers, so results are identical
-	// with or without a pool.
+	// service layer. The work decomposition (morsel geometry) still
+	// derives only from workers, so results are identical with or without
+	// a pool.
 	pool *Pool
 	// batch is the row count per columnar batch of the batch-at-a-time
 	// operators (batchjoin.go, batchagg.go); 0 selects DefaultBatchSize.
@@ -156,15 +151,16 @@ func (e *Exec) hashStats() *HashStats {
 // par reports whether the parallel operator variants are selected.
 func (e *Exec) par() bool { return e != nil && e.workers > 1 }
 
-// batchParallelCutoff is the smallest driving input (rows) for which an
-// operator's morsel-parallel arm pays for its scatter/partition overhead
-// under the adaptive morsel sizing; operators below it run sequentially —
-// a deterministic, size-only decision. Read off
-// BenchmarkBatchParallelCrossover on 2 CPUs (DESIGN.md §PR 12 has the
-// table): the radix-partitioned join pulls ahead of the sequential one
-// from ~16k rows, the partitioned aggregation — which pays the scatter
-// without a probe side to amortize it over — only from ~64k, and the
-// slower of the two sets the constant.
+// batchParallelCutoff is the smallest driving input (rows) from which an
+// operator fans out over morsels what follows its build or grouping — a
+// join's probe and gather, a grouping's emit — and every pass of a sort;
+// below it the whole operator runs on the calling goroutine — a
+// deterministic, size-only decision. Read off
+// BenchmarkBatchParallelCrossover on 2 CPUs (DESIGN.md
+// "batchParallelCutoff, measured" has the table): a parallel join probe
+// wins from ~16k rows, the sort passes break even between 16k and 64k, a
+// grouping's emit is noise around parity at every size, and the sort
+// passes set the constant.
 const batchParallelCutoff = 1 << 16
 
 // parForBatch reports whether the parallel arm should run for an operator
@@ -218,8 +214,7 @@ func (e *Exec) forMorsels(n int, fn func(m, lo, hi int)) {
 }
 
 // forTasks executes fn(i) for i in [0, n) — the single fan-out point
-// every parallel operator funnels through (forMorsels and forParts
-// included). Tasks are handed out through an atomic counter so workers
+// every parallel operator funnels through (forMorsels included). Tasks are handed out through an atomic counter so workers
 // stay busy under per-task skew; with a pool attached, the pool's
 // shared workers (plus the submitter) execute the tasks instead of
 // freshly spawned goroutines. The call returns only after all n tasks
@@ -277,17 +272,11 @@ func (e *Exec) forSpans(n int, par bool, fn func(m, lo, hi int)) {
 	}
 }
 
-// forParts executes fn(p) for every partition id over the task
-// scheduler.
-func (e *Exec) forParts(fn func(p int)) {
-	e.forTasks(partitions, fn)
-}
-
-// hashKey is the deterministic hash over an encoded key, shared by the
-// partition scatter (low bits) and the flat tables' slot choice (high
-// bits). Hash values never affect results — partitioning only splits
-// work, and the grouper merge orders by first input row — but a fixed
-// hash keeps run-to-run behavior reproducible. The body is a word-at-a-
+// hashKey is the deterministic hash over an encoded key: the key indexes'
+// slot choice (high bits) and the Bloom filter's bits. Hash values never
+// affect results — ids are handed out in first-encounter order whatever
+// slot a key lands in — but a fixed hash keeps run-to-run behavior, and
+// the telemetry, reproducible. The body is a word-at-a-
 // time multiply-xor over 8-byte lanes with a splitmix-style finalizer:
 // byte-at-a-time FNV-1a measured ~2x slower than Go's map hash on the
 // probe-heavy join paths, and encoded keys are usually 9-20 bytes.

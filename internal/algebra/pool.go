@@ -3,9 +3,8 @@ package algebra
 // Pool is a shared morsel scheduler: one fixed set of worker goroutines
 // multiplexed across the task fan-outs of many concurrent plan
 // executions. Attaching a Pool to an Exec (WithPool) reroutes the
-// goroutine spawns of forTasks/forMorsels/forParts into the pool; the
-// work decomposition itself — morsel boundaries, partition count, task
-// order — still derives only from the Exec's configured worker count, so
+// goroutine spawns of forTasks/forMorsels into the pool; the work
+// decomposition itself — morsel boundaries, task order — still derives only from the Exec's configured worker count, so
 // results stay bit-identical whether tasks run on pool workers, on the
 // submitter, or sequentially.
 //

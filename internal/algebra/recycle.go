@@ -15,7 +15,7 @@ import (
 const recycleMin = 2048
 
 // recyclable lists the element types that have free lists.
-var recyclable = [...]any{int32(0), int64(0), uint64(0), float64(0), "", keyEntry{}, sortRec{}}
+var recyclable = [...]any{int32(0), int64(0), uint64(0), float64(0), "", sortRec{}}
 
 // freeLists[type][class] holds *[]T whose length is the class's size.
 var freeLists [len(recyclable)][4 * 64]sync.Pool
@@ -37,7 +37,7 @@ func sizeClass(n int) (class, size int) {
 	return 4*shift + m - 5, m << shift
 }
 
-// recycler lists what one execution took; partition tasks take concurrently.
+// recycler lists what one execution took; fan-out tasks take concurrently.
 type recycler struct {
 	mu    sync.Mutex
 	taken []held

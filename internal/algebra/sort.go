@@ -595,14 +595,14 @@ func (e *Exec) BatchSortGroup(t *ColTable, a *Aggregation, sortInput bool, verif
 	// grouper of its own; a group is one run, so exactly one task folds
 	// it, front to back.
 	n := len(rows)
-	parts := make([]*batchGrouper, e.spans(n, par))
+	spans := make([]*batchGrouper, e.spans(n, par))
 	e.forSpans(n, par, func(m, lo, hi int) {
 		g := newBatchGrouper(e, t, groupSlots, bound, false)
 		g.addRuns(kr, lo, hi, e.batchSize())
 		g.finish(nil)
-		parts[m] = g
+		spans[m] = g
 	})
-	return e.mergeGroupers(parts, t, groupSlots, bound).emitTable(e, a.Out, par), nil
+	return e.mergeGroupers(spans, t, groupSlots, bound).emitTable(e, a.Out, par), nil
 }
 
 // SortGroup is sort-group aggregation on the row runtime; the output is

@@ -58,9 +58,9 @@ func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysM
 // 100 under the default options (before PR 12: 2.0× and ~1000×; these
 // inputs now lie below batchParallelCutoff, so the case also pins that
 // small operators stay on the sequential arm), and on Q3 with an explicit
-// morsel size, which forces every operator through the scatter, the
-// per-partition tables and groupers and the rank merge — and absolute byte
-// budgets on Q3, Q10 and Q5 at factor 1000, the repo benchmark's size.
+// morsel size, which forces every probe, gather and emit to fan out — and
+// absolute byte budgets on Q3, Q10 and Q5 at factor 1000, the repo
+// benchmark's size.
 func TestParallelAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation does not repeat under the race detector (sync.Pool drops items at random)")

@@ -82,7 +82,7 @@ func floatAggArgs(q *query.Query, data TableData) TableData {
 // pair — must return a table bit-identical to the sequential row
 // runtime's. Every second query aggregates floats, with its sums
 // turned into averages on alternate occasions, so order-sensitive float
-// sum and avg states cross the parallel aggregation's partition merge.
+// sum and avg states cross the parallel probes, gathers and emits.
 func TestBatchParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(90217))
 	algs := []core.Options{

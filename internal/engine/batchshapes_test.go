@@ -54,6 +54,39 @@ func TestBatchTPCHShapes(t *testing.T) {
 	}
 }
 
+// TestHashStatsIndependentOfWorkers pins what one pass per build and
+// grouping means for the telemetry: on the TPC-H shapes at factor 1000,
+// the repo benchmark's size, where Workers: 2 fans the probes, gathers and
+// emits out, the key structures an execution builds — how many, their
+// entries, capacities and worst probe sequence — read the same as under
+// Workers: 1.
+func TestHashStatsIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("factor-1000 data")
+	}
+	for _, name := range []string{"Q3", "Q5", "Q10", "Ex"} {
+		q := tpch.Queries()[name]
+		tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(name, 1000))
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeHash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2]algebra.HashTableStats
+		for i, workers := range []int{1, 2} {
+			_, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := stats.Hash
+			got[i] = algebra.HashTableStats{Builds: h.Builds, Dense: h.Dense, Entries: h.Entries, Capacity: h.Capacity, MaxProbe: h.MaxProbe}
+		}
+		t.Logf("%s: %+v", name, got[0])
+		if got[0] != got[1] {
+			t.Errorf("%s: workers=1 built %+v, workers=2 %+v", name, got[0], got[1])
+		}
+	}
+}
+
 // hasProject reports whether the plan contains a projection node.
 func hasProject(p *plan.Plan) bool {
 	return p != nil && (p.Kind == plan.NodeProject || hasProject(p.Left) || hasProject(p.Right))
