@@ -190,8 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "pair budget exceeded: plan built by the deterministic greedy fallback\n")
 		}
 		if res.Stats.Workers > 1 {
-			fmt.Fprintf(stdout, "workers %d, %d levels, shard contention %d\n",
-				res.Stats.Workers, len(res.Stats.Levels), res.Stats.ShardContention)
+			fmt.Fprintf(stdout, "workers %d, %d levels\n", res.Stats.Workers, len(res.Stats.Levels))
 		}
 		if *levels {
 			for _, l := range res.Stats.Levels {

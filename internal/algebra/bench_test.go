@@ -228,40 +228,43 @@ func benchAggCols(n int, key func(i int) int64) *ColTable {
 		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}, {Kind: ColFloat, Floats: f}}}
 }
 
-// benchKeyCols is benchAggCols keyed on an encoded-key shape — keys=str:
-// one string column; keys=int2: two int columns — with distinct keys
-// cycling over its n rows, and the build side of a join on that key: one
-// row per key. It returns both tables, the grouping attributes and the
-// key slots.
-func benchKeyCols(n, distinct int, keys string) (agg, build *ColTable, groupBy []string, slots []int) {
-	table := func(n int, names []string) *ColTable {
-		t := &ColTable{Schema: NewSchema(names), N: n}
-		if keys == "str" {
-			strs := make([]string, n)
-			for i := range strs {
-				strs[i] = fmt.Sprintf("key-%07d", i%distinct)
-			}
-			t.Cols = append(t.Cols, Vector{Kind: ColStr, Strs: strs})
-		} else {
-			hi, lo := make([]int64, n), make([]int64, n)
-			for i := range hi {
-				hi[i], lo[i] = int64(i%distinct>>6), int64(i%distinct&63)
-			}
-			t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: hi}, Vector{Kind: ColInt, Ints: lo})
+// benchKeyTable is a table of n rows in an encoded-key shape — keys=str:
+// one string column; keys=int2: two int columns — whose row i carries the
+// key key(i), followed by an int and a float payload column.
+func benchKeyTable(n int, key func(i int) int, keys string, names []string) *ColTable {
+	t := &ColTable{Schema: NewSchema(names), N: n}
+	if keys == "str" {
+		strs := make([]string, n)
+		for i := range strs {
+			strs[i] = fmt.Sprintf("key-%07d", key(i))
 		}
-		v, f := make([]int64, n), make([]float64, n)
-		for i := range v {
-			v[i], f[i] = int64(i), float64(i)*0.5
+		t.Cols = append(t.Cols, Vector{Kind: ColStr, Strs: strs})
+	} else {
+		hi, lo := make([]int64, n), make([]int64, n)
+		for i := range hi {
+			hi[i], lo[i] = int64(key(i)>>6), int64(key(i)&63)
 		}
-		t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: v}, Vector{Kind: ColFloat, Floats: f})
-		return t
+		t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: hi}, Vector{Kind: ColInt, Ints: lo})
 	}
+	v, f := make([]int64, n), make([]float64, n)
+	for i := range v {
+		v[i], f[i] = int64(i), float64(i)*0.5
+	}
+	t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: v}, Vector{Kind: ColFloat, Floats: f})
+	return t
+}
+
+// benchKeyCols is benchAggCols keyed on an encoded-key shape (see
+// benchKeyTable) with distinct keys cycling over its n rows, and the
+// build side of a join on that key: one row per key. It returns both
+// tables, the grouping attributes and the key slots.
+func benchKeyCols(n, distinct int, keys string) (agg, build *ColTable, groupBy []string, slots []int) {
 	groupBy, slots = []string{"g"}, []int{0}
 	if keys == "int2" {
 		groupBy, slots = []string{"g", "h"}, []int{0, 1}
 	}
-	agg = table(n, append(slices.Clone(groupBy), "v", "f"))
-	build = table(distinct, append([]string{"pk", "pk2"}[:len(slots)], "pv", "pf"))
+	agg = benchKeyTable(n, func(i int) int { return i % distinct }, keys, append(slices.Clone(groupBy), "v", "f"))
+	build = benchKeyTable(distinct, func(i int) int { return i }, keys, append([]string{"pk", "pk2"}[:len(slots)], "pv", "pf"))
 	return agg, build, groupBy, slots
 }
 
@@ -279,7 +282,8 @@ func benchKeyCols(n, distinct int, keys string) (agg, build *ColTable, groupBy [
 // which workers=2 stays faster; DESIGN.md "batchParallelCutoff, measured",
 // §PR 14 and "Direct-addressed keys" record the tables. The keys=str and
 // keys=int2 arms are the encoded-key shapes, 64k … 1M rows; the
-// sweep=density arms are the measurement behind denseMultiple.
+// sweep=density arms are the measurement behind denseMultiple, and the
+// sweep=bloom arms the one behind the Bloom-filtered probe.
 func BenchmarkBatchParallelCrossover(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -430,6 +434,76 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 					e.Release()
 				}
 			})
+		}
+	}
+
+	// The Bloom sweep: a 400k-row probe on an encoded key against 4,096 or
+	// 50,000 unique build keys, 1, 5 or 25 % of its rows finding a partner
+	// (the rest miss with keys of their own). Each cell times one build
+	// and probe with the filter on — buildKeys gets the probe cardinality,
+	// which clears bloomProbeBuildRatio for both builds — and off
+	// (probeCard -1), for the inner join's pairs and the semijoin's
+	// matched rows. The off ÷ on table is in DESIGN "Bloom-filtered
+	// probes".
+	const nProbe = 400_000
+	for _, keys := range []string{"str", "int2"} {
+		slots := []int{0}
+		if keys == "int2" {
+			slots = []int{0, 1}
+		}
+		for _, distinct := range []int{4096, 50_000} {
+			build := benchKeyTable(distinct, func(i int) int { return i }, keys, append([]string{"pk", "pk2"}[:len(slots)], "pv", "pf"))
+			for _, pct := range []int{1, 5, 25} {
+				present := func(i int) bool { return i%100 < pct }
+				probe := benchKeyTable(nProbe, func(i int) int {
+					if present(i) {
+						return i * 7919 % distinct
+					}
+					return distinct + i
+				}, keys, append([]string{"g", "h"}[:len(slots)], "v", "f"))
+				want := nProbe / 100 * pct // rows finding their one partner
+				for _, w := range []int{1, 2} {
+					e := NewExec(w)
+					par := e.parForBatch(nProbe)
+					for _, op := range []string{"join", "semijoin"} {
+						emit := func(sc *batchScratch, rows []int32, posts [][]int32) {
+							for k, i := range rows {
+								for _, ri := range posts[k] {
+									sc.li, sc.ri = append(sc.li, i), append(sc.ri, ri)
+								}
+							}
+						}
+						if op == "semijoin" {
+							emit = func(sc *batchScratch, rows []int32, posts [][]int32) {
+								for k, i := range rows {
+									if len(posts[k]) > 0 {
+										sc.li = append(sc.li, i)
+									}
+								}
+							}
+						}
+						for _, filter := range []string{"on", "off"} {
+							probeCard := nProbe
+							if filter == "off" {
+								probeCard = -1
+							}
+							name := fmt.Sprintf("op=%s/sweep=bloom/keys=%s/build=%d/present=%d%%/workers=%d/filter=%s", op, keys, distinct, pct, w, filter)
+							b.Run(name, func(b *testing.B) {
+								for i := 0; i < b.N; i++ {
+									bld := e.buildKeys(newKeyScan(build, slots, true), probeCard)
+									if (bld.bloom != nil) != (filter == "on") {
+										b.Fatalf("filter %s, but bloom attached: %v", filter, bld.bloom != nil)
+									}
+									if li, _, _ := e.probePairs(probe, slots, bld, par, nil, emit); len(li) != want {
+										b.Fatalf("got %d rows, want %d", len(li), want)
+									}
+									e.Release()
+								}
+							})
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -31,7 +31,6 @@ type RelSet[S comparable] interface {
 	Elems() []int
 	SubsetsAsc(f func(sub S) bool)
 	NextSubset(sub S) S
-	Hash64() uint64
 	Cap() int
 	ToV() VSet
 	FromV(v VSet) S
@@ -57,18 +56,6 @@ func RangeIn[S RelSet[S]](lo, hi int) S {
 func FromVIn[S RelSet[S]](v VSet) S {
 	var z S
 	return z.FromV(v)
-}
-
-// Hash64 returns a splitmix64-style finalizer of the raw bits, for
-// sharding the parallel DP staging table.
-func (s Set64) Hash64() uint64 {
-	x := uint64(s)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Cap returns the universe capacity of the representation.

@@ -192,24 +192,6 @@ func (s Wide) SubsetsAsc(f func(sub Wide) bool) {
 // form of s & (sub - s), the subtraction carrying its borrow across words.
 func (s Wide) NextSubset(sub Wide) Wide { return s.Intersect(sub.sub(s)) }
 
-// Hash64 returns a well-mixed 64-bit hash of the set, for sharding. Each
-// word runs through a splitmix64-style finalizer so the heavily clustered
-// raw bit patterns (all keys of a DP level share a popcount) spread
-// evenly.
-func (s Wide) Hash64() uint64 {
-	var h uint64
-	for _, w := range s {
-		x := h ^ w
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		h = x
-	}
-	return h
-}
-
 // Cap returns the universe capacity of the representation.
 func (Wide) Cap() int { return WideBits }
 

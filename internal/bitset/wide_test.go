@@ -235,22 +235,3 @@ func TestGenericHelpers(t *testing.T) {
 		t.Fatalf("FromVIn broken")
 	}
 }
-
-func TestWideHash64Spreads(t *testing.T) {
-	// All 12-element subsets of a 100-element universe landing on 64
-	// shards must not collapse onto a few shards.
-	rng := rand.New(rand.NewSource(3))
-	counts := make([]int, 64)
-	for i := 0; i < 4096; i++ {
-		var w Wide
-		for w.Len() < 12 {
-			w = w.Add(rng.Intn(100))
-		}
-		counts[w.Hash64()&63]++
-	}
-	for sh, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d empty — hash does not spread", sh)
-		}
-	}
-}

@@ -11,7 +11,7 @@ import (
 	"eagg/internal/randquery"
 )
 
-// dpAllocs runs the sequential DP driver over the query — scans, pair
+// dpAllocs runs the DP driver at Workers 1 over the query — scans, pair
 // enumeration and query analysis happen before the measured window — and
 // returns the bytes and objects it allocated with the run's counters.
 func dpAllocs(t *testing.T, q *query.Query, alg Algorithm) (bytes, objects uint64, stats Stats) {
@@ -22,7 +22,7 @@ func dpAllocs(t *testing.T, q *query.Query, alg Algorithm) (bytes, objects uint6
 	pairs := g.det.Graph.CsgCmpPairs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g.runLevelsSequential(pairs)
+	g.runLevels(pairs, 1)
 	runtime.ReadMemStats(&after)
 	for _, e := range g.table {
 		g.stats.TablePlans += len(e.plans)

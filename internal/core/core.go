@@ -120,10 +120,10 @@ type Options struct {
 	// the paper's evaluation conditions — see internal/cost).
 	FDReduceGroups bool
 	// Workers is the number of goroutines the DP driver uses. 0 selects
-	// GOMAXPROCS; 1 runs the sequential reference path. The parallel
+	// GOMAXPROCS; 1 runs every level inline, the reference path. The
 	// driver buckets csg-cmp-pairs by result-set cardinality and seals
 	// one level at a time, so any worker count produces plans
-	// bit-identical to the sequential run (see parallel.go).
+	// bit-identical to the Workers: 1 run (see parallel.go).
 	Workers int
 	// Stats overrides the estimator's cardinality source (nil = the pure
 	// selectivity model). Pass a cost.FeedbackOverlay built from an
@@ -168,9 +168,6 @@ type Stats struct {
 	Workers     int // goroutines the DP driver used (1 = sequential)
 	// Levels holds one entry per sealed DP level, in processing order.
 	Levels []LevelStat
-	// ShardContention counts contended shard-lock acquisitions in the
-	// parallel driver's staging table (always 0 for the sequential path).
-	ShardContention int64
 	// PairBudgetExceeded reports that the csg-cmp-pair enumeration hit
 	// its budget and the plan came from the greedy fallback instead of
 	// the exact DP.
@@ -251,9 +248,8 @@ type generator[S bitset.RelSet[S]] struct {
 	// top-level plan.
 	table map[S]*entry
 
-	// w0 is the worker of the driver's own goroutine: the sequential
-	// driver runs everything on it, the parallel driver the levels under
-	// parallelCutoff (and its share of the others).
+	// w0 is the worker of the driver's own goroutine: it runs the inline
+	// levels and its share of the pooled ones.
 	w0 *worker
 	// opened collects the entries runLevelInline created for the level it
 	// is running, to seal them at its end.
@@ -261,8 +257,8 @@ type generator[S bitset.RelSet[S]] struct {
 	// examined, when set (tests only), receives per EA-Prune candidate the
 	// number of retained plans the frontier's two scans examined.
 	examined func(plans int)
-	// parallelCutoff is the level work (see levelWork) below which the
-	// parallel driver runs a level inline; dpParallelCutoff outside tests,
+	// parallelCutoff is the level work (see levelWork) below which
+	// runLevels runs a level inline; dpParallelCutoff outside tests,
 	// which leave it 0 to force every level through the pool.
 	parallelCutoff int
 
@@ -413,11 +409,7 @@ func (g *generator[S]) run() (*Result, error) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		g.stats.Workers = workers
-		if workers > 1 {
-			g.runLevelsParallel(pairs, workers)
-		} else {
-			g.runLevelsSequential(pairs)
-		}
+		g.runLevels(pairs, workers)
 	}
 
 	best := g.table[g.all]
@@ -449,21 +441,9 @@ func forEachLevel[S bitset.RelSet[S]](pairs []hypergraph.CsgCmpPair[S], fn func(
 	}
 }
 
-// runLevelsSequential is the reference driver: it consumes the pairs in
-// enumeration order, exactly like the paper's Fig. 5 loop, recording
-// per-level timing along the way.
-func (g *generator[S]) runLevelsSequential(pairs []hypergraph.CsgCmpPair[S]) {
-	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[S]) {
-		start := time.Now()
-		subsets := g.runLevelInline(chunk)
-		g.stats.Levels = append(g.stats.Levels, LevelStat{
-			Level: level, Pairs: len(chunk), Subsets: subsets, Duration: time.Since(start),
-		})
-	})
-}
-
 // runLevelInline processes one level's pairs in enumeration order on the
-// driver's own worker and returns the number of distinct result sets. An
+// driver's own worker, like the paper's Fig. 5 loop, and returns the
+// number of distinct result sets. An
 // entry is created at a result set's first pair (that is what counts the
 // sets), so a set no operator applies to keeps an empty one; the level's
 // entries are sealed once its last pair is through.

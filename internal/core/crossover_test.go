@@ -115,7 +115,7 @@ func (l *crossoverLevel) run(b *testing.B, workers int) {
 		if workers == 1 {
 			g.runLevelInline(measured)
 		} else {
-			g.runLevelsParallel(measured, workers) // parallelCutoff 0: forced through the pool
+			g.runLevels(measured, workers) // parallelCutoff 0: forced through the pool
 		}
 		built = g.stats.PlansBuilt
 		b.StopTimer()

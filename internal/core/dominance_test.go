@@ -333,31 +333,62 @@ func TestPathCardVector(t *testing.T) {
 	t.Logf("%d nodes checked", nodes)
 }
 
-// TestForcedPoolDeterminism keeps the pool path under the determinism
-// contract now that dpParallelCutoff runs small levels inline: with the
-// cutoff at 0 every level of every query goes through subset grouping,
-// worker clones and the staging table, and must still return the plan and
-// the counters of the sequential driver.
+// TestForcedPoolDeterminism keeps the pool under the determinism contract
+// now that dpParallelCutoff runs small levels inline: with the cutoff at 0
+// every level of every query goes through subset grouping, worker clones
+// and the per-task slots, and every algorithm at Workers 2, 3 and 8 must
+// return the plan, the counters, the level report and the table size of
+// the Workers: 1 run.
 func TestForcedPoolDeterminism(t *testing.T) {
+	// maxN and one worker count per query keep the test short enough for
+	// the race stress lane, which runs it nine times: EA-All's table
+	// explodes past n = 6, and past n = 5 under auto, whose plan classes
+	// multiply it (one 6-relation query builds 24.7M trees there).
+	algs := []struct {
+		opts Options
+		maxN int
+	}{
+		{Options{Algorithm: AlgDPhyp}, 9},
+		{Options{Algorithm: AlgH1}, 9},
+		{Options{Algorithm: AlgH2, F: 1.03}, 8},
+		{Options{Algorithm: AlgBeam, BeamWidth: 2}, 7},
+		{Options{Algorithm: AlgEAPrune}, 9},
+		{Options{Algorithm: AlgEAAll}, 6},
+	}
 	differentialQueries(63, func(i int, q *query.Query, phys PhysMode) {
-		for _, alg := range []Algorithm{AlgH1, AlgEAPrune} {
-			seq, err := Optimize(q, Options{Algorithm: alg, Phys: phys, Workers: 1})
+		for k, c := range algs {
+			opts := c.opts
+			if n := len(q.Relations); n > c.maxN || opts.Algorithm == AlgEAAll && phys == PhysModeAuto && n > 5 {
+				continue
+			}
+			opts.Phys, opts.Workers = phys, 1
+			ref := newGenerator(q, opts)
+			seq, err := ref.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := newGenerator(q, Options{Algorithm: alg, Phys: phys, Workers: 3})
+			// Each algorithm meets every worker count across the queries.
+			workers := []int{2, 3, 8}[(i+k)%3]
+			opts.Workers = workers
+			g := newGenerator(q, opts)
 			par, err := g.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !plan.Equal(seq.Plan, par.Plan) || seq.Stats.PlansBuilt != par.Stats.PlansBuilt || seq.Stats.TablePlans != par.Stats.TablePlans {
-				t.Fatalf("query %d %v/%v: forced pool diverges from sequential\nsequential (%d built, %d retained):\n%v\npool (%d built, %d retained):\n%v",
-					i, alg, phys, seq.Stats.PlansBuilt, seq.Stats.TablePlans, seq.Plan, par.Stats.PlansBuilt, par.Stats.TablePlans, par.Plan)
+				t.Fatalf("query %d %v/%v workers %d: forced pool diverges from sequential\nsequential (%d built, %d retained):\n%v\npool (%d built, %d retained):\n%v",
+					i, opts.Algorithm, phys, workers, seq.Stats.PlansBuilt, seq.Stats.TablePlans, seq.Plan, par.Stats.PlansBuilt, par.Stats.TablePlans, par.Plan)
 			}
-			for k, l := range par.Stats.Levels {
-				if sl := seq.Stats.Levels[k]; l.Level != sl.Level || l.Pairs != sl.Pairs || l.Subsets != sl.Subsets {
-					t.Fatalf("query %d %v/%v: pool reports level %+v, sequential %+v", i, alg, phys, l, sl)
+			if len(par.Stats.Levels) != len(seq.Stats.Levels) {
+				t.Fatalf("query %d %v/%v workers %d: pool reports %d levels, sequential %d", i, opts.Algorithm, phys, workers, len(par.Stats.Levels), len(seq.Stats.Levels))
+			}
+			for j, l := range par.Stats.Levels {
+				if sl := seq.Stats.Levels[j]; l.Level != sl.Level || l.Pairs != sl.Pairs || l.Subsets != sl.Subsets {
+					t.Fatalf("query %d %v/%v workers %d: pool reports level %+v, sequential %+v", i, opts.Algorithm, phys, workers, l, sl)
 				}
+			}
+			if len(g.table) != len(ref.table) {
+				t.Fatalf("query %d %v/%v workers %d: pool table holds %d keys, sequential %d", i, opts.Algorithm, phys, workers, len(g.table), len(ref.table))
 			}
 		}
 	})

@@ -28,8 +28,8 @@ import (
 // pair. Options that cannot influence the chosen plan are deliberately
 // excluded:
 //
-//   - Workers: the parallel DP driver is bit-identical to the sequential
-//     one for every worker count (the PR 1 contract), so plans may be
+//   - Workers: the DP driver's plans are bit-identical for every worker
+//     count (the PR 1 contract), so plans may be
 //     shared across worker settings.
 //   - Stats: the cardinality source is external state; the service layer
 //     accounts for it separately through the overlay epoch. Callers that

@@ -1,20 +1,19 @@
-// Parallel DP driver. Csg-cmp-pairs are bucketed by result-set cardinality
+// DP level driver. Csg-cmp-pairs are bucketed by result-set cardinality
 // (the DP "levels"); within a level every pair writes only entries of that
 // level and reads only strictly smaller, already-sealed levels, so a
 // barrier between levels preserves the dynamic-programming dependency
-// order. Within a level the pairs are grouped by their result set (the
-// subproblem key |S1 ∪ S2| identifies the DP-table entry) and each group is
-// claimed by exactly one worker, which folds the group's operator trees
-// through the retention policy in the exact order the sequential driver
-// would and publishes the finished entry once into a sharded staging
-// table. At the barrier the staged entries are sealed into the main table
-// single-threaded. Because per-entry insertion order is preserved and all
-// estimates are pure functions of the query, any worker count produces
-// plans bit-identical to the sequential reference path (Workers: 1).
+// order. A level with enough work fans out: its pairs are grouped by their
+// result set (the subproblem key |S1 ∪ S2| identifies the DP-table entry)
+// and each group is claimed by exactly one worker, which folds the group's
+// operator trees through the retention policy in the exact order the
+// inline path would and stores the finished entry in the group's own slot.
+// At the barrier the driver moves the slots into the table. Because
+// per-entry insertion order is preserved and all estimates are pure
+// functions of the query, any worker count produces plans bit-identical to
+// the inline reference path (Workers: 1).
 //
 // A level whose work estimate is under dpParallelCutoff does not pay for
-// any of that: it runs inline, pair by pair, exactly as the sequential
-// driver runs it.
+// any of that: it runs inline, pair by pair, exactly as under Workers: 1.
 package core
 
 import (
@@ -29,72 +28,14 @@ import (
 // dpParallelCutoff is the level work — candidate subplan combinations, see
 // levelWork — from which fanning a level out over the pool beats running
 // it inline. Read off BenchmarkDPParallelCrossover (DESIGN "The EA-Prune
-// inner loop" has the sweep): below it the goroutine start-up, the subset
-// grouping and the staging round trip cost more than a second core saves.
+// inner loop" has the sweep): below it the goroutine start-up and the
+// subset grouping cost more than a second core saves.
 const dpParallelCutoff = 4096
-
-// tableShards is the number of staging shards (a power of two). Entries
-// are spread by hash of the subproblem key, so with 64 shards even dozens
-// of workers rarely collide on a shard lock.
-const tableShards = 64
-
-type tableShard[S bitset.RelSet[S]] struct {
-	mu      sync.Mutex
-	entries map[S]*entry
-	// Pad the 8-byte mutex + 8-byte map header to a full 64-byte cache
-	// line so adjacent shard locks don't false-share.
-	_ [48]byte
-}
-
-// stagingTable buffers the entries of the level currently being processed.
-// Workers write finished entries under the shard mutex; the sealed main
-// table is never written during a level, so workers read it lock-free.
-type stagingTable[S bitset.RelSet[S]] struct {
-	shards     [tableShards]tableShard[S]
-	contention atomic.Int64
-}
-
-func newStagingTable[S bitset.RelSet[S]]() *stagingTable[S] {
-	st := &stagingTable[S]{}
-	for i := range st.shards {
-		st.shards[i].entries = make(map[S]*entry)
-	}
-	return st
-}
-
-// shardOf hashes the subproblem key to a shard index. The raw bit pattern
-// is heavily clustered (all keys of a level share a popcount), so the
-// representation's Hash64 (a splitmix64-style finalizer) spreads it.
-func shardOf[S bitset.RelSet[S]](s S) int {
-	return int(s.Hash64() & (tableShards - 1))
-}
-
-func (st *stagingTable[S]) put(s S, e *entry) {
-	sh := &st.shards[shardOf(s)]
-	if !sh.mu.TryLock() {
-		st.contention.Add(1)
-		sh.mu.Lock()
-	}
-	sh.entries[s] = e
-	sh.mu.Unlock()
-}
-
-// sealInto moves every staged entry into the main table and resets the
-// shards for the next level. Runs single-threaded at the level barrier.
-func (st *stagingTable[S]) sealInto(table map[S]*entry) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		for s, e := range sh.entries {
-			table[s] = e
-			delete(sh.entries, s)
-		}
-	}
-}
 
 // subsetTask is the parallel work unit: every csg-cmp-pair of one level
 // sharing the same result set, in enumeration order. Single ownership per
 // subproblem key is what keeps the retention-policy insertion order — and
-// hence the retained plans — identical to the sequential driver.
+// hence the retained plans — identical to the inline path.
 type subsetTask[S bitset.RelSet[S]] struct {
 	s     S
 	pairs []hypergraph.CsgCmpPair[S]
@@ -120,8 +61,8 @@ func groupBySubset[S bitset.RelSet[S]](chunk []hypergraph.CsgCmpPair[S]) []subse
 }
 
 // processSubset builds the complete DP-table entry for one subproblem key:
-// the per-pair step of the sequential driver over every pair of the task,
-// folded into a locally owned entry and sealed.
+// the per-pair step of the inline path over every pair of the task, folded
+// into a locally owned entry and sealed.
 func (g *generator[S]) processSubset(w *worker, task subsetTask[S]) (*entry, int) {
 	e := g.open(w, task.s)
 	built := 0
@@ -148,23 +89,25 @@ func (g *generator[S]) levelWork(chunk []hypergraph.CsgCmpPair[S], limit int) in
 	return work
 }
 
-// runLevelsParallel processes the DP levels, the ones with enough work on
-// a worker pool. Pool workers claim subset tasks off a shared atomic
-// cursor; each estimates through its own estimator clone (the clones share
-// the immutable query analysis but own their cardinality caches, so no
-// estimator lock exists on the hot path). Clones, staging table and
-// goroutines first exist when a level first crosses the cutoff.
-func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], workers int) {
-	var staging *stagingTable[S]
+// runLevels processes the DP levels in order, recording per-level timing.
+// A level runs inline when workers is 1 or its work is under
+// parallelCutoff. Otherwise pool workers claim its subset tasks off a
+// shared atomic cursor; each estimates through its own estimator clone
+// (the clones share the immutable query analysis but own their
+// cardinality caches, so no estimator lock exists on the hot path) and
+// stores the entry it finished in done[i], the slot of the task i it
+// claimed. Only the worker that claimed i writes slot i, and the driver
+// reads the slots only after the barrier. Clones and goroutines first
+// exist when a level first crosses the cutoff.
+func (g *generator[S]) runLevels(pairs []hypergraph.CsgCmpPair[S], workers int) {
 	var ws []*worker
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[S]) {
 		start := time.Now()
 		var subsets int
-		if g.levelWork(chunk, g.parallelCutoff) < g.parallelCutoff {
+		if workers == 1 || g.levelWork(chunk, g.parallelCutoff) < g.parallelCutoff {
 			subsets = g.runLevelInline(chunk)
 		} else {
-			if staging == nil {
-				staging = newStagingTable[S]()
+			if ws == nil {
 				ws = append(ws, g.w0)
 				for len(ws) < workers {
 					ws = append(ws, &worker{est: g.est.Clone()})
@@ -172,6 +115,7 @@ func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], worke
 			}
 			tasks := groupBySubset(chunk)
 			subsets = len(tasks)
+			done := make([]*entry, len(tasks))
 			var cursor, built atomic.Int64
 			var wg sync.WaitGroup
 			for _, w := range ws[:min(workers, len(tasks))] {
@@ -179,29 +123,22 @@ func (g *generator[S]) runLevelsParallel(pairs []hypergraph.CsgCmpPair[S], worke
 				go func(w *worker) {
 					defer wg.Done()
 					local := 0
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(tasks) {
-							break
-						}
-						e, n := g.processSubset(w, tasks[i])
+					for i := int(cursor.Add(1)) - 1; i < len(tasks); i = int(cursor.Add(1)) - 1 {
+						var n int
+						done[i], n = g.processSubset(w, tasks[i])
 						local += n
-						if len(e.plans) > 0 {
-							staging.put(tasks[i].s, e)
-						}
 					}
 					built.Add(int64(local))
 				}(w)
 			}
 			wg.Wait()
-			staging.sealInto(g.table)
+			for i, e := range done {
+				g.table[tasks[i].s] = e
+			}
 			g.stats.PlansBuilt += int(built.Load())
 		}
 		g.stats.Levels = append(g.stats.Levels, LevelStat{
 			Level: level, Pairs: len(chunk), Subsets: subsets, Duration: time.Since(start),
 		})
 	})
-	if staging != nil {
-		g.stats.ShardContention = staging.contention.Load()
-	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -70,8 +69,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestWorkersOption pins the Workers semantics: 0 resolves to GOMAXPROCS,
-// explicit counts are reported back, and the sequential path never touches
-// a shard lock.
+// explicit counts are reported back, and every level is reported.
 func TestWorkersOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := randquery.Generate(rng, randquery.Params{Relations: 6})
@@ -90,9 +88,6 @@ func TestWorkersOption(t *testing.T) {
 	}
 	if res.Stats.Workers != 1 {
 		t.Errorf("Workers 1: got %d", res.Stats.Workers)
-	}
-	if res.Stats.ShardContention != 0 {
-		t.Errorf("sequential path reported shard contention %d", res.Stats.ShardContention)
 	}
 	if len(res.Stats.Levels) == 0 {
 		t.Error("no per-level stats recorded")
@@ -157,71 +152,41 @@ func TestGroupBySubset(t *testing.T) {
 	}
 }
 
-// TestShardOf checks range and that the finalizer actually spreads the
-// popcount-clustered keys of one level over many shards.
-func TestShardOf(t *testing.T) {
-	seen := map[int]bool{}
-	for i := 0; i < 63; i++ {
-		for j := i + 1; j < 63; j++ {
-			s := bitset.Single64(i).Union(bitset.Single64(j))
-			sh := shardOf(s)
-			if sh < 0 || sh >= tableShards {
-				t.Fatalf("shard %d out of range for %v", sh, s)
-			}
-			seen[sh] = true
-		}
-	}
-	if len(seen) < tableShards/2 {
-		t.Errorf("2-element keys hit only %d/%d shards", len(seen), tableShards)
-	}
-}
-
-// TestStagingTable exercises put/seal round trips including the reset
-// between levels.
-func TestStagingTable(t *testing.T) {
-	st := newStagingTable[bitset.Set64]()
-	table := map[bitset.Set64]*entry{}
-	e := &entry{plans: []*plan.Plan{{}}}
-	for i := 0; i < 100; i++ {
-		st.put(bitset.Set64(i+1), e)
-	}
-	st.sealInto(table)
-	if len(table) != 100 {
-		t.Fatalf("sealed %d entries, want 100", len(table))
-	}
-	st.sealInto(table) // shards must be empty now
-	if len(table) != 100 {
-		t.Fatalf("re-seal changed the table: %d entries", len(table))
-	}
-}
-
 // TestParallelExercisesPool makes sure the determinism guarantee is not
-// vacuous: on a query large enough to fan out, the parallel run must
-// actually have used multiple workers over multi-subset levels.
+// vacuous at the default cutoff: on a query whose levels are wide enough,
+// at least one level must cross dpParallelCutoff and fan out, and the run
+// must still match Workers: 1. levelWork over the finished table counts
+// the crossing levels exactly, since each level reads only sealed lower
+// ones.
 func TestParallelExercisesPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q := randquery.Generate(rng, randquery.Params{Relations: 10})
-	res, err := Optimize(q, Options{Algorithm: AlgH1, Workers: 4})
+	q := randquery.Star(12)
+	seq, err := Optimize(q, Options{Algorithm: AlgEAPrune, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Workers != 4 {
-		t.Fatalf("got %d workers", res.Stats.Workers)
+	g := newGenerator(q, Options{Algorithm: AlgEAPrune, Workers: 4})
+	g.parallelCutoff = dpParallelCutoff
+	par, err := g.run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	multi := 0
-	for _, l := range res.Stats.Levels {
-		if l.Subsets > 1 {
-			multi++
+	if par.Stats.Workers != 4 {
+		t.Fatalf("got %d workers", par.Stats.Workers)
+	}
+	pooled := 0
+	forEachLevel(g.det.Graph.CsgCmpPairs(), func(_ int, chunk []hypergraph.CsgCmpPair[bitset.Set64]) {
+		if g.levelWork(chunk, dpParallelCutoff) >= dpParallelCutoff {
+			pooled++
 		}
+	})
+	if pooled == 0 {
+		t.Error("no level crossed dpParallelCutoff; pool never exercised")
 	}
-	if multi == 0 {
-		t.Error("no level had more than one subset task; pool never exercised")
+	if !plan.Equal(seq.Plan, par.Plan) || seq.Stats.PlansBuilt != par.Stats.PlansBuilt || seq.Stats.TablePlans != par.Stats.TablePlans {
+		t.Fatalf("pooled run diverges: sequential %d built, %d retained; pool %d built, %d retained",
+			seq.Stats.PlansBuilt, seq.Stats.TablePlans, par.Stats.PlansBuilt, par.Stats.TablePlans)
 	}
-	// Spot-check the level report shape for a 10-relation query.
-	if got := len(res.Stats.Levels); got < 5 {
-		t.Errorf("only %d levels recorded", got)
-	}
-	t.Log(fmt.Sprintf("levels=%d pairs=%d contention=%d", len(res.Stats.Levels), res.Stats.CsgCmpPairs, res.Stats.ShardContention))
+	t.Logf("%d of %d levels pooled", pooled, len(par.Stats.Levels))
 }
 
 // TestParallelDeterminismWithStats extends the determinism contract to

@@ -145,8 +145,9 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d workers=%d", seed, n, opts.Algorithm, bs, workers), seqTab, batchPar)
 		// The same pair over float aggregate arguments: order-sensitive
-		// sums must cross the parallel aggregation's partition merge
-		// unchanged.
+		// sums must come through the parallel batch run's probe, gather
+		// and emit fan-outs unchanged (the -phys arm below does the same
+		// across the sort-group span merge).
 		ftables := floatAggArgs(q, tables)
 		seqF, err := ExecTablesOpts(q, res.Plan, ftables, RowOracle)
 		if err != nil {

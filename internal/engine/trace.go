@@ -136,9 +136,6 @@ func TraceOptimize(tr *obs.Trace, name string, fn func() (*core.Result, error)) 
 	tr.Annotatef(id, "csg_cmp_pairs", "%d", s.CsgCmpPairs)
 	tr.Annotatef(id, "plans_built", "%d", s.PlansBuilt)
 	tr.Annotatef(id, "workers", "%d", s.Workers)
-	if s.ShardContention > 0 {
-		tr.Annotatef(id, "shard_contention", "%d", s.ShardContention)
-	}
 	if s.PairBudgetExceeded {
 		tr.Annotate(id, "pair_budget", "exceeded: plan built by the deterministic greedy fallback")
 	}
