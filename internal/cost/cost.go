@@ -133,11 +133,13 @@ func (e *Estimator) FDClosure(attrs bitset.VSet) bitset.VSet {
 
 // CanonCard is the canonical (plan-independent) cardinality of a relation
 // set: base cardinalities times the selectivities of all internal
-// predicates. Semijoin and antijoin match fractions are computed against
-// this value rather than the concrete right plan's cardinality — the match
-// semantics depend on the right side's value set, not on how the plan
-// shaped it, and a plan-dependent value would make the antijoin estimate
-// anti-monotone and break the dominance pruning of Sec. 4.6.
+// predicates. Semijoin and antijoin match fractions and the padded tuples
+// of the outer joins are computed against this value rather than the
+// concrete other plan's cardinality — the match semantics depend on the
+// other side's value set, not on how the plan shaped it, and a
+// plan-dependent value would make those estimates anti-monotone (a pushed
+// grouping would invent unmatched tuples) and break the dominance pruning
+// of Sec. 4.6.
 func (e *Estimator) CanonCard(s bitset.VSet) float64 {
 	if lo, narrow := s.Lo(); narrow {
 		if c, ok := e.canonLo[lo]; ok {
@@ -263,19 +265,13 @@ func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds,
 	if rightKey {
 		inner = minf(inner, left.Card)
 	}
-	// Expected number of partners per left/right tuple. For the
-	// existence-style operators (N, T) the fraction is computed against
-	// the canonical right-side cardinality (see CanonCard).
-	perLeft := right.Card * sel
-	perRight := left.Card * sel
-
-	unmatchedLeft := left.Card * maxf(0, 1-perLeft)
-	if rightKey {
-		unmatchedLeft = maxf(0, left.Card-inner)
-	}
-	unmatchedRight := right.Card * maxf(0, 1-perRight)
-	if leftKey {
-		unmatchedRight = maxf(0, right.Card-inner)
+	// Whether a tuple finds a partner depends on the other side's value
+	// set, not on how its plan shaped it, so the match fraction of the
+	// existence-style operators (N, T) and the padded tuples of the outer
+	// joins are computed against the other side's canonical cardinality
+	// (see CanonCard).
+	unmatched := func(side, other *plan.Plan) float64 {
+		return side.Card * maxf(0, 1-e.CanonCard(other.Rels)*sel)
 	}
 
 	var card float64
@@ -285,11 +281,11 @@ func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds,
 	case query.KindSemiJoin:
 		card = left.Card * minf(1, e.CanonCard(right.Rels)*sel)
 	case query.KindAntiJoin:
-		card = left.Card * maxf(0, 1-e.CanonCard(right.Rels)*sel)
+		card = unmatched(left, right)
 	case query.KindLeftOuter:
-		card = inner + unmatchedLeft
+		card = inner + unmatched(left, right)
 	case query.KindFullOuter:
-		card = inner + unmatchedLeft + unmatchedRight
+		card = inner + unmatched(left, right) + unmatched(right, left)
 	case query.KindGroupJoin:
 		card = left.Card
 	default:

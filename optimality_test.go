@@ -21,18 +21,10 @@ type gap struct{ seed, n, index int }
 
 // knownSuboptimal lists the queries on which EA-Prune's plan costs more
 // than EA-All's optimum. The paper has none (Sec. 4.6: dominance pruning
-// preserves optimality); ours are the open soundness gap of ROADMAP item
-// 1. The table is exact: a soundness fix shrinks it, and a change that
-// prunes more than it should grows it.
-var knownSuboptimal = map[gap]bool{
-	{6, 6, 3}:  true,
-	{10, 7, 3}: true,
-	{12, 3, 5}: true,
-	{17, 5, 6}: true,
-	{18, 6, 8}: true,
-	{18, 8, 2}: true,
-	{20, 8, 6}: true,
-}
+// preserves optimality), and since the outer-join estimate counts padded
+// tuples against the other side's canonical cardinality neither do we.
+// The table is exact: a change that prunes more than it should grows it.
+var knownSuboptimal = map[gap]bool{}
 
 // TestOptimalityInvariants checks the quality ordering of the generators
 // on seeds 1…20 of the Sec. 5 random-query construction at n ≤ 8:
