@@ -227,6 +227,7 @@ func optimizeAs[S bitset.RelSet[S]](q *query.Query, est *cost.Estimator, opts Op
 	}
 	g.allV = g.all.ToV()
 	g.prepare()
+	defer g.release()
 	return g.run()
 }
 
@@ -249,8 +250,11 @@ type generator[S bitset.RelSet[S]] struct {
 	table map[S]*entry
 
 	// w0 is the worker of the driver's own goroutine: it runs the inline
-	// levels and its share of the pooled ones.
+	// levels and its share of the pooled ones. ws holds every worker of
+	// the run, w0 first; the pool's clones join it when a level first
+	// crosses the cutoff.
 	w0 *worker
+	ws []*worker
 	// opened collects the entries runLevelInline created for the level it
 	// is running, to seal them at its end.
 	opened []*entry
@@ -290,7 +294,8 @@ type generator[S bitset.RelSet[S]] struct {
 
 func (g *generator[S]) prepare() {
 	g.table = make(map[S]*entry)
-	g.w0 = &worker{est: g.est}
+	g.w0 = newWorker(g.est)
+	g.ws = []*worker{g.w0}
 	if g.q.HasGrouping {
 		g.aggSrc = g.q.AggSourceRels()
 		g.aggOK = make([]bool, len(g.q.Aggregates))
@@ -341,7 +346,7 @@ func (g *generator[S]) scans() {
 		s := bitset.SingleIn[S](r)
 		e := g.open(g.w0, s)
 		g.insert(g.w0, e, p)
-		e.seal()
+		e.seal(g.w0)
 		g.table[s] = e
 	}
 }
@@ -354,7 +359,7 @@ func (g *generator[S]) scans() {
 func (g *generator[S]) open(w *worker, s S) *entry {
 	e := w.newEntry()
 	w.touch = g.det.Graph.Touch(w.touch[:0], s)
-	e.touch = take(nil, &w.words, w.touch, 512)
+	e.touch = take(nil, &w.arena.words, w.touch, 512)
 	if g.pushes {
 		e.gp = g.gPlus(s.ToV(), e.touch)
 	}
@@ -422,9 +427,17 @@ func (g *generator[S]) run() (*Result, error) {
 		}
 	}
 	g.stats.TablePlans++
-	// The winner leaves the run's arenas: everything else the DP built is
-	// garbage once the result is returned.
+	// The winner leaves the run's arenas, which go back to the pool when
+	// optimizeAs returns.
 	return &Result{Plan: detach(best.plans[0]), Stats: g.stats}, nil
+}
+
+// release hands every worker's arena back to the pool, on every path out
+// of optimizeAs: nothing the DP table holds may be read afterwards.
+func (g *generator[S]) release() {
+	for _, w := range g.ws {
+		w.release()
+	}
 }
 
 // forEachLevel calls fn once per DP level with the contiguous slice of
@@ -460,7 +473,7 @@ func (g *generator[S]) runLevelInline(chunk []hypergraph.CsgCmpPair[S]) (subsets
 		g.stats.PlansBuilt += g.processPair(g.w0, e, pr, s == g.all)
 	}
 	for _, e := range g.opened {
-		e.seal()
+		e.seal(g.w0)
 	}
 	return len(g.opened)
 }

@@ -217,7 +217,7 @@ func frontierOf(g *generator[bitset.Set64], stream []*plan.Plan) (retained []*pl
 	for _, cand := range stream {
 		g.pruneDominatedPlans(g.w0, e, cand)
 	}
-	e.seal()
+	e.seal(g.w0)
 	return e.plans, examined
 }
 

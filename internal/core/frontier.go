@@ -23,8 +23,8 @@ import (
 // bound, over contiguous floats, and touches a plan node only for the key
 // test of a pair that already passed the numeric one. plans itself is
 // append-only until then: a dropped plan leaves a nil behind, and seal, at
-// the entry's level barrier, closes the gaps and releases the rows — which
-// is the only state any reader sees.
+// the entry's level barrier, closes the gaps and hands the rows' buffer to
+// the next frontier — which is the only state any reader sees.
 type entry struct {
 	plans []*plan.Plan
 	rows  []float64 // retained plans × (rowVec + |S|); nil outside EA-Prune and once sealed
@@ -120,7 +120,7 @@ func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
 	}
 	c[rowPlan] = float64(len(e.plans))
 	e.plans = append(e.plans, w.keep(t))
-	e.rows = append(e.rows[:kept*st], c...)
+	e.rows = append(w.growRows(e.rows, (kept+1)*st)[:kept*st], c...)
 	copy(e.rows[(at+1)*st:], e.rows[at*st:kept*st])
 	copy(e.rows[at*st:], c)
 }
@@ -151,12 +151,14 @@ func (e *entry) dominated(c []float64, t *plan.Plan, ub int, phys bool) (examine
 }
 
 // seal ends the building of an entry at its level barrier: the gaps dropped
-// plans left in plans close, in place, and the frontier is released.
-func (e *entry) seal() {
+// plans left in plans close, in place, and the frontier's buffer becomes a
+// spare of w, the worker that built the entry.
+func (e *entry) seal(w *worker) {
 	if e.rows == nil {
 		return
 	}
 	e.plans = slices.DeleteFunc(e.plans, func(p *plan.Plan) bool { return p == nil })
+	w.giveRows(e.rows)
 	e.rows = nil
 }
 

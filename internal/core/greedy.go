@@ -87,7 +87,7 @@ func (g *generator[S]) runGreedy() {
 			}
 		}
 		for _, s := range next {
-			g.table[s].seal()
+			g.table[s].seal(g.w0)
 		}
 		// Beam: keep the cheapest greedyFrontier result sets. The stable
 		// sort preserves first-appearance order on cost ties.

@@ -69,7 +69,7 @@ func (g *generator[S]) processSubset(w *worker, task subsetTask[S]) (*entry, int
 	for _, pr := range task.pairs {
 		built += g.processPair(w, e, pr, task.s == g.all)
 	}
-	e.seal()
+	e.seal(w)
 	return e, built
 }
 
@@ -100,25 +100,21 @@ func (g *generator[S]) levelWork(chunk []hypergraph.CsgCmpPair[S], limit int) in
 // reads the slots only after the barrier. Clones and goroutines first
 // exist when a level first crosses the cutoff.
 func (g *generator[S]) runLevels(pairs []hypergraph.CsgCmpPair[S], workers int) {
-	var ws []*worker
 	forEachLevel(pairs, func(level int, chunk []hypergraph.CsgCmpPair[S]) {
 		start := time.Now()
 		var subsets int
 		if workers == 1 || g.levelWork(chunk, g.parallelCutoff) < g.parallelCutoff {
 			subsets = g.runLevelInline(chunk)
 		} else {
-			if ws == nil {
-				ws = append(ws, g.w0)
-				for len(ws) < workers {
-					ws = append(ws, &worker{est: g.est.Clone()})
-				}
+			for len(g.ws) < workers {
+				g.ws = append(g.ws, newWorker(g.est.Clone()))
 			}
 			tasks := groupBySubset(chunk)
 			subsets = len(tasks)
 			done := make([]*entry, len(tasks))
 			var cursor, built atomic.Int64
 			var wg sync.WaitGroup
-			for _, w := range ws[:min(workers, len(tasks))] {
+			for _, w := range g.ws[:min(workers, len(tasks))] {
 				wg.Add(1)
 				go func(w *worker) {
 					defer wg.Done()

@@ -14,6 +14,11 @@ import (
 // the 1,400 queries on every machine.
 const optimalityPairBudget = 60
 
+// optimalityTol is the relative cost difference below which two plans
+// count as equally cheap: costs summed in a different order may differ in
+// the last bits.
+const optimalityTol = 1e-9
+
 // gap names one query of the invariant population: the rand.NewSource
 // seed, the relation count, and the index among the queries drawn at that
 // count.
@@ -34,7 +39,7 @@ func TestOptimalityInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,400 queries through five generators")
 	}
-	const tol = 1e-9
+	const tol = optimalityTol
 	checked, skipped := 0, 0
 	found := map[gap]bool{}
 	for seed := 1; seed <= 20; seed++ {
@@ -89,4 +94,43 @@ func TestOptimalityInvariants(t *testing.T) {
 			t.Errorf("gap closed: EA-Prune now matches EA-All on %+v — remove it from knownSuboptimal", g)
 		}
 	}
+}
+
+// FuzzPlanOptimality searches the property TestOptimalityInvariants checks
+// on a fixed sample: on a random query of 2…7 relations within the
+// complete search's pair budget, EA-All's plan costs no more than any
+// generator's, and EA-Prune's costs exactly as much (Sec. 4.6).
+func FuzzPlanOptimality(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nRel uint8) {
+		n := 2 + int(nRel)%6
+		q := randquery.Generate(rand.New(rand.NewSource(seed)), randquery.Params{Relations: n})
+		all, err := eagg.Optimize(q, eagg.Options{Algorithm: eagg.DPhyp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all.Stats.CsgCmpPairs > optimalityPairBudget {
+			return
+		}
+		if all, err = eagg.Optimize(q, eagg.Options{Algorithm: eagg.EAAll}); err != nil {
+			t.Fatal(err)
+		}
+		opt := all.Plan.Cost
+		for _, o := range []eagg.Options{
+			{Algorithm: eagg.DPhyp}, {Algorithm: eagg.H1}, {Algorithm: eagg.H2, F: 1.03},
+			{Algorithm: eagg.Beam}, {Algorithm: eagg.EAPrune},
+		} {
+			res, err := eagg.Optimize(q, o)
+			if err != nil {
+				t.Fatalf("%v: %v", o.Algorithm, err)
+			}
+			if c := res.Plan.Cost; c < opt*(1-optimalityTol) {
+				t.Errorf("%v cost %.17g is below EA-All's %.17g", o.Algorithm, c, opt)
+			} else if o.Algorithm == eagg.EAPrune && c > opt*(1+optimalityTol) {
+				t.Errorf("EA-Prune cost %.17g misses EA-All's optimum %.17g", c, opt)
+			}
+		}
+	})
 }
