@@ -53,9 +53,9 @@ type worker struct {
 
 // arena is the chunked backing store a worker builds survivors in, so that
 // a survivor costs a copy, not one allocation per node, key list and
-// vector. It outlives the run: release clears it and optimizeAs hands it
-// back to arenaPool once run() has detached the winner, and the next run
-// on any goroutine takes it from there.
+// vector. It outlives the run: once run() has detached the winner,
+// optimizeAs has every worker release its arena, cleared, to arenaPool,
+// and the next run on any goroutine takes it from there.
 type arena struct {
 	plans   chunks[plan.Plan]
 	keys    chunks[bitset.VSet]
@@ -70,10 +70,10 @@ type arena struct {
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // maxPooledChunks is how many chunks per list an arena keeps when it goes
-// back to the pool. A large run fills hundreds of chunks; keeping them all
-// held on to the memory of the largest run every worker ever made, and
-// raised optimize_cold's peak RSS by half. Sixteen keep every chunk of a
-// small run, which is what serving plan-cache misses repeats.
+// back to the pool. A large run fills hundreds of chunks, and keeping them
+// all holds on to the memory of the largest run each worker ever made
+// (optimize_cold's peak RSS read up to 17 % higher). Sixteen keep every
+// chunk of a small run, which is what serving plan-cache misses repeats.
 const maxPooledChunks = 16
 
 // chunks is one list of an arena: the chunk being filled, the chunks this
@@ -115,15 +115,6 @@ func (c *chunks[T]) release() {
 	c.cur, c.full = nil, c.full[:0]
 }
 
-func (a *arena) release() {
-	a.plans.release()
-	a.keys.release()
-	a.vectors.release()
-	a.preds.release()
-	a.entries.release()
-	a.words.release()
-}
-
 // newWorker returns a worker estimating through est, with an arena from
 // the pool.
 func newWorker(est *cost.Estimator) *worker {
@@ -133,8 +124,14 @@ func newWorker(est *cost.Estimator) *worker {
 // release hands the worker's arena back to the pool. Nothing the run built
 // may be read afterwards.
 func (w *worker) release() {
-	w.arena.release()
-	arenaPool.Put(w.arena)
+	a := w.arena
+	a.plans.release()
+	a.keys.release()
+	a.vectors.release()
+	a.preds.release()
+	a.entries.release()
+	a.words.release()
+	arenaPool.Put(a)
 	w.arena = nil
 }
 
