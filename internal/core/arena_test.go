@@ -20,10 +20,10 @@ import (
 // whose arenas never go back. (A copy taken when Optimize returns would
 // not do as the reference: the arenas are cleared before it returns.)
 func TestResultSurvivesArenaReuse(t *testing.T) {
-	// Each kept result is among the first its arenas' chunks ever held, so
-	// release clears all of them; rand14.2's and star8's levels cross
-	// dpParallelCutoff, so their plans come out of the pool workers'
-	// arenas as well as the driver's.
+	// rand6.0 and star8 fill about as many chunks as an arena keeps, so
+	// release clears nearly all of their memory at once; rand14.2's levels
+	// cross dpParallelCutoff, so its plan comes out of a pool worker's
+	// arena as well as the driver's.
 	type kept struct{ res, ref *plan.Plan }
 	var keep []kept
 	for _, c := range []struct {
