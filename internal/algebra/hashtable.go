@@ -341,7 +341,8 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 // HashStats aggregates hash-table telemetry across one execution:
 // every table/index build records its geometry here, every bloom-
 // filtered probe its check/pass counts, every gather of a view's column
-// (vector.go) its size, every recycled buffer (recycle.go) its bytes. All
+// (vector.go) its size, every recycled buffer (recycle.go) its bytes,
+// every performed sort (sort.go) the arm it took. All
 // counters are atomic: probes, gathers and takes run inside task fan-outs.
 // A nil *HashStats disables recording.
 type HashStats struct {
@@ -356,6 +357,9 @@ type HashStats struct {
 	gatherRows  atomic.Int64
 	bufBytes    atomic.Int64
 	bufReused   atomic.Int64
+	sortDense   atomic.Int64
+	sortRadix   atomic.Int64
+	sortCompare atomic.Int64
 }
 
 func (hs *HashStats) recordTable(entries, capacity, maxProbe int) {
@@ -379,6 +383,20 @@ func (hs *HashStats) recordDense(entries, width int) {
 	if hs != nil {
 		hs.dense.Add(1)
 		hs.recordTable(entries, width, 1)
+	}
+}
+
+// recordSort records a performed sort by its arm: counting (dense), radix
+// or comparator (neither).
+func (hs *HashStats) recordSort(dense, radix bool) {
+	switch {
+	case hs == nil:
+	case dense:
+		hs.sortDense.Add(1)
+	case radix:
+		hs.sortRadix.Add(1)
+	default:
+		hs.sortCompare.Add(1)
 	}
 }
 
@@ -425,6 +443,9 @@ func (hs *HashStats) Snapshot() HashTableStats {
 		GatherRows:  hs.gatherRows.Load(),
 		BufBytes:    hs.bufBytes.Load(),
 		BufReused:   hs.bufReused.Load(),
+		SortDense:   hs.sortDense.Load(),
+		SortRadix:   hs.sortRadix.Load(),
+		SortCompare: hs.sortCompare.Load(),
 	}
 }
 
@@ -436,7 +457,8 @@ func (hs *HashStats) Snapshot() HashTableStats {
 // outputs were gathered (GatherRows values in all) — the rest was carried
 // as views and never read — and how many bytes of intermediate buffers the
 // execution took through the recycler (BufReused of them from its free
-// lists rather than fresh).
+// lists rather than fresh), and how many sorts the sort layer performed
+// by counting sort, radix sort and comparator.
 type HashTableStats struct {
 	Builds      int64
 	Dense       int64
@@ -449,6 +471,9 @@ type HashTableStats struct {
 	GatherRows  int64
 	BufBytes    int64
 	BufReused   int64
+	SortDense   int64
+	SortRadix   int64
+	SortCompare int64
 }
 
 // LoadFactor is the mean occupancy of the built tables (0 when none).

@@ -24,15 +24,18 @@ package algebra
 //     survive through the sort-based layer.
 //
 // A sort input is reduced to its participating physical rows plus a
-// sortKey over the key columns; rows are never materialized. All-ColInt
-// keys — every key TPC-H has — sort as pointer-free (sign-flipped key,
-// row) records through a stable LSD byte radix sort, one column at a time
-// from the least significant, and compare as raw int64 payloads everywhere
-// else. Float, string and ColMixed columns take one comparator over
-// Vectors (cmpKeys) that is compareJoinValue/compareGroupValue applied
-// column-wise. Either way rows end up ordered by (key, row): the order is
-// total, so the permutation is unique and identical for every worker
-// count and morsel geometry.
+// sortKey over the key columns; rows are never materialized. An
+// all-ColInt key — every key TPC-H has — becomes one uint64 id per row:
+// every column less its minimum, bit-packed with the first column most
+// significant (packKey). Ids whose range is at most denseMultiple × rows
+// are counting-sorted through the hash layer's sortPostings, wider ones
+// radix-sorted over their bytes; the runs and their key tuples are read
+// off the ids, and the keys compare as raw int64 payloads everywhere
+// else. Ids that do not fit 62 bits, and float, string and ColMixed
+// columns, take one comparator over Vectors (cmpKeys) that is
+// compareJoinValue/compareGroupValue applied column-wise. Either way rows
+// end up ordered by (key, row): the order is total, so the permutation is
+// unique and identical for every worker count and morsel geometry.
 //
 // When an input's sort is *eliminated* (the optimizer proved its
 // contractual order covers the requirement), the operator does not trust
@@ -43,6 +46,7 @@ package algebra
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -253,125 +257,225 @@ type keyRuns struct {
 
 // keyRuns orders rows (k's participating rows in input order) by (key,
 // row) unless the input's order already is that (needSort false — the
-// caller has verified what it must), and finds the runs.
+// caller has verified what it must), and finds the runs. An int key whose
+// ids fit (packKey) is counting-sorted when its id range is at most
+// denseMultiple × rows and radix-sorted otherwise; every other sort takes
+// the comparator.
 func (e *Exec) keyRuns(k *sortKey, rows []int32, needSort, par bool) *keyRuns {
 	kr := &keyRuns{key: k, rows: rows}
-	switch {
-	case !needSort || len(k.cols) == 0 || len(rows) < 2:
-	case k.ints:
-		e.radixSort(kr, par)
-		return kr
-	default:
-		slices.SortFunc(rows, func(a, b int32) int {
-			if c := cmpKeys(k, a, k, b); c != 0 {
-				return c
+	sort := needSort && len(rows) > 1 && len(k.cols) > 0
+	if sort && k.ints {
+		if p, ok := packKey(k, rows); ok {
+			if p.span <= denseMultiple*uint64(len(rows)) && p.span <= math.MaxInt32 {
+				e.countingSort(kr, p)
+			} else {
+				e.radixSort(kr, p, par)
 			}
-			return int(a - b)
-		})
+			return kr
+		}
 	}
-	first := func(i int) bool { return i == 0 || cmpKeys(k, rows[i-1], k, rows[i]) != 0 }
+	if sort {
+		e.compareSort(kr)
+	}
 	if k.ints {
-		e.sizeRuns(kr, len(rows), first)
+		e.intRuns(kr)
+		return kr
 	}
-	for i, r := range rows {
-		if first(i) {
+	for i := range rows {
+		if i == 0 || cmpKeys(k, rows[i-1], k, rows[i]) != 0 {
 			kr.starts = append(kr.starts, int32(i))
-			for c := 0; k.ints && c < len(k.cols); c++ {
-				kr.keys = append(kr.keys, k.cols[c].Ints[r])
-			}
 		}
 	}
 	kr.starts = append(kr.starts, int32(len(rows)))
 	return kr
 }
 
-// sizeRuns takes kr's starts and keys for the runs among n sorted rows at
-// their final size — first(i) says whether row i starts one — where append
-// would grow into them by reallocating: a cheap counting pass over int
-// keys, skipped for comparator keys (which have no key tuples to store).
-func (e *Exec) sizeRuns(kr *keyRuns, n int, first func(i int) bool) {
-	runs := 0
-	for i := 0; i < n; i++ {
-		if first(i) {
-			runs++
+// compareSort orders kr's rows by (key, row) under cmpKeys: the arm of
+// every key that is not ints, and of int keys whose ids do not fit.
+func (e *Exec) compareSort(kr *keyRuns) {
+	e.hashStats().recordSort(false, false)
+	k := kr.key
+	slices.SortFunc(kr.rows, func(a, b int32) int {
+		if c := cmpKeys(k, a, k, b); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+}
+
+// intRuns finds the runs among kr's rows, already in key order, under an
+// int key: one typed pass compares adjacent rows' payloads, and every
+// run's key tuple is read off its first row.
+func (e *Exec) intRuns(kr *keyRuns) {
+	cols, rows := kr.key.cols, kr.rows
+	firsts := scratch[int32](e, len(rows))[:0]
+	for i, r := range rows {
+		same := i > 0
+		for c := 0; same && c < len(cols); c++ {
+			same = cols[c].Ints[r] == cols[c].Ints[rows[i-1]]
+		}
+		if !same {
+			firsts = append(firsts, int32(i))
 		}
 	}
+	e.sizeRuns(kr, len(firsts))
+	for _, f := range firsts {
+		kr.starts = append(kr.starts, f)
+		for _, c := range cols {
+			kr.keys = append(kr.keys, c.Ints[rows[f]])
+		}
+	}
+	kr.starts = append(kr.starts, int32(len(rows)))
+	give(e, firsts)
+}
+
+// sizeRuns takes kr's starts and keys for the given number of runs at
+// their final size, empty, for the caller to append to.
+func (e *Exec) sizeRuns(kr *keyRuns, runs int) {
 	kr.starts, kr.keys = takeDirty[int32](e, runs+1)[:0], takeDirty[int64](e, runs*len(kr.key.cols))[:0]
 }
 
 // ---------------------------------------------------------------------
-// The typed sort
+// The typed sorts
 // ---------------------------------------------------------------------
 
-// sortRec is one row's sort record. Pointer-free: record arrays are
+// idPacking bit-packs an int key into one uint64 id per row, the first
+// column most significant: a column contributes its value less its
+// minimum, shifted left past the columns after it. Ids order exactly like
+// the key tuples they pack, and a tuple decodes from its id by shift and
+// mask.
+type idPacking struct {
+	cols []packedCol
+	span uint64 // every id is below span: the id range
+}
+
+type packedCol struct {
+	vals  []int64
+	min   int64
+	shift uint
+	mask  uint64
+}
+
+// packKey returns the packing of k over rows (at least one), and false
+// when the ids do not fit 62 bits — a column holding both extremes of
+// int64, say. The spare bits keep the id range — the largest id plus
+// one — clear of overflow.
+func packKey(k *sortKey, rows []int32) (idPacking, bool) {
+	p := idPacking{cols: make([]packedCol, len(k.cols))}
+	shift := uint(0)
+	for c := len(k.cols) - 1; c >= 0; c-- {
+		vals := k.cols[c].Ints
+		lo, hi := vals[rows[0]], vals[rows[0]]
+		for _, r := range rows[1:] {
+			lo, hi = min(lo, vals[r]), max(hi, vals[r])
+		}
+		w := uint64(hi) - uint64(lo) // max−min overflows int64 for wide columns
+		b := uint(bits.Len64(w))
+		p.cols[c] = packedCol{vals, lo, shift, 1<<b - 1}
+		p.span += w << shift
+		shift += b
+	}
+	p.span++
+	return p, shift <= 62
+}
+
+// id returns row r's id.
+func (p *idPacking) id(r int32) uint64 {
+	var id uint64
+	for i := range p.cols {
+		c := &p.cols[i]
+		id |= (uint64(c.vals[r]) - uint64(c.min)) << c.shift
+	}
+	return id
+}
+
+// decode replaces the ids of runs runs at the front of keys by the key
+// tuples they pack, run-major, in place: from the last run back, so no
+// tuple overwrites an id still to be read.
+func (p *idPacking) decode(keys []int64, runs int) []int64 {
+	nc := len(p.cols)
+	for j := runs - 1; j >= 0; j-- {
+		id := uint64(keys[j])
+		for i := range p.cols {
+			c := &p.cols[i]
+			keys[j*nc+i] = int64(uint64(c.min) + id>>c.shift&c.mask)
+		}
+	}
+	return keys
+}
+
+// countingSort orders kr's rows by (id, row) through the hash layer's
+// counting sort (sortPostings): stable, so every id's rows stay in input
+// order, and on the calling goroutine like every build. The runs are the
+// non-empty postings, their key tuples decoded from the ids.
+func (e *Exec) countingSort(kr *keyRuns, p idPacking) {
+	e.hashStats().recordSort(true, false)
+	rows := kr.rows
+	ids := scratch[int32](e, len(rows))
+	for i, r := range rows {
+		ids[i] = int32(p.id(r))
+	}
+	post, runs := e.sortPostings(int(p.span), len(rows), func(lo, hi int) ([]int32, []int32) { return ids[lo:hi], rows[lo:hi] })
+	give(e, ids)
+	kr.rows = post.rows
+	// Without a branch: every id writes its posting's start and itself at
+	// run j, and only a non-empty posting moves j on (offsets ascend, so
+	// the difference's sign bit says which).
+	starts, keys := takeDirty[int32](e, runs+1), takeDirty[int64](e, runs*len(p.cols)+1)
+	j := 0
+	for d := range int32(p.span) {
+		starts[j], keys[j] = post.offs[d], int64(d)
+		j += int(uint32(post.offs[d]-post.offs[d+1]) >> 31)
+	}
+	starts[runs] = int32(len(rows))
+	kr.starts, kr.keys = starts, p.decode(keys[:runs*len(p.cols)], runs)
+}
+
+// sortRec is one row's radix sort record. Pointer-free: record arrays are
 // invisible to the garbage collector's scan.
 type sortRec struct {
-	key uint64 // the current column's payload, sign bit flipped: unsigned order is int64 order
+	key uint64 // the row's id
 	row int32
 }
 
-// radixSort orders kr's rows by (int key, row) and finds the runs: a
-// stable LSD radix sort over the key columns from the last to the first
-// and, within a column, over its bytes from the lowest — rows arrive
-// ascending and no pass reorders equal digits, so ties end up in row
-// order. Bytes on which all of a column's keys agree are skipped. The
-// runs are read off the sorted records, whose keys are at hand. The two
-// record arrays are the sort's scratch, handed back when it ends; stale
-// contents are harmless, a sort writes every record it later reads.
-func (e *Exec) radixSort(kr *keyRuns, par bool) {
-	const signBit = 1 << 63
-	k, rows := kr.key, kr.rows
+// radixSort orders kr's rows by (id, row): a stable LSD radix sort over
+// the id's bytes from the lowest — rows arrive ascending and no pass
+// reorders equal digits, so ties end up in row order. Bytes above the
+// id range are zero in every id and skipped. The runs are read off the
+// sorted ids, their key tuples decoded from them. The two record arrays
+// are the sort's scratch, handed back when it ends; stale contents are
+// harmless, a sort writes every record it later reads.
+func (e *Exec) radixSort(kr *keyRuns, p idPacking, par bool) {
+	e.hashStats().recordSort(false, true)
+	rows := kr.rows
 	n := len(rows)
 	recs, tmp := scratch[sortRec](e, n), scratch[sortRec](e, n)
-	for i, r := range rows {
-		recs[i].row = r
-	}
-	spans := e.spans(n, par)
-	offs, diffs := make([]int32, spans*256), make([]uint64, spans)
-	for c := len(k.cols) - 1; c >= 0; c-- {
-		vals, src := k.cols[c].Ints, recs
-		first := uint64(vals[src[0].row]) ^ signBit
-		e.forSpans(n, par, func(m, lo, hi int) {
-			var d uint64
-			for i := lo; i < hi; i++ {
-				key := uint64(vals[src[i].row]) ^ signBit
-				src[i].key = key
-				d |= key ^ first
-			}
-			diffs[m] = d
-		})
-		var diff uint64
-		for _, d := range diffs {
-			diff |= d
+	e.forSpans(n, par, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			recs[i] = sortRec{p.id(rows[i]), rows[i]}
 		}
-		for shift := uint(0); shift < 64; shift += 8 {
-			if diff>>shift&0xff != 0 {
-				e.radixPass(recs, tmp, shift, offs, par)
-				recs, tmp = tmp, recs
-			}
-		}
+	})
+	offs := make([]int32, e.spans(n, par)*256)
+	for shift := uint(0); shift < uint(bits.Len64(p.span-1)); shift += 8 {
+		e.radixPass(recs, tmp, shift, offs, par)
+		recs, tmp = tmp, recs
 	}
-	// The records now carry the first column's keys.
-	rest := k.cols[1:]
-	first := func(i int) bool {
-		same := i > 0 && recs[i].key == recs[i-1].key
-		for c := 0; same && c < len(rest); c++ {
-			same = rest[c].Ints[recs[i].row] == rest[c].Ints[recs[i-1].row]
-		}
-		return !same
-	}
-	e.sizeRuns(kr, n, first)
+	runs := 0
 	for i, rc := range recs {
 		rows[i] = rc.row
-		if first(i) {
+		if i == 0 || rc.key != recs[i-1].key {
+			runs++
+		}
+	}
+	e.sizeRuns(kr, runs)
+	for i, rc := range recs {
+		if i == 0 || rc.key != recs[i-1].key {
 			kr.starts = append(kr.starts, int32(i))
-			kr.keys = append(kr.keys, int64(rc.key^signBit))
-			for _, c := range rest {
-				kr.keys = append(kr.keys, c.Ints[rc.row])
-			}
+			kr.keys = append(kr.keys, int64(rc.key))
 		}
 	}
 	kr.starts = append(kr.starts, int32(n))
+	kr.keys = p.decode(kr.keys[:runs*len(p.cols)], runs)
 	give(e, recs)
 	give(e, tmp)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -259,14 +260,21 @@ func sortExecs() map[string]*Exec {
 
 // sortFixture builds a table of n rows over key columns of every flavor
 // the sort layer distinguishes: ki — typed int with negatives, both
-// extremes and NULLs; k2 — a second, NULL-free int column (multi-column
-// int keys); ks — strings; kx — mixed Int/integral Float/fractional
-// Float/String/NULL/NaN (the general comparator, Int(2) = Float(2.0)
-// under joins); kc — one value everywhere; plus an id and an
-// order-sensitive float payload.
+// extremes and NULLs (ids that do not fit: the comparator); k2 — a
+// second, NULL-free int column (multi-column int keys); ks — strings; kx —
+// mixed Int/integral Float/fractional Float/String/NULL/NaN (the general
+// comparator, Int(2) = Float(2.0) under joins); kc — one value everywhere;
+// kd — a dense int range with NULLs (a join key; a grouping key that is
+// not ints); kg — a NULL-free dense int range off zero; kp — a sparse int
+// key without extremes (the radix sort); kb and kb1 — int keys whose id
+// range over all n rows is exactly denseMultiple × n (the counting sort)
+// and one more (the radix sort); plus an id and an order-sensitive float
+// payload.
 func sortFixture(prefix string, n, domain int, rng *rand.Rand) *Table {
 	t := &Table{Schema: NewSchema([]string{
-		prefix + ".id", prefix + ".ki", prefix + ".k2", prefix + ".ks", prefix + ".kx", prefix + ".kc", prefix + ".v"})}
+		prefix + ".id", prefix + ".ki", prefix + ".k2", prefix + ".ks", prefix + ".kx", prefix + ".kc", prefix + ".v",
+		prefix + ".kd", prefix + ".kg", prefix + ".kp", prefix + ".kb", prefix + ".kb1"})}
+	width := denseMultiple * n
 	for i := 0; i < n; i++ {
 		d := rng.Intn(domain)
 		ki := Int(int64(d - domain/2))
@@ -293,12 +301,45 @@ func sortFixture(prefix string, n, domain int, rng *rand.Rand) *Table {
 		default:
 			kx = Int(int64(d % 5))
 		}
+		kd := Int(int64(rng.Intn(domain)))
+		if rng.Intn(8) == 0 {
+			kd = Null
+		}
+		kb := rng.Intn(width) // rows 0 and 1 pin the range's ends
+		switch i {
+		case 0:
+			kb = 0
+		case 1:
+			kb = width - 1
+		}
+		kb1 := kb
+		if i == 1 {
+			kb1 = width
+		}
 		t.Rows = append(t.Rows, Row{
 			Int(int64(i)), ki, Int(int64(rng.Intn(3) - 1)), Str(fmt.Sprintf("s%02d", d%11)), kx, Int(7),
 			Float(float64(rng.Intn(1000)) / 7),
+			kd, Int(int64(rng.Intn(domain) - 5000)), Int(int64(rng.Intn(domain)-domain/2) * 1_000_000_007),
+			Int(int64(kb - n)), Int(int64(kb1 - n)),
 		})
 	}
 	return t
+}
+
+// sortArms names the arms of the sorts hs recorded, as the engine's
+// sort=… span annotation does: "" when no sort was performed.
+func sortArms(hs *HashStats) string {
+	s := hs.Snapshot()
+	var arms []string
+	for _, a := range []struct {
+		name string
+		n    int64
+	}{{"dense", s.SortDense}, {"radix", s.SortRadix}, {"compare", s.SortCompare}} {
+		if a.n > 0 {
+			arms = append(arms, a.name)
+		}
+	}
+	return strings.Join(arms, "+")
 }
 
 // orderedBy returns a copy of t whose rows are stably ordered on the
@@ -341,10 +382,12 @@ func dropEvery(t *ColTable, k int) *ColTable {
 
 // TestBatchMergeJoinsMatchBatchHash is the kernel-level differential of
 // the columnar merge joins: every operator against its batch hash
-// counterpart as a sequence, over int, two-column int, string, mixed and
-// all-duplicate keys, with each side's sort performed or eliminated,
-// dense or under a selection vector, empty or not — across the executor
-// matrix.
+// counterpart as a sequence, over int keys of every sort arm (ids that do
+// not fit, dense with NULLs, two-column dense, sparse, and either side of
+// the dense bound), string, mixed and all-duplicate keys, with each side's
+// sort performed or eliminated, dense or under a selection vector, empty
+// or not — across the executor matrix. On the unselected inputs every
+// performed sort must take the key's arm.
 func TestBatchMergeJoinsMatchBatchHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	bigL, bigR := sortFixture("l", 170, 24, rng), sortFixture("r", 130, 28, rng)
@@ -354,7 +397,13 @@ func TestBatchMergeJoinsMatchBatchHash(t *testing.T) {
 	for _, ks := range []struct {
 		name  string
 		slots []int
-	}{{"int", []int{1}}, {"two-int", []int{1, 2}}, {"str", []int{3}}, {"mixed", []int{4}}, {"dup", []int{5}}} {
+		arm   string // the arm of every performed sort on the unselected inputs
+	}{
+		{"int", []int{1}, "compare"}, {"two-int", []int{1, 2}, "compare"},
+		{"dense-nulls", []int{7}, "dense"}, {"two-dense", []int{7, 2}, "dense"}, {"sparse", []int{9}, "radix"},
+		{"at-multiple", []int{10}, "dense"}, {"past-multiple", []int{11}, "radix"},
+		{"str", []int{3}, "compare"}, {"mixed", []int{4}, "compare"}, {"dup", []int{5}, "dense"},
+	} {
 		lt, rt := bigL, bigR
 		if ks.name == "dup" { // every left row joins every right row
 			lt, rt = &Table{Schema: bigL.Schema, Rows: bigL.Rows[:40]}, &Table{Schema: bigR.Schema, Rows: bigR.Rows[:30]}
@@ -383,15 +432,19 @@ func TestBatchMergeJoinsMatchBatchHash(t *testing.T) {
 					seq.BatchHashAntiJoin(in.l, in.r, ks.slots, ks.slots),
 					seq.BatchHashLeftOuter(in.l, in.r, ks.slots, ks.slots, pad, in.l.Schema.Concat(in.r.Schema)),
 				}
+				hs := &HashStats{}
 				for ename, e := range sortExecs() {
 					for kind := range want {
 						label := fmt.Sprintf("%s/sortL=%v/sortR=%v/%s/%s/kind %d", ks.name, sortL, sortR, in.name, ename, kind)
-						got, err := e.BatchMergeJoin(MergeKind(kind), in.l, in.r, ks.slots, ks.slots, sortL, sortR, pad, in.l.Schema.Concat(in.r.Schema))
+						got, err := e.WithHashStats(hs).BatchMergeJoin(MergeKind(kind), in.l, in.r, ks.slots, ks.slots, sortL, sortR, pad, in.l.Schema.Concat(in.r.Schema))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 						identicalRows(t, label, want[kind].Table(), got.Table())
 					}
+				}
+				if arm := sortArms(hs); in.name == "dense" && mask != 0 && arm != ks.arm {
+					t.Errorf("%s/sortL=%v/sortR=%v: sorts took %q, want %q", ks.name, sortL, sortR, arm, ks.arm)
 				}
 			}
 		}
@@ -419,15 +472,21 @@ func TestBatchSortGroupMatchesBatchHash(t *testing.T) {
 	for _, ks := range []struct {
 		name    string
 		groupBy []string
-		verify  []int // the order the eliminated arm's input is in
+		verify  []int  // the order the eliminated arm's input is in
+		arm     string // the arm of the performed sort on the unselected input
 	}{
-		{"int", []string{"t.ki"}, []int{1}},
-		{"two-int", []string{"t.k2", "t.ki"}, []int{2, 1}},
-		{"str", []string{"t.ks"}, []int{3}},
-		{"mixed", []string{"t.kx"}, []int{4}},
-		{"dup", []string{"t.kc"}, []int{5}},
-		{"prefix", []string{"t.kc", "t.ks"}, []int{3}}, // ks alone determines the group
-		{"global", nil, nil},
+		{"int", []string{"t.ki"}, []int{1}, "compare"}, // NULLs: not an ints key under grouping
+		{"two-int", []string{"t.k2", "t.ki"}, []int{2, 1}, "compare"},
+		{"dense", []string{"t.kg"}, []int{8}, "dense"},
+		{"two-dense", []string{"t.kg", "t.k2"}, []int{8, 2}, "dense"},
+		{"sparse", []string{"t.kp"}, []int{9}, "radix"},
+		{"at-multiple", []string{"t.kb"}, []int{10}, "dense"},
+		{"past-multiple", []string{"t.kb1"}, []int{11}, "radix"},
+		{"str", []string{"t.ks"}, []int{3}, "compare"},
+		{"mixed", []string{"t.kx"}, []int{4}, "compare"},
+		{"dup", []string{"t.kc"}, []int{5}, "dense"},
+		{"prefix", []string{"t.kc", "t.ks"}, []int{3}, "compare"}, // ks alone determines the group
+		{"global", nil, nil, ""},                                  // no key: input order is key order
 	} {
 		for _, sortInput := range []bool{true, false} {
 			in := ColTableOf(base)
@@ -436,15 +495,170 @@ func TestBatchSortGroupMatchesBatchHash(t *testing.T) {
 			}
 			for vname, view := range map[string]*ColTable{"dense": in, "sel": dropEvery(in, 4), "empty": selTable(in, nil)} {
 				want := seq.BatchHashGroup(view, BindAggregation(view.Schema, ks.groupBy, f)).Table()
+				hs := &HashStats{}
 				for ename, e := range sortExecs() {
 					label := fmt.Sprintf("%s/sort=%v/%s/%s", ks.name, sortInput, vname, ename)
-					got, err := e.BatchSortGroup(view, BindAggregation(view.Schema, ks.groupBy, f), sortInput, ks.verify)
+					got, err := e.WithHashStats(hs).BatchSortGroup(view, BindAggregation(view.Schema, ks.groupBy, f), sortInput, ks.verify)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					identicalRows(t, label, want, got.Table())
 				}
+				if arm := sortArms(hs); vname == "dense" && sortInput && arm != ks.arm {
+					t.Errorf("%s: the sort took %q, want %q", ks.name, arm, ks.arm)
+				}
 			}
 		}
 	}
+}
+
+// sortArm runs one arm of keyRuns over a copy of rows, k's participating
+// rows in input order: the counting sort or the radix sort over k's ids
+// (which must fit), or the comparator sort with the typed run scan.
+func sortArm(e *Exec, arm string, k *sortKey, rows []int32) *keyRuns {
+	kr := &keyRuns{key: k, rows: slices.Clone(rows)}
+	switch p, _ := packKey(k, kr.rows); arm {
+	case "dense":
+		e.countingSort(kr, p)
+	case "radix":
+		e.radixSort(kr, p, true)
+	default:
+		e.compareSort(kr)
+		e.intRuns(kr)
+	}
+	return kr
+}
+
+// sameRuns fails unless two prepared sort inputs have identical rows,
+// starts and keys.
+func sameRuns(t *testing.T, label string, want, got *keyRuns) {
+	t.Helper()
+	sameSeq(t, label, "rows", want.rows, got.rows)
+	sameSeq(t, label, "starts", want.starts, got.starts)
+	sameSeq(t, label, "keys", want.keys, got.keys)
+}
+
+func sameSeq[T comparable](t *testing.T, label, what string, want, got []T) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d %s, want %d", label, len(got), what, len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: %s[%d] = %v, want %v", label, what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestKeyRunsArmsAgree forces the same inputs through the counting sort,
+// the radix sort and the comparator sort: rows, starts and keys must be
+// identical. A counting sort that is not stable — its scatter running
+// forward puts every run's rows in reverse — fails here. The inputs are
+// the fixture's dense, two-column, NULL-holding (join order only),
+// past-the-bound and constant int keys, all rows and under a selection
+// vector, in join and grouping order, across the executor matrix.
+func TestKeyRunsArmsAgree(t *testing.T) {
+	base := ColTableOf(sortFixture("t", 900, 60, rand.New(rand.NewSource(31))))
+	for _, slots := range [][]int{{8}, {8, 2}, {7, 2}, {11}, {5}} {
+		for vname, view := range map[string]*ColTable{"all": base, "sel": dropEvery(base, 3)} {
+			for _, join := range []bool{true, false} {
+				k := newSortKey(view, slots, join)
+				if !k.ints {
+					continue // kd's NULLs are a key value under grouping
+				}
+				for ename, e := range sortExecs() {
+					label := fmt.Sprintf("slots %v/%s/join=%v/%s", slots, vname, join, ename)
+					rows := e.liveRows(k, view)
+					want := sortArm(e, "compare", k, rows)
+					if len(want.starts)-1 == len(rows) && len(rows) > 1 {
+						t.Fatalf("%s: every run is one row: stability goes untested", label)
+					}
+					sameRuns(t, label+"/dense", want, sortArm(e, "dense", k, rows))
+					sameRuns(t, label+"/radix", want, sortArm(e, "radix", k, rows))
+				}
+			}
+		}
+	}
+}
+
+// FuzzKeyRuns checks the arms of keyRuns against a stable comparator
+// sort (slices.SortStableFunc over cmpKeys) on 1–3 random int key columns
+// with ranges from 1 to 2^40, salted with both extremes of int64 per
+// column, NULLs in the first column (join keys that take no part; under
+// grouping, a key that is not ints) and a monotone selection: keyRuns
+// itself, and every arm the key admits forced — the comparator sort, and
+// the radix sort and (on ranges up to 2^16) the counting sort when the
+// ids fit. The seed corpus reaches every arm through keyRuns.
+//
+// ranges holds every column's log2 range in a byte (mod 41), extremes a
+// bit per column; flags bit 0 selects the join order, bit 1 NULLs, and
+// bits 2–4 drop every k-th row (k ≥ 2).
+func FuzzKeyRuns(f *testing.F) {
+	f.Add(int64(1), uint16(500), uint8(0), uint32(0x08), uint8(0), uint8(0))        // dense
+	f.Add(int64(2), uint16(500), uint8(1), uint32(0x0503), uint8(0), uint8(1))      // two dense columns, join order
+	f.Add(int64(3), uint16(500), uint8(1), uint32(0x1428), uint8(0), uint8(0))      // 60 bits: radix
+	f.Add(int64(4), uint16(500), uint8(0), uint32(0x28), uint8(0), uint8(3<<2))     // 2^40 under a selection: radix
+	f.Add(int64(5), uint16(500), uint8(0), uint32(0x06), uint8(1), uint8(1))        // extremes: the comparator
+	f.Add(int64(6), uint16(400), uint8(1), uint32(0x0a04), uint8(2), uint8(3|2<<2)) // NULL join keys, extremes, selection
+	f.Add(int64(7), uint16(300), uint8(2), uint32(0x140a28), uint8(0), uint8(0))    // 70 bits: the comparator
+	f.Add(int64(8), uint16(300), uint8(0), uint32(0x04), uint8(0), uint8(2))        // NULL grouping key: not ints
+	f.Add(int64(9), uint16(256), uint8(0), uint32(0x0a), uint8(0), uint8(0))        // range 4 × rows: at the bound
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, ncols uint8, ranges uint32, extremes uint8, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		nc := 1 + int(ncols%3)
+		join, nulls, every := flags&1 != 0, flags&2 != 0, int(flags>>2%8)
+		names, slots, widths := make([]string, nc), make([]int, nc), make([]int64, nc)
+		for c := range names {
+			names[c], slots[c], widths[c] = fmt.Sprintf("t.k%d", c), c, int64(1)<<(ranges>>(8*c)&0xff%41)
+		}
+		tab := &Table{Schema: NewSchema(names)}
+		for i := 0; i < int(n%2048); i++ {
+			row := make(Row, nc)
+			for c := range row {
+				row[c] = Int(rng.Int63n(widths[c]) - widths[c]/2)
+				if extremes>>c&1 != 0 {
+					switch rng.Intn(40) {
+					case 0:
+						row[c] = Int(math.MinInt64)
+					case 1:
+						row[c] = Int(math.MaxInt64)
+					}
+				}
+				if c == 0 && nulls && rng.Intn(10) == 0 {
+					row[c] = Null
+				}
+			}
+			tab.Rows = append(tab.Rows, row)
+		}
+		ct := ColTableOf(tab)
+		if every > 1 {
+			ct = dropEvery(ct, every)
+		}
+		k := newSortKey(ct, slots, join)
+		for _, e := range []*Exec{NewExec(1), NewExec(2).WithMorselSize(7)} {
+			rows := e.liveRows(k, ct)
+			want := &keyRuns{key: k, rows: slices.Clone(rows)}
+			slices.SortStableFunc(want.rows, func(a, b int32) int { return cmpKeys(k, a, k, b) })
+			for i, r := range want.rows {
+				if i == 0 || cmpKeys(k, want.rows[i-1], k, r) != 0 {
+					want.starts = append(want.starts, int32(i))
+					for c := 0; k.ints && c < nc; c++ {
+						want.keys = append(want.keys, k.cols[c].Ints[r])
+					}
+				}
+			}
+			want.starts = append(want.starts, int32(len(rows)))
+			sameRuns(t, "keyRuns", want, e.keyRuns(k, slices.Clone(rows), true, true))
+			if !k.ints || len(rows) == 0 {
+				continue
+			}
+			sameRuns(t, "compare", want, sortArm(e, "compare", k, rows))
+			if p, fits := packKey(k, rows); fits {
+				sameRuns(t, "radix", want, sortArm(e, "radix", k, rows))
+				if p.span <= 1<<16 {
+					sameRuns(t, "dense", want, sortArm(e, "dense", k, rows))
+				}
+			}
+		}
+	})
 }

@@ -54,10 +54,12 @@ func groupAttrList(q *query.Query, p *plan.Plan) string {
 
 // annotateSpan attaches the non-deterministic (worker-count-dependent or
 // advisory) operator telemetry to a finished span: the estimate the
-// optimizer planned with, the sort decisions of the sort-merge layer,
-// and the hash-table delta this operator contributed (batch runtime),
-// with the way its keys were addressed: table=dense for direct-addressed
-// builds and group indexes, table=hash for the flat hash tables — and
+// optimizer planned with, the sort decisions of the sort-merge layer
+// with the arms its performed sorts took (sort=dense for the counting
+// sort, radix, compare), and the hash-table delta this operator
+// contributed (batch runtime), with the way its keys were addressed:
+// table=dense for direct-addressed builds and group indexes, table=hash
+// for the flat hash tables — and
 // gathered=<columns>, how many columns of the views its inputs are
 // (algebra.ColTable) this operator was the first to read, and so copied.
 // Annotations are excluded from the fingerprint, so they may depend on
@@ -91,6 +93,22 @@ func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, ma
 	// operator's traffic.
 	before, after := *mark, hs.Snapshot()
 	*mark = after
+	var arms []string
+	for _, a := range []struct {
+		name string
+		n    int64
+	}{
+		{"dense", after.SortDense - before.SortDense},
+		{"radix", after.SortRadix - before.SortRadix},
+		{"compare", after.SortCompare - before.SortCompare},
+	} {
+		if a.n > 0 {
+			arms = append(arms, a.name)
+		}
+	}
+	if len(arms) > 0 {
+		tr.Annotate(id, "sort", strings.Join(arms, "+"))
+	}
 	if builds := after.Builds - before.Builds; builds > 0 {
 		tr.Annotatef(id, "ht_builds", "%d", builds)
 		tr.Annotatef(id, "ht_entries", "%d", after.Entries-before.Entries)
@@ -183,10 +201,11 @@ func ExplainAnalyze(q *query.Query, p *plan.Plan, tr *obs.Trace) string {
 			act := sp.RowsOut
 			ms := float64(sp.DurNS) / 1e6
 			// How the operator's keys were addressed, when it built a table,
-			// and how many columns of its input views it gathered.
+			// which arms its sorts took, and how many columns of its input
+			// views it gathered.
 			notes := ""
 			for _, kv := range sp.Args {
-				if kv.Key == "table" || kv.Key == "gathered" {
+				if kv.Key == "table" || kv.Key == "sort" || kv.Key == "gathered" {
 					notes += " " + kv.Key + "=" + kv.Value
 				}
 			}

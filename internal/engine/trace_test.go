@@ -177,3 +177,45 @@ func TestExplainAnalyzeRender(t *testing.T) {
 		t.Errorf("root actuals %d not rendered:\n%s", stats.ResultRows, text)
 	}
 }
+
+// TestTraceSortArms pins the sort=… annotation: every operator span that
+// performed a sort names the arm it took, and EXPLAIN ANALYZE prints it.
+// On Q3 at factor 100 under the sort layer every int key is dense, so
+// every sort is a counting sort — at one worker and at two.
+func TestTraceSortArms(t *testing.T) {
+	q := tpch.Queries()["Q3"]
+	data := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt("Q3", 100))
+	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if performed, _ := res.Plan.SortStats(); performed == 0 {
+		t.Fatal("the sort plan performs no sort: nothing to annotate")
+	}
+	for _, workers := range []int{1, 2} {
+		tr := obs.NewTrace()
+		_, stats, err := engine.ExecProfiledOpts(q, res.Plan, data, engine.ExecOptions{Workers: workers, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		annotated := 0
+		for _, sp := range tr.Spans() {
+			for _, kv := range sp.Args {
+				if kv.Key != "sort" {
+					continue
+				}
+				annotated++
+				if kv.Value != "dense" {
+					t.Errorf("workers=%d: span %q reports sort=%s, want dense", workers, sp.Name, kv.Value)
+				}
+			}
+		}
+		if h := stats.Hash; annotated == 0 || h.SortDense == 0 || h.SortRadix+h.SortCompare != 0 {
+			t.Errorf("workers=%d: %d sort= annotations, sort arms dense/radix/compare = %d/%d/%d",
+				workers, annotated, h.SortDense, h.SortRadix, h.SortCompare)
+		}
+		if text := engine.ExplainAnalyze(q, res.Plan, tr); strings.Count(text, "sort=dense") != annotated {
+			t.Errorf("workers=%d: EXPLAIN ANALYZE does not print the %d sort= annotations:\n%s", workers, annotated, text)
+		}
+	}
+}
