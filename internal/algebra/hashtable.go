@@ -342,8 +342,8 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 // every table/index build records its geometry here, every bloom-
 // filtered probe its check/pass counts, every gather of a view's column
 // (vector.go) its size, every recycled buffer (recycle.go) its bytes,
-// every performed sort (sort.go) the arm it took. All
-// counters are atomic: probes, gathers and takes run inside task fan-outs.
+// every performed sort (sort.go) the arm it took. All counters are
+// atomic: probes, gathers and takes run inside task fan-outs.
 // A nil *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64

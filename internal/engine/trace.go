@@ -54,14 +54,14 @@ func groupAttrList(q *query.Query, p *plan.Plan) string {
 
 // annotateSpan attaches the non-deterministic (worker-count-dependent or
 // advisory) operator telemetry to a finished span: the estimate the
-// optimizer planned with, the sort decisions of the sort-merge layer
-// with the arms its performed sorts took (sort=dense for the counting
-// sort, radix, compare), and the hash-table delta this operator
-// contributed (batch runtime), with the way its keys were addressed:
-// table=dense for direct-addressed builds and group indexes, table=hash
-// for the flat hash tables — and
-// gathered=<columns>, how many columns of the views its inputs are
-// (algebra.ColTable) this operator was the first to read, and so copied.
+// optimizer planned with, the sort decisions of the sort-merge layer,
+// and the hash-table delta this operator contributed (batch runtime):
+// sort=dense|radix|compare, the arms its performed sorts took (dense is
+// the counting sort); the way its keys were addressed, table=dense for
+// direct-addressed builds and group indexes, table=hash for the flat hash
+// tables; and gathered=<columns>, how many columns of the views its
+// inputs are (algebra.ColTable) this operator was the first to read, and
+// so copied.
 // Annotations are excluded from the fingerprint, so they may depend on
 // the execution configuration freely. mark is the telemetry as of the
 // last span closed before this operator ran — its last child's, children
