@@ -8,46 +8,53 @@ import (
 	"testing"
 )
 
-// TestFlagHygiene pins the misuse conventions: unknown -phys values and
-// mode flags without -exec exit 2 with a pointed message, matching the
-// -feedback convention.
+// TestFlagHygiene pins the misuse conventions: every input exits 2 with
+// a pointed message. A flag outside its subcommand is rejected by the
+// flag package itself; the remaining checks are the values a subcommand
+// validates before any work runs.
 func TestFlagHygiene(t *testing.T) {
+	const undefined = "flag provided but not defined: "
 	cases := []struct {
 		name    string
 		args    []string
 		wantErr string
 	}{
-		{"phys without exec", []string{"-phys", "sort"}, "-phys requires -exec"},
-		{"unknown phys value", []string{"-exec", "-phys", "bogus"}, "unknown physical mode"},
-		{"runtime flag is gone", []string{"-exec", "-runtime", "row"}, "flag provided but not defined: -runtime"},
-		{"feedback without exec", []string{"-feedback"}, "-feedback requires -exec"},
-		{"negative workers", []string{"-workers", "-2"}, "-workers must be"},
-		{"bad sf", []string{"-exec", "-sf", "0"}, "-sf must be > 0"},
-		{"nothing selected", []string{"-fig", "3"}, "nothing selected"},
-		{"serve with exec", []string{"-serve", "-exec"}, "mutually exclusive"},
-		{"sessions without serve", []string{"-sessions", "4"}, "-sessions and -requests require -serve"},
-		{"requests without serve", []string{"-requests", "10"}, "-sessions and -requests require -serve"},
-		{"negative sessions", []string{"-serve", "-sessions", "-1"}, "must be > 0"},
-		{"negative requests", []string{"-serve", "-requests", "-5"}, "must be > 0"},
-		{"bad serve sf", []string{"-serve", "-sf", "0"}, "-sf must be > 0"},
-		{"large with exec", []string{"-large", "-exec"}, "-large is mutually exclusive"},
-		{"large with serve", []string{"-large", "-serve"}, "-large is mutually exclusive"},
-		{"shape without large", []string{"-shape", "star100"}, "-shape and -pair-budget require -large"},
-		{"pair budget without large", []string{"-pair-budget", "1000"}, "-shape and -pair-budget require -large"},
-		{"negative pair budget", []string{"-large", "-pair-budget", "-1"}, "-pair-budget must be"},
-		{"unknown shape", []string{"-large", "-shape", "ring100"}, "unknown -shape"},
-		{"large with feedback", []string{"-large", "-feedback"}, "-feedback requires -exec"},
-		{"large with query", []string{"-large", "-query", "Q3"}, "use -shape with -large"},
-		{"unwritable cpuprofile", []string{"-table", "1", "-cpuprofile", "no-such-dir/cpu.prof"}, "-cpuprofile"},
-		{"unwritable memprofile", []string{"-table", "1", "-memprofile", "no-such-dir/mem.prof"}, "-memprofile"},
-		{"trace without exec", []string{"-trace", "out.json"}, "-trace requires -exec"},
-		{"trace with serve", []string{"-serve", "-trace", "out.json"}, "-trace requires -exec"},
-		{"unwritable trace", []string{"-exec", "-query", "Q3", "-trace", "no-such-dir/out.json"}, "-trace"},
-		{"json without exec", []string{"-json"}, "-json requires -exec"},
-		{"json with serve", []string{"-serve", "-json"}, "-json requires -exec"},
-		{"metrics-addr without serve", []string{"-metrics-addr", "127.0.0.1:0"}, "-metrics-addr requires -serve"},
-		{"metrics-addr with exec", []string{"-exec", "-metrics-addr", "127.0.0.1:0"}, "-metrics-addr requires -serve"},
-		{"unbindable metrics-addr", []string{"-serve", "-metrics-addr", "256.0.0.1:1"}, "-metrics-addr"},
+		{"phys without exec", []string{"figures", "-phys", "sort"}, undefined + "-phys"},
+		{"unknown phys value", []string{"exec", "-phys", "bogus"}, "unknown physical mode"},
+		{"runtime flag is gone", []string{"exec", "-runtime", "row"}, undefined + "-runtime"},
+		{"feedback without exec", []string{"figures", "-feedback"}, undefined + "-feedback"},
+		{"negative workers", []string{"figures", "-workers", "-2"}, "-workers must be"},
+		{"bad sf", []string{"exec", "-sf", "0"}, "-sf must be > 0"},
+		{"nothing selected", []string{"figures", "-fig", "3"}, "nothing selected"},
+		{"serve with exec", []string{"serve", "-exec"}, undefined + "-exec"},
+		{"sessions without serve", []string{"figures", "-sessions", "4"}, undefined + "-sessions"},
+		{"requests without serve", []string{"figures", "-requests", "10"}, undefined + "-requests"},
+		{"negative sessions", []string{"serve", "-sessions", "-1"}, "must be > 0"},
+		{"zero sessions", []string{"serve", "-sessions", "0"}, "must be > 0"},
+		{"negative requests", []string{"serve", "-requests", "-5"}, "must be > 0"},
+		{"bad serve sf", []string{"serve", "-sf", "0"}, "-sf must be > 0"},
+		{"large with exec", []string{"large", "-exec"}, undefined + "-exec"},
+		{"large with serve", []string{"large", "-serve"}, undefined + "-serve"},
+		{"shape without large", []string{"figures", "-shape", "star100"}, undefined + "-shape"},
+		{"pair budget without large", []string{"figures", "-pair-budget", "1000"}, undefined + "-pair-budget"},
+		{"negative pair budget", []string{"large", "-pair-budget", "-1"}, "-pair-budget must be"},
+		{"unknown shape", []string{"large", "-shape", "ring100"}, "unknown -shape"},
+		{"large with feedback", []string{"large", "-feedback"}, undefined + "-feedback"},
+		{"large with query", []string{"large", "-query", "Q3"}, undefined + "-query"},
+		{"unwritable cpuprofile", []string{"figures", "-table", "1", "-cpuprofile", "no-such-dir/cpu.prof"}, "-cpuprofile"},
+		{"unwritable memprofile", []string{"figures", "-table", "1", "-memprofile", "no-such-dir/mem.prof"}, "-memprofile"},
+		{"trace without exec", []string{"figures", "-trace", "out.json"}, undefined + "-trace"},
+		{"trace with serve", []string{"serve", "-trace", "out.json"}, undefined + "-trace"},
+		{"unwritable trace", []string{"exec", "-query", "Q3", "-trace", "no-such-dir/out.json"}, "-trace"},
+		{"json without exec", []string{"figures", "-json"}, undefined + "-json"},
+		{"json with serve", []string{"serve", "-json"}, undefined + "-json"},
+		{"metrics-addr without serve", []string{"figures", "-metrics-addr", "127.0.0.1:0"}, undefined + "-metrics-addr"},
+		{"metrics-addr with exec", []string{"exec", "-metrics-addr", "127.0.0.1:0"}, undefined + "-metrics-addr"},
+		{"unbindable metrics-addr", []string{"serve", "-metrics-addr", "256.0.0.1:1"}, "-metrics-addr"},
+		{"unknown exec query", []string{"exec", "-query", "Q7", "-sf", "0.1"}, `unknown -query "Q7" (known: Ex, Q10, Q3, Q5)`},
+		{"unknown serve query", []string{"serve", "-query", "Q3,Q9"}, `unknown -query "Q9"`},
+		{"no subcommand", nil, "usage: eabench <subcommand>"},
+		{"old mode flag", []string{"-exec"}, `unknown subcommand "-exec"`},
 	}
 	for _, tc := range cases {
 		var out, errOut bytes.Buffer
@@ -60,14 +67,14 @@ func TestFlagHygiene(t *testing.T) {
 	}
 }
 
-// TestExecPhysRuns drives the -exec mode end to end per physical mode on
+// TestExecPhysRuns drives the exec subcommand end to end per physical mode on
 // the smallest instance: exit 0 (all plans reproduce the canonical
 // result) and, for the sort-based modes, a sorts column with eliminated
 // sorts somewhere in the report.
 func TestExecPhysRuns(t *testing.T) {
 	for _, mode := range []string{"hash", "sort", "auto"} {
 		var out, errOut bytes.Buffer
-		code := run([]string{"-exec", "-phys", mode, "-sf", "0.2", "-query", "Q3"}, &out, &errOut)
+		code := run([]string{"exec", "-phys", mode, "-sf", "0.2", "-query", "Q3"}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-phys %s: exit %d\nstderr: %s\nstdout: %s", mode, code, errOut.String(), out.String())
 		}
@@ -80,14 +87,14 @@ func TestExecPhysRuns(t *testing.T) {
 	}
 }
 
-// TestExecRuntimeRuns pins which runtime the CLI's executing modes run:
-// -exec on the smallest instance exits 0 (the plans reproduce the canonical
+// TestExecRuntimeRuns pins which runtime the CLI's executing subcommands
+// run: exec on the smallest instance exits 0 (the plans reproduce the canonical
 // result, which the sequential row operators evaluate) with the hash-table
 // telemetry columns populated — only the batch runtime's tables report —
-// and -serve answers from the same runtime.
+// and serve answers from the same runtime.
 func TestExecRuntimeRuns(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-exec", "-sf", "0.2", "-query", "Q3", "-json"}, &out, &errOut)
+	code := run([]string{"exec", "-sf", "0.2", "-query", "Q3", "-json"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("-exec: exit %d\nstderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
@@ -110,19 +117,19 @@ func TestExecRuntimeRuns(t *testing.T) {
 	}
 	out.Reset()
 	errOut.Reset()
-	args := []string{"-serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}
+	args := []string{"serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
 }
 
-// TestServeRuns drives the -serve mode end to end on the smallest
+// TestServeRuns drives the serve subcommand end to end on the smallest
 // instance: exit 0 (every served response reproduced the canonical
 // result) and a report with the throughput header, per-shape rows and
-// the engine counters. -feedback composes with -serve.
+// the engine counters. -feedback composes with serve.
 func TestServeRuns(t *testing.T) {
 	for _, extra := range [][]string{nil, {"-feedback"}} {
-		args := append([]string{"-serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}, extra...)
+		args := append([]string{"serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}, extra...)
 		var out, errOut bytes.Buffer
 		code := run(args, &out, &errOut)
 		if code != 0 {
@@ -136,7 +143,7 @@ func TestServeRuns(t *testing.T) {
 	}
 }
 
-// TestLargeRuns drives the -large mode end to end on the cheapest shape:
+// TestLargeRuns drives the large subcommand end to end on the cheapest shape:
 // exit 0 (both plans reproduce the canonical result) and a report with
 // the wide-representation header and one row per algorithm. clique100 is
 // the only shape that optimizes exactly in well under a second — its
@@ -144,7 +151,7 @@ func TestServeRuns(t *testing.T) {
 // and stars are left to the dedicated large-query tests.
 func TestLargeRuns(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-large", "-shape", "clique100"}, &out, &errOut)
+	code := run([]string{"large", "-shape", "clique100"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("-large: exit %d\nstderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
@@ -163,7 +170,7 @@ func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.prof", dir+"/mem.prof"
 	var out, errOut bytes.Buffer
-	args := []string{"-table", "1", "-cpuprofile", cpu, "-memprofile", mem}
+	args := []string{"figures", "-table", "1", "-cpuprofile", cpu, "-memprofile", mem}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -176,12 +183,12 @@ func TestProfileFlags(t *testing.T) {
 			t.Fatalf("profile %s is empty", p)
 		}
 	}
-	// Misuse (a mode-flag error) must not leave profile files behind:
+	// Misuse (a bad flag value) must not leave profile files behind:
 	// validation runs before profile setup.
 	bad := dir + "/never.prof"
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-phys", "sort", "-cpuprofile", bad}, &out, &errOut); code != 2 {
+	if code := run([]string{"exec", "-cpuprofile", bad, "-sf", "0"}, &out, &errOut); code != 2 {
 		t.Fatalf("misuse with -cpuprofile: want exit 2, got %d", code)
 	}
 	if _, err := os.Stat(bad); err == nil {
@@ -189,18 +196,34 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestHelpExitsZero pins that -h is a request, not misuse.
+// TestHelpExitsZero pins that -h is a request, not misuse, at the top
+// level and per subcommand. The top-level usage, which an unknown word
+// such as the old -exec form prints with exit 2, lists the subcommands.
 func TestHelpExitsZero(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
-		t.Fatalf("-h: want exit 0, got %d", code)
+	subcommands := []string{"figures", "exec", "serve", "large"}
+	cases := []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"-h"}, 0, subcommands},
+		{[]string{"exec", "-h"}, 0, []string{"-phys", "-trace", "-workers"}},
+		{[]string{"-exec"}, 2, subcommands},
 	}
-	if !strings.Contains(errOut.String(), "-phys") {
-		t.Fatal("usage output missing -phys")
+	for _, tc := range cases {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != tc.code {
+			t.Errorf("%v: want exit %d, got %d", tc.args, tc.code, code)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(errOut.String(), want) {
+				t.Errorf("%v: usage output missing %q\n%s", tc.args, want, errOut.String())
+			}
+		}
 	}
 }
 
-// TestTraceMode drives -exec -trace end to end: exit 0 and a valid
+// TestTraceMode drives exec -trace end to end: exit 0 and a valid
 // Chrome trace-event JSON file with the span categories of the run —
 // per-query spans, optimizer phases with dp-levels, executor operators.
 // -trace also composes with -feedback (round spans appear).
@@ -230,7 +253,7 @@ func TestTraceMode(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/trace.json"
 	var out, errOut bytes.Buffer
-	args := []string{"-exec", "-query", "Q3", "-sf", "0.2", "-trace", path}
+	args := []string{"exec", "-query", "Q3", "-sf", "0.2", "-trace", path}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -254,7 +277,7 @@ func TestTraceMode(t *testing.T) {
 	fbPath := dir + "/feedback.json"
 	out.Reset()
 	errOut.Reset()
-	args = []string{"-exec", "-feedback", "-query", "Q3", "-sf", "0.2", "-trace", fbPath}
+	args = []string{"exec", "-feedback", "-query", "Q3", "-sf", "0.2", "-trace", fbPath}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -269,12 +292,12 @@ func TestTraceMode(t *testing.T) {
 	}
 }
 
-// TestJSONMode drives -exec -json (and the -feedback composition): exit
+// TestJSONMode drives exec -json (and the -feedback composition): exit
 // 0 and parseable JSON with the mode marker, string-rendered enums and
 // the verification verdict.
 func TestJSONMode(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-exec", "-query", "Q3", "-sf", "0.2", "-json"}
+	args := []string{"exec", "-query", "Q3", "-sf", "0.2", "-json"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -299,7 +322,7 @@ func TestJSONMode(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	args = []string{"-exec", "-feedback", "-query", "Q3", "-sf", "0.2", "-json"}
+	args = []string{"exec", "-feedback", "-query", "Q3", "-sf", "0.2", "-json"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
@@ -315,13 +338,13 @@ func TestJSONMode(t *testing.T) {
 	}
 }
 
-// TestServeMetricsAddr drives -serve -metrics-addr end to end: the bound
+// TestServeMetricsAddr drives serve -metrics-addr end to end: the bound
 // address goes to stderr before the run, and the report records that the
 // endpoint was served. (Live scraping under concurrency is covered by
 // the service package's endpoint test.)
 func TestServeMetricsAddr(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4", "-metrics-addr", "127.0.0.1:0"}
+	args := []string{"serve", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4", "-metrics-addr", "127.0.0.1:0"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,6 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyze := fs.Bool("analyze", false, "EXPLAIN ANALYZE: execute the lazy and eager plans on synthetic data and print per-operator est-vs-actual cardinality and time, before and after cardinality feedback (TPC-H demos only)")
 	sf := fs.Float64("sf", 1, "with -analyze: synthetic data scale factor")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h / --help is a request, not misuse
+		}
 		return 2
 	}
 
@@ -74,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "eaexplain: -sf requires -analyze")
 		return 2
 	}
-	if *analyze && *sf <= 0 {
+	if *analyze && !(*sf > 0) { // rejects NaN too, unlike *sf <= 0
 		fmt.Fprintf(stderr, "eaexplain: -sf must be > 0, got %g\n", *sf)
 		return 2
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestExplainFlagHygiene pins eaexplain's misuse conventions: flag
 // combinations that cannot mean anything exit 2 with a pointed message,
-// matching eabench's convention.
+// and -h exits 0, matching eabench's convention.
 func TestExplainFlagHygiene(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -21,6 +21,7 @@ func TestExplainFlagHygiene(t *testing.T) {
 		{"pair budget on small demo", []string{"-demo", "q3", "-pair-budget", "1000"}, "-pair-budget requires"},
 		{"sf without analyze", []string{"-demo", "q3", "-sf", "2"}, "-sf requires -analyze"},
 		{"bad sf", []string{"-demo", "q3", "-analyze", "-sf", "0"}, "-sf must be > 0"},
+		{"NaN sf", []string{"-demo", "q3", "-analyze", "-sf", "NaN"}, "-sf must be > 0"},
 		{"analyze with spec", []string{"-spec", "testdata/star.json", "-analyze"}, "-analyze needs a TPC-H demo"},
 		{"analyze on large demo", []string{"-demo", "chain100", "-analyze"}, "-analyze needs a TPC-H demo"},
 	}
@@ -32,6 +33,11 @@ func TestExplainFlagHygiene(t *testing.T) {
 		if !strings.Contains(errOut.String(), tc.wantErr) {
 			t.Errorf("%s: stderr %q does not mention %q", tc.name, errOut.String(), tc.wantErr)
 		}
+	}
+	// -h is a request, not misuse: the usage, exit 0.
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errOut); code != 0 || !strings.Contains(errOut.String(), "-demo") {
+		t.Errorf("-h: want exit 0 with the usage, got %d (stderr: %s)", code, errOut.String())
 	}
 }
 

@@ -54,7 +54,7 @@ type ExecRow struct {
 	Match bool
 }
 
-// ExecReport is the output of the -exec mode: per TPC-H query, the
+// ExecReport is the output of eabench exec: per TPC-H query, the
 // canonical evaluation time plus one row per optimized plan.
 type ExecReport struct {
 	Factor      float64
@@ -91,7 +91,7 @@ func execQueryNames(names []string) []string {
 // scaled synthetic instance (deterministic per cfg.Seed), the canonical
 // reference result with its evaluation time, and the output schema. The
 // scaling, seeding and canonical-evaluation rules live only here so the
-// -exec and -feedback reports stay comparable.
+// exec and feedback reports stay comparable.
 func execSetup(cfg Config, factor float64, name string) (q *query.Query, data engine.TableData, wantRel *algebra.Rel, attrs []string, canonMillis float64) {
 	q, ok := tpch.Queries()[name]
 	if !ok {
@@ -176,7 +176,7 @@ func ExecEval(cfg Config, factor float64, names []string) *ExecReport {
 }
 
 // AllMatch reports whether every executed plan reproduced the canonical
-// result — the go/no-go signal for scripted use of the -exec mode.
+// result — the go/no-go signal for scripted use of eabench exec.
 func (r *ExecReport) AllMatch() bool {
 	for _, row := range r.Rows {
 		if !row.Match {

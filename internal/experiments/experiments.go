@@ -33,21 +33,21 @@ type Config struct {
 	// MaxN bounds the fast algorithms (paper: 20).
 	MaxN int
 	// Workers is the worker count passed to core.Options.Workers for
-	// optimization and — in the -exec mode — to engine.ExecOptions for
+	// optimization and — in the executing reports — to engine.ExecOptions for
 	// morsel-driven plan execution. Unlike core, 0 here selects the
 	// sequential default (1) so the runtime experiments keep
 	// reproducing the paper's single-threaded conditions unless
 	// parallelism is explicitly requested. Results are bit-identical
 	// for every value; only the runtime figures change.
 	Workers int
-	// Phys selects the physical algebra for the -exec and -feedback
+	// Phys selects the physical algebra for the exec and feedback
 	// modes (hash, sort-based, or both competing per plan class). The
 	// zero value keeps the hash layer, the paper's conditions.
 	Phys core.PhysMode
-	// Trace, when non-nil, collects spans from the -exec and -feedback
+	// Trace, when non-nil, collects spans from the exec and feedback
 	// evaluations: one "query" span per (query, plan-generator) cell with
 	// the optimizer phases and executor operators nested under it — the
-	// tree eabench -trace writes as Chrome trace-event JSON. Nil (the
+	// tree eabench exec -trace writes as Chrome trace-event JSON. Nil (the
 	// default) keeps every experiment on the untraced hot path.
 	Trace *obs.Trace
 }

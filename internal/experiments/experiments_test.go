@@ -140,7 +140,7 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
-// TestFeedbackEval smokes the -exec -feedback experiment: every loop
+// TestFeedbackEval smokes the exec -feedback experiment: every loop
 // converges with final plan-level q-error 1 (the fixed point), every
 // final result matches the canonical evaluation, and at small scale
 // factors feedback demonstrably changes at least one chosen plan with a
@@ -172,7 +172,7 @@ func TestFeedbackEval(t *testing.T) {
 	t.Fatalf("no changed plan with a ≥10x q-error reduction:\n%s", rep.Format())
 }
 
-// TestExecEvalWorstOp checks the per-operator drill-down of the -exec
+// TestExecEvalWorstOp checks the per-operator drill-down of the exec
 // report: every non-trivial row carries a labeled worst-operator
 // q-error ≥ 1.
 func TestExecEvalWorstOp(t *testing.T) {

@@ -38,7 +38,7 @@ type FeedbackRow struct {
 	Match bool
 }
 
-// FeedbackReport is the output of the -exec -feedback mode.
+// FeedbackReport is the output of eabench exec -feedback.
 type FeedbackReport struct {
 	Factor  float64
 	Workers int

@@ -1,4 +1,4 @@
-// Machine-readable report output: the -json mode of eabench. The JSON
+// Machine-readable report output: eabench exec -json. The JSON
 // mirrors the Format() tables — same rows, same quantities — with enum
 // fields rendered as their String() forms so downstream tooling never
 // depends on internal constant values.

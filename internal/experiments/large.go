@@ -13,7 +13,7 @@ import (
 	"eagg/internal/randquery"
 )
 
-// The -large mode: queries past the 63-relation fast path, optimized on
+// eabench large: queries past the 63-relation fast path, optimized on
 // the wide set representation and executed end-to-end. Chains stay
 // exactly enumerable (the pair count is quadratic); stars and cliques
 // trip the enumeration budget and fall back to the deterministic greedy
@@ -71,7 +71,7 @@ type LargeRow struct {
 	Match      bool
 }
 
-// LargeReport is the output of the -large mode.
+// LargeReport is the output of eabench large.
 type LargeReport struct {
 	Workers    int
 	PairBudget int

@@ -18,7 +18,7 @@ import (
 	"eagg/internal/service"
 )
 
-// ServeRow aggregates one TPC-H shape's traffic in a -serve run.
+// ServeRow aggregates one TPC-H shape's traffic in an eabench serve run.
 type ServeRow struct {
 	Query    string
 	Requests int
@@ -37,7 +37,7 @@ type ServeRow struct {
 	Match bool
 }
 
-// ServeReport is the output of the -serve mode: one engine serving
+// ServeReport is the output of eabench serve: one engine serving
 // concurrent sessions that replay TPC-H query shapes against resident
 // data.
 type ServeReport struct {
@@ -66,18 +66,14 @@ type ServeReport struct {
 // canonical result; per-shape latency percentiles and throughput plus
 // the engine's cache/feedback metrics make up the report. A nil or
 // empty names list selects every TPC-H query.
-func ServeEval(cfg Config, factor float64, names []string, sessions, requests int, feedback bool) *ServeReport {
-	return ServeEvalMetrics(cfg, factor, names, sessions, requests, feedback, nil)
-}
-
-// ServeEvalMetrics is ServeEval with a live metrics endpoint: for the
-// duration of the serving phase, the engine's registry is scrapeable on
-// ln at /metrics (Prometheus text exposition) and /debug/vars (expvar,
-// registry published under "eagg"). The caller owns creating the
-// listener — a bad address is then a flag-validation error, not a
-// mid-run surprise — and the server closes it on the way out. A nil ln
-// is plain ServeEval.
-func ServeEvalMetrics(cfg Config, factor float64, names []string, sessions, requests int, feedback bool, ln net.Listener) *ServeReport {
+//
+// A non-nil ln serves the engine's registry for the duration of the
+// serving phase at /metrics (Prometheus text exposition) and
+// /debug/vars (expvar, registry published under "eagg"); nil serves no
+// metrics endpoint. The caller owns creating the listener — a bad
+// address is then a flag-validation error, not a mid-run surprise — and
+// the server closes it on the way out.
+func ServeEval(cfg Config, factor float64, names []string, sessions, requests int, feedback bool, ln net.Listener) *ServeReport {
 	cfg = cfg.Defaults()
 	if sessions < 1 {
 		sessions = 1
@@ -219,7 +215,7 @@ type queryWithData struct {
 }
 
 // AllMatch reports whether every served response reproduced its shape's
-// canonical result — the go/no-go signal for scripted -serve use.
+// canonical result — the go/no-go signal for scripted eabench serve use.
 func (r *ServeReport) AllMatch() bool {
 	for _, row := range r.Rows {
 		if !row.Match {

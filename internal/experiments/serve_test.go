@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestServeEvalSmoke runs the -serve experiment end to end on a small
+// TestServeEvalSmoke runs the serve experiment end to end on a small
 // instance: every shape's responses must reproduce the canonical result
 // under concurrency, the warm cache must serve all repeats (one miss
 // per shape at the stable epoch), and the report must render.
 func TestServeEvalSmoke(t *testing.T) {
 	cfg := Config{Workers: 2}
-	rep := ServeEval(cfg, 0.2, []string{"Ex", "Q3"}, 3, 6, false)
+	rep := ServeEval(cfg, 0.2, []string{"Ex", "Q3"}, 3, 6, false, nil)
 	if !rep.AllMatch() {
 		t.Fatalf("served results diverged from canonical:\n%s", rep.Format())
 	}
@@ -45,7 +45,7 @@ func TestServeEvalSmoke(t *testing.T) {
 // must change something).
 func TestServeEvalFeedback(t *testing.T) {
 	cfg := Config{Workers: 2}
-	rep := ServeEval(cfg, 0.2, []string{"Q3"}, 2, 5, true)
+	rep := ServeEval(cfg, 0.2, []string{"Q3"}, 2, 5, true, nil)
 	if !rep.AllMatch() {
 		t.Fatalf("feedback serving diverged from canonical:\n%s", rep.Format())
 	}
