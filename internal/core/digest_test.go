@@ -36,8 +36,8 @@ func (c digestCell) name() string {
 // digestCells lays out the pinned population: the 60 random queries of the
 // benchmark's optimize_cold mix (same seed, same draw order) through the
 // four generators it runs, the paper's TPC-H queries through the same four
-// on every physical mode, the chain/star/wide cells, and 20 small queries
-// through the complete search.
+// on every physical mode and through Beam in the sort mode, the
+// chain/star/wide cells, and 20 small queries through the complete search.
 func digestCells() []digestCell {
 	four := []core.Options{
 		{Algorithm: core.AlgDPhyp},
@@ -63,6 +63,7 @@ func digestCells() []digestCell {
 		for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort, core.PhysModeAuto} {
 			add(name, tpch.Queries()[name], phys, four...)
 		}
+		add(name, tpch.Queries()[name], core.PhysModeSort, core.Options{Algorithm: core.AlgBeam})
 	}
 	shapes := []core.Options{{Algorithm: core.AlgH1}, {Algorithm: core.AlgEAPrune}, {Algorithm: core.AlgBeam}}
 	add("chain12", randquery.Chain(12), core.PhysModeHash, shapes...)
