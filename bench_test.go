@@ -756,11 +756,11 @@ func BenchmarkFeedback(b *testing.B) {
 // at factor 500 (the benchmark's tpch_sort_large data: 200k-row lineitem
 // for Q3, 300k customers for Ex) on the batch runtime, workers 1/2.
 // phys=hash is the baseline, phys=sort forces sort-merge join /
-// sort-group aggregation wherever supported, phys=auto lets both compete
-// per plan class. Results are identical across all modes (the
-// differential suites enforce it); ns/op and B/op isolate the
-// physical-layer effect and the reported metrics show how many sorts the
-// chosen plan performs versus eliminates by reusing interesting orders.
+// sort-group aggregation wherever supported. Results are identical
+// across both modes (the differential suites enforce it); ns/op and B/op
+// isolate the physical-layer effect and the reported metrics show how
+// many sorts the chosen plan performs versus eliminates by reusing
+// interesting orders.
 func BenchmarkSortVsHash(b *testing.B) {
 	modes := []struct {
 		name string
@@ -768,7 +768,6 @@ func BenchmarkSortVsHash(b *testing.B) {
 	}{
 		{"hash", core.PhysModeHash},
 		{"sort", core.PhysModeSort},
-		{"auto", core.PhysModeAuto},
 	}
 	for _, qn := range []string{"Q3", "Q10", "Q5", "Ex"} {
 		q := tpch.Queries()[qn]
@@ -808,7 +807,7 @@ func BenchmarkSortVsHash(b *testing.B) {
 // execution. The qps metric is completed requests per second — CI
 // records both variants, and the warm/cold ratio is the cache's payoff
 // on repeated shapes. The instance is small (sf 0.2) and the physical
-// mode is auto (hash and sort layers compete, the priciest enumeration)
+// mode is sort (plan classes keyed by order, the pricier enumeration)
 // so the workload is optimization-bound — the regime the plan cache is
 // for; at large scale factors execution dominates and the ratio
 // approaches 1 regardless of the cache. cache=hit, below, is the other
@@ -837,7 +836,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 				issue := func(sess *service.Session, i int) {
 					sh := shapes[i%len(shapes)]
 					_, err := sess.Execute(sh.q, service.Request{
-						Opt:     core.Options{Algorithm: core.AlgEAPrune, Workers: 1, Phys: core.PhysModeAuto},
+						Opt:     core.Options{Algorithm: core.AlgEAPrune, Workers: 1, Phys: core.PhysModeSort},
 						Dataset: sh.name,
 						NoCache: !warm,
 					})

@@ -7,7 +7,7 @@
 //	eabench figures -queries 10000 -maxn 20  # the paper's full scale (slow!)
 //	eabench exec -sf 50 -workers 0           # execute plans on all cores
 //	eabench exec -query Q3 -feedback -json   # feedback loop report as JSON
-//	eabench exec -phys auto -trace t.json    # sort layer competing, Chrome trace
+//	eabench exec -phys sort -trace t.json    # sort layer, Chrome trace
 //	eabench serve -sessions 8 -requests 100 -metrics-addr 127.0.0.1:9090
 //	eabench large -shape star100 -pair-budget 50000
 //
@@ -20,11 +20,11 @@
 // tree, which the sequential row operators evaluate. The report shows
 // wall time, rows per second and the q-error between the C_out estimate
 // and the measured intermediate volume. -phys picks the physical algebra
-// (hash, sort, or auto: both compete, and the sorts column shows
-// performed/eliminated sorts). -feedback re-optimizes with measured
-// cardinalities until the plan is stable and reports the q-errors of the
-// first and final rounds. -trace writes Chrome trace-event JSON
-// (Perfetto, chrome://tracing); -json prints the report as JSON.
+// (hash or sort; under sort the sorts column shows performed/eliminated
+// sorts). -feedback re-optimizes with measured cardinalities until the
+// plan is stable and reports the q-errors of the first and final rounds.
+// -trace writes Chrome trace-event JSON (Perfetto, chrome://tracing);
+// -json prints the report as JSON.
 //
 // serve: one engine — shared worker pool, plan cache and, with
 // -feedback, a shared measured-cardinality overlay — serves -sessions
@@ -290,7 +290,7 @@ func addTPCH(fs *flag.FlagSet, e *env, feedbackUsage string) *tpchRun {
 	t := &tpchRun{}
 	fs.Float64Var(&t.sf, "sf", 10, "scale factor multiplying the base synthetic instance sizes (must be > 0)")
 	fs.StringVar(&t.query, "query", "", "comma-separated TPC-H queries ("+strings.Join(tpchNames(), ", ")+"); empty = all")
-	fs.StringVar(&t.phys, "phys", "", "physical algebra — hash (default), sort (sort-merge join/aggregation), or auto (both compete; the sorts column reports performed/eliminated)")
+	fs.StringVar(&t.phys, "phys", "", "physical algebra — hash (default) or sort (sort-merge join/aggregation; the sorts column reports performed/eliminated)")
 	fs.BoolVar(&t.feedback, "feedback", false, feedbackUsage)
 	addSeed(fs, e)
 	return t

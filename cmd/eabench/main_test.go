@@ -21,6 +21,7 @@ func TestFlagHygiene(t *testing.T) {
 	}{
 		{"phys without exec", []string{"figures", "-phys", "sort"}, undefined + "-phys"},
 		{"unknown phys value", []string{"exec", "-phys", "bogus"}, "unknown physical mode"},
+		{"auto phys mode is gone", []string{"exec", "-phys", "auto"}, `unknown physical mode "auto" (want hash or sort)`},
 		{"runtime flag is gone", []string{"exec", "-runtime", "row"}, undefined + "-runtime"},
 		{"feedback without exec", []string{"figures", "-feedback"}, undefined + "-feedback"},
 		{"negative workers", []string{"figures", "-workers", "-2"}, "-workers must be"},
@@ -69,10 +70,10 @@ func TestFlagHygiene(t *testing.T) {
 
 // TestExecPhysRuns drives the exec subcommand end to end per physical mode on
 // the smallest instance: exit 0 (all plans reproduce the canonical
-// result) and, for the sort-based modes, a sorts column with eliminated
-// sorts somewhere in the report.
+// result) and, for the sort mode, a sorts column with eliminated sorts
+// somewhere in the report.
 func TestExecPhysRuns(t *testing.T) {
-	for _, mode := range []string{"hash", "sort", "auto"} {
+	for _, mode := range []string{"hash", "sort"} {
 		var out, errOut bytes.Buffer
 		code := run([]string{"exec", "-phys", mode, "-sf", "0.2", "-query", "Q3"}, &out, &errOut)
 		if code != 0 {

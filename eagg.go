@@ -216,23 +216,21 @@ func NewSharedOverlay() *SharedOverlay { return cost.NewSharedOverlay() }
 func Fingerprint(q *Query, opts Options) string { return core.Fingerprint(q, opts) }
 
 // PhysMode selects the physical algebra the plan generator may use: the
-// hash layer only (default), the sort-based layer, or both competing
-// per plan class (see Options.Phys and the README's "-phys" section).
+// hash layer (default) or the sort-based layer (see Options.Phys and the
+// README's "-phys" section).
 type PhysMode = core.PhysMode
 
 // The physical algebra modes.
 const (
 	// PhysHash builds plans for the hash layer only (the default).
 	PhysHash = core.PhysModeHash
-	// PhysSort prefers sort-merge joins and sort-group aggregation.
+	// PhysSort builds sort-merge joins and sort-group aggregation
+	// wherever they exist; ordered plans survive per plan class, so sorts
+	// get eliminated where orders can be reused.
 	PhysSort = core.PhysModeSort
-	// PhysAuto lets hash and sort operators compete; the DP table keys
-	// plan classes by (relation set, collapse state, order) so ordered
-	// plans survive and sorts get eliminated where orders can be reused.
-	PhysAuto = core.PhysModeAuto
 )
 
-// ParsePhysMode resolves "hash", "sort" or "auto" ("" = hash).
+// ParsePhysMode resolves "hash" or "sort" ("" = hash).
 func ParsePhysMode(s string) (PhysMode, error) { return core.ParsePhysMode(s) }
 
 // ExecRuntime is the type of ExecOptions.Runtime. Plans execute on the

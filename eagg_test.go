@@ -191,8 +191,8 @@ func TestFacadeSurfacesCapacityErrors(t *testing.T) {
 }
 
 // TestFacadePhysModes drives the sort-based physical layer through the
-// facade: all three modes optimize and execute the doc example, results
-// equal the canonical evaluation.
+// facade: both modes optimize and execute the doc example, results
+// equal the canonical evaluation, and any other mode name is rejected.
 func TestFacadePhysModes(t *testing.T) {
 	q, _ := buildStarQuery()
 	rng := rand.New(rand.NewSource(5))
@@ -201,7 +201,7 @@ func TestFacadePhysModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []eagg.PhysMode{eagg.PhysHash, eagg.PhysSort, eagg.PhysAuto} {
+	for _, mode := range []eagg.PhysMode{eagg.PhysHash, eagg.PhysSort} {
 		res, err := eagg.Optimize(q, eagg.Options{Algorithm: eagg.EAPrune, Phys: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -214,7 +214,9 @@ func TestFacadePhysModes(t *testing.T) {
 			t.Fatalf("%v: result differs from canonical", mode)
 		}
 	}
-	if _, err := eagg.ParsePhysMode("bogus"); err == nil {
-		t.Fatal("ParsePhysMode must reject unknown modes")
+	for _, name := range []string{"bogus", "auto"} {
+		if _, err := eagg.ParsePhysMode(name); err == nil {
+			t.Fatalf("ParsePhysMode must reject %q", name)
+		}
 	}
 }

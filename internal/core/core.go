@@ -60,29 +60,26 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// PhysMode selects the physical algebra the plan generator may use.
+// PhysMode selects the physical algebra the plan generator may use. The
+// physical kind of every operator is a function of the mode and the
+// operator kind.
 type PhysMode int
 
 const (
 	// PhysModeHash (the default) builds plans for the hash layer only —
 	// the exact pre-existing behavior, bit for bit.
 	PhysModeHash PhysMode = iota
-	// PhysModeSort prefers the sort-based layer: every operator with a
-	// sort-based form (inner/semi/anti/leftouter joins, all groupings)
-	// uses it; full outer joins and groupjoins stay on the hash layer.
+	// PhysModeSort builds plans for the sort-based layer: every operator
+	// with a sort-based form (inner/semi/anti/leftouter joins, all
+	// groupings) uses it; full outer joins and groupjoins stay on the
+	// hash layer. Plans compete per order-keyed plan class, by PhysCost
+	// (see phys.go).
 	PhysModeSort
-	// PhysModeAuto lets both layers compete: the DP table keeps plan
-	// classes keyed by (relation set, collapse state, contractual
-	// order), so a plan that is more expensive but ordered survives
-	// enumeration and can win later by eliminating sorts; selection is
-	// by PhysCost (C_out plus physical reorganization overhead).
-	PhysModeAuto
 )
 
 var physNames = map[PhysMode]string{
 	PhysModeHash: "hash",
 	PhysModeSort: "sort",
-	PhysModeAuto: "auto",
 }
 
 func (m PhysMode) String() string {
@@ -93,17 +90,15 @@ func (m PhysMode) String() string {
 }
 
 // ParsePhysMode resolves the user-facing physical-mode names ("hash",
-// "sort", "auto"; "" means hash).
+// "sort"; "" means hash).
 func ParsePhysMode(s string) (PhysMode, error) {
 	switch s {
 	case "", "hash":
 		return PhysModeHash, nil
 	case "sort":
 		return PhysModeSort, nil
-	case "auto":
-		return PhysModeAuto, nil
 	}
-	return 0, fmt.Errorf("unknown physical mode %q (want hash, sort or auto)", s)
+	return 0, fmt.Errorf("unknown physical mode %q (want hash or sort)", s)
 }
 
 // Options configure an optimization run.
@@ -132,10 +127,10 @@ type Options struct {
 	// concurrent reads and must not change during the optimization:
 	// parallel workers share it across their estimator clones.
 	Stats cost.CardSource
-	// Phys selects the physical algebra (hash only, sort-based, or both
-	// competing). The default PhysModeHash reproduces the pre-existing
-	// plans exactly; the sort modes additionally track contractual
-	// orders, key DP plan classes by them, and rank plans by PhysCost.
+	// Phys selects the physical algebra (hash or sort-based). The
+	// default PhysModeHash reproduces the pre-existing plans exactly;
+	// the sort mode additionally tracks contractual orders, keys DP plan
+	// classes by them, and ranks plans by PhysCost.
 	Phys PhysMode
 	// ForceWide routes the run through the multi-word wide set
 	// representation even when the query fits the Set64 fast path. The
@@ -193,6 +188,12 @@ type Result struct {
 func Optimize(q *query.Query, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	if _, ok := algNames[opts.Algorithm]; !ok {
+		return nil, fmt.Errorf("core: undefined algorithm %v", opts.Algorithm)
+	}
+	if _, ok := physNames[opts.Phys]; !ok {
+		return nil, fmt.Errorf("core: undefined physical mode %v", opts.Phys)
 	}
 	if opts.Algorithm == AlgH2 && opts.F <= 0 {
 		return nil, errors.New("core: H2 requires a tolerance factor F > 0")
@@ -528,62 +529,65 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 
 // insert applies the algorithm's retention policy for non-top entries. The
 // candidate t is a scratch estimate (see worker); a policy that retains it
-// stores w.keep(t), so a rejected candidate never becomes a node. In the
-// sort/auto physical modes the policy applies per plan class (see phys.go).
+// stores w.keep(t), so a rejected candidate never becomes a node. The
+// single-plan generators keep the best plan per plan class (see sameClass)
+// by rank; EA-Prune runs the same frontier in both modes, its dominance
+// extended by the physical dimensions in the sort mode (see dominatesRest).
 func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
-	if g.physOn() {
-		g.insertPhys(w, e, t)
-		return
-	}
 	switch g.opts.Algorithm {
 	case AlgEAAll:
 		e.plans = append(e.plans, w.keep(t))
 	case AlgEAPrune:
 		g.pruneDominatedPlans(w, e, t)
 	case AlgBeam:
-		g.insertBeam(w, e, t)
-	case AlgH2:
-		if len(e.plans) == 0 {
-			e.plans = append(e.plans, w.keep(t))
-		} else if g.compareAdjustedCosts(t, e.plans[0], false) {
-			e.plans[0] = w.keep(t)
+		if g.physOn() {
+			g.insertBeamPhys(w, e, t)
+		} else {
+			g.insertBeam(w, e, t)
 		}
-	default: // DPhyp, H1: single cheapest plan
-		if len(e.plans) == 0 {
-			e.plans = append(e.plans, w.keep(t))
-		} else if t.Cost < e.plans[0].Cost {
-			e.plans[0] = w.keep(t)
+	default: // DPhyp, H1, H2: the best plan per plan class
+		for i, old := range e.plans {
+			if g.sameClass(old, t) {
+				if g.compareAdjusted(t, old) {
+					e.plans[i] = w.keep(t)
+				}
+				return
+			}
 		}
+		e.plans = append(e.plans, w.keep(t))
 	}
 }
 
 // insertTopLevelPlan implements Fig. 9's InsertTopLevelPlan: top-level
-// plans are always compared by plain cost — physical cost in the
-// sort/auto modes — and only the best one is kept. The final grouping
-// (or its elimination) has already been attached by finalizeEach.
+// plans are always compared by plain rank and only the best one is kept.
+// The final grouping (or its elimination) has already been attached by
+// finalizeEach.
 func (g *generator[S]) insertTopLevelPlan(w *worker, e *entry, t *plan.Plan) {
 	switch {
 	case len(e.plans) == 0:
 		e.plans = append(e.plans, w.keep(t))
-	case g.physOn() && t.PhysCost < e.plans[0].PhysCost,
-		!g.physOn() && t.Cost < e.plans[0].Cost:
+	case g.rank(t) < g.rank(e.plans[0]):
 		e.plans[0] = w.keep(t)
 	}
 }
 
-// compareAdjustedCosts implements Fig. 12: H2 biases the comparison toward
-// more eager plans using the tolerance factor F. It returns whether t
-// should replace cur.
-func (g *generator[S]) compareAdjustedCosts(t, cur *plan.Plan, topLevel bool) bool {
+// compareAdjusted reports whether t should replace cur in its plan class.
+// H2 implements Fig. 12: it biases the comparison toward more eager plans
+// using the tolerance factor F. DPhyp and H1 compare plain rank.
+func (g *generator[S]) compareAdjusted(t, cur *plan.Plan) bool {
+	rt, rc := g.rank(t), g.rank(cur)
+	if g.opts.Algorithm != AlgH2 {
+		return rt < rc
+	}
 	et, ec := t.Eagerness(), cur.Eagerness()
 	f := g.opts.F
 	switch {
-	case topLevel || et == ec:
-		return t.Cost < cur.Cost
+	case et == ec:
+		return rt < rc
 	case et < ec:
-		return f*t.Cost < cur.Cost
+		return f*rt < rc
 	default:
-		return t.Cost < f*cur.Cost
+		return rt < f*rc
 	}
 }
 

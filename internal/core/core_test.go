@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"eagg/internal/aggfn"
@@ -216,6 +217,39 @@ func TestH2RequiresF(t *testing.T) {
 	q := motivatingQuery()
 	if _, err := Optimize(q, Options{Algorithm: AlgH2}); err == nil {
 		t.Error("H2 without F must error")
+	}
+}
+
+// TestOptimizeRejectsUndefinedOptions pins that only the defined
+// Algorithm and PhysMode constants reach the generators: any other value,
+// including the retired auto mode's old value 2, is an error, as is the
+// name "auto".
+func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
+	q := motivatingQuery()
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"PhysMode(2)", Options{Algorithm: AlgEAPrune, Phys: PhysMode(2)}},
+		{"PhysMode(-1)", Options{Algorithm: AlgEAPrune, Phys: PhysMode(-1)}},
+		{"PhysMode(7)", Options{Algorithm: AlgEAPrune, Phys: PhysMode(7)}},
+		{"Algorithm(42)", Options{Algorithm: Algorithm(42)}},
+		{"Algorithm(-1)", Options{Algorithm: Algorithm(-1), Phys: PhysModeSort}},
+	} {
+		if res, err := Optimize(q, c.opts); err == nil {
+			t.Errorf("%s: Optimize returned a plan, want an error:\n%v", c.name, res.Plan)
+		} else if !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: error %q does not name the value", c.name, err)
+		}
+	}
+	_, err := ParsePhysMode("auto")
+	if err == nil {
+		t.Fatal(`ParsePhysMode("auto") must fail`)
+	}
+	for _, want := range []string{"hash", "sort"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ParsePhysMode error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func digestCells() []digestCell {
 		}
 	}
 	for _, name := range []string{"Ex", "Q3", "Q5", "Q10"} {
-		for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort, core.PhysModeAuto} {
+		for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort} {
 			add(name, tpch.Queries()[name], phys, four...)
 		}
 		add(name, tpch.Queries()[name], core.PhysModeSort, core.Options{Algorithm: core.AlgBeam})

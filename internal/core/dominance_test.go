@@ -89,11 +89,11 @@ func frontierDominates(a, b *plan.Plan, phys bool) bool {
 
 // differentialQueries draws the population of the dominance tests: count
 // random queries, n cycling through 3…9, the physical mode through
-// hash/sort/auto.
+// hash/sort.
 func differentialQueries(count int, fn func(i int, q *query.Query, phys PhysMode)) {
 	rng := rand.New(rand.NewSource(416))
 	for i := 0; i < count; i++ {
-		fn(i, randquery.Generate(rng, randquery.Params{Relations: 3 + i%7}), PhysMode(i%3))
+		fn(i, randquery.Generate(rng, randquery.Params{Relations: 3 + i%7}), PhysMode(i%2))
 	}
 }
 
@@ -342,8 +342,7 @@ func TestPathCardVector(t *testing.T) {
 func TestForcedPoolDeterminism(t *testing.T) {
 	// maxN and one worker count per query keep the test short enough for
 	// the race stress lane, which runs it nine times: EA-All's table
-	// explodes past n = 6, and past n = 5 under auto, whose plan classes
-	// multiply it (one 6-relation query builds 24.7M trees there).
+	// explodes past n = 6.
 	algs := []struct {
 		opts Options
 		maxN int
@@ -358,7 +357,7 @@ func TestForcedPoolDeterminism(t *testing.T) {
 	differentialQueries(63, func(i int, q *query.Query, phys PhysMode) {
 		for k, c := range algs {
 			opts := c.opts
-			if n := len(q.Relations); n > c.maxN || opts.Algorithm == AlgEAAll && phys == PhysModeAuto && n > 5 {
+			if len(q.Relations) > c.maxN {
 				continue
 			}
 			opts.Phys, opts.Workers = phys, 1

@@ -24,23 +24,16 @@ import (
 // quality lost to the missing exact enumeration at linear cost.
 const greedyFrontier = 16
 
-// bestPlanCost returns the ranking cost of a DP-table entry: the
-// cheapest member, by physical cost when the sort layer participates.
+// bestPlanCost returns the ranking cost of a DP-table entry: the rank of
+// its best member.
 func (g *generator[S]) bestPlanCost(e *entry) float64 {
-	best := e.plans[0]
+	best := g.rank(e.plans[0])
 	for _, p := range e.plans[1:] {
-		if g.physOn() {
-			if p.PhysCost < best.PhysCost {
-				best = p
-			}
-		} else if p.Cost < best.Cost {
-			best = p
+		if r := g.rank(p); r < best {
+			best = r
 		}
 	}
-	if g.physOn() {
-		return best.PhysCost
-	}
-	return best.Cost
+	return best
 }
 
 func (g *generator[S]) runGreedy() {

@@ -25,9 +25,7 @@ func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S]
 	t1s, t2s := e1.plans, e2.plans
 	kind := op.Node.Kind
 
-	kinds := len(g.groupPhysKinds())
-	w.gl, w.glNode = resize(w.gl, kinds), resize(w.glNode, kinds)
-	w.gr, w.grNode = resize(w.gr, kinds*len(t2s)), resize(w.grNode, kinds*len(t2s))
+	w.gr, w.grNode = resize(w.gr, len(t2s)), resize(w.grNode, len(t2s))
 	clear(w.grNode)
 	var gpL, gpR bitset.VSet
 	pushL, pushR := false, false
@@ -40,32 +38,29 @@ func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S]
 		}
 	}
 	for j, t2 := range t2s {
-		g.pushedGroups(w, w.gr[j*kinds:(j+1)*kinds], t2, gpR, pushR)
+		g.pushedGroup(w, &w.gr[j], t2, gpR, pushR)
 	}
 
 	built := 0
+	gl := &w.gl
 	for _, t1 := range t1s {
-		g.pushedGroups(w, w.gl, t1, gpL, pushL)
-		clear(w.glNode)
+		g.pushedGroup(w, gl, t1, gpL, pushL)
+		w.glNode = nil
 		for j, t2 := range t2s {
-			gr, grNode := w.gr[j*kinds:(j+1)*kinds], w.grNode[j*kinds:(j+1)*kinds]
-			built += g.consider(w, e, kind, t1, t2, nil, nil, topLevel)
-			for i := range w.gl {
-				if w.gl[i].Left != nil {
-					built += g.consider(w, e, kind, &w.gl[i], t2, &w.glNode[i], nil, topLevel)
-				}
+			gr, grNode := &w.gr[j], &w.grNode[j]
+			g.consider(w, e, kind, t1, t2, nil, nil, topLevel)
+			built++
+			if gl.Left != nil {
+				g.consider(w, e, kind, gl, t2, &w.glNode, nil, topLevel)
+				built++
 			}
-			for k := range gr {
-				if gr[k].Left != nil {
-					built += g.consider(w, e, kind, t1, &gr[k], nil, &grNode[k], topLevel)
-				}
+			if gr.Left != nil {
+				g.consider(w, e, kind, t1, gr, nil, grNode, topLevel)
+				built++
 			}
-			for i := range w.gl {
-				for k := range gr {
-					if w.gl[i].Left != nil && gr[k].Left != nil {
-						built += g.consider(w, e, kind, &w.gl[i], &gr[k], &w.glNode[i], &grNode[k], topLevel)
-					}
-				}
+			if gl.Left != nil && gr.Left != nil {
+				g.consider(w, e, kind, gl, gr, &w.glNode, grNode, topLevel)
+				built++
 			}
 		}
 	}
@@ -81,107 +76,61 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// consider estimates one operator tree l ◦ r into w.cand — once per
-// admissible physical kind in the sort/auto modes, hash first (ties
-// resolve toward hash in the retention policies) — and hands it to the
-// retention policy, each completed tree through finalizeEach. lNode/rNode
-// are the node-cache slots of scratch children. It returns the number of
-// trees considered.
-func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) int {
+// consider estimates one operator tree l ◦ r into w.cand, in the physical
+// kind the mode gives the operator, and hands it to the retention policy —
+// a completed tree through finalizeEach. lNode/rNode are the node-cache
+// slots of scratch children.
+func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) {
 	w.est.EstimateOp(&w.cand, kind, &w.jp, l, r)
+	if g.physOn() {
+		w.est.PhysifyOp(&w.cand, g.opPhys(kind))
+	}
 	w.lNode, w.rNode = lNode, rNode
-	built := 0
-	for _, ph := range g.opPhysKinds(kind) {
-		if g.physOn() && !w.est.PhysifyOp(&w.cand, ph) {
-			continue
-		}
-		if topLevel {
-			built += g.finalizeEach(w, e, &w.cand)
-		} else {
-			built++
-			g.insert(w, e, &w.cand)
-		}
-	}
-	return built
-}
-
-// pushedGroups estimates the admissible pushed-grouping plans over t into
-// dst, one slot per enabled physical kind (hash aggregation and sort-group
-// aggregation are distinct plan-class members: their costs and contractual
-// orders differ); a slot's Left stays nil when the push is invalid or the
-// grouping unnecessary.
-func (g *generator[S]) pushedGroups(w *worker, dst []plan.Plan, t *plan.Plan, gp bitset.VSet, valid bool) {
-	needed := valid && g.needsGrouping(gp, t)
-	for i, ph := range g.groupPhysKinds() {
-		dst[i].Left = nil
-		if needed {
-			w.est.EstimateGroup(&dst[i], t, gp)
-			if g.physOn() && !w.est.PhysifyGroup(&dst[i], ph) {
-				dst[i].Left = nil
-			}
-		}
+	if topLevel {
+		g.finalizeEach(w, e, &w.cand)
+	} else {
+		g.insert(w, e, &w.cand)
 	}
 }
 
-// The physical-kind lists the enumeration walks, hash before sort.
-var (
-	hashOnly     = []plan.PhysKind{plan.PhysHash}
-	sortOnly     = []plan.PhysKind{plan.PhysSortMerge}
-	hashThenSort = []plan.PhysKind{plan.PhysHash, plan.PhysSortMerge}
-)
-
-// opPhysKinds returns the physical kinds to enumerate for a binary
-// operator. Operators without a sort-based form (full outerjoin,
-// groupjoin) stay on the hash layer in every mode.
-func (g *generator[S]) opPhysKinds(kind query.OpKind) []plan.PhysKind {
-	if kind == query.KindFullOuter || kind == query.KindGroupJoin {
-		return hashOnly
+// pushedGroup estimates the pushed grouping over t into dst; dst.Left
+// stays nil when the push is invalid or the grouping unnecessary.
+func (g *generator[S]) pushedGroup(w *worker, dst, t *plan.Plan, gp bitset.VSet, valid bool) {
+	if !valid || !g.needsGrouping(gp, t) {
+		dst.Left = nil
+		return
 	}
-	return g.groupPhysKinds()
-}
-
-// groupPhysKinds returns the physical kinds to enumerate for groupings.
-func (g *generator[S]) groupPhysKinds() []plan.PhysKind {
-	switch g.opts.Phys {
-	case PhysModeSort:
-		return sortOnly
-	case PhysModeAuto:
-		return hashThenSort
+	w.est.EstimateGroup(dst, t, gp)
+	if g.physOn() {
+		w.est.PhysifyGroup(dst, g.groupPhys())
 	}
-	return hashOnly
 }
 
 // finalizeEach attaches the final grouping to a complete tree (Fig. 6,
 // lines 6-8 etc.) and hands the result to the top-level policy: the tree
 // itself on grouping-free queries; the free projection of Sec. 3.2 when G
-// implies a key of a duplicate-free result; otherwise Γ_G, one plan per
-// enabled physical kind, hash first. The sort-group variant of the top Γ_G
-// is where a contractual order carried this far pays off: when it covers G
-// the final aggregation streams with zero reorganization. It returns the
-// number of plans considered.
-func (g *generator[S]) finalizeEach(w *worker, e *entry, tree *plan.Plan) int {
-	if !g.q.HasGrouping {
+// implies a key of a duplicate-free result; otherwise Γ_G. The sort-group
+// form of the top Γ_G is where a contractual order carried this far pays
+// off: when it covers G the final aggregation streams with zero
+// reorganization.
+func (g *generator[S]) finalizeEach(w *worker, e *entry, tree *plan.Plan) {
+	switch {
+	case !g.q.HasGrouping:
 		g.insertTopLevelPlan(w, e, tree)
-		return 1
-	}
-	if tree.DupFree && tree.HasKeySubsetOf(g.finalKeyAttrs) {
+		return
+	case tree.DupFree && tree.HasKeySubsetOf(g.finalKeyAttrs):
 		w.est.EstimateProject(&w.fin, tree)
 		if g.physOn() {
 			w.est.PhysifyProject(&w.fin)
 		}
-		g.insertTopLevelPlan(w, e, &w.fin)
-		return 1
-	}
-	built := 0
-	for _, ph := range g.groupPhysKinds() {
+	default:
 		w.est.EstimateGroup(&w.fin, tree, g.q.GroupBy)
 		w.fin.Final = true
-		if !g.physOn() || w.est.PhysifyGroup(&w.fin, ph) {
-			built++
-			g.insertTopLevelPlan(w, e, &w.fin)
+		if g.physOn() {
+			w.est.PhysifyGroup(&w.fin, g.groupPhys())
 		}
 	}
-	return built
+	g.insertTopLevelPlan(w, e, &w.fin)
 }
 
 // needsGrouping implements Fig. 7: grouping on attrs is unnecessary iff

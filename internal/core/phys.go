@@ -1,9 +1,9 @@
 package core
 
-// Plan-class retention for the sort-based physical layer. In the default
-// hash mode every DP-table entry competes on C_out alone (one plan per
-// relation set for the heuristics). With Options.Phys enabled, entries
-// become *plan classes* keyed by
+// Plan-class retention for the sort-based physical layer. In the hash
+// mode every DP-table entry is one plan class and competes on C_out alone
+// (one plan per relation set for the heuristics). In the sort mode,
+// entries hold *plan classes* keyed by
 //
 //	(relation set, GroupsBelow, contractual order)
 //
@@ -14,74 +14,50 @@ package core
 // argument): its order may later eliminate a sort whose saving exceeds
 // the cost gap. Selection inside a class — and at the top level — is by
 // PhysCost: C_out plus the physical reorganization overheads of
-// cost/phys.go. Ties keep the first-enumerated plan, which (hash
-// variants are enumerated before sort variants) resolves toward the
-// hash layer and keeps the choice deterministic for the parallel driver.
+// cost/phys.go. Ties keep the first-enumerated plan, which keeps the
+// choice deterministic for the parallel driver.
 
 import (
 	"eagg/internal/ordering"
 	"eagg/internal/plan"
+	"eagg/internal/query"
 )
 
 // physOn reports whether the sort-based physical layer participates.
-func (g *generator[S]) physOn() bool { return g.opts.Phys != PhysModeHash }
+func (g *generator[S]) physOn() bool { return g.opts.Phys == PhysModeSort }
+
+// opPhys returns the physical kind of a binary operator: sort-based in the
+// sort mode, except for the operators without a sort-based form (full
+// outerjoin, groupjoin), which stay on the hash layer in every mode.
+func (g *generator[S]) opPhys(kind query.OpKind) plan.PhysKind {
+	if kind == query.KindFullOuter || kind == query.KindGroupJoin {
+		return plan.PhysHash
+	}
+	return g.groupPhys()
+}
+
+// groupPhys returns the physical kind of a grouping.
+func (g *generator[S]) groupPhys() plan.PhysKind {
+	if g.physOn() {
+		return plan.PhysSortMerge
+	}
+	return plan.PhysHash
+}
+
+// rank is the cost the retention policies order plans by: PhysCost in the
+// sort mode, C_out otherwise.
+func (g *generator[S]) rank(p *plan.Plan) float64 {
+	if g.physOn() {
+		return p.PhysCost
+	}
+	return p.Cost
+}
 
 // sameClass reports whether two plans fall into the same plan class of
-// one DP-table entry: identical collapse state and identical contractual
-// order.
-func sameClass(a, b *plan.Plan) bool {
-	return a.GroupsBelow == b.GroupsBelow && ordering.Order(a.Ord).Equal(ordering.Order(b.Ord))
-}
-
-// insertPhys is the retention policy of the sort/auto modes, applied per
-// plan class. EA-Prune runs the same frontier as the hash mode, its
-// dominance extended by the physical dimensions (see dominatesRest).
-func (g *generator[S]) insertPhys(w *worker, e *entry, t *plan.Plan) {
-	switch g.opts.Algorithm {
-	case AlgEAAll:
-		e.plans = append(e.plans, w.keep(t))
-	case AlgEAPrune:
-		g.pruneDominatedPlans(w, e, t)
-	case AlgBeam:
-		g.insertBeamPhys(w, e, t)
-	case AlgH2:
-		for i, old := range e.plans {
-			if sameClass(old, t) {
-				if g.compareAdjustedPhysCosts(t, old) {
-					e.plans[i] = w.keep(t)
-				}
-				return
-			}
-		}
-		e.plans = append(e.plans, w.keep(t))
-	default: // DPhyp, H1: single cheapest plan per class
-		for i, old := range e.plans {
-			if sameClass(old, t) {
-				if t.PhysCost < old.PhysCost {
-					e.plans[i] = w.keep(t)
-				}
-				return
-			}
-		}
-		e.plans = append(e.plans, w.keep(t))
-	}
-}
-
-// compareAdjustedPhysCosts is H2's eagerness-biased comparison (Fig. 12)
-// on physical costs: within a class, more eager plans get the tolerance
-// factor F, exactly like the hash mode's compareAdjustedCosts does on
-// C_out.
-func (g *generator[S]) compareAdjustedPhysCosts(t, cur *plan.Plan) bool {
-	et, ec := t.Eagerness(), cur.Eagerness()
-	f := g.opts.F
-	switch {
-	case et == ec:
-		return t.PhysCost < cur.PhysCost
-	case et < ec:
-		return f*t.PhysCost < cur.PhysCost
-	default:
-		return t.PhysCost < f*cur.PhysCost
-	}
+// one DP-table entry: always in the hash mode; in the sort mode when they
+// have identical collapse state and identical contractual order.
+func (g *generator[S]) sameClass(a, b *plan.Plan) bool {
+	return !g.physOn() || a.GroupsBelow == b.GroupsBelow && ordering.Order(a.Ord).Equal(ordering.Order(b.Ord))
 }
 
 // insertBeamPhys keeps the BeamWidth physically cheapest plans per plan
@@ -92,7 +68,7 @@ func (g *generator[S]) insertBeamPhys(w *worker, e *entry, t *plan.Plan) {
 	members := 0
 	worst := -1
 	for i, old := range e.plans {
-		if !sameClass(old, t) {
+		if !g.sameClass(old, t) {
 			continue
 		}
 		members++

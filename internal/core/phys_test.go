@@ -1,15 +1,18 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"eagg/internal/core"
 	"eagg/internal/plan"
+	"eagg/internal/query"
 	"eagg/internal/randquery"
+	"eagg/internal/tpch"
 )
 
 // TestPhysParallelDeterminism extends the parallel-driver contract to
-// the sort/auto physical modes: plan-class retention, physical costs and
+// the sort physical mode: plan-class retention, physical costs and
 // order inference are pure functions of the query, so Workers: 8 must
 // return bit-identical plans (including every physical annotation, which
 // plan.Equal compares) and identical search counters.
@@ -18,28 +21,26 @@ func TestPhysParallelDeterminism(t *testing.T) {
 	for n := 3; n <= 7; n++ {
 		for trial := 0; trial < 4; trial++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
-			for _, mode := range []PhysMode{PhysModeSort, PhysModeAuto} {
-				for _, alg := range []Algorithm{AlgH1, AlgEAPrune, AlgBeam} {
-					if alg == AlgEAPrune && n > 5 {
-						continue // the phys-mode EA search space grows fast; H1/Beam cover the larger graphs
-					}
-					seq, err := Optimize(q, Options{Algorithm: alg, Phys: mode, Workers: 1})
-					if err != nil {
-						t.Fatalf("n=%d trial=%d %v/%v sequential: %v", n, trial, alg, mode, err)
-					}
-					par, err := Optimize(q, Options{Algorithm: alg, Phys: mode, Workers: 8})
-					if err != nil {
-						t.Fatalf("n=%d trial=%d %v/%v parallel: %v", n, trial, alg, mode, err)
-					}
-					if !plan.Equal(seq.Plan, par.Plan) {
-						t.Fatalf("n=%d trial=%d %v/%v: parallel plan differs\nsequential:\n%v\nparallel:\n%v",
-							n, trial, alg, mode, seq.Plan, par.Plan)
-					}
-					if seq.Stats.PlansBuilt != par.Stats.PlansBuilt ||
-						seq.Stats.TablePlans != par.Stats.TablePlans {
-						t.Fatalf("n=%d trial=%d %v/%v: search counters differ (%+v vs %+v)",
-							n, trial, alg, mode, seq.Stats, par.Stats)
-					}
+			for _, alg := range []core.Algorithm{core.AlgH1, core.AlgEAPrune, core.AlgBeam} {
+				if alg == core.AlgEAPrune && n > 5 {
+					continue // the sort-mode EA search space grows fast; H1/Beam cover the larger graphs
+				}
+				seq, err := core.Optimize(q, core.Options{Algorithm: alg, Phys: core.PhysModeSort, Workers: 1})
+				if err != nil {
+					t.Fatalf("n=%d trial=%d %v sequential: %v", n, trial, alg, err)
+				}
+				par, err := core.Optimize(q, core.Options{Algorithm: alg, Phys: core.PhysModeSort, Workers: 8})
+				if err != nil {
+					t.Fatalf("n=%d trial=%d %v parallel: %v", n, trial, alg, err)
+				}
+				if !plan.Equal(seq.Plan, par.Plan) {
+					t.Fatalf("n=%d trial=%d %v: parallel plan differs\nsequential:\n%v\nparallel:\n%v",
+						n, trial, alg, seq.Plan, par.Plan)
+				}
+				if seq.Stats.PlansBuilt != par.Stats.PlansBuilt ||
+					seq.Stats.TablePlans != par.Stats.TablePlans {
+					t.Fatalf("n=%d trial=%d %v: search counters differ (%+v vs %+v)",
+						n, trial, alg, seq.Stats, par.Stats)
 				}
 			}
 		}
@@ -54,11 +55,11 @@ func TestPhysHashModeUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
 		q := randquery.Generate(rng, randquery.Params{Relations: 3 + trial%4})
-		def, err := Optimize(q, Options{Algorithm: AlgEAPrune})
+		def, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune})
 		if err != nil {
 			t.Fatal(err)
 		}
-		explicit, err := Optimize(q, Options{Algorithm: AlgEAPrune, Phys: PhysModeHash})
+		explicit, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeHash})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,23 +81,32 @@ func TestPhysHashModeUnchanged(t *testing.T) {
 	}
 }
 
-// TestPhysCostAccounting pins the overhead model on a plan whose shape
-// is known: in auto mode PhysCost is C_out plus the physical overheads,
-// and eliminated sorts are the only free reorganizations.
+// TestPhysCostAccounting pins the overhead model on plans whose shape is
+// known: in the sort mode PhysCost is C_out plus the physical overheads,
+// and eliminated sorts are the only free reorganizations. The TPC-H
+// example's full outer join has no sort-based form, so its plan mixes a
+// hash node with sort nodes, and both kinds' overheads are accounted.
 func TestPhysCostAccounting(t *testing.T) {
+	qs := []*query.Query{tpch.Queries()["Ex"]}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		q := randquery.Generate(rng, randquery.Params{Relations: 3 + trial%3})
-		res, err := Optimize(q, Options{Algorithm: AlgH1, Phys: PhysModeAuto})
+		qs = append(qs, randquery.Generate(rng, randquery.Params{Relations: 3 + trial%3}))
+	}
+	for i, q := range qs {
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgH1, Phys: core.PhysModeSort})
 		if err != nil {
 			t.Fatal(err)
 		}
+		kinds := map[plan.PhysKind]int{}
 		var overhead func(p *plan.Plan) float64
 		overhead = func(p *plan.Plan) float64 {
 			if p == nil {
 				return 0
 			}
 			o := overhead(p.Left) + overhead(p.Right)
+			if p.Kind == plan.NodeOp || p.Kind == plan.NodeGroup {
+				kinds[p.Phys]++
+			}
 			switch {
 			case p.Kind == plan.NodeOp && p.Phys == plan.PhysHash:
 				o += p.Left.Card + p.Right.Card
@@ -116,8 +126,11 @@ func TestPhysCostAccounting(t *testing.T) {
 		}
 		want := res.Plan.Cost + overhead(res.Plan)
 		if diff := want - res.Plan.PhysCost; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("PhysCost %.6g != C_out %.6g + overheads %.6g\n%v",
-				res.Plan.PhysCost, res.Plan.Cost, overhead(res.Plan), res.Plan)
+			t.Fatalf("query %d: PhysCost %.6g != C_out %.6g + overheads %.6g\n%v",
+				i, res.Plan.PhysCost, res.Plan.Cost, overhead(res.Plan), res.Plan)
+		}
+		if i == 0 && (kinds[plan.PhysHash] == 0 || kinds[plan.PhysSortMerge] == 0) {
+			t.Fatalf("Ex plan does not mix hash and sort nodes (%v):\n%v", kinds, res.Plan)
 		}
 	}
 }

@@ -32,13 +32,14 @@ type worker struct {
 	row []float64
 
 	cand, fin plan.Plan
-	// gl holds the estimates of Γ(t1) for the current t1, one per
-	// physical kind; gr those of Γ(t2) for every t2 of the operator
-	// (len(t2s) × kinds). Left == nil marks a grouping that is invalid or
-	// unnecessary. glNode/grNode cache the node built for an estimate
-	// under its first surviving tree.
-	gl, gr         []plan.Plan
-	glNode, grNode []*plan.Plan
+	// gl holds the estimate of Γ(t1) for the current t1; gr those of
+	// Γ(t2), one per t2 of the operator. Left == nil marks a grouping that
+	// is invalid or unnecessary. glNode/grNode cache the node built for an
+	// estimate under its first surviving tree.
+	gl     plan.Plan
+	gr     []plan.Plan
+	glNode *plan.Plan
+	grNode []*plan.Plan
 	// lNode/rNode point at the cache slot of cand's scratch children, nil
 	// where the child is a table plan.
 	lNode, rNode **plan.Plan

@@ -10,12 +10,12 @@
 //	sort-group aggregation: |input| if sorted, 0 if the order is reused
 //
 // Reorganizing a side costs one pass whether it is hashed or sorted;
-// reusing an existing order saves that pass entirely. That makes the
-// sort-based operator win exactly where the classic interesting-order
-// argument says it should — when an input order can be reused — and tie
-// (resolved toward hash by enumeration order) everywhere else. All
-// cardinalities flow through the estimator's CardSource seam, so the
-// cardinality feedback loop corrects physical overheads too.
+// reusing an existing order saves that pass entirely. The optimizer's sort
+// mode ranks plans by it: within a plan class an ordered plan that
+// eliminates a sort beats one that must sort, exactly where the classic
+// interesting-order argument says it should. All cardinalities flow
+// through the estimator's CardSource seam, so the cardinality feedback
+// loop corrects physical overheads too.
 package cost
 
 import (
@@ -26,7 +26,7 @@ import (
 )
 
 // ordInfo lazily builds the order-inference analysis; it is only touched
-// in sort/auto optimization modes, so the default mode pays nothing.
+// in the sort optimization mode, so the default hash mode pays nothing.
 func (e *Estimator) ordInfo() *ordering.Info {
 	if e.ord == nil {
 		e.ord = ordering.NewInfo(e.Q)
@@ -44,93 +44,74 @@ func (e *Estimator) PhysifyScan(p *plan.Plan) {
 }
 
 // PhysifyOp fills the physical properties of a freshly estimated binary
-// operator node for the requested physical kind — every one of them, so
-// one estimate can be physified for each kind in turn. It returns false when
-// the kind does not support the operator (the sort-based layer
-// implements inner, semi, anti and left outer joins; full outer joins
-// and groupjoins stay on the hash layer).
-func (e *Estimator) PhysifyOp(p *plan.Plan, phys plan.PhysKind) bool {
+// operator node for the requested physical kind. The sort-based layer
+// implements inner, semi, anti and left outer joins; the caller keeps full
+// outer joins and groupjoins on the hash layer.
+func (e *Estimator) PhysifyOp(p *plan.Plan, phys plan.PhysKind) {
 	l, r := p.Left, p.Right
-	switch phys {
-	case plan.PhysHash:
-		p.Phys = plan.PhysHash
-		p.SortL, p.SortR, p.MergeL, p.MergeR = false, false, nil, nil
-		p.Ord = nil // the optimizer claims no order for the hash layer
+	if phys == plan.PhysHash {
+		p.Phys = plan.PhysHash // Ord stays nil: the hash layer claims no order
 		p.PhysCost = p.Card + l.Card + r.Card + l.PhysCost + r.PhysCost
-		return true
-	case plan.PhysSortMerge:
-		switch p.Op {
-		case query.KindJoin, query.KindSemiJoin, query.KindAntiJoin, query.KindLeftOuter:
-		default:
-			return false
-		}
-		lk, rk := orientPairs(e.Q, p.Preds, l.Rels)
-		in := e.ordInfo()
-		// Prefer matching the left input's order (the left sequence is
-		// what the output preserves), then the right; otherwise both
-		// sides are sorted in predicate order.
-		sortL, sortR := true, true
-		if perm, ok := in.CoversKeys(l.Rels, l.Ord, lk); ok {
-			sortL = false
-			lk, rk = permute(lk, perm), permute(rk, perm)
-			sortR = !in.CoversKeysInOrder(r.Rels, r.Ord, rk)
-		} else if perm, ok := in.CoversKeys(r.Rels, r.Ord, rk); ok {
-			sortR = false
-			lk, rk = permute(lk, perm), permute(rk, perm)
-		}
-		overhead := 0.0
-		if sortL {
-			overhead += l.Card
-		}
-		if sortR {
-			overhead += r.Card
-		}
-		p.Phys = plan.PhysSortMerge
-		p.SortL, p.SortR = sortL, sortR
-		p.MergeL, p.MergeR = lk, rk
-		// The operator restores the left input sequence (see
-		// algebra/sort.go), so the left contractual order survives.
-		p.Ord = l.Ord
-		p.PhysCost = p.Card + overhead + l.PhysCost + r.PhysCost
-		return true
+		return
 	}
-	return false
+	lk, rk := orientPairs(e.Q, p.Preds, l.Rels)
+	in := e.ordInfo()
+	// Prefer matching the left input's order (the left sequence is
+	// what the output preserves), then the right; otherwise both
+	// sides are sorted in predicate order.
+	sortL, sortR := true, true
+	if perm, ok := in.CoversKeys(l.Rels, l.Ord, lk); ok {
+		sortL = false
+		lk, rk = permute(lk, perm), permute(rk, perm)
+		sortR = !in.CoversKeysInOrder(r.Rels, r.Ord, rk)
+	} else if perm, ok := in.CoversKeys(r.Rels, r.Ord, rk); ok {
+		sortR = false
+		lk, rk = permute(lk, perm), permute(rk, perm)
+	}
+	overhead := 0.0
+	if sortL {
+		overhead += l.Card
+	}
+	if sortR {
+		overhead += r.Card
+	}
+	p.Phys = plan.PhysSortMerge
+	p.SortL, p.SortR = sortL, sortR
+	p.MergeL, p.MergeR = lk, rk
+	// The operator restores the left input sequence (see
+	// algebra/sort.go), so the left contractual order survives.
+	p.Ord = l.Ord
+	p.PhysCost = p.Card + overhead + l.PhysCost + r.PhysCost
 }
 
-// PhysifyGroup fills the physical properties of a grouping node for the
-// requested physical kind. Sort-group aggregation is available for every
-// grouping; it reuses the input order when it covers the grouping
-// attributes (rows of one group are already consecutive) and sorts
-// otherwise.
-func (e *Estimator) PhysifyGroup(p *plan.Plan, phys plan.PhysKind) bool {
+// PhysifyGroup fills the physical properties of a freshly estimated
+// grouping node for the requested physical kind. Sort-group aggregation is
+// available for every grouping; it reuses the input order when it covers
+// the grouping attributes (rows of one group are already consecutive) and
+// sorts otherwise.
+func (e *Estimator) PhysifyGroup(p *plan.Plan, phys plan.PhysKind) {
 	child := p.Left
-	switch phys {
-	case plan.PhysHash:
-		p.Phys = plan.PhysHash
-		p.SortL, p.MergeL = false, nil
-		p.Ord = nil
+	if phys == plan.PhysHash {
+		p.Phys = plan.PhysHash // Ord stays nil: the hash layer claims no order
 		p.PhysCost = p.Card + child.Card + child.PhysCost
-		return true
-	case plan.PhysSortMerge:
-		in := e.ordInfo()
-		prefix, covered := in.CoversGrouping(child.Rels, child.Ord, p.GroupBy)
-		overhead := 0.0
-		if !covered {
-			overhead = child.Card
-		}
-		p.Phys = plan.PhysSortMerge
-		p.SortL = !covered
-		// The covering order prefix: the runtime verifies the input is
-		// really non-decreasing on it before trusting the runs argument.
-		p.MergeL = prefix
-		// The operator emits groups in first-encounter order either way
-		// (see algebra/sort.go), so the input order survives as far as
-		// its attributes map into the grouping columns.
-		p.Ord = in.GroupOutputOrder(child.Rels, child.Ord, p.GroupBy)
-		p.PhysCost = p.Card + overhead + child.PhysCost
-		return true
+		return
 	}
-	return false
+	in := e.ordInfo()
+	prefix, covered := in.CoversGrouping(child.Rels, child.Ord, p.GroupBy)
+	overhead := 0.0
+	if !covered {
+		overhead = child.Card
+	}
+	p.Phys = plan.PhysSortMerge
+	p.SortL = !covered
+	// The covering order prefix: the runtime verifies the input is
+	// really non-decreasing on it before trusting the runs argument.
+	p.MergeL = prefix
+	// The operator emits groups in first-encounter order either way
+	// (see algebra/sort.go), so the input order survives as far as
+	// its attributes map into the grouping columns.
+	p.Ord = in.GroupOutputOrder(child.Rels, child.Ord, p.GroupBy)
+	p.PhysCost = p.Card + overhead + child.PhysCost
 }
 
 // PhysifyProject fills the physical properties of the free projection:

@@ -28,7 +28,7 @@ func TestBatchTPCHShapes(t *testing.T) {
 			{Algorithm: core.AlgDPhyp},
 			{Algorithm: core.AlgH1},
 			{Algorithm: core.AlgEAPrune},
-			{Algorithm: core.AlgDPhyp, Phys: core.PhysModeAuto},
+			{Algorithm: core.AlgDPhyp, Phys: core.PhysModeSort},
 		} {
 			label := fmt.Sprintf("%s/%v/%v", name, opt.Algorithm, opt.Phys)
 			res, err := core.Optimize(q, opt)
@@ -106,7 +106,7 @@ func TestProjectionMatchesHashGroup(t *testing.T) {
 			{Algorithm: core.AlgH1},
 			{Algorithm: core.AlgH2, F: 1.03},
 			{Algorithm: core.AlgEAPrune},
-			{Algorithm: core.AlgEAPrune, Phys: core.PhysModeAuto},
+			{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort},
 		} {
 			res, err := core.Optimize(q, opt)
 			if err != nil {

@@ -160,13 +160,13 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d workers=%d float args", seed, n, opts.Algorithm, bs, workers), seqF, batchParF)
 
-		// -phys arm: the sort-based physical layer. The sort/auto plan
+		// -phys arm: the sort-based physical layer. The sort-mode plan
 		// (annotated with merge keys, sort/reuse decisions and
 		// contractual orders) must execute bit-identically to the same
 		// logical plan stripped to the hash layer — both on the row
 		// runtime — and bag-equal to the canonical result; its parallel
 		// batch execution must be bit-identical to that.
-		physMode := []core.PhysMode{core.PhysModeSort, core.PhysModeAuto}[int(algPick/8)%2]
+		physMode := core.PhysModeSort
 		popt := opts
 		popt.Phys = physMode
 		pres, err := core.Optimize(q, popt)

@@ -13,11 +13,8 @@ import (
 	"eagg/internal/tpch"
 )
 
-// physModes are the two modes that activate the sort-based layer.
-var physModes = []core.PhysMode{core.PhysModeSort, core.PhysModeAuto}
-
 // TestSortPhysTPCHDifferential is the TPC-H arm of the differential
-// coverage: for every query and sort mode, the sort-annotated plan must
+// coverage: for every query and generator, the sort-mode plan must
 // execute bit-identically to the same logical plan stripped to the hash
 // layer and run on the row runtime (the sort operators emit the
 // hash-canonical sequence), and bag-equal to the canonical evaluation and the frozen nested-loop
@@ -34,32 +31,30 @@ func TestSortPhysTPCHDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range physModes {
-			for _, alg := range []core.Algorithm{core.AlgEAPrune, core.AlgH1, core.AlgDPhyp} {
-				label := fmt.Sprintf("%s/%v/%v", name, mode, alg)
-				res, err := core.Optimize(q, core.Options{Algorithm: alg, Phys: mode})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got, err := engine.ExecTables(q, res.Plan, tables)
-				if err != nil {
-					t.Fatalf("%s exec: %v\nplan:\n%v", label, err, res.Plan.StringWithQuery(q))
-				}
-				stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
-				if err != nil {
-					t.Fatalf("%s stripped exec: %v", label, err)
-				}
-				identicalTables(t, label+" sort≡hash(same plan)", stripped, got)
-				if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
-					t.Fatalf("%s: result differs from canonical\nplan:\n%v", label, res.Plan.StringWithQuery(q))
-				}
-				ref, err := engine.ExecRef(q, res.Plan, data)
-				if err != nil {
-					t.Fatalf("%s ref exec: %v", label, err)
-				}
-				if !algebra.EqualBags(ref, got.Rel(), attrs) {
-					t.Fatalf("%s: slot sort path differs from nested-loop reference", label)
-				}
+		for _, alg := range []core.Algorithm{core.AlgEAPrune, core.AlgH1, core.AlgDPhyp} {
+			label := fmt.Sprintf("%s/%v", name, alg)
+			res, err := core.Optimize(q, core.Options{Algorithm: alg, Phys: core.PhysModeSort})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := engine.ExecTables(q, res.Plan, tables)
+			if err != nil {
+				t.Fatalf("%s exec: %v\nplan:\n%v", label, err, res.Plan.StringWithQuery(q))
+			}
+			stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
+			if err != nil {
+				t.Fatalf("%s stripped exec: %v", label, err)
+			}
+			identicalTables(t, label+" sort≡hash(same plan)", stripped, got)
+			if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
+				t.Fatalf("%s: result differs from canonical\nplan:\n%v", label, res.Plan.StringWithQuery(q))
+			}
+			ref, err := engine.ExecRef(q, res.Plan, data)
+			if err != nil {
+				t.Fatalf("%s ref exec: %v", label, err)
+			}
+			if !algebra.EqualBags(ref, got.Rel(), attrs) {
+				t.Fatalf("%s: slot sort path differs from nested-loop reference", label)
 			}
 		}
 	}
@@ -80,22 +75,21 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mode := physModes[trial%len(physModes)]
-		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: mode})
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort})
 		if err != nil {
-			t.Fatalf("trial=%d %v: %v", trial, mode, err)
+			t.Fatalf("trial=%d: %v", trial, err)
 		}
 		got, err := engine.ExecTables(q, res.Plan, tables)
 		if err != nil {
-			t.Fatalf("trial=%d %v exec: %v\nplan:\n%v", trial, mode, err, res.Plan.StringWithQuery(q))
+			t.Fatalf("trial=%d exec: %v\nplan:\n%v", trial, err, res.Plan.StringWithQuery(q))
 		}
 		stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
 		if err != nil {
 			t.Fatalf("trial=%d stripped: %v", trial, err)
 		}
-		identicalTables(t, fmt.Sprintf("trial=%d %v", trial, mode), stripped, got)
+		identicalTables(t, fmt.Sprintf("trial=%d", trial), stripped, got)
 		if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
-			t.Fatalf("trial=%d %v: ≢ canonical\nplan:\n%v", trial, mode, res.Plan.StringWithQuery(q))
+			t.Fatalf("trial=%d: ≢ canonical\nplan:\n%v", trial, res.Plan.StringWithQuery(q))
 		}
 	}
 }
@@ -116,8 +110,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if trial%2 == 1 {
 			tables = engine.FloatAggArgs(q, tables)
 		}
-		mode := physModes[trial%len(physModes)]
-		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgH1, Phys: mode})
+		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgH1, Phys: core.PhysModeSort})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +122,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial=%d parallel: %v", trial, err)
 		}
-		identicalTables(t, fmt.Sprintf("trial=%d %v row vs workers 8", trial, mode), seq, par)
+		identicalTables(t, fmt.Sprintf("trial=%d row vs workers 8", trial), seq, par)
 		for _, bs := range []int{1, 7, 1024} {
 			for _, o := range []engine.ExecOptions{
 				{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs},
@@ -139,7 +132,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial=%d batch=%d workers=%d: %v", trial, bs, o.Workers, err)
 				}
-				identicalTables(t, fmt.Sprintf("trial=%d %v batch=%d workers=%d", trial, mode, bs, o.Workers), seq, got)
+				identicalTables(t, fmt.Sprintf("trial=%d batch=%d workers=%d", trial, bs, o.Workers), seq, got)
 			}
 		}
 	}
@@ -167,20 +160,20 @@ func TestSortParallelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestAutoEliminatesSortOnTPCH pins the acceptance scenario: under
-// -phys auto, at least Q3 ends up with a sort-merge join whose sort is
+// TestSortEliminatesSortOnTPCH pins the acceptance scenario: under
+// -phys sort, at least Q3 ends up with a sort-merge join whose sort is
 // eliminated (the orders scan order is reused), the plan reports
 // eliminated sorts, and the results stay identical to the hash plan and
 // the canonical evaluation.
-func TestAutoEliminatesSortOnTPCH(t *testing.T) {
+func TestSortEliminatesSortOnTPCH(t *testing.T) {
 	q := tpch.Queries()["Q3"]
-	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeAuto})
+	res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, eliminated := res.Plan.SortStats()
 	if eliminated == 0 {
-		t.Fatalf("Q3 auto plan eliminated no sorts:\n%v", res.Plan.StringWithQuery(q))
+		t.Fatalf("Q3 sort plan eliminated no sorts:\n%v", res.Plan.StringWithQuery(q))
 	}
 	foundMergeElim := false
 	var walk func(p *plan.Plan)
@@ -196,7 +189,7 @@ func TestAutoEliminatesSortOnTPCH(t *testing.T) {
 	}
 	walk(res.Plan)
 	if !foundMergeElim {
-		t.Fatalf("Q3 auto plan has no sort-merge join with an eliminated sort:\n%v", res.Plan.StringWithQuery(q))
+		t.Fatalf("Q3 sort plan has no sort-merge join with an eliminated sort:\n%v", res.Plan.StringWithQuery(q))
 	}
 
 	tables := tpch.GenerateTables(rand.New(rand.NewSource(2)), q, tpch.ExecutionScale("Q3"))
@@ -218,6 +211,6 @@ func TestAutoEliminatesSortOnTPCH(t *testing.T) {
 	}
 	attrs := engine.OutputAttrs(q)
 	if !algebra.EqualBags(hashTab.Rel(), got.Rel(), attrs) || !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
-		t.Fatal("auto plan result differs from hash plan / canonical")
+		t.Fatal("sort plan result differs from hash plan / canonical")
 	}
 }

@@ -109,9 +109,10 @@ type Plan struct {
 	// attribute ids). It originates at declared scan orders and
 	// propagates only through the sort-based layer; nil means no claim.
 	Ord []int
-	// PhysCost ranks plans in sort/auto optimization modes: the C_out
+	// PhysCost ranks plans in the sort optimization mode: the C_out
 	// cost plus every operator's physical reorganization overhead (hash
-	// operators pay the rows they hash, sort operators the rows of each
+	// operators, which the sort mode keeps for full outer joins and
+	// groupjoins, pay the rows they hash; sort operators the rows of each
 	// sort actually performed; reused orders are free). Zero in the
 	// default hash mode, where plain Cost keeps ranking plans.
 	PhysCost float64

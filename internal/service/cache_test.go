@@ -23,8 +23,7 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 	q := tpch.Queries()["Q3"]
 	hash := core.Fingerprint(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeHash})
 	sorted := core.Fingerprint(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort})
-	auto := core.Fingerprint(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeAuto})
-	if hash == sorted || hash == auto || sorted == auto {
+	if hash == sorted {
 		t.Fatal("phys modes share a fingerprint — a hash-layer plan could serve a sort request")
 	}
 
@@ -45,14 +44,14 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 	get(hash, 1)
 	// Different phys fingerprints, same epoch: distinct entries.
 	get(sorted, 0)
-	get(auto, 0)
-	if computes != 4 || c.size() != 4 {
-		t.Fatalf("computes=%d size=%d, want 4/4 (no sharing across phys mode or epoch)", computes, c.size())
+	if computes != 3 || c.size() != 3 {
+		t.Fatalf("computes=%d size=%d, want 3/3 (no sharing across phys mode or epoch)", computes, c.size())
 	}
 	// Exact repeats hit.
 	get(hash, 0)
 	get(hash, 1)
-	if computes != 4 {
+	get(sorted, 0)
+	if computes != 3 {
 		t.Fatalf("repeat lookups recomputed: %d computes", computes)
 	}
 }
