@@ -35,9 +35,11 @@ func (c digestCell) name() string {
 
 // digestCells lays out the pinned population: the 60 random queries of the
 // benchmark's optimize_cold mix (same seed, same draw order) through the
-// four generators it runs, the paper's TPC-H queries through the same four
-// on every physical mode and through Beam in the sort mode, the
-// chain/star/wide cells, and 20 small queries through the complete search.
+// four generators it runs, the 20 smallest of them also through H1, H2 and
+// Beam in the sort mode and through Beam in the hash mode, the paper's
+// TPC-H queries through the same four on every physical mode and through
+// Beam in the sort mode, the chain/star/wide cells, and 20 small queries
+// through the complete search.
 func digestCells() []digestCell {
 	four := []core.Options{
 		{Algorithm: core.AlgDPhyp},
@@ -56,7 +58,13 @@ func digestCells() []digestCell {
 	for n := 6; n <= 16; n += 2 {
 		for i := 0; i < 10; i++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
-			add(fmt.Sprintf("rand%d.%d", n, i), q, core.PhysModeHash, four...)
+			label := fmt.Sprintf("rand%d.%d", n, i)
+			add(label, q, core.PhysModeHash, four...)
+			if n <= 8 {
+				add(label, q, core.PhysModeSort, core.Options{Algorithm: core.AlgH1},
+					core.Options{Algorithm: core.AlgH2, F: 1.03}, core.Options{Algorithm: core.AlgBeam})
+				add(label, q, core.PhysModeHash, core.Options{Algorithm: core.AlgBeam})
+			}
 		}
 	}
 	for _, name := range []string{"Ex", "Q3", "Q5", "Q10"} {
