@@ -258,13 +258,14 @@ const (
 	EAAll = core.AlgEAAll
 	// EAPrune is EA-All with optimality-preserving dominance pruning.
 	EAPrune = core.AlgEAPrune
-	// H1 keeps the locally cheapest tree per plan class.
+	// H1 keeps the locally cheapest tree per plan class: per relation
+	// set, and per order under PhysSort.
 	H1 = core.AlgH1
 	// H2 is H1 with the eagerness-biased comparison (set Options.F).
 	H2 = core.AlgH2
 	// Beam keeps the K cheapest plans per plan class (set
-	// Options.BeamWidth) — an extension interpolating between H1 and
-	// EA-All.
+	// Options.BeamWidth) — an extension interpolating between H1 (K = 1,
+	// the same plans) and EA-All.
 	Beam = core.AlgBeam
 )
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"time"
 
 	"eagg/internal/bitset"
@@ -33,14 +34,15 @@ const (
 	// pruning of Sec. 4.6.
 	AlgEAPrune
 	// AlgH1 keeps the single locally cheapest tree per plan class
-	// (Sec. 4.4).
+	// (Sec. 4.4): per relation set, and per order in the sort mode.
 	AlgH1
 	// AlgH2 is H1 with the eagerness-biased cost comparison of Sec. 4.5.
 	AlgH2
 	// AlgBeam is an extension in the direction of the paper's future-work
 	// remark ("discover better heuristic algorithms"): it keeps the K
 	// cheapest plans per plan class, interpolating between H1 (K = 1) and
-	// EA-All (K = ∞) — a tunable quality/price dial.
+	// EA-All (K = ∞) — a tunable quality/price dial. Ties keep the
+	// first-enumerated plan, as in H1.
 	AlgBeam
 )
 
@@ -72,8 +74,8 @@ const (
 	// PhysModeSort builds plans for the sort-based layer: every operator
 	// with a sort-based form (inner/semi/anti/leftouter joins, all
 	// groupings) uses it; full outer joins and groupjoins stay on the
-	// hash layer. Plans compete per order-keyed plan class, by PhysCost
-	// (see phys.go).
+	// hash layer. Plans compete per (relation set, order) plan class, by
+	// PhysCost (see phys.go).
 	PhysModeSort
 )
 
@@ -108,7 +110,8 @@ type Options struct {
 	// 1.03, 1.05 and 1.1. Values ≤ 1 make H2 behave like H1.
 	F float64
 	// BeamWidth is the number of plans AlgBeam retains per plan class
-	// (default 4). BeamWidth 1 coincides with H1.
+	// (default 4). BeamWidth 1 is H1: the same retention rule at k = 1,
+	// so the same plans in both physical modes.
 	BeamWidth int
 	// FDReduceGroups enables FD-based reduction of grouping attribute
 	// sets in the cardinality estimator (sharper estimates; departs from
@@ -244,10 +247,10 @@ type generator[S bitset.RelSet[S]] struct {
 	all  S
 	allV bitset.VSet // g.all in VSet form, for comparing plan.Plan.Rels
 
-	// table maps a relation set to its retained plans. Heuristic
-	// algorithms keep exactly one plan per entry; EA-All/EA-Prune keep
-	// lists. The entry for the complete set holds the single best
-	// top-level plan.
+	// table maps a relation set to its retained plans. DPhyp, H1 and H2
+	// keep one plan per plan class (one per entry in the hash mode), Beam
+	// BeamWidth of them; EA-All/EA-Prune keep lists. The entry for the
+	// complete set holds the single best top-level plan.
 	table map[S]*entry
 
 	// w0 is the worker of the driver's own goroutine: it runs the inline
@@ -529,10 +532,11 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 
 // insert applies the algorithm's retention policy for non-top entries. The
 // candidate t is a scratch estimate (see worker); a policy that retains it
-// stores w.keep(t), so a rejected candidate never becomes a node. The
-// single-plan generators keep the best plan per plan class (see sameClass)
-// by rank; EA-Prune runs the same frontier in both modes, its dominance
-// extended by the physical dimensions in the sort mode (see dominatesRest).
+// stores w.keep(t), so a rejected candidate never becomes a node. There are
+// three policies: EA-All keeps every plan; EA-Prune keeps the dominance
+// frontier, in the sort mode extended by the physical dimensions (see
+// dominatesRest); every other generator keeps the k best plans per plan
+// class (see insertBest), BeamWidth of them for Beam and one otherwise.
 func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
 	switch g.opts.Algorithm {
 	case AlgEAAll:
@@ -540,21 +544,36 @@ func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
 	case AlgEAPrune:
 		g.pruneDominatedPlans(w, e, t)
 	case AlgBeam:
-		if g.physOn() {
-			g.insertBeamPhys(w, e, t)
-		} else {
-			g.insertBeam(w, e, t)
+		g.insertBest(w, e, t, g.opts.BeamWidth)
+	default: // DPhyp, H1, H2
+		g.insertBest(w, e, t, 1)
+	}
+}
+
+// insertBest keeps the k best plans of t's plan class (see sameClass) in e,
+// in compareAdjusted order. A candidate no better than a kept plan goes
+// after it, so ties keep the first-enumerated plan, which keeps the choice
+// deterministic for the parallel driver. The classes of one entry
+// interleave in e.plans; a candidate entering a full class shifts the
+// plans from its place up to the class's worst member, which it evicts.
+func (g *generator[S]) insertBest(w *worker, e *entry, t *plan.Plan, k int) {
+	members, last, pos := 0, -1, len(e.plans)
+	for i, old := range e.plans {
+		if !g.sameClass(old, t) {
+			continue
 		}
-	default: // DPhyp, H1, H2: the best plan per plan class
-		for i, old := range e.plans {
-			if g.sameClass(old, t) {
-				if g.compareAdjusted(t, old) {
-					e.plans[i] = w.keep(t)
-				}
-				return
-			}
+		members++
+		last = i
+		if pos == len(e.plans) && g.compareAdjusted(t, old) {
+			pos = i
 		}
-		e.plans = append(e.plans, w.keep(t))
+	}
+	switch {
+	case members < k:
+		e.plans = slices.Insert(e.plans, pos, w.keep(t))
+	case pos <= last:
+		copy(e.plans[pos+1:last+1], e.plans[pos:last])
+		e.plans[pos] = w.keep(t)
 	}
 }
 
@@ -571,9 +590,10 @@ func (g *generator[S]) insertTopLevelPlan(w *worker, e *entry, t *plan.Plan) {
 	}
 }
 
-// compareAdjusted reports whether t should replace cur in its plan class.
-// H2 implements Fig. 12: it biases the comparison toward more eager plans
-// using the tolerance factor F. DPhyp and H1 compare plain rank.
+// compareAdjusted reports whether t ranks strictly before cur in their
+// plan class. H2 implements Fig. 12: it biases the comparison toward more
+// eager plans using the tolerance factor F. DPhyp, H1 and Beam compare
+// plain rank.
 func (g *generator[S]) compareAdjusted(t, cur *plan.Plan) bool {
 	rt, rc := g.rank(t), g.rank(cur)
 	if g.opts.Algorithm != AlgH2 {
@@ -588,30 +608,5 @@ func (g *generator[S]) compareAdjusted(t, cur *plan.Plan) bool {
 		return f*rt < rc
 	default:
 		return rt < f*rc
-	}
-}
-
-// insertBeam keeps the BeamWidth cheapest plans per entry, preferring
-// diversity: a candidate costing the same as a retained plan but with a
-// strictly smaller cardinality replaces it (small results are what future
-// groupings and joins profit from).
-func (g *generator[S]) insertBeam(w *worker, e *entry, t *plan.Plan) {
-	k := g.opts.BeamWidth
-	// Insert in cost order.
-	pos := len(e.plans)
-	for i, old := range e.plans {
-		if t.Cost < old.Cost || (t.Cost == old.Cost && t.Card < old.Card) {
-			pos = i
-			break
-		}
-	}
-	if pos >= k {
-		return
-	}
-	e.plans = append(e.plans, nil)
-	copy(e.plans[pos+1:], e.plans[pos:])
-	e.plans[pos] = w.keep(t)
-	if len(e.plans) > k {
-		e.plans = e.plans[:k]
 	}
 }

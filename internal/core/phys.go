@@ -5,17 +5,20 @@ package core
 // (one plan per relation set for the heuristics). In the sort mode,
 // entries hold *plan classes* keyed by
 //
-//	(relation set, GroupsBelow, contractual order)
+//	(relation set, contractual order)
 //
 // — the relation set is the table key as before, and within an entry
-// plans only compete against plans of the same collapse state and the
-// same order. A plan that is dominated on cost but carries a stronger
-// order therefore survives enumeration (the classic interesting-order
-// argument): its order may later eliminate a sort whose saving exceeds
-// the cost gap. Selection inside a class — and at the top level — is by
-// PhysCost: C_out plus the physical reorganization overheads of
-// cost/phys.go. Ties keep the first-enumerated plan, which keeps the
-// choice deterministic for the parallel driver.
+// plans only compete against plans of the same order. A plan that is
+// dominated on cost but carries a stronger order therefore survives
+// enumeration (the classic interesting-order argument): its order may
+// later eliminate a sort whose saving exceeds the cost gap. The collapse
+// state (GroupsBelow) is deliberately not part of the class: that is the
+// dimension EA-All enumerates, and a heuristic keeping one plan per
+// collapse state builds more plans than EA-Prune. Selection inside a
+// class — and at the top level — is by PhysCost: C_out plus the physical
+// reorganization overheads of cost/phys.go. Ties keep the
+// first-enumerated plan, which keeps the choice deterministic for the
+// parallel driver.
 
 import (
 	"eagg/internal/ordering"
@@ -55,30 +58,7 @@ func (g *generator[S]) rank(p *plan.Plan) float64 {
 
 // sameClass reports whether two plans fall into the same plan class of
 // one DP-table entry: always in the hash mode; in the sort mode when they
-// have identical collapse state and identical contractual order.
+// have identical contractual order.
 func (g *generator[S]) sameClass(a, b *plan.Plan) bool {
-	return !g.physOn() || a.GroupsBelow == b.GroupsBelow && ordering.Order(a.Ord).Equal(ordering.Order(b.Ord))
-}
-
-// insertBeamPhys keeps the BeamWidth physically cheapest plans per plan
-// class. Within a class the worst member is evicted; on cost ties the
-// earlier-enumerated plan stays (determinism).
-func (g *generator[S]) insertBeamPhys(w *worker, e *entry, t *plan.Plan) {
-	k := g.opts.BeamWidth
-	members := 0
-	worst := -1
-	for i, old := range e.plans {
-		if !g.sameClass(old, t) {
-			continue
-		}
-		members++
-		if worst < 0 || old.PhysCost > e.plans[worst].PhysCost {
-			worst = i
-		}
-	}
-	if members < k {
-		e.plans = append(e.plans, w.keep(t))
-	} else if worst >= 0 && t.PhysCost < e.plans[worst].PhysCost {
-		e.plans[worst] = w.keep(t)
-	}
+	return !g.physOn() || ordering.Order(a.Ord).Equal(ordering.Order(b.Ord))
 }

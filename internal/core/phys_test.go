@@ -134,3 +134,51 @@ func TestPhysCostAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestSortHeuristicsBounded: in the sort mode H1 and H2 keep one plan per
+// (relation set, order) class, so they stay cheaper to run than the exact
+// search — each must build no more plans than sort-mode EA-Prune. The
+// population is every random query of seeds 1…300 at n = 4 + seed%9 with
+// at most 200 csg-cmp-pairs (277 queries), plus seed 25 at n = 12 and 14,
+// on which a class keyed on the collapse state as well built 1.8M plans.
+// The first violation fails the test, before any larger query runs.
+func TestSortHeuristicsBounded(t *testing.T) {
+	type draw struct {
+		seed int64
+		n    int
+	}
+	var draws []draw
+	for seed := int64(1); seed <= 300; seed++ {
+		draws = append(draws, draw{seed, 4 + int(seed%9)})
+	}
+	draws = append(draws, draw{25, 12}, draw{25, 14})
+	optimize := func(q *query.Query, o core.Options) *core.Result {
+		t.Helper()
+		o.Workers = 1
+		res, err := core.Optimize(q, o)
+		if err != nil {
+			t.Fatalf("%v/%v: %v", o.Algorithm, o.Phys, err)
+		}
+		return res
+	}
+	checked := 0
+	total := map[core.Algorithm]int{}
+	for _, d := range draws {
+		q := randquery.Generate(rand.New(rand.NewSource(d.seed)), randquery.Params{Relations: d.n})
+		if optimize(q, core.Options{Algorithm: core.AlgDPhyp}).Stats.CsgCmpPairs > 200 {
+			continue
+		}
+		checked++
+		bound := optimize(q, core.Options{Algorithm: core.AlgEAPrune, Phys: core.PhysModeSort}).Stats.PlansBuilt
+		total[core.AlgEAPrune] += bound
+		for _, o := range []core.Options{{Algorithm: core.AlgH1}, {Algorithm: core.AlgH2, F: 1.03}} {
+			o.Phys = core.PhysModeSort
+			built := optimize(q, o).Stats.PlansBuilt
+			if built > bound {
+				t.Fatalf("seed %d n=%d: sort-mode %v built %d plans, sort-mode EA-Prune %d", d.seed, d.n, o.Algorithm, built, bound)
+			}
+			total[o.Algorithm] += built
+		}
+	}
+	t.Logf("%d queries; plans built: H1 %d, H2 %d, EA-Prune %d", checked, total[core.AlgH1], total[core.AlgH2], total[core.AlgEAPrune])
+}

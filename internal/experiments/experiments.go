@@ -41,8 +41,8 @@ type Config struct {
 	// for every value; only the runtime figures change.
 	Workers int
 	// Phys selects the physical algebra for the exec and feedback
-	// modes (hash, sort-based, or both competing per plan class). The
-	// zero value keeps the hash layer, the paper's conditions.
+	// modes (hash or sort-based). The zero value keeps the hash layer,
+	// the paper's conditions.
 	Phys core.PhysMode
 	// Trace, when non-nil, collects spans from the exec and feedback
 	// evaluations: one "query" span per (query, plan-generator) cell with
