@@ -101,8 +101,8 @@ func TestOptimalityInvariants(t *testing.T) {
 		for n := 2; n <= 8; n++ {
 			for index := 0; index < 10; index++ {
 				q := randquery.Generate(rng, randquery.Params{Relations: n})
+				label := fmt.Sprintf("seed %d n=%d #%d", seed, n, index)
 				for _, phys := range physModes {
-					label := fmt.Sprintf("seed %d n=%d #%d", seed, n, index)
 					ok, missed := checkAgainstEAAll(t, label, q, phys, gens)
 					if !ok {
 						skipped++
