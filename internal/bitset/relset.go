@@ -3,8 +3,8 @@ package bitset
 // RelSet is the constraint of the generic enumeration layer (hypergraph,
 // conflict detection, the DP core): a comparable value bitset with the
 // Set64 method surface the enumerator needs. Two representations satisfy
-// it — Set64 (the zero-overhead fast path for ≤63 relations) and Wide
-// (the multi-word path up to WideBits-1 relations). All methods are
+// it — Set64 (the zero-overhead fast path for ≤63 relations) and VSet
+// (the wide path, up to VSet.Cap()-1 relations). All methods are
 // value-receiver and non-mutating, so S keys maps directly.
 //
 // FromV is a conversion hook: it ignores its receiver (call it on the
@@ -45,12 +45,13 @@ func SingleIn[S RelSet[S]](e int) S {
 
 // RangeIn returns {lo, …, hi-1} in the representation S.
 func RangeIn[S RelSet[S]](lo, hi int) S {
-	var z S
-	for e := lo; e < hi; e++ {
-		z = z.Add(e)
-	}
-	return z
+	return FromVIn[S](rangeV(lo, hi))
 }
+
+// Wide is VSet under the name of the fixed-width wide set it replaced,
+// pinned by bench/api.go's detectConflicts until the benchmark harness
+// stops naming it.
+type Wide = VSet
 
 // FromVIn converts a VSet into the representation S.
 func FromVIn[S RelSet[S]](v VSet) S {

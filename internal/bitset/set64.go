@@ -1,8 +1,8 @@
 // Package bitset provides the small-set machinery the plan generator is
-// built on, three value types: Set64, a bitset over the universe {0,…,63};
-// Wide, its fixed-width multi-word counterpart for the enumeration layers
-// beyond 63 relations (both satisfy RelSet); and VSet, the adaptive-width
-// set of the query, plan and cost layers.
+// built on, two value types: Set64, a bitset over the universe {0,…,63};
+// and VSet, the adaptive-width set of the query, plan and cost layers,
+// which is also the enumeration layers' wide path beyond 63 relations
+// (both satisfy RelSet).
 //
 // The dynamic-programming plan generator identifies every subset of
 // relations, every set of attributes, every key, and every grouping set with
@@ -72,9 +72,6 @@ func (s Set64) Intersect(t Set64) Set64 { return s & t }
 // Diff returns s \ t.
 func (s Set64) Diff(t Set64) Set64 { return s &^ t }
 
-// SymDiff returns the symmetric difference s △ t.
-func (s Set64) SymDiff(t Set64) Set64 { return s ^ t }
-
 // IsEmpty reports whether s = ∅.
 func (s Set64) IsEmpty() bool { return s == 0 }
 
@@ -83,9 +80,6 @@ func (s Set64) Intersects(t Set64) bool { return s&t != 0 }
 
 // SubsetOf reports whether s ⊆ t.
 func (s Set64) SubsetOf(t Set64) bool { return s&^t == 0 }
-
-// ProperSubsetOf reports whether s ⊂ t.
-func (s Set64) ProperSubsetOf(t Set64) bool { return s != t && s&^t == 0 }
 
 // Disjoint reports whether s ∩ t = ∅.
 func (s Set64) Disjoint(t Set64) bool { return s&t == 0 }
@@ -118,25 +112,6 @@ func (s Set64) MinSet() Set64 {
 	return s & (-s)
 }
 
-// Below returns the set of all elements strictly smaller than the smallest
-// element of s, i.e. B(min(s)) in DPhyp notation. For the empty set it
-// returns the full universe.
-func (s Set64) Below() Set64 {
-	if s == 0 {
-		return ^Set64(0)
-	}
-	return s.MinSet() - 1
-}
-
-// BelowEq returns Below(s) ∪ MinSet(s): all elements ≤ min(s).
-func (s Set64) BelowEq() Set64 {
-	if s == 0 {
-		return ^Set64(0)
-	}
-	m := s.MinSet()
-	return m | (m - 1)
-}
-
 // Elems returns the elements of s in ascending order.
 func (s Set64) Elems() []int {
 	out := make([]int, 0, s.Len())
@@ -153,37 +128,6 @@ func (s Set64) ForEach(f func(e int)) {
 	}
 }
 
-// NextAfter returns the smallest element of s that is > e, or -1 if there is
-// none.
-func (s Set64) NextAfter(e int) int {
-	t := s & ^(Set64(1)<<uint(e+1) - 1)
-	if e >= 63 {
-		t = 0
-	}
-	if t == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(t))
-}
-
-// Rank returns |{x ∈ s : x < e}|, the rank of e within s.
-func (s Set64) Rank(e int) int {
-	mask := Set64(1)<<uint(e) - 1
-	return (s & mask).Len()
-}
-
-// Select returns the i-th smallest element of s (0-based). It panics if
-// i ≥ |s|.
-func (s Set64) Select(i int) int {
-	for t := s; t != 0; t &= t - 1 {
-		if i == 0 {
-			return bits.TrailingZeros64(uint64(t))
-		}
-		i--
-	}
-	panic(fmt.Sprintf("bitset: Select(%d) out of range", i))
-}
-
 // SubsetsAsc calls f for every non-empty subset of s in the canonical
 // ascending enumeration order (numerically increasing as uint64). If f
 // returns false the enumeration stops.
@@ -196,36 +140,6 @@ func (s Set64) SubsetsAsc(f func(sub Set64) bool) {
 // order, or the empty set after the last one (sub = s): the classic
 // "increasing subsets" step s & (sub - s), started from s.MinSet().
 func (s Set64) NextSubset(sub Set64) Set64 { return s & (sub - s) }
-
-// SubsetsDesc calls f for every non-empty subset of s in numerically
-// decreasing order. If f returns false the enumeration stops.
-func (s Set64) SubsetsDesc(f func(sub Set64) bool) {
-	if s == 0 {
-		return
-	}
-	sub := s
-	for {
-		if !f(sub) {
-			return
-		}
-		sub = (sub - 1) & s
-		if sub == 0 {
-			return
-		}
-	}
-}
-
-// ProperSubsetsAsc enumerates the non-empty proper subsets of s in ascending
-// order. DPhyp's EnumerateCsgCmp pairs each connected subset S1 with
-// complements drawn from these.
-func (s Set64) ProperSubsetsAsc(f func(sub Set64) bool) {
-	s.SubsetsAsc(func(sub Set64) bool {
-		if sub == s {
-			return true
-		}
-		return f(sub)
-	})
-}
 
 // String renders the set like "{0, 3, 17}".
 func (s Set64) String() string {

@@ -56,9 +56,6 @@ func TestSetAlgebra(t *testing.T) {
 	if got := a.Diff(b); got != New64(1, 2) {
 		t.Errorf("Diff = %v", got)
 	}
-	if got := a.SymDiff(b); got != New64(1, 2, 4) {
-		t.Errorf("SymDiff = %v", got)
-	}
 }
 
 func TestSubsetPredicates(t *testing.T) {
@@ -66,9 +63,6 @@ func TestSubsetPredicates(t *testing.T) {
 	b := New64(1, 2, 3)
 	if !a.SubsetOf(b) || b.SubsetOf(a) {
 		t.Error("SubsetOf broken")
-	}
-	if !a.ProperSubsetOf(b) || a.ProperSubsetOf(a) {
-		t.Error("ProperSubsetOf broken")
 	}
 	if !a.Intersects(b) || a.Intersects(New64(5)) {
 		t.Error("Intersects broken")
@@ -97,16 +91,6 @@ func TestMinMax(t *testing.T) {
 	Empty64.Min()
 }
 
-func TestBelow(t *testing.T) {
-	s := New64(5, 9)
-	if got := s.Below(); got != Range64(0, 5) {
-		t.Errorf("Below = %v", got)
-	}
-	if got := s.BelowEq(); got != Range64(0, 6) {
-		t.Errorf("BelowEq = %v", got)
-	}
-}
-
 func TestIsSingleton(t *testing.T) {
 	if !Single64(9).IsSingleton() {
 		t.Error("Single64(9) should be singleton")
@@ -131,36 +115,6 @@ func TestElemsForEach(t *testing.T) {
 	}
 }
 
-func TestNextAfter(t *testing.T) {
-	s := New64(2, 5, 63)
-	cases := []struct{ after, want int }{
-		{0, 2}, {2, 5}, {4, 5}, {5, 63}, {63, -1},
-	}
-	for _, c := range cases {
-		if got := s.NextAfter(c.after); got != c.want {
-			t.Errorf("NextAfter(%d) = %d, want %d", c.after, got, c.want)
-		}
-	}
-}
-
-func TestRankSelect(t *testing.T) {
-	s := New64(3, 8, 20)
-	if s.Rank(3) != 0 || s.Rank(9) != 2 || s.Rank(21) != 3 {
-		t.Error("Rank broken")
-	}
-	for i, want := range []int{3, 8, 20} {
-		if got := s.Select(i); got != want {
-			t.Errorf("Select(%d) = %d, want %d", i, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Select out of range should panic")
-		}
-	}()
-	s.Select(3)
-}
-
 func TestSubsetsAscCount(t *testing.T) {
 	s := New64(1, 4, 9)
 	var subs []Set64
@@ -183,23 +137,6 @@ func TestSubsetsAscCount(t *testing.T) {
 	}
 }
 
-func TestSubsetsDesc(t *testing.T) {
-	s := New64(0, 2)
-	var subs []Set64
-	s.SubsetsDesc(func(sub Set64) bool {
-		subs = append(subs, sub)
-		return true
-	})
-	if len(subs) != 3 {
-		t.Fatalf("got %d subsets, want 3", len(subs))
-	}
-	for i := 1; i < len(subs); i++ {
-		if subs[i] >= subs[i-1] {
-			t.Errorf("subsets not descending: %v", subs)
-		}
-	}
-}
-
 func TestSubsetsEarlyStop(t *testing.T) {
 	s := Range64(0, 6)
 	n := 0
@@ -209,23 +146,6 @@ func TestSubsetsEarlyStop(t *testing.T) {
 	})
 	if n != 5 {
 		t.Errorf("early stop visited %d", n)
-	}
-}
-
-func TestProperSubsetsAsc(t *testing.T) {
-	s := New64(1, 2)
-	var subs []Set64
-	s.ProperSubsetsAsc(func(sub Set64) bool {
-		subs = append(subs, sub)
-		return true
-	})
-	if len(subs) != 2 {
-		t.Fatalf("got %v", subs)
-	}
-	for _, sub := range subs {
-		if sub == s {
-			t.Error("proper subsets must exclude the set itself")
-		}
 	}
 }
 
@@ -284,21 +204,5 @@ func TestQuickSubsetEnumeration(t *testing.T) {
 		if want := (1 << uint(s.Len())) - 1; len(seen) != want {
 			t.Fatalf("enumerated %d subsets of %v, want %d", len(seen), s, want)
 		}
-	}
-}
-
-// Property: Rank and Select are inverse.
-func TestQuickRankSelect(t *testing.T) {
-	f := func(a uint64) bool {
-		s := Set64(a)
-		for i := 0; i < s.Len(); i++ {
-			if s.Rank(s.Select(i)) != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -14,9 +15,9 @@ import (
 // zero value is the empty set, and sets that fit 64 bits never allocate.
 //
 // VSet is the lingua franca of the non-enumeration layers (query, plan,
-// cost, fd, ordering, engine): they hold one code path regardless of the
-// set representation the DP enumerator runs on, which is what keeps the
-// fast and wide optimizer paths structurally bit-identical.
+// cost, fd, ordering, engine), and it is also the enumeration layers'
+// wide RelSet for queries beyond Set64's 63 relations: the DP runs on it
+// directly, so its relation sets reach the plan layer without conversion.
 type VSet struct {
 	lo uint64
 	hi string
@@ -36,35 +37,74 @@ func SingleV(e int) VSet {
 	return VSet{}.Add(e)
 }
 
+// rangeV returns {lo, …, hi-1}, one word mask at a time.
+func rangeV(lo, hi int) VSet {
+	var buf [8]uint64
+	ws := words(&buf, (hi+63)/64)
+	for e := lo; e < hi; {
+		for len(ws) <= e/64 {
+			ws = append(ws, 0)
+		}
+		n := min(hi-e, 64-e%64)
+		ws[e/64] |= (1<<uint(n) - 1) << uint(e%64)
+		e += n
+	}
+	return FromWords(ws)
+}
+
 // packWords trims trailing zero words and packs the rest little-endian.
-func packWords(ws []uint64) string {
+// Up to eight words are assembled on the stack, so the string is the only
+// allocation — and there is none when the packing equals a or b, which is
+// returned instead: an operation whose result is one of its operands
+// hands that operand's words back.
+func packWords(ws []uint64, a, b string) string {
 	n := len(ws)
 	for n > 0 && ws[n-1] == 0 {
 		n--
 	}
-	if n == 0 {
-		return ""
+	var buf [64]byte
+	p := buf[:0]
+	if n > 8 {
+		p = make([]byte, 0, 8*n)
 	}
-	b := make([]byte, n*8)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(ws[i] >> (8 * j))
-		}
+	for _, w := range ws[:n] {
+		p = binary.LittleEndian.AppendUint64(p, w)
 	}
-	return string(b)
+	if string(p) == a {
+		return a
+	}
+	if string(p) == b {
+		return b
+	}
+	return string(p)
+}
+
+// words returns an empty slice with room for n words: buf's when they
+// fit, one allocation otherwise.
+func words(buf *[8]uint64, n int) []uint64 {
+	if n <= len(buf) {
+		return buf[:0]
+	}
+	return make([]uint64, 0, n)
 }
 
 // unpackWord decodes word i (bits 64·(i+1)…) of a packed hi string.
 func unpackWord(hi string, i int) uint64 {
-	var w uint64
-	for j := 0; j < 8; j++ {
-		w |= uint64(hi[i*8+j]) << (8 * j)
-	}
-	return w
+	b := hi[i*8 : i*8+8]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // hiWords returns the number of packed high words.
 func (s VSet) hiWords() int { return len(s.hi) / 8 }
+
+// appendHi appends the high words to dst.
+func (s VSet) appendHi(dst []uint64) []uint64 {
+	for i := 0; i < s.hiWords(); i++ {
+		dst = append(dst, unpackWord(s.hi, i))
+	}
+	return dst
+}
 
 // Lo returns the inline low word and whether the set fits entirely in it
 // (no elements ≥ 64). Hot set-keyed caches use it to key the common
@@ -90,18 +130,11 @@ func (s VSet) Word(w int) uint64 {
 	if w == 0 {
 		return s.lo
 	}
-	return unpackWord(s.hi, w-1)
+	return s.wordHi(w)
 }
 
-// words flattens the set into a word slice [lo, hi…].
-func (s VSet) words() []uint64 {
-	ws := make([]uint64, 1+s.hiWords())
-	ws[0] = s.lo
-	for i := 0; i < s.hiWords(); i++ {
-		ws[i+1] = unpackWord(s.hi, i)
-	}
-	return ws
-}
+//go:noinline
+func (s VSet) wordHi(w int) uint64 { return unpackWord(s.hi, w-1) }
 
 // OrInto ors s into the word slice ws (word 0 holds elements 0–63), growing
 // it as needed, and returns it. With FromWords it accumulates a union of
@@ -122,7 +155,7 @@ func FromWords(ws []uint64) VSet {
 	if len(ws) == 0 {
 		return VSet{}
 	}
-	return VSet{lo: ws[0], hi: packWords(ws[1:])}
+	return VSet{lo: ws[0], hi: packWords(ws[1:], "", "")}
 }
 
 // The small predicates and constructors below are split into an
@@ -130,7 +163,9 @@ func FromWords(ws []uint64) VSet {
 // the optimizer's hot loops hammer Contains/SubsetOf/Union/… on sets
 // that overwhelmingly fit the inline low word, and keeping the fast path
 // under the compiler's inlining budget is worth measurable optimizer
-// time (the monolithic versions showed up as top profile entries).
+// time (the monolithic versions showed up as top profile entries). Up to
+// 512 elements, the multi-word helpers compute into a stack buffer and
+// allocate at most the result's packed string.
 
 // Add returns s ∪ {e}.
 func (s VSet) Add(e int) VSet {
@@ -141,14 +176,23 @@ func (s VSet) Add(e int) VSet {
 	return s.addHi(e)
 }
 
+//go:noinline
 func (s VSet) addHi(e int) VSet {
-	w := e/64 - 1
-	ws := make([]uint64, maxInt(s.hiWords(), w+1))
-	for i := 0; i < s.hiWords(); i++ {
-		ws[i] = unpackWord(s.hi, i)
+	if s.containsHi(e) {
+		return s
 	}
-	ws[w] |= 1 << uint(e%64)
-	s.hi = packWords(ws)
+	return s.flipHi(e)
+}
+
+// flipHi toggles the element e ≥ 64.
+func (s VSet) flipHi(e int) VSet {
+	var buf [8]uint64
+	ws := s.appendHi(words(&buf, max(s.hiWords(), e/64)))
+	for len(ws) < e/64 {
+		ws = append(ws, 0)
+	}
+	ws[e/64-1] ^= 1 << uint(e%64)
+	s.hi = packWords(ws, "", "")
 	return s
 }
 
@@ -158,13 +202,10 @@ func (s VSet) Remove(e int) VSet {
 		s.lo &^= 1 << uint(e)
 		return s
 	}
-	w := e/64 - 1
-	if w >= s.hiWords() {
+	if !s.containsHi(e) {
 		return s
 	}
-	ws := s.words()
-	ws[w+1] &^= 1 << uint(e%64)
-	return FromWords(ws)
+	return s.flipHi(e)
 }
 
 // Contains reports whether e ∈ s.
@@ -178,10 +219,7 @@ func (s VSet) Contains(e int) bool {
 //go:noinline
 func (s VSet) containsHi(e int) bool {
 	w := e/64 - 1
-	if w >= s.hiWords() {
-		return false
-	}
-	return unpackWord(s.hi, w)&(1<<uint(e%64)) != 0
+	return w < s.hiWords() && unpackWord(s.hi, w)&(1<<uint(e%64)) != 0
 }
 
 // Union returns s ∪ t.
@@ -192,25 +230,24 @@ func (s VSet) Union(t VSet) VSet {
 	return s.unionHi(t)
 }
 
+//go:noinline
 func (s VSet) unionHi(t VSet) VSet {
-	// Accumulations start from the empty set; returning the other operand
-	// spares them the five allocations of a rebuilt copy.
-	if s.IsEmpty() {
-		return t
+	if t.hi == "" {
+		return VSet{lo: s.lo | t.lo, hi: s.hi}
 	}
-	if t.IsEmpty() {
-		return s
+	if s.hi == "" {
+		return VSet{lo: s.lo | t.lo, hi: t.hi}
 	}
-	a, b := s.words(), t.words()
-	if len(a) < len(b) {
-		a, b = b, a
+	var buf [8]uint64
+	ws := s.appendHi(words(&buf, max(s.hiWords(), t.hiWords())))
+	for i := 0; i < t.hiWords(); i++ {
+		if w := unpackWord(t.hi, i); i < len(ws) {
+			ws[i] |= w
+		} else {
+			ws = append(ws, w)
+		}
 	}
-	out := make([]uint64, len(a))
-	copy(out, a)
-	for i := range b {
-		out[i] |= b[i]
-	}
-	return FromWords(out)
+	return VSet{lo: s.lo | t.lo, hi: packWords(ws, s.hi, t.hi)}
 }
 
 // Intersect returns s ∩ t.
@@ -221,14 +258,15 @@ func (s VSet) Intersect(t VSet) VSet {
 	return s.intersectHi(t)
 }
 
+//go:noinline
 func (s VSet) intersectHi(t VSet) VSet {
-	a, b := s.words(), t.words()
-	n := minInt(len(a), len(b))
-	out := make([]uint64, n)
+	n := min(s.hiWords(), t.hiWords())
+	var buf [8]uint64
+	ws := words(&buf, n)
 	for i := 0; i < n; i++ {
-		out[i] = a[i] & b[i]
+		ws = append(ws, unpackWord(s.hi, i)&unpackWord(t.hi, i))
 	}
-	return FromWords(out)
+	return VSet{lo: s.lo & t.lo, hi: packWords(ws, s.hi, t.hi)}
 }
 
 // Diff returns s \ t.
@@ -239,13 +277,17 @@ func (s VSet) Diff(t VSet) VSet {
 	return s.diffHi(t)
 }
 
+//go:noinline
 func (s VSet) diffHi(t VSet) VSet {
-	out := s.words()
-	b := t.words()
-	for i := 0; i < minInt(len(out), len(b)); i++ {
-		out[i] &^= b[i]
+	if t.hi == "" {
+		return VSet{lo: s.lo &^ t.lo, hi: s.hi}
 	}
-	return FromWords(out)
+	var buf [8]uint64
+	ws := s.appendHi(words(&buf, s.hiWords()))
+	for i := 0; i < min(len(ws), t.hiWords()); i++ {
+		ws[i] &^= unpackWord(t.hi, i)
+	}
+	return VSet{lo: s.lo &^ t.lo, hi: packWords(ws, s.hi, "")}
 }
 
 // IsEmpty reports whether s = ∅.
@@ -274,7 +316,7 @@ func (s VSet) intersectsHi(t VSet) bool {
 	if s.lo&t.lo != 0 {
 		return true
 	}
-	n := minInt(s.hiWords(), t.hiWords())
+	n := min(s.hiWords(), t.hiWords())
 	for i := 0; i < n; i++ {
 		if unpackWord(s.hi, i)&unpackWord(t.hi, i) != 0 {
 			return true
@@ -294,6 +336,7 @@ func (s VSet) SubsetOf(t VSet) bool {
 	return s.subsetHi(t)
 }
 
+//go:noinline
 func (s VSet) subsetHi(t VSet) bool {
 	if s.hiWords() > t.hiWords() {
 		return false // canonical trimming: extra words are non-zero
@@ -360,6 +403,65 @@ func (s VSet) Max() int {
 	panic("bitset: Max of empty VSet")
 }
 
+// MinSet returns the singleton set containing the smallest element of s,
+// or the empty set if s is empty — the "lowest bit" idiom of DPhyp.
+func (s VSet) MinSet() VSet {
+	if s.lo != 0 || s.hi == "" {
+		return VSet{lo: s.lo & -s.lo}
+	}
+	// Canonical trimming makes the last high word non-zero, so the scan
+	// ends inside hi.
+	var buf [8]uint64
+	ws := words(&buf, s.hiWords())
+	for i := 0; ; i++ {
+		w := unpackWord(s.hi, i)
+		if ws = append(ws, w&-w); w != 0 {
+			return VSet{hi: packWords(ws, s.hi, "")}
+		}
+	}
+}
+
+// SubsetsAsc calls f for every non-empty subset of s in the canonical
+// ascending enumeration order (numerically increasing when the words are
+// read as one big little-endian integer) — the same order Set64
+// enumerates, which the enumeration-determinism contract relies on. If f
+// returns false the enumeration stops.
+func (s VSet) SubsetsAsc(f func(sub VSet) bool) {
+	for sub := s.MinSet(); !sub.IsEmpty() && f(sub); sub = s.NextSubset(sub) {
+	}
+}
+
+// NextSubset returns the subset of s that follows sub in SubsetsAsc's
+// order, or the empty set after the last one (sub = s): the multi-word
+// form of s & (sub - s), the subtraction carrying its borrow across words.
+func (s VSet) NextSubset(sub VSet) VSet {
+	if s.hi == "" {
+		return VSet{lo: s.lo & (sub.lo - s.lo)}
+	}
+	lo, borrow := bits.Sub64(sub.lo, s.lo, 0)
+	var buf [8]uint64
+	ws := s.appendHi(words(&buf, s.hiWords()))
+	for i, w := range ws {
+		var d, x uint64
+		if i < sub.hiWords() { // sub ⊆ s spans no more words than s
+			x = unpackWord(sub.hi, i)
+		}
+		d, borrow = bits.Sub64(x, w, borrow)
+		ws[i] = w & d
+	}
+	return VSet{lo: s.lo & lo, hi: packWords(ws, sub.hi, s.hi)}
+}
+
+// Cap returns the relation capacity the enumeration layers accept on this
+// representation (the set itself holds any universe).
+func (VSet) Cap() int { return 512 }
+
+// ToV returns s: VSet is its own VSet form.
+func (s VSet) ToV() VSet { return s }
+
+// FromV returns v; the receiver is ignored (see RelSet).
+func (VSet) FromV(v VSet) VSet { return v }
+
 // Elems returns the elements of s in ascending order.
 func (s VSet) Elems() []int {
 	out := make([]int, 0, s.Len())
@@ -395,15 +497,6 @@ func (s VSet) Less(t VSet) bool {
 	return s.lo < t.lo
 }
 
-// ToSet64 converts the set to a Set64. It panics when the set holds
-// elements ≥ 64; callers guard with the fast-path invariant.
-func (s VSet) ToSet64() Set64 {
-	if s.hi != "" {
-		panic("bitset: VSet does not fit Set64")
-	}
-	return Set64(s.lo)
-}
-
 // String renders the set like "{0, 3, 170}".
 func (s VSet) String() string {
 	var b strings.Builder
@@ -418,18 +511,4 @@ func (s VSet) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

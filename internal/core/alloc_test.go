@@ -81,7 +81,7 @@ func TestEAPruneAllocBudget(t *testing.T) {
 		t.Errorf("chain12/H1 allocates %d objects, over one per retained plan (%d) + 4 per level (%d)", objects, stats.TablePlans, len(stats.Levels))
 	}
 
-	// chain64/H1 is the bitset.Wide path, measured over the whole of
+	// chain64/H1 is the bitset.VSet path, measured over the whole of
 	// Optimize — the pair enumeration is half of what it allocates. It took
 	// 88.7 MB and 28 objects per csg-cmp-pair while the enumeration kept a
 	// de-duplication map and a second, sorted copy of its 128-byte pairs,

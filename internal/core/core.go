@@ -135,11 +135,6 @@ type Options struct {
 	// the sort mode additionally tracks contractual orders, keys DP plan
 	// classes by them, and ranks plans by PhysCost.
 	Phys PhysMode
-	// ForceWide routes the run through the multi-word wide set
-	// representation even when the query fits the Set64 fast path. The
-	// two paths are bit-identical (the differential tests pin this);
-	// the flag exists for those tests and for diagnostics.
-	ForceWide bool
 	// PairBudget bounds the csg-cmp-pair enumeration. 0 means the
 	// default: unlimited for queries of ≤63 relations, and
 	// DefaultLargePairBudget beyond (graphs like large stars and
@@ -189,38 +184,46 @@ type Result struct {
 
 // Optimize runs the selected plan generator on the query.
 func Optimize(q *query.Query, opts Options) (*Result, error) {
-	if err := q.Validate(); err != nil {
+	if err := checkOptions(q, &opts); err != nil {
 		return nil, err
 	}
+	// Representation dispatch: ≤63 relations run on Set64 (zero-overhead
+	// fast path, bit-for-bit the pre-generics behavior); larger queries
+	// run on the adaptive bitset.VSet. Everything downstream of the set
+	// representation is shared, so the two paths retain identical plans.
+	if len(q.Relations) <= 63 {
+		return optimizeAs[bitset.Set64](q, opts)
+	}
+	return optimizeAs[bitset.VSet](q, opts)
+}
+
+// checkOptions validates the query and the options and fills in the
+// defaults the options leave open.
+func checkOptions(q *query.Query, opts *Options) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
 	if _, ok := algNames[opts.Algorithm]; !ok {
-		return nil, fmt.Errorf("core: undefined algorithm %v", opts.Algorithm)
+		return fmt.Errorf("core: undefined algorithm %v", opts.Algorithm)
 	}
 	if _, ok := physNames[opts.Phys]; !ok {
-		return nil, fmt.Errorf("core: undefined physical mode %v", opts.Phys)
+		return fmt.Errorf("core: undefined physical mode %v", opts.Phys)
 	}
 	if opts.Algorithm == AlgH2 && opts.F <= 0 {
-		return nil, errors.New("core: H2 requires a tolerance factor F > 0")
+		return errors.New("core: H2 requires a tolerance factor F > 0")
 	}
 	if opts.Algorithm == AlgBeam && opts.BeamWidth <= 0 {
 		opts.BeamWidth = 4
 	}
+	return nil
+}
+
+func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, error) {
 	est := cost.NewEstimator(q)
 	est.FDReduceGroups = opts.FDReduceGroups
 	if opts.Stats != nil {
 		est.Source = opts.Stats
 	}
-	// Representation dispatch: ≤63 relations run on Set64 (zero-overhead
-	// fast path, bit-for-bit the pre-generics behavior); larger queries —
-	// or any query under ForceWide — run on the multi-word bitset.Wide.
-	// Everything downstream of the set representation is shared, so the
-	// two paths retain identical plans.
-	if len(q.Relations) <= 63 && !opts.ForceWide {
-		return optimizeAs[bitset.Set64](q, est, opts)
-	}
-	return optimizeAs[bitset.Wide](q, est, opts)
-}
-
-func optimizeAs[S bitset.RelSet[S]](q *query.Query, est *cost.Estimator, opts Options) (*Result, error) {
 	g := &generator[S]{
 		q:              q,
 		det:            conflict.Detect[S](q),
@@ -327,8 +330,8 @@ func (g *generator[S]) prepare() {
 
 // pairBudget resolves Options.PairBudget: explicit value if set,
 // otherwise unlimited for ≤63-relation queries (keeping every small
-// query — including ForceWide differential runs — on the exact DP) and
-// DefaultLargePairBudget beyond.
+// query — including the tests' wide-path differential runs — on the
+// exact DP) and DefaultLargePairBudget beyond.
 func (g *generator[S]) pairBudget() int {
 	if g.opts.PairBudget > 0 {
 		return g.opts.PairBudget

@@ -93,8 +93,12 @@ func digestCells() []digestCell {
 func digest(t *testing.T, c digestCell, workers int, wide bool) string {
 	t.Helper()
 	o := c.opts
-	o.Workers, o.ForceWide = workers, wide
-	res, err := core.Optimize(c.q, o)
+	o.Workers = workers
+	optimize := core.Optimize
+	if wide {
+		optimize = core.OptimizeWide
+	}
+	res, err := optimize(c.q, o)
 	if err != nil {
 		t.Fatalf("%s workers=%d wide=%v: %v", c.name(), workers, wide, err)
 	}

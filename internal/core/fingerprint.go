@@ -67,10 +67,8 @@ func AppendFingerprint(dst []byte, q *query.Query, opts Options) []byte {
 	dst = appendInt(dst, bw)
 	dst = appendBool(dst, opts.FDReduceGroups)
 	dst = appendInt(dst, int(opts.Phys))
-	// ForceWide and PairBudget are plan-relevant: the wide path is
-	// bit-identical only while the enumeration completes, and the budget
-	// decides where the greedy fallback takes over.
-	dst = appendBool(dst, opts.ForceWide)
+	// PairBudget is plan-relevant: it decides where the greedy fallback
+	// takes over.
 	dst = appendInt(dst, opts.PairBudget)
 
 	// Relations with their statistics, keys and declared orders.

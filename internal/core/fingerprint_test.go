@@ -108,8 +108,8 @@ func fingerprintRef(q *query.Query, opts Options) string {
 			bw = 4
 		}
 	}
-	fmt.Fprintf(&b, "alg=%d f=%g bw=%d fd=%t phys=%d wide=%t pb=%d;",
-		opts.Algorithm, f, bw, opts.FDReduceGroups, opts.Phys, opts.ForceWide, opts.PairBudget)
+	fmt.Fprintf(&b, "alg=%d f=%g bw=%d fd=%t phys=%d pb=%d;",
+		opts.Algorithm, f, bw, opts.FDReduceGroups, opts.Phys, opts.PairBudget)
 	for i := range q.Relations {
 		r := &q.Relations[i]
 		fmt.Fprintf(&b, "R%d=%s c=%g a=%v k=", i, r.Name, r.Card, r.Attrs)
@@ -210,10 +210,8 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	} {
 		for _, o.Phys = range []PhysMode{PhysModeHash, PhysModeSort} {
 			for _, o.FDReduceGroups = range []bool{false, true} {
-				for _, o.ForceWide = range []bool{false, true} {
-					for _, o.PairBudget = range []int{0, 1000} {
-						opts = append(opts, o)
-					}
+				for _, o.PairBudget = range []int{0, 1000} {
+					opts = append(opts, o)
 				}
 			}
 		}
@@ -235,7 +233,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	// 3 distinct corpora of 4 (the rebuild coincides) and 8 distinct
 	// searches of 9 (Beam 0 ≡ Beam 4): the classes are neither all
 	// singletons nor collapsed.
-	if want := 4 * 40 * 8 * 16; len(refOf) != want {
+	if want := 4 * 40 * 8 * 8; len(refOf) != want {
 		t.Errorf("%d classes, want %d", len(refOf), want)
 	}
 }

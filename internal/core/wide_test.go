@@ -12,13 +12,13 @@ import (
 )
 
 // TestWideDifferentialFastPath is the seam contract of the set
-// representation: for every query the Set64 fast path handles, forcing
-// the multi-word wide path (Options.ForceWide) must reproduce the
-// fast-path plan bit for bit — structure, cardinalities, costs, keys —
-// with identical search-effort counters. The workload covers the TPC-H
-// shapes plus random queries across relation counts and the four
-// algorithm families that remain enabled at scale, and DPhyp/EA-Prune
-// as the exact references.
+// representation: for every query the Set64 fast path handles, running
+// it on the wide path (bitset.VSet, through core.OptimizeWide) must
+// reproduce the fast-path plan bit for bit — structure, cardinalities,
+// costs, keys — with identical search-effort counters. The workload
+// covers the TPC-H shapes plus random queries from 2 relations up, every
+// algorithm family that remains enabled at scale (H2 at F = 1.03), and
+// DPhyp/EA-Prune as the exact references.
 func TestWideDifferentialFastPath(t *testing.T) {
 	type algCfg struct {
 		alg  core.Algorithm
@@ -29,6 +29,7 @@ func TestWideDifferentialFastPath(t *testing.T) {
 		{core.AlgDPhyp, 0, 10},
 		{core.AlgEAPrune, 0, 8},
 		{core.AlgH1, 0, 10},
+		{core.AlgH2, 1.03, 10},
 		{core.AlgBeam, 0, 10},
 	}
 	check := func(t *testing.T, label string, q *query.Query, c algCfg) {
@@ -37,7 +38,7 @@ func TestWideDifferentialFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v fast: %v", label, c.alg, err)
 		}
-		wide, err := core.Optimize(q, core.Options{Algorithm: c.alg, F: c.f, ForceWide: true})
+		wide, err := core.OptimizeWide(q, core.Options{Algorithm: c.alg, F: c.f})
 		if err != nil {
 			t.Fatalf("%s %v wide: %v", label, c.alg, err)
 		}
@@ -51,7 +52,7 @@ func TestWideDifferentialFastPath(t *testing.T) {
 			t.Fatalf("%s %v: stats diverged: fast %+v wide %+v", label, c.alg, fast.Stats, wide.Stats)
 		}
 		if wide.Stats.PairBudgetExceeded {
-			t.Fatalf("%s %v: ForceWide on a small query must keep the unlimited default budget", label, c.alg)
+			t.Fatalf("%s %v: the wide path on a small query must keep the unlimited default budget", label, c.alg)
 		}
 	}
 
@@ -62,7 +63,7 @@ func TestWideDifferentialFastPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8163))
 	queries := 0
-	for n := 3; n <= 10; n++ {
+	for n := 2; n <= 10; n++ {
 		for trial := 0; trial < 3; trial++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
 			queries++

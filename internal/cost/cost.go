@@ -426,13 +426,6 @@ func (e *Estimator) sourceCard(key CardKey, model float64) float64 {
 	return e.Source.Card(key, model)
 }
 
-// FinalGroup builds the query's top grouping Γ_G.
-func (e *Estimator) FinalGroup(child *plan.Plan) *plan.Plan {
-	p := e.Group(child, e.Q.GroupBy)
-	p.Final = true
-	return p
-}
-
 // Project builds the duplicate-preserving projection replacing an
 // unnecessary final grouping (Sec. 3.2): EstimateProject into a fresh
 // allocation.

@@ -92,29 +92,6 @@ func FuzzExecEquivalence(f *testing.F) {
 				seed, n, opts.Algorithm, res.Plan.StringWithQuery(q), gotRef, got)
 		}
 
-		// Wide arm: forcing the multi-word set representation onto a
-		// query the Set64 fast path handles must pick the structurally
-		// identical plan, and that plan must execute end-to-end to the
-		// canonical result.
-		wopts := opts
-		wopts.ForceWide = true
-		wres, err := core.Optimize(q, wopts)
-		if err != nil {
-			t.Fatalf("wide optimize: %v", err)
-		}
-		if !plan.Equal(res.Plan, wres.Plan) {
-			t.Fatalf("seed=%d n=%d %v: wide plan ≢ fast-path plan\nfast:\n%v\nwide:\n%v",
-				seed, n, opts.Algorithm, res.Plan.StringWithQuery(q), wres.Plan.StringWithQuery(q))
-		}
-		wideGot, err := Exec(q, wres.Plan, data)
-		if err != nil {
-			t.Fatalf("wide exec: %v\nplan:\n%v", err, wres.Plan.StringWithQuery(q))
-		}
-		if !algebra.EqualBags(want, wideGot, attrs) {
-			t.Fatalf("seed=%d n=%d %v: wide Execute ≢ Canonical\nplan:\n%v\nwant:\n%v\ngot:\n%v",
-				seed, n, opts.Algorithm, wres.Plan.StringWithQuery(q), want, wideGot)
-		}
-
 		// Workers>1 arm: parallel execution must be bit-identical to
 		// the sequential row runtime (not merely bag-equal).
 		tables := data.Tables()

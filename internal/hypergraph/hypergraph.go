@@ -10,7 +10,7 @@
 //
 // The package is generic in the relation-set representation S
 // (bitset.RelSet): bitset.Set64 is the zero-overhead fast path for ≤63
-// relations, bitset.Wide the multi-word path beyond. All enumeration
+// relations, bitset.VSet the wide path beyond. All enumeration
 // order is defined by S's ascending-subset order, which both
 // representations share, so the emitted pair sequence is independent of
 // the representation.

@@ -270,17 +270,17 @@ func scanConnecting[S bitset.RelSet[S]](g *Graph[S], s1, s2 S) []int {
 	return out
 }
 
-// widen rebuilds a Set64 graph on the multi-word representation, shifted up
+// widen rebuilds a Set64 graph on the wide representation, shifted up
 // by 70 nodes so that sets and — past 64 edges — touch sets span words; up
 // maps a set of the graph to its image.
-func widen(g *Graph[bitset.Set64]) (w *Graph[bitset.Wide], up func(bitset.Set64) bitset.Wide) {
+func widen(g *Graph[bitset.Set64]) (w *Graph[bitset.VSet], up func(bitset.Set64) bitset.VSet) {
 	const shift = 70
-	up = func(s bitset.Set64) bitset.Wide {
-		var w bitset.Wide
+	up = func(s bitset.Set64) bitset.VSet {
+		var w bitset.VSet
 		s.ForEach(func(e int) { w = w.Add(e + shift) })
 		return w
 	}
-	w = New[bitset.Wide](g.N + shift)
+	w = New[bitset.VSet](g.N + shift)
 	for i := 0; i+1 < shift; i++ {
 		w.AddSimpleEdge(i, i+1, 0) // a chain below the graph: 69 more edges
 	}
@@ -322,7 +322,7 @@ func connectingMatchesScan[S bitset.RelSet[S]](t *testing.T, name string, g *Gra
 // touch(S1) ∩ touch(S2), then the endpoint test — returns exactly the edges
 // a walk over the whole edge list returns, in the same order, on chains,
 // stars, cliques, cycles, cyclic random graphs and TES-style hypergraphs,
-// on Set64 and on Wide.
+// on Set64 and on VSet.
 func TestConnectingEdgesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := map[string]*Graph[bitset.Set64]{
@@ -344,9 +344,9 @@ func TestConnectingEdgesMatchScan(t *testing.T) {
 		pairs := g.CsgCmpPairs()
 		checked += connectingMatchesScan(t, name, g, rng, pairs)
 		w, up := widen(g)
-		var wide []CsgCmpPair[bitset.Wide]
+		var wide []CsgCmpPair[bitset.VSet]
 		for _, p := range pairs {
-			wide = append(wide, CsgCmpPair[bitset.Wide]{S1: up(p.S1), S2: up(p.S2)})
+			wide = append(wide, CsgCmpPair[bitset.VSet]{S1: up(p.S1), S2: up(p.S2)})
 		}
 		checked += connectingMatchesScan(t, name+"/wide", w, rng, wide)
 	}

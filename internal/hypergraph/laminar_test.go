@@ -38,8 +38,8 @@ func genLaminarTES(rng *rand.Rand, n int) *Graph[bitset.Set64] {
 			})
 			return s
 		}
-		lAnchor := bitset.Single64(l.leaves.Select(rng.Intn(l.leaves.Len())))
-		rAnchor := bitset.Single64(r.leaves.Select(rng.Intn(r.leaves.Len())))
+		lAnchor := bitset.Single64(l.leaves.Elems()[rng.Intn(l.leaves.Len())])
+		rAnchor := bitset.Single64(r.leaves.Elems()[rng.Intn(r.leaves.Len())])
 		g.AddEdge(randomSuperset(lAnchor, l.leaves), randomSuperset(rAnchor, r.leaves), len(g.Edges))
 		merged := node{leaves: l.leaves.Union(r.leaves)}
 		if i > j {

@@ -68,9 +68,9 @@ func sequenceHash[S bitset.RelSet[S]](g *Graph[S]) string {
 // included, since the DP's tie-breaking follows it — on simple graphs to
 // the one emitted while every grown set was still re-validated with
 // IsConnected (wantSequence was generated at that commit), and Set64 and
-// Wide to each other.
+// VSet to each other.
 func TestSimpleGraphPairSequence(t *testing.T) {
-	narrow, wide := simpleGraphs[bitset.Set64](), simpleGraphs[bitset.Wide]()
+	narrow, wide := simpleGraphs[bitset.Set64](), simpleGraphs[bitset.VSet]()
 	if len(narrow) != len(wantSequence) {
 		t.Errorf("population has %d graphs, wantSequence %d", len(narrow), len(wantSequence))
 	}
@@ -80,7 +80,7 @@ func TestSimpleGraphPairSequence(t *testing.T) {
 			t.Errorf("%q: %q, // Set64 sequence changed (want %s)", name, got, wantSequence[name])
 		}
 		if w := sequenceHash(wide[name]); w != got {
-			t.Errorf("%s: Wide emits %s, Set64 %s", name, w, got)
+			t.Errorf("%s: VSet emits %s, Set64 %s", name, w, got)
 		}
 	}
 }
@@ -211,7 +211,7 @@ func TestDPhypEmitsEachPairOnce(t *testing.T) {
 			}
 		}
 	}
-	chain64 := New[bitset.Wide](64)
+	chain64 := New[bitset.VSet](64)
 	for i := 0; i+1 < 64; i++ {
 		chain64.AddSimpleEdge(i, i+1, i)
 	}

@@ -20,10 +20,10 @@ import (
 )
 
 const (
-	// MaxRelations is the relation capacity of the wide enumeration path
-	// (bitset.WideBits with the same one-element headroom Set64 kept for
-	// its 63-relation cap).
-	MaxRelations = bitset.WideBits - 1
+	// MaxRelations is the relation capacity of the wide enumeration path:
+	// bitset.VSet.Cap() (512) with the same one-element headroom Set64
+	// keeps for its 63-relation cap.
+	MaxRelations = 511
 	// MaxAttrs caps the attribute universe. Attribute sets are
 	// adaptive-width VSets with no intrinsic limit, so this is only a
 	// sanity bound against absurd universes; it comfortably admits a

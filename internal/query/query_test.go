@@ -146,6 +146,9 @@ func TestDistinctFloor(t *testing.T) {
 }
 
 func TestTooManyRelationsIsError(t *testing.T) {
+	if MaxRelations != (bitset.VSet{}).Cap()-1 {
+		t.Fatalf("MaxRelations %d must stay one below the wide path's capacity %d", MaxRelations, (bitset.VSet{}).Cap())
+	}
 	q := New()
 	for i := 0; i < MaxRelations+10; i++ {
 		q.AddRelation("r", 10) // must not panic past the relation cap
