@@ -23,8 +23,9 @@ func TestPruneCoverageInvariant(t *testing.T) {
 	for n := 3; n <= 6; n++ {
 		for trial := 0; trial < 8; trial++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
-			all := tableOf(t, q, AlgEAAll)
-			pruned := tableOf(t, q, AlgEAPrune)
+			all := tableOf(t, q, AlgEAAll).table
+			g := tableOf(t, q, AlgEAPrune)
+			pruned := g.table
 			full := bitset.Range64(0, n)
 			for s, e := range all {
 				if s == full {
@@ -33,7 +34,7 @@ func TestPruneCoverageInvariant(t *testing.T) {
 				for _, p := range e.plans {
 					covered := false
 					for _, kept := range pruned[s].plans {
-						covered = covered || frontierDominates(kept, p, false)
+						covered = covered || frontierDominates(g, kept, p)
 					}
 					if !covered {
 						t.Fatalf("n=%d trial=%d set %v: plan not covered by EA-Prune retentions\ncost=%.6g card=%.6g keys=%v\n%v",
@@ -45,15 +46,15 @@ func TestPruneCoverageInvariant(t *testing.T) {
 	}
 }
 
-// tableOf runs the generator and returns its DP table, so dominance can be
-// evaluated post hoc.
-func tableOf(t *testing.T, q *query.Query, alg Algorithm) map[bitset.Set64]*entry {
+// tableOf runs the generator and returns it with its DP table, so
+// dominance can be evaluated post hoc.
+func tableOf(t *testing.T, q *query.Query, alg Algorithm) *generator[bitset.Set64] {
 	t.Helper()
 	g := newGenerator(q, Options{Algorithm: alg})
 	if _, err := g.run(); err != nil {
 		t.Fatal(err)
 	}
-	return g.table
+	return g
 }
 
 // newGenerator builds a Set64 generator the way optimizeAs does, except

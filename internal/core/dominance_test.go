@@ -66,13 +66,18 @@ func referenceDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
 			return false
 		}
 	}
+	return keysImplied(g, a, b)
+}
+
+// keysImplied is Def. 4's key condition as the paper states it, over set
+// closures: every key of b has a key of a inside its closure under the
+// subplan-local dependencies of b's relation set.
+func keysImplied(g *generator[bitset.Set64], a, b *plan.Plan) bool {
 	for _, kb := range b.Keys {
+		cl := g.est.Local().Closure(b.Rels, kb)
 		implied := false
 		for _, ka := range a.Keys {
-			if ka.SubsetOf(kb) {
-				implied = true
-				break
-			}
+			implied = implied || ka.SubsetOf(cl)
 		}
 		if !implied {
 			return false
@@ -82,9 +87,10 @@ func referenceDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
 }
 
 // frontierDominates is the new test on two plan nodes: what the frontier
-// evaluates from its flat arrays.
-func frontierDominates(a, b *plan.Plan, phys bool) bool {
-	return !(a.Cost > b.Cost || a.Card > b.Card) && pointwiseLE(a.Profile, b.Profile) && dominatesRest(a, b, phys)
+// evaluates from its flat arrays, b's key closures computed on the spot.
+func frontierDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
+	return !(a.Cost > b.Cost || a.Card > b.Card) && pointwiseLE(a.Profile, b.Profile) &&
+		dominatesRest(a, b, g.physOn(), func() []uint64 { return g.w0.closeKeys(nil, b) })
 }
 
 // differentialQueries draws the population of the dominance tests: count
@@ -186,7 +192,7 @@ func TestDominanceMatchesReference(t *testing.T) {
 		agree := func(a, b *plan.Plan) bool {
 			comparisons++
 			want := referenceDominates(g, a, b)
-			if got := frontierDominates(a, b, g.physOn()); got != want {
+			if got := frontierDominates(g, a, b); got != want {
 				t.Fatalf("query %d (%v): new dominance says %v, reference %v\na (cost %v card %v path %v):\n%v\nb (cost %v card %v path %v):\n%v",
 					i, phys, got, want, a.Cost, a.Card, a.Profile, a, b.Cost, b.Card, b.Profile, b)
 			}
@@ -233,7 +239,7 @@ func TestFrontierMatchesTwoScanReference(t *testing.T) {
 		g, order, streams := candidateStreams(t, q, phys)
 		for _, s := range order {
 			got, _ := frontierOf(g, streams[s])
-			want, _ := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(a, b, g.physOn()) })
+			want, _ := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
 			samePlans(t, fmt.Sprintf("query %d (%v) set %v", i, phys, s), got, want)
 			candidates += len(streams[s])
 		}
@@ -261,7 +267,7 @@ func TestFrontierMatchesTwoScanReference(t *testing.T) {
 		"everything retained":        {mk(1, 9, 9, 9), mk(2, 8, 8, 8), mk(3, 7, 7, 7), mk(2.5, 7.5, 7.5, 7.5), mk(0.5, 10, 10, 10)},
 	} {
 		got, _ := frontierOf(g, stream)
-		want, _ := twoScan(stream, func(a, b *plan.Plan) bool { return frontierDominates(a, b, false) })
+		want, _ := twoScan(stream, func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
 		samePlans(t, name, got, want)
 		if name == "everything retained" && len(got) != len(stream) {
 			t.Errorf("%s: %d of %d retained", name, len(got), len(stream))
@@ -278,7 +284,7 @@ func TestFrontierExaminesFewerPlans(t *testing.T) {
 	frontier, reference, candidates := 0, 0, 0
 	for _, s := range order {
 		_, n := frontierOf(g, streams[s])
-		_, ref := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(a, b, false) })
+		_, ref := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
 		frontier, reference, candidates = frontier+n, reference+ref, candidates+len(streams[s])
 	}
 	t.Logf("%d candidates: %.1f plans examined per candidate, the two-scan reference %.1f (%.0f %%)",

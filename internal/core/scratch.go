@@ -28,8 +28,15 @@ type worker struct {
 	jp    cost.JoinPreds
 	preds []*query.Predicate
 	touch []uint64
-	// row is the frontier row of the candidate EA-Prune is testing.
-	row []float64
+	// row is the frontier row of the candidate EA-Prune is testing, cl the
+	// closures of its keys once closed says they are computed (see
+	// keyClosures), and cls those of plans retained in the building entries
+	// (see retainedClosures), of which there are building.
+	row      []float64
+	cl       []uint64
+	closed   bool
+	cls      []uint64
+	building int
 
 	cand, fin plan.Plan
 	// gl holds the estimate of Γ(t1) for the current t1; gr those of
@@ -45,10 +52,12 @@ type worker struct {
 	lNode, rNode **plan.Plan
 
 	// arena holds the survivors; free the root nodes dropped from an
-	// unsealed entry, which nothing else refers to; spare the frontier row
-	// buffers of sealed and regrown entries, spare[c] those of 1<<c floats.
+	// unsealed entry, which nothing else refers to; idle the frontiers of
+	// sealed entries, linked through next; spare the row buffers regrown
+	// frontiers left, spare[c] those of 1<<c floats.
 	arena *arena
 	free  []*plan.Plan
+	idle  *frontier
 	spare [][][]float64
 }
 
@@ -63,6 +72,7 @@ type arena struct {
 	vectors chunks[float64]
 	preds   chunks[*query.Predicate]
 	entries chunks[entry]
+	fronts  chunks[frontier]
 	words   chunks[uint64]
 }
 
@@ -131,6 +141,7 @@ func (w *worker) release() {
 	a.vectors.release()
 	a.preds.release()
 	a.entries.release()
+	a.fronts.release()
 	a.words.release()
 	arenaPool.Put(a)
 	w.arena = nil

@@ -37,11 +37,14 @@ type Estimator struct {
 	canonLo map[uint64]float64
 	canon   map[bitset.VSet]float64
 
-	// fds holds the query-level functional dependencies (base keys and
-	// inner equi-join pairs); they hold in every complete plan and are
-	// used for the final-grouping elimination and, optionally, to shrink
-	// grouping attribute sets.
-	fds fd.Set
+	// local is the query's subplan-local dependency analysis, which the
+	// join key cap (EstimateOp), the order inference and EA-Prune's
+	// dominance test read; fds holds its dependencies at the complete
+	// relation set, which hold in every complete plan and are used for the
+	// final-grouping elimination and, optionally, to shrink grouping
+	// attribute sets.
+	local fd.Local
+	fds   fd.Set
 
 	// FDReduceGroups enables FD-based reduction of grouping attribute
 	// sets in cardinality estimates (sharper, but departs from the
@@ -70,7 +73,7 @@ type predInfo struct {
 // NewEstimator returns an estimator for the query using the pure
 // selectivity model (ModelSource) as its cardinality source.
 func NewEstimator(q *query.Query) *Estimator {
-	e := &Estimator{Q: q, canonLo: map[uint64]float64{}, canon: map[bitset.VSet]float64{}, Source: ModelSource{}}
+	e := &Estimator{Q: q, canonLo: map[uint64]float64{}, canon: map[bitset.VSet]float64{}, Source: ModelSource{}, local: fd.NewLocal(q)}
 	var walk func(n *query.OpNode)
 	walk = func(n *query.OpNode) {
 		if n == nil || n.Kind == query.KindScan {
@@ -80,22 +83,11 @@ func NewEstimator(q *query.Query) *Estimator {
 			rels: q.RelsOf(n.Pred.Attrs()),
 			sel:  n.Pred.Selectivity,
 		})
-		// Inner equi-join pairs induce a ↔ b in every complete plan
-		// (outer-join predicates do not: their padding breaks them).
-		if n.Kind == query.KindJoin {
-			for i := range n.Pred.Left {
-				e.fds.AddEquiv(n.Pred.Left[i], n.Pred.Right[i])
-			}
-		}
 		walk(n.Left)
 		walk(n.Right)
 	}
 	walk(q.Root)
-	for ri := range q.Relations {
-		for _, k := range q.Relations[ri].Keys {
-			e.fds.Add(k, q.Relations[ri].Attrs)
-		}
-	}
+	e.fds = e.local.Set(bitset.RangeIn[bitset.VSet](0, len(q.Relations)))
 	return e
 }
 
@@ -112,6 +104,7 @@ func (e *Estimator) Clone() *Estimator {
 		preds:          e.preds,
 		canonLo:        make(map[uint64]float64, len(e.canonLo)),
 		canon:          make(map[bitset.VSet]float64, len(e.canon)),
+		local:          e.local,
 		fds:            e.fds,
 		FDReduceGroups: e.FDReduceGroups,
 		Source:         e.Source,
@@ -122,6 +115,9 @@ func (e *Estimator) Clone() *Estimator {
 	}
 	return c
 }
+
+// Local returns the query's subplan-local dependency analysis.
+func (e *Estimator) Local() *fd.Local { return &e.local }
 
 // FDClosure returns the attribute closure under the query-level functional
 // dependencies. Being query-level (not plan-level), it is identical for
@@ -212,10 +208,24 @@ type JoinPreds struct {
 	Preds  []*query.Predicate
 	sel    float64
 	a1, a2 bitset.VSet
+	// cl[0] and cl[1] hold the closures of a1 and a2 that EstimateOp's
+	// key cap last computed (see sideKey).
+	cl [2]sideClosure
 }
 
-// Reset empties jp for the next operator, keeping its buffer.
-func (jp *JoinPreds) Reset() { *jp = JoinPreds{Preds: jp.Preds[:0], sel: 1} }
+// sideClosure is the closure of one side's join attributes under the
+// dependencies of the plans over rels, as attribute words; grew reports
+// that it holds more than the attributes themselves.
+type sideClosure struct {
+	rels  bitset.VSet
+	words []uint64
+	grew  bool
+}
+
+// Reset empties jp for the next operator, keeping its buffers.
+func (jp *JoinPreds) Reset() {
+	*jp = JoinPreds{Preds: jp.Preds[:0], sel: 1, cl: [2]sideClosure{{words: jp.cl[0].words}, {words: jp.cl[1].words}}}
+}
 
 // Add appends one predicate; left and right are p.LeftAttrs() and
 // p.RightAttrs(), which a caller adding the same predicate for every pair
@@ -248,15 +258,19 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 // candidate survives. dst must not be one of its own inputs.
 //
 // The cardinality model is kept consistent with the key inference: when a
-// side's join attributes contain one of its candidate keys, every tuple of
+// side's join attributes imply one of its candidate keys, every tuple of
 // the other side matches at most one tuple there, so the match count is
 // capped by the other side's cardinality. Without this cap the key rules
 // of Sec. 2.3 would declare keys that the cardinalities contradict, and
 // NeedsGrouping would skip groupings as "waste" that are anything but.
+// "Imply" is read under the side's subplan-local dependencies (fd.Local),
+// the relation EA-Prune's dominance compares keys by: a plan whose keys
+// imply another's must see the cap wherever that one does, or a join over
+// the dominator could estimate larger than over the dominated plan.
 func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds, left, right *plan.Plan) {
 	sel := jp.sel
-	leftKey := left.HasKeySubsetOf(jp.a1)   // A1 contains a key of e1
-	rightKey := right.HasKeySubsetOf(jp.a2) // A2 contains a key of e2
+	leftKey := e.sideKey(&jp.cl[0], jp.a1, left)   // A1 implies a key of e1
+	rightKey := e.sideKey(&jp.cl[1], jp.a2, right) // A2 implies a key of e2
 
 	inner := left.Card * right.Card * sel
 	if leftKey {
@@ -340,6 +354,39 @@ func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds,
 		}
 	}
 	dst.Profile = path
+}
+
+// sideKey reports whether attrs, one side's join attributes, imply a key
+// of p, the plan on that side: whether a key of p lies in their closure
+// under the dependencies of the plans over p.Rels. The closure depends on
+// the pair's predicates and p.Rels only, so c keeps it for every candidate
+// of the pair with that side; a key inside attrs needs no closure, and
+// over one relation the closure only adds its attributes to attrs holding
+// one of its keys, which is then a key of p inside attrs.
+func (e *Estimator) sideKey(c *sideClosure, attrs bitset.VSet, p *plan.Plan) bool {
+	if p.HasKeySubsetOf(attrs) {
+		return true
+	}
+	if len(p.Keys) == 0 || p.Rels.IsSingleton() {
+		return false
+	}
+	if c.rels != p.Rels {
+		c.rels = p.Rels
+		c.words = e.local.CloseInto(c.words[:0], p.Rels, attrs)
+		n := 0
+		for _, w := range c.words {
+			n += bits.OnesCount64(w)
+		}
+		c.grew = n > attrs.Len()
+	}
+	if c.grew {
+		for _, k := range p.Keys {
+			if fd.SubsetWords(k, c.words) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // opKeys implements the key-inference rules of Sec. 2.3, writing into dst.

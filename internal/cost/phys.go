@@ -29,7 +29,7 @@ import (
 // in the sort optimization mode, so the default hash mode pays nothing.
 func (e *Estimator) ordInfo() *ordering.Info {
 	if e.ord == nil {
-		e.ord = ordering.NewInfo(e.Q)
+		e.ord = ordering.NewInfo(e.Q, &e.local)
 	}
 	return e.ord
 }

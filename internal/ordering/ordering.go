@@ -89,70 +89,26 @@ func (o Order) HasPrefix(p Order) bool {
 	return true
 }
 
-// Info derives order-inference facts for one query. It is built once per
-// optimization (or estimator clone) and caches the per-relation-set
-// equivalence classes and functional dependencies; all cached values are
-// pure functions of the query, so clones stay numerically identical.
-// Info is not safe for concurrent use — share the query, clone the Info.
+// Info derives order-inference facts for one query from its subplan-local
+// dependency analysis (fd.Local): the value equivalences and functional
+// dependencies valid inside a plan over a relation set. It caches the
+// per-relation-set equivalence classes; all cached values are pure
+// functions of the query, so clones stay numerically identical. Info is
+// not safe for concurrent use — share the query, clone the Info.
 type Info struct {
-	q *query.Query
-
-	// innerPairs holds every attribute pair of an inner equi-join
-	// predicate with the relation set the pair spans. A pair is a value
-	// equivalence inside any subplan covering its relations: DP plans
-	// over S apply every predicate internal to S.
-	innerPairs []attrPair
-
+	q      *query.Query
+	fd     *fd.Local
 	equivs map[bitset.VSet]*unionFind
-	fds    map[bitset.VSet]*fd.Set
 }
 
-type attrPair struct {
-	a, b int
-	rels bitset.VSet
-}
-
-// NewInfo analyses the query once.
-func NewInfo(q *query.Query) *Info {
-	in := &Info{
-		q:      q,
-		equivs: map[bitset.VSet]*unionFind{},
-		fds:    map[bitset.VSet]*fd.Set{},
-	}
-	var walk func(n *query.OpNode)
-	walk = func(n *query.OpNode) {
-		if n == nil || n.Kind == query.KindScan {
-			return
-		}
-		// Only inner-join predicates are value equivalences: outer-join
-		// padding breaks a = b with one side NULL, and the left-only
-		// operators drop the right attributes entirely.
-		if n.Kind == query.KindJoin {
-			for i := range n.Pred.Left {
-				a, b := n.Pred.Left[i], n.Pred.Right[i]
-				in.innerPairs = append(in.innerPairs, attrPair{
-					a: a, b: b,
-					rels: bitset.SingleV(q.AttrRel[a]).Union(bitset.SingleV(q.AttrRel[b])),
-				})
-			}
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(q.Root)
-	return in
+// NewInfo returns the order inference over the query's analysis fds.
+func NewInfo(q *query.Query, fds *fd.Local) *Info {
+	return &Info{q: q, fd: fds, equivs: map[bitset.VSet]*unionFind{}}
 }
 
 // Clone returns an Info sharing the immutable query analysis but owning
 // private caches, for concurrent optimizer workers.
-func (in *Info) Clone() *Info {
-	return &Info{
-		q:          in.q,
-		innerPairs: in.innerPairs,
-		equivs:     map[bitset.VSet]*unionFind{},
-		fds:        map[bitset.VSet]*fd.Set{},
-	}
-}
+func (in *Info) Clone() *Info { return NewInfo(in.q, in.fd) }
 
 // ScanOrder returns the declared physical order of a base relation.
 func (in *Info) ScanOrder(rel int) Order {
@@ -160,44 +116,18 @@ func (in *Info) ScanOrder(rel int) Order {
 }
 
 // equivFor returns the value-equivalence classes valid inside a subplan
-// over rels: the union-find over inner-join pairs internal to the set.
+// over rels: the union-find over the inner-join pairs internal to the set
+// (only inner-join predicates are value equivalences: outer-join padding
+// breaks a = b with one side NULL, and the left-only operators drop the
+// right attributes entirely).
 func (in *Info) equivFor(rels bitset.VSet) *unionFind {
 	if uf, ok := in.equivs[rels]; ok {
 		return uf
 	}
 	uf := newUnionFind(len(in.q.AttrNames))
-	for _, p := range in.innerPairs {
-		if p.rels.SubsetOf(rels) {
-			uf.union(p.a, p.b)
-		}
-	}
+	in.fd.Equiv(rels, uf.union)
 	in.equivs[rels] = uf
 	return uf
-}
-
-// fdsFor returns the functional dependencies valid inside a subplan over
-// rels: candidate keys of the covered relations plus the internal inner
-// equi-join equivalences. Both families survive outer-join padding and
-// grouping under the NULL-equality convention of Sec. 2.3 (padded rows
-// are NULL on both sides of every internal dependency; grouping
-// representatives carry the attribute combinations of real rows).
-func (in *Info) fdsFor(rels bitset.VSet) *fd.Set {
-	if s, ok := in.fds[rels]; ok {
-		return s
-	}
-	s := &fd.Set{}
-	rels.ForEach(func(r int) {
-		for _, k := range in.q.Relations[r].Keys {
-			s.Add(k, in.q.Relations[r].Attrs)
-		}
-	})
-	for _, p := range in.innerPairs {
-		if p.rels.SubsetOf(rels) {
-			s.AddEquiv(p.a, p.b)
-		}
-	}
-	in.fds[rels] = s
-	return s
 }
 
 // CoversKeys reports whether an input order makes sorting by the given
@@ -256,7 +186,9 @@ func (in *Info) CoversKeysInOrder(rels bitset.VSet, ord Order, keys []int) bool 
 // CoversGrouping reports whether an input order makes sorting for a
 // grouping on groupBy unnecessary: rows with equal groupBy values are
 // already consecutive. That holds iff some prefix P of the order
-// satisfies, under the dependencies valid in the subplan,
+// satisfies, under the dependencies valid in the subplan (fd.Local: keys of
+// the covered relations and the internal inner equi-join equivalences;
+// grouping representatives carry the attribute combinations of real rows),
 //
 //	closure(P) ⊇ G  (equal P ⇒ equal G: a P-run never spans two groups)
 //	P ⊆ closure(G)  (equal G ⇒ equal P: one group never splits across runs)
@@ -274,15 +206,14 @@ func (in *Info) CoversGrouping(rels bitset.VSet, ord Order, groupBy bitset.VSet)
 	if len(ord) == 0 {
 		return nil, false
 	}
-	fds := in.fdsFor(rels)
-	gClosure := fds.Closure(groupBy)
+	gClosure := in.fd.Closure(rels, groupBy)
 	var p bitset.VSet
 	for i, a := range ord {
 		if !gClosure.Contains(a) {
 			return nil, false // prefix stops being contained in closure(G)
 		}
 		p = p.Add(a)
-		if groupBy.SubsetOf(fds.Closure(p)) {
+		if groupBy.SubsetOf(in.fd.Closure(rels, p)) {
 			return append(Order(nil), ord[:i+1]...), true
 		}
 	}

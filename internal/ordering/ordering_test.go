@@ -5,6 +5,7 @@ import (
 
 	"eagg/internal/aggfn"
 	"eagg/internal/bitset"
+	"eagg/internal/fd"
 	"eagg/internal/query"
 )
 
@@ -48,7 +49,8 @@ func rels(ids ...int) bitset.VSet {
 
 func TestCoversKeysEquivalence(t *testing.T) {
 	q, ck, ock, ok, lk, _ := testQuery(t)
-	in := NewInfo(q)
+	fds := fd.NewLocal(q)
+	in := NewInfo(q, &fds)
 
 	// Inside {orders, lineitem}, ok = lk holds, so an order on ok covers
 	// a merge on lk.
@@ -82,7 +84,8 @@ func TestCoversKeysPermutation(t *testing.T) {
 		Left: &query.OpNode{Kind: query.KindScan, Rel: a}, Right: &query.OpNode{Kind: query.KindScan, Rel: b},
 		Pred: &query.Predicate{Left: []int{ax, ay}, Right: []int{bx, by}, Selectivity: 0.1},
 	}
-	in := NewInfo(q)
+	fds := fd.NewLocal(q)
+	in := NewInfo(q, &fds)
 	// Order (y, x) covers keys [x, y] under the permutation [1, 0].
 	perm, covered := in.CoversKeys(rels(0), Order{ay, ax}, []int{ax, ay})
 	if !covered || len(perm) != 2 || perm[0] != 1 || perm[1] != 0 {
@@ -97,7 +100,8 @@ func TestCoversKeysPermutation(t *testing.T) {
 
 func TestCoversGroupingFD(t *testing.T) {
 	q, _, _, ok, lk, odate := testQuery(t)
-	in := NewInfo(q)
+	fds := fd.NewLocal(q)
+	in := NewInfo(q, &fds)
 	s := rels(0, 1, 2)
 	g := bitset.SingleV(lk).Add(odate)
 
@@ -124,7 +128,8 @@ func TestCoversGroupingFD(t *testing.T) {
 
 func TestGroupOutputOrder(t *testing.T) {
 	q, _, _, ok, lk, odate := testQuery(t)
-	in := NewInfo(q)
+	fds := fd.NewLocal(q)
+	in := NewInfo(q, &fds)
 	s := rels(0, 1, 2)
 	g := bitset.SingleV(lk).Add(odate)
 
