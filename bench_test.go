@@ -676,39 +676,6 @@ func BenchmarkBeamWidths(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFDReduce compares the paper-faithful estimator with the
-// FD-reducing one (Options.FDReduceGroups): the reported metric is the
-// DPhyp/EA-Prune cost ratio under each mode. The sharper estimator
-// improves the lazy baseline, shrinking the measurable gain — which is why
-// the default stays paper-faithful.
-func BenchmarkAblationFDReduce(b *testing.B) {
-	qs := tpch.Queries()
-	for _, mode := range []struct {
-		name   string
-		reduce bool
-	}{
-		{"paper-faithful", false},
-		{"fd-reduced", true},
-	} {
-		b.Run(mode.name+"/Q10", func(b *testing.B) {
-			q := qs["Q10"]
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				d, err := core.Optimize(q, core.Options{Algorithm: core.AlgDPhyp, FDReduceGroups: mode.reduce, Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, FDReduceGroups: mode.reduce, Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = p.Plan.Cost / d.Plan.Cost
-			}
-			b.ReportMetric(ratio, "EA/DPhyp")
-		})
-	}
-}
-
 // BenchmarkFeedback measures the cardinality feedback loop
 // (engine.Reoptimize) end to end on TPC-H Q5 — the query whose plan the
 // measured cardinalities actually flip — at two data scales × two worker

@@ -108,18 +108,35 @@ func loadSpec(path string) (*query.Query, error) {
 
 	q := query.New()
 	relByName := map[string]int{}
+	// attrs resolves every attribute name the spec reads, so a bad name
+	// is an error here rather than a panic in query.AttrID.
+	attrs := map[string]int{}
+	ids := func(what string, names []string) ([]int, error) {
+		out := make([]int, len(names))
+		for i, name := range names {
+			id, ok := attrs[name]
+			if !ok {
+				return nil, fmt.Errorf("%s names unknown attribute %q", what, name)
+			}
+			out[i] = id
+		}
+		return out, nil
+	}
 	for _, r := range sf.Relations {
 		id := q.AddRelation(r.Name, r.Card)
 		relByName[r.Name] = id
 		for _, a := range r.Attrs {
-			q.AddAttr(id, a.Name, a.Distinct)
+			if prev, dup := attrs[a.Name]; dup {
+				return nil, fmt.Errorf("relations %q and %q both declare attribute %q", q.Relations[q.AttrRel[prev]].Name, r.Name, a.Name)
+			}
+			attrs[a.Name] = q.AddAttr(id, a.Name, a.Distinct)
 		}
 		for _, k := range r.Keys {
-			ids := make([]int, len(k))
-			for i, name := range k {
-				ids[i] = q.AttrID(name)
+			key, err := ids(fmt.Sprintf("a key of relation %q", r.Name), k)
+			if err != nil {
+				return nil, err
 			}
-			q.AddKey(id, ids...)
+			q.AddKey(id, key...)
 		}
 	}
 
@@ -150,11 +167,14 @@ func loadSpec(path string) (*query.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		left := make([]int, len(n.Pred.Left))
-		right := make([]int, len(n.Pred.Right))
-		for i := range n.Pred.Left {
-			left[i] = q.AttrID(n.Pred.Left[i])
-			right[i] = q.AttrID(n.Pred.Right[i])
+		what := fmt.Sprintf("the predicate of operator %q", n.Op)
+		left, err := ids(what, n.Pred.Left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := ids(what, n.Pred.Right)
+		if err != nil {
+			return nil, err
 		}
 		return &query.OpNode{
 			Kind: kind, Left: l, Right: r,
@@ -168,9 +188,9 @@ func loadSpec(path string) (*query.Query, error) {
 	q.Root = root
 
 	if len(sf.GroupBy) > 0 || len(sf.Aggs) > 0 {
-		var g []int
-		for _, name := range sf.GroupBy {
-			g = append(g, q.AttrID(name))
+		g, err := ids("groupBy", sf.GroupBy)
+		if err != nil {
+			return nil, err
 		}
 		var f aggfn.Vector
 		for _, a := range sf.Aggs {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eagg/internal/core"
@@ -50,28 +51,50 @@ func TestLoadSpecErrors(t *testing.T) {
 		}
 		return p
 	}
+	// want, when set, is a text the error must contain: the name the
+	// spec got wrong.
 	cases := []struct {
-		name, content string
+		name, content, want string
 	}{
-		{"badjson.json", `{"relations": [`},
+		{"badjson.json", `{"relations": [`, ""},
 		{"unknownop.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
 			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
 			"tree":{"op":"wat","left":{"scan":"a"},"right":{"scan":"b"},
-			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}}}`},
-		{"unknownrel.json", `{"relations":[],"tree":{"scan":"ghost"}}`},
+			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}}}`, ""},
+		{"unknownrel.json", `{"relations":[],"tree":{"scan":"ghost"}}`, ""},
 		{"nopred.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
 			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
-			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"}}}`},
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"}}}`, ""},
 		{"badagg.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
 			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
 			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
 			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}},
-			"aggregates":[{"out":"z","fn":"median","arg":"x"}]}`},
+			"aggregates":[{"out":"z","fn":"median","arg":"x"}]}`, ""},
+		{"unknownpredattr.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"a.x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"b.z","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["a.x"],"right":["b.y"],"selectivity":0.5}}}`, `"b.y"`},
+		{"unknownkeyattr.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"a.x","distinct":1}],"keys":[["a.q"]]},
+			{"name":"b","card":1,"attrs":[{"name":"b.y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["a.x"],"right":["b.y"],"selectivity":0.5}}}`, `"a.q"`},
+		{"unknowngroupattr.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"a.x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"b.y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["a.x"],"right":["b.y"],"selectivity":0.5}},
+			"groupBy":["a.w"],"aggregates":[{"out":"cnt","fn":"count(*)"}]}`, `"a.w"`},
+		{"dupattr.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"x","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["x"],"selectivity":0.5}}}`, `"x"`},
 	}
 	for _, c := range cases {
 		p := write(c.name, c.content)
-		if _, err := loadSpec(p); err == nil {
+		_, err := loadSpec(p)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.want)
 		}
 	}
 	if _, err := loadSpec(filepath.Join(dir, "missing.json")); err == nil {

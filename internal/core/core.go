@@ -113,10 +113,6 @@ type Options struct {
 	// (default 4). BeamWidth 1 is H1: the same retention rule at k = 1,
 	// so the same plans in both physical modes.
 	BeamWidth int
-	// FDReduceGroups enables FD-based reduction of grouping attribute
-	// sets in the cardinality estimator (sharper estimates; departs from
-	// the paper's evaluation conditions — see internal/cost).
-	FDReduceGroups bool
 	// Workers is the number of goroutines the DP driver uses. 0 selects
 	// GOMAXPROCS; 1 runs every level inline, the reference path. The
 	// driver buckets csg-cmp-pairs by result-set cardinality and seals
@@ -220,7 +216,6 @@ func checkOptions(q *query.Query, opts *Options) error {
 
 func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, error) {
 	est := cost.NewEstimator(q)
-	est.FDReduceGroups = opts.FDReduceGroups
 	if opts.Stats != nil {
 		est.Source = opts.Stats
 	}
@@ -309,12 +304,12 @@ func (g *generator[S]) prepare() {
 		for i, a := range g.q.Aggregates {
 			g.aggOK[i] = a.Kind.Decomposable()
 		}
-		// At the top every predicate has been applied, so the query-level
-		// FD closure of G is valid: a key *implied* by the grouping
-		// attributes eliminates the final grouping just like one
-		// contained in them (Sec. 3.2 with FD+ instead of the syntactic
-		// test).
-		g.finalKeyAttrs = g.est.FDClosure(g.q.GroupBy)
+		// At the top every predicate has been applied, so the closure of
+		// G under the dependencies of the plans over every relation is
+		// valid: a key *implied* by the grouping attributes eliminates the
+		// final grouping just like one contained in them (Sec. 3.2 with
+		// FD+ instead of the syntactic test).
+		g.finalKeyAttrs = g.est.Local().Closure(g.allV, g.q.GroupBy)
 	}
 	g.pushes = g.opts.Algorithm != AlgDPhyp && g.q.HasGrouping
 	for _, op := range g.det.Ops {

@@ -379,31 +379,3 @@ func TestBeamDefaultWidth(t *testing.T) {
 		t.Fatal("no plan")
 	}
 }
-
-// TestFDReduceGroupsMode: the sharper estimator mode must preserve the
-// optimality relationships (EA-All ≡ EA-Prune; heuristics ≥ optimum).
-func TestFDReduceGroupsMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	for trial := 0; trial < 10; trial++ {
-		q := randquery.Generate(rng, randquery.Params{Relations: 6})
-		all, err := Optimize(q, Options{Algorithm: AlgEAAll, FDReduceGroups: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prune, err := Optimize(q, Options{Algorithm: AlgEAPrune, FDReduceGroups: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(prune.Plan.Cost-all.Plan.Cost) > 1e-6*all.Plan.Cost {
-			t.Fatalf("trial %d: FD-reduced mode broke pruning: %.6g vs %.6g",
-				trial, prune.Plan.Cost, all.Plan.Cost)
-		}
-		h1, err := Optimize(q, Options{Algorithm: AlgH1, FDReduceGroups: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h1.Plan.Cost < all.Plan.Cost*(1-1e-9) {
-			t.Fatalf("trial %d: H1 beat the optimum in FD-reduced mode", trial)
-		}
-	}
-}

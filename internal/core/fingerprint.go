@@ -65,7 +65,6 @@ func AppendFingerprint(dst []byte, q *query.Query, opts Options) []byte {
 	dst = appendInt(dst, int(opts.Algorithm))
 	dst = appendFloat(dst, f)
 	dst = appendInt(dst, bw)
-	dst = appendBool(dst, opts.FDReduceGroups)
 	dst = appendInt(dst, int(opts.Phys))
 	// PairBudget is plan-relevant: it decides where the greedy fallback
 	// takes over.

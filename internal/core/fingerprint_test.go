@@ -50,7 +50,6 @@ func TestFingerprintInvariants(t *testing.T) {
 		{Algorithm: AlgDPhyp},
 		{Algorithm: AlgH2, F: 1.03},
 		{Algorithm: AlgEAPrune, Phys: PhysModeSort},
-		{Algorithm: AlgEAPrune, FDReduceGroups: true},
 		{Algorithm: AlgBeam, BeamWidth: 8},
 	}
 	seen := map[string]int{base: -1}
@@ -108,8 +107,8 @@ func fingerprintRef(q *query.Query, opts Options) string {
 			bw = 4
 		}
 	}
-	fmt.Fprintf(&b, "alg=%d f=%g bw=%d fd=%t phys=%d pb=%d;",
-		opts.Algorithm, f, bw, opts.FDReduceGroups, opts.Phys, opts.PairBudget)
+	fmt.Fprintf(&b, "alg=%d f=%g bw=%d phys=%d pb=%d;",
+		opts.Algorithm, f, bw, opts.Phys, opts.PairBudget)
 	for i := range q.Relations {
 		r := &q.Relations[i]
 		fmt.Fprintf(&b, "R%d=%s c=%g a=%v k=", i, r.Name, r.Card, r.Attrs)
@@ -209,10 +208,8 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		{Algorithm: AlgBeam, BeamWidth: 7},
 	} {
 		for _, o.Phys = range []PhysMode{PhysModeHash, PhysModeSort} {
-			for _, o.FDReduceGroups = range []bool{false, true} {
-				for _, o.PairBudget = range []int{0, 1000} {
-					opts = append(opts, o)
-				}
+			for _, o.PairBudget = range []int{0, 1000} {
+				opts = append(opts, o)
 			}
 		}
 	}
@@ -230,10 +227,10 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			fpOf[ref], refOf[fp] = fp, ref
 		}
 	}
-	// 3 distinct corpora of 4 (the rebuild coincides) and 8 distinct
-	// searches of 9 (Beam 0 ≡ Beam 4): the classes are neither all
-	// singletons nor collapsed.
-	if want := 4 * 40 * 8 * 8; len(refOf) != want {
+	// 4 distinct corpora of 5 (the rebuild coincides) of 40 queries, and
+	// 8 distinct searches of 9 (Beam 0 ≡ Beam 4) × 2 physical modes × 2
+	// pair budgets: the classes are neither all singletons nor collapsed.
+	if want := 4 * 40 * 8 * 4; len(refOf) != want {
 		t.Errorf("%d classes, want %d", len(refOf), want)
 	}
 }

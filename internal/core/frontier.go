@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"eagg/internal/bitset"
-	"eagg/internal/fd"
 	"eagg/internal/ordering"
 	"eagg/internal/plan"
 )
@@ -266,19 +265,9 @@ func dominatesRest(a, b *plan.Plan, phys bool, cl func() []uint64) bool {
 			closures = cl()
 		}
 		nw := len(closures) / len(b.Keys)
-		if !hasKeyIn(a, closures[i*nw:i*nw+nw]) {
+		if !a.HasKeyInWords(closures[i*nw : i*nw+nw]) {
 			return false
 		}
 	}
 	return true
-}
-
-// hasKeyIn reports whether a key of p lies in the attribute words ws.
-func hasKeyIn(p *plan.Plan, ws []uint64) bool {
-	for _, k := range p.Keys {
-		if fd.SubsetWords(k, ws) {
-			return true
-		}
-	}
-	return false
 }

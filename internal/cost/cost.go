@@ -15,7 +15,6 @@ import (
 
 	"eagg/internal/bitset"
 	"eagg/internal/fd"
-	"eagg/internal/ordering"
 	"eagg/internal/plan"
 	"eagg/internal/query"
 )
@@ -37,19 +36,12 @@ type Estimator struct {
 	canonLo map[uint64]float64
 	canon   map[bitset.VSet]float64
 
-	// local is the query's subplan-local dependency analysis, which the
-	// join key cap (EstimateOp), the order inference and EA-Prune's
-	// dominance test read; fds holds its dependencies at the complete
-	// relation set, which hold in every complete plan and are used for the
-	// final-grouping elimination and, optionally, to shrink grouping
-	// attribute sets.
+	// local is the query's subplan-local dependency analysis (fd.Local),
+	// the one place the query's dependencies live: the join key cap
+	// (EstimateOp), the order inference of the sort layer (phys.go),
+	// EA-Prune's dominance test and the final-grouping elimination all
+	// read it.
 	local fd.Local
-	fds   fd.Set
-
-	// FDReduceGroups enables FD-based reduction of grouping attribute
-	// sets in cardinality estimates (sharper, but departs from the
-	// paper's evaluation conditions — see groupCard).
-	FDReduceGroups bool
 
 	// Source supplies operator output cardinalities by canonical key
 	// (see CardKey). The default ModelSource passes the selectivity
@@ -58,11 +50,6 @@ type Estimator struct {
 	// every operator and grouping estimate, so all plans in one DP run
 	// see a consistent view.
 	Source CardSource
-
-	// ord lazily holds the order-inference analysis of the sort-based
-	// physical layer (see phys.go); nil until the first Physify call,
-	// so the default hash mode never builds it.
-	ord *ordering.Info
 }
 
 type predInfo struct {
@@ -87,45 +74,29 @@ func NewEstimator(q *query.Query) *Estimator {
 		walk(n.Right)
 	}
 	walk(q.Root)
-	e.fds = e.local.Set(bitset.RangeIn[bitset.VSet](0, len(q.Relations)))
 	return e
 }
 
 // Clone returns an estimator sharing the immutable query analysis (the
-// predicate list, the FD set and the cardinality source never change
-// during an optimization) but
-// owning a private canonical-cardinality cache. Concurrent optimizer
-// workers each estimate through their own clone, so the hot path needs no
-// synchronization; cached values are pure functions of the query, so every
-// clone stays numerically identical to the original.
+// predicate list, the dependency analysis and the cardinality source never
+// change during an optimization) but owning a private canonical-cardinality
+// cache. Concurrent optimizer workers each estimate through their own
+// clone, so the hot path needs no synchronization; cached values are pure
+// functions of the query, so every clone stays numerically identical to
+// the original.
 func (e *Estimator) Clone() *Estimator {
-	c := &Estimator{
-		Q:              e.Q,
-		preds:          e.preds,
-		canonLo:        make(map[uint64]float64, len(e.canonLo)),
-		canon:          make(map[bitset.VSet]float64, len(e.canon)),
-		local:          e.local,
-		fds:            e.fds,
-		FDReduceGroups: e.FDReduceGroups,
-		Source:         e.Source,
+	return &Estimator{
+		Q:       e.Q,
+		preds:   e.preds,
+		canonLo: make(map[uint64]float64, len(e.canonLo)),
+		canon:   make(map[bitset.VSet]float64, len(e.canon)),
+		local:   e.local,
+		Source:  e.Source,
 	}
-	if e.ord != nil {
-		// Order inference is pure per query; clones own their caches.
-		c.ord = e.ord.Clone()
-	}
-	return c
 }
 
 // Local returns the query's subplan-local dependency analysis.
 func (e *Estimator) Local() *fd.Local { return &e.local }
-
-// FDClosure returns the attribute closure under the query-level functional
-// dependencies. Being query-level (not plan-level), it is identical for
-// every plan of the same query, so using it in pruning-relevant decisions
-// cannot break the dominance invariant.
-func (e *Estimator) FDClosure(attrs bitset.VSet) bitset.VSet {
-	return e.fds.Closure(attrs)
-}
 
 // CanonCard is the canonical (plan-independent) cardinality of a relation
 // set: base cardinalities times the selectivities of all internal
@@ -379,14 +350,7 @@ func (e *Estimator) sideKey(c *sideClosure, attrs bitset.VSet, p *plan.Plan) boo
 		}
 		c.grew = n > attrs.Len()
 	}
-	if c.grew {
-		for _, k := range p.Keys {
-			if fd.SubsetWords(k, c.words) {
-				return true
-			}
-		}
-	}
-	return false
+	return c.grew && p.HasKeyInWords(c.words)
 }
 
 // opKeys implements the key-inference rules of Sec. 2.3, writing into dst.
@@ -505,19 +469,8 @@ func (e *Estimator) EstimateProject(dst, child *plan.Plan) {
 // cannot form more combinations than the relation has surviving rows
 // (c_custkey and c_name never multiply). Grouping on ∅ yields one group.
 func (e *Estimator) groupCard(child *plan.Plan, groupBy bitset.VSet) float64 {
-	// With FDReduceGroups, attributes functionally implied by the rest of
-	// G contribute no combinations (c_custkey determines c_name and,
-	// through inner key joins, n_name) and are dropped before
-	// multiplying. Off by default: the sharper estimate makes the lazy
-	// baseline's final grouping cheap enough to erase gains the paper
-	// reports (see EXPERIMENTS.md on Q10), so the paper-faithful mode
-	// keeps the plain per-relation product.
-	reduced := groupBy
-	if e.FDReduceGroups {
-		reduced = e.fds.Reduce(groupBy)
-	}
 	card := 1.0
-	rels := e.Q.RelsOf(reduced)
+	rels := e.Q.RelsOf(groupBy)
 	for w, nw := 0, rels.NumWords(); w < nw; w++ {
 		for t := rels.Word(w); t != 0; t &= t - 1 {
 			rel := w*64 + bits.TrailingZeros64(t)
@@ -526,7 +479,7 @@ func (e *Estimator) groupCard(child *plan.Plan, groupBy bitset.VSet) float64 {
 			contained := child.Rels.Contains(rel)
 			pathCard := e.RelPathCard(rel, child)
 			relProd := 1.0
-			ra := reduced.Intersect(e.Q.Relations[rel].Attrs)
+			ra := groupBy.Intersect(e.Q.Relations[rel].Attrs)
 			for w2, nw2 := 0, ra.NumWords(); w2 < nw2; w2++ {
 				for t2 := ra.Word(w2); t2 != 0; t2 &= t2 - 1 {
 					d := e.Q.Distinct[w2*64+bits.TrailingZeros64(t2)]

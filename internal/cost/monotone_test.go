@@ -170,7 +170,7 @@ func checkFinal(t *testing.T, what string, e *Estimator, a, b, ta, tb *plan.Plan
 // final estimates the final grouping or projection over tree into dst and
 // reports whether it is the projection.
 func final(e *Estimator, dst, tree *plan.Plan) bool {
-	if tree.DupFree && tree.HasKeySubsetOf(e.FDClosure(e.Q.GroupBy)) {
+	if tree.DupFree && tree.HasKeySubsetOf(e.Local().Closure(bitset.RangeIn[bitset.VSet](0, len(e.Q.Relations)), e.Q.GroupBy)) {
 		e.EstimateProject(dst, tree)
 		return true
 	}

@@ -25,14 +25,10 @@ import (
 	"eagg/internal/query"
 )
 
-// ordInfo lazily builds the order-inference analysis; it is only touched
-// in the sort optimization mode, so the default hash mode pays nothing.
-func (e *Estimator) ordInfo() *ordering.Info {
-	if e.ord == nil {
-		e.ord = ordering.NewInfo(e.Q, &e.local)
-	}
-	return e.ord
-}
+// ordInfo returns the order inference over the estimator's dependency
+// analysis: a stateless value built where it is used, so the hash mode
+// never pays for it and clones share nothing to copy.
+func (e *Estimator) ordInfo() ordering.Info { return ordering.NewInfo(e.Q, &e.local) }
 
 // PhysifyScan fills the physical properties of a scan: the declared
 // contractual order, zero overhead.

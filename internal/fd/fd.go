@@ -1,9 +1,12 @@
 // Package fd implements functional dependencies over the query's attribute
 // universe. The paper's dominance criterion (Def. 4) and top-grouping
-// elimination (Sec. 3.2) are stated in terms of FD closures. Local is the
-// one analysis the plan generator draws them from: the dependencies that
-// hold in every plan over a relation set S, whatever its shape (Eich,
-// Fender & Moerkotte, PVLDB 2016):
+// elimination (Sec. 3.2) are stated in terms of FD closures, and the
+// interesting-order rules of the sort layer in terms of value
+// equivalences. Local is the only encoding of these facts in the plan
+// generator — Closure and CloseInto answer the first kind of question,
+// Same the second — and holds the dependencies that hold in every plan
+// over a relation set S, whatever its shape (Eich, Fender & Moerkotte,
+// PVLDB 2016):
 //
 //   - key → attributes for every candidate key of a relation in S, and
 //   - a ↔ b for every *inner* equi-join predicate a = b over relations of
@@ -25,75 +28,6 @@ import (
 	"eagg/internal/bitset"
 	"eagg/internal/query"
 )
-
-// FD is a functional dependency Det → Dep.
-type FD struct {
-	Det, Dep bitset.VSet
-}
-
-// Set is a collection of functional dependencies.
-type Set struct {
-	fds []FD
-}
-
-// Add appends Det → Dep.
-func (s *Set) Add(det, dep bitset.VSet) {
-	if dep.SubsetOf(det) || det.IsEmpty() {
-		return // trivial
-	}
-	s.fds = append(s.fds, FD{Det: det, Dep: dep})
-}
-
-// AddEquiv records a ↔ b (both directions of an inner equi-join pair).
-func (s *Set) AddEquiv(a, b int) {
-	s.Add(bitset.SingleV(a), bitset.SingleV(b))
-	s.Add(bitset.SingleV(b), bitset.SingleV(a))
-}
-
-// Len returns the number of stored dependencies.
-func (s *Set) Len() int { return len(s.fds) }
-
-// Closure computes the attribute closure attrs⁺ under the dependency set
-// (the standard fixpoint).
-func (s *Set) Closure(attrs bitset.VSet) bitset.VSet {
-	out := attrs
-	for changed := true; changed; {
-		changed = false
-		for _, f := range s.fds {
-			if f.Det.SubsetOf(out) && !f.Dep.SubsetOf(out) {
-				out = out.Union(f.Dep)
-				changed = true
-			}
-		}
-	}
-	return out
-}
-
-// Implies reports whether attrs → a follows from the set.
-func (s *Set) Implies(attrs bitset.VSet, a int) bool {
-	return s.Closure(attrs).Contains(a)
-}
-
-// Reduce removes attributes that are functionally implied by the remaining
-// ones — a minimal-ish cover of the attribute set (greedy, ascending, so
-// the result is deterministic). Grouping by Reduce(G) produces exactly the
-// groups of G, which is what the cardinality estimator exploits.
-func (s *Set) Reduce(attrs bitset.VSet) bitset.VSet {
-	if len(s.fds) == 0 {
-		return attrs
-	}
-	out := attrs
-	attrs.ForEach(func(a int) {
-		rest := out.Remove(a)
-		if !rest.IsEmpty() && s.Closure(rest).Contains(a) {
-			out = rest
-		}
-	})
-	if out.IsEmpty() {
-		return attrs // never reduce to nothing
-	}
-	return out
-}
 
 // Local is the subplan-local dependency analysis of one query (see the
 // package comment), as attribute masks of Words() words each: per
@@ -159,20 +93,6 @@ func (l *Local) key(i int) []uint64 { return l.mask(len(l.q.AttrNames) + len(l.q
 
 // Words returns the number of 64-bit words CloseInto writes.
 func (l *Local) Words() int { return l.words }
-
-// Equiv calls fn(a, b), a < b, for every inner equi-join pair that holds in
-// the plans over rels: both attributes' relations are in rels.
-func (l *Local) Equiv(rels bitset.VSet, fn func(a, b int)) {
-	l.q.AttrsOf(rels).ForEach(func(a int) {
-		for w, x := range l.peer(a) {
-			for ; x != 0; x &= x - 1 {
-				if b := w*64 + bits.TrailingZeros64(x); b > a && rels.Contains(l.q.AttrRel[b]) {
-					fn(a, b)
-				}
-			}
-		}
-	})
-}
 
 // CloseInto appends closure_rels(attrs) to dst as Words() attribute words
 // (word 0 holds attributes 0–63) and returns dst. It touches only what the
@@ -313,24 +233,49 @@ func (l *Local) Closure(rels, attrs bitset.VSet) bitset.VSet {
 	return bitset.FromWords(l.CloseInto(buf[:0], rels, attrs))
 }
 
-// Set returns the dependencies of the plans over rels as a Set.
-func (l *Local) Set(rels bitset.VSet) Set {
-	var s Set
-	rels.ForEach(func(r int) {
-		for _, k := range l.q.Relations[r].Keys {
-			s.Add(k, l.q.Relations[r].Attrs)
-		}
-	})
-	l.Equiv(rels, s.AddEquiv)
-	return s
-}
-
-// SubsetWords reports whether s is contained in the attribute words ws.
-func SubsetWords(s bitset.VSet, ws []uint64) bool {
-	for w, nw := 0, s.NumWords(); w < nw; w++ {
-		if x := s.Word(w); x != 0 && (w >= len(ws) || x&^ws[w] != 0) {
-			return false
-		}
+// Same reports whether attributes a and b carry equal values in every
+// plan over rels: whether a chain of inner equi-join pairs inside rels
+// connects them. It walks the peer masks only — a key determines its
+// relation's attributes but says nothing of their order, so no key step
+// takes part. It allocates nothing for universes of up to 8 words.
+func (l *Local) Same(rels bitset.VSet, a, b int) bool {
+	of := l.q.AttrRel
+	if a == b {
+		return true
 	}
-	return true
+	if !rels.Contains(of[a]) || !rels.Contains(of[b]) {
+		return false
+	}
+	nw := l.words
+	var buf [16]uint64
+	s := buf[:]
+	if 2*nw > len(buf) {
+		s = make([]uint64, 2*nw)
+	}
+	c, done := s[:nw], s[nw:2*nw]
+	c[a/64] |= 1 << (a % 64)
+	for w := 0; w < nw; {
+		todo := c[w] &^ done[w]
+		if todo == 0 {
+			w++
+			continue
+		}
+		done[w] |= todo
+		next := w
+		for ; todo != 0; todo &= todo - 1 {
+			for v, p := range l.peer(w*64 + bits.TrailingZeros64(todo)) {
+				for add := p &^ c[v]; add != 0; add &= add - 1 {
+					if x := v*64 + bits.TrailingZeros64(add); rels.Contains(of[x]) {
+						if x == b {
+							return true
+						}
+						c[v] |= 1 << (x % 64)
+						next = min(next, v)
+					}
+				}
+			}
+		}
+		w = next
+	}
+	return false
 }

@@ -1,8 +1,8 @@
 // Package ordering implements the order property of the sort-based
 // physical layer (Selinger-style interesting orders; Neumann & Moerkotte,
-// ICDE 2004): a physical row order as an attribute sequence, a canonical
-// representation usable as a DP plan-class key, and the inference rules
-// that decide when an existing order makes a sort unnecessary.
+// ICDE 2004): a physical row order as an attribute sequence, and the
+// inference rules that decide when an existing order makes a sort
+// unnecessary.
 //
 // An Order is contractual: it describes the sequence rows are genuinely
 // in, not a hint. Orders originate at base relations whose scan order was
@@ -30,9 +30,6 @@
 package ordering
 
 import (
-	"strconv"
-	"strings"
-
 	"eagg/internal/bitset"
 	"eagg/internal/fd"
 	"eagg/internal/query"
@@ -42,25 +39,6 @@ import (
 // ascending under the runtime's value comparison. nil/empty means "no
 // known order".
 type Order []int
-
-// IsEmpty reports whether the order carries no information.
-func (o Order) IsEmpty() bool { return len(o) == 0 }
-
-// Key returns the canonical representation of the order, usable as (part
-// of) a DP plan-class key. The empty order has the empty key.
-func (o Order) Key() string {
-	if len(o) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, a := range o {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(a))
-	}
-	return b.String()
-}
 
 // Equal reports attribute-wise equality.
 func (o Order) Equal(p Order) bool {
@@ -89,45 +67,22 @@ func (o Order) HasPrefix(p Order) bool {
 	return true
 }
 
-// Info derives order-inference facts for one query from its subplan-local
-// dependency analysis (fd.Local): the value equivalences and functional
-// dependencies valid inside a plan over a relation set. It caches the
-// per-relation-set equivalence classes; all cached values are pure
-// functions of the query, so clones stay numerically identical. Info is
-// not safe for concurrent use — share the query, clone the Info.
+// Info answers the order-inference questions of one query from its
+// subplan-local dependency analysis (fd.Local): value equivalences through
+// Local.Same, functional dependencies through Local.Closure. It keeps no
+// state of its own, so it is a value any number of concurrent optimizer
+// workers may build and use.
 type Info struct {
-	q      *query.Query
-	fd     *fd.Local
-	equivs map[bitset.VSet]*unionFind
+	q  *query.Query
+	fd *fd.Local
 }
 
 // NewInfo returns the order inference over the query's analysis fds.
-func NewInfo(q *query.Query, fds *fd.Local) *Info {
-	return &Info{q: q, fd: fds, equivs: map[bitset.VSet]*unionFind{}}
-}
-
-// Clone returns an Info sharing the immutable query analysis but owning
-// private caches, for concurrent optimizer workers.
-func (in *Info) Clone() *Info { return NewInfo(in.q, in.fd) }
+func NewInfo(q *query.Query, fds *fd.Local) Info { return Info{q: q, fd: fds} }
 
 // ScanOrder returns the declared physical order of a base relation.
-func (in *Info) ScanOrder(rel int) Order {
+func (in Info) ScanOrder(rel int) Order {
 	return Order(in.q.Relations[rel].Ordered)
-}
-
-// equivFor returns the value-equivalence classes valid inside a subplan
-// over rels: the union-find over the inner-join pairs internal to the set
-// (only inner-join predicates are value equivalences: outer-join padding
-// breaks a = b with one side NULL, and the left-only operators drop the
-// right attributes entirely).
-func (in *Info) equivFor(rels bitset.VSet) *unionFind {
-	if uf, ok := in.equivs[rels]; ok {
-		return uf
-	}
-	uf := newUnionFind(len(in.q.AttrNames))
-	in.fd.Equiv(rels, uf.union)
-	in.equivs[rels] = uf
-	return uf
 }
 
 // CoversKeys reports whether an input order makes sorting by the given
@@ -137,20 +92,19 @@ func (in *Info) equivFor(rels bitset.VSet) *unionFind {
 // against the order prefix: position i of the order must be value-
 // equivalent to some not-yet-used key; the returned perm maps merge
 // position → index into keys. ok is false when no permutation works.
-func (in *Info) CoversKeys(rels bitset.VSet, ord Order, keys []int) (perm []int, ok bool) {
+func (in Info) CoversKeys(rels bitset.VSet, ord Order, keys []int) (perm []int, ok bool) {
 	if len(keys) == 0 {
 		return nil, true
 	}
 	if len(ord) < len(keys) {
 		return nil, false
 	}
-	uf := in.equivFor(rels)
 	used := make([]bool, len(keys))
 	perm = make([]int, 0, len(keys))
 	for pos := 0; pos < len(keys); pos++ {
 		found := -1
 		for j, k := range keys {
-			if !used[j] && uf.same(ord[pos], k) {
+			if !used[j] && in.fd.Same(rels, ord[pos], k) {
 				found = j
 				break
 			}
@@ -167,16 +121,15 @@ func (in *Info) CoversKeys(rels bitset.VSet, ord Order, keys []int) (perm []int,
 // CoversKeysInOrder reports whether the order covers exactly the given
 // key sequence — no permutation freedom, used for the second input of a
 // merge join once the first input's match has fixed the pair order.
-func (in *Info) CoversKeysInOrder(rels bitset.VSet, ord Order, keys []int) bool {
+func (in Info) CoversKeysInOrder(rels bitset.VSet, ord Order, keys []int) bool {
 	if len(keys) == 0 {
 		return true
 	}
 	if len(ord) < len(keys) {
 		return false
 	}
-	uf := in.equivFor(rels)
 	for i, k := range keys {
-		if !uf.same(ord[i], k) {
+		if !in.fd.Same(rels, ord[i], k) {
 			return false
 		}
 	}
@@ -199,7 +152,7 @@ func (in *Info) CoversKeysInOrder(rels bitset.VSet, ord Order, keys []int) bool 
 // underlying order claim while streaming (the runs argument is only as
 // good as the scan-order declaration it rests on). Grouping on ∅ (one
 // global group) is trivially covered, with an empty prefix.
-func (in *Info) CoversGrouping(rels bitset.VSet, ord Order, groupBy bitset.VSet) (prefix Order, ok bool) {
+func (in Info) CoversGrouping(rels bitset.VSet, ord Order, groupBy bitset.VSet) (prefix Order, ok bool) {
 	if groupBy.IsEmpty() {
 		return nil, true
 	}
@@ -226,11 +179,10 @@ func (in *Info) CoversGrouping(rels bitset.VSet, ord Order, groupBy bitset.VSet)
 // — an attribute survives if it is value-equivalent to a grouping
 // attribute (equal values, so the grouping column carries the same
 // sequence). The mapped order stops at the first non-survivor.
-func (in *Info) GroupOutputOrder(rels bitset.VSet, ord Order, groupBy bitset.VSet) Order {
+func (in Info) GroupOutputOrder(rels bitset.VSet, ord Order, groupBy bitset.VSet) Order {
 	if len(ord) == 0 {
 		return nil
 	}
-	uf := in.equivFor(rels)
 	var out Order
 	for _, a := range ord {
 		mapped := -1
@@ -238,7 +190,7 @@ func (in *Info) GroupOutputOrder(rels bitset.VSet, ord Order, groupBy bitset.VSe
 			mapped = a
 		} else {
 			groupBy.ForEach(func(g int) {
-				if mapped < 0 && uf.same(a, g) {
+				if mapped < 0 && in.fd.Same(rels, a, g) {
 					mapped = g
 				}
 			})
@@ -249,46 +201,4 @@ func (in *Info) GroupOutputOrder(rels bitset.VSet, ord Order, groupBy bitset.VSe
 		out = append(out, mapped)
 	}
 	return out
-}
-
-// unionFind is a tiny union-find over attribute ids.
-type unionFind struct {
-	parent []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-func (uf *unionFind) find(a int) int {
-	for uf.parent[a] != a {
-		uf.parent[a] = uf.parent[uf.parent[a]]
-		a = uf.parent[a]
-	}
-	return a
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra != rb {
-		// Deterministic root choice: the smaller id wins.
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		uf.parent[rb] = ra
-	}
-}
-
-func (uf *unionFind) same(a, b int) bool {
-	if a == b {
-		return true
-	}
-	if a < 0 || b < 0 || a >= len(uf.parent) || b >= len(uf.parent) {
-		return false
-	}
-	return uf.find(a) == uf.find(b)
 }

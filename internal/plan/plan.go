@@ -160,6 +160,23 @@ func (p *Plan) HasKeySubsetOf(attrs bitset.VSet) bool {
 	return false
 }
 
+// HasKeyInWords reports whether some candidate key lies in the attribute
+// words ws (word 0 holds attributes 0–63), the form fd.Local.CloseInto
+// writes a closure in: the key test under dependencies.
+func (p *Plan) HasKeyInWords(ws []uint64) bool {
+	for _, k := range p.Keys {
+		in := true
+		for w, nw := 0, k.NumWords(); w < nw && in; w++ {
+			x := k.Word(w)
+			in = x == 0 || w < len(ws) && x&^ws[w] == 0
+		}
+		if in {
+			return true
+		}
+	}
+	return false
+}
+
 // CountGroupings returns the number of grouping operators in the plan,
 // excluding the final grouping.
 func (p *Plan) CountGroupings() int {
