@@ -190,6 +190,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "=== %s ===\n", r.name)
 		fmt.Fprintf(stdout, "cost %.6g (%.4g× %s), %d csg-cmp-pairs, %d trees built\n",
 			res.Plan.Cost, res.Plan.Cost/base, baseName, res.Stats.CsgCmpPairs, res.Stats.PlansBuilt)
+		if res.Stats.BoundPlansBuilt > 0 {
+			fmt.Fprintf(stdout, "bounded by an H1 pass of %d trees\n", res.Stats.BoundPlansBuilt)
+		}
 		if res.Stats.PairBudgetExceeded {
 			fmt.Fprintf(stdout, "pair budget exceeded: plan built by the deterministic greedy fallback\n")
 		}

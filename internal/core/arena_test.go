@@ -35,7 +35,7 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 		{rand14dot2(), Options{Algorithm: AlgEAPrune, Workers: 2}},
 	} {
 		// The reference first: its arenas never go back to the pool.
-		ref, err := newGenerator(c.q, c.opts).run()
+		ref, err := pooledGenerator(c.q, c.opts).run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,126 @@
+package core_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"eagg/internal/core"
+	"eagg/internal/plan"
+	"eagg/internal/randquery"
+)
+
+// rank is what the generators minimize: C_out in the hash mode, PhysCost in
+// the sort mode.
+func rank(p *plan.Plan, phys core.PhysMode) float64 {
+	if phys == core.PhysModeSort {
+		return p.PhysCost
+	}
+	return p.Cost
+}
+
+// TestBoundMatchesUnbounded: the H1 pass that bounds EA-Prune changes no
+// plan. On random queries (seed 77, n = 4…13) in both physical modes at
+// Workers 1 and 2 — every level through the pool — bounded EA-Prune returns
+// the plan of the unbounded search, plan.Equal, and that plan ranks no
+// higher than H1's. Every DP worker reads the bound, so the race lane runs
+// this test too.
+func TestBoundMatchesUnbounded(t *testing.T) {
+	count := 400
+	switch {
+	case core.RaceEnabled:
+		count = 30
+	case testing.Short():
+		count = 60
+	}
+	rng := rand.New(rand.NewSource(77))
+	retained, unretained := 0, 0
+	for i := 0; i < count; i++ {
+		q := randquery.Generate(rng, randquery.Params{Relations: 4 + i%10})
+		for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort} {
+			for _, workers := range []int{1, 2} {
+				opts := core.Options{Algorithm: core.AlgEAPrune, Phys: phys, Workers: workers}
+				bounded, err := core.OptimizeBounded(q, opts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unbounded, err := core.OptimizeBounded(q, opts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h1, err := core.Optimize(q, core.Options{Algorithm: core.AlgH1, Phys: phys, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !plan.Equal(bounded.Plan, unbounded.Plan) {
+					t.Fatalf("query %d (n=%d, %v, workers %d): the bound changes the plan\nbounded:\n%v\nunbounded:\n%v",
+						i, len(q.Relations), phys, workers, bounded.Plan, unbounded.Plan)
+				}
+				if rank(bounded.Plan, phys) > rank(h1.Plan, phys) {
+					t.Fatalf("query %d (n=%d, %v, workers %d): EA-Prune ranks %v, above H1's %v",
+						i, len(q.Relations), phys, workers, rank(bounded.Plan, phys), rank(h1.Plan, phys))
+				}
+				retained += bounded.Stats.TablePlans
+				unretained += unbounded.Stats.TablePlans
+			}
+		}
+	}
+	t.Logf("%d optimizations: %d plans retained with the bound, %d without", 4*count, retained, unretained)
+}
+
+// TestOptimalityAtTen carries the root package's TestOptimalityInvariants
+// (seeds 1…20 at n ≤ 8, against unbounded EA-All) on to n = 9 and 10 for
+// the same seeds, within the same 60-pair budget: EA-All ≤ every generator,
+// and EA-Prune = EA-All. The oracle is EA-All bounded by H1's plan: it
+// keeps every plan that ranks at most as high as H1's, so its optimum is
+// EA-All's, and it stays small enough to run here. The bound trusts H1's
+// plan, so it cannot be its own oracle: unbounded EA-All remains the check
+// at n ≤ 8.
+func TestOptimalityAtTen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("EA-All at n = 10")
+	}
+	const pairBudget, tol = 60, 1e-9
+	gens := []core.Options{
+		{Algorithm: core.AlgDPhyp}, {Algorithm: core.AlgH1}, {Algorithm: core.AlgH2, F: 1.03}, {Algorithm: core.AlgEAPrune},
+	}
+	checked, skipped := 0, 0
+	for seed := 1; seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for n := 2; n <= 10; n++ {
+			for index := 0; index < 10; index++ {
+				q := randquery.Generate(rng, randquery.Params{Relations: n})
+				if n < 9 {
+					continue // TestOptimalityInvariants' queries
+				}
+				for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort} {
+					ranks := make([]float64, len(gens))
+					pairs := 0
+					for i, o := range gens {
+						o.Phys = phys
+						res, err := core.Optimize(q, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ranks[i], pairs = rank(res.Plan, phys), res.Stats.CsgCmpPairs
+					}
+					if pairs > pairBudget {
+						skipped++
+						continue
+					}
+					checked++
+					all, err := core.OptimizeBounded(q, core.Options{Algorithm: core.AlgEAAll, Phys: phys}, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt := rank(all.Plan, phys)
+					for i, o := range gens {
+						if ranks[i] < opt*(1-tol) || o.Algorithm == core.AlgEAPrune && ranks[i] > opt*(1+tol) {
+							t.Errorf("seed %d n=%d #%d: %v/%v ranks %.17g, bounded EA-All %.17g", seed, n, index, o.Algorithm, phys, ranks[i], opt)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d (query, mode) cells checked against bounded EA-All, %d skipped over %d csg-cmp-pairs", checked, skipped, pairBudget)
+}

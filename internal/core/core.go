@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -155,6 +156,10 @@ type Stats struct {
 	PlansBuilt  int // operator trees constructed (incl. discarded)
 	TablePlans  int // plans retained across all DP-table entries
 	Workers     int // goroutines the DP driver used (1 = sequential)
+	// BoundPlansBuilt counts the trees of the H1 pass that bounds EA-Prune
+	// (see boundByH1); PlansBuilt leaves them out, so it stays comparable
+	// across generators.
+	BoundPlansBuilt int
 	// Levels holds one entry per sealed DP level, in processing order.
 	Levels []LevelStat
 	// PairBudgetExceeded reports that the csg-cmp-pair enumeration hit
@@ -215,6 +220,14 @@ func checkOptions(q *query.Query, opts *Options) error {
 }
 
 func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, error) {
+	g := newGenerator[S](q, opts)
+	defer g.release()
+	return g.run()
+}
+
+// newGenerator sets up one optimization run over checked options: the query
+// analysis, the estimator and every default the run reads.
+func newGenerator[S bitset.RelSet[S]](q *query.Query, opts Options) *generator[S] {
 	est := cost.NewEstimator(q)
 	if opts.Stats != nil {
 		est.Source = opts.Stats
@@ -226,11 +239,12 @@ func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, erro
 		opts:           opts,
 		all:            bitset.RangeIn[S](0, len(q.Relations)),
 		parallelCutoff: dpParallelCutoff,
+		bounded:        opts.Algorithm == AlgEAPrune,
+		bound:          math.Inf(1),
 	}
 	g.allV = g.all.ToV()
 	g.prepare()
-	defer g.release()
-	return g.run()
+	return g
 }
 
 // generator carries the state of one optimization run. It is generic in
@@ -264,9 +278,15 @@ type generator[S bitset.RelSet[S]] struct {
 	// number of retained plans the frontier's two scans examined.
 	examined func(plans int)
 	// parallelCutoff is the level work (see levelWork) below which
-	// runLevels runs a level inline; dpParallelCutoff outside tests,
-	// which leave it 0 to force every level through the pool.
+	// runLevels runs a level inline: dpParallelCutoff, which tests set to
+	// 0 to force every level through the pool.
 	parallelCutoff int
+	// bounded says whether the exact DP first runs the H1 pass that sets
+	// bound (see boundByH1): for EA-Prune, and for whatever generator a
+	// test asks it of. bound is the rank above which insert and consider
+	// drop a plan, +Inf without the pass.
+	bounded bool
+	bound   float64
 
 	// aggSrc[i] is the set of relations aggregate i draws from; aggOK[i]
 	// whether it is decomposable.
@@ -416,7 +436,7 @@ func (g *generator[S]) run() (*Result, error) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		g.stats.Workers = workers
-		g.runLevels(pairs, workers)
+		g.exact(pairs, workers)
 	}
 
 	best := g.table[g.all]
@@ -440,6 +460,52 @@ func (g *generator[S]) release() {
 	for _, w := range g.ws {
 		w.release()
 	}
+}
+
+// exact runs the exact DP over the complete pair list, after the H1 pass
+// that bounds it when g.bounded is set.
+func (g *generator[S]) exact(pairs []hypergraph.CsgCmpPair[S], workers int) {
+	if g.bounded {
+		g.boundByH1(pairs, workers)
+	}
+	g.runLevels(pairs, workers)
+}
+
+// boundByH1 runs H1 over the pair list, on the run's own estimator, conflict
+// detection and workers, and sets g.bound to the rank U of its complete
+// plan. It then resets the table to the scan entries for the generator
+// proper, and the counters to what that run reports: the pass's plans move
+// to Stats.BoundPlansBuilt, its levels are dropped.
+//
+// This is accumulated-cost bounding (Fender & Moerkotte, ICDE 2012) in the
+// bottom-up DP. A tree's C_out is its cardinality plus its children's C_out
+// (cost.EstimateOp, EstimateGroup), its PhysCost its cardinality and
+// reorganization overheads plus its children's PhysCost (cost/phys.go), all
+// terms non-negative; rounding is monotone, so a float sum of non-negative
+// terms is never below any partial sum, and a tree ranks at least as high
+// as its inputs' ranks summed. H1's plan lies in the search space, so no
+// plan of the optimum ranks above U, and insert drops any candidate that
+// does. A dropped candidate costs more than U; every plan it would have
+// dominated costs at least as much (Def. 4 compares rank too), so it is
+// dropped as well. The plans ranked at most U keep their dominance
+// relations and their enumeration order, and ties break as without the
+// bound: the retained plans at most U, and the plan, are those of the
+// unbounded run.
+func (g *generator[S]) boundByH1(pairs []hypergraph.CsgCmpPair[S], workers int) {
+	alg := g.opts.Algorithm
+	g.opts.Algorithm = AlgH1
+	g.runLevels(pairs, workers)
+	g.opts.Algorithm = alg
+	if e := g.table[g.all]; e != nil && len(e.plans) > 0 {
+		g.bound = g.rank(e.plans[0])
+	}
+	for s := range g.table {
+		if s.Len() > 1 {
+			delete(g.table, s)
+		}
+	}
+	g.stats.BoundPlansBuilt, g.stats.PlansBuilt = g.stats.PlansBuilt, 0
+	g.stats.Levels = g.stats.Levels[:0]
 }
 
 // forEachLevel calls fn once per DP level with the contiguous slice of
@@ -534,8 +600,12 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 // three policies: EA-All keeps every plan; EA-Prune keeps the dominance
 // frontier, in the sort mode extended by the physical dimensions (see
 // dominatesRest); every other generator keeps the k best plans per plan
-// class (see insertBest), BeamWidth of them for Beam and one otherwise.
+// class (see insertBest), BeamWidth of them for Beam and one otherwise. A
+// candidate ranked above g.bound is dropped before any of them sees it.
 func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
+	if g.rank(t) > g.bound {
+		return
+	}
 	switch g.opts.Algorithm {
 	case AlgEAAll:
 		e.plans = append(e.plans, w.keep(t))

@@ -83,7 +83,7 @@ type crossoverLevel struct {
 
 // crossoverLevels lists the levels of the query with their works.
 func crossoverLevels(q *query.Query, alg Algorithm) []crossoverLevel {
-	g := newGenerator(q, Options{Algorithm: alg})
+	g := pooledGenerator(q, Options{Algorithm: alg})
 	g.scans()
 	pairs := g.det.Graph.CsgCmpPairs()
 	var out []crossoverLevel
@@ -97,7 +97,7 @@ func crossoverLevels(q *query.Query, alg Algorithm) []crossoverLevel {
 }
 
 func (l *crossoverLevel) run(b *testing.B, workers int) {
-	g := newGenerator(l.q, Options{Algorithm: l.alg})
+	g := pooledGenerator(l.q, Options{Algorithm: l.alg})
 	g.scans()
 	pairs := g.det.Graph.CsgCmpPairs()
 	var measured []hypergraph.CsgCmpPair[bitset.Set64]

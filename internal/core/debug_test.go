@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"eagg/internal/bitset"
-	"eagg/internal/conflict"
-	"eagg/internal/cost"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
 )
@@ -46,33 +44,23 @@ func TestPruneCoverageInvariant(t *testing.T) {
 	}
 }
 
-// tableOf runs the generator and returns it with its DP table, so
-// dominance can be evaluated post hoc.
+// tableOf runs the generator without the H1 bound and returns it with its
+// DP table, so dominance can be evaluated post hoc: the invariant is one of
+// Def. 4, and the bound drops plans that it does not cover.
 func tableOf(t *testing.T, q *query.Query, alg Algorithm) *generator[bitset.Set64] {
 	t.Helper()
-	g := newGenerator(q, Options{Algorithm: alg})
+	g := pooledGenerator(q, Options{Algorithm: alg})
+	g.bounded = false
 	if _, err := g.run(); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// newGenerator builds a Set64 generator the way optimizeAs does, except
-// that parallelCutoff stays 0: with Workers > 1 every level goes through
-// the pool.
-func newGenerator(q *query.Query, opts Options) *generator[bitset.Set64] {
-	est := cost.NewEstimator(q)
-	if opts.Stats != nil {
-		est.Source = opts.Stats
-	}
-	g := &generator[bitset.Set64]{
-		q:    q,
-		det:  conflict.Detect[bitset.Set64](q),
-		est:  est,
-		opts: opts,
-		all:  bitset.Range64(0, len(q.Relations)),
-	}
-	g.allV = g.all.ToV()
-	g.prepare()
+// pooledGenerator is newGenerator on Set64 with parallelCutoff 0: with
+// Workers > 1 every level goes through the pool.
+func pooledGenerator(q *query.Query, opts Options) *generator[bitset.Set64] {
+	g := newGenerator[bitset.Set64](q, opts)
+	g.parallelCutoff = 0
 	return g
 }

@@ -103,17 +103,19 @@ func differentialQueries(count int, fn func(i int, q *query.Query, phys PhysMode
 	}
 }
 
-// candidateStreams runs EA-Prune on q and re-derives each DP-table entry's
-// candidate stream — every tree over the subplans EA-Prune retained, in
-// enumeration order: the EA-All policy over EA-Prune's table. It returns
-// the generator with the streams in first-appearance order of their sets.
+// candidateStreams runs EA-Prune on q without the H1 bound — the subject
+// here is Def. 4 alone — and re-derives each DP-table entry's candidate
+// stream — every tree over the subplans EA-Prune retained, in enumeration
+// order: the EA-All policy over EA-Prune's table. It returns the generator
+// with the streams in first-appearance order of their sets.
 func candidateStreams(t *testing.T, q *query.Query, phys PhysMode) (g *generator[bitset.Set64], order []bitset.Set64, streams map[bitset.Set64][]*plan.Plan) {
 	t.Helper()
-	g = newGenerator(q, Options{Algorithm: AlgEAPrune, Phys: phys, Workers: 1})
+	g = pooledGenerator(q, Options{Algorithm: AlgEAPrune, Phys: phys, Workers: 1})
+	g.bounded = false
 	if _, err := g.run(); err != nil {
 		t.Fatal(err)
 	}
-	all := newGenerator(q, Options{Algorithm: AlgEAAll, Phys: phys})
+	all := pooledGenerator(q, Options{Algorithm: AlgEAAll, Phys: phys})
 	all.table = g.table
 	entries := map[bitset.Set64]*entry{}
 	for _, pr := range g.det.Graph.CsgCmpPairs() {
@@ -252,7 +254,7 @@ func TestFrontierMatchesTwoScanReference(t *testing.T) {
 	mk := func(cost, card, p0, p1 float64) *plan.Plan {
 		return &plan.Plan{Cost: cost, Card: card, Profile: []float64{p0, p1}}
 	}
-	g := newGenerator(randquery.Chain(2), Options{Algorithm: AlgEAPrune})
+	g := pooledGenerator(randquery.Chain(2), Options{Algorithm: AlgEAPrune})
 	for name, stream := range map[string][]*plan.Plan{
 		"equal costs, incomparable": {mk(5, 9, 1, 9), mk(5, 9, 9, 1), mk(5, 8, 9, 9), mk(5, 9, 2, 8)},
 		"equal cost and card":       {mk(5, 5, 3, 3), mk(5, 5, 3, 3), mk(5, 5, 2, 4), mk(5, 5, 2, 2), mk(5, 5, 2, 2)},
@@ -319,7 +321,8 @@ func TestPathCardVector(t *testing.T) {
 		check(p.Right)
 	}
 	differentialQueries(200, func(i int, q *query.Query, phys PhysMode) {
-		g := newGenerator(q, Options{Algorithm: AlgEAPrune, Phys: phys, Workers: 1})
+		g := pooledGenerator(q, Options{Algorithm: AlgEAPrune, Phys: phys, Workers: 1})
+		g.bounded = false // the bound's survivors are a subset
 		if _, err := g.run(); err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +370,7 @@ func TestForcedPoolDeterminism(t *testing.T) {
 				continue
 			}
 			opts.Phys, opts.Workers = phys, 1
-			ref := newGenerator(q, opts)
+			ref := pooledGenerator(q, opts)
 			seq, err := ref.run()
 			if err != nil {
 				t.Fatal(err)
@@ -375,7 +378,7 @@ func TestForcedPoolDeterminism(t *testing.T) {
 			// Each algorithm meets every worker count across the queries.
 			workers := []int{2, 3, 8}[(i+k)%3]
 			opts.Workers = workers
-			g := newGenerator(q, opts)
+			g := pooledGenerator(q, opts)
 			par, err := g.run()
 			if err != nil {
 				t.Fatal(err)

@@ -17,3 +17,19 @@ func OptimizeWide(q *query.Query, opts Options) (*Result, error) {
 	}
 	return optimizeAs[bitset.VSet](q, opts)
 }
+
+// OptimizeBounded is Optimize on a query of at most 63 relations with the
+// H1 pass that bounds the exact DP switched on or off whatever the
+// generator, and with every level of a Workers > 1 run through the pool.
+// Off, EA-Prune is the paper's unbounded search, the reference the bound
+// must not change; on, EA-All keeps only the plans that rank at most as
+// high as H1's, a complete search that reaches larger queries.
+func OptimizeBounded(q *query.Query, opts Options, bounded bool) (*Result, error) {
+	if err := checkOptions(q, &opts); err != nil {
+		return nil, err
+	}
+	g := newGenerator[bitset.Set64](q, opts)
+	g.bounded, g.parallelCutoff = bounded, 0
+	defer g.release()
+	return g.run()
+}

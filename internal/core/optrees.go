@@ -14,7 +14,7 @@ import (
 // and folded through the algorithm's retention policy into e, the
 // caller-owned entry of the result set; e1 and e2 are the entries of the
 // operand sets and w.jp holds the pair's predicates (processPair). It
-// returns the number of trees considered. The component subplans are read
+// returns the number of trees built. The component subplans are read
 // from sealed table levels and the table is only ever read here, which is
 // what lets the parallel driver's level workers share it lock-free.
 //
@@ -48,19 +48,15 @@ func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S]
 		w.glNode = nil
 		for j, t2 := range t2s {
 			gr, grNode := &w.gr[j], &w.grNode[j]
-			g.consider(w, e, kind, t1, t2, nil, nil, topLevel)
-			built++
+			built += g.consider(w, e, kind, t1, t2, nil, nil, topLevel)
 			if gl.Left != nil {
-				g.consider(w, e, kind, gl, t2, &w.glNode, nil, topLevel)
-				built++
+				built += g.consider(w, e, kind, gl, t2, &w.glNode, nil, topLevel)
 			}
 			if gr.Left != nil {
-				g.consider(w, e, kind, t1, gr, nil, grNode, topLevel)
-				built++
+				built += g.consider(w, e, kind, t1, gr, nil, grNode, topLevel)
 			}
 			if gl.Left != nil && gr.Left != nil {
-				g.consider(w, e, kind, gl, gr, &w.glNode, grNode, topLevel)
-				built++
+				built += g.consider(w, e, kind, gl, gr, &w.glNode, grNode, topLevel)
 			}
 		}
 	}
@@ -79,8 +75,14 @@ func resize[T any](s []T, n int) []T {
 // consider estimates one operator tree l ◦ r into w.cand, in the physical
 // kind the mode gives the operator, and hands it to the retention policy —
 // a completed tree through finalizeEach. lNode/rNode are the node-cache
-// slots of scratch children.
-func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) {
+// slots of scratch children. A tree would rank at least as high as its
+// inputs together (see boundByH1), so when they already rank above
+// g.bound it is not built at all; consider returns the number of trees it
+// built, 0 or 1.
+func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) int {
+	if g.rank(l)+g.rank(r) > g.bound {
+		return 0
+	}
 	w.est.EstimateOp(&w.cand, kind, &w.jp, l, r)
 	if g.physOn() {
 		w.est.PhysifyOp(&w.cand, g.opPhys(kind))
@@ -91,6 +93,7 @@ func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *pl
 	} else {
 		g.insert(w, e, &w.cand)
 	}
+	return 1
 }
 
 // pushedGroup estimates the pushed grouping over t into dst; dst.Left

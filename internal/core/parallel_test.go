@@ -164,8 +164,7 @@ func TestParallelExercisesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newGenerator(q, Options{Algorithm: AlgEAPrune, Workers: 4})
-	g.parallelCutoff = dpParallelCutoff
+	g := newGenerator[bitset.Set64](q, Options{Algorithm: AlgEAPrune, Workers: 4})
 	par, err := g.run()
 	if err != nil {
 		t.Fatal(err)
