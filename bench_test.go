@@ -320,7 +320,7 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 // BenchmarkOptimizeHeavyCells times the five cells that decided the repo
 // benchmark's optimize_cold workload (together ≈ 80 % of a 261-cell pass
 // until EA-Prune's H1 bound cut the three random ones 4–15×): EA-Prune on
-// rand16.5, rand14.2, rand14.6 and star12 — the dominance frontier — and
+// rand16.5, rand14.2, rand14.6 and star12 — dominance pruning — and
 // H1 on chain64, the bitset.VSet path. The random queries
 // are that benchmark's frozen population, redrawn from its seed in its
 // order; workers are left at the default, as the workload leaves them.

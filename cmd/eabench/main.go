@@ -257,6 +257,16 @@ func figures(fs *flag.FlagSet, e *env) (func() error, func(stdout, stderr io.Wri
 	}
 	var selected []report
 	check := func() error {
+		// Config.Defaults would replace a 0 by its own default, and a
+		// negative count cannot size a workload.
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"-queries", e.cfg.Queries}, {"-maxn", e.cfg.MaxN}, {"-maxn-prune", e.cfg.MaxNPrune}, {"-maxn-exhaustive", e.cfg.MaxNExhaustive}} {
+			if f.v <= 0 {
+				return fmt.Errorf("%s must be > 0, got %d", f.name, f.v)
+			}
+		}
 		for _, r := range reports {
 			if *fig == 0 && *table == 0 || *r.sel == r.n {
 				selected = append(selected, r)

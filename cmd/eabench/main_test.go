@@ -27,6 +27,11 @@ func TestFlagHygiene(t *testing.T) {
 		{"negative workers", []string{"figures", "-workers", "-2"}, "-workers must be"},
 		{"bad sf", []string{"exec", "-sf", "0"}, "-sf must be > 0"},
 		{"nothing selected", []string{"figures", "-fig", "3"}, "nothing selected"},
+		{"negative queries", []string{"figures", "-queries", "-1"}, "-queries must be > 0"},
+		{"zero queries", []string{"figures", "-queries", "0"}, "-queries must be > 0"},
+		{"negative maxn", []string{"figures", "-maxn", "-1"}, "-maxn must be > 0"},
+		{"negative maxn-prune", []string{"figures", "-maxn-prune", "-3"}, "-maxn-prune must be > 0"},
+		{"negative maxn-exhaustive", []string{"figures", "-maxn-exhaustive", "-1"}, "-maxn-exhaustive must be > 0"},
 		{"serve with exec", []string{"serve", "-exec"}, undefined + "-exec"},
 		{"sessions without serve", []string{"figures", "-sessions", "4"}, undefined + "-sessions"},
 		{"requests without serve", []string{"figures", "-requests", "10"}, undefined + "-requests"},

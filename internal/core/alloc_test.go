@@ -45,12 +45,12 @@ func rand14dot2() *query.Query {
 // TestEAPruneAllocBudget is the deterministic stand-in for a timing gate
 // on the DP's candidate path: allocation repeats to a fraction of a
 // percent where wall time does not. Candidates are estimated in scratch
-// and only survivors become nodes, and a frontier's rows move into the
-// buffer an earlier entry handed back, so an EA-Prune run may allocate at
-// most the bytes per plan built below, the H1 pass that bounds it included
-// — 10 % over what was measured; it was ≈ 1,000 when every candidate was a
-// node with its own key, profile and predicate slices, 114/102 while every
-// frontier regrew its own rows, and 78/85 before the H1 pass, which cuts
+// and only survivors become nodes, so an EA-Prune run may allocate at most
+// the bytes per plan built below, the H1 pass that bounds it included —
+// 10 % over the 106/79 measured while a cost-ordered frontier of float rows
+// kept each entry's dominance dimensions (the plain plan list reads 99/73);
+// it was ≈ 1,000 when every candidate was a node with its own key, profile
+// and predicate slices, and 78/85 before the H1 pass, which cuts
 // rand14.2's allocation from 3.2 MB to 0.3 MB but spreads the fixed part
 // over 14× fewer plans — and a single-plan generator at most one object per
 // retained plan — its entry's slot; the nodes come out of the arena — plus

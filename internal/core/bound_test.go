@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"eagg/internal/core"
 	"eagg/internal/plan"
+	"eagg/internal/query"
 	"eagg/internal/randquery"
 )
 
@@ -123,4 +125,43 @@ func TestOptimalityAtTen(t *testing.T) {
 		}
 	}
 	t.Logf("%d (query, mode) cells checked against bounded EA-All, %d skipped over %d csg-cmp-pairs", checked, skipped, pairBudget)
+}
+
+// BenchmarkEAPruneBound times EA-Prune at Workers 1 on the cells of the
+// optimize_cold population where its dominance pruning does the most work
+// — rand14.2, rand14.6 and rand16.5, redrawn from that benchmark's
+// population seed in its order, and star12 — with the H1 bound
+// (bounded=true, what Optimize runs) and without it (bounded=false, the
+// paper's algorithm, which no benchmark workload runs).
+func BenchmarkEAPruneBound(b *testing.B) {
+	cells := []struct {
+		name string
+		q    *query.Query
+	}{{"rand14.2", nil}, {"rand14.6", nil}, {"rand16.5", nil}, {"star12", randquery.Star(12)}}
+	rng := rand.New(rand.NewSource(1)) // bench/optimize.go: populationSeed
+	for n := 6; n <= 16; n += 2 {
+		for i := 0; i < 10; i++ {
+			q := randquery.Generate(rng, randquery.Params{Relations: n})
+			for k := range cells {
+				if cells[k].name == fmt.Sprintf("rand%d.%d", n, i) {
+					cells[k].q = q
+				}
+			}
+		}
+	}
+	for _, c := range cells {
+		for _, bounded := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%s/bounded=%v", c.name, bounded), func(b *testing.B) {
+				built := 0
+				for i := 0; i < b.N; i++ {
+					res, err := core.OptimizeBounded(c.q, core.Options{Algorithm: core.AlgEAPrune, Workers: 1}, bounded)
+					if err != nil {
+						b.Fatal(err)
+					}
+					built = res.Stats.PlansBuilt
+				}
+				b.ReportMetric(float64(built), "built")
+			})
+		}
+	}
 }

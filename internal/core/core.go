@@ -210,8 +210,9 @@ func checkOptions(q *query.Query, opts *Options) error {
 	if _, ok := physNames[opts.Phys]; !ok {
 		return fmt.Errorf("core: undefined physical mode %v", opts.Phys)
 	}
-	if opts.Algorithm == AlgH2 && opts.F <= 0 {
-		return errors.New("core: H2 requires a tolerance factor F > 0")
+	// !(F > 0) holds for NaN too.
+	if f := opts.F; opts.Algorithm == AlgH2 && (!(f > 0) || math.IsInf(f, 1)) {
+		return fmt.Errorf("core: H2 requires a finite tolerance factor F > 0, got %v", f)
 	}
 	if opts.Algorithm == AlgBeam && opts.BeamWidth <= 0 {
 		opts.BeamWidth = 4
@@ -271,12 +272,6 @@ type generator[S bitset.RelSet[S]] struct {
 	// crosses the cutoff.
 	w0 *worker
 	ws []*worker
-	// opened collects the entries runLevelInline created for the level it
-	// is running, to seal them at its end.
-	opened []*entry
-	// examined, when set (tests only), receives per EA-Prune candidate the
-	// number of retained plans the frontier's two scans examined.
-	examined func(plans int)
 	// parallelCutoff is the level work (see levelWork) below which
 	// runLevels runs a level inline: dpParallelCutoff, which tests set to
 	// 0 to force every level through the pool.
@@ -368,7 +363,6 @@ func (g *generator[S]) scans() {
 		s := bitset.SingleIn[S](r)
 		e := g.open(g.w0, s)
 		g.insert(g.w0, e, p)
-		e.seal(g.w0)
 		g.table[s] = e
 	}
 }
@@ -524,26 +518,21 @@ func forEachLevel[S bitset.RelSet[S]](pairs []hypergraph.CsgCmpPair[S], fn func(
 
 // runLevelInline processes one level's pairs in enumeration order on the
 // driver's own worker, like the paper's Fig. 5 loop, and returns the
-// number of distinct result sets. An
-// entry is created at a result set's first pair (that is what counts the
-// sets), so a set no operator applies to keeps an empty one; the level's
-// entries are sealed once its last pair is through.
+// number of distinct result sets. An entry is created at a result set's
+// first pair (that is what counts the sets), so a set no operator applies
+// to keeps an empty one.
 func (g *generator[S]) runLevelInline(chunk []hypergraph.CsgCmpPair[S]) (subsets int) {
-	g.opened = g.opened[:0]
 	for _, pr := range chunk {
 		s := pr.S1.Union(pr.S2)
 		e := g.table[s]
 		if e == nil {
 			e = g.open(g.w0, s)
 			g.table[s] = e
-			g.opened = append(g.opened, e)
+			subsets++
 		}
 		g.stats.PlansBuilt += g.processPair(g.w0, e, pr, s == g.all)
 	}
-	for _, e := range g.opened {
-		e.seal(g.w0)
-	}
-	return len(g.opened)
+	return subsets
 }
 
 // processPair is the per-pair step of every exact driver and of the greedy
@@ -597,11 +586,12 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 // insert applies the algorithm's retention policy for non-top entries. The
 // candidate t is a scratch estimate (see worker); a policy that retains it
 // stores w.keep(t), so a rejected candidate never becomes a node. There are
-// three policies: EA-All keeps every plan; EA-Prune keeps the dominance
-// frontier, in the sort mode extended by the physical dimensions (see
-// dominatesRest); every other generator keeps the k best plans per plan
-// class (see insertBest), BeamWidth of them for Beam and one otherwise. A
-// candidate ranked above g.bound is dropped before any of them sees it.
+// three policies: EA-All keeps every plan; EA-Prune keeps the plans no
+// other plan dominates, in the sort mode extended by the physical
+// dimensions (see dominatesRest); every other generator keeps the k best
+// plans per plan class (see insertBest), BeamWidth of them for Beam and one
+// otherwise. A candidate ranked above g.bound is dropped before any of them
+// sees it.
 func (g *generator[S]) insert(w *worker, e *entry, t *plan.Plan) {
 	if g.rank(t) > g.bound {
 		return

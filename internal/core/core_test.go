@@ -223,7 +223,8 @@ func TestH2RequiresF(t *testing.T) {
 // TestOptimizeRejectsUndefinedOptions pins that only the defined
 // Algorithm and PhysMode constants reach the generators: any other value,
 // including the retired auto mode's old value 2, is an error, as is the
-// name "auto".
+// name "auto". So is an H2 tolerance factor that is not a finite number:
+// under NaN no comparison would prefer a tree of different eagerness.
 func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
 	q := motivatingQuery()
 	for _, c := range []struct {
@@ -235,6 +236,9 @@ func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
 		{"PhysMode(7)", Options{Algorithm: AlgEAPrune, Phys: PhysMode(7)}},
 		{"Algorithm(42)", Options{Algorithm: Algorithm(42)}},
 		{"Algorithm(-1)", Options{Algorithm: Algorithm(-1), Phys: PhysModeSort}},
+		{"NaN", Options{Algorithm: AlgH2, F: math.NaN()}},
+		{"+Inf", Options{Algorithm: AlgH2, F: math.Inf(1)}},
+		{"-Inf", Options{Algorithm: AlgH2, F: math.Inf(-1)}},
 	} {
 		if res, err := Optimize(q, c.opts); err == nil {
 			t.Errorf("%s: Optimize returned a plan, want an error:\n%v", c.name, res.Plan)

@@ -32,7 +32,7 @@ func TestPruneCoverageInvariant(t *testing.T) {
 				for _, p := range e.plans {
 					covered := false
 					for _, kept := range pruned[s].plans {
-						covered = covered || frontierDominates(g, kept, p)
+						covered = covered || planDominates(g, kept, p)
 					}
 					if !covered {
 						t.Fatalf("n=%d trial=%d set %v: plan not covered by EA-Prune retentions\ncost=%.6g card=%.6g keys=%v\n%v",

@@ -47,8 +47,8 @@ func referenceProfile(g *generator[bitset.Set64], t *plan.Plan) []float64 {
 	return prof
 }
 
-// referenceDominates is the dominance test as it stood before the flat
-// frontier, attribute entries included: the reference the new test is
+// referenceDominates is the dominance test with the attribute entries the
+// path-cardinality vector replaced: the reference the production test is
 // differentially checked against.
 func referenceDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
 	if g.physOn() && (a.PhysCost > b.PhysCost || !ordering.Order(a.Ord).HasPrefix(ordering.Order(b.Ord))) {
@@ -86,11 +86,10 @@ func keysImplied(g *generator[bitset.Set64], a, b *plan.Plan) bool {
 	return true
 }
 
-// frontierDominates is the new test on two plan nodes: what the frontier
-// evaluates from its flat arrays, b's key closures computed on the spot.
-func frontierDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
-	return !(a.Cost > b.Cost || a.Card > b.Card) && pointwiseLE(a.Profile, b.Profile) &&
-		dominatesRest(a, b, g.physOn(), func() []uint64 { return g.w0.closeKeys(nil, b) })
+// planDominates is the production test, dominates, under g's physical
+// mode, b's key closures computed on the spot.
+func planDominates(g *generator[bitset.Set64], a, b *plan.Plan) bool {
+	return dominates(a, b, g.physOn(), func() []uint64 { return g.w0.closeKeys(nil, b) })
 }
 
 // differentialQueries draws the population of the dominance tests: count
@@ -137,24 +136,17 @@ func candidateStreams(t *testing.T, q *query.Query, phys PhysMode) (g *generator
 }
 
 // twoScan is Fig. 13 taken literally — two full scans of an insertion-
-// ordered list, no last-dominator shortcut, no ordering — over a candidate
-// stream, with the dominance test handed in. It evaluates every (retained,
-// candidate) comparison, but counts as examined what the figure's loops
-// would touch: the retained plans up to the first dominator, or all of
-// them twice for a candidate that survives.
-func twoScan(stream []*plan.Plan, dominates func(a, b *plan.Plan) bool) (retained []*plan.Plan, examined int) {
+// ordered list, oldest first — over a candidate stream, with the dominance
+// test handed in. It evaluates every (retained, candidate) comparison.
+func twoScan(stream []*plan.Plan, dominates func(a, b *plan.Plan) bool) (retained []*plan.Plan) {
 	for _, cand := range stream {
 		dominated := false
-		for k, old := range retained {
-			if dominates(old, cand) && !dominated {
-				dominated = true
-				examined += k + 1
-			}
+		for _, old := range retained {
+			dominated = dominates(old, cand) || dominated
 		}
 		if dominated {
 			continue
 		}
-		examined += 2 * len(retained)
 		kept := retained[:0]
 		for _, old := range retained {
 			if !dominates(cand, old) {
@@ -163,7 +155,7 @@ func twoScan(stream []*plan.Plan, dominates func(a, b *plan.Plan) bool) (retaine
 		}
 		retained = append(kept, cand)
 	}
-	return retained, examined
+	return retained
 }
 
 // samePlans fails the test unless the two lists hold equal plans in the
@@ -171,11 +163,11 @@ func twoScan(stream []*plan.Plan, dominates func(a, b *plan.Plan) bool) (retaine
 func samePlans(t *testing.T, what string, got, want []*plan.Plan) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: the frontier retained %d plans, the two-scan reference %d", what, len(got), len(want))
+		t.Fatalf("%s: EA-Prune retained %d plans, the two-scan reference %d", what, len(got), len(want))
 	}
 	for k := range got {
 		if !plan.Equal(got[k], want[k]) {
-			t.Fatalf("%s: retained plan %d differs\nfrontier:\n%v\nreference:\n%v", what, k, got[k], want[k])
+			t.Fatalf("%s: retained plan %d differs\nEA-Prune:\n%v\nreference:\n%v", what, k, got[k], want[k])
 		}
 	}
 }
@@ -194,7 +186,7 @@ func TestDominanceMatchesReference(t *testing.T) {
 		agree := func(a, b *plan.Plan) bool {
 			comparisons++
 			want := referenceDominates(g, a, b)
-			if got := frontierDominates(g, a, b); got != want {
+			if got := planDominates(g, a, b); got != want {
 				t.Fatalf("query %d (%v): new dominance says %v, reference %v\na (cost %v card %v path %v):\n%v\nb (cost %v card %v path %v):\n%v",
 					i, phys, got, want, a.Cost, a.Card, a.Profile, a, b.Cost, b.Card, b.Profile, b)
 			}
@@ -204,7 +196,7 @@ func TestDominanceMatchesReference(t *testing.T) {
 			return want
 		}
 		for _, s := range order {
-			retained, _ := twoScan(streams[s], agree)
+			retained := twoScan(streams[s], agree)
 			samePlans(t, fmt.Sprintf("query %d (%v) set %v", i, phys, s), g.table[s].plans, retained)
 		}
 	})
@@ -214,35 +206,30 @@ func TestDominanceMatchesReference(t *testing.T) {
 	}
 }
 
-// frontierOf feeds a candidate stream to a fresh entry through the
-// production frontier — cost-ordered rows, last-dominator shortcut, bounded
-// scans, seal — and returns what it retained with the number of retained
-// plans its scans examined.
-func frontierOf(g *generator[bitset.Set64], stream []*plan.Plan) (retained []*plan.Plan, examined int) {
-	g.examined = func(n int) { examined += n }
-	defer func() { g.examined = nil }()
+// pruneOf feeds a candidate stream to a fresh entry through the production
+// pruneDominatedPlans and returns what it retained.
+func pruneOf(g *generator[bitset.Set64], stream []*plan.Plan) []*plan.Plan {
 	e := &entry{}
 	for _, cand := range stream {
 		g.pruneDominatedPlans(g.w0, e, cand)
 	}
-	e.seal(g.w0)
-	return e.plans, examined
+	return e.plans
 }
 
-// TestFrontierMatchesTwoScanReference: whatever the frontier does to find a
-// dominator sooner, it retains what Fig. 13's two full scans retain, in
-// insertion order — on the candidate streams of 200 random queries across
-// the physical modes, and on hand-built streams aimed at the ordering:
-// equal costs, equal cost and cardinality, drops at either end of the cost
-// order, and a drop of the plan the last-dominator shortcut points at.
-func TestFrontierMatchesTwoScanReference(t *testing.T) {
+// TestPruneMatchesTwoScanReference: scanning newest first for a dominator
+// and compacting the list in place, EA-Prune retains what Fig. 13's two
+// full scans retain, in insertion order — on the candidate streams of 200
+// random queries across the physical modes, and on hand-built streams
+// aimed at the scan order and the compaction.
+func TestPruneMatchesTwoScanReference(t *testing.T) {
+	reference := func(g *generator[bitset.Set64], stream []*plan.Plan) []*plan.Plan {
+		return twoScan(stream, func(a, b *plan.Plan) bool { return planDominates(g, a, b) })
+	}
 	candidates := 0
 	differentialQueries(200, func(i int, q *query.Query, phys PhysMode) {
 		g, order, streams := candidateStreams(t, q, phys)
 		for _, s := range order {
-			got, _ := frontierOf(g, streams[s])
-			want, _ := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
-			samePlans(t, fmt.Sprintf("query %d (%v) set %v", i, phys, s), got, want)
+			samePlans(t, fmt.Sprintf("query %d (%v) set %v", i, phys, s), pruneOf(g, streams[s]), reference(g, streams[s]))
 			candidates += len(streams[s])
 		}
 	})
@@ -255,44 +242,33 @@ func TestFrontierMatchesTwoScanReference(t *testing.T) {
 		return &plan.Plan{Cost: cost, Card: card, Profile: []float64{p0, p1}}
 	}
 	g := pooledGenerator(randquery.Chain(2), Options{Algorithm: AlgEAPrune})
+	// How many plans the streams aimed at one case end with, so that the
+	// case stays what its name says.
+	retains := map[string]int{"only the oldest dominates": 3, "front drop, then the newest dominates": 4, "everything retained": 5}
 	for name, stream := range map[string][]*plan.Plan{
 		"equal costs, incomparable": {mk(5, 9, 1, 9), mk(5, 9, 9, 1), mk(5, 8, 9, 9), mk(5, 9, 2, 8)},
 		"equal cost and card":       {mk(5, 5, 3, 3), mk(5, 5, 3, 3), mk(5, 5, 2, 4), mk(5, 5, 2, 2), mk(5, 5, 2, 2)},
 		"drop at the cheap end":     {mk(1, 9, 9, 9), mk(2, 8, 8, 8), mk(3, 7, 7, 7), mk(1, 8, 8, 8), mk(0, 9, 9, 9)},
 		"drop at the costly end":    {mk(1, 9, 1, 9), mk(2, 8, 2, 8), mk(9, 7, 7, 7), mk(8, 6, 6, 6), mk(3, 1, 1, 1)},
 		"drop in the middle":        {mk(1, 9, 9, 1), mk(5, 5, 5, 5), mk(9, 1, 1, 9), mk(4, 4, 4, 4), mk(5, 5, 5, 5)},
-		// d dominates the second and third candidates (d becomes last),
-		// then a cheaper plan drops d; the next candidates are tested
-		// against whatever slid under the stale index.
-		"drop of the last dominator": {mk(1, 9, 1, 9), mk(6, 4, 4, 4), mk(7, 5, 5, 5), mk(8, 6, 4, 6), mk(9, 2, 9, 9), mk(5, 3, 3, 3), mk(7, 5, 5, 5), mk(2, 9, 2, 9), mk(9, 2, 9, 9)},
-		"everything dominated":       {mk(1, 1, 1, 1), mk(2, 2, 2, 2), mk(1, 1, 1, 1), mk(3, 1, 1, 1)},
-		"everything retained":        {mk(1, 9, 9, 9), mk(2, 8, 8, 8), mk(3, 7, 7, 7), mk(2.5, 7.5, 7.5, 7.5), mk(0.5, 10, 10, 10)},
+		// d dominates the second and third candidates, then a cheaper plan
+		// drops d; the next candidates meet the plans that moved up.
+		"drop of a dominator": {mk(1, 9, 1, 9), mk(6, 4, 4, 4), mk(7, 5, 5, 5), mk(8, 6, 4, 6), mk(9, 2, 9, 9), mk(5, 3, 3, 3), mk(7, 5, 5, 5), mk(2, 9, 2, 9), mk(9, 2, 9, 9)},
+		// Three incomparable plans; the fourth candidate is dominated by
+		// the oldest alone, the last one the newest-first scan reaches.
+		"only the oldest dominates": {mk(1, 5, 1, 5), mk(2, 4, 4, 1), mk(3, 3, 5, 0.5), mk(4, 6, 2, 6)},
+		// The fourth candidate drops the front of the list, [a b c] →
+		// [b c d]; the fifth is dominated by d, the newest, alone; the
+		// sixth by nothing.
+		"front drop, then the newest dominates": {mk(5, 5, 5, 5), mk(1, 9, 1, 9), mk(2, 8, 9, 1), mk(4, 4, 4, 4), mk(6, 5, 5, 5), mk(3, 7, 7, 7)},
+		"everything dominated":                  {mk(1, 1, 1, 1), mk(2, 2, 2, 2), mk(1, 1, 1, 1), mk(3, 1, 1, 1)},
+		"everything retained":                   {mk(1, 9, 9, 9), mk(2, 8, 8, 8), mk(3, 7, 7, 7), mk(2.5, 7.5, 7.5, 7.5), mk(0.5, 10, 10, 10)},
 	} {
-		got, _ := frontierOf(g, stream)
-		want, _ := twoScan(stream, func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
-		samePlans(t, name, got, want)
-		if name == "everything retained" && len(got) != len(stream) {
-			t.Errorf("%s: %d of %d retained", name, len(got), len(stream))
+		got := pruneOf(g, stream)
+		samePlans(t, name, got, reference(g, stream))
+		if n, ok := retains[name]; ok && len(got) != n {
+			t.Errorf("%s: %d plans retained, want %d", name, len(got), n)
 		}
-	}
-}
-
-// TestFrontierExaminesFewerPlans is the deterministic stand-in for the
-// frontier's timing claim: on rand14.2 of the optimize_cold population the
-// bounded, nearest-cheaper-first scans examine at most 40 % of the retained
-// plans that Fig. 13's two scans in insertion order examine.
-func TestFrontierExaminesFewerPlans(t *testing.T) {
-	g, order, streams := candidateStreams(t, rand14dot2(), PhysModeHash)
-	frontier, reference, candidates := 0, 0, 0
-	for _, s := range order {
-		_, n := frontierOf(g, streams[s])
-		_, ref := twoScan(streams[s], func(a, b *plan.Plan) bool { return frontierDominates(g, a, b) })
-		frontier, reference, candidates = frontier+n, reference+ref, candidates+len(streams[s])
-	}
-	t.Logf("%d candidates: %.1f plans examined per candidate, the two-scan reference %.1f (%.0f %%)",
-		candidates, float64(frontier)/float64(candidates), float64(reference)/float64(candidates), 100*float64(frontier)/float64(reference))
-	if 10*frontier > 4*reference {
-		t.Errorf("the frontier examined %d plans, over 40 %% of the reference's %d", frontier, reference)
 	}
 }
 

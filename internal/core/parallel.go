@@ -62,14 +62,13 @@ func groupBySubset[S bitset.RelSet[S]](chunk []hypergraph.CsgCmpPair[S]) []subse
 
 // processSubset builds the complete DP-table entry for one subproblem key:
 // the per-pair step of the inline path over every pair of the task, folded
-// into a locally owned entry and sealed.
+// into a locally owned entry.
 func (g *generator[S]) processSubset(w *worker, task subsetTask[S]) (*entry, int) {
 	e := g.open(w, task.s)
 	built := 0
 	for _, pr := range task.pairs {
 		built += g.processPair(w, e, pr, task.s == g.all)
 	}
-	e.seal(w)
 	return e, built
 }
 

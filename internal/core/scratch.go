@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"sync"
 
 	"eagg/internal/bitset"
@@ -28,15 +27,12 @@ type worker struct {
 	jp    cost.JoinPreds
 	preds []*query.Predicate
 	touch []uint64
-	// row is the frontier row of the candidate EA-Prune is testing, cl the
-	// closures of its keys once closed says they are computed (see
-	// keyClosures), and cls those of plans retained in the building entries
-	// (see retainedClosures), of which there are building.
-	row      []float64
-	cl       []uint64
-	closed   bool
-	cls      []uint64
-	building int
+	// cl holds the closures of the keys of the candidate EA-Prune is
+	// testing once closed says they are computed (see keyClosures), cls
+	// those of the retained plan a key test needs them of.
+	cl     []uint64
+	closed bool
+	cls    []uint64
 
 	cand, fin plan.Plan
 	// gl holds the estimate of Γ(t1) for the current t1; gr those of
@@ -51,14 +47,10 @@ type worker struct {
 	// where the child is a table plan.
 	lNode, rNode **plan.Plan
 
-	// arena holds the survivors; free the root nodes dropped from an
-	// unsealed entry, which nothing else refers to; idle the frontiers of
-	// sealed entries, linked through next; spare the row buffers regrown
-	// frontiers left, spare[c] those of 1<<c floats.
+	// arena holds the survivors; free the root nodes EA-Prune dropped from
+	// the entry it was building, which nothing else refers to.
 	arena *arena
 	free  []*plan.Plan
-	idle  *frontier
-	spare [][][]float64
 }
 
 // arena is the chunked backing store a worker builds survivors in, so that
@@ -72,7 +64,6 @@ type arena struct {
 	vectors chunks[float64]
 	preds   chunks[*query.Predicate]
 	entries chunks[entry]
-	fronts  chunks[frontier]
 	words   chunks[uint64]
 }
 
@@ -141,7 +132,6 @@ func (w *worker) release() {
 	a.vectors.release()
 	a.preds.release()
 	a.entries.release()
-	a.fronts.release()
 	a.words.release()
 	arenaPool.Put(a)
 	w.arena = nil
@@ -173,35 +163,6 @@ func alloc[T any](c *chunks[T], chunk int) *T {
 	}
 	c.cur = c.cur[:len(c.cur)+1]
 	return &c.cur[len(c.cur)-1]
-}
-
-// growRows returns rows with room for n floats: rows itself if it has it,
-// else a buffer of the next power-of-two size — a spare one if there is
-// one — holding a copy of rows, whose own buffer becomes a spare.
-func (w *worker) growRows(rows []float64, n int) []float64 {
-	if cap(rows) >= n {
-		return rows
-	}
-	c := bits.Len(uint(n - 1))
-	w.spare = resize(w.spare, max(len(w.spare), c+1))
-	var buf []float64
-	if k := len(w.spare[c]) - 1; k >= 0 {
-		buf, w.spare[c] = w.spare[c][k], w.spare[c][:k]
-	} else {
-		buf = make([]float64, 0, 1<<c)
-	}
-	buf = append(buf, rows...)
-	w.giveRows(rows)
-	return buf
-}
-
-// giveRows makes a frontier row buffer, which growRows sized to a power of
-// two, a spare.
-func (w *worker) giveRows(rows []float64) {
-	if cap(rows) > 0 {
-		c := bits.Len(uint(cap(rows) - 1))
-		w.spare[c] = append(w.spare[c], rows[:0])
-	}
 }
 
 // node copies a scratch estimate into the arena, or into the node, key list

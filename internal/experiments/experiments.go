@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"eagg/internal/core"
@@ -254,15 +253,4 @@ func Fig18(cfg Config) *Figure {
 		fig.Points = append(fig.Points, Point{N: n, Values: map[string]float64{"H2/H1": h2 / h1}})
 	}
 	return fig
-}
-
-// SortedSeriesNames is a helper for deterministic printing of map-based
-// series.
-func SortedSeriesNames(vals map[string]float64) []string {
-	names := make([]string, 0, len(vals))
-	for k := range vals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

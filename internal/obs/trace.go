@@ -133,9 +133,6 @@ func (t *Trace) Spans() []Span { return t.spans }
 // Len returns the number of recorded spans.
 func (t *Trace) Len() int { return len(t.spans) }
 
-// Start returns a span's start offset as a duration.
-func (s Span) Start() time.Duration { return time.Duration(s.StartNS) }
-
 // Dur returns a span's duration (negative while still open).
 func (s Span) Dur() time.Duration { return time.Duration(s.DurNS) }
 
