@@ -37,10 +37,9 @@ type Graph[S bitset.RelSet[S]] struct {
 
 	// adj[i] is the neighbor mask of node i when every edge is simple;
 	// nil on hypergraphs and until ensureAdj runs. It turns the per-edge
-	// subset tests of IsConnected and of a neighborhood — four generic
-	// method calls per edge per round — into a handful of word-wide
-	// set operations per node. Built single-threaded at the start of
-	// the DPhyp enumeration, invalidated by AddEdge.
+	// subset tests of a neighborhood — four generic method calls per edge
+	// — into one word-wide union per node. Built single-threaded at the
+	// start of the DPhyp enumeration, invalidated by AddEdge.
 	adj []S
 
 	// inc is the incident-edge index behind Touch: row i is the touch set
@@ -152,62 +151,6 @@ func (g *Graph[S]) Connecting(dst []int, t1, t2 []uint64, s1, s2 S) []int {
 	return dst
 }
 
-// ConnectingEdges returns the indices of all edges connecting S1 and S2.
-func (g *Graph[S]) ConnectingEdges(s1, s2 S) []int {
-	return g.Connecting(nil, g.Touch(nil, s1), g.Touch(nil, s2), s1, s2)
-}
-
-// IsConnected reports whether S induces a connected subgraph under the
-// reachability notion: starting from min(S), grow by edges whose one
-// endpoint is inside the grown set and whose other endpoint lies fully
-// inside S. For simple graphs this coincides with the DP notion of
-// connectedness (Def. 3 / the recursive definition of the DPhyp paper).
-// For hypergraphs it is an approximation used only inside the DPhyp fast
-// path; the definitional notion is Buildable/BuildableSets below.
-func (g *Graph[S]) IsConnected(s S) bool {
-	if s.IsEmpty() {
-		return false
-	}
-	if s.IsSingleton() {
-		return true
-	}
-	if g.adj != nil {
-		// Simple-graph BFS over the precomputed neighbor masks: one
-		// Union per frontier node instead of four subset tests per edge
-		// per growth round.
-		reach := s.MinSet()
-		frontier := reach
-		for {
-			var nb S
-			for rem := frontier; !rem.IsEmpty(); {
-				i := rem.Min()
-				rem = rem.Remove(i)
-				nb = nb.Union(g.adj[i])
-			}
-			frontier = nb.Intersect(s).Diff(reach)
-			if frontier.IsEmpty() {
-				return reach == s
-			}
-			reach = reach.Union(frontier)
-		}
-	}
-	reach := s.MinSet()
-	for changed := true; changed; {
-		changed = false
-		for _, e := range g.Edges {
-			if e.Left.SubsetOf(reach) && e.Right.SubsetOf(s) && !e.Right.SubsetOf(reach) {
-				reach = reach.Union(e.Right)
-				changed = true
-			}
-			if e.Right.SubsetOf(reach) && e.Left.SubsetOf(s) && !e.Left.SubsetOf(reach) {
-				reach = reach.Union(e.Left)
-				changed = true
-			}
-		}
-	}
-	return reach == s
-}
-
 // adjOf returns the union of the neighbor masks of s's members on a simple
 // graph (g.adj non-nil): every neighbor is a single node, so 𝒩(S, X) is
 // adjOf(S) \ S \ X, and adjOf(S ∪ T) = adjOf(S) ∪ adjOf(T) lets the
@@ -248,10 +191,11 @@ func (g *Graph[S]) HasHyperedges() bool {
 // hypergraphs the representative/exclusion-set mechanism of textbook DPhyp
 // is incomplete when two hypernodes share a minimum element (the exclusion
 // set then blocks the smaller hypernode after the larger was offered), so
-// we switch to a provably complete closure-based enumeration: connected
-// sets are exactly the closure of singletons under "absorb the remainder
-// of an edge endpoint whose other endpoint is contained", and complements
-// are enumerated the same way within the exterior of each S1.
+// they run the closure of BuildableSets, complete by construction, in time
+// that follows its output (see buildableSets). Its pairs come out in
+// discovery order, which a stable counting sort by level keeps within each
+// level: the DP breaks cost ties in that order, so the order is pinned
+// (TestHypergraphPairSequence).
 func (g *Graph[S]) CsgCmpPairs() []CsgCmpPair[S] {
 	pairs, _, _ := g.CsgCmpPairsBudget(0)
 	return pairs
@@ -376,53 +320,126 @@ func (g *Graph[S]) BuildableSets() (family []S, pairs []CsgCmpPair[S]) {
 
 // buildableSets is BuildableSets with an emission budget (0 = unlimited);
 // complete=false means the closure was aborted mid-way.
+//
+// Each worklist head s is combined with family[:snapshot] in ascending
+// index order, snapshot being the family's length when s's turn begins.
+// The indexes that pass — t disjoint from s and linked to it by an edge —
+// are found a word at a time instead of by testing every t. A disjoint t
+// is linked to s iff it contains the far endpoint v of an edge whose other
+// endpoint lies in s and which misses s itself. So with one bitmap per
+// relation over family indexes (bit i of bm[x] set iff x ∈ family[i]), the
+// indexes to visit are ⋃_v ⋂_{x∈v} bm[x] minus ⋃_{x∈s} bm[x], in the order
+// the full scan met them. A pair (s, family[i]) with i before the head was
+// already emitted on i's turn iff s was within i's snapshot, which snap
+// records, so no pair set is kept.
 func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S], complete bool) {
-	inFamily := map[S]bool{}
-	seenPair := map[[2]S]bool{}
-	var queue []S
+	n := g.N
+	// Edge k's left endpoint lists ends[span[2k]:span[2k+1]], its right
+	// one ends[span[2k+1]:span[2k+2]].
+	ends, span := []int{}, make([]int, 1, 2*len(g.Edges)+1)
+	for _, e := range g.Edges {
+		ends = appendElems(ends, e.Left)
+		span = append(span, len(ends))
+		ends = appendElems(ends, e.Right)
+		span = append(span, len(ends))
+	}
+	inFamily := make(map[S]struct{}, 4*n)
+	// bm is block-major: words [b·n, b·n+n) hold bits 64b…64b+63 of every
+	// relation's bitmap, so a growing family appends a block.
+	var bm []uint64
 	add := func(s S) {
-		if !inFamily[s] {
-			inFamily[s] = true
-			family = append(family, s)
-			queue = append(queue, s)
+		if _, ok := inFamily[s]; ok {
+			return
+		}
+		inFamily[s] = struct{}{}
+		i := len(family)
+		family = append(family, s)
+		if i%64 == 0 {
+			bm = append(bm, make([]uint64, n)...)
+		}
+		blk := bm[i/64*n:]
+		for rem := s; !rem.IsEmpty(); {
+			x := rem.Min()
+			rem = rem.Remove(x)
+			blk[x] |= 1 << uint(i%64)
 		}
 	}
-	for i := 0; i < g.N; i++ {
+	for i := 0; i < n; i++ {
 		add(bitset.SingleIn[S](i))
 	}
-	for head := 0; head < len(queue); head++ {
-		s := queue[head]
-		// Snapshot length: sets added during this pass are processed on
-		// their own turn.
+	var snap []int
+	var far [][]int
+	var elems []int
+	for head := 0; head < len(family); head++ {
+		s := family[head]
+		// Sets added during this pass are combined on their own turn.
 		snapshot := len(family)
-		for i := 0; i < snapshot; i++ {
-			t := family[i]
-			if s.Intersects(t) || g.ConnectsSets(s, t) < 0 {
-				continue
+		snap = append(snap, snapshot)
+		far = far[:0]
+		for k, e := range g.Edges {
+			switch {
+			case e.Left.SubsetOf(s) && !e.Right.Intersects(s):
+				far = append(far, ends[span[2*k+1]:span[2*k+2]])
+			case e.Right.SubsetOf(s) && !e.Left.Intersects(s):
+				far = append(far, ends[span[2*k]:span[2*k+1]])
 			}
-			a, b := s, t
-			if a.Min() > b.Min() {
-				a, b = b, a
+		}
+		if len(far) == 0 {
+			continue
+		}
+		elems = appendElems(elems[:0], s)
+		for b := 0; b*64 < snapshot; b++ {
+			blk := bm[b*n : b*n+n]
+			var cand uint64
+			for _, v := range far {
+				w := ^uint64(0)
+				for _, x := range v {
+					w &= blk[x]
+				}
+				cand |= w
 			}
-			key := [2]S{a, b}
-			if !seenPair[key] {
-				seenPair[key] = true
-				pairs = append(pairs, CsgCmpPair[S]{S1: a, S2: b})
+			for _, x := range elems {
+				cand &^= blk[x]
+			}
+			if rest := snapshot - b*64; rest < 64 {
+				cand &= 1<<uint(rest) - 1
+			}
+			for ; cand != 0; cand &= cand - 1 {
+				i := b*64 + bits.TrailingZeros64(cand)
+				if i < head && head < snap[i] {
+					continue // emitted on i's turn
+				}
+				t := family[i]
+				a, c := s, t
+				if a.Min() > c.Min() {
+					a, c = c, a
+				}
+				pairs = append(pairs, CsgCmpPair[S]{S1: a, S2: c})
 				if budget > 0 && len(pairs) >= budget {
 					return family, pairs, false
 				}
+				add(s.Union(t))
 			}
-			add(s.Union(t))
 		}
 	}
 	return family, pairs, true
+}
+
+// appendElems appends the elements of s to dst in ascending order.
+func appendElems[S bitset.RelSet[S]](dst []int, s S) []int {
+	for rem := s; !rem.IsEmpty(); {
+		x := rem.Min()
+		rem = rem.Remove(x)
+		dst = append(dst, x)
+	}
+	return dst
 }
 
 // csgRec grows the connected set s1 (a1 = adjOf(s1), x ⊇ s1 the exclusion
 // set) by subsets of its neighborhood, emitting complements for every grown
 // set. On a simple graph a connected set united with any subset of its
 // neighborhood is connected by construction — no grown set needs
-// re-validating with IsConnected.
+// re-validating.
 func (en *pairEnum[S]) csgRec(s1, a1, x S) {
 	reps := a1.Diff(x)
 	if en.stop || reps.IsEmpty() {

@@ -43,38 +43,6 @@ func clique(n int) *Graph[bitset.Set64] {
 	return g
 }
 
-func TestIsConnected(t *testing.T) {
-	g := chain(5)
-	if !g.IsConnected(bitset.New64(1, 2, 3)) {
-		t.Error("contiguous chain segment must be connected")
-	}
-	if g.IsConnected(bitset.New64(0, 2)) {
-		t.Error("gap in chain must disconnect")
-	}
-	if !g.IsConnected(bitset.New64(3)) {
-		t.Error("singleton always connected")
-	}
-	if g.IsConnected(bitset.Empty64) {
-		t.Error("empty set is not connected")
-	}
-}
-
-func TestIsConnectedHyperedge(t *testing.T) {
-	// Hyperedge ({0,1},{2,3}): {0,1,2,3} is connected only together with
-	// the simple edges making each endpoint internally connected.
-	g := New[bitset.Set64](4)
-	g.AddSimpleEdge(0, 1, 0)
-	g.AddSimpleEdge(2, 3, 1)
-	g.AddEdge(bitset.New64(0, 1), bitset.New64(2, 3), 2)
-	if !g.IsConnected(bitset.New64(0, 1, 2, 3)) {
-		t.Error("hyperedge must connect the union")
-	}
-	// {0,2}: the hyperedge needs both 0,1 on one side; not connected.
-	if g.IsConnected(bitset.New64(0, 2)) {
-		t.Error("partial hypernodes must not connect")
-	}
-}
-
 func TestConnectsSets(t *testing.T) {
 	g := New[bitset.Set64](4)
 	g.AddEdge(bitset.New64(0, 1), bitset.New64(2), 7)
@@ -149,7 +117,7 @@ func TestEnumerationProperties(t *testing.T) {
 		if p.S1.Intersects(p.S2) {
 			t.Fatalf("overlapping pair %v %v", p.S1, p.S2)
 		}
-		if !g.IsConnected(p.S1) || !g.IsConnected(p.S2) {
+		if !g.Buildable(p.S1) || !g.Buildable(p.S2) {
 			t.Fatalf("disconnected pair %v %v", p.S1, p.S2)
 		}
 		if g.ConnectsSets(p.S1, p.S2) < 0 {
@@ -251,9 +219,10 @@ func TestConnectingEdges(t *testing.T) {
 	g.AddSimpleEdge(0, 1, 10)
 	g.AddSimpleEdge(1, 2, 11)
 	g.AddSimpleEdge(0, 2, 12)
-	got := g.ConnectingEdges(bitset.New64(0, 1), bitset.New64(2))
+	s1, s2 := bitset.New64(0, 1), bitset.New64(2)
+	got := g.Connecting(nil, g.Touch(nil, s1), g.Touch(nil, s2), s1, s2)
 	if len(got) != 2 {
-		t.Fatalf("ConnectingEdges = %v", got)
+		t.Fatalf("Connecting = %v", got)
 	}
 }
 
@@ -311,7 +280,8 @@ func connectingMatchesScan[S bitset.RelSet[S]](t *testing.T, name string, g *Gra
 	for _, p := range pairs {
 		want := scanConnecting(g, p.S1, p.S2)
 		buf = g.Connecting(buf[:0], g.Touch(nil, p.S1), g.Touch(nil, p.S2), p.S1, p.S2)
-		if fmt.Sprint(buf) != fmt.Sprint(want) || fmt.Sprint(g.ConnectingEdges(p.S2, p.S1)) != fmt.Sprint(want) {
+		mirror := g.Connecting(nil, g.Touch(nil, p.S2), g.Touch(nil, p.S1), p.S2, p.S1)
+		if fmt.Sprint(buf) != fmt.Sprint(want) || fmt.Sprint(mirror) != fmt.Sprint(want) {
 			t.Fatalf("%s (%v, %v): indexed lookup finds edges %v, the scan %v", name, p.S1, p.S2, buf, want)
 		}
 	}

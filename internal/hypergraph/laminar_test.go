@@ -91,28 +91,3 @@ func TestBuildableSetsMatchesBrute(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildableVsReachOnSimple: on simple graphs the reach-based and the
-// recursive connectivity notions coincide.
-func TestBuildableVsReachOnSimple(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(6)
-		g := New[bitset.Set64](n)
-		for i := 1; i < n; i++ {
-			g.AddSimpleEdge(rng.Intn(i), i, i)
-		}
-		for k := rng.Intn(3); k > 0; k-- {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddSimpleEdge(min(u, v), max(u, v), 0)
-			}
-		}
-		g.All().SubsetsAsc(func(s bitset.Set64) bool {
-			if g.IsConnected(s) != g.Buildable(s) {
-				t.Fatalf("trial %d: %v reach=%v buildable=%v", trial, s, g.IsConnected(s), g.Buildable(s))
-			}
-			return true
-		})
-	}
-}
