@@ -343,15 +343,17 @@ func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S],
 		ends = appendElems(ends, e.Right)
 		span = append(span, len(ends))
 	}
-	inFamily := make(map[S]struct{}, 4*n)
+	// A family holds its n singletons and, on conflict-detected graphs of
+	// random queries, typically a few times as many sets.
+	inFamily := make(map[S]bool, 4*n)
 	// bm is block-major: words [b·n, b·n+n) hold bits 64b…64b+63 of every
 	// relation's bitmap, so a growing family appends a block.
 	var bm []uint64
 	add := func(s S) {
-		if _, ok := inFamily[s]; ok {
+		if inFamily[s] {
 			return
 		}
-		inFamily[s] = struct{}{}
+		inFamily[s] = true
 		i := len(family)
 		family = append(family, s)
 		if i%64 == 0 {
