@@ -15,5 +15,6 @@ func EmitsOnce[S bitset.RelSet[S]](t *testing.T, name string, g *Graph[S]) int {
 // BuildableSetsBudget exposes the budgeted closure, whose pairs come in
 // emission order, before CsgCmpPairs sorts them by level.
 func (g *Graph[S]) BuildableSetsBudget(budget int) ([]S, []CsgCmpPair[S], bool) {
-	return g.buildableSets(budget)
+	family, refs, complete := g.buildableSets(budget)
+	return family, pairsOf(family, refs), complete
 }

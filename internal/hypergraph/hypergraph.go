@@ -212,25 +212,41 @@ func (g *Graph[S]) CsgCmpPairsBudget(budget int) (pairs []CsgCmpPair[S], emitted
 	if !g.HasHyperedges() {
 		return g.dphypPairs(budget)
 	}
-	_, pairs, complete = g.buildableSets(budget)
+	family, refs, complete := g.buildableSets(budget)
 	if !complete {
-		return nil, len(pairs), false
+		return nil, len(refs), false
 	}
-	// Stable counting sort by |S1 ∪ S2|: the key range is just [2, N].
+	// Stable counting sort by |S1 ∪ S2| straight into the exact-size
+	// result: the key range is just [2, N].
 	pos := make([]int, g.N+2)
-	for _, p := range pairs {
-		pos[p.S1.Len()+p.S2.Len()+1]++
+	for _, r := range refs {
+		pos[family[r.s1].Len()+family[r.s2].Len()+1]++
 	}
 	for l := 1; l < len(pos); l++ {
 		pos[l] += pos[l-1]
 	}
-	sorted := make([]CsgCmpPair[S], len(pairs))
-	for _, p := range pairs {
+	pairs = make([]CsgCmpPair[S], len(refs))
+	for _, r := range refs {
+		p := CsgCmpPair[S]{S1: family[r.s1], S2: family[r.s2]}
 		l := p.S1.Len() + p.S2.Len()
-		sorted[pos[l]] = p
+		pairs[pos[l]] = p
 		pos[l]++
 	}
-	return sorted, len(sorted), true
+	return pairs, len(pairs), true
+}
+
+// pairRef is a csg-cmp-pair of the hypergraph closure as the family
+// indexes of its two sides, oriented as the pair is: 8 bytes where the
+// pair itself takes two sets.
+type pairRef struct{ s1, s2 int32 }
+
+// pairsOf spells refs out over family, in their order.
+func pairsOf[S bitset.RelSet[S]](family []S, refs []pairRef) []CsgCmpPair[S] {
+	pairs := make([]CsgCmpPair[S], len(refs))
+	for i, r := range refs {
+		pairs[i] = CsgCmpPair[S]{S1: family[r.s1], S2: family[r.s2]}
+	}
+	return pairs
 }
 
 // dphypPairs runs the DPhyp enumeration on a simple graph (on hypergraphs
@@ -314,12 +330,13 @@ func (en *pairEnum[S]) run() {
 // for any valid pair (A, B), whichever of the two is processed later sees
 // the other already in the family.
 func (g *Graph[S]) BuildableSets() (family []S, pairs []CsgCmpPair[S]) {
-	family, pairs, _ = g.buildableSets(0)
-	return family, pairs
+	family, refs, _ := g.buildableSets(0)
+	return family, pairsOf(family, refs)
 }
 
-// buildableSets is BuildableSets with an emission budget (0 = unlimited);
-// complete=false means the closure was aborted mid-way.
+// buildableSets is BuildableSets with an emission budget (0 = unlimited)
+// and the pairs as family indexes; complete=false means the closure was
+// aborted mid-way.
 //
 // Each worklist head s is combined with family[:snapshot] in ascending
 // index order, snapshot being the family's length when s's turn begins.
@@ -332,7 +349,7 @@ func (g *Graph[S]) BuildableSets() (family []S, pairs []CsgCmpPair[S]) {
 // the full scan met them. A pair (s, family[i]) with i before the head was
 // already emitted on i's turn iff s was within i's snapshot, which snap
 // records, so no pair set is kept.
-func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S], complete bool) {
+func (g *Graph[S]) buildableSets(budget int) (family []S, refs []pairRef, complete bool) {
 	n := g.N
 	// Edge k's left endpoint lists ends[span[2k]:span[2k+1]], its right
 	// one ends[span[2k+1]:span[2k+2]].
@@ -412,19 +429,19 @@ func (g *Graph[S]) buildableSets(budget int) (family []S, pairs []CsgCmpPair[S],
 					continue // emitted on i's turn
 				}
 				t := family[i]
-				a, c := s, t
-				if a.Min() > c.Min() {
-					a, c = c, a
+				r := pairRef{int32(head), int32(i)}
+				if s.Min() > t.Min() {
+					r.s1, r.s2 = r.s2, r.s1
 				}
-				pairs = append(pairs, CsgCmpPair[S]{S1: a, S2: c})
-				if budget > 0 && len(pairs) >= budget {
-					return family, pairs, false
+				refs = append(refs, r)
+				if budget > 0 && len(refs) >= budget {
+					return family, refs, false
 				}
 				add(s.Union(t))
 			}
 		}
 	}
-	return family, pairs, true
+	return family, refs, true
 }
 
 // appendElems appends the elements of s to dst in ascending order.
