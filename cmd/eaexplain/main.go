@@ -193,6 +193,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.Stats.BoundPlansBuilt > 0 {
 			fmt.Fprintf(stdout, "bounded by an H1 pass of %d trees\n", res.Stats.BoundPlansBuilt)
 		}
+		if s := res.Stats; s.SkippedTrees+s.SkippedPairs > 0 {
+			fmt.Fprintf(stdout, "skipped by the bounds: %d trees, %d csg-cmp-pairs\n", s.SkippedTrees, s.SkippedPairs)
+		}
 		if res.Stats.PairBudgetExceeded {
 			fmt.Fprintf(stdout, "pair budget exceeded: plan built by the deterministic greedy fallback\n")
 		}

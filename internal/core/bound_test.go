@@ -69,6 +69,71 @@ func TestBoundMatchesUnbounded(t *testing.T) {
 	t.Logf("%d optimizations: %d plans retained with the bound, %d without", 4*count, retained, unretained)
 }
 
+// TestIncumbentBoundExact: skipping the trees and pairs whose inputs already
+// rank too high to enter their entry changes no plan and no retained set,
+// only the work. On random queries (seed 78, n = 4…13) in both physical
+// modes at Workers 1 and 2 — every level through the pool — every
+// generator returns with the bound the plan it returns without it,
+// plan.Equal, at the same cost, physical cost and table size, and builds
+// no more trees. The trees it leaves out are the ones it counts as skipped,
+// unless it skipped whole pairs. EA-All runs up to n = 8, where its table
+// stays small. Every DP worker reads its entries' incumbents, so the race
+// lane runs this test too.
+func TestIncumbentBoundExact(t *testing.T) {
+	count := 100
+	switch {
+	case core.RaceEnabled:
+		count = 10
+	case testing.Short():
+		count = 20
+	}
+	gens := []core.Options{
+		{Algorithm: core.AlgDPhyp}, {Algorithm: core.AlgH1},
+		{Algorithm: core.AlgH2, F: 1.03}, {Algorithm: core.AlgH2, F: 0.97},
+		{Algorithm: core.AlgBeam, BeamWidth: 4}, {Algorithm: core.AlgEAAll}, {Algorithm: core.AlgEAPrune},
+	}
+	rng := rand.New(rand.NewSource(78))
+	builtOn, builtOff := 0, 0
+	for i := 0; i < count; i++ {
+		q := randquery.Generate(rng, randquery.Params{Relations: 4 + i%10})
+		for _, o := range gens {
+			if o.Algorithm == core.AlgEAAll && len(q.Relations) > 8 {
+				continue
+			}
+			for _, phys := range []core.PhysMode{core.PhysModeHash, core.PhysModeSort} {
+				for _, workers := range []int{1, 2} {
+					o.Phys, o.Workers = phys, workers
+					on, err := core.OptimizeIncumbent(q, o, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					off, err := core.OptimizeIncumbent(q, o, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cell := fmt.Sprintf("query %d (n=%d, %v F=%v, %v, workers %d)", i, len(q.Relations), o.Algorithm, o.F, phys, workers)
+					if !plan.Equal(on.Plan, off.Plan) {
+						t.Fatalf("%s: the incumbent bound changes the plan\nwith:\n%v\nwithout:\n%v", cell, on.Plan, off.Plan)
+					}
+					if on.Plan.Cost != off.Plan.Cost || on.Plan.PhysCost != off.Plan.PhysCost || on.Stats.TablePlans != off.Stats.TablePlans {
+						t.Fatalf("%s: cost %v/%v, phys %v/%v, retained %d/%d with/without the bound", cell,
+							on.Plan.Cost, off.Plan.Cost, on.Plan.PhysCost, off.Plan.PhysCost, on.Stats.TablePlans, off.Stats.TablePlans)
+					}
+					considered, reference := on.Stats.PlansBuilt+on.Stats.SkippedTrees, off.Stats.PlansBuilt+off.Stats.SkippedTrees
+					if on.Stats.PlansBuilt > off.Stats.PlansBuilt || considered > reference ||
+						on.Stats.SkippedPairs == 0 && considered != reference || off.Stats.SkippedPairs != 0 {
+						t.Fatalf("%s: built %d, skipped %d trees and %d pairs with the bound; built %d, skipped %d trees and %d pairs without", cell,
+							on.Stats.PlansBuilt, on.Stats.SkippedTrees, on.Stats.SkippedPairs, off.Stats.PlansBuilt, off.Stats.SkippedTrees, off.Stats.SkippedPairs)
+					}
+					builtOn += on.Stats.PlansBuilt
+					builtOff += off.Stats.PlansBuilt
+				}
+			}
+		}
+	}
+	t.Logf("%d queries: %d trees built with the incumbent bound, %d without", count, builtOn, builtOff)
+}
+
 // TestOptimalityAtTen carries the root package's TestOptimalityInvariants
 // (seeds 1…20 at n ≤ 8, against unbounded EA-All) on to n = 9 and 10 for
 // the same seeds, within the same 60-pair budget: EA-All ≤ every generator,

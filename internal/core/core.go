@@ -160,6 +160,11 @@ type Stats struct {
 	// (see boundByH1); PlansBuilt leaves them out, so it stays comparable
 	// across generators.
 	BoundPlansBuilt int
+	// SkippedTrees and SkippedPairs count the trees, and the csg-cmp-pairs
+	// as a whole, that were never estimated because their inputs already
+	// ranked too high to enter their entry or to stay within the H1 bound
+	// (see excluded). Like PlansBuilt they leave out the H1 pass.
+	SkippedTrees, SkippedPairs int
 	// Levels holds one entry per sealed DP level, in processing order.
 	Levels []LevelStat
 	// PairBudgetExceeded reports that the csg-cmp-pair enumeration hit
@@ -242,6 +247,7 @@ func newGenerator[S bitset.RelSet[S]](q *query.Query, opts Options) *generator[S
 		parallelCutoff: dpParallelCutoff,
 		bounded:        opts.Algorithm == AlgEAPrune,
 		bound:          math.Inf(1),
+		incumbent:      true,
 	}
 	g.allV = g.all.ToV()
 	g.prepare()
@@ -282,6 +288,10 @@ type generator[S bitset.RelSet[S]] struct {
 	// drop a plan, +Inf without the pass.
 	bounded bool
 	bound   float64
+	// incumbent says whether consider and processPair skip what cannot
+	// enter its entry (see excluded); only the differential test turns it
+	// off.
+	incumbent bool
 
 	// aggSrc[i] is the set of relations aggregate i draws from; aggOK[i]
 	// whether it is decomposable.
@@ -433,6 +443,10 @@ func (g *generator[S]) run() (*Result, error) {
 		g.exact(pairs, workers)
 	}
 
+	for _, w := range g.ws {
+		g.stats.SkippedTrees += w.skippedTrees
+		g.stats.SkippedPairs += w.skippedPairs
+	}
 	best := g.table[g.all]
 	if best == nil || len(best.plans) == 0 {
 		return nil, errors.New("core: no plan found for the complete relation set (conflicting query graph)")
@@ -500,6 +514,9 @@ func (g *generator[S]) boundByH1(pairs []hypergraph.CsgCmpPair[S], workers int) 
 	}
 	g.stats.BoundPlansBuilt, g.stats.PlansBuilt = g.stats.PlansBuilt, 0
 	g.stats.Levels = g.stats.Levels[:0]
+	for _, w := range g.ws {
+		w.skippedTrees, w.skippedPairs = 0, 0
+	}
 }
 
 // forEachLevel calls fn once per DP level with the contiguous slice of
@@ -547,6 +564,14 @@ func (g *generator[S]) processPair(w *worker, e *entry, pr hypergraph.CsgCmpPair
 		// The enumeration may emit pairs whose components are not
 		// buildable (or were blocked by applicability); skip them.
 		return 0
+	}
+	// Every tree of the pair ranks at least as high as the cheapest plans
+	// of its two sides together, so when those cannot enter e no tree can.
+	if g.incumbent {
+		if lo := g.minRank(e1) + g.minRank(e2); lo > g.bound || g.excluded(e, lo, -1, topLevel) {
+			w.skippedPairs++
+			return 0
+		}
 	}
 	// The connecting edges, ascending, found once per pair: they select
 	// the operators below and carry the predicates of every tree built —
@@ -648,16 +673,62 @@ func (g *generator[S]) insertTopLevelPlan(w *worker, e *entry, t *plan.Plan) {
 	}
 }
 
+// excluded reports whether e's retention policy rejects every tree that
+// ranks at least lo — its inputs' ranks summed (see boundByH1) — and has
+// eagerness et (any eagerness when et < 0), so that consider need not
+// estimate it. Only a policy that keeps a fixed number of plans per plan
+// class can say so: the top level of every generator, which keeps one plan
+// by plain rank, and insertBest in the hash mode, where an entry is one
+// class. A full class rejects t when t does not rank before its last plan
+// (compareAdjusted is non-decreasing in t's rank, F > 0), ties included,
+// since ties keep the plan enumerated first. EA-All and EA-Prune below the
+// top keep lists and never exclude.
+func (g *generator[S]) excluded(e *entry, lo float64, et int, topLevel bool) bool {
+	k := 1
+	switch {
+	case len(e.plans) == 0:
+		return false
+	case topLevel:
+		return lo >= g.rank(e.plans[0])
+	case g.physOn() || g.opts.Algorithm == AlgEAAll || g.opts.Algorithm == AlgEAPrune:
+		return false
+	case g.opts.Algorithm == AlgBeam:
+		k = g.opts.BeamWidth
+	}
+	if len(e.plans) < k {
+		return false
+	}
+	last := e.plans[len(e.plans)-1]
+	if et < 0 && g.opts.Algorithm == AlgH2 {
+		return !g.ranksBefore(lo, 0, last) && !g.ranksBefore(lo, 1, last) && !g.ranksBefore(lo, 2, last)
+	}
+	return !g.ranksBefore(lo, et, last)
+}
+
+// minRank returns the lowest rank among e's plans.
+func (g *generator[S]) minRank(e *entry) float64 {
+	m := g.rank(e.plans[0])
+	for _, p := range e.plans[1:] {
+		m = min(m, g.rank(p))
+	}
+	return m
+}
+
 // compareAdjusted reports whether t ranks strictly before cur in their
 // plan class. H2 implements Fig. 12: it biases the comparison toward more
 // eager plans using the tolerance factor F. DPhyp, H1 and Beam compare
 // plain rank.
 func (g *generator[S]) compareAdjusted(t, cur *plan.Plan) bool {
-	rt, rc := g.rank(t), g.rank(cur)
+	return g.ranksBefore(g.rank(t), t.Eagerness(), cur)
+}
+
+// ranksBefore is compareAdjusted for a plan of rank rt and eagerness et.
+func (g *generator[S]) ranksBefore(rt float64, et int, cur *plan.Plan) bool {
+	rc := g.rank(cur)
 	if g.opts.Algorithm != AlgH2 {
 		return rt < rc
 	}
-	et, ec := t.Eagerness(), cur.Eagerness()
+	ec := cur.Eagerness()
 	f := g.opts.F
 	switch {
 	case et == ec:

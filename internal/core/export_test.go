@@ -33,3 +33,18 @@ func OptimizeBounded(q *query.Query, opts Options, bounded bool) (*Result, error
 	defer g.release()
 	return g.run()
 }
+
+// OptimizeIncumbent is Optimize on a query of at most 63 relations with the
+// incumbent bound (see excluded) switched on or off, and with every level
+// of a Workers > 1 run through the pool. Off, consider and processPair
+// estimate every tree within the H1 bound, the reference the incumbent
+// bound must not change.
+func OptimizeIncumbent(q *query.Query, opts Options, on bool) (*Result, error) {
+	if err := checkOptions(q, &opts); err != nil {
+		return nil, err
+	}
+	g := newGenerator[bitset.Set64](q, opts)
+	g.incumbent, g.parallelCutoff = on, 0
+	defer g.release()
+	return g.run()
+}

@@ -77,10 +77,11 @@ func resize[T any](s []T, n int) []T {
 // a completed tree through finalizeEach. lNode/rNode are the node-cache
 // slots of scratch children. A tree would rank at least as high as its
 // inputs together (see boundByH1), so when they already rank above
-// g.bound it is not built at all; consider returns the number of trees it
-// built, 0 or 1.
+// g.bound, or at or above what e keeps (see excluded), it is not built at
+// all; consider returns the number of trees it built, 0 or 1.
 func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *plan.Plan, lNode, rNode **plan.Plan, topLevel bool) int {
-	if g.rank(l)+g.rank(r) > g.bound {
+	if lo := g.rank(l) + g.rank(r); lo > g.bound || g.incumbent && g.excluded(e, lo, eagerness(l, r), topLevel) {
+		w.skippedTrees++
 		return 0
 	}
 	w.est.EstimateOp(&w.cand, kind, &w.jp, l, r)
@@ -94,6 +95,18 @@ func (g *generator[S]) consider(w *worker, e *entry, kind query.OpKind, l, r *pl
 		g.insert(w, e, &w.cand)
 	}
 	return 1
+}
+
+// eagerness is the Eagerness of an operator tree over l and r.
+func eagerness(l, r *plan.Plan) int {
+	e := 0
+	if l.Kind == plan.NodeGroup {
+		e++
+	}
+	if r.Kind == plan.NodeGroup {
+		e++
+	}
+	return e
 }
 
 // pushedGroup estimates the pushed grouping over t into dst; dst.Left

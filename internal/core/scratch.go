@@ -51,6 +51,10 @@ type worker struct {
 	// the entry it was building, which nothing else refers to.
 	arena *arena
 	free  []*plan.Plan
+
+	// skippedTrees and skippedPairs count what consider and processPair
+	// declined to estimate (Stats.SkippedTrees, SkippedPairs).
+	skippedTrees, skippedPairs int
 }
 
 // arena is the chunked backing store a worker builds survivors in, so that
