@@ -70,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "eaexplain: -workers must be ≥ 0 (0 = GOMAXPROCS), got %d\n", *workers)
+		return 2
+	}
 	if *pairBudget < 0 {
 		fmt.Fprintf(stderr, "eaexplain: -pair-budget must be ≥ 0, got %d\n", *pairBudget)
 		return 2

@@ -17,6 +17,7 @@ func TestExplainFlagHygiene(t *testing.T) {
 	}{
 		{"no selection", []string{}, "need -demo or -spec"},
 		{"unknown demo", []string{"-demo", "q99"}, "unknown demo"},
+		{"negative workers", []string{"-demo", "q3", "-workers", "-3"}, "-workers must be ≥ 0 (0 = GOMAXPROCS), got -3"},
 		{"negative pair budget", []string{"-demo", "q3", "-pair-budget", "-1"}, "-pair-budget must be"},
 		{"pair budget on small demo", []string{"-demo", "q3", "-pair-budget", "1000"}, "-pair-budget requires"},
 		{"sf without analyze", []string{"-demo", "q3", "-sf", "2"}, "-sf requires -analyze"},

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"eagg/internal/bitset"
 	"eagg/internal/plan"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
@@ -111,4 +114,122 @@ func sameProfiles(a, b *plan.Plan) bool {
 		return a == b
 	}
 	return slices.Equal(a.Profile, b.Profile) && sameProfiles(a.Left, b.Left) && sameProfiles(a.Right, b.Right)
+}
+
+// TestReleasedWorkerKeepsNoRun: a worker goes back to the pool with its
+// buffers and its arena's spare chunks, and may sit there through several
+// collections, so it must hold no pointer into the run it served — one
+// would keep that run's chunks, and with them every plan, alive. The check
+// walks every field of every worker of a run, slices up to their capacity,
+// so a field added to worker (or to plan.Plan or cost.JoinPreds) that
+// release does not clear fails here. The runs cover the pool's workers
+// (EA-Prune's free list, the pushed groupings), the sort layer's orders
+// and merge keys, and keys beyond 64 attributes, whose sets hold a string.
+func TestReleasedWorkerKeepsNoRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    interface {
+			run() (*Result, error)
+			workers() []*worker
+			release()
+		}
+	}{
+		{"rand14.2/EA-Prune", pooledGenerator(rand14dot2(), Options{Algorithm: AlgEAPrune, Workers: 2})},
+		{"rand8.0/sort/EA-Prune", pooledGenerator(scanOrdered(randquery.Generate(rand.New(rand.NewSource(1)), randquery.Params{Relations: 8})), Options{Algorithm: AlgEAPrune, Workers: 2, Phys: PhysModeSort})},
+		{"chain70/H1", newGenerator[bitset.VSet](randquery.Chain(70), Options{Algorithm: AlgH1, Workers: 1})},
+	} {
+		if _, err := c.g.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ws := c.g.workers()
+		// Before release the driver's worker holds the run, or the check
+		// below would prove nothing.
+		if stray := strayPointer(reflect.ValueOf(ws[0]).Elem(), "worker"); stray == "" {
+			t.Fatalf("%s: the driver's worker holds no pointer before release", c.name)
+		}
+		c.g.release()
+		for i, w := range ws {
+			if stray := strayPointer(reflect.ValueOf(w).Elem(), "worker"); stray != "" {
+				t.Errorf("%s: released worker %d holds %s", c.name, i, stray)
+			}
+			if len(w.arena.plans.spare) == 0 {
+				t.Errorf("%s: released worker %d keeps no spare plan chunk", c.name, i)
+			}
+		}
+	}
+}
+
+// scanOrdered declares every single-attribute key of q a scan order, as
+// the TPC-H queries do, so that the sort layer has orders to carry.
+func scanOrdered(q *query.Query) *query.Query {
+	for r, rel := range q.Relations {
+		for _, k := range rel.Keys {
+			if k.Len() == 1 {
+				q.SetScanOrder(r, k.Min())
+			}
+		}
+	}
+	return q
+}
+
+// workers returns the run's workers, the driver's first.
+func (g *generator[S]) workers() []*worker { return slices.Clone(g.ws) }
+
+// ownBuffers names the slices a released worker keeps: their arrays belong
+// to the worker, which reuses them in its next run. Any other slice must be
+// nil. Elements are checked either way.
+var ownBuffers = map[string]bool{
+	"worker.edges": true, "worker.touch": true, "worker.cl": true, "worker.cls": true,
+	"worker.jp.Preds": true, "worker.jp.cl.words": true,
+	"worker.cand.Keys": true, "worker.cand.Profile": true,
+	"worker.fin.Keys": true, "worker.fin.Profile": true,
+	"worker.gl.Keys": true, "worker.gl.Profile": true,
+	"worker.gr": true, "worker.gr.Keys": true, "worker.gr.Profile": true,
+	"worker.grNode": true, "worker.free": true,
+}
+
+// strayPointer returns the path of the first pointer v holds, "" if there
+// is none: a non-nil pointer, map, function or interface, a non-empty
+// string, or a slice that is not one of ownBuffers (or of an arena list's
+// chunks); slices are walked up to their capacity.
+func strayPointer(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Func, reflect.Interface, reflect.Chan, reflect.UnsafePointer:
+		if !v.IsNil() {
+			return path
+		}
+	case reflect.String:
+		if v.Len() > 0 {
+			return path
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if s := strayPointer(v.Field(i), path+"."+v.Type().Field(i).Name); s != "" {
+				return s
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if s := strayPointer(v.Index(i), path); s != "" {
+				return s
+			}
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return ""
+		}
+		// An arena list keeps its spare chunks, and the array of its full
+		// list, emptied.
+		arenaList := strings.HasPrefix(path, "worker.arena.")
+		if !ownBuffers[path] && !(arenaList && (strings.HasSuffix(path, ".spare") || strings.HasSuffix(path, ".full"))) {
+			return path
+		}
+		all := v.Slice3(0, v.Cap(), v.Cap())
+		for i := 0; i < all.Len(); i++ {
+			if s := strayPointer(all.Index(i), path); s != "" {
+				return s
+			}
+		}
+	}
+	return ""
 }

@@ -115,7 +115,8 @@ type Options struct {
 	// so the same plans in both physical modes.
 	BeamWidth int
 	// Workers is the number of goroutines the DP driver uses. 0 selects
-	// GOMAXPROCS; 1 runs every level inline, the reference path. The
+	// GOMAXPROCS; 1 runs every level inline, the reference path; a
+	// negative count is an error. The
 	// driver buckets csg-cmp-pairs by result-set cardinality and seals
 	// one level at a time, so any worker count produces plans
 	// bit-identical to the Workers: 1 run (see parallel.go).
@@ -218,6 +219,9 @@ func checkOptions(q *query.Query, opts *Options) error {
 	// !(F > 0) holds for NaN too.
 	if f := opts.F; opts.Algorithm == AlgH2 && (!(f > 0) || math.IsInf(f, 1)) {
 		return fmt.Errorf("core: H2 requires a finite tolerance factor F > 0, got %v", f)
+	}
+	if opts.Workers < 0 {
+		return fmt.Errorf("core: Workers must be ≥ 0 (0 selects GOMAXPROCS), got %d", opts.Workers)
 	}
 	if opts.Algorithm == AlgBeam && opts.BeamWidth <= 0 {
 		opts.BeamWidth = 4
@@ -337,11 +341,13 @@ func (g *generator[S]) prepare() {
 		g.finalKeyAttrs = g.est.Local().Closure(g.allV, g.q.GroupBy)
 	}
 	g.pushes = g.opts.Algorithm != AlgDPhyp && g.q.HasGrouping
-	for _, op := range g.det.Ops {
+	n := len(g.det.Ops)
+	sets := make([]bitset.VSet, 4*n)
+	g.predAttrs, g.predL, g.predR, g.predRels = sets[:n:n], sets[n:2*n:2*n], sets[2*n:3*n:3*n], sets[3*n:]
+	for i, op := range g.det.Ops {
 		pa := op.Node.Pred.Attrs()
-		g.predAttrs = append(g.predAttrs, pa)
-		g.predL, g.predR = append(g.predL, op.Node.Pred.LeftAttrs()), append(g.predR, op.Node.Pred.RightAttrs())
-		g.predRels = append(g.predRels, g.q.RelsOf(pa))
+		g.predAttrs[i], g.predL[i], g.predR[i] = pa, op.Node.Pred.LeftAttrs(), op.Node.Pred.RightAttrs()
+		g.predRels[i] = g.q.RelsOf(pa)
 		if op.Node.Kind == query.KindGroupJoin {
 			g.gjRight = g.gjRight.Union(op.RightRels.ToV())
 		}
@@ -363,16 +369,18 @@ func (g *generator[S]) pairBudget() int {
 }
 
 // scans is component 1: initial access paths (Fig. 5, lines 1-2), entered
-// through the retention policy like every other plan.
+// through the retention policy like every other plan: estimated into the
+// driver's scratch, kept in its arena.
 func (g *generator[S]) scans() {
+	w := g.w0
 	for r := range g.q.Relations {
-		p := g.est.Scan(r)
+		w.est.EstimateScan(&w.fin, r)
 		if g.physOn() {
-			g.est.PhysifyScan(p) // contractual scan order, zero overhead
+			w.est.PhysifyScan(&w.fin) // contractual scan order, zero overhead
 		}
 		s := bitset.SingleIn[S](r)
-		e := g.open(g.w0, s)
-		g.insert(g.w0, e, p)
+		e := g.open(w, s)
+		g.insert(w, e, &w.fin)
 		g.table[s] = e
 	}
 }
@@ -384,6 +392,7 @@ func (g *generator[S]) scans() {
 // where groupings can be pushed, its G⁺.
 func (g *generator[S]) open(w *worker, s S) *entry {
 	e := w.newEntry()
+	e.plans = e.first[:0]
 	w.touch = g.det.Graph.Touch(w.touch[:0], s)
 	e.touch = take(nil, &w.arena.words, w.touch, 512)
 	if g.pushes {
@@ -436,7 +445,7 @@ func (g *generator[S]) run() (*Result, error) {
 		g.runGreedy()
 	} else {
 		workers := g.opts.Workers
-		if workers <= 0 {
+		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		g.stats.Workers = workers
@@ -457,13 +466,13 @@ func (g *generator[S]) run() (*Result, error) {
 		}
 	}
 	g.stats.TablePlans++
-	// The winner leaves the run's arenas, which go back to the pool when
-	// optimizeAs returns.
+	// The winner leaves the run's arenas, whose workers go back to the
+	// pool when optimizeAs returns.
 	return &Result{Plan: detach(best.plans[0]), Stats: g.stats}, nil
 }
 
-// release hands every worker's arena back to the pool, on every path out
-// of optimizeAs: nothing the DP table holds may be read afterwards.
+// release hands every worker back to the pool, on every path out of
+// optimizeAs: nothing the DP table holds may be read afterwards.
 func (g *generator[S]) release() {
 	for _, w := range g.ws {
 		w.release()

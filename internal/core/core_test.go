@@ -225,6 +225,7 @@ func TestH2RequiresF(t *testing.T) {
 // including the retired auto mode's old value 2, is an error, as is the
 // name "auto". So is an H2 tolerance factor that is not a finite number:
 // under NaN no comparison would prefer a tree of different eagerness.
+// So is a negative worker count (0 selects GOMAXPROCS).
 func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
 	q := motivatingQuery()
 	for _, c := range []struct {
@@ -239,6 +240,8 @@ func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
 		{"NaN", Options{Algorithm: AlgH2, F: math.NaN()}},
 		{"+Inf", Options{Algorithm: AlgH2, F: math.Inf(1)}},
 		{"-Inf", Options{Algorithm: AlgH2, F: math.Inf(-1)}},
+		{"-1", Options{Algorithm: AlgEAPrune, Workers: -1}},
+		{"-3", Options{Algorithm: AlgH1, Workers: -3}},
 	} {
 		if res, err := Optimize(q, c.opts); err == nil {
 			t.Errorf("%s: Optimize returned a plan, want an error:\n%v", c.name, res.Plan)

@@ -7,9 +7,12 @@ import (
 )
 
 // entry is one DP-table cell: the plans retained for a relation set, in
-// insertion order, with the set's touch set and G⁺ (see open).
+// insertion order, with the set's touch set and G⁺ (see open). first backs
+// plans until a second plan joins, so an entry of a single-plan generator
+// allocates no list.
 type entry struct {
 	plans []*plan.Plan
+	first [1]*plan.Plan
 	touch []uint64
 	gp    bitset.VSet
 }

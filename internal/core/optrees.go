@@ -25,8 +25,10 @@ func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S]
 	t1s, t2s := e1.plans, e2.plans
 	kind := op.Node.Kind
 
-	w.gr, w.grNode = resize(w.gr, len(t2s)), resize(w.grNode, len(t2s))
-	clear(w.grNode)
+	if len(w.gr) < len(t2s) {
+		w.gr, w.grNode = resize(w.gr, len(t2s)), resize(w.grNode, len(t2s))
+	}
+	clear(w.grNode[:len(t2s)])
 	var gpL, gpR bitset.VSet
 	pushL, pushR := false, false
 	if g.pushes {
@@ -64,7 +66,9 @@ func (g *generator[S]) buildInto(w *worker, e, e1, e2 *entry, op *conflict.Op[S]
 }
 
 // resize returns s with length n, reusing its backing array (and so the
-// key and vector buffers of scratch nodes) when it is large enough.
+// key and vector buffers of scratch nodes) when it is large enough. The
+// elements past len(s) must be zero, as the worker keeps those of gr and
+// grNode (see release).
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		s = append(s[:cap(s)], make([]T, n-cap(s))...)

@@ -11,13 +11,14 @@ import (
 
 // worker is the state of one DP goroutine: its estimator, the scratch
 // nodes a candidate is estimated into before any retention policy has
-// seen it, and the arena the survivors are copied to, which it borrows
-// from arenaPool for the run. A candidate of one (pair, operator) is the
-// operator tree in cand — over table plans or over the pushed groupings
-// estimated in gl/gr — and, when it completes the query, its final
-// grouping or projection in fin. Policies read those
-// nodes like any plan and call keep on the ones they retain; the ~94% an
-// EA-Prune run rejects are never allocated.
+// seen it, and the arena the survivors are copied to. Workers outlive
+// their runs: newWorker takes one from workerPool with the buffers and
+// arena chunks an earlier run grew, and release hands it back. A
+// candidate of one (pair, operator) is the operator tree in cand — over
+// table plans or over the pushed groupings estimated in gl/gr — and, when
+// it completes the query, its final grouping or projection in fin.
+// Policies read those nodes like any plan and call keep on the ones they
+// retain; the ~94% an EA-Prune run rejects are never allocated.
 type worker struct {
 	est *cost.Estimator
 	// edges holds the current pair's connecting edges, jp their predicates;
@@ -34,11 +35,14 @@ type worker struct {
 	closed bool
 	cls    []uint64
 
+	// fin also holds each scan estimate until the scan is kept (see scans).
 	cand, fin plan.Plan
 	// gl holds the estimate of Γ(t1) for the current t1; gr those of
 	// Γ(t2), one per t2 of the operator. Left == nil marks a grouping that
 	// is invalid or unnecessary. glNode/grNode cache the node built for an
-	// estimate under its first surviving tree.
+	// estimate under its first surviving tree. gr and grNode are as long
+	// as the most t2s an operator of the run had, so that release clears
+	// what the run used and no more.
 	gl     plan.Plan
 	gr     []plan.Plan
 	glNode *plan.Plan
@@ -48,8 +52,9 @@ type worker struct {
 	lNode, rNode **plan.Plan
 
 	// arena holds the survivors; free the root nodes EA-Prune dropped from
-	// the entry it was building, which nothing else refers to.
-	arena *arena
+	// the entry it was building, which nothing else refers to (a node
+	// taken off it leaves nil behind).
+	arena arena
 	free  []*plan.Plan
 
 	// skippedTrees and skippedPairs count what consider and processPair
@@ -57,11 +62,15 @@ type worker struct {
 	skippedTrees, skippedPairs int
 }
 
+// workerPool holds the workers of finished runs. A sync.Pool drops what it
+// holds within two collections, so an idle process gives the memory back.
+var workerPool = sync.Pool{New: func() any { return new(worker) }}
+
 // arena is the chunked backing store a worker builds survivors in, so that
 // a survivor costs a copy, not one allocation per node, key list and
-// vector. It outlives the run: once run() has detached the winner,
-// optimizeAs has every worker release its arena, cleared, to arenaPool,
-// and the next run on any goroutine takes it from there.
+// vector. It outlives the run with its worker: once run() has detached
+// the winner, optimizeAs releases every worker, and release clears the
+// chunks for the next run on any goroutine.
 type arena struct {
 	plans   chunks[plan.Plan]
 	keys    chunks[bitset.VSet]
@@ -71,15 +80,12 @@ type arena struct {
 	words   chunks[uint64]
 }
 
-// arenaPool holds the arenas of finished runs. A sync.Pool drops what it
-// holds within two collections, so an idle process gives the memory back.
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
-
-// maxPooledChunks is how many chunks per list an arena keeps when it goes
-// back to the pool. A large run fills hundreds of chunks, and keeping them
-// all holds on to the memory of the largest run each worker ever made
-// (optimize_cold's peak RSS read up to 17 % higher). Sixteen keep every
-// chunk of a small run, which is what serving plan-cache misses repeats.
+// maxPooledChunks is how many chunks per list an arena keeps when its
+// worker goes back to the pool. A large run fills hundreds of chunks, and
+// keeping them all holds on to the memory of the largest run each worker
+// ever made (optimize_cold's peak RSS read up to 17 % higher). Sixteen
+// keep every chunk of a small run, which is what serving plan-cache misses
+// repeats.
 const maxPooledChunks = 16
 
 // chunks is one list of an arena: the chunk being filled, the chunks this
@@ -121,24 +127,54 @@ func (c *chunks[T]) release() {
 	c.cur, c.full = nil, c.full[:0]
 }
 
-// newWorker returns a worker estimating through est, with an arena from
-// the pool.
-func newWorker(est *cost.Estimator) *worker {
-	return &worker{est: est, arena: arenaPool.Get().(*arena)}
-}
-
-// release hands the worker's arena back to the pool. Nothing the run built
-// may be read afterwards.
-func (w *worker) release() {
-	a := w.arena
+// release readies every list of the arena for the next run.
+func (a *arena) release() {
 	a.plans.release()
 	a.keys.release()
 	a.vectors.release()
 	a.preds.release()
 	a.entries.release()
 	a.words.release()
-	arenaPool.Put(a)
-	w.arena = nil
+}
+
+// newWorker returns a worker estimating through est, from the pool.
+func newWorker(est *cost.Estimator) *worker {
+	w := workerPool.Get().(*worker)
+	w.est = est
+	return w
+}
+
+// release hands the worker back to the pool. Nothing the run built may be
+// read afterwards. It keeps the worker's buffers and its arena's cleared
+// chunks, and clears every pointer into the run: a pooled worker that held
+// one would keep chunks of the run alive beyond the spares (optimize_cold's
+// peak RSS read 172–223 MB without the clearing, 138–177 with it).
+func (w *worker) release() {
+	w.arena.release()
+	w.est, w.preds = nil, nil
+	clear(w.jp.Preds[:cap(w.jp.Preds)])
+	w.jp.Reset()
+	clear(w.free)
+	w.free = w.free[:0]
+	clearScratch(&w.cand)
+	clearScratch(&w.fin)
+	clearScratch(&w.gl)
+	for i := range w.gr {
+		clearScratch(&w.gr[i])
+	}
+	clear(w.grNode)
+	w.gr, w.grNode = w.gr[:0], w.grNode[:0]
+	w.glNode, w.lNode, w.rNode = nil, nil, nil
+	w.closed, w.skippedTrees, w.skippedPairs = false, 0, 0
+	workerPool.Put(w)
+}
+
+// clearScratch zeroes a scratch node but for its Keys and Profile buffers,
+// whose contents it clears too: a key beyond 64 attributes holds a string.
+func clearScratch(p *plan.Plan) {
+	keys := p.Keys[:cap(p.Keys)]
+	clear(keys)
+	*p = plan.Plan{Keys: keys[:0], Profile: p.Profile[:0]}
 }
 
 // take copies src into old, a slice taken earlier that nothing refers to
@@ -175,7 +211,8 @@ func alloc[T any](c *chunks[T], chunk int) *T {
 func (w *worker) node(t *plan.Plan) *plan.Plan {
 	var n *plan.Plan
 	if k := len(w.free) - 1; k >= 0 {
-		n, w.free = w.free[k], w.free[:k]
+		n, w.free[k] = w.free[k], nil
+		w.free = w.free[:k]
 	} else {
 		n = alloc(&w.arena.plans, 64)
 	}
@@ -220,16 +257,55 @@ func (w *worker) child(p *plan.Plan, slot **plan.Plan) *plan.Plan {
 
 // detach returns a copy of the tree that shares no memory with any arena:
 // its nodes, and the three slices an arena can back — Keys, Profile and
-// Preds. MergeL, MergeR and Ord never point into one: the estimator
-// allocates them per candidate or takes them from its order analysis.
+// Preds — each carved out of one slab per tree, so that a result costs
+// four allocations, not four per node. MergeL, MergeR and Ord never point
+// into an arena: the estimator allocates them per candidate or takes them
+// from its order analysis.
 func detach(p *plan.Plan) *plan.Plan {
+	n, k, v, q := treeSize(p)
+	s := slab{make([]plan.Plan, 0, n), make([]bitset.VSet, 0, k), make([]float64, 0, v), make([]*query.Predicate, 0, q)}
+	return s.copy(p)
+}
+
+// treeSize returns the number of nodes of p and the lengths of their Keys,
+// Profile and Preds summed.
+func treeSize(p *plan.Plan) (nodes, keys, vectors, preds int) {
+	if p == nil {
+		return 0, 0, 0, 0
+	}
+	ln, lk, lv, lq := treeSize(p.Left)
+	rn, rk, rv, rq := treeSize(p.Right)
+	return 1 + ln + rn, len(p.Keys) + lk + rk, len(p.Profile) + lv + rv, len(p.Preds) + lq + rq
+}
+
+// slab is the memory of one detached tree, sized by treeSize.
+type slab struct {
+	nodes   []plan.Plan
+	keys    []bitset.VSet
+	vectors []float64
+	preds   []*query.Predicate
+}
+
+func (s *slab) copy(p *plan.Plan) *plan.Plan {
 	if p == nil {
 		return nil
 	}
-	c := *p
-	c.Keys = append([]bitset.VSet(nil), p.Keys...)
-	c.Profile = append([]float64(nil), p.Profile...)
-	c.Preds = append([]*query.Predicate(nil), p.Preds...)
-	c.Left, c.Right = detach(p.Left), detach(p.Right)
-	return &c
+	s.nodes = append(s.nodes, *p)
+	c := &s.nodes[len(s.nodes)-1]
+	c.Keys, s.keys = carve(s.keys, p.Keys)
+	c.Profile, s.vectors = carve(s.vectors, p.Profile)
+	c.Preds, s.preds = carve(s.preds, p.Preds)
+	c.Left, c.Right = s.copy(p.Left), s.copy(p.Right)
+	return c
+}
+
+// carve appends src to the slab and returns the copy, capacity clipped,
+// and the slab; an empty src copies to nil.
+func carve[T any](slab, src []T) (cp, rest []T) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	n := len(slab)
+	slab = append(slab, src...)
+	return slab[n:len(slab):len(slab)], slab
 }

@@ -139,20 +139,33 @@ func (e *Estimator) canonCardSlow(s bitset.VSet) float64 {
 	return maxf(1, c)
 }
 
-// Scan builds a leaf plan for a base relation. Scanning is free under
-// C_out (the scan cost would be the same constant in every plan).
+// Scan builds a leaf plan for a base relation: EstimateScan into a fresh
+// allocation.
 func (e *Estimator) Scan(rel int) *plan.Plan {
+	p := new(plan.Plan)
+	e.EstimateScan(p, rel)
+	return p
+}
+
+// EstimateScan estimates the scan of a base relation into dst, under the
+// buffer contract of EstimateOp. Scanning is free under C_out (the scan
+// cost would be the same constant in every plan).
+func (e *Estimator) EstimateScan(dst *plan.Plan, rel int) {
 	r := e.Q.Relations[rel]
-	return &plan.Plan{
-		Kind:    plan.NodeScan,
-		Rels:    bitset.SingleV(rel),
-		Rel:     rel,
-		Card:    r.Card,
-		Cost:    0,
-		Keys:    capKeys(nil, r.Keys),
-		DupFree: len(r.Keys) > 0,
-		Profile: []float64{r.Card},
-	}
+	dst.Kind, dst.Op, dst.Final, dst.DupFree = plan.NodeScan, query.KindScan, false, len(r.Keys) > 0
+	dst.Rels, dst.Rel, dst.Preds, dst.Left, dst.Right = bitset.SingleV(rel), rel, nil, nil, nil
+	dst.GroupBy, dst.GroupsBelow = bitset.VSet{}, bitset.VSet{}
+	dst.Card, dst.Cost = r.Card, 0
+	dst.Keys = capKeys(dst.Keys[:0], r.Keys)
+	dst.Profile = append(dst.Profile[:0], r.Card)
+	clearPhys(dst)
+}
+
+// clearPhys zeroes a node's physical properties, which every estimate
+// leaves to the Physify methods (phys.go).
+func clearPhys(p *plan.Plan) {
+	p.Phys, p.SortL, p.SortR = plan.PhysHash, false, false
+	p.MergeL, p.MergeR, p.Ord, p.PhysCost = nil, nil, nil, 0
 }
 
 // Distinct returns the distinct-value estimate of an attribute within a
@@ -224,9 +237,11 @@ func (e *Estimator) Op(kind query.OpKind, preds []*query.Predicate, left, right 
 // every logical property a retention policy reads — cardinality, C_out,
 // keys, duplicate-freeness, collapse state, path cardinalities — with
 // dst.Keys and dst.Profile written into dst's own buffers, so estimating
-// into a reused scratch node allocates nothing. The inputs may themselves
-// be scratch estimates; the caller copies dst (and them) only if the
-// candidate survives. dst must not be one of its own inputs.
+// into a reused scratch node allocates nothing. Every estimate sets the
+// fields it defines and zeroes the rest, field by field: a node is too
+// large to build as a literal and copy per candidate. The inputs may
+// themselves be scratch estimates; the caller copies dst (and them) only
+// if the candidate survives. dst must not be one of its own inputs.
 //
 // The cardinality model is kept consistent with the key inference: when a
 // side's join attributes imply one of its candidate keys, every tuple of
@@ -293,24 +308,16 @@ func (e *Estimator) EstimateOp(dst *plan.Plan, kind query.OpKind, jp *JoinPreds,
 	// measured empty intermediate is a real 0, not a 1.
 	card = e.sourceCard(CardKey{Rels: rels, Group: groupsBelow}, card)
 
-	keys, path := dst.Keys[:0], dst.Profile[:0]
-	*dst = plan.Plan{
-		Kind:        plan.NodeOp,
-		Rels:        rels,
-		Op:          kind,
-		Preds:       jp.Preds,
-		Left:        left,
-		Right:       right,
-		Card:        card,
-		Cost:        card + left.Cost + right.Cost,
-		DupFree:     opDupFree(kind, left, right),
-		GroupsBelow: groupsBelow,
-	}
-	dst.Keys = opKeys(keys, kind, leftKey, rightKey, left, right)
+	dst.Kind, dst.Op, dst.Final, dst.DupFree = plan.NodeOp, kind, false, opDupFree(kind, left, right)
+	dst.Rels, dst.Rel, dst.Preds, dst.Left, dst.Right = rels, 0, jp.Preds, left, right
+	dst.GroupBy, dst.GroupsBelow = bitset.VSet{}, groupsBelow
+	dst.Card, dst.Cost = card, card+left.Cost+right.Cost
+	dst.Keys = opKeys(dst.Keys[:0], kind, leftKey, rightKey, left, right)
+	clearPhys(dst)
 	// The path-cardinality vector, merged from the children's in
 	// ascending relation order: each relation's entry is its entry below
 	// capped by this node's cardinality.
-	li, ri := 0, 0
+	path, li, ri := dst.Profile[:0], 0, 0
 	for w, nw := 0, rels.NumWords(); w < nw; w++ {
 		for t := rels.Word(w); t != 0; t &= t - 1 {
 			var c float64
@@ -403,19 +410,13 @@ func (e *Estimator) EstimateGroup(dst, child *plan.Plan, groupBy bitset.VSet) {
 	// relation set — is invariant under join order and under groupings
 	// below, so its canonical key ignores the child's collapse state.
 	card := e.sourceCard(CardKey{Rels: child.Rels, Group: groupBy, IsGroup: true}, e.groupCard(child, groupBy))
-	keys, path := dst.Keys[:0], dst.Profile[:0]
-	*dst = plan.Plan{
-		Kind:        plan.NodeGroup,
-		Rels:        child.Rels,
-		GroupBy:     groupBy,
-		Left:        child,
-		Card:        card,
-		Cost:        card + child.Cost,
-		DupFree:     true,
-		GroupsBelow: child.GroupsBelow.Union(groupBy),
-	}
-	dst.Keys = groupKeys(keys, child, groupBy)
-	dst.Profile = capPath(path, child.Profile, card)
+	dst.Kind, dst.Op, dst.Final, dst.DupFree = plan.NodeGroup, query.KindScan, false, true
+	dst.Rels, dst.Rel, dst.Preds, dst.Left, dst.Right = child.Rels, 0, nil, child, nil
+	dst.GroupBy, dst.GroupsBelow = groupBy, child.GroupsBelow.Union(groupBy)
+	dst.Card, dst.Cost = card, card+child.Cost
+	dst.Keys = groupKeys(dst.Keys[:0], child, groupBy)
+	dst.Profile = capPath(dst.Profile[:0], child.Profile, card)
+	clearPhys(dst)
 }
 
 // capPath appends the child's path cardinalities, capped by the unary
@@ -449,18 +450,13 @@ func (e *Estimator) Project(child *plan.Plan) *plan.Plan {
 // EstimateProject estimates the projection into dst, under the buffer
 // contract of EstimateOp; it is free under C_out.
 func (e *Estimator) EstimateProject(dst, child *plan.Plan) {
-	keys, path := dst.Keys[:0], dst.Profile[:0]
-	*dst = plan.Plan{
-		Kind:        plan.NodeProject,
-		Rels:        child.Rels,
-		Left:        child,
-		Card:        child.Card,
-		Cost:        child.Cost,
-		DupFree:     child.DupFree,
-		GroupsBelow: child.GroupsBelow,
-	}
-	dst.Keys = capKeys(keys, child.Keys)
-	dst.Profile = capPath(path, child.Profile, child.Card)
+	dst.Kind, dst.Op, dst.Final, dst.DupFree = plan.NodeProject, query.KindScan, false, child.DupFree
+	dst.Rels, dst.Rel, dst.Preds, dst.Left, dst.Right = child.Rels, 0, nil, child, nil
+	dst.GroupBy, dst.GroupsBelow = bitset.VSet{}, child.GroupsBelow
+	dst.Card, dst.Cost = child.Card, child.Cost
+	dst.Keys = capKeys(dst.Keys[:0], child.Keys)
+	dst.Profile = capPath(dst.Profile[:0], child.Profile, child.Card)
+	clearPhys(dst)
 }
 
 // groupCard estimates |Γ_G(e)| = min(|e|, Π d); the distinct product is

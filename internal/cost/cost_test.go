@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"eagg/internal/bitset"
@@ -42,6 +43,79 @@ func TestScanProps(t *testing.T) {
 	if !s1.DupFree || len(s1.Keys) != 1 {
 		t.Error("r1 with key must be duplicate-free")
 	}
+}
+
+// TestEstimatesResetEveryField: the optimizer estimates every candidate
+// into a reused scratch node, so an estimate must set every field of its
+// destination — the ones it defines, and the zero value in the rest,
+// sort-layer fields included. Each estimate into a node whose every field
+// holds something is compared with the same estimate into a zero node;
+// the node is filled by reflection, so a field added to plan.Plan that the
+// estimates do not reset fails here.
+func TestEstimatesResetEveryField(t *testing.T) {
+	q, pred := twoRelQuery()
+	q.AddKey(0, 1) // r0's g0, so that every estimate below has a key
+	e := NewEstimator(q)
+	s0, s1 := e.Scan(0), e.Scan(1)
+	var jp JoinPreds
+	jp.Reset()
+	jp.Add(pred, pred.LeftAttrs(), pred.RightAttrs())
+	j := e.Op(query.KindJoin, jp.Preds, s0, s1)
+	for _, c := range []struct {
+		name     string
+		estimate func(dst *plan.Plan)
+	}{
+		{"EstimateScan", func(dst *plan.Plan) { e.EstimateScan(dst, 1) }},
+		{"EstimateOp", func(dst *plan.Plan) { e.EstimateOp(dst, query.KindJoin, &jp, s0, s1) }},
+		{"EstimateGroup", func(dst *plan.Plan) { e.EstimateGroup(dst, j, bitset.NewV(1)) }},
+		{"EstimateProject", func(dst *plan.Plan) { e.EstimateProject(dst, j) }},
+	} {
+		want := new(plan.Plan)
+		c.estimate(want)
+		got := filledPlan(t)
+		c.estimate(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s into a filled node:\n%+v\ninto a zero node:\n%+v", c.name, *got, *want)
+		}
+	}
+}
+
+// filledPlan returns a node whose every field holds a non-zero value.
+func filledPlan(t *testing.T) *plan.Plan {
+	t.Helper()
+	p := new(plan.Plan)
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Interface().(type) {
+		case bitset.VSet:
+			f.Set(reflect.ValueOf(bitset.NewV(3, 70)))
+		case []bitset.VSet:
+			f.Set(reflect.ValueOf([]bitset.VSet{bitset.NewV(0), bitset.NewV(2, 90), bitset.NewV(5)}))
+		case []float64:
+			f.Set(reflect.ValueOf([]float64{7, 8, 9}))
+		case []int:
+			f.Set(reflect.ValueOf([]int{4, 5}))
+		case []*query.Predicate:
+			f.Set(reflect.ValueOf([]*query.Predicate{{Selectivity: 0.5}}))
+		case *plan.Plan:
+			f.Set(reflect.ValueOf(&plan.Plan{Card: 3}))
+		default:
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int, reflect.Int64:
+				f.SetInt(5)
+			case reflect.Uint8:
+				f.SetUint(5)
+			case reflect.Float64:
+				f.SetFloat(0.5)
+			default:
+				t.Fatalf("plan.Plan.%s: no filler for %v", v.Type().Field(i).Name, f.Type())
+			}
+		}
+	}
+	return p
 }
 
 func TestJoinCardAndCost(t *testing.T) {

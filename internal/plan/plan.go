@@ -13,7 +13,7 @@ import (
 )
 
 // NodeKind discriminates plan nodes.
-type NodeKind int
+type NodeKind uint8
 
 const (
 	// NodeScan reads a base relation.
@@ -32,7 +32,7 @@ const (
 // PhysKind selects the physical algebra a plan node executes on. The
 // zero value is the hash layer, so plans built without the sort-based
 // physical layer (the default optimization mode) are unchanged.
-type PhysKind int
+type PhysKind uint8
 
 const (
 	// PhysHash is the build/probe hash layer (hash join, typed hash
@@ -49,29 +49,35 @@ const (
 // Plan is an immutable plan node. Plans share subtrees freely (the DP
 // table interleaves them), so nodes are never mutated after construction.
 type Plan struct {
-	Kind NodeKind
+	// The kinds and flags come first, one byte each, and share one word;
+	// each is described with the fields of its group below.
+	Kind    NodeKind
+	Op      query.OpKind
+	Phys    PhysKind
+	Final   bool
+	DupFree bool
+	SortL   bool
+	SortR   bool
+
 	// Rels is the set of base relations covered, T(T) in the paper.
 	Rels bitset.VSet
 
 	// Scan fields.
 	Rel int
 
-	// Op fields.
-	Op          query.OpKind
+	// Op fields: the operator Op and its predicates.
 	Preds       []*query.Predicate
 	Left, Right *Plan
 
 	// Group fields: the grouping attributes (G⁺ for pushed groupings, G
-	// for the final grouping). Child is Left.
+	// for the final grouping). Child is Left. Final marks the query's top
+	// grouping (aggregates finalized here).
 	GroupBy bitset.VSet
-	// Final marks the query's top grouping (aggregates finalized here).
-	Final bool
 
-	// Logical properties (filled by the estimator).
-	Card    float64
-	Cost    float64
-	Keys    []bitset.VSet
-	DupFree bool
+	// Logical properties (filled by the estimator), DupFree among them.
+	Card float64
+	Cost float64
+	Keys []bitset.VSet
 
 	// GroupsBelow is the union of the grouping-attribute sets of the
 	// eager groupings that shape this node's output: the node's own
@@ -89,14 +95,13 @@ type Plan struct {
 	// optimizer runs with the sort-based physical layer enabled
 	// (core.Options.Phys != PhysModeHash); plans built in the default
 	// mode carry the zero values and behave exactly as before.
-
+	//
 	// Phys is the physical algebra of this operator (NodeOp, NodeGroup).
-	Phys PhysKind
 	// SortL/SortR report that the sort-based operator must sort its
 	// left/right input (NodeGroup uses SortL for its only input). False
 	// on a PhysSortMerge node means the input's contractual order
 	// already covers the requirement — the sort is eliminated.
-	SortL, SortR bool
+	//
 	// MergeL/MergeR are the equi-join attribute ids in merge-comparison
 	// order (aligned pairs) on PhysSortMerge NodeOp nodes. The optimizer
 	// permutes the predicate pairs so that an input's existing order is

@@ -3,6 +3,7 @@ package plan
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"eagg/internal/bitset"
 	"eagg/internal/query"
@@ -14,6 +15,17 @@ func samplePlans() (*Plan, *Plan, *Plan) {
 	g := &Plan{Kind: NodeGroup, Rels: s0.Rels, GroupBy: bitset.NewV(2), Left: s0, Card: 5, DupFree: true}
 	j := &Plan{Kind: NodeOp, Op: query.KindJoin, Rels: bitset.NewV(0, 1), Left: g, Right: s1, Card: 50, Cost: 55}
 	return s0, s1, j
+}
+
+// TestPlanSize guards the node size: every candidate a DP keeps is copied
+// into one, and a copy of the 312 bytes a Plan took while each kind and
+// flag had a word of its own was a tenth of a cold optimization's CPU. The
+// kinds and flags share one word now; a field added to Plan must fit the
+// budget or pay for itself.
+func TestPlanSize(t *testing.T) {
+	if n := unsafe.Sizeof(Plan{}); n > 272 {
+		t.Errorf("unsafe.Sizeof(Plan{}) = %d B, over 272", n)
+	}
 }
 
 func TestEagerness(t *testing.T) {

@@ -33,7 +33,7 @@ const (
 
 // OpKind enumerates the operators of Sec. 2.2 that can appear in the
 // initial operator tree.
-type OpKind int
+type OpKind uint8
 
 const (
 	// KindScan is a base relation leaf.
