@@ -117,11 +117,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		q = qs[name]
 	case *spec != "":
+		// A spec that does not load or validate is misuse, like an
+		// unknown demo: exit 2 before any work.
 		var err error
 		q, err = loadSpec(*spec)
 		if err != nil {
 			fmt.Fprintf(stderr, "eaexplain: %v\n", err)
-			return 1
+			return 2
 		}
 	default:
 		fmt.Fprintln(stderr, "eaexplain: need -demo or -spec")
@@ -140,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if err := q.Validate(); err != nil {
 		fmt.Fprintf(stderr, "eaexplain: invalid query: %v\n", err)
-		return 1
+		return 2
 	}
 
 	if *analyze {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,5 +84,39 @@ func TestExplainAnalyzeQ5(t *testing.T) {
 	// the report explicitly says feedback confirmed the plan.
 	if !strings.Contains(text, "after feedback (round") && !strings.Contains(text, "feedback confirmed the plan") {
 		t.Errorf("analyze output missing the after-feedback section\n%s", text)
+	}
+}
+
+// TestExplainSpecStatistics: a spec whose statistics cannot be planned is
+// rejected. A negative cardinality fails validation (exit 2); a full
+// outerjoin of two relations of 1e308 rows validates, but its cost
+// overflows, and the optimizer's error ends the run (exit 1) instead of a
+// table of "NaN× DPhyp" rows.
+func TestExplainSpecStatistics(t *testing.T) {
+	spec := func(card string) string {
+		p := filepath.Join(t.TempDir(), "spec.json")
+		body := `{"relations":[{"name":"a","card":` + card + `,"attrs":[{"name":"a.x","distinct":10}]},
+			{"name":"b","card":` + card + `,"attrs":[{"name":"b.y","distinct":10}]}],
+			"tree":{"op":"fullouter","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["a.x"],"right":["b.y"],"selectivity":0.5}},
+			"groupBy":["a.x"],"aggregates":[{"out":"cnt","fn":"count(*)"}]}`
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		card, wantErr string
+		code          int
+	}{
+		{"-5", "cardinality -5", 2},
+		{"1e308", "overflow", 1},
+		{"100", "", 0},
+	} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-spec", spec(c.card)}, &out, &errOut)
+		if code != c.code || !strings.Contains(errOut.String(), c.wantErr) || strings.Contains(out.String(), "NaN") {
+			t.Errorf("card %s: exit %d, want %d with %q on stderr\nstderr: %s\nstdout: %s", c.card, code, c.code, c.wantErr, errOut.String(), out.String())
+		}
 	}
 }

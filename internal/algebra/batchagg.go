@@ -141,6 +141,7 @@ func (b bitmap) set(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
 // assignment); everything else is the valid empty state — zero counts,
 // NULL sums — like the zero aggCell.
 type aggState struct {
+	fold  foldKind // the aggregate's kernel
 	count []int64
 	i     []int64
 	f     []float64
@@ -199,8 +200,9 @@ func growTo[T any](e *Exec, s []T, n int) []T {
 	return ns
 }
 
-// grow extends the given components to at least ng groups.
-func (st *aggState) grow(e *Exec, parts uint8, ng int) {
+// grow extends the kernel's components to at least ng groups.
+func (st *aggState) grow(e *Exec, ng int) {
+	parts := st.fold.parts()
 	if parts&partCount != 0 {
 		st.count = growTo(e, st.count, ng)
 	}
@@ -272,7 +274,6 @@ type batchGrouper struct {
 	t          *ColTable
 	groupSlots []int
 	bound      []BoundAgg
-	folds      []foldKind
 	states     []aggState  // per aggregate
 	ints       bool        // keys are raw int64 payloads (keyScan's int path)
 	groups     *bytesIndex // encoded-key group index (hashtable.go)
@@ -298,13 +299,12 @@ func newBatchGrouper(e *Exec, t *ColTable, groupSlots []int, bound []BoundAgg, i
 		t:          t,
 		groupSlots: groupSlots,
 		bound:      bound,
-		folds:      make([]foldKind, len(bound)),
 		states:     make([]aggState, len(bound)),
 		ints:       ints,
 		nullGid:    -1,
 	}
 	for i := range bound {
-		g.folds[i] = foldKindOf(&bound[i], t)
+		g.states[i].fold = foldKindOf(&bound[i], t)
 	}
 	return g
 }
@@ -317,10 +317,11 @@ func newBatchGrouper(e *Exec, t *ColTable, groupSlots []int, bound []BoundAgg, i
 // path row for row.
 func (g *batchGrouper) add(ents []keyEntry, arena []byte) {
 	if g.groups == nil && g.intGroups == nil {
+		seed := min(groupIndexSeedCap, g.t.Card())
 		if g.ints {
-			g.intGroups = newIntIndex(groupIndexSeedCap)
+			g.intGroups = newIntIndex(g.e, seed)
 		} else {
-			g.groups = newBytesIndex(groupIndexSeedCap)
+			g.groups = newBytesIndex(g.e, seed)
 		}
 	}
 	sc := g.resetBatch(len(ents))
@@ -366,7 +367,7 @@ func (g *batchGrouper) useDense(ks *keyScan, rows int) {
 	bound := min(ks.span, rows) + 1
 	g.firsts = takeDirty[int32](g.e, bound)[:0]
 	for j := range g.states {
-		g.states[j].grow(g.e, g.folds[j].parts(), bound)
+		g.states[j].grow(g.e, bound)
 	}
 }
 
@@ -375,7 +376,7 @@ func (g *batchGrouper) useDense(ks *keyScan, rows int) {
 // in first-encounter order exactly as add claims them, so the output is
 // the same.
 func (g *batchGrouper) addDense(rows []int32) {
-	col := &g.t.Cols[g.groupSlots[0]]
+	col := g.t.Cols[g.groupSlots[0]]
 	sc := g.resetBatch(len(rows))
 	copy(sc.rows, rows)
 	for k, i := range rows {
@@ -451,22 +452,21 @@ func (g *batchGrouper) resetBatch(n int) *batchScratch {
 }
 
 // finish ends the adding phase: the batch scratch goes back to the pool
-// and the group indexes report their final geometry.
+// and the group indexes report their final geometry and go back to e.
 func (g *batchGrouper) finish(hs *HashStats) {
 	if g.sc != nil {
 		batchScratchPool.Put(g.sc)
 		g.sc = nil
 	}
-	if hs == nil {
-		return
-	}
 	if g.groups != nil {
 		g.groups.record(hs)
+		g.groups.release()
 	}
 	if g.intGroups != nil {
 		g.intGroups.record(hs)
+		g.intGroups.release()
 	}
-	if g.dense != nil {
+	if hs != nil && g.dense != nil {
 		keys := len(g.firsts)
 		if g.nullGid >= 0 {
 			keys--
@@ -479,7 +479,7 @@ func (g *batchGrouper) finish(hs *HashStats) {
 // every aggregate's kernel over the batch in the scratch.
 func (g *batchGrouper) foldBatch() {
 	for j := range g.bound {
-		g.states[j].grow(g.e, g.folds[j].parts(), len(g.firsts))
+		g.states[j].grow(g.e, len(g.firsts))
 		g.fold(j)
 	}
 }
@@ -493,9 +493,9 @@ func (g *batchGrouper) fold(j int) {
 	rows, gids := g.sc.rows, g.sc.gids
 	var col *Vector
 	if a.Arg >= 0 {
-		col = &g.t.Cols[a.Arg]
+		col = g.t.Cols[a.Arg]
 	}
-	switch g.folds[j] {
+	switch st.fold {
 	case foldCountStar:
 		for _, gi := range gids {
 			st.count[gi]++
@@ -531,7 +531,7 @@ func (g *batchGrouper) fold(j int) {
 			}
 		}
 	case foldSumTimesInt:
-		col2 := &g.t.Cols[a.Arg2]
+		col2 := g.t.Cols[a.Arg2]
 		v1, v2 := col.Ints, col2.Ints
 		for k, i := range rows {
 			if col.IsNull(int(i)) || col2.IsNull(int(i)) {
@@ -542,7 +542,7 @@ func (g *batchGrouper) fold(j int) {
 			st.seen.set(gi)
 		}
 	case foldSumTimesFloat:
-		col2 := &g.t.Cols[a.Arg2]
+		col2 := g.t.Cols[a.Arg2]
 		fac := func(c *Vector, i int32) float64 {
 			if c.Kind == ColInt {
 				return float64(c.Ints[i])
@@ -565,7 +565,7 @@ func (g *batchGrouper) fold(j int) {
 	case foldSumIfInt:
 		var col2 *Vector
 		if a.Arg2 >= 0 {
-			col2 = &g.t.Cols[a.Arg2]
+			col2 = g.t.Cols[a.Arg2]
 		}
 		for k, i := range rows {
 			var term int64 // NULL arg folds Int(0)
@@ -580,7 +580,7 @@ func (g *batchGrouper) fold(j int) {
 			st.seen.set(gi)
 		}
 	case foldMinInt, foldMaxInt:
-		mn := g.folds[j] == foldMinInt
+		mn := st.fold == foldMinInt
 		vals := col.Ints
 		for k, i := range rows {
 			if col.IsNull(int(i)) {
@@ -595,7 +595,7 @@ func (g *batchGrouper) fold(j int) {
 			}
 		}
 	case foldMinFloat, foldMaxFloat:
-		mn := g.folds[j] == foldMinFloat
+		mn := st.fold == foldMinFloat
 		vals := col.Floats
 		for k, i := range rows {
 			if col.IsNull(int(i)) {
@@ -612,7 +612,7 @@ func (g *batchGrouper) fold(j int) {
 			}
 		}
 	case foldMinStr, foldMaxStr:
-		mn := g.folds[j] == foldMinStr
+		mn := st.fold == foldMinStr
 		vals := col.Strs
 		for k, i := range rows {
 			if col.IsNull(int(i)) {
@@ -673,36 +673,44 @@ func (g *batchGrouper) fold(j int) {
 func (g *batchGrouper) emitTable(e *Exec, s *Schema, par bool) *ColTable {
 	ng := len(g.firsts)
 	out := &ColTable{Schema: s, N: ng}
-	out.Cols = make([]Vector, len(g.groupSlots)+len(g.bound))
+	w := len(g.groupSlots) + len(g.bound)
+	out.Cols = make([]*Vector, w)
+	vecs := make([]Vector, w) // the new columns' headers
 	allRows := g.t.Sel == nil && ng == g.t.N
 	if allRows {
 		e.read(g.t, g.groupSlots...)
 	}
-	task := func(ci int) {
-		if ci >= len(g.groupSlots) {
-			out.Cols[ci] = g.aggCol(ci - len(g.groupSlots))
-		} else if slot := g.groupSlots[ci]; slot >= 0 && allRows {
-			out.Cols[ci] = g.t.Cols[slot]
-		} else if slot >= 0 {
-			out.Cols[ci] = e.gatherCol(&g.t.Cols[slot], g.firsts, false) // columns fan out, not rows
-		} else {
-			// Absent grouping attribute: an all-NULL column, like the
-			// untyped colBuilder produces.
-			var b colBuilder
-			for i := 0; i < ng; i++ {
-				b.append(Null)
-			}
-			out.Cols[ci] = b.finish()
-		}
-	}
 	if par {
-		e.forTasks(len(out.Cols), task)
+		e.forTasks(w, func(ci int) { g.emitCol(e, out, vecs, allRows, ci) })
 	} else {
-		for ci := range out.Cols {
-			task(ci)
+		for ci := range vecs {
+			g.emitCol(e, out, vecs, allRows, ci)
 		}
 	}
 	return out
+}
+
+// emitCol assembles emitTable's column ci: the input's own (allRows), or a
+// new one in vecs[ci].
+func (g *batchGrouper) emitCol(e *Exec, out *ColTable, vecs []Vector, allRows bool, ci int) {
+	if ci < len(g.groupSlots) && g.groupSlots[ci] >= 0 && allRows {
+		out.Cols[ci] = g.t.Cols[g.groupSlots[ci]]
+		return
+	}
+	out.Cols[ci] = &vecs[ci]
+	if ci >= len(g.groupSlots) {
+		vecs[ci] = g.aggCol(ci - len(g.groupSlots))
+	} else if slot := g.groupSlots[ci]; slot >= 0 {
+		vecs[ci] = e.gatherCol(g.t.Cols[slot], g.firsts, false) // columns fan out, not rows
+	} else {
+		// Absent grouping attribute: an all-NULL column, like the
+		// untyped colBuilder produces.
+		var b colBuilder
+		for range out.N {
+			b.append(Null)
+		}
+		vecs[ci] = b.finish()
+	}
 }
 
 // aggCol materializes aggregate j's output column. Counts and the
@@ -714,9 +722,9 @@ func (g *batchGrouper) emitTable(e *Exec, s *Schema, par bool) *ColTable {
 func (g *batchGrouper) aggCol(j int) Vector {
 	ng := len(g.firsts)
 	st := &g.states[j]
-	st.grow(g.e, g.folds[j].parts(), ng) // a grouper that never saw a batch has no arrays yet
+	st.grow(g.e, ng) // a grouper that never saw a batch has no arrays yet
 	var v Vector
-	switch g.folds[j] {
+	switch st.fold {
 	case foldCountStar, foldCount:
 		return Vector{Kind: ColInt, Ints: st.count[:ng:ng]}
 	case foldSumInt, foldSumTimesInt, foldSumIfInt, foldMinInt, foldMaxInt:
@@ -728,7 +736,7 @@ func (g *batchGrouper) aggCol(j int) Vector {
 	default:
 		var b colBuilder
 		for gi := 0; gi < ng; gi++ {
-			b.append(st.final(g.folds[j], &g.bound[j], int32(gi)))
+			b.append(st.final(st.fold, &g.bound[j], int32(gi)))
 		}
 		return b.finish()
 	}
@@ -781,9 +789,9 @@ func (e *Exec) mergeGroupers(spans []*batchGrouper, t *ColTable, groupSlots []in
 		}
 	}
 	e.forTasks(len(bound), func(j int) {
-		comps := out.folds[j].parts()
 		st := &out.states[j]
-		st.grow(e, comps, ng)
+		comps := st.fold.parts()
+		st.grow(e, ng)
 		to := perm
 		for _, g := range spans {
 			for li := range g.firsts {
@@ -803,8 +811,7 @@ func (e *Exec) mergeGroupers(spans []*batchGrouper, t *ColTable, groupSlots []in
 // (DESIGN.md "One goroutine, by measurement"); only the emit fans out.
 func (e *Exec) BatchHashGroup(t *ColTable, a *Aggregation) *ColTable {
 	n := t.Card()
-	e.read(t, a.Groups...)
-	e.readAggs(t, a.Aggs)
+	e.readAggs(t, a.Aggs, a.Groups...)
 	ks := newKeyScan(t, a.Groups, false)
 	g := newBatchGrouper(e, t, a.Groups, a.Aggs, ks.col != nil)
 	if ks.dense {
@@ -828,7 +835,7 @@ func (e *Exec) BatchProject(t *ColTable, a *Aggregation) *ColTable {
 	n := t.Card()
 	g.firsts = takeDirty[int32](e, n)[:0]
 	for j := range g.states {
-		g.states[j].grow(e, g.folds[j].parts(), n)
+		g.states[j].grow(e, n)
 	}
 	var rows []int32
 	for b := 0; b < n; b += bs {
@@ -837,13 +844,6 @@ func (e *Exec) BatchProject(t *ColTable, a *Aggregation) *ColTable {
 	}
 	g.finish(nil)
 	return g.emitTable(e, a.Out, e.parForBatch(n))
-}
-
-// readAggs reads the columns the aggregates fold (Exec.read).
-func (e *Exec) readAggs(t *ColTable, bound []BoundAgg) {
-	for i := range bound {
-		e.read(t, bound[i].Arg, bound[i].Arg2, bound[i].Wgt)
-	}
 }
 
 // Aggregation is an aggregation vector resolved against its input schema
@@ -888,10 +888,11 @@ func (e *Exec) BatchExtendProduct(t *ColTable, s *Schema, slots []int) *ColTable
 			}
 			b.append(v)
 		}
-		out.addDense(b.finish())
+		v := b.finish()
+		out.addDense(&v)
 		return out
 	}
-	v := Vector{Kind: ColInt, Ints: take[int64](e, n)}
+	v := &Vector{Kind: ColInt, Ints: take[int64](e, n)}
 	if !anyNulls {
 		e.forSpans(n, e.parForBatch(n), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {

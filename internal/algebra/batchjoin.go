@@ -56,18 +56,22 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // absent key resolves to nil postings either way) and false positives just
 // fall through to the index probe, so the filter never changes results.
 type batchBuild struct {
-	dense *denseTable // single-ColInt build key, dense range
+	dense bool        // single-ColInt build key, dense range: ids are key−min
+	min   int64       // the dense range's first key
 	ints  *intIndex   // single-ColInt build key
 	bytes *bytesIndex // encoded keys
-	posts postings    // by the index's ids
+	posts postings    // by the ids
 	bloom *bloomFilter
 }
 
 // lookInt resolves an int build's postings for probe key v, counting the
 // Bloom filter's traffic when one is attached.
 func (b *batchBuild) lookInt(v int64, checks, passes *int) []int32 {
-	if b.dense != nil {
-		return b.dense.lookup(v)
+	if b.dense {
+		if d := uint64(v) - uint64(b.min); d < uint64(len(b.posts.offs)-1) {
+			return b.posts.of(int32(d))
+		}
+		return nil
 	}
 	h := hashInt64(v)
 	if b.bloom != nil {
@@ -90,8 +94,22 @@ func (b *batchBuild) lookBytes(h uint64, key []byte) []int32 {
 	return nil
 }
 
+// release hands the key index and the filter back to e once the probe is
+// over; the postings are the execution's (recycle.go).
+func (b *batchBuild) release(e *Exec) {
+	if b.ints != nil {
+		b.ints.release()
+	}
+	if b.bytes != nil {
+		b.bytes.release()
+	}
+	if b.bloom != nil {
+		give(e, b.bloom.words)
+	}
+}
+
 // batchBuildSide builds the build input's join keys (buildKeys).
-func (e *Exec) batchBuildSide(r *ColTable, rk []int, probeCard int) *batchBuild {
+func (e *Exec) batchBuildSide(r *ColTable, rk []int, probeCard int) batchBuild {
 	e.read(r, rk...)
 	return e.buildKeys(newKeyScan(r, rk, true), probeCard)
 }
@@ -103,13 +121,13 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, probeCard int) *batchBuild 
 // probeCard is the probe input's cardinality, used only to gate the
 // optional Bloom filter; pass -1 to disable it (operators that emit every
 // probe row regardless).
-func (e *Exec) buildKeys(ks *keyScan, probeCard int) *batchBuild {
+func (e *Exec) buildKeys(ks *keyScan, probeCard int) batchBuild {
 	if ks.dense {
-		return &batchBuild{dense: e.buildDense(ks)}
+		return batchBuild{dense: true, min: ks.min, posts: e.buildDense(ks)}
 	}
 	n := ks.t.Card()
 	b := e.buildHashed(ks.col != nil, n, func(fn func([]keyEntry, []byte)) { ks.scan(0, n, e.batchSize(), fn) })
-	if b.bloom = buildBloom(len(b.posts.offs)-1, probeCard); b.bloom != nil {
+	if b.bloom = buildBloom(e, len(b.posts.offs)-1, probeCard); b.bloom != nil {
 		// The index caches every distinct key (ids 0 … len(offs)−2): the
 		// filter fills from it.
 		if b.ints != nil {
@@ -125,12 +143,13 @@ func (e *Exec) buildKeys(ks *keyScan, probeCard int) *batchBuild {
 // in input order (the index is sized for hint keys; more only make it
 // grow): an intIndex (ints) or bytesIndex hands every entry's key an id in
 // first-encounter order, and sortPostings lays the entries' rows out by id.
-func (e *Exec) buildHashed(ints bool, hint int, src func(fn func(ents []keyEntry, arena []byte))) *batchBuild {
+func (e *Exec) buildHashed(ints bool, hint int, src func(fn func(ents []keyEntry, arena []byte))) batchBuild {
 	buf := scratch[int32](e, 2*hint)
 	ids, rows := buf[:0:hint], buf[hint:hint]
-	b, keys := &batchBuild{}, 0
+	var b batchBuild
+	keys := 0
 	if ints {
-		x := newIntIndex(hint)
+		x := newIntIndex(e, hint)
 		src(func(ents []keyEntry, _ []byte) {
 			for i := range ents {
 				id, _ := x.lookupOrAdd(ents[i].hash, ents[i].key, int32(x.n))
@@ -140,7 +159,7 @@ func (e *Exec) buildHashed(ints bool, hint int, src func(fn func(ents []keyEntry
 		x.record(e.hashStats())
 		b.ints, keys = x, x.n
 	} else {
-		x := newBytesIndex(hint)
+		x := newBytesIndex(e, hint)
 		src(func(ents []keyEntry, arena []byte) {
 			for i := range ents {
 				id, _ := x.lookupOrAdd(ents[i].hash, ents[i].bytes(arena), int32(x.n))
@@ -202,7 +221,7 @@ func (e *Exec) probePostings(sc *batchScratch, l *ColTable, lk []int, b *batchBu
 	slot := lk[0]
 	var col *Vector
 	if slot >= 0 {
-		col = &l.Cols[slot]
+		col = l.Cols[slot]
 	}
 	for bb := lo; bb < hi; bb += bs {
 		end := min(bb+bs, hi)
@@ -272,13 +291,13 @@ func (e *Exec) probePostings(sc *batchScratch, l *ColTable, lk []int, b *batchBu
 func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extra func() int, emit func(sc *batchScratch, rows []int32, posts [][]int32)) (li, ri []int32, padded bool) {
 	e.read(l, lk...)
 	n := l.Card()
-	chunks := make([]*batchScratch, e.spans(n, par))
-	e.forSpans(n, par, func(m, lo, hi int) {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.li, sc.ri, sc.padded = sc.li[:0], sc.ri[:0], false
-		e.probePostings(sc, l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) { emit(sc, rows, posts) })
-		chunks[m] = sc
-	})
+	var one [1]*batchScratch
+	chunks := one[:]
+	if par {
+		chunks = e.probeMorsels(l, lk, bld, emit)
+	} else {
+		one[0] = e.probeSpan(l, lk, bld, 0, n, emit)
+	}
 	nl := 0
 	if extra != nil {
 		nl = extra()
@@ -287,7 +306,8 @@ func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extr
 	for _, sc := range chunks {
 		nl, nr = nl+len(sc.li), nr+len(sc.ri)
 	}
-	li, ri = takeDirty[int32](e, nl)[:0], takeDirty[int32](e, nr)[:0]
+	pairs := takeDirty[int32](e, nl+nr)
+	li, ri = pairs[:0:nl], pairs[nl:nl:nl+nr]
 	for _, sc := range chunks {
 		li, ri, padded = append(li, sc.li...), append(ri, sc.ri...), padded || sc.padded
 		batchScratchPool.Put(sc)
@@ -295,12 +315,30 @@ func (e *Exec) probePairs(l *ColTable, lk []int, bld *batchBuild, par bool, extr
 	return li, ri, padded
 }
 
+// probeMorsels is probeSpan over l's morsels, fanned out. The tasks read a
+// copy of the build, so that a sequential probe's stays in its frame.
+func (e *Exec) probeMorsels(l *ColTable, lk []int, bld *batchBuild, emit func(sc *batchScratch, rows []int32, posts [][]int32)) []*batchScratch {
+	b := *bld
+	chunks := make([]*batchScratch, e.morselCount(l.Card()))
+	e.forMorsels(l.Card(), func(m, lo, hi int) { chunks[m] = e.probeSpan(l, lk, &b, lo, hi, emit) })
+	return chunks
+}
+
+// probeSpan probes l's logical rows [lo, hi) into the pair lists of a
+// pooled scratch.
+func (e *Exec) probeSpan(l *ColTable, lk []int, bld *batchBuild, lo, hi int, emit func(sc *batchScratch, rows []int32, posts [][]int32)) *batchScratch {
+	sc := batchScratchPool.Get().(*batchScratch)
+	sc.li, sc.ri, sc.padded = sc.li[:0], sc.ri[:0], false
+	e.probePostings(sc, l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) { emit(sc, rows, posts) })
+	return sc
+}
+
 // joinView is the join output over the pairs (lidx, ridx) under the
 // schema s, l's ◦ r's: a view of both inputs' columns (carry). A side that
 // holds pads is gathered; a nil pad row means NULL padding.
 func (e *Exec) joinView(l, r *ColTable, s *Schema, lidx, ridx []int32, lpad, rpad Row, lpadded, rpadded, par bool) *ColTable {
 	w := s.Len()
-	out := &ColTable{Schema: s, N: len(lidx), Cols: make([]Vector, 0, w), side: make([]int16, 0, w),
+	out := &ColTable{Schema: s, N: len(lidx), Cols: make([]*Vector, 0, w), side: make([]int16, 0, w),
 		via: make([][]int32, 0, len(l.via)+len(r.via)+2)}
 	e.carry(out, l, lidx, lpad, lpadded, par)
 	e.carry(out, r, ridx, rpad, rpadded, par)
@@ -328,7 +366,7 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, l.Card())
-	lidx, ridx, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
+	lidx, ridx, _ := e.probePairs(l, lk, &bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
 		for k, i := range rows {
 			for _, ri := range posts[k] {
 				sc.li = append(sc.li, i)
@@ -336,6 +374,7 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable 
 			}
 		}
 	})
+	bld.release(e)
 	return e.joinView(l, r, s, lidx, ridx, nil, nil, false, false, par)
 }
 
@@ -346,14 +385,32 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int, s *Schema) *ColTable 
 func (e *Exec) batchHashFilter(l, r *ColTable, lk, rk []int, matched bool) *ColTable {
 	par := e.parForBatch(max(l.Card(), r.Card()))
 	bld := e.batchBuildSide(r, rk, l.Card())
-	sel, _, _ := e.probePairs(l, lk, bld, par, nil, func(sc *batchScratch, rows []int32, posts [][]int32) {
-		for k, i := range rows {
-			if (len(posts[k]) > 0) == matched {
-				sc.li = append(sc.li, i)
-			}
-		}
-	})
+	emit := emitUnmatched
+	if matched {
+		emit = emitMatched
+	}
+	sel, _, _ := e.probePairs(l, lk, &bld, par, nil, emit)
+	bld.release(e)
 	return selTable(l, sel)
+}
+
+// emitMatched and emitUnmatched are the semijoin's and the antijoin's emit:
+// the probe rows with a partner, and without one. Functions, not closures
+// over a flag, so that nothing is allocated for them.
+func emitMatched(sc *batchScratch, rows []int32, posts [][]int32) {
+	for k, i := range rows {
+		if len(posts[k]) > 0 {
+			sc.li = append(sc.li, i)
+		}
+	}
+}
+
+func emitUnmatched(sc *batchScratch, rows []int32, posts [][]int32) {
+	for k, i := range rows {
+		if len(posts[k]) == 0 {
+			sc.li = append(sc.li, i)
+		}
+	}
 }
 
 // BatchHashSemiJoin is the left semijoin l ⋉ r.
@@ -386,35 +443,46 @@ func (e *Exec) batchHashOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row, s *S
 	bld := e.batchBuildSide(r, rk, -1)
 	var matched []atomic.Bool
 	var unmatched []int32
+	emit := emitOuter
 	if tail {
 		matched = make([]atomic.Bool, r.N)
+		emit = func(sc *batchScratch, rows []int32, posts [][]int32) {
+			for _, ps := range posts {
+				for _, ri := range ps {
+					matched[ri].Store(true)
+				}
+			}
+			emitOuter(sc, rows, posts)
+		}
 	}
-	lidx, ridx, rpadded := e.probePairs(l, lk, bld, par, func() int {
+	lidx, ridx, rpadded := e.probePairs(l, lk, &bld, par, func() int {
 		for j := 0; tail && j < r.Card(); j++ {
 			if ri := r.phys(j); !matched[ri].Load() {
 				unmatched = append(unmatched, ri)
 			}
 		}
 		return len(unmatched)
-	}, func(sc *batchScratch, rows []int32, posts [][]int32) {
-		for k, i := range rows {
-			if len(posts[k]) == 0 {
-				sc.li, sc.ri, sc.padded = append(sc.li, i), append(sc.ri, -1), true
-				continue
-			}
-			for _, ri := range posts[k] {
-				if tail {
-					matched[ri].Store(true)
-				}
-				sc.li = append(sc.li, i)
-				sc.ri = append(sc.ri, ri)
-			}
-		}
-	})
+	}, emit)
+	bld.release(e)
 	for _, ri := range unmatched {
 		lidx, ridx = append(lidx, -1), append(ridx, ri)
 	}
 	return e.joinView(l, r, s, lidx, ridx, lpad, rpad, len(unmatched) > 0, rpadded, par)
+}
+
+// emitOuter is the left outerjoin's emit: a probe row's pairs, or the row
+// and a pad.
+func emitOuter(sc *batchScratch, rows []int32, posts [][]int32) {
+	for k, i := range rows {
+		if len(posts[k]) == 0 {
+			sc.li, sc.ri, sc.padded = append(sc.li, i), append(sc.ri, -1), true
+			continue
+		}
+		for _, ri := range posts[k] {
+			sc.li = append(sc.li, i)
+			sc.ri = append(sc.ri, ri)
+		}
+	}
 }
 
 // BatchHashGroupJoin is the groupjoin on the batch runtime: every left
@@ -435,7 +503,7 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, bound []BoundAgg
 		cells := make([]aggCell, len(bound))
 		sc := batchScratchPool.Get().(*batchScratch)
 		at := lo // the batch's first logical row
-		e.probePostings(sc, l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
+		e.probePostings(sc, l, lk, &bld, lo, hi, func(rows []int32, posts [][]int32) {
 			for k := range rows {
 				for c := range cells {
 					cells[c] = aggCell{}
@@ -456,14 +524,17 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, bound []BoundAgg
 		})
 		batchScratchPool.Put(sc)
 	})
+	bld.release(e)
 	// l's columns stay views; the aggregate columns are dense beside them.
 	out := e.extended(l, s)
+	vecs := make([]Vector, len(bound))
 	for c := range bound {
 		var b colBuilder
 		for _, vals := range aggRows {
 			b.append(vals[c])
 		}
-		out.addDense(b.finish())
+		vecs[c] = b.finish()
+		out.addDense(&vecs[c])
 	}
 	return out
 }

@@ -71,7 +71,7 @@ func (kb *keyBatch) encodeGroup(t *ColTable, rows []int32, slots []int) {
 			}
 			continue
 		}
-		col := &t.Cols[s]
+		col := t.Cols[s]
 		switch col.Kind {
 		case ColInt:
 			for k, i := range rows {
@@ -129,7 +129,7 @@ func (kb *keyBatch) encodeJoin(t *ColTable, rows []int32, slots []int) {
 			}
 			continue
 		}
-		col := &t.Cols[s]
+		col := t.Cols[s]
 		switch col.Kind {
 		case ColInt:
 			for k, i := range rows {

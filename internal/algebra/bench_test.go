@@ -86,7 +86,7 @@ func BenchmarkHashTable(b *testing.B) {
 		scol.Strs[i] = string(bkeys[i])
 	}
 	build := func(col Vector) *ColTable {
-		return &ColTable{Schema: NewSchema([]string{"k"}), N: nBuild, Cols: []Vector{col}}
+		return &ColTable{Schema: NewSchema([]string{"k"}), N: nBuild, Cols: []*Vector{&col}}
 	}
 	it, st := build(icol), build(scol)
 	// The string keys' canonical encodings, probed as a join probe would.
@@ -225,7 +225,7 @@ func benchAggCols(n int, key func(i int) int64) *ColTable {
 		g[i], v[i], f[i] = key(i), int64(i), float64(i)*0.5
 	}
 	return &ColTable{Schema: NewSchema([]string{"g", "v", "f"}), N: n,
-		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}, {Kind: ColFloat, Floats: f}}}
+		Cols: []*Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}, {Kind: ColFloat, Floats: f}}}
 }
 
 // benchKeyTable is a table of n rows in an encoded-key shape — keys=str:
@@ -238,19 +238,19 @@ func benchKeyTable(n int, key func(i int) int, keys string, names []string) *Col
 		for i := range strs {
 			strs[i] = fmt.Sprintf("key-%07d", key(i))
 		}
-		t.Cols = append(t.Cols, Vector{Kind: ColStr, Strs: strs})
+		t.Cols = append(t.Cols, &Vector{Kind: ColStr, Strs: strs})
 	} else {
 		hi, lo := make([]int64, n), make([]int64, n)
 		for i := range hi {
 			hi[i], lo[i] = int64(key(i)>>6), int64(key(i)&63)
 		}
-		t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: hi}, Vector{Kind: ColInt, Ints: lo})
+		t.Cols = append(t.Cols, &Vector{Kind: ColInt, Ints: hi}, &Vector{Kind: ColInt, Ints: lo})
 	}
 	v, f := make([]int64, n), make([]float64, n)
 	for i := range v {
 		v[i], f[i] = int64(i), float64(i)*0.5
 	}
-	t.Cols = append(t.Cols, Vector{Kind: ColInt, Ints: v}, Vector{Kind: ColFloat, Floats: f})
+	t.Cols = append(t.Cols, &Vector{Kind: ColInt, Ints: v}, &Vector{Kind: ColFloat, Floats: f})
 	return t
 }
 
@@ -494,7 +494,7 @@ func BenchmarkBatchParallelCrossover(b *testing.B) {
 									if (bld.bloom != nil) != (filter == "on") {
 										b.Fatalf("filter %s, but bloom attached: %v", filter, bld.bloom != nil)
 									}
-									if li, _, _ := e.probePairs(probe, slots, bld, par, nil, emit); len(li) != want {
+									if li, _, _ := e.probePairs(probe, slots, &bld, par, nil, emit); len(li) != want {
 										b.Fatalf("got %d rows, want %d", len(li), want)
 									}
 									e.Release()

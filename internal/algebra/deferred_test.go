@@ -2,6 +2,8 @@ package algebra
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"eagg/internal/aggfn"
@@ -311,5 +313,100 @@ func TestDeferredViewGathersOnRead(t *testing.T) {
 	e.RowTable(v2)
 	if want := int64(3 + v2.Schema.Len() - 2); gathered() != want {
 		t.Fatalf("the result boundary brought the count to %d, want %d", gathered(), want)
+	}
+}
+
+// TestViewsShareVectors pins that sharing a vector is safe: a view points
+// at its inputs' vectors, so a gather must give the view's slot a vector of
+// its own and never write through the pointer it shares. An inner join, a
+// padded left outerjoin, a full outerjoin (pads on both sides), a left
+// outerjoin over a view and the weight product over a view are built on
+// dense and hashed keys by every executor of deferredExecs, and every
+// column of every output is gathered: the pads when the join is built,
+// everything else by Exec.read. Every input must keep its vectors'
+// contents, and its Cols pointers too — but for the key the outerjoin over
+// the view reads, which that view gathers into a vector of its own.
+func TestViewsShareVectors(t *testing.T) {
+	for _, stride := range []int64{1, 1000} {
+		l, r := keyTables(stride, false)
+		d := renamed(r, "d", 0, 400)
+		for name, e := range deferredExecs() {
+			label := fmt.Sprintf("stride%d/%s", stride, name)
+			lc, rc, dc := ColTableOf(l), ColTableOf(r), ColTableOf(d)
+			lr := lc.Schema.Concat(rc.Schema)
+			below := e.BatchHashJoin(lc, rc, []int{1}, []int{1}, lr)
+			inputs := map[string]*ColTable{"l": lc, "r": rc, "d": dc, "view": below}
+			before := map[string]tableSnapshot{}
+			for in, tc := range inputs {
+				before[in] = snapshotTable(tc)
+			}
+			outs := map[string]*ColTable{
+				"join":      e.BatchHashJoin(lc, rc, []int{1}, []int{1}, lr),
+				"leftouter": e.BatchHashLeftOuter(lc, rc, []int{2}, []int{1}, NullRow(rc.Schema), lr),
+				"fullouter": e.BatchHashFullOuter(lc, rc, []int{4}, []int{3}, NullRow(lc.Schema), NullRow(rc.Schema), lr),
+				"nested":    e.BatchHashLeftOuter(below, dc, []int{4}, []int{3}, NullRow(dc.Schema), lr.Concat(dc.Schema)),
+			}
+			inner := e.BatchHashJoin(lc, rc, []int{1}, []int{1}, lr)
+			outs["product"] = e.BatchExtendProduct(inner, lr.Concat(NewSchema([]string{"w"})), []int{0, 10})
+			for o, out := range outs {
+				if pads := slices.Contains(out.side, -1); pads != (o != "join") {
+					t.Fatalf("%s/%s: some column gathered before reading: %v", label, o, pads)
+				}
+				all := make([]int, len(out.Cols))
+				for c := range all {
+					all[c] = c
+				}
+				e.read(out, all...)
+				for c := range out.Cols {
+					if out.ix(c) != nil {
+						t.Fatalf("%s/%s: column %d still deferred after reading it", label, o, c)
+					}
+				}
+			}
+			for in, tc := range inputs {
+				read := -1
+				if in == "view" {
+					read = 4
+				}
+				before[in].check(t, label+"/input "+in, tc, read)
+			}
+		}
+	}
+}
+
+// tableSnapshot is a table's Cols pointers and a deep copy of the vectors.
+type tableSnapshot struct {
+	ptrs []*Vector
+	vecs []Vector
+}
+
+func snapshotTable(t *ColTable) tableSnapshot {
+	s := tableSnapshot{ptrs: slices.Clone(t.Cols)}
+	for _, v := range t.Cols {
+		s.vecs = append(s.vecs, Vector{Kind: v.Kind, Ints: slices.Clone(v.Ints), Floats: slices.Clone(v.Floats),
+			Strs: slices.Clone(v.Strs), Vals: slices.Clone(v.Vals), Nulls: slices.Clone(v.Nulls)})
+	}
+	return s
+}
+
+// check requires tc's Cols pointers to be the snapshot's but in slot read
+// (-1: none), which must point at a vector of its own, and the snapshot's
+// vectors to hold their contents bit for bit.
+func (s tableSnapshot) check(t *testing.T, label string, tc *ColTable, read int) {
+	t.Helper()
+	for c, p := range tc.Cols {
+		if (p == s.ptrs[c]) == (c == read) {
+			t.Fatalf("%s: column %d points at %p, was %p", label, c, p, s.ptrs[c])
+		}
+	}
+	sameFloat := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for c, v := range s.ptrs {
+		w := &s.vecs[c]
+		same := v.Kind == w.Kind && slices.Equal(v.Ints, w.Ints) && slices.EqualFunc(v.Floats, w.Floats, sameFloat) &&
+			slices.Equal(v.Strs, w.Strs) && slices.Equal(v.Nulls, w.Nulls) &&
+			slices.EqualFunc(v.Vals, w.Vals, func(a, b Value) bool { return a.Kind == b.Kind && a.I == b.I && sameFloat(a.F, b.F) && a.S == b.S })
+		if !same {
+			t.Fatalf("%s: column %d's vector changed", label, c)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // build side. newKeyScan makes the choice from the data (denseRange);
 // everything else keeps the hash path.
 //
-//   - A join build side becomes a denseTable: the build rows counting-sorted
+//   - A join build side becomes dense postings: the build rows counting-sorted
 //     by key−min into one postings slab in CSR form. The hash paths run the
 //     same counting sort (sortPostings) over the dense ids their key index
 //     hands out, so a join build is postings + min here, postings + index
@@ -121,27 +121,12 @@ func countEnds(cnt []int32) (keys int) {
 	return keys
 }
 
-// denseTable is a direct-addressed join build side: postings whose ids
-// are key−min.
-type denseTable struct {
-	postings
-	min int64
-}
-
-// lookup returns v's postings, empty if absent.
-func (dt *denseTable) lookup(v int64) []int32 {
-	d := uint64(v) - uint64(dt.min)
-	if d >= uint64(len(dt.offs)-1) {
-		return nil
-	}
-	return dt.of(int32(d))
-}
-
 // buildDense counting-sorts the build rows of a dense key scan by key−min,
 // batch by batch off the input, on the calling goroutine: streaming passes
 // that a partitioning pass in front of them does not pay for at any
-// measured size (DESIGN.md "Direct-addressed keys"). NULL keys are dropped.
-func (e *Exec) buildDense(ks *keyScan) *denseTable {
+// measured size (DESIGN.md "Direct-addressed keys"). NULL keys are dropped;
+// the postings' ids are key−min.
+func (e *Exec) buildDense(ks *keyScan) postings {
 	t, col, lo := ks.t, ks.col, uint64(ks.min)
 	sc := batchScratchPool.Get().(*batchScratch)
 	p, keys := e.sortPostings(ks.span, t.Card(), func(b, end int) ([]int32, []int32) {
@@ -165,5 +150,5 @@ func (e *Exec) buildDense(ks *keyScan) *denseTable {
 	})
 	batchScratchPool.Put(sc)
 	e.hashStats().recordDense(keys, ks.span)
-	return &denseTable{postings: p, min: ks.min}
+	return p
 }

@@ -252,7 +252,7 @@ func TestDenseFewGroupsExactSize(t *testing.T) {
 		g[i], v[i] = int64(i%2*(n-1)), int64(i)
 	}
 	tc := &ColTable{Schema: NewSchema([]string{"g", "v"}), N: n,
-		Cols: []Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}}}
+		Cols: []*Vector{{Kind: ColInt, Ints: g}, {Kind: ColInt, Ints: v}}}
 	if ks := newKeyScan(tc, []int{0}, false); !ks.dense || ks.span != n {
 		t.Fatalf("fixture: dense=%v span=%d", ks.dense, ks.span)
 	}
@@ -298,7 +298,7 @@ func TestDensePostingsMatchHash(t *testing.T) {
 	rc, hc := ColTableOf(r), ColTableOf(sparseR)
 	dense := (*Exec)(nil).batchBuildSide(rc, []int{1}, -1)
 	hash := (*Exec)(nil).batchBuildSide(hc, []int{1}, -1)
-	if dense.dense == nil || hash.ints == nil {
+	if !dense.dense || hash.ints == nil {
 		t.Fatal("fixtures do not take the dense and the hash path")
 	}
 	var checks, passes int

@@ -58,14 +58,19 @@ func tableGeometry(hint int) (capacity int, mask uint64, shift uint) {
 	return c, uint64(c - 1), uint(64 - bits.Len(uint(c-1)))
 }
 
-// groupIndexSeedCap seeds the group indexes small: group counts are
-// unknown up front (often tiny against the row count), and growth is
-// deterministic anyway.
+// groupIndexSeedCap bounds a group index's seed: a grouping is seeded for
+// as many groups as its input has rows, but for no more than this many.
+// Group counts are unknown up front and often tiny against the row count,
+// so a large input starts small and grows; a tiny one (8-row tables) gets
+// no slots it cannot fill. Growth is deterministic and ids are handed out
+// in first-encounter order, so the seed moves no output row.
 const groupIndexSeedCap = 64
 
 // intIndex maps int64 keys to caller-assigned dense int32 ids: the key
-// index of the single-ColInt fast path.
+// index of the single-ColInt fast path. Its slot arrays are scratch of e
+// (recycle.go): growing hands the old ones back, release the last.
 type intIndex struct {
+	e        *Exec
 	keys     []int64
 	ids      []int32 // id + 1; 0 marks an empty slot
 	mask     uint64
@@ -75,12 +80,19 @@ type intIndex struct {
 	maxProbe int
 }
 
-func newIntIndex(hint int) *intIndex {
-	x := &intIndex{}
+func newIntIndex(e *Exec, hint int) *intIndex {
+	x := &intIndex{e: e}
 	c, mask, shift := tableGeometry(hint)
-	x.keys, x.ids, x.mask, x.shift = make([]int64, c), make([]int32, c), mask, shift
+	x.keys, x.ids, x.mask, x.shift = scratch[int64](e, c), zeroed[int32](e, c), mask, shift
 	x.growAt = c - c/4
 	return x
+}
+
+// release hands the slot arrays back; x must not be used afterwards.
+func (x *intIndex) release() {
+	give(x.e, x.keys)
+	give(x.e, x.ids)
+	x.keys, x.ids = nil, nil
 }
 
 // lookupOrAdd returns key's id under its precomputed hash (hashInt64(key)
@@ -116,7 +128,7 @@ func (x *intIndex) lookupOrAdd(h uint64, key int64, id int32) (got int32, added 
 func (x *intIndex) grow() {
 	oldKeys, oldIds := x.keys, x.ids
 	c := 2 * len(oldKeys)
-	x.keys, x.ids = make([]int64, c), make([]int32, c)
+	x.keys, x.ids = scratch[int64](x.e, c), zeroed[int32](x.e, c)
 	x.mask = uint64(c - 1)
 	x.shift--
 	x.growAt = c - c/4
@@ -136,6 +148,8 @@ func (x *intIndex) grow() {
 		}
 		x.keys[i], x.ids[i] = oldKeys[oi], id
 	}
+	give(x.e, oldKeys)
+	give(x.e, oldIds)
 }
 
 // find returns key's id under its hash, if present. It never inserts.
@@ -174,8 +188,10 @@ type bytesIndexSlot struct {
 // bytesIndex maps encoded byte keys to caller-assigned dense int32 ids:
 // the key index of the encoded-key path. Keys are copied into the
 // index-owned arena on first encounter; equality is cached-hash first,
-// bytes second, and growing re-places slots by the cached hash.
+// bytes second, and growing re-places slots by the cached hash. The slot
+// array is scratch of e, as intIndex's are.
 type bytesIndex struct {
+	e        *Exec
 	slots    []bytesIndexSlot
 	mask     uint64
 	shift    uint
@@ -185,12 +201,18 @@ type bytesIndex struct {
 	arena    []byte
 }
 
-func newBytesIndex(hint int) *bytesIndex {
-	x := &bytesIndex{}
+func newBytesIndex(e *Exec, hint int) *bytesIndex {
+	x := &bytesIndex{e: e}
 	c, mask, shift := tableGeometry(hint)
-	x.slots, x.mask, x.shift = make([]bytesIndexSlot, c), mask, shift
+	x.slots, x.mask, x.shift = zeroed[bytesIndexSlot](e, c), mask, shift
 	x.growAt = c - c/4
 	return x
+}
+
+// release hands the slot array back; x must not be used afterwards.
+func (x *bytesIndex) release() {
+	give(x.e, x.slots)
+	x.slots = nil
 }
 
 // lookupOrAdd returns key's id under its precomputed hash, inserting it
@@ -228,7 +250,7 @@ func (x *bytesIndex) lookupOrAdd(h uint64, key []byte, id int32) (got int32, add
 func (x *bytesIndex) grow() {
 	old := x.slots
 	c := 2 * len(old)
-	x.slots = make([]bytesIndexSlot, c)
+	x.slots = zeroed[bytesIndexSlot](x.e, c)
 	x.mask = uint64(c - 1)
 	x.shift--
 	x.growAt = c - c/4
@@ -249,6 +271,7 @@ func (x *bytesIndex) grow() {
 		}
 		x.slots[i] = *s
 	}
+	give(x.e, old)
 }
 
 func (x *bytesIndex) key(s *bytesIndexSlot) []byte {
@@ -300,12 +323,14 @@ type bloomFilter struct {
 	mask  uint64
 }
 
-func newBloom(keys int) *bloomFilter {
+// newBloom returns an empty filter for keys keys whose words are scratch
+// of e (recycle.go), for the build that owns it to give back.
+func newBloom(e *Exec, keys int) *bloomFilter {
 	n := bloomMinBits
 	for n < keys*bloomBitsPerKey {
 		n <<= 1
 	}
-	return &bloomFilter{words: make([]uint64, n/64), mask: uint64(n - 1)}
+	return &bloomFilter{words: zeroed[uint64](e, n/64), mask: uint64(n - 1)}
 }
 
 func (f *bloomFilter) bitPositions(h uint64) (uint64, uint64) {
@@ -331,9 +356,9 @@ func (f *bloomFilter) mayContain(h uint64) bool {
 // when the estimated probe/build ratio clears bloomProbeBuildRatio
 // (probeCard < 0 disables — outer joins emit every probe row anyway, so
 // a filter saves nothing there).
-func buildBloom(buildCard, probeCard int) *bloomFilter {
+func buildBloom(e *Exec, buildCard, probeCard int) *bloomFilter {
 	if probeCard >= 0 && probeCard >= bloomProbeBuildRatio*max(buildCard, 1) {
-		return newBloom(buildCard)
+		return newBloom(e, buildCard)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func equalPosts(a, b []int32) bool {
 // keys[i] (row i when rows is nil) — its index seeded for hint keys: below
 // the distinct key count, it grows while it builds.
 func intBuild(hint int, keys []int64, rows []int32) *batchBuild {
-	return (*Exec)(nil).buildHashed(true, hint, func(fn func([]keyEntry, []byte)) {
+	b := (*Exec)(nil).buildHashed(true, hint, func(fn func([]keyEntry, []byte)) {
 		for i, k := range keys {
 			row := int32(i)
 			if rows != nil {
@@ -41,12 +41,13 @@ func intBuild(hint int, keys []int64, rows []int32) *batchBuild {
 			fn([]keyEntry{{row: row, key: k, hash: hashInt64(k)}}, nil)
 		}
 	})
+	return &b
 }
 
 // bytesBuild is intBuild over encoded keys, handed over in one reused
 // scratch arena: the index must copy them.
 func bytesBuild(hint int, keys [][]byte) *batchBuild {
-	return (*Exec)(nil).buildHashed(false, hint, func(fn func([]keyEntry, []byte)) {
+	b := (*Exec)(nil).buildHashed(false, hint, func(fn func([]keyEntry, []byte)) {
 		arena := make([]byte, 0, 64)
 		for i, k := range keys {
 			arena = append(arena[:0], k...)
@@ -54,6 +55,7 @@ func bytesBuild(hint int, keys [][]byte) *batchBuild {
 			clear(arena[:cap(arena)])
 		}
 	})
+	return &b
 }
 
 func (b *batchBuild) lookIntKey(k int64) []int32 {
@@ -137,8 +139,8 @@ func TestIndexesVsMapModel(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := rng.Intn(2000)
 		domain := 1 + rng.Intn(500)
-		ii := newIntIndex(1)
-		bi := newBytesIndex(1)
+		ii := newIntIndex(nil, 1)
+		bi := newBytesIndex(nil, 1)
 		im := map[int64]int32{}
 		bm := map[string]int32{}
 		for i := 0; i < n; i++ {
@@ -209,7 +211,7 @@ func collidingInts(shift uint, n int) []int64 {
 // pile-up, and a subsequent grow must redistribute without losing ids —
 // nor, in a join build over the same keys, postings.
 func TestEngineeredCollisions(t *testing.T) {
-	x := newIntIndex(48) // capacity 64, growAt 48
+	x := newIntIndex(nil, 48) // capacity 64, growAt 48
 	if len(x.ids) != 64 {
 		t.Fatalf("geometry: capacity %d, want 64", len(x.ids))
 	}
@@ -252,7 +254,7 @@ func TestEngineeredCollisions(t *testing.T) {
 
 	// The byte-key index under the same attack (keys colliding under
 	// hashKey's high bits at its geometry).
-	bx := newBytesIndex(48)
+	bx := newBytesIndex(nil, 48)
 	var bkeys [][]byte
 	for i := 0; len(bkeys) < 16; i++ {
 		k := []byte(fmt.Sprintf("c%d", i))
@@ -285,8 +287,8 @@ func TestResizeBoundaryKeys(t *testing.T) {
 	for _, n := range []int{1, 5, 6, 7, 11, 12, 13, 23, 24, 25, 47, 48, 49, 95, 96, 97, 191, 192, 193} {
 		ikeys, irows := make([]int64, 0, 2*n), make([]int32, 0, 2*n)
 		bkeys := make([][]byte, 0, n)
-		ii := newIntIndex(1)
-		bi := newBytesIndex(1)
+		ii := newIntIndex(nil, 1)
+		bi := newBytesIndex(nil, 1)
 		for i := 0; i < n; i++ {
 			// Spread, distinct keys, each with a duplicate posting.
 			k := int64(i) * 2654435761
@@ -335,7 +337,7 @@ func TestResizeBoundaryKeys(t *testing.T) {
 func TestBloomFilterSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for _, n := range []int{1, 10, 100, 5000} {
-		f := newBloom(n)
+		f := newBloom(nil, n)
 		member := make([]uint64, n)
 		for i := range member {
 			member[i] = rng.Uint64()

@@ -43,13 +43,20 @@ type keyScan struct {
 	span  int
 }
 
+// newKeyScan is small enough to inline, so that an operator's scan lives
+// in its frame.
 func newKeyScan(t *ColTable, slots []int, join bool) *keyScan {
 	ks := &keyScan{t: t, slots: slots, join: join}
-	if len(slots) == 1 && slots[0] >= 0 && t.Cols[slots[0]].Kind == ColInt {
-		ks.col = &t.Cols[slots[0]]
-		ks.min, ks.span, ks.dense = denseRange(t, ks.col)
-	}
+	ks.pickIntPath()
 	return ks
+}
+
+// pickIntPath selects the int path, and the dense kernels, where they apply.
+func (ks *keyScan) pickIntPath() {
+	if len(ks.slots) == 1 && ks.slots[0] >= 0 && ks.t.Cols[ks.slots[0]].Kind == ColInt {
+		ks.col = ks.t.Cols[ks.slots[0]]
+		ks.min, ks.span, ks.dense = denseRange(ks.t, ks.col)
+	}
 }
 
 // fill appends the entries of logical rows [lo, hi) to out in row order,

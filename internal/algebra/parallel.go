@@ -96,7 +96,12 @@ func NewExec(workers int) *Exec {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Exec{workers: workers, rec: &recycler{}}
+	b := &struct { // one allocation for both
+		e   Exec
+		rec recycler
+	}{e: Exec{workers: workers}}
+	b.e.rec = &b.rec
+	return &b.e
 }
 
 // Workers returns the resolved worker count (1 for a nil Exec).

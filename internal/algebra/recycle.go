@@ -15,7 +15,7 @@ import (
 const recycleMin = 2048
 
 // recyclable lists the element types that have free lists.
-var recyclable = [...]any{int32(0), int64(0), uint64(0), float64(0), "", sortRec{}}
+var recyclable = [...]any{int32(0), int64(0), uint64(0), float64(0), "", sortRec{}, bytesIndexSlot{}}
 
 // freeLists[type][class] holds *[]T whose length is the class's size.
 var freeLists [len(recyclable)][4 * 64]sync.Pool
@@ -84,17 +84,20 @@ func borrow[T any](e *Exec, n int, hold, zero bool) []T {
 
 // take returns n zeroed elements that are e's until e.Release; takeDirty
 // leaves them stale, for a caller that writes every element before reading
-// it; scratch is takeDirty for an operator's own scratch (give).
+// it; scratch is takeDirty for an operator's own scratch (give), zeroed is
+// scratch cleared.
 func take[T any](e *Exec, n int) []T      { return borrow[T](e, n, true, true) }
 func takeDirty[T any](e *Exec, n int) []T { return borrow[T](e, n, true, false) }
 func scratch[T any](e *Exec, n int) []T   { return borrow[T](e, n, false, false) }
+func zeroed[T any](e *Exec, n int) []T    { return borrow[T](e, n, false, true) }
 
 // give hands scratch back to its free list; s must not be used afterwards.
+// Only a handed-back array's box is allocated: a small one costs nothing.
 func give[T any](e *Exec, s []T) {
 	if fl := listOf[T](); fl != nil && e != nil && e.rec != nil && cap(s) >= recycleMin {
 		if c, size := sizeClass(cap(s)); size == cap(s) { // not an append-grown array
-			s = s[:size]
-			fl[c].Put(&s)
+			box := s[:size]
+			fl[c].Put(&box)
 		}
 	}
 }

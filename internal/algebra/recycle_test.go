@@ -1,17 +1,22 @@
 package algebra
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestRecyclerReuse pins the recycler's contract: after Release a take of
 // the same size class is served the same backing array, zeroed by take;
 // a nil Exec, a sub-threshold size and an element type with pointers fall
-// through to make; a second Release hands nothing back twice; and
-// concurrent takes from one execution get pairwise-distinct arrays.
+// through to make; a second Release hands nothing back twice; concurrent
+// takes from one execution get pairwise-distinct arrays; and a join
+// build's key index and Bloom filter are counted and, handed back once its
+// probe is over, serve the next build.
 func TestRecyclerReuse(t *testing.T) {
 	// A collection empties the free lists, and sync.Pool is per P: one P
 	// and no collector make a put visible to the next get. The race
@@ -85,6 +90,51 @@ func TestRecyclerReuse(t *testing.T) {
 			t.Fatal("two live takes share one array")
 		}
 		e.Release()
+	})
+
+	t.Run("key indexes and filters", func(t *testing.T) {
+		// 20,000 sparse keys: an index of 32,768 slots and, for a probe
+		// eight times the build, a filter of 4,096 words.
+		const rows = 20000
+		ints, strs := make([]int64, rows), make([]string, rows)
+		for i := range ints {
+			ints[i], strs[i] = int64(i)*1000, fmt.Sprint(i*1000)
+		}
+		for _, col := range []*Vector{{Kind: ColInt, Ints: ints}, {Kind: ColStr, Strs: strs}} {
+			tc := &ColTable{Schema: NewSchema([]string{"k"}), N: rows, Cols: []*Vector{col}}
+			hs := &HashStats{}
+			e := NewExec(1).WithHashStats(hs)
+			build := func() (arrays []any, bytes int) {
+				b := e.buildKeys(newKeyScan(tc, []int{0}, true), 8*rows)
+				defer b.release(e)
+				if b.bloom == nil || (b.ints == nil) != (col.Kind == ColStr) {
+					t.Fatalf("%v keys: the fixture builds no filter or the wrong index", col.Kind)
+				}
+				arrays, bytes = []any{&b.bloom.words[0]}, 8*len(b.bloom.words)
+				if b.ints != nil {
+					return append(arrays, &b.ints.keys[0], &b.ints.ids[0]), bytes + 12*len(b.ints.ids)
+				}
+				return append(arrays, &b.bytes.slots[0]), bytes + int(unsafe.Sizeof(bytesIndexSlot{}))*len(b.bytes.slots)
+			}
+			for try := 0; ; try++ {
+				first, _ := build()
+				e.Release()
+				before := hs.Snapshot()
+				second, bytes := build()
+				got := hs.Snapshot()
+				e.Release()
+				if !slices.Equal(first, second) {
+					if try < 50 {
+						continue
+					}
+					t.Fatalf("%v keys: an index or filter handed back was never served again", col.Kind)
+				}
+				if d, r := got.BufBytes-before.BufBytes, got.BufReused-before.BufReused; r < int64(bytes) || d < r {
+					t.Fatalf("%v keys: a build recorded %d bytes taken, %d reused; want the index's and filter's %d among the reused", col.Kind, d, r, bytes)
+				}
+				break
+			}
+		}
 	})
 
 	t.Run("concurrent takes", func(t *testing.T) {

@@ -160,7 +160,7 @@ func newSortKey(t *ColTable, slots []int, join bool) *sortKey {
 			k.ints = false
 			continue
 		}
-		c := &t.Cols[s]
+		c := t.Cols[s]
 		k.cols[i] = c
 		k.ints = k.ints && c.Kind == ColInt && (join || c.Nulls == nil)
 	}

@@ -27,20 +27,23 @@ import "sync/atomic"
 //     order, build-input order and probe output order survive zero-copy
 //     selection unchanged.
 //
-// Late materialization (Abadi et al., ICDE'07): a join copies no column.
-// Its output is a view — Cols[c] is still the input's vector, and logical
-// row i of slot c is row via[side[c]][i] of it: the join's pair index
-// vector for that input, one per input side and shared by all of the
-// side's columns, composed with the input's own where that was a view
-// already (carry). A column is gathered into the view's row space by the
-// first operator that reads it (Exec.read), on that operator's driver
-// goroutine before it fans out, so kernels only ever see gathered columns
-// and nothing synchronizes on a view; a column nobody reads is never
-// gathered. Sel is the one-source, monotone case of the same indirection
-// (ix): a table has a selection or deferred columns, never both.
+// Late materialization (Abadi et al., ICDE'07): a join copies no column,
+// not even its header. Its output is a view — Cols[c] points at the
+// input's vector, and logical row i of slot c is row via[side[c]][i] of
+// it: the join's pair index vector for that input, one per input side and
+// shared by all of the side's columns, composed with the input's own where
+// that was a view already (carry). A column is gathered into the view's
+// row space by the first operator that reads it (Exec.read), on that
+// operator's driver goroutine before it fans out, so kernels only ever see
+// gathered columns and nothing synchronizes on a view; a column nobody
+// reads is never gathered. Sel is the one-source, monotone case of the
+// same indirection (ix): a table has a selection or deferred columns,
+// never both. A table never writes through a Cols pointer: gathering a
+// column points its slot at a new vector, so every table that shares the
+// old one still reads it unchanged.
 type ColTable struct {
 	Schema *Schema
-	Cols   []Vector
+	Cols   []*Vector
 	// N is the row count of the table's row space: the physical rows of
 	// the column vectors, or a view's pairs.
 	N int
@@ -278,13 +281,14 @@ func (b *colBuilder) finish() Vector {
 
 // colTableFromRows builds a columnar table from materialized rows.
 func colTableFromRows(s *Schema, rows []Row) *ColTable {
-	cols := make([]Vector, s.Len())
-	for c := range cols {
+	vecs, cols := make([]Vector, s.Len()), make([]*Vector, s.Len())
+	for c := range vecs {
 		var b colBuilder
 		for _, r := range rows {
 			b.append(r[c])
 		}
-		cols[c] = b.finish()
+		vecs[c] = b.finish()
+		cols[c] = &vecs[c]
 	}
 	return &ColTable{Schema: s, Cols: cols, N: len(rows)}
 }
@@ -309,7 +313,11 @@ func (e *Exec) RowTable(t *ColTable) *Table {
 	n := t.Card()
 	rows := make([]Row, n)
 	slab := make([]Value, n*t.Schema.Len()) // zero Value = NULL, so NULLs need no writes
-	e.forSpans(n, e.parForBatch(n), func(_, lo, hi int) { t.fillRows(rows, slab, lo, hi) })
+	if e.parForBatch(n) {
+		e.forMorsels(n, func(_, lo, hi int) { t.fillRows(rows, slab, lo, hi) })
+	} else {
+		t.fillRows(rows, slab, 0, n)
+	}
 	for c := range t.side {
 		if t.side[c] >= 0 {
 			e.hashStats().recordGather(1, n)
@@ -335,7 +343,7 @@ func (t *ColTable) fillRows(rows []Row, slab []Value, lo, hi int) {
 			ident[i-b] = int32(i)
 		}
 		for ci := range t.Cols {
-			col, ps := &t.Cols[ci], ident[:end-b]
+			col, ps := t.Cols[ci], ident[:end-b]
 			if ix := t.ix(ci); ix != nil {
 				ps = ix[b:end]
 			}
@@ -374,19 +382,56 @@ func (t *ColTable) fillRows(rows []Row, slab []Value, lo, hi int) {
 // read gathers those of t's given columns (negative: an absent attribute)
 // that are still deferred. An operator calls it for every slot it is about
 // to read, on its driver goroutine before it fans out.
-func (e *Exec) read(t *ColTable, slots ...int) {
-	for _, c := range slots {
-		if c >= 0 && t.side != nil && t.side[c] >= 0 {
-			idx := t.via[t.side[c]]
-			t.Cols[c] = e.gatherCol(&t.Cols[c], idx, e.parForBatch(len(idx)))
-			t.side[c] = -1
-			e.hashStats().recordGather(1, len(idx))
-		}
+func (e *Exec) read(t *ColTable, slots ...int) { e.readAggs(t, nil, slots...) }
+
+// readAggs is read over the slots and the columns the aggregates fold, in
+// one call: the gathered vectors' headers are one block per call.
+func (e *Exec) readAggs(t *ColTable, bound []BoundAgg, slots ...int) {
+	if t.side == nil {
+		return
+	}
+	n := t.deferred(slots)
+	for i := range bound {
+		a := &bound[i]
+		n += t.deferred([]int{a.Arg, a.Arg2, a.Wgt})
+	}
+	if n == 0 {
+		return
+	}
+	vecs := make([]Vector, 0, n)
+	vecs = e.gather(t, slots, vecs)
+	for i := range bound {
+		a := &bound[i]
+		vecs = e.gather(t, []int{a.Arg, a.Arg2, a.Wgt}, vecs)
 	}
 }
 
+// deferred counts the deferred ones of t's slots, a repeated one each time.
+func (t *ColTable) deferred(slots []int) (n int) {
+	for _, c := range slots {
+		if c >= 0 && t.side[c] >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// gather gathers the deferred ones of t's slots, their headers appended to
+// vecs, which has the room for them (so no earlier header moves).
+func (e *Exec) gather(t *ColTable, slots []int, vecs []Vector) []Vector {
+	for _, c := range slots {
+		if c >= 0 && t.side[c] >= 0 {
+			idx := t.via[t.side[c]]
+			vecs = append(vecs, e.gatherCol(t.Cols[c], idx, e.parForBatch(len(idx))))
+			t.Cols[c], t.side[c] = &vecs[len(vecs)-1], -1
+			e.hashStats().recordGather(1, len(idx))
+		}
+	}
+	return vecs
+}
+
 // carry appends t's columns at the row handles idx (physical rows of t, in
-// any order, repeated at will) to the view out, copying none: a column
+// any order, repeated at will) to the view out, sharing t's vectors: a column
 // gathered in t is read through idx itself, a deferred one through its own
 // index vector composed with idx — one int32 gather per side of t, whatever
 // the side's width. A side padded by an outer join (idx holds -1, pad the
@@ -410,16 +455,7 @@ func (e *Exec) carry(out, t *ColTable, idx []int32, pad Row, padded, par bool) {
 		if at[k] == 0 {
 			v := idx
 			if k > 0 {
-				inner := t.via[k-1]
-				v = takeDirty[int32](e, len(idx))
-				e.forSpans(len(idx), par, func(_, lo, hi int) {
-					for i, p := range idx[lo:hi] {
-						v[lo+i] = -1
-						if p >= 0 {
-							v[lo+i] = inner[p]
-						}
-					}
-				})
+				v = e.compose(idx, t.via[k-1], par)
 			}
 			out.via = append(out.via, v)
 			at[k] = int16(len(out.via))
@@ -429,22 +465,47 @@ func (e *Exec) carry(out, t *ColTable, idx []int32, pad Row, padded, par bool) {
 	if !padded {
 		return
 	}
-	fill := func(c int) {
-		p := Null
-		if pad != nil {
-			p = pad[c]
-		}
-		out.Cols[o+c] = gatherColPad(&t.Cols[c], out.via[out.side[o+c]], p)
-		out.side[o+c] = -1
-	}
+	vecs := make([]Vector, len(t.Cols)) // the gathered columns' headers
 	if par {
-		e.forTasks(len(t.Cols), fill)
+		e.forTasks(len(t.Cols), func(c int) { out.padCol(t, o, c, pad, vecs) })
 	} else {
 		for c := range t.Cols {
-			fill(c)
+			out.padCol(t, o, c, pad, vecs)
 		}
 	}
 	e.hashStats().recordGather(len(t.Cols), len(t.Cols)*len(idx))
+}
+
+// padCol gathers carry's column c of t, padded, into vecs[c] and points
+// out's slot o+c at it.
+func (out *ColTable) padCol(t *ColTable, o, c int, pad Row, vecs []Vector) {
+	p := Null
+	if pad != nil {
+		p = pad[c]
+	}
+	vecs[c] = gatherColPad(t.Cols[c], out.via[out.side[o+c]], p)
+	out.Cols[o+c], out.side[o+c] = &vecs[c], -1
+}
+
+// compose returns the index vector that reads through inner at the row
+// handles idx: inner[idx[i]], or -1 where idx pads.
+func (e *Exec) compose(idx, inner []int32, par bool) []int32 {
+	v := takeDirty[int32](e, len(idx))
+	if par {
+		e.forMorsels(len(idx), func(_, lo, hi int) { composeSpan(v[lo:hi], idx[lo:hi], inner) })
+	} else {
+		composeSpan(v, idx, inner) // no closure for a fan-out that does not happen
+	}
+	return v
+}
+
+func composeSpan(v, idx, inner []int32) {
+	for i, p := range idx {
+		v[i] = -1
+		if p >= 0 {
+			v[i] = inner[p]
+		}
+	}
 }
 
 // extended returns t's logical rows under schema s — t's, extended — as a
@@ -452,7 +513,7 @@ func (e *Exec) carry(out, t *ColTable, idx []int32, pad Row, padded, par bool) {
 // table or a view as it stands, a table under a selection as the view
 // through Sel.
 func (e *Exec) extended(t *ColTable, s *Schema) *ColTable {
-	out := &ColTable{Schema: s, N: t.Card(), Cols: make([]Vector, 0, s.Len())}
+	out := &ColTable{Schema: s, N: t.Card(), Cols: make([]*Vector, 0, s.Len())}
 	if t.Sel != nil {
 		out.side = make([]int16, 0, s.Len())
 		e.carry(out, t, t.Sel, nil, false, false)
@@ -466,7 +527,7 @@ func (e *Exec) extended(t *ColTable, s *Schema) *ColTable {
 }
 
 // addDense appends a column over t's row space.
-func (t *ColTable) addDense(v Vector) {
+func (t *ColTable) addDense(v *Vector) {
 	t.Cols = append(t.Cols, v)
 	if t.side != nil {
 		t.side = append(t.side, -1)

@@ -232,7 +232,16 @@ func checkOptions(q *query.Query, opts *Options) error {
 func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, error) {
 	g := newGenerator[S](q, opts)
 	defer g.release()
-	return g.run()
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+	// Valid statistics can still overflow in a product of cardinalities;
+	// a plan ranked +Inf or NaN was not chosen by its cost.
+	if r := g.rank(res.Plan); math.IsInf(r, 0) || math.IsNaN(r) {
+		return nil, fmt.Errorf("core: the best plan's cost is %v: the query's statistics overflow the cost model", r)
+	}
+	return res, nil
 }
 
 // newGenerator sets up one optimization run over checked options: the query

@@ -260,6 +260,34 @@ func TestOptimizeRejectsUndefinedOptions(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsOverflowingCost: statistics that validate can still
+// overflow the cost model — a full outerjoin of two relations of 1e308
+// rows each, on keys with as many values, has +Inf rows, and grouping
+// first reduces nothing — and then every generator, in both physical
+// modes, returns an error instead of a plan it could not rank.
+func TestOptimizeRejectsOverflowingCost(t *testing.T) {
+	q := query.New()
+	a, b := q.AddRelation("a", 1e308), q.AddRelation("b", 1e308)
+	x, y := q.AddAttr(a, "a.x", 1e308), q.AddAttr(b, "b.y", 1e308)
+	q.Root = &query.OpNode{
+		Kind:  query.KindFullOuter,
+		Left:  &query.OpNode{Kind: query.KindScan, Rel: a},
+		Right: &query.OpNode{Kind: query.KindScan, Rel: b},
+		Pred:  &query.Predicate{Left: []int{x}, Right: []int{y}, Selectivity: 0.5},
+	}
+	q.SetGrouping([]int{x}, aggfn.Vector{{Out: "cnt", Kind: aggfn.CountStar}})
+	for _, phys := range []PhysMode{PhysModeHash, PhysModeSort} {
+		for _, alg := range []Algorithm{AlgDPhyp, AlgH1, AlgH2, AlgEAPrune, AlgEAAll, AlgBeam} {
+			res, err := Optimize(q, Options{Algorithm: alg, F: 1.03, Phys: phys})
+			if err == nil {
+				t.Errorf("%v/%v: Optimize returned a plan of cost %v, want an error", alg, phys, res.Plan.Cost)
+			} else if !strings.Contains(err.Error(), "overflow") {
+				t.Errorf("%v/%v: error %q does not say the cost overflows", alg, phys, err)
+			}
+		}
+	}
+}
+
 // TestSingleJoinGrouping is a minimal sanity scenario with hand-checkable
 // numbers: R0(card 1000, 10 groups) B R1(card 10, key) grouped by R0.g.
 func TestSingleJoinGrouping(t *testing.T) {

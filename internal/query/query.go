@@ -13,6 +13,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"eagg/internal/aggfn"
@@ -340,6 +341,18 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("query: operator tree covers %d relations, catalog has %d",
 			rels.Len(), len(q.Relations))
 	}
+	// The cost bounds and dominance compare sums and products of these
+	// statistics; they are exact only for finite, non-negative terms.
+	for _, r := range q.Relations {
+		if !(r.Card >= 0) || math.IsInf(r.Card, 1) {
+			return fmt.Errorf("query: relation %s has cardinality %v, want a finite number ≥ 0", r.Name, r.Card)
+		}
+	}
+	for a, d := range q.Distinct {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("query: attribute %q has %v distinct values, want a finite number", q.AttrNames[a], d)
+		}
+	}
 	var walk func(n *OpNode) error
 	walk = func(n *OpNode) error {
 		if n == nil {
@@ -357,8 +370,8 @@ func (q *Query) Validate() error {
 		if len(n.Pred.Left) != len(n.Pred.Right) || len(n.Pred.Left) == 0 {
 			return fmt.Errorf("query: malformed predicate on %v", n.Kind)
 		}
-		if n.Pred.Selectivity <= 0 || n.Pred.Selectivity > 1 {
-			return fmt.Errorf("query: selectivity %v out of (0,1]", n.Pred.Selectivity)
+		if s := n.Pred.Selectivity; !(s > 0 && s <= 1) { // NaN fails both
+			return fmt.Errorf("query: selectivity %v out of (0,1]", s)
 		}
 		lrels, rrels := n.Left.Rels(), n.Right.Rels()
 		if !q.RelsOf(n.Pred.LeftAttrs()).SubsetOf(lrels) || !q.RelsOf(n.Pred.RightAttrs()).SubsetOf(rrels) {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}{
 		{"missing tree", func(q *Query) { q.Root = nil }, "missing operator tree"},
 		{"bad selectivity", func(q *Query) { q.Root.Pred.Selectivity = 0 }, "selectivity"},
+		{"NaN selectivity", func(q *Query) { q.Root.Pred.Selectivity = math.NaN() }, "selectivity NaN"},
+		{"negative cardinality", func(q *Query) { q.Relations[0].Card = -5 }, "cardinality -5"},
+		{"NaN cardinality", func(q *Query) { q.Relations[1].Card = math.NaN() }, "cardinality NaN"},
+		{"infinite cardinality", func(q *Query) { q.Relations[0].Card = math.Inf(1) }, "cardinality +Inf"},
+		{"NaN distinct count", func(q *Query) { q.Distinct[q.AttrID("a0")] = math.NaN() }, `"a0" has NaN distinct`},
+		{"infinite distinct count", func(q *Query) { q.Distinct[q.AttrID("b1")] = math.Inf(1) }, `"b1" has +Inf distinct`},
 		{"missing predicate", func(q *Query) { q.Root.Pred = nil }, "without predicate"},
 		{"swapped predicate sides", func(q *Query) {
 			q.Root.Pred.Left, q.Root.Pred.Right = q.Root.Pred.Right, q.Root.Pred.Left
@@ -55,6 +62,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
 		}
+	}
+	// An empty relation is a relation.
+	q := buildValid()
+	q.Relations[0].Card = 0
+	if err := q.Validate(); err != nil {
+		t.Errorf("empty relation: %v", err)
 	}
 }
 
