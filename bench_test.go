@@ -564,7 +564,7 @@ func BenchmarkExecute(b *testing.B) {
 			b.Run(fmt.Sprintf("engine=slot/plan=%s/sf=%g", pl.name, sf), func(b *testing.B) {
 				var rows float64
 				for i := 0; i < b.N; i++ {
-					tab, stats, err := engine.ExecProfiled(q, res.Plan, tables)
+					tab, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -751,7 +751,7 @@ func BenchmarkSortVsHash(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/phys=%s/workers=%d", qn, m.name, w), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						tab, err := engine.ExecTablesOpts(q, res.Plan, tables, opts)
+						tab, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, opts)
 						if err != nil {
 							b.Fatal(err)
 						}

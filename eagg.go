@@ -88,8 +88,9 @@ type Table = algebra.Table
 // Data maps relation ids to contents for Execute.
 type Data = engine.Data
 
-// TableData maps relation ids to slot-based tables for ExecuteTables;
-// obtain it from Data.Tables() or a columnar generator.
+// TableData maps relation ids to slot-based tables for
+// ExecuteProfiledOpts; obtain it from Data.Tables() or a columnar
+// generator.
 type TableData = engine.TableData
 
 // ExecStats profiles one execution: the per-operator cardinality profile
@@ -106,14 +107,10 @@ type OpCard = engine.OpCard
 // and looked up under.
 type CardKey = cost.CardKey
 
-// CardSource is the estimator's pluggable cardinality provider; see
-// Options.Stats.
-type CardSource = cost.CardSource
-
-// FeedbackOverlay is a CardSource of measured cardinalities falling back
-// to the selectivity model; build one from ExecStats.Profile (or
-// NewFeedbackOverlay + ExecStats.HarvestInto) and pass it via
-// Options.Stats to re-optimize with corrected cardinalities.
+// FeedbackOverlay holds measured cardinalities, falling back to the
+// selectivity model for every key it lacks; build one from
+// ExecStats.Profile (or NewFeedbackOverlay + ExecStats.HarvestInto) and
+// pass it via Options.Stats to re-optimize with corrected cardinalities.
 type FeedbackOverlay = cost.FeedbackOverlay
 
 // NewFeedbackOverlay returns an empty measured-cardinality overlay.
@@ -165,7 +162,7 @@ func ExplainAnalyze(q *Query, p *Plan, tr *Trace) string {
 // cache and (optionally) global feedback overlay serving many concurrent
 // queries against resident table data. Construct with NewEngine, then
 // execute through Sessions from any number of goroutines; results are
-// bit-identical to the one-shot Optimize + ExecuteTables calls.
+// bit-identical to the one-shot Optimize + ExecuteProfiledOpts calls.
 type Engine = service.Engine
 
 // EngineOptions configures an Engine: shared worker count, admission
@@ -327,27 +324,11 @@ func Execute(q *Query, p *Plan, data Data) (*Rel, error) {
 	return engine.Exec(q, p, data)
 }
 
-// ExecuteTables is Execute on slot-based tables, avoiding the boundary
-// conversion for callers that already hold columnar data.
-func ExecuteTables(q *Query, p *Plan, data TableData) (*Table, error) {
-	return engine.ExecTables(q, p, data)
-}
-
-// ExecuteProfiled is ExecuteTables plus execution statistics: the actual
-// intermediate-result volume to compare against the plan's C_out
+// ExecuteProfiledOpts is Execute on slot-based tables under explicit
+// execution options — the entry point for morsel-driven parallel
+// execution — returning the result table and execution statistics: the
+// actual intermediate-result volume to compare against the plan's C_out
 // estimate.
-func ExecuteProfiled(q *Query, p *Plan, data TableData) (*Table, *ExecStats, error) {
-	return engine.ExecProfiled(q, p, data)
-}
-
-// ExecuteTablesOpts is ExecuteTables under explicit execution options —
-// the entry point for morsel-driven parallel execution.
-func ExecuteTablesOpts(q *Query, p *Plan, data TableData, opts ExecOptions) (*Table, error) {
-	return engine.ExecTablesOpts(q, p, data, opts)
-}
-
-// ExecuteProfiledOpts is ExecuteProfiled under explicit execution
-// options.
 func ExecuteProfiledOpts(q *Query, p *Plan, data TableData, opts ExecOptions) (*Table, *ExecStats, error) {
 	return engine.ExecProfiledOpts(q, p, data, opts)
 }
@@ -365,11 +346,6 @@ func Reoptimize(q *Query, data TableData, opts FeedbackOptions) (*FeedbackResult
 // the reference result for Execute.
 func Canonical(q *Query, data Data) (*Rel, error) {
 	return engine.Canonical(q, data)
-}
-
-// CanonicalTables is Canonical on slot-based tables.
-func CanonicalTables(q *Query, data TableData) (*Table, error) {
-	return engine.CanonicalTables(q, data)
 }
 
 // OutputAttrs returns the result schema of the query.

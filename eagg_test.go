@@ -72,11 +72,11 @@ func TestFacadeExecuteMatchesCanonical(t *testing.T) {
 	}
 	// The reference runtime is reachable through the facade by name, and
 	// the default reproduces it as a sequence.
-	row, err := eagg.ExecuteTablesOpts(q, res.Plan, data.Tables(), rowOracle)
+	row, _, err := eagg.ExecuteProfiledOpts(q, res.Plan, data.Tables(), rowOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := eagg.ExecuteTables(q, res.Plan, data.Tables())
+	def, _, err := eagg.ExecuteProfiledOpts(q, res.Plan, data.Tables(), eagg.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,8 @@ func Example() {
 // harvested from one execution fed back via Options.Stats.
 func TestFacadeReoptimize(t *testing.T) {
 	q, _ := buildStarQuery()
-	data := engine.RandomData(rand.New(rand.NewSource(3)), q, 8).Tables()
+	rel := engine.RandomData(rand.New(rand.NewSource(3)), q, 8)
+	data := rel.Tables()
 	res, err := eagg.Reoptimize(q, data, eagg.FeedbackOptions{
 		Opt: eagg.Options{Algorithm: eagg.EAPrune, Workers: 1},
 	})
@@ -147,11 +148,11 @@ func TestFacadeReoptimize(t *testing.T) {
 	if qe := res.Final().Stats.CoutQError(); qe > 1+1e-9 {
 		t.Fatalf("converged q-error %g > 1", qe)
 	}
-	want, err := eagg.CanonicalTables(q, data)
+	want, err := eagg.Canonical(q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eagg.SameResult(q, want.Rel(), res.Result.Rel()) {
+	if !eagg.SameResult(q, want, res.Result.Rel()) {
 		t.Fatal("feedback result differs from canonical")
 	}
 
@@ -160,7 +161,7 @@ func TestFacadeReoptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := eagg.ExecuteProfiled(q, first.Plan, data)
+	_, stats, err := eagg.ExecuteProfiledOpts(q, first.Plan, data, eagg.ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,6 +191,49 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 	})
 }
 
+// BenchmarkSparseIntKeys times the hashed int path: one ColInt key column
+// whose keys spread far past denseMultiple × rows, so the operators build
+// an intIndex instead of addressing the keys directly. op=join builds n/4
+// unique keys and probes them with n rows, each finding one partner;
+// op=group folds n rows into n/4 groups; Workers 1, 4k … 1M rows. No
+// workload builds an intIndex (TPC-H keys are dense, the service's tiny
+// shapes too), so this is the measurement its code answers to.
+func BenchmarkSparseIntKeys(b *testing.B) {
+	f := aggfn.Vector{{Out: "s", Kind: aggfn.Sum, Arg: "v"}, {Out: "c", Kind: aggfn.CountStar}}
+	const stride = 1 << 20
+	lk := []int{0}
+	e := NewExec(1)
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
+		distinct := n / 4
+		probe := benchAggCols(n, func(i int) int64 { return int64(i%distinct) * stride })
+		build := benchAggCols(distinct, func(i int) int64 { return int64(i) * stride })
+		build.Schema = NewSchema([]string{"pk", "pv", "pf"})
+		for _, t := range []*ColTable{probe, build} {
+			if ks := newKeyScan(t, lk, true); ks.col == nil || ks.dense {
+				b.Fatalf("rows=%d: the keys do not take the hashed int path", n)
+			}
+		}
+		b.Run(fmt.Sprintf("op=join/rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := e.BatchHashJoin(probe, build, lk, lk, probe.Schema.Concat(build.Schema)); out.Card() != n {
+					b.Fatalf("got %d rows, want %d", out.Card(), n)
+				}
+				e.Release()
+			}
+		})
+		b.Run(fmt.Sprintf("op=group/rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := e.BatchHashGroup(probe, BindAggregation(probe.Schema, []string{"g"}, f)); out.Card() != distinct {
+					b.Fatalf("got %d groups, want %d", out.Card(), distinct)
+				}
+				e.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkTableOpAllocs pins the slab allocation of the row-table ops:
 // extending and projecting a table must cost a constant number of
 // allocations (header + one backing slab), not one make per row.

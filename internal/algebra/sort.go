@@ -2,9 +2,9 @@ package algebra
 
 // Sort-based physical operators: sort-merge equi-joins
 // (inner/semi/anti/leftouter) and sort-group aggregation over columnar
-// tables — the second physical layer beside the hash operators. The row
-// runtime's MergeTables and SortGroup are Columnar() → batch operator →
-// Table() wrappers around the same code.
+// tables — the second physical layer beside the hash operators. Only the
+// batch runtime runs them; the row runtime runs a sort-annotated plan on
+// its own hash operators, which is why the output sequence below matters.
 //
 // Every operator here emits the *hash-canonical output sequence*: the
 // exact row order its hash counterpart produces (probe rows in input
@@ -49,8 +49,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-
-	"eagg/internal/aggfn"
 )
 
 // ---------------------------------------------------------------------
@@ -655,17 +653,6 @@ func (e *Exec) BatchMergeJoin(kind MergeKind, l, r *ColTable, lk, rk []int, sort
 	return e.joinView(l, r, s, lidx, ridx, nil, pad, false, slices.Contains(padded, true), par), nil
 }
 
-// MergeTables is the sort-merge equi-join of the given kind for the row
-// runtime: BatchMergeJoin between a conversion to columns and one back.
-// The output sequence equals the hash operator's of the same kind exactly.
-func (e *Exec) MergeTables(kind MergeKind, l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
-	out, err := e.BatchMergeJoin(kind, l.Columnar(), r.Columnar(), lk, rk, sortL, sortR, pad, l.Schema.Concat(r.Schema))
-	if err != nil {
-		return nil, err
-	}
-	return out.Table(), nil
-}
-
 // ---------------------------------------------------------------------
 // Sort-group
 // ---------------------------------------------------------------------
@@ -707,14 +694,4 @@ func (e *Exec) BatchSortGroup(t *ColTable, a *Aggregation, sortInput bool, verif
 		spans[m] = g
 	})
 	return e.mergeGroupers(spans, t, groupSlots, bound).emitTable(e, a.Out, par), nil
-}
-
-// SortGroup is sort-group aggregation on the row runtime; the output is
-// bit-identical to HashGroup's.
-func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*Table, error) {
-	out, err := e.BatchSortGroup(t.Columnar(), BindAggregation(t.Schema, groupBy, f), sortInput, verify)
-	if err != nil {
-		return nil, err
-	}
-	return out.Table(), nil
 }

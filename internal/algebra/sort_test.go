@@ -84,11 +84,11 @@ func TestMergeJoinsMatchHash(t *testing.T) {
 				{"anti", MergeAnti, HashAntiJoin(l, r, lk, rk)},
 				{"leftouter", MergeLeftOuter, HashLeftOuter(l, r, lk, rk, pad)},
 			} {
-				got, err := ex.MergeTables(c.kind, l, r, lk, rk, !lSorted, !rSorted, pad)
+				got, err := ex.BatchMergeJoin(c.kind, ColTableOf(l), ColTableOf(r), lk, rk, !lSorted, !rSorted, pad, l.Schema.Concat(r.Schema))
 				if err != nil {
 					t.Fatalf("%s %s: %v", label, c.name, err)
 				}
-				identical(t, label+" "+c.name, c.want, got)
+				identical(t, label+" "+c.name, c.want, got.Table())
 			}
 		}
 	}
@@ -121,29 +121,33 @@ func TestSortGroupMatchesHash(t *testing.T) {
 			if sorted {
 				verify = []int{0} // eliminated path: verify the run column
 			}
-			got, err := ex.SortGroup(in, []string{"t.k"}, f, !sorted, verify)
+			got, err := ex.BatchSortGroup(ColTableOf(in), BindAggregation(in.Schema, []string{"t.k"}, f), !sorted, verify)
 			if err != nil {
 				t.Fatalf("trial=%d workers=%d sorted=%v: %v", trial, workers, sorted, err)
 			}
-			identical(t, fmt.Sprintf("trial=%d workers=%d sorted=%v", trial, workers, sorted), want, got)
+			identical(t, fmt.Sprintf("trial=%d workers=%d sorted=%v", trial, workers, sorted), want, got.Table())
 		}
 	}
 }
 
 // TestMergeJoinVerifiesOrder pins the safety net: claiming an eliminated
 // sort on an unsorted input is an execution error, not a wrong result —
-// on the row wrappers and on the batch operators, for int keys (the typed
+// sequentially and on every arm of sortExecs, for int keys (the typed
 // check) and string keys (the comparator check), on either side.
 func TestMergeJoinVerifiesOrder(t *testing.T) {
 	l := &Table{Schema: NewSchema([]string{"l.k"}), Rows: []Row{{Int(2)}, {Int(1)}}}
 	r := &Table{Schema: NewSchema([]string{"r.k"}), Rows: []Row{{Int(1)}}}
-	if _, err := NewExec(1).MergeTables(MergeInner, l, r, []int{0}, []int{0}, false, true, nil); err == nil {
+	inner := func(l, r *Table) error {
+		_, err := NewExec(1).BatchMergeJoin(MergeInner, ColTableOf(l), ColTableOf(r), []int{0}, []int{0}, false, true, nil, l.Schema.Concat(r.Schema))
+		return err
+	}
+	if err := inner(l, r); err == nil {
 		t.Fatal("merge join accepted an unsorted input declared sorted")
 	}
 	// NULL keys are filtered before the check, so a NULL between ordered
 	// keys is fine.
 	l2 := &Table{Schema: NewSchema([]string{"l.k"}), Rows: []Row{{Int(1)}, {Null}, {Int(2)}}}
-	if _, err := NewExec(1).MergeTables(MergeInner, l2, r, []int{0}, []int{0}, false, true, nil); err != nil {
+	if err := inner(l2, r); err != nil {
 		t.Fatalf("NULL key between ordered keys rejected: %v", err)
 	}
 	for name, rows := range map[string][]Row{
@@ -186,15 +190,12 @@ func TestSortGroupKindSensitive(t *testing.T) {
 	}}
 	f := aggfn.Vector{{Out: "cnt", Kind: aggfn.CountStar}}
 	want := HashGroup(in, []string{"t.k"}, f)
-	got, err := NewExec(1).SortGroup(in, []string{"t.k"}, f, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := ColTableOf(in)
+	got := mustSortGroup(t, NewExec(1), ct, []string{"t.k"}, f).Table()
 	identical(t, "kind-sensitive groups", want, got)
 	if len(got.Rows) != 5 {
 		t.Fatalf("want 5 groups (Float 2, Int 2, NULL, +0.0, -0.0), got %d", len(got.Rows))
 	}
-	ct := ColTableOf(in)
 	for name, e := range sortExecs() {
 		identicalRows(t, "batch kind-sensitive groups/"+name, want, mustSortGroup(t, e, ct, []string{"t.k"}, f).Table())
 	}
@@ -210,24 +211,25 @@ func TestSortGroupKindSensitive(t *testing.T) {
 
 // TestSortGroupVerifiesOrder pins the streaming aggregation's safety
 // net: an eliminated sort whose covering order prefix the data violates
-// is an execution error, never a silently duplicated group — on the row
-// wrapper and the batch operator, for int and string order columns.
+// is an execution error, never a silently duplicated group — with a
+// morsel of one row and on every arm of sortExecs, for int and string
+// order columns.
 func TestSortGroupVerifiesOrder(t *testing.T) {
 	in := &Table{Schema: NewSchema([]string{"t.k"}), Rows: []Row{{Int(1)}, {Int(2)}, {Int(1)}}}
 	f := aggfn.Vector{{Out: "cnt", Kind: aggfn.CountStar}}
 	for _, workers := range []int{1, 8} {
 		ex := NewExec(workers).WithMorselSize(1)
-		if _, err := ex.SortGroup(in, []string{"t.k"}, f, false, []int{0}); err == nil {
+		if _, err := ex.BatchSortGroup(ColTableOf(in), BindAggregation(in.Schema, []string{"t.k"}, f), false, []int{0}); err == nil {
 			t.Fatalf("workers=%d: streaming aggregation accepted an unsorted run column", workers)
 		}
 	}
 	// A genuinely sorted column (NULLs first) streams fine.
 	ok := &Table{Schema: NewSchema([]string{"t.k"}), Rows: []Row{{Null}, {Int(1)}, {Int(1)}, {Int(2)}}}
-	got, err := NewExec(1).SortGroup(ok, []string{"t.k"}, f, false, []int{0})
+	got, err := NewExec(1).BatchSortGroup(ColTableOf(ok), BindAggregation(ok.Schema, []string{"t.k"}, f), false, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	identical(t, "sorted stream", HashGroup(ok, []string{"t.k"}, f), got)
+	identical(t, "sorted stream", HashGroup(ok, []string{"t.k"}, f), got.Table())
 
 	str := &Table{Schema: NewSchema([]string{"t.k"}), Rows: []Row{{Str("a")}, {Str("b")}, {Str("a")}}}
 	for name, e := range sortExecs() {

@@ -121,13 +121,13 @@ type Options struct {
 	// one level at a time, so any worker count produces plans
 	// bit-identical to the Workers: 1 run (see parallel.go).
 	Workers int
-	// Stats overrides the estimator's cardinality source (nil = the pure
-	// selectivity model). Pass a cost.FeedbackOverlay built from an
+	// Stats overlays measured cardinalities on the estimator (nil = the
+	// pure selectivity model). Pass a cost.FeedbackOverlay built from an
 	// execution profile to re-optimize with measured cardinalities
-	// (engine.Reoptimize drives that loop). The source must be safe for
-	// concurrent reads and must not change during the optimization:
-	// parallel workers share it across their estimator clones.
-	Stats cost.CardSource
+	// (engine.Reoptimize drives that loop). It must not change during
+	// the optimization: parallel workers share it across their estimator
+	// clones.
+	Stats *cost.FeedbackOverlay
 	// Phys selects the physical algebra (hash or sort-based). The
 	// default PhysModeHash reproduces the pre-existing plans exactly;
 	// the sort mode additionally tracks contractual orders, keys DP plan
@@ -248,9 +248,7 @@ func optimizeAs[S bitset.RelSet[S]](q *query.Query, opts Options) (*Result, erro
 // analysis, the estimator and every default the run reads.
 func newGenerator[S bitset.RelSet[S]](q *query.Query, opts Options) *generator[S] {
 	est := cost.NewEstimator(q)
-	if opts.Stats != nil {
-		est.Source = opts.Stats
-	}
+	est.Source = opts.Stats
 	g := &generator[S]{
 		q:              q,
 		det:            conflict.Detect[S](q),

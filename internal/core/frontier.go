@@ -50,19 +50,27 @@ func (w *worker) closeKeys(dst []uint64, p *plan.Plan) []uint64 {
 // compares the path-cardinality vector, the quantitative counterpart of
 // the FD condition: every future grouping cardinality is a monotone
 // function of it (see dominates).
+//
+// Under measured cardinalities (Options.Stats) that monotonicity holds
+// only between plans with equal GroupsBelow: an operator's measured
+// cardinality is looked up by (relation set, GroupsBelow) (cost.KeyOf),
+// so the same extension of two plans whose GroupsBelow differ reads two
+// unrelated measurements. Plans compare only within equal GroupsBelow
+// then; without an overlay every pair compares, as in the paper.
 func (g *generator[S]) pruneDominatedPlans(w *worker, e *entry, t *plan.Plan) {
-	phys := g.physOn()
+	phys, measured := g.physOn(), g.opts.Stats != nil
 	w.closed = false
 	cl := func() []uint64 { return w.keyClosures(t) }
 	// Any dominator rejects t, so the scan order changes no outcome.
 	for i := len(e.plans) - 1; i >= 0; i-- {
-		if dominates(e.plans[i], t, phys, cl) {
+		if p := e.plans[i]; (!measured || p.GroupsBelow == t.GroupsBelow) && dominates(p, t, phys, cl) {
 			return
 		}
 	}
 	kept := e.plans[:0]
 	for _, p := range e.plans {
-		if dominates(t, p, phys, func() []uint64 { w.cls = w.closeKeys(w.cls[:0], p); return w.cls }) {
+		if (!measured || p.GroupsBelow == t.GroupsBelow) &&
+			dominates(t, p, phys, func() []uint64 { w.cls = w.closeKeys(w.cls[:0], p); return w.cls }) {
 			w.free = append(w.free, p)
 			continue
 		}

@@ -43,13 +43,12 @@ type Estimator struct {
 	// read it.
 	local fd.Local
 
-	// Source supplies operator output cardinalities by canonical key
-	// (see CardKey). The default ModelSource passes the selectivity
-	// model through unchanged; a FeedbackOverlay overrides keys that
-	// were measured during an execution. The source is consulted for
+	// Source overrides operator output cardinalities by canonical key
+	// (see CardKey) with those measured during an execution; nil (the
+	// default) is the pure selectivity model. The source is consulted for
 	// every operator and grouping estimate, so all plans in one DP run
 	// see a consistent view.
-	Source CardSource
+	Source *FeedbackOverlay
 }
 
 type predInfo struct {
@@ -57,10 +56,10 @@ type predInfo struct {
 	sel  float64
 }
 
-// NewEstimator returns an estimator for the query using the pure
-// selectivity model (ModelSource) as its cardinality source.
+// NewEstimator returns an estimator for the query on the pure selectivity
+// model (a nil Source).
 func NewEstimator(q *query.Query) *Estimator {
-	e := &Estimator{Q: q, canonLo: map[uint64]float64{}, canon: map[bitset.VSet]float64{}, Source: ModelSource{}, local: fd.NewLocal(q)}
+	e := &Estimator{Q: q, canonLo: map[uint64]float64{}, canon: map[bitset.VSet]float64{}, local: fd.NewLocal(q)}
 	var walk func(n *query.OpNode)
 	walk = func(n *query.OpNode) {
 		if n == nil || n.Kind == query.KindScan {
@@ -429,8 +428,7 @@ func capPath(dst, child []float64, card float64) []float64 {
 }
 
 // sourceCard resolves one operator cardinality through the estimator's
-// CardSource; the default ModelSource returns the model estimate
-// unchanged.
+// Source; without one it returns the model estimate unchanged.
 func (e *Estimator) sourceCard(key CardKey, model float64) float64 {
 	if e.Source == nil {
 		return model

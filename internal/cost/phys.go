@@ -14,7 +14,7 @@
 // mode ranks plans by it: within a plan class an ordered plan that
 // eliminates a sort beats one that must sort, exactly where the classic
 // interesting-order argument says it should. All cardinalities flow
-// through the estimator's CardSource seam, so the cardinality feedback
+// through the estimator's Source seam, so the cardinality feedback
 // loop corrects physical overheads too.
 package cost
 

@@ -6,7 +6,7 @@
 //
 //   - Readers take an immutable Snapshot: a plain *FeedbackOverlay that
 //     is never mutated after publication. An optimization installs the
-//     snapshot as its CardSource and runs against frozen statistics, so
+//     snapshot as its Source and runs against frozen statistics, so
 //     the parallel DP driver's workers-1≡8 bit-identity contract holds
 //     unchanged — no measurement published mid-optimization can leak in.
 //   - Writers Publish a harvested profile: the current version is copied,

@@ -1,8 +1,8 @@
 // The stats-provider seam: cardinalities flow into the estimator through
-// a CardSource, so measured per-operator cardinalities harvested from an
-// execution (internal/engine's CardProfile) can override the selectivity
-// model during re-optimization — the execute→harvest→re-optimize loop of
-// engine.Reoptimize.
+// a FeedbackOverlay, so measured per-operator cardinalities harvested from
+// an execution (internal/engine's ExecStats.Profile) can override the
+// selectivity model during re-optimization — the
+// execute→harvest→re-optimize loop of engine.Reoptimize.
 //
 // Operators are identified by canonical keys that survive plan changes:
 // two plans that compute the same logical intermediate result map to the
@@ -75,25 +75,9 @@ func (k CardKey) Describe(q *query.Query) string {
 	return "⨝{" + strings.Join(rels, ",") + "}"
 }
 
-// CardSource supplies the output cardinality of a canonically-keyed
-// operator. The estimator computes its selectivity-model estimate first
-// and passes it in; a source with nothing better returns it unchanged.
-// Sources must be safe for concurrent read-only use: parallel optimizer
-// workers share one source across their estimator clones.
-type CardSource interface {
-	Card(key CardKey, model float64) float64
-}
-
-// ModelSource is the default CardSource: the pure selectivity model,
-// passed through unchanged.
-type ModelSource struct{}
-
-// Card returns the model estimate unchanged.
-func (ModelSource) Card(_ CardKey, model float64) float64 { return model }
-
-// FeedbackOverlay is a CardSource backed by measured cardinalities: keys
-// present in the overlay return their measured value, everything else
-// falls back to the selectivity model. Build it from execution profiles
+// FeedbackOverlay supplies measured operator cardinalities: keys present
+// in the overlay return their measured value, everything else falls back
+// to the selectivity model. Build it from execution profiles
 // (engine.ExecStats.Profile) and pass it to a re-optimization via
 // core.Options.Stats. The overlay must not be mutated while an
 // optimization that uses it is running.

@@ -57,9 +57,6 @@ func TestFeedbackOverlayFallback(t *testing.T) {
 	if o.Len() != 1 {
 		t.Fatalf("Len = %d", o.Len())
 	}
-	if got := (ModelSource{}).Card(key, 42); got != 42 {
-		t.Fatalf("ModelSource must pass the model through: got %g", got)
-	}
 }
 
 // TestCanonicalKeys pins the canonicalization rules: op keys carry the

@@ -43,7 +43,7 @@ func allocPerExecRuns(t *testing.T, name string, factor float64, phys core.PhysM
 		if i == warm {
 			runtime.ReadMemStats(&before)
 		}
-		if res, err = engine.ExecTablesOpts(q, opt.Plan, tables, opts); err != nil {
+		if res, _, err = engine.ExecProfiledOpts(q, opt.Plan, tables, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,9 +41,6 @@ func TestParseRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "engine: unknown runtime Runtime(7)"
-	if _, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Runtime: 7}); err == nil || err.Error() != want {
-		t.Errorf("ExecTablesOpts under Runtime(7): error %v, want %q", err, want)
-	}
 	if _, _, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Runtime: 7}); err == nil || err.Error() != want {
 		t.Errorf("ExecProfiledOpts under Runtime(7): error %v, want %q", err, want)
 	}
@@ -106,7 +103,7 @@ func TestBatchParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := ExecTablesOpts(q, res.Plan, data, RowOracle)
+			seq, _, err := ExecProfiledOpts(q, res.Plan, data, RowOracle)
 			if err != nil {
 				t.Fatalf("n=%d trial=%d sequential: %v", n, trial, err)
 			}
@@ -116,7 +113,7 @@ func TestBatchParallelDeterminism(t *testing.T) {
 					if workers > 1 {
 						eo.MorselSize = 2
 					}
-					got, err := ExecTablesOpts(q, res.Plan, data, eo)
+					got, _, err := ExecProfiledOpts(q, res.Plan, data, eo)
 					if err != nil {
 						t.Fatalf("n=%d trial=%d batch=%d workers=%d: %v", n, trial, bs, workers, err)
 					}

@@ -20,7 +20,7 @@ func TestBatchTPCHShapes(t *testing.T) {
 	for name, q := range tpch.Queries() {
 		tables := tpch.GenerateTables(rand.New(rand.NewSource(5)), q, tpch.ExecutionScale(name))
 		attrs := engine.OutputAttrs(q)
-		want, err := engine.CanonicalTables(q, tables)
+		want, err := engine.CanonicalTablesOpts(q, tables, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,12 +35,12 @@ func TestBatchTPCHShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			row, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
+			row, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.RowOracle)
 			if err != nil {
 				t.Fatalf("%s row exec: %v", label, err)
 			}
 			for _, bs := range []int{0, 1, 7} {
-				batch, err := engine.ExecTablesOpts(q, res.Plan, tables,
+				batch, _, err := engine.ExecProfiledOpts(q, res.Plan, tables,
 					engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs})
 				if err != nil {
 					t.Fatalf("%s batch exec: %v", label, err)
@@ -126,7 +126,7 @@ func TestProjectionMatchesHashGroup(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s hash form: %v", label, err)
 				}
-				got, err := engine.ExecTablesOpts(q, res.Plan, tables, eo)
+				got, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, eo)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -144,9 +144,10 @@ func TestProjectionMatchesHashGroup(t *testing.T) {
 
 // TestRowRuntimeIsSequential pins what naming the row runtime means: the
 // reference runs on one goroutine whatever Workers, MorselSize and Pool
-// say — on the hash layer (map-based operators, no flat table) and on the
-// sort layer (the Columnar() → batch → Table() wrappers) — and the batch
-// runtime, fanned out over the same pool, reproduces it bit for bit.
+// say, and on its own map-based hash operators whatever physical layer the
+// plan names — no flat table, no batch sort, so no telemetry in either
+// mode — and the batch runtime, fanned out over the same pool, reproduces
+// it bit for bit.
 func TestRowRuntimeIsSequential(t *testing.T) {
 	q := tpch.Queries()["Q3"]
 	tables := tpch.GenerateTables(rand.New(rand.NewSource(5)), q, tpch.ExecutionScaleAt("Q3", 2))
@@ -171,17 +172,21 @@ func TestRowRuntimeIsSequential(t *testing.T) {
 		if stats.Workers != 1 {
 			t.Errorf("phys=%v: ExecStats.Workers = %d under the row runtime, want 1", phys, stats.Workers)
 		}
-		if phys == core.PhysModeHash && stats.Hash != (algebra.HashTableStats{}) {
-			t.Errorf("the row runtime's hash layer reported flat-table telemetry: %+v", stats.Hash)
+		if stats.Hash != (algebra.HashTableStats{}) {
+			t.Errorf("phys=%v: the row runtime reported batch-kernel telemetry: %+v", phys, stats.Hash)
 		}
 		if row.Card() == 0 {
 			t.Fatalf("phys=%v: empty result proves nothing", phys)
 		}
-		batch, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8, MorselSize: 1, Pool: p})
+		batch, bstats, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8, MorselSize: 1, Pool: p})
 		if err != nil {
 			t.Fatalf("phys=%v batch exec: %v", phys, err)
 		}
 		identicalTables(t, fmt.Sprintf("phys=%v row ≡ batch", phys), row, batch)
+		h := bstats.Hash
+		if sorts := h.SortDense + h.SortRadix + h.SortCompare; (sorts > 0) != (phys == core.PhysModeSort) {
+			t.Errorf("phys=%v: the batch runtime performed %d sorts", phys, sorts)
+		}
 		if ps := p.Stats(); ps.WorkerTasks+ps.HelperTasks == 0 {
 			t.Errorf("phys=%v: the batch runtime never used the pool — the zero counters above prove nothing", phys)
 		}
@@ -205,11 +210,11 @@ func TestZeroValueOptionsRunBatch(t *testing.T) {
 	if stats.Hash.Builds == 0 {
 		t.Fatalf("ExecOptions{} built no hash table on a join plan — it did not run the batch runtime: %+v", stats.Hash)
 	}
-	_, stats, err = engine.ExecProfiled(q, res.Plan, tables)
+	_, stats, err = engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Hash.Builds == 0 {
-		t.Fatalf("ExecProfiled built no hash table on a join plan — it did not run the batch runtime: %+v", stats.Hash)
+		t.Fatalf("ExecOptions{Workers: 1} built no hash table on a join plan — it did not run the batch runtime: %+v", stats.Hash)
 	}
 }

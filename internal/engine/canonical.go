@@ -15,15 +15,18 @@ import (
 // nested-loop evaluator (CanonicalRef) provides an independent second
 // opinion for the differential tests.
 func Canonical(q *query.Query, data Data) (*algebra.Rel, error) {
-	tab, err := CanonicalTables(q, data.Tables())
+	tab, err := CanonicalTablesOpts(q, data.Tables(), ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return tab.Rel(), nil
 }
 
-// CanonicalTables evaluates the query as written on slot-based tables.
-func CanonicalTables(q *query.Query, data TableData) (*algebra.Table, error) {
+// CanonicalTablesOpts is Canonical on slot-based tables. The canonical
+// evaluator is sequential by definition and reads no option; the options
+// parameter is kept because the repository benchmark (bench/api.go) pins
+// the signature.
+func CanonicalTablesOpts(q *query.Query, data TableData, _ ExecOptions) (*algebra.Table, error) {
 	if q.Root == nil {
 		return nil, fmt.Errorf("engine: query has no operator tree")
 	}
@@ -39,13 +42,8 @@ func CanonicalTables(q *query.Query, data TableData) (*algebra.Table, error) {
 	return algebra.HashGroup(tab, g, q.Aggregates), nil
 }
 
-// CanonicalTablesOpts is CanonicalTables: the canonical evaluator is
-// sequential by definition and reads no option. The name and signature
-// are kept because the repository benchmark (bench/api.go) pins them.
-func CanonicalTablesOpts(q *query.Query, data TableData, _ ExecOptions) (*algebra.Table, error) {
-	return CanonicalTables(q, data)
-}
-
+// evalTreeTables evaluates the initial tree bottom-up through the row
+// runtime's operator dispatch, padding outer joins with NULL rows.
 func evalTreeTables(q *query.Query, n *query.OpNode, data TableData) (*algebra.Table, error) {
 	if n.Kind == query.KindScan {
 		tab, ok := data[n.Rel]
@@ -63,21 +61,7 @@ func evalTreeTables(q *query.Query, n *query.OpNode, data TableData) (*algebra.T
 		return nil, err
 	}
 	lk, rk := joinKeys(q, []*query.Predicate{n.Pred}, l.Schema, r.Schema)
-	switch n.Kind {
-	case query.KindJoin:
-		return algebra.HashJoin(l, r, lk, rk), nil
-	case query.KindSemiJoin:
-		return algebra.HashSemiJoin(l, r, lk, rk), nil
-	case query.KindAntiJoin:
-		return algebra.HashAntiJoin(l, r, lk, rk), nil
-	case query.KindLeftOuter:
-		return algebra.HashLeftOuter(l, r, lk, rk, algebra.NullRow(r.Schema)), nil
-	case query.KindFullOuter:
-		return algebra.HashFullOuter(l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema)), nil
-	case query.KindGroupJoin:
-		return algebra.HashGroupJoin(l, r, lk, rk, n.GroupJoinAggs), nil
-	}
-	return nil, fmt.Errorf("engine: unsupported node kind %v", n.Kind)
+	return rowJoin(n.Kind, l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema), n.GroupJoinAggs)
 }
 
 // OutputAttrs returns the attribute names of the query result: G ∪ A(F)

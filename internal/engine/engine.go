@@ -107,11 +107,10 @@ type ExecOptions struct {
 }
 
 // exec resolves the options into operator execution settings. The row
-// runtime gets one worker and no pool: its hash operators are sequential
-// functions, and this keeps its sort wrappers sequential too.
+// runtime runs no operator on it and reports one worker.
 func (o ExecOptions) exec() *algebra.Exec {
 	if o.Runtime == RuntimeRow {
-		return algebra.NewExec(1).WithBatchSize(o.BatchSize)
+		return algebra.NewExec(1)
 	}
 	e := algebra.NewExec(o.Workers)
 	if o.MorselSize > 0 {
@@ -133,7 +132,7 @@ func (o ExecOptions) runtime(ex *algebra.Exec) (runtimeOps, error) {
 	case RuntimeBatch:
 		return batchRuntime{ex: ex}, nil
 	case RuntimeRow:
-		return rowRuntime{ex: ex}, nil
+		return rowRuntime{}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown runtime %v", o.Runtime)
 }
@@ -278,38 +277,21 @@ func (e *binder) attrNames(set bitset.VSet) []string {
 	return out
 }
 
-// Exec executes an optimized plan against boundary data and returns the
-// result relation over G ∪ A(F) (or the plain operator result for
-// grouping-free queries).
+// Exec executes an optimized plan against boundary data with one worker
+// and returns the result relation over G ∪ A(F) (or the plain operator
+// result for grouping-free queries).
 func Exec(q *query.Query, p *plan.Plan, data Data) (*algebra.Rel, error) {
-	tab, err := ExecTables(q, p, data.Tables())
+	tab, _, err := ExecProfiledOpts(q, p, data.Tables(), ExecOptions{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
 	return tab.Rel(), nil
 }
 
-// ExecTables executes an optimized plan on slot-based tables with one
-// worker; ExecTablesOpts adds morsel-driven parallelism.
-func ExecTables(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, error) {
-	return ExecTablesOpts(q, p, data, ExecOptions{Workers: 1})
-}
-
-// ExecTablesOpts is Prepare and Run, keeping the result only.
-func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	tab, _, err := ExecProfiledOpts(q, p, data, opts)
-	return tab, err
-}
-
-// ExecProfiled executes an optimized plan with one worker and reports
-// execution statistics, including the measured counterpart of the plan's
-// C_out estimate.
-func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, *ExecStats, error) {
-	return ExecProfiledOpts(q, p, data, ExecOptions{Workers: 1})
-}
-
 // ExecProfiledOpts prepares the plan against data's schemas and runs it
-// once under the given options (Prepare, Program.Run).
+// once under the given options (Prepare, Program.Run), returning the
+// result and its execution statistics, including the measured
+// counterpart of the plan's C_out estimate.
 func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, *ExecStats, error) {
 	prog, err := Prepare(q, p, data.Schemas())
 	if err != nil {

@@ -17,7 +17,7 @@ func (rt hashProject) group(st *step, t rtTable) (rtTable, error) {
 	return rt.batchRuntime.group(st, t)
 }
 
-// ExecTablesHashProject is ExecTablesOpts on the batch runtime with
+// ExecTablesHashProject is ExecProfiledOpts on the batch runtime with
 // plan.NodeProject run through BatchHashGroup — the reference form of
 // the hash-free projection's differential test, for the external test
 // package (which can import tpch).

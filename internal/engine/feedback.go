@@ -106,7 +106,7 @@ func Reoptimize(q *query.Query, data TableData, opts FeedbackOptions) (*Feedback
 	}
 
 	overlay := cost.NewFeedbackOverlay()
-	if seed, ok := opts.Opt.Stats.(*cost.FeedbackOverlay); ok && seed != nil {
+	if seed := opts.Opt.Stats; seed != nil {
 		overlay.Merge(seed)
 	}
 	out := &FeedbackResult{Profile: overlay}

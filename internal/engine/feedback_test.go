@@ -47,7 +47,7 @@ func TestReoptimizeFixedPoint(t *testing.T) {
 			t.Fatalf("%s/%v: converged worst-operator q-error %g > 1+ε (%+v)", name, alg, w.QError(), w)
 		}
 		// Feedback may change the plan, never the answer.
-		want, err := engine.CanonicalTables(q, data)
+		want, err := engine.CanonicalTablesOpts(q, data, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestFeedbackChangesPlanQ5(t *testing.T) {
 		t.Fatalf("re-optimized plan should produce less intermediate volume: %g -> %g",
 			before.ActualCout, after.ActualCout)
 	}
-	want, err := engine.CanonicalTables(q, data)
+	want, err := engine.CanonicalTablesOpts(q, data, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

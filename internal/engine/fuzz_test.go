@@ -7,7 +7,6 @@ import (
 
 	"eagg/internal/algebra"
 	"eagg/internal/core"
-	"eagg/internal/plan"
 	"eagg/internal/randquery"
 )
 
@@ -36,6 +35,12 @@ func FuzzExecEquivalence(f *testing.F) {
 	f.Add(int64(7), uint8(5), uint8(6), uint8(2))
 	f.Add(int64(-12345), uint8(4), uint8(3), uint8(3))
 	f.Add(int64(987654321), uint8(6), uint8(5), uint8(4))
+	// EA-Prune under a cardinality overlay: feedback rounds that found no
+	// plan (or a worse one) while dominance compared plans across
+	// GroupsBelow.
+	f.Add(int64(-398), byte('®'), byte('\x7f'), byte('.'))
+	f.Add(int64(-12385), byte(':'), byte('z'), byte('3'))
+	f.Add(int64(987654414), byte(0xbd), byte('3'), byte(0x9c))
 
 	algs := []core.Options{
 		{Algorithm: core.AlgDPhyp},
@@ -97,11 +102,11 @@ func FuzzExecEquivalence(f *testing.F) {
 		tables := data.Tables()
 		workers := 2 + int(algPick)%7
 		popts := ExecOptions{Workers: workers, MorselSize: 1 + int(maxRows)%5}
-		seqTab, err := ExecTablesOpts(q, res.Plan, tables, RowOracle)
+		seqTab, _, err := ExecProfiledOpts(q, res.Plan, tables, RowOracle)
 		if err != nil {
 			t.Fatalf("sequential exec: %v", err)
 		}
-		parTab, err := ExecTablesOpts(q, res.Plan, tables, popts)
+		parTab, _, err := ExecProfiledOpts(q, res.Plan, tables, popts)
 		if err != nil {
 			t.Fatalf("parallel exec (workers=%d): %v", workers, err)
 		}
@@ -110,12 +115,12 @@ func FuzzExecEquivalence(f *testing.F) {
 		// Batch-size arm: the same against the row runtime sequentially
 		// and under morsel parallelism, for a fuzz-chosen batch size.
 		bs := 1 + int(maxRows)%9
-		batchTab, err := ExecTablesOpts(q, res.Plan, tables, ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
+		batchTab, _, err := ExecProfiledOpts(q, res.Plan, tables, ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("batch exec: %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d", seed, n, opts.Algorithm, bs), seqTab, batchTab)
-		batchPar, err := ExecTablesOpts(q, res.Plan, tables,
+		batchPar, _, err := ExecProfiledOpts(q, res.Plan, tables,
 			ExecOptions{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("parallel batch exec: %v", err)
@@ -126,23 +131,24 @@ func FuzzExecEquivalence(f *testing.F) {
 		// and emit fan-outs unchanged (the -phys arm below does the same
 		// across the sort-group span merge).
 		ftables := floatAggArgs(q, tables)
-		seqF, err := ExecTablesOpts(q, res.Plan, ftables, RowOracle)
+		seqF, _, err := ExecProfiledOpts(q, res.Plan, ftables, RowOracle)
 		if err != nil {
 			t.Fatalf("sequential exec (float args): %v", err)
 		}
-		batchParF, err := ExecTablesOpts(q, res.Plan, ftables,
+		batchParF, _, err := ExecProfiledOpts(q, res.Plan, ftables,
 			ExecOptions{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("parallel batch exec (float args): %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d workers=%d float args", seed, n, opts.Algorithm, bs, workers), seqF, batchParF)
 
-		// -phys arm: the sort-based physical layer. The sort-mode plan
-		// (annotated with merge keys, sort/reuse decisions and
-		// contractual orders) must execute bit-identically to the same
-		// logical plan stripped to the hash layer — both on the row
-		// runtime — and bag-equal to the canonical result; its parallel
-		// batch execution must be bit-identical to that.
+		// -phys arm: the sort-based physical layer. The row runtime runs
+		// the sort-mode plan (annotated with merge keys, sort/reuse
+		// decisions and contractual orders) on its hash operators: it must
+		// be bag-equal to the canonical result, and the batch runtime's
+		// sort-merge joins and sort-groups bit-identical to it — in
+		// parallel, sequentially, span-parallel and, over float aggregate
+		// arguments, in the hash layer's fold order.
 		physMode := core.PhysModeSort
 		popt := opts
 		popt.Phys = physMode
@@ -150,46 +156,37 @@ func FuzzExecEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("phys optimize (%v): %v", physMode, err)
 		}
-		physTab, err := ExecTablesOpts(q, pres.Plan, tables, RowOracle)
+		physTab, _, err := ExecProfiledOpts(q, pres.Plan, tables, RowOracle)
 		if err != nil {
 			t.Fatalf("phys exec (%v): %v\nplan:\n%v", physMode, err, pres.Plan.StringWithQuery(q))
 		}
-		strippedTab, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), tables, RowOracle)
-		if err != nil {
-			t.Fatalf("phys stripped exec: %v", err)
-		}
-		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v phys=%v sort≡hash", seed, n, opts.Algorithm, physMode), strippedTab, physTab)
 		if !algebra.EqualBags(want, physTab.Rel(), attrs) {
 			t.Fatalf("seed=%d n=%d %v phys=%v: ≢ Canonical\nplan:\n%v",
 				seed, n, opts.Algorithm, physMode, pres.Plan.StringWithQuery(q))
 		}
-		physPar, err := ExecTablesOpts(q, pres.Plan, tables, popts)
+		physPar, _, err := ExecProfiledOpts(q, pres.Plan, tables, popts)
 		if err != nil {
 			t.Fatalf("phys parallel exec: %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v workers=%d", seed, n, physMode, workers), physTab, physPar)
-		// Sort-annotated plans on the batch runtime run the columnar
-		// sort-merge join and sort-group: bit-identical to the row
-		// runtime sequentially and span-parallel, and — over float
-		// aggregate arguments — to the hash layer's fold order.
-		strippedF, err := ExecTablesOpts(q, plan.StripPhys(pres.Plan), ftables, RowOracle)
+		physF, _, err := ExecProfiledOpts(q, pres.Plan, ftables, RowOracle)
 		if err != nil {
-			t.Fatalf("phys stripped exec (float args): %v", err)
+			t.Fatalf("phys exec (float args): %v", err)
 		}
 		for _, bo := range []ExecOptions{
 			{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs},
 			{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs},
 		} {
-			physBatch, err := ExecTablesOpts(q, pres.Plan, tables, bo)
+			physBatch, _, err := ExecProfiledOpts(q, pres.Plan, tables, bo)
 			if err != nil {
 				t.Fatalf("phys batch exec (workers=%d): %v", bo.Workers, err)
 			}
 			identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d workers=%d", seed, n, physMode, bs, bo.Workers), physTab, physBatch)
-			physBatchF, err := ExecTablesOpts(q, pres.Plan, ftables, bo)
+			physBatchF, _, err := ExecProfiledOpts(q, pres.Plan, ftables, bo)
 			if err != nil {
 				t.Fatalf("phys batch exec (float args, workers=%d): %v", bo.Workers, err)
 			}
-			identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d workers=%d float args ≡ hash plan", seed, n, physMode, bs, bo.Workers), strippedF, physBatchF)
+			identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v batch=%d workers=%d float args ≡ row oracle", seed, n, physMode, bs, bo.Workers), physF, physBatchF)
 		}
 
 		// Feedback arm: the cardinality feedback loop may change the

@@ -56,7 +56,7 @@ func TestExecParallelAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := engine.ExecTablesOpts(q, res.Plan, data, engine.RowOracle)
+		row, _, err := engine.ExecProfiledOpts(q, res.Plan, data, engine.RowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}

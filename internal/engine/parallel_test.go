@@ -62,17 +62,17 @@ func TestExecParallelDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			seq, err := ExecTablesOpts(q, res.Plan, data, RowOracle)
+			seq, _, err := ExecProfiledOpts(q, res.Plan, data, RowOracle)
 			if err != nil {
 				t.Fatalf("n=%d trial=%d row oracle: %v", n, trial, err)
 			}
-			par, err := ExecTablesOpts(q, res.Plan, data, ExecOptions{Workers: 8, MorselSize: 2})
+			par, _, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 8, MorselSize: 2})
 			if err != nil {
 				t.Fatalf("n=%d trial=%d parallel: %v", n, trial, err)
 			}
 			identicalTables(t, fmt.Sprintf("n=%d trial=%d %v exec", n, trial, opts.Algorithm), seq, par)
 
-			canon, err := CanonicalTables(q, data)
+			canon, err := CanonicalTablesOpts(q, data, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

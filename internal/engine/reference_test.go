@@ -47,7 +47,7 @@ func TestSlotRuntimeMatchesReference(t *testing.T) {
 					t.Fatalf("ref exec: %v\nplan:\n%v", err, res.Plan.StringWithQuery(q))
 				}
 				for _, eo := range []ExecOptions{{Workers: 1}, RowOracle} {
-					tab, err := ExecTablesOpts(q, res.Plan, data.Tables(), eo)
+					tab, _, err := ExecProfiledOpts(q, res.Plan, data.Tables(), eo)
 					if err != nil {
 						t.Fatalf("%v exec: %v\nplan:\n%v", eo.Runtime, err, res.Plan.StringWithQuery(q))
 					}
@@ -72,7 +72,7 @@ func TestExecProfiledStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, stats, err := ExecProfiled(q, res.Plan, data.Tables())
+	tab, stats, err := ExecProfiledOpts(q, res.Plan, data.Tables(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

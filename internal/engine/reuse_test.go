@@ -57,7 +57,7 @@ func TestResultSurvivesReuse(t *testing.T) {
 	oracle := func(name string, phys core.PhysMode) *algebra.Table {
 		t.Helper()
 		sh := shapes[name]
-		tab, err := engine.ExecTablesOpts(sh.q, sh.plans[phys].Plan, sh.tables, engine.RowOracle)
+		tab, _, err := engine.ExecProfiledOpts(sh.q, sh.plans[phys].Plan, sh.tables, engine.RowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}

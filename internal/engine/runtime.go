@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"eagg/internal/aggfn"
 	"eagg/internal/algebra"
 	"eagg/internal/query"
 )
@@ -77,51 +78,24 @@ var mergeKinds = map[query.OpKind]algebra.MergeKind{
 	query.KindLeftOuter: algebra.MergeLeftOuter,
 }
 
-// rowRuntime runs every operator on the sequential row-at-a-time
-// operators, by attribute name where they take names. ex is a one-worker
-// Exec (ExecOptions.exec): the hash layer does not use it, the sort
-// layer's Columnar() → batch → Table() wrappers run sequentially under it.
-type rowRuntime struct{ ex *algebra.Exec }
+// rowRuntime runs every step on the sequential row-at-a-time hash
+// operators, whatever physical layer the plan names: a sort-based operator
+// emits exactly its hash counterpart's output sequence, so the oracle
+// shares no kernel with the batch runtime it checks (and verifies no
+// eliminated sort; the batch runtime does). A merge step's key slots are
+// its predicates' pairs in merge order, which a hash join does not see.
+type rowRuntime struct{}
 
-func (rt rowRuntime) tab(t rtTable) *algebra.Table { return t.(*algebra.Table) }
+func (rowRuntime) tab(t rtTable) *algebra.Table { return t.(*algebra.Table) }
 
-func (rt rowRuntime) scan(t *algebra.Table) rtTable { return t }
-func (rt rowRuntime) result(t rtTable) *algebra.Table {
-	return rt.tab(t)
-}
-func (rt rowRuntime) join(st *step, lt, rtt rtTable) (rtTable, error) {
-	l, r, j := rt.tab(lt), rt.tab(rtt), st.join
-	if st.kind == stepMergeJoin {
-		out, err := rt.ex.MergeTables(j.merge, l, r, j.lk, j.rk, st.node.SortL, st.node.SortR, j.rpad)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	switch st.node.Op {
-	case query.KindJoin:
-		return algebra.HashJoin(l, r, j.lk, j.rk), nil
-	case query.KindSemiJoin:
-		return algebra.HashSemiJoin(l, r, j.lk, j.rk), nil
-	case query.KindAntiJoin:
-		return algebra.HashAntiJoin(l, r, j.lk, j.rk), nil
-	case query.KindLeftOuter:
-		return algebra.HashLeftOuter(l, r, j.lk, j.rk, j.rpad), nil
-	case query.KindFullOuter:
-		return algebra.HashFullOuter(l, r, j.lk, j.rk, j.lpad, j.rpad), nil
-	}
-	return algebra.HashGroupJoin(l, r, j.lk, j.rk, j.gjAggs), nil
+func (rowRuntime) scan(t *algebra.Table) rtTable      { return t }
+func (rt rowRuntime) result(t rtTable) *algebra.Table { return rt.tab(t) }
+func (rt rowRuntime) join(st *step, l, r rtTable) (rtTable, error) {
+	j := st.join
+	return rowJoin(st.node.Op, rt.tab(l), rt.tab(r), j.lk, j.rk, j.lpad, j.rpad, j.gjAggs)
 }
 func (rt rowRuntime) group(st *step, t rtTable) (rtTable, error) {
-	g := st.group
-	if st.kind == stepSortGroup {
-		out, err := rt.ex.SortGroup(rt.tab(t), g.names, g.f, st.node.SortL, g.verify)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return algebra.HashGroup(rt.tab(t), g.names, g.f), nil
+	return algebra.HashGroup(rt.tab(t), st.group.names, st.group.f), nil
 }
 func (rt rowRuntime) product(pr *product, t rtTable) rtTable {
 	return algebra.ExtendTable(rt.tab(t), pr.out.Name(pr.out.Len()-1), func(row algebra.Row) algebra.Value {
@@ -131,6 +105,28 @@ func (rt rowRuntime) product(pr *product, t rtTable) rtTable {
 		}
 		return v
 	})
+}
+
+// rowJoin is the row runtime's one operator dispatch, shared by
+// rowRuntime and the canonical evaluator: the hash operator of kind op on
+// the paired key slots. lpad and rpad pad the outer joins' sides; gj is a
+// groupjoin's aggregation vector.
+func rowJoin(op query.OpKind, l, r *algebra.Table, lk, rk []int, lpad, rpad algebra.Row, gj aggfn.Vector) (*algebra.Table, error) {
+	switch op {
+	case query.KindJoin:
+		return algebra.HashJoin(l, r, lk, rk), nil
+	case query.KindSemiJoin:
+		return algebra.HashSemiJoin(l, r, lk, rk), nil
+	case query.KindAntiJoin:
+		return algebra.HashAntiJoin(l, r, lk, rk), nil
+	case query.KindLeftOuter:
+		return algebra.HashLeftOuter(l, r, lk, rk, rpad), nil
+	case query.KindFullOuter:
+		return algebra.HashFullOuter(l, r, lk, rk, lpad, rpad), nil
+	case query.KindGroupJoin:
+		return algebra.HashGroupJoin(l, r, lk, rk, gj), nil
+	}
+	return nil, fmt.Errorf("engine: unsupported operator %v", op)
 }
 
 // batchRuntime runs every operator — both physical layers — batch at a

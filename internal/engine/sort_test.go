@@ -15,10 +15,10 @@ import (
 
 // TestSortPhysTPCHDifferential is the TPC-H arm of the differential
 // coverage: for every query and generator, the sort-mode plan must
-// execute bit-identically to the same logical plan stripped to the hash
-// layer and run on the row runtime (the sort operators emit the
-// hash-canonical sequence), and bag-equal to the canonical evaluation and the frozen nested-loop
-// reference executor.
+// execute on the batch runtime's sort operators bit-identically to the
+// same plan on the row oracle, which runs it on its hash operators (the
+// sort operators emit the hash-canonical sequence), and bag-equal to the
+// canonical evaluation and the frozen nested-loop reference executor.
 func TestSortPhysTPCHDifferential(t *testing.T) {
 	for name, q := range tpch.Queries() {
 		tables := tpch.GenerateTables(rand.New(rand.NewSource(3)), q, tpch.ExecutionScale(name))
@@ -27,7 +27,7 @@ func TestSortPhysTPCHDifferential(t *testing.T) {
 			data[id] = tab.Rel()
 		}
 		attrs := engine.OutputAttrs(q)
-		want, err := engine.CanonicalTables(q, tables)
+		want, err := engine.CanonicalTablesOpts(q, tables, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,15 +37,15 @@ func TestSortPhysTPCHDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			got, err := engine.ExecTables(q, res.Plan, tables)
+			got, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s exec: %v\nplan:\n%v", label, err, res.Plan.StringWithQuery(q))
 			}
-			stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
+			row, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.RowOracle)
 			if err != nil {
-				t.Fatalf("%s stripped exec: %v", label, err)
+				t.Fatalf("%s row exec: %v", label, err)
 			}
-			identicalTables(t, label+" sort≡hash(same plan)", stripped, got)
+			identicalTables(t, label+" sort≡hash(same plan)", row, got)
 			if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
 				t.Fatalf("%s: result differs from canonical\nplan:\n%v", label, res.Plan.StringWithQuery(q))
 			}
@@ -61,8 +61,7 @@ func TestSortPhysTPCHDifferential(t *testing.T) {
 }
 
 // TestSortPhysRandomDifferential fans the same differential over random
-// queries and data: annotated ≡ stripped bit for bit, ≡ canonical as
-// bags.
+// queries and data: batch ≡ row oracle bit for bit, ≡ canonical as bags.
 func TestSortPhysRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -71,7 +70,7 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 		data := engine.RandomData(rng, q, 8)
 		tables := data.Tables()
 		attrs := engine.OutputAttrs(q)
-		want, err := engine.CanonicalTables(q, tables)
+		want, err := engine.CanonicalTablesOpts(q, tables, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,15 +78,15 @@ func TestSortPhysRandomDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial=%d: %v", trial, err)
 		}
-		got, err := engine.ExecTables(q, res.Plan, tables)
+		got, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial=%d exec: %v\nplan:\n%v", trial, err, res.Plan.StringWithQuery(q))
 		}
-		stripped, err := engine.ExecTablesOpts(q, plan.StripPhys(res.Plan), tables, engine.RowOracle)
+		row, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.RowOracle)
 		if err != nil {
-			t.Fatalf("trial=%d stripped: %v", trial, err)
+			t.Fatalf("trial=%d row: %v", trial, err)
 		}
-		identicalTables(t, fmt.Sprintf("trial=%d", trial), stripped, got)
+		identicalTables(t, fmt.Sprintf("trial=%d", trial), row, got)
 		if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
 			t.Fatalf("trial=%d: ≢ canonical\nplan:\n%v", trial, res.Plan.StringWithQuery(q))
 		}
@@ -114,11 +113,11 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
+		seq, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.RowOracle)
 		if err != nil {
 			t.Fatalf("trial=%d sequential: %v", trial, err)
 		}
-		par, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8, MorselSize: 3})
+		par, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 8, MorselSize: 3})
 		if err != nil {
 			t.Fatalf("trial=%d parallel: %v", trial, err)
 		}
@@ -128,7 +127,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 				{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs},
 				{Workers: 8, MorselSize: 3, Runtime: engine.RuntimeBatch, BatchSize: bs},
 			} {
-				got, err := engine.ExecTablesOpts(q, res.Plan, tables, o)
+				got, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, o)
 				if err != nil {
 					t.Fatalf("trial=%d batch=%d workers=%d: %v", trial, bs, o.Workers, err)
 				}
@@ -143,7 +142,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.RowOracle)
+		seq, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.RowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +150,7 @@ func TestSortParallelBitIdentity(t *testing.T) {
 			{Workers: 8}, // adaptive morsels: under the cutoff, the sequential arms
 			{Workers: 8, MorselSize: 64},
 		} {
-			par, err := engine.ExecTablesOpts(q, res.Plan, tables, o)
+			par, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +192,7 @@ func TestSortEliminatesSortOnTPCH(t *testing.T) {
 	}
 
 	tables := tpch.GenerateTables(rand.New(rand.NewSource(2)), q, tpch.ExecutionScale("Q3"))
-	got, err := engine.ExecTables(q, res.Plan, tables)
+	got, _, err := engine.ExecProfiledOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +200,11 @@ func TestSortEliminatesSortOnTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashTab, err := engine.ExecTablesOpts(q, hashRes.Plan, tables, engine.RowOracle)
+	hashTab, _, err := engine.ExecProfiledOpts(q, hashRes.Plan, tables, engine.RowOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.CanonicalTables(q, tables)
+	want, err := engine.CanonicalTablesOpts(q, tables, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

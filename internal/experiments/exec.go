@@ -100,7 +100,7 @@ func execSetup(cfg Config, factor float64, name string) (q *query.Query, data en
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	data = tpch.GenerateTables(rng, q, tpch.ExecutionScaleAt(name, factor))
 	start := time.Now()
-	want, err := engine.CanonicalTables(q, data)
+	want, err := engine.CanonicalTablesOpts(q, data, engine.ExecOptions{})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: canonical %s: %v", name, err))
 	}

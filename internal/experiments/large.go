@@ -98,7 +98,7 @@ func LargeEval(cfg Config, shapes []string, pairBudget int) *LargeReport {
 		}
 		q := build()
 		data := LargeData(q, 6).Tables()
-		want, err := engine.CanonicalTables(q, data)
+		want, err := engine.CanonicalTablesOpts(q, data, engine.ExecOptions{})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: canonical %s: %v", name, err))
 		}

@@ -357,24 +357,3 @@ func (p *Plan) SortStats() (performed, eliminated int) {
 	}
 	return performed, eliminated
 }
-
-// StripPhys returns a copy of the plan with every physical annotation
-// removed — the same logical tree on the pure hash layer. Executing the
-// stripped plan is the differential oracle for the sort-based layer: the
-// sort operators emit the hash-canonical output sequence, so results
-// must be bit-identical, not merely bag-equal.
-func StripPhys(p *Plan) *Plan {
-	if p == nil {
-		return nil
-	}
-	c := *p
-	c.Phys = PhysHash
-	c.SortL, c.SortR = false, false
-	c.MergeL, c.MergeR = nil, nil
-	c.Ord = nil
-	c.PhysCost = 0
-	c.Profile = nil
-	c.Left = StripPhys(p.Left)
-	c.Right = StripPhys(p.Right)
-	return &c
-}

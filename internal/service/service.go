@@ -313,7 +313,7 @@ type Response struct {
 
 // Execute optimizes and runs one query. Safe for arbitrary concurrent
 // use; the result table is bit-identical to the one-shot library call
-// (core.Optimize + engine.ExecTablesOpts) under the same statistics
+// (core.Optimize + engine.ExecProfiledOpts) under the same statistics
 // snapshot, whatever the concurrency.
 //
 // A plan-cache miss prepares the plan's program against the request's

@@ -148,7 +148,7 @@ func TestServiceConcurrentDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := engine.ExecTablesOpts(q, res.Plan, data, rowOracle)
+			want, _, err := engine.ExecProfiledOpts(q, res.Plan, data, rowOracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestServiceConcurrentMixedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.ExecTablesOpts(q, res.Plan, data, rowOracle)
+		want, _, err := engine.ExecProfiledOpts(q, res.Plan, data, rowOracle)
 		if err != nil {
 			t.Fatal(err)
 		}
